@@ -1,6 +1,7 @@
 // Ablation of the skyline-specific optimizer rules (paper section 5.4 and
-// DESIGN.md section 5): single-dimension rewrite, skyline-through-join
-// pushdown, and filter pushdown, each toggled off individually.
+// docs/ARCHITECTURE.md, "`src/optimizer` — rule-based rewriting"):
+// single-dimension rewrite, skyline-through-join pushdown, and filter
+// pushdown, each toggled off individually.
 #include <cinttypes>
 #include <cstdio>
 
@@ -125,14 +126,6 @@ int main(int argc, char** argv) {
   const std::string anti_sql =
       "SELECT * FROM anti SKYLINE OF d0 MIN, d1 MIN, d2 MIN, d3 MIN";
 
-  {
-    // Columnar dominance fast path (skyline/columnar.h) on vs. off.
-    Cell columnar = RunCell(&session, anti_sql, "distributed", 4, config);
-    SL_CHECK_OK(session.SetConf("sparkline.skyline.columnar", "false"));
-    Cell row = RunCell(&session, anti_sql, "distributed", 4, config);
-    SL_CHECK_OK(session.SetConf("sparkline.skyline.columnar", "true"));
-    Report("columnar dominance", columnar, row);
-  }
   {
     Cell bnl = RunCell(&session, anti_sql, "distributed", 4, config);
     SL_CHECK_OK(session.SetConf("sparkline.skyline.kernel", "sfs"));

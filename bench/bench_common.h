@@ -9,8 +9,9 @@
 // reference itself timed out.
 //
 // Times are the *simulated cluster* times (critical-path model, see
-// DESIGN.md section 2); datasets are scaled-down versions of the paper's
-// (pass --scale=N to grow them).
+// docs/ARCHITECTURE.md, "`src/exec` — physical planning and execution");
+// datasets are scaled-down versions of the paper's (pass --scale=N to grow
+// them).
 #pragma once
 
 #include <functional>

@@ -11,6 +11,7 @@
 
 #include "bench_common.h"
 #include "common/string_util.h"
+#include "skyline/columnar.h"
 
 using namespace sparkline;        // NOLINT
 using namespace sparkline::bench; // NOLINT
@@ -78,39 +79,45 @@ void IncompleteParallelAblation(Session* session, const std::string& table,
               names, labels, rows, 1, "time");
 }
 
-// DominanceMatrix storage is charged to the query's MemoryTracker (PR 4):
-// with the same plan and row accounting, the default columnar-exchange run
-// must report a strictly higher peak than the row-kernel run — the delta is
-// the matrix (keys + bitmaps + dictionaries) becoming visible to memory
-// accounting. On the exchange path the batch reservations stay alive across
-// stages, so they overlap the query's peak moment (input + local output
-// resident) no matter where it falls; row-byte accounting is identical in
-// both runs, so the comparison is deterministic.
+// DominanceMatrix storage is charged to the query's MemoryTracker: every
+// local-stage matrix stays reserved while its batch lives, so the query's
+// peak tracked bytes (peak memory minus the fixed per-executor footprint)
+// must cover at least one projection of the whole input over the query's
+// dimensions — which is what the per-partition matrices add up to.
 void AssertMatrixMemoryVisible(Session* session, const std::string& table,
                                const std::vector<std::string>& dimensions) {
-  SL_CHECK_OK(session->SetConf("sparkline.skyline.exchange.columnar", "true"));
-  SL_CHECK_OK(session->SetConf("sparkline.executors", "3"));
-  const std::string sql = SkylineSql(table, dimensions, 6, true);
-  auto peak_with_columnar = [&](const char* columnar) {
-    SL_CHECK_OK(session->SetConf("sparkline.skyline.columnar", columnar));
-    auto df = session->Sql(sql);
-    SL_CHECK(df.ok());
-    auto r = df->Collect();
-    SL_CHECK(r.ok()) << r.status().ToString();
-    return r->metrics.peak_memory_bytes;
-  };
-  const int64_t peak_columnar = peak_with_columnar("true");
-  const int64_t peak_row = peak_with_columnar("false");
-  SL_CHECK(peak_columnar > peak_row)
-      << "DominanceMatrix bytes are invisible to the MemoryTracker: columnar "
-      << peak_columnar << " vs row " << peak_row;
-  std::printf("matrix-memory check | %s | columnar peak %lld B > row peak "
-              "%lld B (delta %lld B = tracked matrix storage)\n",
-              table.c_str(), static_cast<long long>(peak_columnar),
-              static_cast<long long>(peak_row),
-              static_cast<long long>(peak_columnar - peak_row));
-  SL_CHECK_OK(session->SetConf("sparkline.skyline.columnar", "true"));
-  SL_CHECK_OK(session->SetConf("sparkline.skyline.exchange.columnar", "true"));
+  constexpr int kExecutors = 3;
+  SL_CHECK_OK(
+      session->SetConf("sparkline.executors", std::to_string(kExecutors)));
+  auto df = session->Sql(SkylineSql(table, dimensions, 6, true));
+  SL_CHECK(df.ok());
+  auto r = df->Collect();
+  SL_CHECK(r.ok()) << r.status().ToString();
+  const int64_t tracked_peak =
+      r->metrics.peak_memory_bytes -
+      kExecutors * session->config().cluster.executor_overhead_bytes;
+
+  TablePtr input = session->catalog()->GetTable(table).MoveValue();
+  std::vector<skyline::BoundDimension> dims;
+  for (size_t i = 0; i < 6; ++i) {
+    const std::string& item = dimensions[i];
+    const std::string column = item.substr(0, item.find(' '));
+    const int ordinal = input->schema().IndexOf(column);
+    SL_CHECK(ordinal >= 0) << "no column " << column << " in " << table;
+    dims.push_back({static_cast<size_t>(ordinal),
+                    item.find("MAX") != std::string::npos ? SkylineGoal::kMax
+                                                          : SkylineGoal::kMin});
+  }
+  auto matrix = skyline::DominanceMatrix::Build(input->rows(), dims);
+  SL_CHECK(matrix.ok()) << matrix.status().ToString();
+  const int64_t matrix_bytes = matrix->MemoryBytes();
+  SL_CHECK(tracked_peak >= matrix_bytes)
+      << "DominanceMatrix bytes are invisible to the MemoryTracker: tracked "
+      << "peak " << tracked_peak << " B < matrix " << matrix_bytes << " B";
+  std::printf("matrix-memory check | %s | tracked peak %lld B >= matrix "
+              "%lld B\n",
+              table.c_str(), static_cast<long long>(tracked_peak),
+              static_cast<long long>(matrix_bytes));
 }
 
 }  // namespace

@@ -1,16 +1,17 @@
 // Micro benchmarks (google-benchmark) for the skyline kernels of paper
 // sections 5.5-5.7: dominance tests, Block-Nested-Loop, Sort-Filter-Skyline
-// (the paper's future-work presorting family), the all-pairs incomplete
-// algorithm, and null-bitmap partitioning — across the classic correlated /
-// independent / anti-correlated workloads.
-// The row-kernel vs. columnar-kernel ablation lives here too: every
-// BM_Columnar* benchmark has a row-oriented sibling over the same data, and
-// the dominance-test-throughput counters quantify the projection's payoff
-// (recorded in CHANGES.md).
+// (the paper's future-work presorting family), grid filtering, the
+// all-pairs incomplete algorithm, null-bitmap partitioning and the
+// DominanceMatrix projection itself (direct vs. ranked keys) — across the
+// classic correlated / independent / anti-correlated workloads. The
+// dominance-test-throughput counters report "the main cost factor of
+// skyline computation" (paper section 2); BM_BruteForce times the
+// quadratic reference oracle the tests compare against.
+#include <cmath>
+
 #include <benchmark/benchmark.h>
 
 #include "datagen/datagen.h"
-#include "skyline/algorithms.h"
 #include "skyline/columnar.h"
 
 namespace sparkline {
@@ -75,7 +76,7 @@ BENCHMARK(BM_DominanceTestIncomplete)->Arg(2)->Arg(6);
 std::vector<double> MakeKeyBuffer(size_t pairs, size_t dims) {
   auto rows = MakeRows(2 * pairs, dims, PointDistribution::kAntiCorrelated);
   auto bound = MinDims(dims);
-  auto matrix = skyline::DominanceMatrix::TryBuild(rows, bound);
+  auto matrix = skyline::DominanceMatrix::Build(rows, bound);
   std::vector<double> keys;
   keys.reserve(2 * pairs * dims);
   for (uint32_t r = 0; r < 2 * pairs; ++r) {
@@ -144,7 +145,7 @@ void BM_ColumnarDominanceTest(benchmark::State& state) {
   const size_t dims = static_cast<size_t>(state.range(0));
   auto rows = MakeRows(2, dims, PointDistribution::kIndependent);
   auto bound = MinDims(dims);
-  auto matrix = skyline::DominanceMatrix::TryBuild(rows, bound);
+  auto matrix = skyline::DominanceMatrix::Build(rows, bound);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         matrix->Compare(0, 1, skyline::NullSemantics::kComplete));
@@ -176,20 +177,6 @@ void SetThroughput(benchmark::State& state, const skyline::DominanceCounter& c,
   state.SetItemsProcessed(state.iterations() * rows);
 }
 
-void BM_RowBnlStoreSales(benchmark::State& state) {
-  auto rows = MakeStoreSales(static_cast<size_t>(state.range(0)));
-  auto dims = StoreSalesDims();
-  skyline::DominanceCounter counter;
-  skyline::SkylineOptions opts;
-  opts.counter = &counter;
-  for (auto _ : state) {
-    auto result = skyline::BlockNestedLoop(rows, dims, opts);
-    benchmark::DoNotOptimize(result);
-  }
-  SetThroughput(state, counter, state.range(0));
-}
-BENCHMARK(BM_RowBnlStoreSales)->Arg(5000)->Arg(20000);
-
 void BM_ColumnarBnlStoreSales(benchmark::State& state) {
   auto rows = MakeStoreSales(static_cast<size_t>(state.range(0)));
   auto dims = StoreSalesDims();
@@ -198,32 +185,12 @@ void BM_ColumnarBnlStoreSales(benchmark::State& state) {
   opts.counter = &counter;
   for (auto _ : state) {
     auto result = skyline::ColumnarSkyline(
-        skyline::ColumnarKernel::kBlockNestedLoop, rows, dims, opts);
+        skyline::SkylineKernel::kBlockNestedLoop, rows, dims, opts);
     benchmark::DoNotOptimize(result);
   }
   SetThroughput(state, counter, state.range(0));
 }
 BENCHMARK(BM_ColumnarBnlStoreSales)->Arg(5000)->Arg(20000);
-
-void BM_BlockNestedLoop(benchmark::State& state) {
-  auto rows = MakeRows(static_cast<size_t>(state.range(0)), 4,
-                       DistFromArg(state.range(1)));
-  auto dims = MinDims(4);
-  skyline::DominanceCounter counter;
-  skyline::SkylineOptions opts;
-  opts.counter = &counter;
-  for (auto _ : state) {
-    auto result = skyline::BlockNestedLoop(rows, dims, opts);
-    benchmark::DoNotOptimize(result);
-  }
-  SetThroughput(state, counter, state.range(0));
-}
-BENCHMARK(BM_BlockNestedLoop)
-    ->Args({2000, 0})
-    ->Args({2000, 1})
-    ->Args({2000, 2})
-    ->Args({10000, 0})
-    ->Args({10000, 1});
 
 void BM_ColumnarBlockNestedLoop(benchmark::State& state) {
   auto rows = MakeRows(static_cast<size_t>(state.range(0)), 4,
@@ -234,7 +201,7 @@ void BM_ColumnarBlockNestedLoop(benchmark::State& state) {
   opts.counter = &counter;
   for (auto _ : state) {
     auto result = skyline::ColumnarSkyline(
-        skyline::ColumnarKernel::kBlockNestedLoop, rows, dims, opts);
+        skyline::SkylineKernel::kBlockNestedLoop, rows, dims, opts);
     benchmark::DoNotOptimize(result);
   }
   SetThroughput(state, counter, state.range(0));
@@ -246,6 +213,16 @@ BENCHMARK(BM_ColumnarBlockNestedLoop)
     ->Args({10000, 0})
     ->Args({10000, 1});
 
+/// All-pairs incomplete skyline over a prebuilt matrix.
+std::vector<Row> AllPairs(const std::vector<Row>& rows,
+                          const std::vector<skyline::BoundDimension>& dims,
+                          const skyline::SkylineOptions& opts) {
+  auto matrix = skyline::DominanceMatrix::Build(rows, dims);
+  auto survivors = skyline::ColumnarAllPairsIncomplete(
+      *matrix, skyline::AllIndices(*matrix), opts);
+  return skyline::MaterializeRows(rows, *survivors);
+}
+
 void BM_ColumnarAllPairsIncomplete(benchmark::State& state) {
   auto rows = MakeRows(static_cast<size_t>(state.range(0)), 4,
                        PointDistribution::kIndependent, 0.25);
@@ -253,65 +230,53 @@ void BM_ColumnarAllPairsIncomplete(benchmark::State& state) {
   skyline::SkylineOptions opts;
   opts.nulls = skyline::NullSemantics::kIncomplete;
   for (auto _ : state) {
-    auto result = skyline::ColumnarAllPairsSkyline(rows, dims, opts);
+    auto result = AllPairs(rows, dims, opts);
     benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ColumnarAllPairsIncomplete)->Arg(500)->Arg(1000)->Arg(2000);
 
-void BM_SortFilterSkyline(benchmark::State& state) {
+void BM_ColumnarSortFilterSkyline(benchmark::State& state) {
   auto rows = MakeRows(static_cast<size_t>(state.range(0)), 4,
                        DistFromArg(state.range(1)));
   auto dims = MinDims(4);
   for (auto _ : state) {
-    auto result = skyline::SortFilterSkyline(rows, dims, {});
+    auto result = skyline::ColumnarSkyline(
+        skyline::SkylineKernel::kSortFilterSkyline, rows, dims, {});
     benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_SortFilterSkyline)
+BENCHMARK(BM_ColumnarSortFilterSkyline)
     ->Args({2000, 0})
     ->Args({2000, 1})
     ->Args({10000, 0})
     ->Args({10000, 1});
 
-void BM_GridFilterSkyline(benchmark::State& state) {
+void BM_ColumnarGridFilterSkyline(benchmark::State& state) {
   auto rows = MakeRows(static_cast<size_t>(state.range(0)), 4,
                        DistFromArg(state.range(1)));
   auto dims = MinDims(4);
   for (auto _ : state) {
-    auto result = skyline::GridFilterSkyline(rows, dims, {});
+    auto result = skyline::ColumnarSkyline(skyline::SkylineKernel::kGridFilter,
+                                           rows, dims, {});
     benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_GridFilterSkyline)
+BENCHMARK(BM_ColumnarGridFilterSkyline)
     ->Args({2000, 0})
     ->Args({2000, 1})
     ->Args({10000, 0})
     ->Args({10000, 1});
-
-void BM_AllPairsIncomplete(benchmark::State& state) {
-  auto rows = MakeRows(static_cast<size_t>(state.range(0)), 4,
-                       PointDistribution::kIndependent, 0.25);
-  auto dims = MinDims(4);
-  skyline::SkylineOptions opts;
-  opts.nulls = skyline::NullSemantics::kIncomplete;
-  for (auto _ : state) {
-    auto result = skyline::AllPairsIncomplete(rows, dims, opts);
-    benchmark::DoNotOptimize(result);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_AllPairsIncomplete)->Arg(500)->Arg(1000)->Arg(2000);
 
 void BM_NullBitmapPartitioning(benchmark::State& state) {
   auto rows = MakeRows(static_cast<size_t>(state.range(0)), 6,
                        PointDistribution::kIndependent, 0.2);
-  auto dims = MinDims(6);
+  auto matrix = skyline::DominanceMatrix::Build(rows, MinDims(6));
   for (auto _ : state) {
-    auto parts = skyline::PartitionByNullBitmap(rows, dims);
+    auto parts = skyline::PartitionIndicesByNullBitmap(*matrix);
     benchmark::DoNotOptimize(parts);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -319,19 +284,39 @@ void BM_NullBitmapPartitioning(benchmark::State& state) {
 BENCHMARK(BM_NullBitmapPartitioning)->Arg(10000);
 
 void BM_IncompletePipeline(benchmark::State& state) {
-  // The full partition -> local BNL -> all-pairs pipeline of section 5.7.
+  // The full local bitmap-grouped BNL -> all-pairs pipeline of section 5.7.
   auto rows = MakeRows(static_cast<size_t>(state.range(0)), 4,
                        PointDistribution::kIndependent, 0.25);
   auto dims = MinDims(4);
   skyline::SkylineOptions opts;
   opts.nulls = skyline::NullSemantics::kIncomplete;
   for (auto _ : state) {
-    auto result = skyline::ComputeSkyline(rows, dims, opts);
+    auto local = skyline::ColumnarSkyline(
+        skyline::SkylineKernel::kBlockNestedLoop, rows, dims, opts);
+    auto result = AllPairs(*local, dims, opts);
     benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_IncompletePipeline)->Arg(1000)->Arg(4000);
+
+/// Projection cost: range(1) = 0 keys every dimension directly; 1 puts a
+/// NaN into every dimension, so each one is ranked through a sorted
+/// dictionary.
+void BM_MatrixBuild(benchmark::State& state) {
+  auto rows = MakeRows(static_cast<size_t>(state.range(0)), 4,
+                       PointDistribution::kIndependent);
+  if (state.range(1) == 1) {
+    for (auto& v : rows[0]) v = Value::Double(std::nan(""));
+  }
+  auto dims = MinDims(4);
+  for (auto _ : state) {
+    auto matrix = skyline::DominanceMatrix::Build(rows, dims);
+    benchmark::DoNotOptimize(matrix);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_MatrixBuild)->Args({10000, 0})->Args({10000, 1});
 
 void BM_BruteForce(benchmark::State& state) {
   auto rows = MakeRows(static_cast<size_t>(state.range(0)), 4,

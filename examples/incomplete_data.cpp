@@ -10,7 +10,7 @@
 
 #include "api/dataframe.h"
 #include "api/session.h"
-#include "skyline/algorithms.h"
+#include "skyline/columnar.h"
 
 using namespace sparkline;  // NOLINT
 namespace sky = sparkline::skyline;
@@ -43,7 +43,10 @@ int main() {
   auto flawed = sky::FlawedGulzarGlobal(tuples, dims);
   sky::SkylineOptions opts;
   opts.nulls = sky::NullSemantics::kIncomplete;
-  auto correct = sky::AllPairsIncomplete(tuples, dims, opts);
+  auto matrix = sky::DominanceMatrix::Build(tuples, dims);
+  SL_CHECK(matrix.ok());
+  auto correct =
+      sky::ColumnarAllPairsIncomplete(*matrix, sky::AllIndices(*matrix), opts);
   SL_CHECK(correct.ok());
   std::printf("Gulzar et al. [20] (eager deletion): %zu tuple(s) -- WRONG\n",
               flawed.size());

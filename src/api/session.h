@@ -14,9 +14,6 @@
 //   sparkline.timeout_ms                    per-query timeout (0 = none)
 //   sparkline.memory.executorOverheadMb     simulated per-executor footprint
 //   sparkline.skyline.kernel                bnl | sfs | grid
-//   sparkline.skyline.columnar              bool, columnar dominance fast path
-//   sparkline.skyline.exchange.columnar     bool, ship DominanceMatrix batches
-//                                           between skyline stages
 //   sparkline.skyline.incomplete.parallel   bool, round-based parallel
 //                                           incomplete global stage
 //   sparkline.skyline.broadcast_filter      bool, pre-gather broadcast-filter
@@ -87,19 +84,6 @@ struct SessionConfig {
   /// pruning (Tang et al., paper section 2). Key:
   /// sparkline.skyline.kernel = bnl | sfs | grid.
   SkylineKernel skyline_kernel = SkylineKernel::kBlockNestedLoop;
-  /// Columnar dominance fast path (structure-of-arrays projection +
-  /// index-based kernels; see skyline/columnar.h). Results are identical
-  /// with the toggle on or off. Key: sparkline.skyline.columnar = bool.
-  bool skyline_columnar = true;
-  /// Columnar exchange: skyline stages ship DominanceMatrix batch views
-  /// instead of materialized rows — each partition is projected exactly
-  /// once, the gather exchange concatenates matrix blocks, global stages
-  /// slice index views, and rows decode only at the plan root. Off = every
-  /// stage re-projects (the pre-exchange behaviour, kept for ablation).
-  /// Result *sets* are identical either way; SKYLINE row order is
-  /// unspecified and may differ. Requires skyline_columnar. Key:
-  /// sparkline.skyline.exchange.columnar = bool.
-  bool skyline_columnar_exchange = true;
   /// Round-based parallel incomplete-data global stage (candidate scan per
   /// chunk + rotating validation rounds; see GlobalSkylineIncompleteExec).
   /// Off = the paper's single-task all-pairs. Results are identical with
@@ -111,7 +95,7 @@ struct SessionConfig {
   /// its local skyline against it *before* the gather exchange pays for
   /// shipping the rows. Strict-only elimination keeps results
   /// bit-identical with the phase off; ineligible shapes (NULLs, DIFF
-  /// dims, row-mode partitions) pass through. Key:
+  /// dims, ranked dims) pass through. Key:
   /// sparkline.skyline.broadcast_filter.
   bool skyline_broadcast_filter = true;
   /// Phase two: scans build per-partition zone maps (per-column min/max +

@@ -4,7 +4,8 @@
 // effect of adding executors. Stage tasks are therefore timed with the
 // per-thread CPU clock; the executor combines task times into a critical-path
 // "simulated cluster time" (max over the partitions of a stage, summed over
-// stages). See DESIGN.md section 2.
+// stages). See docs/ARCHITECTURE.md, "`src/exec` — physical planning and
+// execution".
 #pragma once
 
 #include <cstdint>

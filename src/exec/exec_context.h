@@ -120,19 +120,19 @@ struct QueryMetrics {
   int64_t bytes_served = 0;
 
   // --- columnar exchange counters ------------------------------------------
-  /// Milliseconds spent projecting rows into DominanceMatrix form on the
-  /// columnar-exchange path (summed across parallel tasks, so it can exceed
-  /// the stage's critical-path time; the per-stage critical path already
-  /// includes it). 0 when the exchange is off.
+  /// Milliseconds spent projecting rows into DominanceMatrix form (summed
+  /// across parallel tasks, so it can exceed the stage's critical-path
+  /// time; the per-stage critical path already includes it).
   double projection_ms = 0;
-  /// Milliseconds spent materializing rows from batches — mid-plan row
-  /// fallbacks plus the plan-root decode.
+  /// Milliseconds spent materializing rows from batches — mid-plan decodes
+  /// for non-skyline consumers plus the plan-root decode.
   double decode_ms = 0;
-  /// DominanceMatrix projections (TryBuild) per stage label. With the
-  /// columnar exchange on, skyline plans build each partition's matrix
-  /// exactly once — at the local stage (or once at the global stage for
+  /// DominanceMatrix projections (DominanceMatrix::Build) per stage label.
+  /// Skyline plans build each partition's matrix exactly once — at the
+  /// local stage (or once in the global stage's "[project]" for
   /// non-distributed plans) — so no "[partial]"/"[merge]"/"[candidates]"
-  /// label appears here; with it off, every stage that re-projects shows up.
+  /// label appears here. A gather re-ranking a ranked dimension adds one
+  /// build under its own label.
   std::map<std::string, int64_t> matrix_builds;
   /// Stages that consumed an already-built matrix (a batch or a view)
   /// instead of re-projecting, per stage label.

@@ -2,13 +2,12 @@
 // row partitions (the analog of an RDD's partitions in Spark), optionally
 // carried in columnar-exchange form.
 //
-// Columnar exchange (sparkline.skyline.exchange.columnar): skyline stages
-// can hand their output to the next stage as ColumnarBatch views — a shared
-// immutable DominanceMatrix plus a row-index selection — instead of
-// materialized rows, so downstream skyline stages never re-project. A
-// partition is EITHER rows in partitions[i] OR a batch in batches[i], never
-// both; operators that need rows call EnsureRows() (the row fallback),
-// which decodes every batch in place.
+// Columnar exchange: skyline stages hand their output to the next stage as
+// ColumnarBatch views — a shared immutable DominanceMatrix plus a row-index
+// selection — instead of materialized rows, so downstream skyline stages
+// never re-project. A partition is EITHER rows in partitions[i] OR a batch
+// in batches[i], never both; non-skyline operators call EnsureRows(), which
+// decodes every batch in place.
 #pragma once
 
 #include <optional>
@@ -69,9 +68,9 @@ struct PartitionedRelation {
     return n;
   }
 
-  /// The row fallback: decodes every batch partition into rows in place
-  /// (moving out of exclusively owned backings). After this the relation is
-  /// in pure row mode. Idempotent.
+  /// Decodes every batch partition into rows in place (moving out of
+  /// exclusively owned backings). After this the relation is in pure row
+  /// mode. Idempotent.
   void EnsureRows() {
     for (size_t i = 0; i < batches.size(); ++i) {
       if (!batches[i].has_value()) continue;

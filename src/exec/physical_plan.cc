@@ -461,41 +461,42 @@ Result<PartitionedRelation> ExchangeExec::Execute(ExecContext* ctx) const {
   out.attrs = output_;
   const size_t n = std::max(1, ctx->config().num_executors);
 
-  // Columnar shuffle: when every gathered partition arrives as a batch,
-  // ship the matrix blocks — concatenate them into one compact batch
-  // instead of decoding to rows and letting the global stage re-project.
+  // Columnar shuffle: a skyline stage's output arrives as batches (every
+  // non-empty partition carries one); ship the matrix blocks —
+  // concatenate them into one compact batch instead of decoding to rows
+  // and letting the global stage re-project.
   if (mode_ == ExchangeMode::kGather && in.has_batches()) {
-    bool all_batches = true;
+    // `parts` outlives the timed stage: dropping the old backings (the
+    // upstream stage's non-survivor rows) happens outside the critical
+    // path.
+    std::vector<skyline::ColumnarBatch> parts;
     for (size_t i = 0; i < in.partitions.size(); ++i) {
-      all_batches &= (i < in.batches.size() && in.batches[i].has_value()) ||
-                     in.partitions[i].empty();
-    }
-    if (all_batches) {
-      // `parts` outlives the timed stage: dropping the old backings (the
-      // upstream stage's non-survivor rows) happens where the row pipeline
-      // destroys its consumed inputs — outside the critical path.
-      std::vector<skyline::ColumnarBatch> parts;
-      for (auto& batch : in.batches) {
-        if (batch.has_value()) parts.push_back(std::move(*batch));
+      if (i < in.batches.size() && in.batches[i].has_value()) {
+        parts.push_back(std::move(*in.batches[i]));
+      } else if (!in.partitions[i].empty()) {
+        return Status::Internal(
+            StrCat(label(), " received rows next to batches in partition ", i));
       }
-      SL_RETURN_NOT_OK(RunStage(ctx, 1, [&](size_t) -> Status {
-        out.partitions.emplace_back();
-        out.batches.emplace_back(
-            skyline::ColumnarBatch::Concat(&parts, ctx->memory()));
-        return Status::OK();
-      }));
-      ctx->AddMatrixReuse(label());
-      // `in` still holds its charge here, so both copies are accounted
-      // transiently, as on the row path below.
-      SL_RETURN_NOT_OK(ChargeOutput(ctx, &out));
-      return out;
     }
-    // Mixed row/batch input: decode everything and gather rows.
-    DecodeInput(ctx, &in);
-  } else if (in.has_batches()) {
-    // Re-partitioning exchanges consume rows.
-    DecodeInput(ctx, &in);
+    bool reprojected = false;
+    SL_RETURN_NOT_OK(RunStage(ctx, 1, [&](size_t) -> Status {
+      out.partitions.emplace_back();
+      out.batches.emplace_back(
+          skyline::ColumnarBatch::Concat(&parts, ctx->memory(), &reprojected));
+      return Status::OK();
+    }));
+    if (reprojected) {
+      ctx->AddMatrixBuilds(label(), 1);
+    } else {
+      ctx->AddMatrixReuse(label());
+    }
+    // `in` still holds its charge here, so both copies are accounted
+    // transiently, as on the row path below.
+    SL_RETURN_NOT_OK(ChargeOutput(ctx, &out));
+    return out;
   }
+  // Re-partitioning exchanges consume rows.
+  DecodeInput(ctx, &in);
 
   SL_RETURN_NOT_OK(RunStage(ctx, 1, [&](size_t) -> Status {
     switch (mode_) {

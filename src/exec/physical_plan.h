@@ -93,12 +93,21 @@ class PhysicalPlan {
   /// on every path — success, error, cancellation.
   Status ChargeOutput(ExecContext* ctx, PartitionedRelation* out) const;
 
-  /// The row fallback for batch-carrying input: decodes every ColumnarBatch
-  /// partition into rows (timed into QueryMetrics::decode_ms). Every
-  /// operator that consumes rows calls this right after executing its
-  /// child; batch-aware operators (the skyline stages and the gather
-  /// exchange) skip it on their columnar paths.
+  /// Decodes every ColumnarBatch partition of batch-carrying input into
+  /// rows (timed into QueryMetrics::decode_ms). Every operator that
+  /// consumes rows calls this right after executing its child; batch-aware
+  /// operators (the skyline stages and the gather exchange) skip it.
   void DecodeInput(ExecContext* ctx, PartitionedRelation* in) const;
+
+  /// The input of a global skyline stage as one batch projected for `dims`:
+  /// the gathered batch itself when it already is one (recorded as a matrix
+  /// reuse; with `require_ascending` its view must also be ascending in
+  /// matrix index), otherwise the decoded rows projected once in a
+  /// "<label> [project]" stage.
+  Result<skyline::ColumnarBatch> GatheredBatch(
+      ExecContext* ctx, PartitionedRelation* in,
+      const std::vector<skyline::BoundDimension>& dims,
+      bool require_ascending) const;
 
   std::vector<Attribute> output_;
   std::vector<PhysicalPlanPtr> children_;
@@ -190,14 +199,7 @@ enum class ExchangeMode : uint8_t {
   kAngle,
 };
 
-/// \brief Which kernel the skyline operators run. BNL is the paper's choice;
-/// SFS (presorting) and grid-based cell pruning are the section-7 /
-/// section-2 alternatives implemented as extensions.
-enum class SkylineKernel : uint8_t {
-  kBlockNestedLoop,
-  kSortFilterSkyline,
-  kGridFilter,
-};
+using skyline::SkylineKernel;
 
 /// \brief Angle-partitioning internals, exposed so tests can assert the
 /// scheme's bucket spread and pruning power directly.
@@ -230,11 +232,11 @@ size_t AnglePartition(const Row& row,
 /// \brief Re-distributes data; the only operator that moves rows between
 /// executors (a stage boundary, like a Spark shuffle).
 ///
-/// A kGather exchange whose input partitions all arrive as ColumnarBatches
-/// ships the matrix blocks instead of rows: the batches are concatenated
-/// into one compact batch (key/bitmap copy + dictionary remap, no
-/// re-projection from Values) and the single output partition stays
-/// columnar. Mixed or row-mode input takes the classic row path.
+/// A kGather exchange whose input arrives as ColumnarBatches (the output of
+/// a skyline stage) ships the matrix blocks instead of rows: the batches are
+/// concatenated into one compact batch (ColumnarBatch::Concat) and the
+/// single output partition stays columnar. Row input takes the row path;
+/// re-partitioning exchanges decode batches first.
 class ExchangeExec : public PhysicalPlan {
  public:
   ExchangeExec(ExchangeMode mode, std::vector<skyline::BoundDimension> dims,
@@ -370,12 +372,11 @@ class NestedLoopJoinExec : public PhysicalPlan {
 /// complete and the incomplete algorithm (the latter after a null-bitmap
 /// exchange, which makes every partition bitmap-uniform).
 ///
-/// With `columnar_exchange` on, each partition is projected into a
-/// DominanceMatrix exactly once and the output is a ColumnarBatch survivor
-/// view over that matrix — the projection every downstream skyline stage
-/// reuses. Partitions whose shape TryBuild refuses fall back to rows
-/// individually. SFS runs tag their output views score-sorted so the global
-/// stage can inherit the sort order.
+/// Each partition is projected into a DominanceMatrix exactly once and the
+/// output is a ColumnarBatch survivor view over that matrix — the
+/// projection every downstream skyline stage reuses. SFS runs tag their
+/// output views score-sorted so the global stage can inherit the sort
+/// order.
 ///
 /// With `zone_map_skipping` (sparkline.scan.zone_maps) and zone maps on the
 /// input relation, a partition whose per-dim *best corner* is strictly
@@ -389,7 +390,6 @@ class LocalSkylineExec : public PhysicalPlan {
   LocalSkylineExec(std::vector<skyline::BoundDimension> dims, bool distinct,
                    skyline::NullSemantics nulls, PhysicalPlanPtr child,
                    SkylineKernel kernel = SkylineKernel::kBlockNestedLoop,
-                   bool columnar = true, bool columnar_exchange = true,
                    bool sfs_early_stop = true,
                    skyline::SfsSortKey sfs_sort_key = skyline::SfsSortKey::kSum,
                    bool zone_map_skipping = false);
@@ -402,8 +402,6 @@ class LocalSkylineExec : public PhysicalPlan {
   bool distinct_;
   skyline::NullSemantics nulls_;
   SkylineKernel kernel_;
-  bool columnar_;
-  bool columnar_exchange_;
   bool sfs_early_stop_;
   skyline::SfsSortKey sfs_sort_key_;
   bool zone_map_skipping_;
@@ -430,7 +428,8 @@ class LocalSkylineExec : public PhysicalPlan {
 ///
 /// Eligibility is per-relation: every non-empty partition must carry a
 /// batch projected for these dimensions over an all-numeric, NULL-free,
-/// DIFF-free matrix (cross-matrix key comparability); anything else passes
+/// DIFF-free, unranked matrix (cross-matrix key comparability); anything
+/// else passes
 /// through unchanged. Faults at "exec.broadcast" degrade the same way:
 /// transient/injected errors fall back to the unfiltered input (never a
 /// wrong result), while cancellation/timeout/memory errors propagate.
@@ -458,13 +457,12 @@ class BroadcastFilterExec : public PhysicalPlan {
 /// keeping the critical-path time model intact. The two stages are
 /// recorded under "<label> [partial]" / "<label> [merge]".
 ///
-/// With `columnar_exchange` on, a batch arriving from the gather exchange
-/// is consumed directly: the partial stage runs over contiguous slices of
-/// the batch's index view and the merge over the concatenated survivor
-/// views — no stage re-projects (the "[partial]"/"[merge]" TryBuild the
-/// row path pays is gone, visible in QueryMetrics::matrix_builds). When the
-/// input arrives as rows (non-distributed plans), the matrix is built once
-/// in a "<label> [project]" stage and shared the same way. Score-sorted
+/// A batch arriving from the gather exchange is consumed directly: the
+/// partial stage runs over contiguous slices of the batch's index view and
+/// the merge over the concatenated survivor views — no stage re-projects.
+/// When the input arrives as rows (non-distributed plans), the matrix is
+/// built once in a "<label> [project]" stage and shared the same way.
+/// Score-sorted
 /// batches from upstream SFS stages skip the merge re-sort entirely
 /// (inherited order + ColumnarSortFilterSkylinePresorted) and additionally
 /// inherit the tightest per-partition SaLSa stop bound the batch carries,
@@ -475,7 +473,6 @@ class GlobalSkylineExec : public PhysicalPlan {
   GlobalSkylineExec(std::vector<skyline::BoundDimension> dims, bool distinct,
                     PhysicalPlanPtr child,
                     SkylineKernel kernel = SkylineKernel::kBlockNestedLoop,
-                    bool columnar = true, bool columnar_exchange = true,
                     bool sfs_early_stop = true,
                     skyline::SfsSortKey sfs_sort_key = skyline::SfsSortKey::kSum);
   std::string label() const override { return "GlobalSkyline [complete]"; }
@@ -483,14 +480,9 @@ class GlobalSkylineExec : public PhysicalPlan {
   Result<PartitionedRelation> Execute(ExecContext* ctx) const override;
 
  private:
-  Result<PartitionedRelation> ExecuteColumnar(
-      ExecContext* ctx, skyline::ColumnarBatch batch) const;
-
   std::vector<skyline::BoundDimension> dims_;
   bool distinct_;
   SkylineKernel kernel_;
-  bool columnar_;
-  bool columnar_exchange_;
   bool sfs_early_stop_;
   skyline::SfsSortKey sfs_sort_key_;
 };
@@ -519,31 +511,24 @@ class GlobalSkylineExec : public PhysicalPlan {
 /// "[validate]" / "[finalize]"; the single-executor (or `parallel` = off)
 /// path keeps the bare label.
 ///
-/// With `columnar_exchange` on, a batch from the gather exchange supplies
-/// the shared matrix (and its per-row null bitmaps) for every stage — the
-/// "[candidates]" projection pass of the row path disappears — and the
-/// output stays a batch view. Matrix row order equals gathered input order
-/// (ColumnarBatch::Concat guarantees it), which is the DISTINCT tie-break
-/// the validation rounds need.
+/// A batch from the gather exchange supplies the shared matrix (and its
+/// per-row null bitmaps) for every stage, and the output stays a batch
+/// view. Matrix row order equals gathered input order (ColumnarBatch::Concat
+/// guarantees it), which is the DISTINCT tie-break the validation rounds
+/// need.
 class GlobalSkylineIncompleteExec : public PhysicalPlan {
  public:
   GlobalSkylineIncompleteExec(std::vector<skyline::BoundDimension> dims,
                               bool distinct, PhysicalPlanPtr child,
-                              bool columnar = true, bool parallel = true,
-                              bool columnar_exchange = true);
+                              bool parallel = true);
   std::string label() const override { return "GlobalSkyline [incomplete]"; }
   const char* failpoint_site() const override { return "exec.global_task"; }
   Result<PartitionedRelation> Execute(ExecContext* ctx) const override;
 
  private:
-  Result<PartitionedRelation> ExecuteColumnar(
-      ExecContext* ctx, skyline::ColumnarBatch batch) const;
-
   std::vector<skyline::BoundDimension> dims_;
   bool distinct_;
-  bool columnar_;
   bool parallel_;
-  bool columnar_exchange_;
 };
 
 }  // namespace sparkline

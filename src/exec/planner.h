@@ -60,18 +60,6 @@ struct PlannerOptions {
   /// (SaLSa's minC function, whose stop bound is tight). Key:
   /// sparkline.skyline.sfs.sort_key.
   skyline::SfsSortKey sfs_sort_key = skyline::SfsSortKey::kSum;
-  /// Columnar dominance fast path (skyline/columnar.h): project each
-  /// partition once into structure-of-arrays form and run index-based
-  /// kernels. Falls back to the row kernels per partition when the shape is
-  /// unsupported; results are identical either way.
-  bool skyline_columnar = true;
-  /// Columnar exchange: skyline stages pass DominanceMatrix batch views to
-  /// each other (local projects once, the gather exchange concatenates
-  /// blocks, global stages slice index views, rows decode at the plan
-  /// root). Off = every stage re-projects its row input, the pre-exchange
-  /// behaviour. Requires skyline_columnar; results are identical either
-  /// way (up to row order, which SKYLINE never guarantees).
-  bool skyline_columnar_exchange = true;
   /// Round-based parallel execution of the incomplete-data global stage
   /// (GlobalSkylineIncompleteExec): candidate scan per chunk, then rotating
   /// validation rounds against full peer chunks. Off = the paper's

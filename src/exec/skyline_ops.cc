@@ -10,23 +10,20 @@
 //                           -> Exchange[AllTuples]
 //                           -> GlobalSkylineIncompleteExec
 //
-// Dominance tests run through the columnar fast path by default: each
-// partition is projected once into a DominanceMatrix (skyline/columnar.h)
-// and the index-based kernels run over it, materializing rows only for the
-// survivors. Unsupported shapes (and sparkline.skyline.columnar = false)
-// take the original row-oriented kernels.
-//
-// Columnar exchange (sparkline.skyline.exchange.columnar, default on): the
-// stages exchange ColumnarBatch views instead of materialized rows. The
-// local stage projects each partition exactly once; the gather exchange
-// concatenates the matrix blocks; the global stages slice and merge index
-// views over the shared matrix; rows are decoded only at the plan root (or
-// by the first non-skyline consumer). QueryMetrics::matrix_builds /
-// matrix_reuses record which stages projected vs. reused.
+// Every dominance test runs over a DominanceMatrix (skyline/columnar.h),
+// and the stages exchange ColumnarBatch views instead of materialized rows.
+// The local stage projects each partition exactly once; the gather exchange
+// concatenates the matrix blocks (re-ranking only when a partition holds a
+// ranked dimension); the global stages slice and merge index views over the
+// shared matrix; rows are decoded only at the plan root (or by the first
+// non-skyline consumer). A global stage whose input arrives as rows
+// (non-distributed plans, nested skylines) projects it once in a
+// "<label> [project]" stage. QueryMetrics::matrix_builds / matrix_reuses
+// record which stages projected vs. reused.
 #include <algorithm>
-#include <iterator>
 #include <limits>
 #include <memory>
+#include <optional>
 
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -37,64 +34,6 @@
 namespace sparkline {
 
 namespace {
-
-skyline::ColumnarKernel ToColumnarKernel(SkylineKernel kernel) {
-  switch (kernel) {
-    case SkylineKernel::kSortFilterSkyline:
-      return skyline::ColumnarKernel::kSortFilterSkyline;
-    case SkylineKernel::kGridFilter:
-      return skyline::ColumnarKernel::kGridFilter;
-    case SkylineKernel::kBlockNestedLoop:
-      break;
-  }
-  return skyline::ColumnarKernel::kBlockNestedLoop;
-}
-
-/// Runs one partition through the configured kernel. Complete semantics
-/// dispatch the kernel directly; incomplete semantics compute one BNL per
-/// bitmap-uniform group (the local-stage contract of paper section 5.7 —
-/// the exchange routes equal bitmaps together, but distinct bitmaps may
-/// share an executor, so sub-grouping here stays necessary).
-Result<std::vector<Row>> RunKernel(SkylineKernel kernel,
-                                   const std::vector<Row>& rows,
-                                   const std::vector<skyline::BoundDimension>& dims,
-                                   const skyline::SkylineOptions& options,
-                                   bool columnar) {
-  if (columnar) {
-    // ColumnarSkyline handles both semantics and falls back to the row
-    // kernels internally when the shape is unsupported.
-    return skyline::ColumnarSkyline(ToColumnarKernel(kernel), rows, dims,
-                                    options);
-  }
-  if (options.nulls == skyline::NullSemantics::kIncomplete) {
-    return skyline::BitmapGroupedBnl(rows, dims, options);
-  }
-  if (kernel == SkylineKernel::kSortFilterSkyline) {
-    return skyline::SortFilterSkyline(rows, dims, options);
-  }
-  if (kernel == SkylineKernel::kGridFilter) {
-    return skyline::GridFilterSkyline(rows, dims, options);
-  }
-  return skyline::BlockNestedLoop(rows, dims, options);
-}
-
-/// RunKernel with per-stage projection accounting: matrix builds inside
-/// ColumnarSkyline are counted under `stage_label` and the matrix bytes are
-/// charged to the query's MemoryTracker for the duration of the call. This
-/// is what makes the build-per-stage cost of the non-exchange path visible
-/// in QueryMetrics::matrix_builds.
-Result<std::vector<Row>> RunKernelCounted(
-    ExecContext* ctx, const std::string& stage_label, SkylineKernel kernel,
-    const std::vector<Row>& rows,
-    const std::vector<skyline::BoundDimension>& dims,
-    skyline::SkylineOptions options, bool columnar) {
-  std::atomic<int64_t> builds{0};
-  options.memory = ctx->memory();
-  options.matrix_builds = &builds;
-  auto result = RunKernel(kernel, rows, dims, options, columnar);
-  if (builds.load() > 0) ctx->AddMatrixBuilds(stage_label, builds.load());
-  return result;
-}
 
 /// Balanced contiguous chunk bounds: sizes differ by at most one, so no
 /// executor idles and the parallel stage's critical path is as short as the
@@ -160,10 +99,41 @@ bool CornerDominates(const std::vector<double>& worst,
 
 }  // namespace
 
+// --- input of the global stages ---------------------------------------------
+
+Result<skyline::ColumnarBatch> PhysicalPlan::GatheredBatch(
+    ExecContext* ctx, PartitionedRelation* in,
+    const std::vector<skyline::BoundDimension>& dims,
+    bool require_ascending) const {
+  // A batch projected for other dimensions (a nested skyline's output
+  // feeding this one directly) encodes the wrong columns: decode instead.
+  if (in->batches.size() == 1 && in->batches[0].has_value() &&
+      in->batches[0]->ProjectedFor(dims) &&
+      (!require_ascending ||
+       std::is_sorted(in->batches[0]->indices().begin(),
+                      in->batches[0]->indices().end()))) {
+    ctx->AddMatrixReuse(label());
+    return std::move(*in->batches[0]);
+  }
+  DecodeInput(ctx, in);
+  auto rows = std::make_shared<std::vector<Row>>(std::move(*in).Flatten());
+  const std::string project_label = StrCat(label(), " [project]");
+  std::optional<skyline::ColumnarBatch> batch;
+  SL_RETURN_NOT_OK(RunStage(ctx, project_label, 1, [&](size_t) -> Status {
+    StopWatch project;
+    SL_ASSIGN_OR_RETURN(
+        batch, skyline::ColumnarBatch::Project(rows, dims, ctx->memory()));
+    ctx->AddProjectionMs(project.ElapsedMillis());
+    ctx->AddMatrixBuilds(project_label, 1);
+    return Status::OK();
+  }));
+  return std::move(*batch);
+}
+
 LocalSkylineExec::LocalSkylineExec(std::vector<skyline::BoundDimension> dims,
                                    bool distinct, skyline::NullSemantics nulls,
-                                   PhysicalPlanPtr child, SkylineKernel kernel,
-                                   bool columnar, bool columnar_exchange,
+                                   PhysicalPlanPtr child,
+                                   SkylineKernel kernel,
                                    bool sfs_early_stop,
                                    skyline::SfsSortKey sfs_sort_key,
                                    bool zone_map_skipping)
@@ -172,8 +142,6 @@ LocalSkylineExec::LocalSkylineExec(std::vector<skyline::BoundDimension> dims,
       distinct_(distinct),
       nulls_(nulls),
       kernel_(kernel),
-      columnar_(columnar),
-      columnar_exchange_(columnar_exchange),
       sfs_early_stop_(sfs_early_stop),
       sfs_sort_key_(sfs_sort_key),
       zone_map_skipping_(zone_map_skipping) {}
@@ -206,12 +174,11 @@ Result<PartitionedRelation> LocalSkylineExec::Execute(ExecContext* ctx) const {
   options.early_stop = ctx->early_stop();
 
   const size_t n = in.partitions.size();
-  const bool emit_batches = columnar_ && columnar_exchange_;
 
   PartitionedRelation out;
   out.attrs = output_;
   out.partitions.assign(n, {});
-  if (emit_batches) out.batches.assign(n, std::nullopt);
+  out.batches.assign(n, std::nullopt);
 
   // --- Phase-two pruning: zone-map partition skipping -----------------------
   // Drop whole partitions before projection when another partition's zone
@@ -271,56 +238,36 @@ Result<PartitionedRelation> LocalSkylineExec::Execute(ExecContext* ctx) const {
 
   SL_RETURN_NOT_OK(RunStage(ctx, n, [&](size_t i) -> Status {
     if (skip[i]) {
-      // Zone-skipped: drop the rows before the projection. The normal path
-      // below then runs over zero rows, producing the same (empty) batch
-      // shape and sort/stop-bound flags as an actually-empty partition, so
-      // the gather's all-batches columnar path survives.
+      // Zone-skipped: drop the rows before the projection. The projection
+      // then runs over zero rows, producing the same (empty) batch shape and
+      // sort/stop-bound flags as an actually-empty partition.
       in.partitions[i].clear();
     }
-    if (emit_batches) {
-      // Project this partition exactly once; every downstream skyline stage
-      // reuses the matrix through the batch.
-      auto rows =
-          std::make_shared<std::vector<Row>>(std::move(in.partitions[i]));
-      StopWatch project;
-      std::optional<skyline::ColumnarBatch> batch =
-          skyline::ColumnarBatch::Project(rows, dims_, ctx->memory());
-      if (batch.has_value()) {
-        ctx->AddProjectionMs(project.ElapsedMillis());
-        ctx->AddMatrixBuilds(label(), 1);
-        skyline::SkylineOptions opts = options;
-        opts.memory = ctx->memory();
-        SL_ASSIGN_OR_RETURN(
-            std::vector<uint32_t> survivors,
-            skyline::RunColumnarKernel(ToColumnarKernel(kernel_),
-                                       batch->matrix(), batch->indices(),
-                                       opts));
-        // SFS leaves its window in sort-key order; tag the view so the
-        // global stage can inherit the sort instead of re-sorting, and
-        // attach this partition's SaLSa stop bound (the tightest
-        // max-coordinate over its skyline) so the merge can inherit it too.
-        const bool sorted =
-            kernel_ == SkylineKernel::kSortFilterSkyline &&
-            skyline::SfsFastPathApplicable(batch->matrix(), opts);
-        const double stop_bound =
-            sorted && sfs_early_stop_
-                ? skyline::ComputeStopBound(batch->matrix(), survivors)
-                : std::numeric_limits<double>::infinity();
-        out.batches[i] = batch->WithSelection(std::move(survivors), sorted,
-                                              sfs_sort_key_, stop_bound);
-        return Status::OK();
-      }
-      // Shape refused by TryBuild: this partition stays on the row path
-      // (columnar=false — a second TryBuild would just fail again).
-      SL_ASSIGN_OR_RETURN(out.partitions[i],
-                          RunKernelCounted(ctx, label(), kernel_, *rows, dims_,
-                                           options, /*columnar=*/false));
-      return Status::OK();
-    }
-    SL_ASSIGN_OR_RETURN(out.partitions[i],
-                        RunKernelCounted(ctx, label(), kernel_,
-                                         in.partitions[i], dims_, options,
-                                         columnar_));
+    // Project this partition exactly once; every downstream skyline stage
+    // reuses the matrix through the batch.
+    auto rows =
+        std::make_shared<std::vector<Row>>(std::move(in.partitions[i]));
+    StopWatch project;
+    SL_ASSIGN_OR_RETURN(
+        skyline::ColumnarBatch batch,
+        skyline::ColumnarBatch::Project(rows, dims_, ctx->memory()));
+    ctx->AddProjectionMs(project.ElapsedMillis());
+    ctx->AddMatrixBuilds(label(), 1);
+    SL_ASSIGN_OR_RETURN(std::vector<uint32_t> survivors,
+                        skyline::RunColumnarKernel(kernel_, batch.matrix(),
+                                                   batch.indices(), options));
+    // SFS leaves its window in sort-key order; tag the view so the global
+    // stage can inherit the sort instead of re-sorting, and attach this
+    // partition's SaLSa stop bound (the tightest max-coordinate over its
+    // skyline) so the merge can inherit it too.
+    const bool sorted = kernel_ == SkylineKernel::kSortFilterSkyline &&
+                        skyline::SfsFastPathApplicable(batch.matrix(), options);
+    const double stop_bound =
+        sorted && sfs_early_stop_
+            ? skyline::ComputeStopBound(batch.matrix(), survivors)
+            : std::numeric_limits<double>::infinity();
+    out.batches[i] = batch.WithSelection(std::move(survivors), sorted,
+                                         sfs_sort_key_, stop_bound);
     return Status::OK();
   }));
   SL_RETURN_NOT_OK(ChargeOutput(ctx, &out));
@@ -342,8 +289,8 @@ Result<PartitionedRelation> BroadcastFilterExec::Execute(
 
   // Eligibility (see the class comment): every non-empty partition must
   // carry a batch projected for these dimensions whose matrix supports
-  // cross-matrix key comparison. Anything else — row partitions, refused
-  // shapes, NULL bitmaps, DIFF dimensions — passes through unchanged; the
+  // cross-matrix key comparison. Anything else — row partitions, ranked
+  // dimensions, NULL bitmaps, DIFF dimensions — passes through unchanged; the
   // gather and global merge compute the same result, just without the
   // pre-gather discount.
   const size_t n = in.partitions.size();
@@ -511,28 +458,31 @@ Result<PartitionedRelation> BroadcastFilterExec::Execute(
 
 GlobalSkylineExec::GlobalSkylineExec(std::vector<skyline::BoundDimension> dims,
                                      bool distinct, PhysicalPlanPtr child,
-                                     SkylineKernel kernel, bool columnar,
-                                     bool columnar_exchange,
+                                     SkylineKernel kernel,
                                      bool sfs_early_stop,
                                      skyline::SfsSortKey sfs_sort_key)
     : PhysicalPlan(child->output(), {child}),
       dims_(std::move(dims)),
       distinct_(distinct),
       kernel_(kernel),
-      columnar_(columnar),
-      columnar_exchange_(columnar_exchange),
       sfs_early_stop_(sfs_early_stop),
       sfs_sort_key_(sfs_sort_key) {}
 
-Result<PartitionedRelation> GlobalSkylineExec::ExecuteColumnar(
-    ExecContext* ctx, skyline::ColumnarBatch batch) const {
+Result<PartitionedRelation> GlobalSkylineExec::Execute(ExecContext* ctx) const {
+  SL_ASSIGN_OR_RETURN(PartitionedRelation in, children_[0]->Execute(ctx));
+  // AllTuples distribution: everything on one executor, as one batch. `in`
+  // keeps its charge until this function returns, so the gathered input
+  // stays accounted while the kernels run.
+  SL_ASSIGN_OR_RETURN(
+      skyline::ColumnarBatch batch,
+      GatheredBatch(ctx, &in, dims_, /*require_ascending=*/false));
+
   skyline::SkylineOptions options;
   options.distinct = distinct_;
   options.nulls = skyline::NullSemantics::kComplete;
   options.counter = ctx->merge_dominance();
   options.deadline_nanos = ctx->deadline_nanos();
   options.cancel = ctx->cancel_token();
-  options.memory = ctx->memory();
   options.sfs_early_stop = sfs_early_stop_;
   options.sfs_sort_key = sfs_sort_key_;
   options.early_stop = ctx->early_stop();
@@ -542,10 +492,10 @@ Result<PartitionedRelation> GlobalSkylineExec::ExecuteColumnar(
   // Inherited SFS order: the view arrives ascending in this query's sort
   // key (local SFS stages + the exchange's k-way merge), so every SFS pass
   // here skips its sort.
-  const bool sfs_inherited = kernel_ == SkylineKernel::kSortFilterSkyline &&
-                             batch.score_sorted() &&
-                             batch.sort_key() == sfs_sort_key_ &&
-                             skyline::SfsFastPathApplicable(matrix, options);
+  const bool sfs_inherited =
+      kernel_ == SkylineKernel::kSortFilterSkyline &&
+      batch.score_sorted() && batch.sort_key() == sfs_sort_key_ &&
+      skyline::SfsFastPathApplicable(matrix, options);
   if (sfs_inherited && sfs_early_stop_) {
     // Inherited stop bound: the tightest per-partition minC shipped with
     // the gathered batch. Its witness row is part of the gathered input,
@@ -560,8 +510,7 @@ Result<PartitionedRelation> GlobalSkylineExec::ExecuteColumnar(
       return skyline::ColumnarSortFilterSkylinePresorted(matrix, input,
                                                          options);
     }
-    return skyline::RunColumnarKernel(ToColumnarKernel(kernel_), matrix, input,
-                                      options);
+    return skyline::RunColumnarKernel(kernel_, matrix, input, options);
   };
   auto result_bound = [&](const std::vector<uint32_t>& survivors) {
     return sfs_inherited && sfs_early_stop_
@@ -577,8 +526,7 @@ Result<PartitionedRelation> GlobalSkylineExec::ExecuteColumnar(
   const size_t num_executors =
       static_cast<size_t>(std::max(1, ctx->config().num_executors));
   if (num_executors <= 1 || view.size() < 2) {
-    // Single executor: the classic single-task global pass, minus the
-    // projection it used to pay.
+    // Single executor: the classic single-task global pass.
     std::vector<uint32_t> survivors;
     SL_RETURN_NOT_OK(RunStage(ctx, 1, [&](size_t) -> Status {
       SL_ASSIGN_OR_RETURN(survivors, run_over(view));
@@ -591,7 +539,11 @@ Result<PartitionedRelation> GlobalSkylineExec::ExecuteColumnar(
     return out;
   }
 
-  // Parallel partial-merge over index slices of the shared matrix: no chunk
+  // Parallel partial-merge global skyline over index slices of the shared
+  // matrix: chunk skylines run concurrently, then one pass merges the
+  // partial windows. Correct because complete dominance is transitive: a
+  // tuple dominated in its chunk is also dominated in the full input, so
+  // chunk pruning never removes a global skyline point. No chunk
   // materializes rows, no stage re-projects.
   const size_t chunks = std::min(num_executors, view.size());
   const std::vector<size_t> bounds = ChunkBounds(view.size(), chunks);
@@ -635,144 +587,39 @@ Result<PartitionedRelation> GlobalSkylineExec::ExecuteColumnar(
   return out;
 }
 
-Result<PartitionedRelation> GlobalSkylineExec::Execute(ExecContext* ctx) const {
-  SL_ASSIGN_OR_RETURN(PartitionedRelation in, children_[0]->Execute(ctx));
-
-  // Columnar exchange: consume the gathered batch straight off the shuffle;
-  // the matrix was built upstream and is reused as-is. A batch projected
-  // for different dimensions (a nested skyline's output feeding this one
-  // directly) encodes the wrong columns and must decode instead.
-  // `in` keeps its charge until this function returns, so the gathered
-  // input stays accounted while the kernels run.
-  if (columnar_ && columnar_exchange_ && in.batches.size() == 1 &&
-      in.batches[0].has_value() && in.batches[0]->ProjectedFor(dims_)) {
-    ctx->AddMatrixReuse(label());
-    skyline::ColumnarBatch batch = std::move(*in.batches[0]);
-    return ExecuteColumnar(ctx, std::move(batch));
-  }
-
-  DecodeInput(ctx, &in);
-  // AllTuples distribution: everything on one executor.
-  std::vector<Row> rows = std::move(in).Flatten();
-
-  // Row input with the exchange on (non-distributed plans): project once in
-  // a dedicated stage and share the matrix across partial/merge exactly as
-  // if the batch had arrived from upstream.
-  if (columnar_ && columnar_exchange_ && !rows.empty()) {
-    auto shared_rows = std::make_shared<std::vector<Row>>(std::move(rows));
-    const std::string project_label = StrCat(label(), " [project]");
-    std::optional<skyline::ColumnarBatch> batch;
-    SL_RETURN_NOT_OK(RunStage(ctx, project_label, 1, [&](size_t) -> Status {
-      StopWatch project;
-      batch = skyline::ColumnarBatch::Project(shared_rows, dims_,
-                                              ctx->memory());
-      if (batch.has_value()) {
-        ctx->AddProjectionMs(project.ElapsedMillis());
-        ctx->AddMatrixBuilds(project_label, 1);
-      }
-      return Status::OK();
-    }));
-    if (batch.has_value()) {
-      return ExecuteColumnar(ctx, std::move(*batch));
-    }
-    rows = std::move(*shared_rows);  // shape refused: back to the row path
-  }
-
-  skyline::SkylineOptions options;
-  options.distinct = distinct_;
-  options.nulls = skyline::NullSemantics::kComplete;
-  options.counter = ctx->merge_dominance();
-  options.deadline_nanos = ctx->deadline_nanos();
-  options.cancel = ctx->cancel_token();
-  options.sfs_early_stop = sfs_early_stop_;
-  options.sfs_sort_key = sfs_sort_key_;
-  options.early_stop = ctx->early_stop();
-
-  PartitionedRelation out;
-  out.attrs = output_;
-  out.partitions.emplace_back();
-
-  const size_t num_executors =
-      static_cast<size_t>(std::max(1, ctx->config().num_executors));
-  if (num_executors <= 1 || rows.size() < 2) {
-    // Single executor: the classic single-task global pass.
-    SL_RETURN_NOT_OK(RunStage(ctx, 1, [&](size_t) -> Status {
-      SL_ASSIGN_OR_RETURN(out.partitions[0],
-                          RunKernelCounted(ctx, label(), kernel_, rows, dims_,
-                                           options, columnar_));
-      return Status::OK();
-    }));
-    SL_RETURN_NOT_OK(ChargeOutput(ctx, &out));
-    return out;
-  }
-
-  // Parallel partial-merge global skyline: split the gathered rows into
-  // executor-count chunks, compute chunk skylines concurrently, then merge
-  // the partial windows in one BNL pass. Correct because complete dominance
-  // is transitive: a tuple dominated in its chunk is also dominated in the
-  // full input, so chunk pruning never removes a global skyline point.
-  const size_t chunks = std::min(num_executors, rows.size());
-  const std::vector<size_t> bounds = ChunkBounds(rows.size(), chunks);
-  std::vector<std::vector<Row>> chunk_rows(chunks);
-  for (size_t i = 0; i < chunks; ++i) {
-    chunk_rows[i].assign(std::make_move_iterator(rows.begin() + bounds[i]),
-                         std::make_move_iterator(rows.begin() + bounds[i + 1]));
-  }
-  rows.clear();
-
-  std::vector<std::vector<Row>> partials(chunks);
-  SL_RETURN_NOT_OK(RunStage(
-      ctx, StrCat(label(), " [partial]"), chunks, [&](size_t i) -> Status {
-        SL_ASSIGN_OR_RETURN(
-            partials[i],
-            RunKernelCounted(ctx, StrCat(label(), " [partial]"), kernel_,
-                             chunk_rows[i], dims_, options, columnar_));
-        return Status::OK();
-      }));
-
-  std::vector<Row> merge_input;
-  for (auto& p : partials) {
-    for (auto& r : p) merge_input.push_back(std::move(r));
-  }
-  SL_RETURN_NOT_OK(RunStage(
-      ctx, StrCat(label(), " [merge]"), 1, [&](size_t) -> Status {
-        SL_ASSIGN_OR_RETURN(
-            out.partitions[0],
-            RunKernelCounted(ctx, StrCat(label(), " [merge]"),
-                             SkylineKernel::kBlockNestedLoop, merge_input,
-                             dims_, options, columnar_));
-        return Status::OK();
-      }));
-  SL_RETURN_NOT_OK(ChargeOutput(ctx, &out));
-  return out;
-}
-
 // --- GlobalSkylineIncompleteExec --------------------------------------------
 
 GlobalSkylineIncompleteExec::GlobalSkylineIncompleteExec(
     std::vector<skyline::BoundDimension> dims, bool distinct,
-    PhysicalPlanPtr child, bool columnar, bool parallel, bool columnar_exchange)
+    PhysicalPlanPtr child, bool parallel)
     : PhysicalPlan(child->output(), {child}),
       dims_(std::move(dims)),
       distinct_(distinct),
-      columnar_(columnar),
-      parallel_(parallel),
-      columnar_exchange_(columnar_exchange) {}
+      parallel_(parallel) {}
 
-Result<PartitionedRelation> GlobalSkylineIncompleteExec::ExecuteColumnar(
-    ExecContext* ctx, skyline::ColumnarBatch batch) const {
+Result<PartitionedRelation> GlobalSkylineIncompleteExec::Execute(
+    ExecContext* ctx) const {
+  SL_ASSIGN_OR_RETURN(PartitionedRelation in, children_[0]->Execute(ctx));
+  // The validation rounds' DISTINCT tie-break (t < c on matrix indices) and
+  // the finalize concatenation are sound only over a view ascending in
+  // matrix index. The gather's Concat always produces one, so the is_sorted
+  // check inside GatheredBatch is an O(n) insurance premium against a
+  // future plan shape that bypasses it (n^2 kernel work follows).
+  SL_ASSIGN_OR_RETURN(
+      skyline::ColumnarBatch batch,
+      GatheredBatch(ctx, &in, dims_, /*require_ascending=*/true));
+
   skyline::SkylineOptions options;
   options.distinct = distinct_;
   options.nulls = skyline::NullSemantics::kIncomplete;
   options.counter = ctx->merge_dominance();
   options.deadline_nanos = ctx->deadline_nanos();
   options.cancel = ctx->cancel_token();
-  options.memory = ctx->memory();
 
   const skyline::DominanceMatrix& matrix = batch.matrix();
-  // ColumnarBatch::Concat guarantees matrix row order == gathered input
-  // order and an ascending identity view — exactly the DISTINCT tie-break
-  // and ascending-chunk preconditions of the round-based kernels.
+  // The view is ascending in matrix index (GatheredBatch checks it), and
+  // matrix row order is gathered input order — exactly the DISTINCT
+  // tie-break and ascending-chunk preconditions of the round-based kernels.
   const std::vector<uint32_t>& view = batch.indices();
 
   PartitionedRelation out;
@@ -783,8 +630,7 @@ Result<PartitionedRelation> GlobalSkylineIncompleteExec::ExecuteColumnar(
   const size_t num_executors =
       static_cast<size_t>(std::max(1, ctx->config().num_executors));
   if (!parallel_ || num_executors <= 1 || view.size() < 2) {
-    // Single-task all-pairs (the paper's algorithm as written), minus the
-    // projection it used to pay.
+    // Single-task all-pairs (the paper's algorithm as written).
     std::vector<uint32_t> survivors;
     SL_RETURN_NOT_OK(RunStage(ctx, 1, [&](size_t) -> Status {
       SL_ASSIGN_OR_RETURN(
@@ -797,8 +643,12 @@ Result<PartitionedRelation> GlobalSkylineIncompleteExec::ExecuteColumnar(
   }
 
   // Round-based parallel all-pairs over index slices of the shared matrix
-  // (see the class comment): candidates per chunk, then rotating validation
-  // against full peer chunks.
+  // (see the class comment): unlike the complete path's partial-merge,
+  // survivor-only merging is unsound under non-transitive dominance, so
+  // candidates are validated against each peer chunk's *full* tuple set,
+  // one rotating peer per round. Contiguous chunks keep chunk order ==
+  // global input order, which the DISTINCT tie-break and the finalize
+  // concatenation rely on.
   const size_t chunks = std::min(num_executors, view.size());
   const std::vector<size_t> bounds = ChunkBounds(view.size(), chunks);
   std::vector<std::vector<uint32_t>> chunk_indices(chunks);
@@ -816,6 +666,9 @@ Result<PartitionedRelation> GlobalSkylineIncompleteExec::ExecuteColumnar(
         return Status::OK();
       }));
 
+  // chunks-1 rotation rounds; each task only shrinks its own candidate
+  // list and reads peer chunks, so rounds need no cross-task coordination
+  // beyond the stage barrier (which models the per-round exchange).
   for (size_t round = 1; round < chunks; ++round) {
     SL_RETURN_NOT_OK(RunStage(
         ctx, StrCat(label(), " [validate]"), chunks, [&](size_t i) -> Status {
@@ -837,164 +690,6 @@ Result<PartitionedRelation> GlobalSkylineIncompleteExec::ExecuteColumnar(
           survivors.insert(survivors.end(), c.begin(), c.end());
         }
         out.batches[0] = batch.WithSelection(std::move(survivors), false);
-        return Status::OK();
-      }));
-  SL_RETURN_NOT_OK(ChargeOutput(ctx, &out));
-  return out;
-}
-
-Result<PartitionedRelation> GlobalSkylineIncompleteExec::Execute(
-    ExecContext* ctx) const {
-  SL_ASSIGN_OR_RETURN(PartitionedRelation in, children_[0]->Execute(ctx));
-
-  // Accept the shuffled batch only when it was projected for these
-  // dimensions AND its view is ascending in matrix index: the validation
-  // rounds' DISTINCT tie-break (t < c on matrix indices) and the finalize
-  // concatenation are sound only over ascending views. The gather's Concat
-  // always produces an identity view today, so the is_sorted scan is an
-  // O(n) insurance premium against a future plan shape that bypasses it
-  // (n² kernel work follows, so the scan is noise).
-  if (columnar_ && columnar_exchange_ && in.batches.size() == 1 &&
-      in.batches[0].has_value() && in.batches[0]->ProjectedFor(dims_) &&
-      std::is_sorted(in.batches[0]->indices().begin(),
-                     in.batches[0]->indices().end())) {
-    ctx->AddMatrixReuse(label());
-    skyline::ColumnarBatch batch = std::move(*in.batches[0]);
-    return ExecuteColumnar(ctx, std::move(batch));
-  }
-
-  DecodeInput(ctx, &in);
-  std::vector<Row> rows = std::move(in).Flatten();
-
-  skyline::SkylineOptions options;
-  options.distinct = distinct_;
-  options.nulls = skyline::NullSemantics::kIncomplete;
-  options.counter = ctx->merge_dominance();
-  options.deadline_nanos = ctx->deadline_nanos();
-  options.cancel = ctx->cancel_token();
-
-  PartitionedRelation out;
-  out.attrs = output_;
-  out.partitions.emplace_back();
-
-  const size_t num_executors =
-      static_cast<size_t>(std::max(1, ctx->config().num_executors));
-  if (!parallel_ || num_executors <= 1 || rows.size() < 2) {
-    // Single-task all-pairs (the paper's algorithm as written).
-    SL_RETURN_NOT_OK(RunStage(ctx, 1, [&](size_t) -> Status {
-      if (columnar_) {
-        std::atomic<int64_t> builds{0};
-        skyline::SkylineOptions opts = options;
-        opts.memory = ctx->memory();
-        opts.matrix_builds = &builds;
-        SL_ASSIGN_OR_RETURN(out.partitions[0],
-                            skyline::ColumnarAllPairsSkyline(rows, dims_, opts));
-        if (builds.load() > 0) ctx->AddMatrixBuilds(label(), builds.load());
-      } else {
-        SL_ASSIGN_OR_RETURN(
-            out.partitions[0],
-            skyline::AllPairsIncomplete(rows, dims_, options));
-      }
-      return Status::OK();
-    }));
-    SL_RETURN_NOT_OK(ChargeOutput(ctx, &out));
-    return out;
-  }
-
-  // Round-based parallel all-pairs (see the class comment): unlike the
-  // complete path's partial-merge, survivor-only merging is unsound under
-  // non-transitive dominance, so candidates are validated against each
-  // peer chunk's *full* tuple set, one rotating peer per round.
-  const size_t chunks = std::min(num_executors, rows.size());
-  // Contiguous balanced spans (sizes differ by at most one) over the
-  // gathered input; contiguity keeps chunk order == global input order,
-  // which the DISTINCT tie-break and the finalize concatenation rely on.
-  const std::vector<size_t> bounds = ChunkBounds(rows.size(), chunks);
-
-  // One shared matrix for all stages (the candidate scans and every
-  // validation round reuse its packed keys and per-row null bitmaps); row
-  // kernels take over when the shape is unsupported. The projection runs
-  // inside a timed stage so its cost lands in the critical path exactly as
-  // it does on the single-task path (where ColumnarAllPairsSkyline builds
-  // the matrix inside the timed task).
-  std::optional<skyline::DominanceMatrix> matrix;
-  std::optional<ScopedReservation> matrix_reservation;
-  if (columnar_) {
-    const std::string candidates_label = StrCat(label(), " [candidates]");
-    SL_RETURN_NOT_OK(RunStage(ctx, candidates_label, 1, [&](size_t) -> Status {
-      StopWatch project;
-      matrix = skyline::DominanceMatrix::TryBuild(rows, dims_);
-      if (matrix.has_value()) {
-        ctx->AddProjectionMs(project.ElapsedMillis());
-        ctx->AddMatrixBuilds(candidates_label, 1);
-      }
-      return Status::OK();
-    }));
-    if (matrix.has_value()) {
-      matrix_reservation.emplace(ctx->memory(), matrix->MemoryBytes());
-    }
-  }
-  std::vector<std::vector<uint32_t>> chunk_indices;
-  if (matrix.has_value()) {
-    chunk_indices.resize(chunks);
-    for (size_t i = 0; i < chunks; ++i) {
-      chunk_indices[i].resize(bounds[i + 1] - bounds[i]);
-      for (size_t k = 0; k < chunk_indices[i].size(); ++k) {
-        chunk_indices[i][k] = static_cast<uint32_t>(bounds[i] + k);
-      }
-    }
-  }
-
-  std::vector<std::vector<uint32_t>> candidates(chunks);
-  SL_RETURN_NOT_OK(RunStage(
-      ctx, StrCat(label(), " [candidates]"), chunks, [&](size_t i) -> Status {
-        if (matrix.has_value()) {
-          SL_ASSIGN_OR_RETURN(candidates[i],
-                              skyline::ColumnarIncompleteCandidateScan(
-                                  *matrix, chunk_indices[i], options));
-        } else {
-          SL_ASSIGN_OR_RETURN(
-              candidates[i],
-              skyline::IncompleteCandidateScan(rows, bounds[i], bounds[i + 1],
-                                               dims_, options));
-        }
-        return Status::OK();
-      }));
-
-  // chunks-1 rotation rounds; each task only shrinks its own candidate
-  // list and reads peer chunks, so rounds need no cross-task coordination
-  // beyond the stage barrier (which models the per-round exchange).
-  for (size_t round = 1; round < chunks; ++round) {
-    SL_RETURN_NOT_OK(RunStage(
-        ctx, StrCat(label(), " [validate]"), chunks, [&](size_t i) -> Status {
-          const size_t peer = (i + round) % chunks;
-          if (matrix.has_value()) {
-            SL_ASSIGN_OR_RETURN(candidates[i],
-                                skyline::ColumnarValidateAgainstChunk(
-                                    *matrix, candidates[i],
-                                    chunk_indices[peer], options));
-          } else {
-            SL_ASSIGN_OR_RETURN(
-                candidates[i],
-                skyline::ValidateAgainstChunk(rows, candidates[i],
-                                              bounds[peer], bounds[peer + 1],
-                                              dims_, options));
-          }
-          return Status::OK();
-        }));
-  }
-
-  SL_RETURN_NOT_OK(RunStage(
-      ctx, StrCat(label(), " [finalize]"), 1, [&](size_t) -> Status {
-        // Chunks are ascending contiguous spans, so concatenating candidate
-        // lists in chunk order reproduces the single-task output order.
-        // Candidate indices are unique and `rows` is dead after this stage,
-        // so survivors are moved out rather than copied.
-        for (const auto& survivors : candidates) {
-          for (const uint32_t c : survivors) {
-            out.partitions[0].push_back(std::move(rows[c]));
-          }
-        }
         return Status::OK();
       }));
   SL_RETURN_NOT_OK(ChargeOutput(ctx, &out));

@@ -96,16 +96,22 @@ Result<Value> EvalBinary(const BinaryExpr& e, const Row& row) {
   }
   const bool both_int = l.type() == DataType::Int64() &&
                         r.type() == DataType::Int64() && op != BinaryOp::kDiv;
+  // BIGINT + - * follow Spark's non-ANSI (Java long) semantics: results wrap
+  // in two's complement instead of overflowing, which is undefined in C++.
+  int64_t wrapped = 0;
   switch (op) {
     case BinaryOp::kAdd:
-      return both_int ? Value::Int64(l.int64_value() + r.int64_value())
-                      : Value::Double(l.ToDouble() + r.ToDouble());
+      if (!both_int) return Value::Double(l.ToDouble() + r.ToDouble());
+      __builtin_add_overflow(l.int64_value(), r.int64_value(), &wrapped);
+      return Value::Int64(wrapped);
     case BinaryOp::kSub:
-      return both_int ? Value::Int64(l.int64_value() - r.int64_value())
-                      : Value::Double(l.ToDouble() - r.ToDouble());
+      if (!both_int) return Value::Double(l.ToDouble() - r.ToDouble());
+      __builtin_sub_overflow(l.int64_value(), r.int64_value(), &wrapped);
+      return Value::Int64(wrapped);
     case BinaryOp::kMul:
-      return both_int ? Value::Int64(l.int64_value() * r.int64_value())
-                      : Value::Double(l.ToDouble() * r.ToDouble());
+      if (!both_int) return Value::Double(l.ToDouble() * r.ToDouble());
+      __builtin_mul_overflow(l.int64_value(), r.int64_value(), &wrapped);
+      return Value::Int64(wrapped);
     case BinaryOp::kDiv: {
       double rv = r.ToDouble();
       if (rv == 0.0) return Value::Null(DataType::Double());
@@ -114,6 +120,8 @@ Result<Value> EvalBinary(const BinaryExpr& e, const Row& row) {
     case BinaryOp::kMod: {
       if (l.type() == DataType::Int64() && r.type() == DataType::Int64()) {
         if (r.int64_value() == 0) return Value::Null(DataType::Int64());
+        // x % -1 is 0 for every x; computing INT64_MIN % -1 traps on x86.
+        if (r.int64_value() == -1) return Value::Int64(0);
         return Value::Int64(l.int64_value() % r.int64_value());
       }
       double rv = r.ToDouble();
@@ -213,7 +221,10 @@ Result<Value> EvalExpr(const Expression& e, const Row& row) {
         case UnaryOp::kNegate:
           if (v.is_null()) return v;
           if (v.type() == DataType::Int64()) {
-            return Value::Int64(-v.int64_value());
+            // Wraps like Java: -INT64_MIN == INT64_MIN.
+            int64_t negated = 0;
+            __builtin_sub_overflow(int64_t{0}, v.int64_value(), &negated);
+            return Value::Int64(negated);
           }
           return Value::Double(-v.ToDouble());
         case UnaryOp::kIsNull:

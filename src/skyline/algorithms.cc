@@ -1,8 +1,5 @@
 #include "skyline/algorithms.h"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
 #include <map>
 
 #include "skyline/kernel_common.h"
@@ -11,391 +8,6 @@ namespace sparkline {
 namespace skyline {
 
 using internal::CountTest;
-using internal::DeadlineChecker;
-
-Result<std::vector<Row>> BlockNestedLoop(const std::vector<Row>& input,
-                                         const std::vector<BoundDimension>& dims,
-                                         const SkylineOptions& options) {
-  SL_RETURN_NOT_OK(CheckDimensionLimit(dims));
-  std::vector<Row> window;
-  DeadlineChecker deadline(options);
-  for (const Row& tuple : input) {
-    bool eliminated = false;
-    size_t i = 0;
-    while (i < window.size()) {
-      SL_RETURN_NOT_OK(deadline.Check());
-      CountTest(options);
-      const Dominance dom = CompareRows(tuple, window[i], dims, options.nulls);
-      if (dom == Dominance::kRightDominates ||
-          (dom == Dominance::kEqual && options.distinct)) {
-        // The newcomer is dominated (or a duplicate under DISTINCT). By
-        // transitivity it cannot dominate anything else in the window.
-        eliminated = true;
-        break;
-      }
-      if (dom == Dominance::kLeftDominates) {
-        // Remove the dominated window tuple (swap-erase keeps this O(1); the
-        // window is an unordered set of candidates).
-        window[i] = std::move(window.back());
-        window.pop_back();
-        continue;  // re-examine the swapped-in element at index i
-      }
-      ++i;
-    }
-    if (!eliminated) window.push_back(tuple);
-  }
-  return window;
-}
-
-Result<std::vector<Row>> AllPairsIncomplete(
-    const std::vector<Row>& input, const std::vector<BoundDimension>& dims,
-    const SkylineOptions& options) {
-  SL_RETURN_NOT_OK(CheckDimensionLimit(dims));
-  const size_t n = input.size();
-  std::vector<char> dominated(n, 0);
-  std::vector<uint32_t> bitmaps(n);
-  for (size_t i = 0; i < n; ++i) bitmaps[i] = NullBitmap(input[i], dims);
-
-  DeadlineChecker deadline(options);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      // A dominated tuple may still dominate others (Appendix A), so flagged
-      // tuples must keep participating; only pairs where both are already
-      // flagged are irrelevant. The deadline ticks before the skip so a
-      // mostly-flagged quadratic scan still times out.
-      SL_RETURN_NOT_OK(deadline.Check());
-      if (dominated[i] && dominated[j]) continue;
-      CountTest(options);
-      const Dominance dom = CompareRows(input[i], input[j], dims, options.nulls);
-      switch (dom) {
-        case Dominance::kLeftDominates:
-          dominated[j] = 1;
-          break;
-        case Dominance::kRightDominates:
-          dominated[i] = 1;
-          break;
-        case Dominance::kEqual:
-          // Duplicates (same null pattern, same values) collapse under
-          // DISTINCT; with different null patterns "equal on common
-          // dimensions" is not equality, so both survive.
-          if (options.distinct && bitmaps[i] == bitmaps[j]) dominated[j] = 1;
-          break;
-        case Dominance::kIncomparable:
-          break;
-      }
-    }
-  }
-  // Deferred deletion: only now drop the flagged tuples.
-  std::vector<Row> result;
-  for (size_t i = 0; i < n; ++i) {
-    if (!dominated[i]) result.push_back(input[i]);
-  }
-  return result;
-}
-
-Result<std::vector<uint32_t>> IncompleteCandidateScan(
-    const std::vector<Row>& input, size_t begin, size_t end,
-    const std::vector<BoundDimension>& dims, const SkylineOptions& options) {
-  SL_RETURN_NOT_OK(CheckDimensionLimit(dims));
-  if (begin > end || end > input.size()) {
-    return Status::Invalid("candidate scan chunk out of range");
-  }
-  if (input.size() > UINT32_MAX) {
-    return Status::Invalid("candidate scan input exceeds uint32 indexing");
-  }
-  const size_t n = end - begin;
-  std::vector<char> dominated(n, 0);
-  std::vector<uint32_t> bitmaps(n);
-  for (size_t i = 0; i < n; ++i) bitmaps[i] = NullBitmap(input[begin + i], dims);
-
-  // Same pair scan as AllPairsIncomplete, restricted to the chunk: flagged
-  // tuples keep participating (they may still dominate), deletion is
-  // deferred to the end.
-  DeadlineChecker deadline(options);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      SL_RETURN_NOT_OK(deadline.Check());
-      if (dominated[i] && dominated[j]) continue;
-      CountTest(options);
-      const Dominance dom =
-          CompareRows(input[begin + i], input[begin + j], dims, options.nulls);
-      switch (dom) {
-        case Dominance::kLeftDominates:
-          dominated[j] = 1;
-          break;
-        case Dominance::kRightDominates:
-          dominated[i] = 1;
-          break;
-        case Dominance::kEqual:
-          if (options.distinct && bitmaps[i] == bitmaps[j]) dominated[j] = 1;
-          break;
-        case Dominance::kIncomparable:
-          break;
-      }
-    }
-  }
-  std::vector<uint32_t> candidates;
-  for (size_t i = 0; i < n; ++i) {
-    if (!dominated[i]) candidates.push_back(static_cast<uint32_t>(begin + i));
-  }
-  return candidates;
-}
-
-Result<std::vector<uint32_t>> ValidateAgainstChunk(
-    const std::vector<Row>& input, const std::vector<uint32_t>& candidates,
-    size_t peer_begin, size_t peer_end,
-    const std::vector<BoundDimension>& dims, const SkylineOptions& options) {
-  SL_RETURN_NOT_OK(CheckDimensionLimit(dims));
-  if (peer_begin > peer_end || peer_end > input.size()) {
-    return Status::Invalid("validation peer chunk out of range");
-  }
-  DeadlineChecker deadline(options);
-  std::vector<uint32_t> survivors;
-  survivors.reserve(candidates.size());
-  for (const uint32_t c : candidates) {
-    const uint32_t bitmap =
-        options.distinct ? NullBitmap(input[c], dims) : 0;
-    bool eliminated = false;
-    // Early exit on the first witness is sound here (unlike the all-pairs
-    // scan): peer tuples are never eliminated by this pass, so no flag
-    // interplay exists — a witness is final.
-    for (size_t t = peer_begin; t < peer_end && !eliminated; ++t) {
-      SL_RETURN_NOT_OK(deadline.Check());
-      CountTest(options);
-      const Dominance dom = CompareRows(input[t], input[c], dims, options.nulls);
-      if (dom == Dominance::kLeftDominates) {
-        eliminated = true;  // witness: input[t]
-      } else if (dom == Dominance::kEqual && options.distinct && t < c &&
-                 NullBitmap(input[t], dims) == bitmap) {
-        // DISTINCT keeps the globally first of a duplicate group; equal
-        // tuples with equal bitmaps are dominated by exactly the same
-        // witnesses, so this agrees with the sequential algorithm whether
-        // or not the earlier duplicate itself survives.
-        eliminated = true;
-      }
-    }
-    if (!eliminated) survivors.push_back(c);
-  }
-  return survivors;
-}
-
-Result<std::vector<Row>> SortFilterSkyline(
-    const std::vector<Row>& input, const std::vector<BoundDimension>& dims,
-    const SkylineOptions& options) {
-  SL_RETURN_NOT_OK(CheckDimensionLimit(dims));
-  if (options.nulls != NullSemantics::kComplete) {
-    return BlockNestedLoop(input, dims, options);
-  }
-  for (const auto& d : dims) {
-    if (d.goal == SkylineGoal::kDiff) return BlockNestedLoop(input, dims, options);
-    if (!input.empty() && !input[0][d.ordinal].type().is_numeric()) {
-      return BlockNestedLoop(input, dims, options);
-    }
-  }
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  const size_t num_dims = dims.size();
-
-  // Per-row key summaries over the MIN-normalized values (MAX negated):
-  // the sum (strictly monotone under dominance), the smallest coordinate
-  // (the kMinMax primary key / SaLSa minC function) and the largest
-  // coordinate (the stop-point bound a skyline point contributes). The
-  // per-dimension maxima convert the sum key into coordinate space for the
-  // kSum stop test. NULLs make coordinate bounds meaningless, so any NULL
-  // disables the early stop (the filter pass itself keeps the pre-existing
-  // behaviour).
-  std::vector<double> scores(input.size()), min_coord(input.size()),
-      max_coord(input.size());
-  std::vector<double> dim_hi(num_dims, -kInf);
-  bool any_null = false;
-  for (size_t i = 0; i < input.size(); ++i) {
-    double s = 0, lo = kInf, hi = -kInf;
-    for (size_t d = 0; d < num_dims; ++d) {
-      const Value& value = input[i][dims[d].ordinal];
-      if (value.is_null()) {
-        any_null = true;
-        continue;
-      }
-      const double v = dims[d].goal == SkylineGoal::kMin ? value.ToDouble()
-                                                         : -value.ToDouble();
-      s += v;
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-      dim_hi[d] = std::max(dim_hi[d], v);
-    }
-    scores[i] = s;
-    min_coord[i] = lo;
-    max_coord[i] = hi;
-  }
-
-  const SfsSortKey sort_key = options.sfs_sort_key;
-  std::vector<size_t> order(input.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    if (sort_key == SfsSortKey::kMinMax && min_coord[a] != min_coord[b]) {
-      return min_coord[a] < min_coord[b];
-    }
-    return scores[a] < scores[b];
-  });
-
-  const bool early_stop = options.sfs_early_stop && !any_null;
-  // kSum stop test: sum(t) only lower-bounds a coordinate via the other
-  // dimensions' maxima (t_j >= sum(t) - sum_{k != j} hi_k), so the bound in
-  // sort-key space is minC + max_j sum_{k != j} hi_k = minC + (sum(hi) -
-  // min(hi)). kMinMax compares the min coordinate against minC directly.
-  double sum_offset = 0;
-  if (early_stop && sort_key == SfsSortKey::kSum && !input.empty()) {
-    double total = 0, min_hi = kInf;
-    for (const double hi : dim_hi) {
-      total += hi;
-      min_hi = std::min(min_hi, hi);
-    }
-    sum_offset = total - min_hi;
-  }
-
-  double min_c = early_stop ? options.sfs_stop_bound : kInf;
-  std::vector<Row> window;
-  DeadlineChecker deadline(options);
-  for (size_t pos = 0; pos < order.size(); ++pos) {
-    const size_t idx = order[pos];
-    SL_RETURN_NOT_OK(deadline.Check());
-    if (early_stop) {
-      // Stop point: every coordinate of every remaining tuple strictly
-      // exceeds minC, so the skyline point with max-coordinate minC
-      // strictly dominates them all. Strict-only elimination keeps equal
-      // tuples, so DISTINCT semantics are unaffected.
-      const double key =
-          sort_key == SfsSortKey::kMinMax ? min_coord[idx] : scores[idx];
-      const double bound =
-          sort_key == SfsSortKey::kMinMax ? min_c : min_c + sum_offset;
-      if (key > bound) {
-        if (options.early_stop != nullptr) {
-          options.early_stop->rows_skipped.fetch_add(
-              static_cast<int64_t>(order.size() - pos),
-              std::memory_order_relaxed);
-          options.early_stop->stops.fetch_add(1, std::memory_order_relaxed);
-        }
-        break;
-      }
-    }
-    const Row& tuple = input[idx];
-    bool eliminated = false;
-    for (const Row& w : window) {
-      SL_RETURN_NOT_OK(deadline.Check());
-      CountTest(options);
-      const Dominance dom = CompareRows(w, tuple, dims, options.nulls);
-      if (dom == Dominance::kLeftDominates ||
-          (dom == Dominance::kEqual && options.distinct)) {
-        eliminated = true;
-        break;
-      }
-    }
-    // Presorting guarantees no later tuple dominates an earlier one, so the
-    // window only ever grows and each member is final skyline output.
-    if (!eliminated) {
-      window.push_back(tuple);
-      min_c = std::min(min_c, max_coord[idx]);
-    }
-  }
-  return window;
-}
-
-Result<std::vector<Row>> GridFilterSkyline(
-    const std::vector<Row>& input, const std::vector<BoundDimension>& dims,
-    const SkylineOptions& options) {
-  SL_RETURN_NOT_OK(CheckDimensionLimit(dims));
-  const size_t n = input.size();
-  // Cell keys pack 4 bits per dimension into a uint64_t; beyond 16
-  // dimensions `key = (key << 4) | bucket` would silently wrap, merging
-  // unrelated cells and wrongly eliminating tuples — fall back to BNL.
-  if (options.nulls != NullSemantics::kComplete || n < 64 ||
-      dims.size() > 16) {
-    return BlockNestedLoop(input, dims, options);
-  }
-  for (const auto& d : dims) {
-    if (d.goal == SkylineGoal::kDiff ||
-        !input[0][d.ordinal].type().is_numeric()) {
-      return BlockNestedLoop(input, dims, options);
-    }
-  }
-  const size_t num_dims = dims.size();
-  // Roughly n^(1/d) buckets per dimension, clamped to [2, 16] so cell keys
-  // pack into 4 bits per dimension.
-  size_t buckets = static_cast<size_t>(
-      std::round(std::pow(static_cast<double>(n), 1.0 / num_dims)));
-  buckets = std::min<size_t>(16, std::max<size_t>(2, buckets));
-
-  std::vector<double> lo(num_dims), hi(num_dims);
-  for (size_t d = 0; d < num_dims; ++d) {
-    lo[d] = hi[d] = input[0][dims[d].ordinal].ToDouble();
-  }
-  for (const Row& r : input) {
-    for (size_t d = 0; d < num_dims; ++d) {
-      const double v = r[dims[d].ordinal].ToDouble();
-      lo[d] = std::min(lo[d], v);
-      hi[d] = std::max(hi[d], v);
-    }
-  }
-
-  // Bucket index per dimension with "lower index = better": floor bucketing
-  // for MIN, mirrored for MAX. Floor bucketing makes the strictness
-  // argument work: a point in bucket b is strictly below the lower edge of
-  // bucket b+1, so cell A < cell B in every dimension implies every point
-  // of A strictly dominates every point of B.
-  auto bucket_of = [&](const Row& r, size_t d) -> uint64_t {
-    const double width = (hi[d] - lo[d]) / static_cast<double>(buckets);
-    if (width <= 0) return 0;
-    const double v = r[dims[d].ordinal].ToDouble();
-    auto b = static_cast<size_t>((v - lo[d]) / width);
-    if (b >= buckets) b = buckets - 1;
-    return dims[d].goal == SkylineGoal::kMax ? (buckets - 1 - b) : b;
-  };
-  auto cell_key = [&](const Row& r) {
-    uint64_t key = 0;
-    for (size_t d = 0; d < num_dims; ++d) {
-      key = (key << 4) | bucket_of(r, d);
-    }
-    return key;
-  };
-
-  std::map<uint64_t, std::vector<const Row*>> cells;
-  for (const Row& r : input) cells[cell_key(r)].push_back(&r);
-  if (cells.size() > 4096) {
-    // Too fragmented for the quadratic cell pass to pay off.
-    return BlockNestedLoop(input, dims, options);
-  }
-
-  auto unpack = [&](uint64_t key, size_t d) {
-    return (key >> (4 * (num_dims - 1 - d))) & 0xf;
-  };
-  std::vector<uint64_t> keys;
-  keys.reserve(cells.size());
-  for (const auto& [key, rows] : cells) keys.push_back(key);
-
-  std::vector<Row> survivors;
-  DeadlineChecker deadline(options);
-  for (uint64_t key : keys) {
-    bool eliminated = false;
-    for (uint64_t other : keys) {
-      SL_RETURN_NOT_OK(deadline.Check());
-      if (other == key) continue;
-      bool strictly_better_everywhere = true;
-      for (size_t d = 0; d < num_dims; ++d) {
-        if (unpack(other, d) >= unpack(key, d)) {
-          strictly_better_everywhere = false;
-          break;
-        }
-      }
-      if (strictly_better_everywhere) {
-        eliminated = true;
-        break;
-      }
-    }
-    if (!eliminated) {
-      for (const Row* r : cells[key]) survivors.push_back(*r);
-    }
-  }
-  return BlockNestedLoop(survivors, dims, options);
-}
 
 std::vector<Row> FlawedGulzarGlobal(const std::vector<Row>& input,
                                     const std::vector<BoundDimension>& dims) {
@@ -472,44 +84,6 @@ std::vector<Row> BruteForceSkyline(const std::vector<Row>& input,
     if (!dominated) result.push_back(input[i]);
   }
   return result;
-}
-
-std::vector<std::vector<Row>> PartitionByNullBitmap(
-    const std::vector<Row>& input, const std::vector<BoundDimension>& dims) {
-  std::map<uint32_t, std::vector<Row>> groups;
-  for (const Row& r : input) groups[NullBitmap(r, dims)].push_back(r);
-  std::vector<std::vector<Row>> out;
-  out.reserve(groups.size());
-  for (auto& [bitmap, rows] : groups) out.push_back(std::move(rows));
-  return out;
-}
-
-Result<std::vector<Row>> BitmapGroupedBnl(const std::vector<Row>& input,
-                                          const std::vector<BoundDimension>& dims,
-                                          const SkylineOptions& options) {
-  std::vector<Row> out;
-  for (auto& group : PartitionByNullBitmap(input, dims)) {
-    SL_ASSIGN_OR_RETURN(std::vector<Row> local,
-                        BlockNestedLoop(group, dims, options));
-    for (auto& r : local) out.push_back(std::move(r));
-  }
-  return out;
-}
-
-Result<std::vector<Row>> ComputeSkyline(const std::vector<Row>& input,
-                                        const std::vector<BoundDimension>& dims,
-                                        const SkylineOptions& options) {
-  SL_RETURN_NOT_OK(CheckDimensionLimit(dims));
-  if (options.nulls == NullSemantics::kComplete) {
-    return BlockNestedLoop(input, dims, options);
-  }
-  std::vector<Row> local_union;
-  for (auto& part : PartitionByNullBitmap(input, dims)) {
-    SL_ASSIGN_OR_RETURN(std::vector<Row> local,
-                        BlockNestedLoop(part, dims, options));
-    for (auto& r : local) local_union.push_back(std::move(r));
-  }
-  return AllPairsIncomplete(local_union, dims, options);
 }
 
 }  // namespace skyline

@@ -1,8 +1,9 @@
-// The skyline algorithms (paper sections 5.6, 5.7 and Appendix A).
+// Options shared by the skyline kernels, and the two row-level reference
+// implementations the tests check the kernels against.
 //
-// All functions are deterministic, allocation-conscious and usable standalone
-// (the physical operators are thin wrappers). Cancellation is cooperative via
-// an optional deadline, which implements the paper's benchmark timeouts.
+// The kernels themselves (paper sections 5.6, 5.7 and Appendix A) run over a
+// DominanceMatrix and live in columnar.h. Cancellation is cooperative via an
+// optional deadline, which implements the paper's benchmark timeouts.
 #pragma once
 
 #include <functional>
@@ -38,6 +39,15 @@ enum class SfsSortKey : uint8_t {
   kMinMax,
 };
 
+/// \brief Which kernel the skyline operators run. BNL is the paper's
+/// choice; SFS (presorting) and grid-based cell pruning are the section-7 /
+/// section-2 alternatives implemented as extensions.
+enum class SkylineKernel : uint8_t {
+  kBlockNestedLoop,
+  kSortFilterSkyline,
+  kGridFilter,
+};
+
 /// \brief Options shared by all skyline algorithms.
 struct SkylineOptions {
   /// SKYLINE OF DISTINCT: among tuples equal in all skyline dimensions,
@@ -56,15 +66,9 @@ struct SkylineOptions {
   /// token owned (shared_ptr) by its ExecContext.
   const CancellationToken* cancel = nullptr;
   /// If non-null, DominanceMatrix storage (packed keys, null bitmaps,
-  /// dictionaries) built inside the columnar entry points is charged here
-  /// for as long as the matrix lives. Row kernels ignore it.
+  /// dictionaries) built inside ColumnarSkyline and DeltaClassify is
+  /// charged here for as long as the matrix lives.
   MemoryTracker* memory = nullptr;
-  /// If non-null, incremented once per successful DominanceMatrix
-  /// projection (TryBuild) executed inside the columnar entry points. The
-  /// exec layer aggregates it into QueryMetrics::matrix_builds per stage,
-  /// which is how tests prove the columnar exchange removed per-stage
-  /// re-projection.
-  std::atomic<int64_t>* matrix_builds = nullptr;
 
   // --- SaLSa-style early termination (SFS family only) ----------------------
 
@@ -99,113 +103,6 @@ struct SkylineOptions {
   EarlyStopStats* early_stop = nullptr;
 };
 
-// Preconditions shared by every Result-returning entry point below:
-//
-//   * At most 32 dimensions — the null bitmaps are 32-bit. This limit is
-//     re-validated by every algorithm in all build types (Status::Invalid
-//     via CheckDimensionLimit), so release-mode callers cannot bypass it;
-//     chunk/index bounds of the parallel kernels are likewise checked.
-//   * `dims[i].ordinal` must be a valid column index of every input row and
-//     MIN/MAX dimensions must be comparable values; DIFF dimensions only
-//     need equality. This is a caller contract (the analyzer guarantees it
-//     for planned queries) and is NOT re-checked here. Values are compared
-//     as stored — no MIN/MAX normalization happens at this layer (unlike
-//     columnar.h, which negates MAX keys at projection time).
-//   * `options.nulls` selects the dominance semantics. kComplete implements
-//     paper Definition 3.1 and assumes the skyline dimensions are non-null;
-//     kIncomplete restricts every comparison to dimensions where both
-//     tuples are non-null (transitivity is lost — see the per-algorithm
-//     notes for which algorithms stay sound).
-//   * With `options.deadline_nanos` set, algorithms return Status::Timeout
-//     soon after the deadline passes; partial results are discarded.
-
-/// \brief Block-Nested-Loop skyline (Börzsönyi et al., adapted in paper
-/// section 5.6): maintains a window of incomparable tuples; correctness
-/// relies on the transitivity of dominance.
-///
-/// \pre With NullSemantics::kIncomplete the input must be *bitmap-uniform*
-/// (all rows null in the same dimensions, e.g. one partition produced by
-/// PartitionByNullBitmap) — within such a partition transitivity holds and
-/// BNL stays correct (paper section 5.7). For mixed-bitmap incomplete input
-/// use BitmapGroupedBnl or AllPairsIncomplete instead.
-Result<std::vector<Row>> BlockNestedLoop(const std::vector<Row>& input,
-                                         const std::vector<BoundDimension>& dims,
-                                         const SkylineOptions& options);
-
-/// \brief Global skyline for (potentially) incomplete data: compares all
-/// pairs and only *flags* dominated tuples, deleting them after the last
-/// comparison. Deferred deletion is what makes cyclic dominance safe
-/// (paper section 5.7 / Appendix A). Sound for any mix of null bitmaps;
-/// the price is the quadratic pair scan.
-Result<std::vector<Row>> AllPairsIncomplete(
-    const std::vector<Row>& input, const std::vector<BoundDimension>& dims,
-    const SkylineOptions& options);
-
-/// \brief Candidate stage of the round-based parallel incomplete global
-/// skyline: runs the all-pairs deferred-deletion scan restricted to the
-/// chunk `input[begin, end)` and returns the *global* indices (positions in
-/// `input`) of the chunk-local survivors, in ascending order.
-///
-/// Eliminations are sound because every flagged tuple has a concrete
-/// dominating witness inside the chunk — and a witness anywhere in the
-/// input excludes a tuple from the global skyline regardless of
-/// transitivity. Survivors are only *candidates*: they must still be
-/// validated against every other chunk's full tuple set (including tuples
-/// this scan eliminated — under non-transitive dominance an eliminated
-/// tuple may still dominate a foreign candidate), which is what
-/// ValidateAgainstChunk does.
-///
-/// \pre `begin <= end <= input.size()` and `input.size() < 2^32` (indices
-/// are returned as uint32_t, matching the columnar kernels).
-Result<std::vector<uint32_t>> IncompleteCandidateScan(
-    const std::vector<Row>& input, size_t begin, size_t end,
-    const std::vector<BoundDimension>& dims, const SkylineOptions& options);
-
-/// \brief One validation round of the parallel incomplete global skyline:
-/// returns the subset of `candidates` (global indices into `input`, as
-/// produced by IncompleteCandidateScan) for which the peer chunk
-/// `input[peer_begin, peer_end)` contains no dominating witness. Under
-/// DISTINCT a candidate is also eliminated by an *earlier* (smaller global
-/// index) peer tuple that is equal with the same null bitmap, reproducing
-/// the sequential algorithm's keep-the-first duplicate policy.
-///
-/// The peer span must be the chunk's *full* tuple set, not its candidate
-/// set: survivor-vs-survivor pruning is unsound under non-transitive
-/// dominance (a tuple eliminated in its own chunk can still be the only
-/// witness against a foreign candidate). Candidates are never used to
-/// eliminate peer tuples, so rounds over disjoint chunks commute and can
-/// run in any order or in parallel.
-///
-/// \pre `peer_begin <= peer_end <= input.size()`; every candidate index is
-/// a valid position in `input`.
-Result<std::vector<uint32_t>> ValidateAgainstChunk(
-    const std::vector<Row>& input, const std::vector<uint32_t>& candidates,
-    size_t peer_begin, size_t peer_end,
-    const std::vector<BoundDimension>& dims, const SkylineOptions& options);
-
-/// \brief Sort-Filter-Skyline (SFS), the presorting family the paper lists
-/// as future work (section 7). Requires complete data and numeric
-/// dimensions; falls back to BlockNestedLoop otherwise. After sorting by a
-/// monotone score (options.sfs_sort_key), no tuple can be dominated by a
-/// later one, so the window only grows and every window member is final.
-/// With options.sfs_early_stop the pass additionally terminates at the
-/// SaLSa stop point; the stop is automatically disabled when any skyline
-/// value is NULL (results are identical either way).
-Result<std::vector<Row>> SortFilterSkyline(
-    const std::vector<Row>& input, const std::vector<BoundDimension>& dims,
-    const SkylineOptions& options);
-
-/// \brief Grid-based skyline with cell-level pruning (Tang et al., paper
-/// section 2): rows are bucketed into a uniform grid over the observed
-/// value ranges (bucket order flipped for MAX dimensions so lower indices
-/// are always better); a non-empty cell strictly below another cell in
-/// *every* dimension eliminates that cell wholesale, without per-tuple
-/// dominance tests. Survivors run through BlockNestedLoop. Complete,
-/// numeric data only; falls back to BNL otherwise.
-Result<std::vector<Row>> GridFilterSkyline(
-    const std::vector<Row>& input, const std::vector<BoundDimension>& dims,
-    const SkylineOptions& options);
-
 /// \brief The *incorrect* global algorithm of Gulzar et al. [20], kept as an
 /// executable counterexample: it deletes dominated tuples eagerly while
 /// scanning clusters, so cyclic dominance chains leak tuples into the result
@@ -214,31 +111,12 @@ std::vector<Row> FlawedGulzarGlobal(const std::vector<Row>& input,
                                     const std::vector<BoundDimension>& dims);
 
 /// \brief Quadratic reference oracle implementing the skyline definition
-/// verbatim (used by tests and as the last-resort algorithm).
+/// verbatim over CompareRows (used by tests and the subscription resync).
+/// Under DISTINCT it keeps the first of each group of equal tuples with the
+/// same null bitmap.
 std::vector<Row> BruteForceSkyline(const std::vector<Row>& input,
                                    const std::vector<BoundDimension>& dims,
                                    const SkylineOptions& options);
-
-/// \brief Groups rows by their null bitmap (paper section 5.7). The result
-/// preserves input order within each group.
-std::vector<std::vector<Row>> PartitionByNullBitmap(
-    const std::vector<Row>& input, const std::vector<BoundDimension>& dims);
-
-/// \brief The incomplete local-stage contract (paper section 5.7): BNL is
-/// only sound within a bitmap-uniform group, so partition by null bitmap,
-/// run one BNL per group, and concatenate (in ascending bitmap order).
-/// Shared by the row and columnar execution paths.
-Result<std::vector<Row>> BitmapGroupedBnl(const std::vector<Row>& input,
-                                          const std::vector<BoundDimension>& dims,
-                                          const SkylineOptions& options);
-
-/// \brief End-to-end convenience: partitions by null bitmap, computes local
-/// skylines with BNL, then the global skyline with AllPairsIncomplete (or
-/// plain BNL when `options.nulls` is kComplete). This is the same pipeline
-/// the physical operators execute.
-Result<std::vector<Row>> ComputeSkyline(const std::vector<Row>& input,
-                                        const std::vector<BoundDimension>& dims,
-                                        const SkylineOptions& options);
 
 }  // namespace skyline
 }  // namespace sparkline

@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <unordered_map>
+#include <optional>
 
 #if SPARKLINE_HAVE_AVX2_COMPARE
 #include <immintrin.h>
 #endif
 
+#include "common/string_util.h"
 #include "skyline/kernel_common.h"
 
 namespace sparkline {
@@ -48,16 +49,40 @@ namespace {
 using internal::BatchedCounter;
 using internal::DeadlineChecker;
 
-/// Largest BIGINT magnitude exactly representable as double; larger values
-/// could flip a comparison after projection, so TryBuild refuses them.
+/// Largest BIGINT magnitude exactly representable as double; a dimension
+/// holding a larger value is ranked instead of keyed directly.
 constexpr int64_t kMaxExactInt = int64_t{1} << 53;
+
+/// The direct key of a non-null value, or nullopt when the value has no
+/// exact double image (NaN, BIGINT beyond 2^53, VARCHAR). `numeric` is
+/// cleared for BOOLEAN, which keys exactly but is not a number to SFS.
+std::optional<double> DirectKey(const Value& v, bool* numeric) {
+  switch (v.type().id()) {
+    case TypeId::kBool:
+      *numeric = false;
+      return v.bool_value() ? 1.0 : 0.0;
+    case TypeId::kInt64: {
+      const int64_t i = v.int64_value();
+      if (i > kMaxExactInt || i < -kMaxExactInt) return std::nullopt;
+      return static_cast<double>(i);
+    }
+    case TypeId::kDouble:
+      if (std::isnan(v.double_value())) return std::nullopt;
+      return v.double_value();
+    case TypeId::kString:
+      break;
+  }
+  return std::nullopt;
+}
 
 }  // namespace
 
-std::optional<DominanceMatrix> DominanceMatrix::TryBuild(
+Result<DominanceMatrix> DominanceMatrix::Build(
     const std::vector<Row>& rows, const std::vector<BoundDimension>& dims) {
-  if (dims.empty() || dims.size() > kMaxDims) return std::nullopt;
-
+  if (dims.empty() || dims.size() > kMaxDims) {
+    return Status::Invalid(StrCat("a dominance matrix needs 1 to ", kMaxDims,
+                                  " dimensions, got ", dims.size()));
+  }
   DominanceMatrix m;
   m.n_ = rows.size();
   m.d_ = dims.size();
@@ -73,53 +98,64 @@ std::optional<DominanceMatrix> DominanceMatrix::TryBuild(
     if (is_diff) m.diff_mask_ |= (1u << d);
     const double sign = dim.goal == SkylineGoal::kMax ? -1.0 : 1.0;
 
-    // Dictionary for VARCHAR DIFF dimensions; codes only need to preserve
-    // equality, so insertion order is fine.
-    std::unordered_map<std::string, double> dictionary;
-
-    bool dim_numeric = !is_diff;
+    bool numeric = !is_diff;
+    bool direct = true;
     for (size_t r = 0; r < m.n_; ++r) {
-      double& slot = m.keys_[r * m.d_ + d];
       const Value& v = rows[r][dim.ordinal];
       if (v.is_null()) {
         nulls[r] |= (1u << d);
         any_null = true;
         continue;
       }
-      double key;
-      switch (v.type().id()) {
-        case TypeId::kBool:
-          key = v.bool_value() ? 1.0 : 0.0;
-          dim_numeric = false;  // row SFS/grid treat BOOLEAN as non-numeric
-          break;
-        case TypeId::kInt64: {
-          const int64_t i = v.int64_value();
-          if (i > kMaxExactInt || i < -kMaxExactInt) return std::nullopt;
-          key = static_cast<double>(i);
-          break;
-        }
-        case TypeId::kDouble:
-          key = v.double_value();
-          if (std::isnan(key)) return std::nullopt;
-          break;
-        case TypeId::kString: {
-          if (!is_diff) return std::nullopt;  // MIN/MAX over VARCHAR
-          auto [it, inserted] = dictionary.emplace(
-              v.string_value(), static_cast<double>(dictionary.size()));
-          // Keep the decode table so ConcatSelected can remap codes later.
-          if (inserted) m.dicts_[d].push_back(v.string_value());
-          slot = it->second;
-          continue;
-        }
-        default:
-          return std::nullopt;
+      if (!direct) continue;
+      const std::optional<double> key = DirectKey(v, &numeric);
+      if (key.has_value()) {
+        m.keys_[r * m.d_ + d] = is_diff ? *key : sign * *key;
+      } else {
+        direct = false;
       }
-      slot = is_diff ? key : sign * key;
     }
-    m.numeric_minmax_ = m.numeric_minmax_ && dim_numeric;
+    if (!direct) {
+      m.RankDimension(rows, dim, d);
+      numeric = false;
+    }
+    m.numeric_minmax_ = m.numeric_minmax_ && numeric;
   }
   if (any_null) m.nulls_ = std::move(nulls);
   return m;
+}
+
+void DominanceMatrix::RankDimension(const std::vector<Row>& rows,
+                                    const BoundDimension& dim, size_t d) {
+  ranked_mask_ |= (1u << d);
+  auto value = [&](uint32_t r) -> const Value& { return rows[r][dim.ordinal]; };
+  std::vector<uint32_t> order;
+  for (uint32_t r = 0; r < n_; ++r) {
+    if (!value(r).is_null()) order.push_back(r);
+  }
+  // CompareValues is a total order within one type. A column mixing BIGINT
+  // and DOUBLE compares across types as DOUBLE, which is not transitive
+  // with exact BIGINT-BIGINT comparison beyond 2^53, so such a dimension
+  // ranks every value by its DOUBLE image instead.
+  bool mixed = false;
+  for (const uint32_t r : order) {
+    mixed |= value(r).type() != value(order.front()).type();
+  }
+  auto compare = [&](const Value& a, const Value& b) {
+    return mixed ? CompareDoubles(a.ToDouble(), b.ToDouble())
+                 : CompareValues(a, b);
+  };
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return compare(value(a), value(b)) < 0;
+  });
+  const double sign = dim.goal == SkylineGoal::kMax ? -1.0 : 1.0;
+  std::vector<Value>& dict = dicts_[d];
+  for (const uint32_t r : order) {
+    if (dict.empty() || compare(dict.back(), value(r)) != 0) {
+      dict.push_back(value(r));
+    }
+    keys_[r * d_ + d] = sign * static_cast<double>(dict.size() - 1);
+  }
 }
 
 int64_t DominanceMatrix::MemoryBytes() const {
@@ -127,9 +163,7 @@ int64_t DominanceMatrix::MemoryBytes() const {
   bytes += static_cast<int64_t>(keys_.capacity() * sizeof(double));
   bytes += static_cast<int64_t>(nulls_.capacity() * sizeof(uint32_t));
   for (const auto& dict : dicts_) {
-    for (const auto& s : dict) {
-      bytes += static_cast<int64_t>(sizeof(std::string) + s.capacity());
-    }
+    for (const Value& v : dict) bytes += v.EstimatedBytes();
   }
   return bytes;
 }
@@ -148,24 +182,14 @@ DominanceMatrix DominanceMatrix::ConcatSelected(
   bool any_null = false;
   for (size_t p = 0; p < parts.size(); ++p) {
     SL_DCHECK(parts[p]->d_ == out.d_ && parts[p]->diff_mask_ == out.diff_mask_);
+    SL_DCHECK(parts[p]->ranked_mask_ == 0);
     total += selections[p]->size();
     any_null |= parts[p]->has_nulls();
     out.numeric_minmax_ &= parts[p]->numeric_minmax_;
   }
   out.n_ = total;
-  out.keys_.assign(total * out.d_, 0.0);
+  out.keys_.resize(total * out.d_);
   if (any_null) out.nulls_.assign(total, 0);
-
-  // A dimension is dictionary-encoded iff any part saw a string there (a
-  // part can have an empty dict only when its rows are all NULL in that
-  // dimension, in which case there are no codes to remap).
-  std::vector<char> dict_dim(out.d_, 0);
-  std::vector<std::unordered_map<std::string, double>> unified(out.d_);
-  for (size_t d = 0; d < out.d_; ++d) {
-    for (const auto* part : parts) {
-      if (!part->dicts_[d].empty()) dict_dim[d] = 1;
-    }
-  }
 
   size_t cursor = 0;
   for (size_t p = 0; p < parts.size(); ++p) {
@@ -173,18 +197,7 @@ DominanceMatrix DominanceMatrix::ConcatSelected(
     for (const uint32_t r : *selections[p]) {
       std::copy_n(part.row_keys(r), out.d_,
                   out.keys_.begin() + cursor * out.d_);
-      const uint32_t nulls = part.null_bitmap(r);
-      if (any_null) out.nulls_[cursor] = nulls;
-      for (size_t d = 0; d < out.d_; ++d) {
-        if (!dict_dim[d] || ((nulls >> d) & 1u)) continue;
-        const size_t code =
-            static_cast<size_t>(part.keys_[r * part.d_ + d]);
-        const std::string& value = part.dicts_[d][code];
-        auto [it, inserted] = unified[d].emplace(
-            value, static_cast<double>(unified[d].size()));
-        if (inserted) out.dicts_[d].push_back(value);
-        out.keys_[cursor * out.d_ + d] = it->second;
-      }
+      if (any_null) out.nulls_[cursor] = part.null_bitmap(r);
       ++cursor;
     }
   }
@@ -199,15 +212,15 @@ std::vector<uint32_t> AllIndices(const DominanceMatrix& matrix) {
 
 // --- ColumnarBatch ----------------------------------------------------------
 
-std::optional<ColumnarBatch> ColumnarBatch::Project(
+Result<ColumnarBatch> ColumnarBatch::Project(
     std::shared_ptr<std::vector<Row>> rows,
     const std::vector<BoundDimension>& dims, MemoryTracker* memory) {
-  std::optional<DominanceMatrix> matrix = DominanceMatrix::TryBuild(*rows, dims);
-  if (!matrix.has_value()) return std::nullopt;
+  SL_ASSIGN_OR_RETURN(DominanceMatrix matrix,
+                      DominanceMatrix::Build(*rows, dims));
   ColumnarBatch batch;
   batch.reservation_ =
-      std::make_shared<const ScopedReservation>(memory, matrix->MemoryBytes());
-  batch.matrix_ = std::make_shared<const DominanceMatrix>(std::move(*matrix));
+      std::make_shared<const ScopedReservation>(memory, matrix.MemoryBytes());
+  batch.matrix_ = std::make_shared<const DominanceMatrix>(std::move(matrix));
   batch.rows_ = std::move(rows);
   batch.dims_ = dims;
   batch.indices_ = AllIndices(*batch.matrix_);
@@ -224,7 +237,7 @@ std::vector<Row> ColumnarBatch::DecodeConsuming() && {
 }
 
 ColumnarBatch ColumnarBatch::Concat(std::vector<ColumnarBatch>* parts,
-                                    MemoryTracker* memory) {
+                                    MemoryTracker* memory, bool* reprojected) {
   SL_DCHECK(!parts->empty());
   // A single part is still compacted (not passed through): its backing may
   // hold the stage's full input while the view kept only survivors, and the
@@ -234,6 +247,7 @@ ColumnarBatch ColumnarBatch::Concat(std::vector<ColumnarBatch>* parts,
   std::vector<const std::vector<uint32_t>*> selections;
   size_t total = 0;
   bool all_sorted = true;
+  bool ranked = false;
   const SfsSortKey sort_key = parts->front().sort_key_;
   double stop_bound = std::numeric_limits<double>::infinity();
   for (const ColumnarBatch& part : *parts) {
@@ -245,14 +259,15 @@ ColumnarBatch ColumnarBatch::Concat(std::vector<ColumnarBatch>* parts,
     // Each part's bound witness is one of its shipped rows, so the
     // tightest bound stays valid for the concatenated relation.
     stop_bound = std::min(stop_bound, part.stop_bound_);
+    ranked |= part.matrix_->ranked_mask() != 0;
   }
-  DominanceMatrix merged = DominanceMatrix::ConcatSelected(matrices, selections);
+  std::optional<DominanceMatrix> merged;
+  if (!ranked) merged = DominanceMatrix::ConcatSelected(matrices, selections);
 
-  // Backing rows of the result = the selected rows in view order, i.e.
-  // exactly what a row-mode gather would ship — matrix row order is the
-  // gathered input order. Exclusively owned part backings are moved, like
-  // the row gather moves (survivor views have distinct indices, so each row
-  // moves at most once).
+  // Backing rows of the result = the selected rows in view order, so matrix
+  // row order is the gathered input order. Exclusively owned part backings
+  // are moved (survivor views have distinct indices, so each row moves at
+  // most once).
   auto rows = std::make_shared<std::vector<Row>>();
   rows->reserve(total);
   for (ColumnarBatch& part : *parts) {
@@ -266,10 +281,22 @@ ColumnarBatch ColumnarBatch::Concat(std::vector<ColumnarBatch>* parts,
     }
   }
 
+  if (ranked) {
+    // Rank codes of different parts index different dictionaries: re-rank
+    // the gathered rows in one matrix. Build cannot fail here — the parts
+    // were built for the same dimensions.
+    merged = DominanceMatrix::Build(*rows, parts->front().dims_).MoveValue();
+    if (reprojected != nullptr) *reprojected = true;
+    // A ranked part is never SFS-sorted, and stop bounds never cross key
+    // spaces.
+    all_sorted = false;
+    stop_bound = std::numeric_limits<double>::infinity();
+  }
+
   ColumnarBatch batch;
   batch.reservation_ =
-      std::make_shared<const ScopedReservation>(memory, merged.MemoryBytes());
-  batch.matrix_ = std::make_shared<const DominanceMatrix>(std::move(merged));
+      std::make_shared<const ScopedReservation>(memory, merged->MemoryBytes());
+  batch.matrix_ = std::make_shared<const DominanceMatrix>(std::move(*merged));
   batch.rows_ = std::move(rows);
   batch.dims_ = parts->front().dims_;
   batch.stop_bound_ = stop_bound;
@@ -807,47 +834,25 @@ std::vector<Row> MaterializeRows(const std::vector<Row>& input,
 
 namespace {
 
-Result<std::vector<uint32_t>> DispatchKernel(ColumnarKernel kernel,
+Result<std::vector<uint32_t>> DispatchKernel(SkylineKernel kernel,
                                              const DominanceMatrix& matrix,
                                              const std::vector<uint32_t>& input,
                                              const SkylineOptions& options) {
   switch (kernel) {
-    case ColumnarKernel::kSortFilterSkyline:
+    case SkylineKernel::kSortFilterSkyline:
       return ColumnarSortFilterSkyline(matrix, input, options);
-    case ColumnarKernel::kGridFilter:
+    case SkylineKernel::kGridFilter:
       return ColumnarGridFilterSkyline(matrix, input, options);
-    case ColumnarKernel::kBlockNestedLoop:
+    case SkylineKernel::kBlockNestedLoop:
       break;
   }
   return ColumnarBlockNestedLoop(matrix, input, options);
 }
 
-Result<std::vector<Row>> RowFallback(ColumnarKernel kernel,
-                                     const std::vector<Row>& input,
-                                     const std::vector<BoundDimension>& dims,
-                                     const SkylineOptions& options) {
-  switch (kernel) {
-    case ColumnarKernel::kSortFilterSkyline:
-      return SortFilterSkyline(input, dims, options);
-    case ColumnarKernel::kGridFilter:
-      return GridFilterSkyline(input, dims, options);
-    case ColumnarKernel::kBlockNestedLoop:
-      break;
-  }
-  return BlockNestedLoop(input, dims, options);
-}
-
-/// Counts one successful projection against options.matrix_builds.
-void CountMatrixBuild(const SkylineOptions& options) {
-  if (options.matrix_builds != nullptr) {
-    options.matrix_builds->fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
 }  // namespace
 
 Result<std::vector<uint32_t>> RunColumnarKernel(
-    ColumnarKernel kernel, const DominanceMatrix& matrix,
+    SkylineKernel kernel, const DominanceMatrix& matrix,
     const std::vector<uint32_t>& input, const SkylineOptions& options) {
   if (options.nulls == NullSemantics::kComplete) {
     return DispatchKernel(kernel, matrix, input, options);
@@ -863,35 +868,16 @@ Result<std::vector<uint32_t>> RunColumnarKernel(
   return survivors;
 }
 
-Result<std::vector<Row>> ColumnarSkyline(ColumnarKernel kernel,
+Result<std::vector<Row>> ColumnarSkyline(SkylineKernel kernel,
                                          const std::vector<Row>& input,
                                          const std::vector<BoundDimension>& dims,
                                          const SkylineOptions& options) {
-  std::optional<DominanceMatrix> matrix = DominanceMatrix::TryBuild(input, dims);
-  if (!matrix.has_value()) {
-    if (options.nulls == NullSemantics::kComplete) {
-      return RowFallback(kernel, input, dims, options);
-    }
-    return BitmapGroupedBnl(input, dims, options);
-  }
-  CountMatrixBuild(options);
-  ScopedReservation reservation(options.memory, matrix->MemoryBytes());
+  SL_ASSIGN_OR_RETURN(DominanceMatrix matrix,
+                      DominanceMatrix::Build(input, dims));
+  ScopedReservation reservation(options.memory, matrix.MemoryBytes());
   SL_ASSIGN_OR_RETURN(
       std::vector<uint32_t> survivors,
-      RunColumnarKernel(kernel, *matrix, AllIndices(*matrix), options));
-  return MaterializeRows(input, survivors);
-}
-
-Result<std::vector<Row>> ColumnarAllPairsSkyline(
-    const std::vector<Row>& input, const std::vector<BoundDimension>& dims,
-    const SkylineOptions& options) {
-  std::optional<DominanceMatrix> matrix = DominanceMatrix::TryBuild(input, dims);
-  if (!matrix.has_value()) return AllPairsIncomplete(input, dims, options);
-  CountMatrixBuild(options);
-  ScopedReservation reservation(options.memory, matrix->MemoryBytes());
-  SL_ASSIGN_OR_RETURN(
-      std::vector<uint32_t> survivors,
-      ColumnarAllPairsIncomplete(*matrix, AllIndices(*matrix), options));
+      RunColumnarKernel(kernel, matrix, AllIndices(matrix), options));
   return MaterializeRows(input, survivors);
 }
 
@@ -905,47 +891,30 @@ Result<DeltaClassification> DeltaClassify(const std::vector<Row>& skyline,
         "dominance is non-transitive, so the cached skyline is not a "
         "sufficient witness set)");
   }
-  SL_RETURN_NOT_OK(CheckDimensionLimit(dims));
   DeltaClassification out;
   const size_t n = skyline.size();
   const size_t m = batch.size();
   if (m == 0) return out;
 
   // One combined projection — skyline rows first, batch rows after — so
-  // both sides share packed keys and one VARCHAR dictionary (codes are only
-  // comparable within a single matrix).
+  // both sides share one key space (rank codes are only comparable within a
+  // single matrix).
   std::vector<Row> combined;
   combined.reserve(n + m);
   combined.insert(combined.end(), skyline.begin(), skyline.end());
   combined.insert(combined.end(), batch.begin(), batch.end());
-  std::optional<DominanceMatrix> matrix =
-      DominanceMatrix::TryBuild(combined, dims);
-  if (matrix.has_value()) {
-    CountMatrixBuild(options);
-    if (matrix->has_nulls()) {
-      out.needs_fallback = true;
-      return out;
-    }
-  } else {
-    for (const Row& row : combined) {
-      if (NullBitmap(row, dims) != 0) {
-        out.needs_fallback = true;
-        return out;
-      }
-    }
+  SL_ASSIGN_OR_RETURN(DominanceMatrix matrix,
+                      DominanceMatrix::Build(combined, dims));
+  if (matrix.has_nulls()) {
+    out.needs_fallback = true;
+    return out;
   }
-  ScopedReservation reservation(
-      options.memory, matrix.has_value() ? matrix->MemoryBytes() : 0);
+  ScopedReservation reservation(options.memory, matrix.MemoryBytes());
 
   const auto compare = [&](size_t a, size_t b) {
     internal::CountTest(options);
-    if (matrix.has_value()) {
-      return matrix->Compare(static_cast<uint32_t>(a),
-                             static_cast<uint32_t>(b),
-                             NullSemantics::kComplete);
-    }
-    return CompareRows(combined[a], combined[b], dims,
-                       NullSemantics::kComplete);
+    return matrix.Compare(static_cast<uint32_t>(a), static_cast<uint32_t>(b),
+                          NullSemantics::kComplete);
   };
 
   // Maintenance runs on the catalog notifier thread, but the classify is

@@ -1,5 +1,5 @@
-// Columnar dominance testing: the hot-loop representation behind the
-// skyline operators.
+// Columnar dominance testing: the one dominance path behind the skyline
+// operators (the "new utility" of paper section 5.5).
 //
 // The paper calls dominance tests "the main cost factor of skyline
 // computation" (section 2), yet a row-oriented test pays a tagged-union type
@@ -11,25 +11,29 @@
 //     in the hot loop is a plain `<` (MIN); each row's keys are contiguous
 //     (a d-dimensional tuple fits one or two cache lines, which is what a
 //     pairwise dominance test actually touches),
-//   - DIFF dimensions as dictionary codes (equality is all DIFF needs;
-//     VARCHAR values are dictionary-encoded, numerics used verbatim),
 //   - a per-row null bitmap (one bit per dimension, as in paper section 5.7).
 //
-// The kernels in this header run entirely over row *indices* into the
-// matrix and materialize full Rows only for the final survivors; they are
-// drop-in equivalents of the row kernels in algorithms.h and must produce
-// identical results (tests/matrix_equivalence_test.cc enforces this).
+// Every type the SQL surface admits is encoded order-exactly, so the
+// projection never changes a comparison CompareRows would make. A dimension
+// whose values are all exact as doubles (BOOLEAN, BIGINT within 2^53,
+// non-NaN DOUBLE) keys them directly. Any other dimension — one holding a
+// NaN, a BIGINT beyond 2^53, or a VARCHAR — is *ranked*: its key is the
+// dense rank of the value in a sorted dictionary of that dimension's values
+// (ordered by CompareValues, so NaN ranks above +inf), negated for MAX.
+// Rank codes are only comparable within one matrix, so a ranked dimension
+// clears all_numeric_minmax() and every cross-matrix consumer (SFS stop
+// bounds, the broadcast filter, grid cells) bypasses it.
 //
-// TryBuild refuses shapes whose double projection could change comparison
-// results (BIGINT magnitudes beyond 2^53, NaN values) — callers then fall
-// back to the row kernels, keeping correctness independent of the fast path.
+// The kernels in this header run entirely over row *indices* into the
+// matrix and materialize full Rows only for the final survivors. They must
+// agree with BruteForceSkyline (tests/matrix_equivalence_test.cc enforces
+// this).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,14 +54,6 @@
 
 namespace sparkline {
 namespace skyline {
-
-/// \brief Which index-based kernel to run (mirrors the exec layer's
-/// SkylineKernel without depending on it).
-enum class ColumnarKernel : uint8_t {
-  kBlockNestedLoop,
-  kSortFilterSkyline,
-  kGridFilter,
-};
 
 /// \brief Raw dominance test over two packed key spans of `d` dimensions.
 /// `diff_mask` has one bit per DIFF dimension (equality-only), `skip` one
@@ -114,10 +110,10 @@ namespace simd {
 #if SPARKLINE_HAVE_AVX2_COMPARE
 /// \brief Explicit AVX2 compare: both comparison directions run over four
 /// dimensions per instruction with OR-accumulated masks, then one movemask
-/// per direction. Keys are never NaN (TryBuild refuses them), so the
-/// ordered predicate is exact. Only call when Avx2Available() is true.
-/// Defined out-of-line with a per-function target attribute so the rest of
-/// the binary keeps the baseline ISA.
+/// per direction. Keys are never NaN (Build ranks NaN values into ordinary
+/// codes), so the ordered predicate is exact. Only call when
+/// Avx2Available() is true. Defined out-of-line with a per-function target
+/// attribute so the rest of the binary keeps the baseline ISA.
 Dominance CompareKeySpansCompleteAvx2(const double* left, const double* right,
                                       size_t d);
 
@@ -156,13 +152,12 @@ class DominanceMatrix {
   /// Hard dimension cap: null bitmaps are 32-bit (see dominance.h).
   static constexpr size_t kMaxDims = 32;
 
-  /// \brief Projects `rows` into columnar form. Returns nullopt when the
-  /// shape is unsupported and the caller must use the row kernels:
-  /// more than kMaxDims dimensions, NaN in a MIN/MAX dimension, or BIGINT
-  /// values whose magnitude exceeds 2^53 (not exactly representable as
-  /// double, so projection could flip a comparison).
-  static std::optional<DominanceMatrix> TryBuild(
-      const std::vector<Row>& rows, const std::vector<BoundDimension>& dims);
+  /// \brief Projects `rows` into columnar form (see the file comment for
+  /// the direct/ranked encoding rule). Total over every input the analyzer
+  /// admits; the only error is Status::Invalid for no dimensions or more
+  /// than kMaxDims.
+  static Result<DominanceMatrix> Build(const std::vector<Row>& rows,
+                                       const std::vector<BoundDimension>& dims);
 
   size_t num_rows() const { return n_; }
   size_t num_dims() const { return d_; }
@@ -173,10 +168,18 @@ class DominanceMatrix {
   }
   bool has_nulls() const { return !nulls_.empty(); }
 
-  /// True when every dimension is a numeric MIN/MAX — the precondition the
-  /// row-oriented SFS and grid kernels require; mirrored here so kernel
-  /// fallback decisions stay identical between the two paths.
+  /// True when every dimension is a directly keyed numeric MIN/MAX — the
+  /// precondition of SFS, grid cells, stop bounds and the broadcast filter,
+  /// whose keys or bounds must mean the same thing in every matrix. BOOLEAN,
+  /// DIFF and ranked dimensions clear it.
   bool all_numeric_minmax() const { return numeric_minmax_; }
+
+  /// Bitmask of ranked dimensions (keys are dictionary ranks; see Build).
+  uint32_t ranked_mask() const { return ranked_mask_; }
+
+  /// The sorted dictionary of a ranked dimension: dictionary(dim)[k] is the
+  /// value with rank k (empty for directly keyed dimensions).
+  const std::vector<Value>& dictionary(size_t dim) const { return dicts_[dim]; }
 
   /// The packed keys of one row (d contiguous doubles).
   const double* row_keys(uint32_t row) const { return keys_.data() + row * d_; }
@@ -218,21 +221,20 @@ class DominanceMatrix {
   uint32_t diff_mask() const { return diff_mask_; }
 
   /// \brief Byte footprint of the projection: packed keys, null bitmaps and
-  /// VARCHAR dictionary decode tables. This is what the exec layer charges
-  /// to the query's MemoryTracker while a matrix lives.
+  /// rank dictionaries. This is what the exec layer charges to the query's
+  /// MemoryTracker while a matrix lives.
   int64_t MemoryBytes() const;
 
   /// \brief Concatenates the *selected* rows of several independently built
   /// matrices into one compact matrix — the columnar shuffle primitive.
   /// Row r of the result is the selections[p][k]-th row of parts[p], in
-  /// (part, selection) order. Packed keys and null bitmaps are copied;
-  /// VARCHAR DIFF dictionary codes are remapped through the parts' decode
-  /// tables into one unified dictionary (codes are only comparable within
-  /// one matrix). No re-projection from row Values happens.
+  /// (part, selection) order. Packed keys and null bitmaps are copied; no
+  /// re-projection from row Values happens, which is only sound because
+  /// direct keys mean the same thing in every matrix.
   ///
   /// \pre parts is non-empty, all parts share num_dims() and diff_mask()
-  /// (they were projected with the same BoundDimension list), and every
-  /// selection index is valid for its part.
+  /// (they were projected with the same BoundDimension list), no part has a
+  /// ranked dimension, and every selection index is valid for its part.
   static DominanceMatrix ConcatSelected(
       const std::vector<const DominanceMatrix*>& parts,
       const std::vector<const std::vector<uint32_t>*>& selections);
@@ -249,17 +251,21 @@ class DominanceMatrix {
  private:
   DominanceMatrix() = default;
 
+  /// Replaces dimension `d`'s keys with dense ranks of the non-null values
+  /// and records its sorted dictionary.
+  void RankDimension(const std::vector<Row>& rows, const BoundDimension& dim,
+                     size_t d);
+
   size_t n_ = 0;
   size_t d_ = 0;
   std::vector<double> keys_;    ///< row-major packed keys, n_ * d_ entries
   std::vector<uint32_t> nulls_; ///< per-row bitmaps; empty when fully complete
   uint32_t diff_mask_ = 0;      ///< bit per DIFF dimension
+  uint32_t ranked_mask_ = 0;    ///< bit per ranked dimension
   bool numeric_minmax_ = false;
-  /// Decode tables for dictionary-encoded VARCHAR DIFF dimensions:
-  /// dicts_[dim][code] is the original string (empty vector for every other
-  /// dimension). Retained so ConcatSelected can remap codes across
-  /// independently built matrices.
-  std::vector<std::vector<std::string>> dicts_;
+  /// Sorted rank dictionaries: dicts_[dim][rank] is the value (empty for
+  /// directly keyed dimensions). Kept for decode and memory accounting.
+  std::vector<std::vector<Value>> dicts_;
 };
 
 /// \brief All row indices 0..n-1 (the identity selection for a kernel run
@@ -268,33 +274,37 @@ std::vector<uint32_t> AllIndices(const DominanceMatrix& matrix);
 
 // Preconditions shared by every Result-returning kernel below:
 //
-//   * The matrix must come from DominanceMatrix::TryBuild over the same
+//   * The matrix must come from DominanceMatrix::Build over the same
 //     logical input the index selections refer to; all indices must be
-//     < matrix.num_rows(). TryBuild enforces the kMaxDims (32) limit, so
+//     < matrix.num_rows(). Build enforces the kMaxDims (32) limit, so
 //     the kernels do not re-check it.
 //   * Keys are MIN/MAX-normalized at projection time: MAX dimensions are
 //     negated, so "smaller is better" holds for every key and the kernels
-//     never consult SkylineGoal again. DIFF dimensions are
-//     equality-only dictionary codes, flagged in diff_mask().
-//   * `options.nulls` selects the semantics exactly as in algorithms.h;
-//     under kIncomplete each comparison skips the union of the two rows'
-//     null bitmaps. The BNL kernel additionally requires bitmap-uniform
-//     input under kIncomplete (see BlockNestedLoop).
+//     never consult SkylineGoal again. DIFF dimensions are equality-only,
+//     flagged in diff_mask().
+//   * `options.nulls` selects the semantics (see algorithms.h); under
+//     kIncomplete each comparison skips the union of the two rows' null
+//     bitmaps, and transitivity is lost.
 //   * With `options.deadline_nanos` set, kernels return Status::Timeout
 //     soon after the deadline; partial results are discarded.
 
-/// \brief Index-based Block-Nested-Loop over `input` (indices into the
-/// matrix, processed in order). Same window policy as BlockNestedLoop.
+/// \brief Block-Nested-Loop (Börzsönyi et al., adapted in paper section
+/// 5.6) over `input` (indices into the matrix, processed in order): keeps a
+/// window of incomparable tuples; correctness relies on the transitivity of
+/// dominance. Under kIncomplete the input must therefore be bitmap-uniform
+/// (all rows null in the same dimensions) — RunColumnarKernel groups by
+/// bitmap first; mixed-bitmap input needs ColumnarAllPairsIncomplete.
 Result<std::vector<uint32_t>> ColumnarBlockNestedLoop(
     const DominanceMatrix& matrix, const std::vector<uint32_t>& input,
     const SkylineOptions& options);
 
-/// \brief Index-based Sort-Filter-Skyline. Falls back to
-/// ColumnarBlockNestedLoop under incomplete semantics or when any dimension
-/// is not a numeric MIN/MAX (the same conditions as the row kernel). Sorts
-/// by options.sfs_sort_key; with options.sfs_early_stop the filter pass
-/// terminates at the SaLSa stop point (auto-disabled when the matrix has
-/// NULL bitmaps — results are identical either way).
+/// \brief Sort-Filter-Skyline, the presorting family the paper lists as
+/// future work (section 7). Falls back to ColumnarBlockNestedLoop under
+/// incomplete semantics or unless all_numeric_minmax(). Sorts by
+/// options.sfs_sort_key; after sorting no tuple can be dominated by a later
+/// one, so the window only grows. With options.sfs_early_stop the filter
+/// pass terminates at the SaLSa stop point (auto-disabled when the matrix
+/// has NULL bitmaps — results are identical either way).
 Result<std::vector<uint32_t>> ColumnarSortFilterSkyline(
     const DominanceMatrix& matrix, const std::vector<uint32_t>& input,
     const SkylineOptions& options);
@@ -388,40 +398,49 @@ Result<std::vector<uint32_t>> PruneAgainstFilter(
     const DominanceMatrix& matrix, const std::vector<uint32_t>& view,
     const FilterPointSet& filter, const SkylineOptions& options);
 
-/// \brief Index-based grid-filter skyline: cell-level pruning over the
-/// normalized keys (all dimensions MIN after negation, so no bucket
-/// mirroring is needed), then ColumnarBlockNestedLoop over the survivors.
-/// Falls back to plain BNL under the row kernel's conditions, plus when
-/// dimensions exceed 16 (cell keys pack 4 bits per dimension).
+/// \brief Grid-based skyline with cell-level pruning (Tang et al., paper
+/// section 2): rows are bucketed into a uniform grid over the normalized
+/// keys (all dimensions MIN after negation, so no bucket mirroring is
+/// needed); a non-empty cell strictly below another cell in *every*
+/// dimension eliminates it wholesale, then ColumnarBlockNestedLoop runs
+/// over the survivors. Falls back to plain BNL under incomplete semantics,
+/// unless all_numeric_minmax(), for fewer than 64 rows, and beyond 16
+/// dimensions (cell keys pack 4 bits per dimension).
 Result<std::vector<uint32_t>> ColumnarGridFilterSkyline(
     const DominanceMatrix& matrix, const std::vector<uint32_t>& input,
     const SkylineOptions& options);
 
-/// \brief Index-based all-pairs incomplete skyline with deferred deletion
-/// (paper section 5.7 / Appendix A), equivalent to AllPairsIncomplete.
+/// \brief Global skyline for (potentially) incomplete data: compares all
+/// pairs and only *flags* dominated tuples, deleting them after the last
+/// comparison. Deferred deletion is what makes cyclic dominance safe
+/// (paper section 5.7 / Appendix A, where FlawedGulzarGlobal shows the
+/// eager alternative failing). Sound for any mix of null bitmaps.
 Result<std::vector<uint32_t>> ColumnarAllPairsIncomplete(
     const DominanceMatrix& matrix, const std::vector<uint32_t>& input,
     const SkylineOptions& options);
 
-/// \brief Columnar candidate stage of the round-based parallel incomplete
-/// global skyline (the counterpart of IncompleteCandidateScan): all-pairs
-/// with deferred deletion restricted to `chunk`, reusing the matrix's
-/// per-row null bitmaps for the restricted comparisons. Returns the
-/// surviving chunk indices in input order. Since a chunk is an ascending
-/// slice of the gathered input, index order doubles as the global DISTINCT
-/// tie-break order.
+/// \brief Candidate stage of the round-based parallel incomplete global
+/// skyline: all-pairs with deferred deletion restricted to `chunk`. Returns
+/// the surviving chunk indices in input order. Eliminations are sound
+/// because every flagged tuple has a concrete dominating witness inside the
+/// chunk; survivors are only *candidates* and must still be validated
+/// against every other chunk's full tuple set (ColumnarValidateAgainstChunk).
+/// Since a chunk is an ascending slice of the gathered input, index order
+/// doubles as the global DISTINCT tie-break order.
 ///
 /// \pre `chunk` holds valid, ascending matrix row indices.
 Result<std::vector<uint32_t>> ColumnarIncompleteCandidateScan(
     const DominanceMatrix& matrix, const std::vector<uint32_t>& chunk,
     const SkylineOptions& options);
 
-/// \brief Columnar validation round (the counterpart of
-/// ValidateAgainstChunk): keeps the candidates for which `peer` — one
-/// rotating chunk's *full* index set, not its candidate set — contains no
-/// dominating witness; under DISTINCT an equal peer tuple with the same
-/// null bitmap and a smaller matrix index also eliminates. Peer rows are
-/// read-only, so rounds over disjoint candidate sets can run in parallel.
+/// \brief One validation round of the parallel incomplete global skyline:
+/// keeps the candidates for which `peer` — one rotating chunk's *full* index
+/// set, not its candidate set — contains no dominating witness; under
+/// DISTINCT an equal peer tuple with the same null bitmap and a smaller
+/// matrix index also eliminates. The peer must be the full set because
+/// survivor-vs-survivor pruning is unsound under non-transitive dominance.
+/// Peer rows are read-only, so rounds over disjoint candidate sets can run
+/// in parallel.
 ///
 /// \pre `candidates` and `peer` hold valid matrix row indices; matrix row
 /// order must be the global input order (the DISTINCT tie-break).
@@ -429,9 +448,8 @@ Result<std::vector<uint32_t>> ColumnarValidateAgainstChunk(
     const DominanceMatrix& matrix, const std::vector<uint32_t>& candidates,
     const std::vector<uint32_t>& peer, const SkylineOptions& options);
 
-/// \brief Groups all matrix rows by their null bitmap, in ascending bitmap
-/// order (the index analog of PartitionByNullBitmap). Input order is
-/// preserved within each group.
+/// \brief Groups all matrix rows by their null bitmap (paper section 5.7),
+/// in ascending bitmap order. Input order is preserved within each group.
 std::vector<std::vector<uint32_t>> PartitionIndicesByNullBitmap(
     const DominanceMatrix& matrix);
 
@@ -445,13 +463,12 @@ std::vector<std::vector<uint32_t>> PartitionIndicesByNullBitmap(
 std::vector<Row> MaterializeRows(const std::vector<Row>& input,
                                  const std::vector<uint32_t>& indices);
 
-/// \brief Runs the chosen index kernel over an existing matrix view — the
-/// batch-aware counterpart of ColumnarSkyline. Complete semantics dispatch
-/// the kernel directly; incomplete semantics run one BNL per bitmap-uniform
-/// group of the view (the local-stage contract of paper section 5.7).
-/// Returns the surviving sub-view.
+/// \brief Runs the chosen kernel over a matrix view. Complete semantics
+/// dispatch the kernel directly; incomplete semantics run one BNL per
+/// bitmap-uniform group of the view (the local-stage contract of paper
+/// section 5.7). Returns the surviving sub-view.
 Result<std::vector<uint32_t>> RunColumnarKernel(
-    ColumnarKernel kernel, const DominanceMatrix& matrix,
+    SkylineKernel kernel, const DominanceMatrix& matrix,
     const std::vector<uint32_t>& input, const SkylineOptions& options);
 
 /// \brief The unit the columnar exchange ships between skyline stages: one
@@ -467,31 +484,36 @@ Result<std::vector<uint32_t>> RunColumnarKernel(
 /// view dies.
 class ColumnarBatch {
  public:
-  /// \brief Projects `rows` once — the only projection this partition pays
-  /// on the columnar-exchange path. Returns nullopt when TryBuild refuses
-  /// the shape (the caller then stays on the row path; it may keep using
-  /// *rows). Matrix storage is charged to `memory` (if non-null) for the
-  /// matrix's lifetime. The backing rows are semantically immutable while
-  /// any view aliases them; the non-const element type only exists so an
-  /// exclusively owned backing can be *moved* out by Concat /
+  /// \brief Projects `rows` once — the only projection a partition pays
+  /// unless a gather has to re-rank it (see Concat). Fails only where
+  /// DominanceMatrix::Build does. Matrix storage is charged to `memory` (if
+  /// non-null) for the matrix's lifetime. The backing rows are semantically
+  /// immutable while any view aliases them; the non-const element type only
+  /// exists so an exclusively owned backing can be *moved* out by Concat /
   /// DecodeConsuming instead of copied.
-  static std::optional<ColumnarBatch> Project(
+  static Result<ColumnarBatch> Project(
       std::shared_ptr<std::vector<Row>> rows,
       const std::vector<BoundDimension>& dims, MemoryTracker* memory = nullptr);
 
   /// \brief The columnar shuffle: concatenates the parts' *selected* rows
-  /// into one compact batch via DominanceMatrix::ConcatSelected (key/bitmap
-  /// copy + dictionary remap — no re-projection). The backing rows of the
-  /// result are the selected rows materialized in view order — exactly the
-  /// rows a row-mode gather would have shipped, so matrix row order equals
+  /// into one compact batch. The backing rows of the result are the
+  /// selected rows materialized in view order, so matrix row order equals
   /// gathered input order (the DISTINCT tie-break order downstream stages
-  /// rely on). If every part is score-sorted with the same sort key, the
-  /// merged view is produced by MergeByScore and stays score-sorted
-  /// (SFS-order inheritance across the exchange). The result's stop bound
-  /// is the minimum over the parts' bounds — every part's witness row is
-  /// shipped, so the tightest local bound survives the gather. A single
-  /// part is compacted the same way, so the upstream stage's non-survivor
-  /// rows never travel past the exchange.
+  /// rely on). A single part is compacted the same way, so the upstream
+  /// stage's non-survivor rows never travel past the exchange.
+  ///
+  /// When no part has a ranked dimension, every key means the same thing in
+  /// every part and DominanceMatrix::ConcatSelected copies keys and bitmaps.
+  /// Otherwise the parts' rank codes disagree, so the gathered rows are
+  /// re-projected with DominanceMatrix::Build and `*reprojected` (if
+  /// non-null) is set — the one matrix build a gather can cost.
+  ///
+  /// If every part is score-sorted with the same sort key, the merged view
+  /// is produced by MergeByScore and stays score-sorted (SFS-order
+  /// inheritance across the exchange). The result's stop bound is the
+  /// minimum over the parts' bounds — every part's witness row is shipped,
+  /// so the tightest local bound survives the gather. A re-projected result
+  /// carries neither (bounds never cross key spaces).
   ///
   /// The parts are consumed (backings moved out where exclusively owned)
   /// but deliberately left alive in the caller's vector: destroying the old
@@ -502,7 +524,8 @@ class ColumnarBatch {
   ///
   /// \pre parts non-empty, all projected with the same dimension list.
   static ColumnarBatch Concat(std::vector<ColumnarBatch>* parts,
-                              MemoryTracker* memory = nullptr);
+                              MemoryTracker* memory = nullptr,
+                              bool* reprojected = nullptr);
 
   /// A derived view over the same matrix/rows (e.g. the survivors of a
   /// kernel run). `score_sorted` asserts the new view is ascending in
@@ -546,8 +569,8 @@ class ColumnarBatch {
     return true;
   }
 
-  /// Materializes the view's rows — the plan-root decode (or the row
-  /// fallback when a non-skyline operator consumes the relation).
+  /// Materializes the view's rows — the plan-root decode, or the decode a
+  /// non-skyline operator consuming the relation needs.
   std::vector<Row> Decode() const { return MaterializeRows(*rows_, indices_); }
 
   /// \brief Decode that destroys the batch: when this view is the backing's
@@ -576,21 +599,13 @@ class ColumnarBatch {
   double stop_bound_ = std::numeric_limits<double>::infinity();
 };
 
-/// \brief Convenience end-to-end entry: builds the matrix, runs the chosen
-/// kernel under complete semantics (or bitmap-grouped BNL + the local stage
-/// contract under incomplete semantics), and materializes survivors. Falls
-/// back to the row kernels when TryBuild refuses the input. This is what
-/// RunKernel in the exec layer calls.
-Result<std::vector<Row>> ColumnarSkyline(ColumnarKernel kernel,
+/// \brief Rows-in, rows-out convenience for standalone use: builds the
+/// matrix, runs RunColumnarKernel over all of it and materializes the
+/// survivors. The engine's operators work on ColumnarBatch views instead.
+Result<std::vector<Row>> ColumnarSkyline(SkylineKernel kernel,
                                          const std::vector<Row>& input,
                                          const std::vector<BoundDimension>& dims,
                                          const SkylineOptions& options);
-
-/// \brief End-to-end all-pairs global skyline for incomplete data, with row
-/// fallback (the columnar counterpart of AllPairsIncomplete).
-Result<std::vector<Row>> ColumnarAllPairsSkyline(
-    const std::vector<Row>& input, const std::vector<BoundDimension>& dims,
-    const SkylineOptions& options);
 
 /// \brief Outcome of classifying a batch of inserted tuples against an
 /// already-computed skyline (the incremental-maintenance kernel,
@@ -603,8 +618,8 @@ struct DeltaClassification {
   std::vector<uint32_t> evicted;
   /// True when exactness cannot be certified and the caller must fall back
   /// to recompute/invalidation: a NULL in a skyline dimension (complete
-  /// semantics over NULL placeholders is not what the engine's row path
-  /// computes), or — under DISTINCT — a batch tuple dim-equal to a cached
+  /// semantics over NULL placeholders is not what the engine's operators
+  /// compute), or — under DISTINCT — a batch tuple dim-equal to a cached
   /// point or to another batch tuple (replaying the first-encountered
   /// tie-break exactly would require the full input order, which the
   /// cached skyline no longer carries).
@@ -625,9 +640,9 @@ struct DeltaClassification {
 /// kComplete — kIncomplete is rejected with Status::Invalid.
 ///
 /// Uses one combined DominanceMatrix projection (skyline rows then batch
-/// rows) with the packed-key compare kernel, falling back to row
-/// comparisons when TryBuild refuses the shape. Cost: O((|S| + |B|)·|B|)
-/// dominance tests — independent of the table size.
+/// rows, so both sides share one key space) with the packed-key compare
+/// kernel. Cost: O((|S| + |B|)·|B|) dominance tests — independent of the
+/// table size.
 Result<DeltaClassification> DeltaClassify(const std::vector<Row>& skyline,
                                           const std::vector<Row>& batch,
                                           const std::vector<BoundDimension>& dims,

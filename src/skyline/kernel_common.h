@@ -1,6 +1,6 @@
-// Internals shared by the row-oriented (algorithms.cc) and columnar
-// (columnar.cc) skyline kernels: cooperative deadline checking and
-// dominance-test accounting. Not part of the public skyline API.
+// Internals shared by the skyline kernels (columnar.cc) and the reference
+// oracle (algorithms.cc): cooperative deadline checking and dominance-test
+// accounting. Not part of the public skyline API.
 #pragma once
 
 #include <cstdint>
@@ -49,8 +49,8 @@ inline void CountTest(const SkylineOptions& options) {
   }
 }
 
-/// Batched dominance-test accounting for the columnar kernels: a per-test
-/// atomic fetch_add costs more than the columnar compare itself, so tests
+/// Batched dominance-test accounting for the kernels: a per-test atomic
+/// fetch_add costs more than the packed-key compare itself, so tests
 /// are tallied locally and flushed once (destructor or early return). The
 /// observable count is identical to per-test counting.
 class BatchedCounter {

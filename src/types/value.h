@@ -153,10 +153,18 @@ class Value {
   std::string string_;
 };
 
+/// \brief Spark's total order on DOUBLE: NaN equals NaN and is greater than
+/// every other value (+infinity included), and -0.0 equals 0.0. Returns
+/// <0, 0, >0.
+int CompareDoubles(double x, double y);
+
 /// \brief Three-way comparison of two non-null values of comparable types.
 ///
-/// Returns <0, 0, >0. This is the hot path of every dominance test; the
-/// caller (analysis) guarantees type compatibility, checked only in debug.
+/// Returns <0, 0, >0. DOUBLE (and mixed BIGINT/DOUBLE, compared as DOUBLE)
+/// follows CompareDoubles, so ORDER BY, MIN/MAX, comparison operators and
+/// dominance share one total order. This is the hot path of every row
+/// dominance test; the caller (analysis) guarantees type compatibility,
+/// checked only in debug.
 int CompareValues(const Value& a, const Value& b);
 
 /// \brief A tuple. Row-oriented storage keeps the skyline operators simple

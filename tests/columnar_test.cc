@@ -1,9 +1,11 @@
 // Tests for the columnar dominance subsystem (skyline/columnar.h): the
-// DominanceMatrix projection, the index-based kernels' equivalence with the
-// row kernels and the brute-force oracle, and the fallback conditions that
-// keep the fast path safe (huge BIGINTs, NaN, >32 dimensions, >16-dimension
-// grid cell keys).
+// DominanceMatrix projection and its order-exact encoding of every admitted
+// type (huge BIGINTs, NaN, VARCHAR goals), the index-based kernels'
+// equivalence with the brute-force oracle, and the limits that keep them
+// safe (>32 dimensions, >16-dimension grid cell keys).
 #include <cmath>
+#include <limits>
+#include <map>
 #include <optional>
 
 #include <gtest/gtest.h>
@@ -11,6 +13,7 @@
 #include "common/cancellation.h"
 #include "common/rng.h"
 #include "skyline/columnar.h"
+#include "test_util.h"
 
 namespace sparkline {
 namespace skyline {
@@ -101,8 +104,8 @@ TEST(DominanceMatrixTest, CompareMatchesCompareRows) {
                                    {1, SkylineGoal::kMax},
                                    {2, SkylineGoal::kDiff}};
   std::vector<Row> rows = RandomRows(80, 3, /*null_rate=*/0.0, 5, 21);
-  auto matrix = DominanceMatrix::TryBuild(rows, dims);
-  ASSERT_TRUE(matrix.has_value());
+  auto matrix = DominanceMatrix::Build(rows, dims);
+  ASSERT_TRUE(matrix.ok());
   EXPECT_FALSE(matrix->has_nulls());
   for (uint32_t i = 0; i < rows.size(); ++i) {
     for (uint32_t j = 0; j < rows.size(); ++j) {
@@ -118,8 +121,8 @@ TEST(DominanceMatrixTest, IncompleteCompareMatchesCompareRows) {
                                    {1, SkylineGoal::kMax},
                                    {2, SkylineGoal::kMin}};
   std::vector<Row> rows = RandomRows(80, 3, /*null_rate=*/0.3, 4, 22);
-  auto matrix = DominanceMatrix::TryBuild(rows, dims);
-  ASSERT_TRUE(matrix.has_value());
+  auto matrix = DominanceMatrix::Build(rows, dims);
+  ASSERT_TRUE(matrix.ok());
   for (uint32_t i = 0; i < rows.size(); ++i) {
     EXPECT_EQ(matrix->null_bitmap(i), NullBitmap(rows[i], dims));
     for (uint32_t j = 0; j < rows.size(); ++j) {
@@ -136,8 +139,8 @@ TEST(DominanceMatrixTest, VarcharDiffUsesDictionaryCodes) {
   rows.push_back({Value::Double(1), Value::String("red")});
   rows.push_back({Value::Double(2), Value::String("red")});
   rows.push_back({Value::Double(0.5), Value::String("blue")});
-  auto matrix = DominanceMatrix::TryBuild(rows, dims);
-  ASSERT_TRUE(matrix.has_value());
+  auto matrix = DominanceMatrix::Build(rows, dims);
+  ASSERT_TRUE(matrix.ok());
   // Same color: plain MIN dominance; different color: incomparable.
   EXPECT_EQ(matrix->Compare(0, 1, NullSemantics::kComplete),
             Dominance::kLeftDominates);
@@ -145,31 +148,133 @@ TEST(DominanceMatrixTest, VarcharDiffUsesDictionaryCodes) {
             Dominance::kIncomparable);
 }
 
-TEST(DominanceMatrixTest, RefusesHugeBigints) {
+/// Every pairwise Compare of the matrix equals CompareRows on the rows, under
+/// both null semantics — the order-exactness contract of Build.
+void ExpectOrderExact(const std::vector<Row>& rows,
+                      const std::vector<BoundDimension>& dims) {
+  auto matrix = DominanceMatrix::Build(rows, dims);
+  ASSERT_TRUE(matrix.ok()) << matrix.status().ToString();
+  for (uint32_t i = 0; i < rows.size(); ++i) {
+    for (uint32_t j = 0; j < rows.size(); ++j) {
+      for (const NullSemantics nulls :
+           {NullSemantics::kComplete, NullSemantics::kIncomplete}) {
+        if (nulls == NullSemantics::kComplete && matrix->has_nulls()) continue;
+        EXPECT_EQ(matrix->Compare(i, j, nulls),
+                  CompareRows(rows[i], rows[j], dims, nulls))
+            << RowToString(rows[i]) << " vs " << RowToString(rows[j]);
+      }
+    }
+  }
+}
+
+TEST(DominanceMatrixTest, HugeBigintsAreRankedExactly) {
+  constexpr int64_t k53 = int64_t{1} << 53;
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
   std::vector<Row> rows;
-  rows.push_back({Value::Int64((int64_t{1} << 53) + 1)});
-  rows.push_back({Value::Int64(int64_t{1} << 53)});
-  // The two values are distinguishable as int64 but collapse as double, so
-  // the projection must refuse (callers then use the row kernels).
-  EXPECT_FALSE(DominanceMatrix::TryBuild(rows, MinDims(1)).has_value());
+  // k53 + 1 and k53 are distinguishable as int64 but collapse as double, so
+  // the dimension must be ranked rather than keyed directly.
+  for (const int64_t v : {k53 + 1, k53, -k53 - 1, -k53, kMax, kMin, int64_t{0},
+                          kMax - 1, k53 + 1}) {
+    rows.push_back({Value::Int64(v), Value::Int64(v % 3)});
+  }
+  auto matrix = DominanceMatrix::Build(rows, MinDims(1));
+  ASSERT_TRUE(matrix.ok());
+  EXPECT_EQ(matrix->ranked_mask(), 1u);
+  EXPECT_FALSE(matrix->all_numeric_minmax());
+  EXPECT_EQ(matrix->Compare(0, 1, NullSemantics::kComplete),
+            Dominance::kRightDominates);
+  EXPECT_EQ(matrix->Compare(0, 8, NullSemantics::kComplete), Dominance::kEqual);
+  // The dictionary is the sorted distinct values.
+  const std::vector<Value>& dict = matrix->dictionary(0);
+  ASSERT_EQ(dict.size(), 8u);
+  EXPECT_EQ(dict.front().int64_value(), kMin);
+  EXPECT_EQ(dict.back().int64_value(), kMax);
+
+  for (const SkylineGoal goal :
+       {SkylineGoal::kMin, SkylineGoal::kMax, SkylineGoal::kDiff}) {
+    ExpectOrderExact(rows, {{0, goal}, {1, SkylineGoal::kMin}});
+  }
 }
 
-TEST(DominanceMatrixTest, RefusesNaN) {
-  std::vector<Row> rows{R({1.0}), R({std::nan("")})};
-  EXPECT_FALSE(DominanceMatrix::TryBuild(rows, MinDims(1)).has_value());
+TEST(DominanceMatrixTest, NaNRanksAboveInfinity) {
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<Row> rows{R({1.0, 0}),  R({nan, 0}),  R({inf, 1}),
+                        R({-inf, 1}), R({-0.0, 2}), R({0.0, 2}),
+                        R({-nan, 0}), R({nan, 3})};
+  auto matrix = DominanceMatrix::Build(rows, MinDims(1));
+  ASSERT_TRUE(matrix.ok());
+  EXPECT_EQ(matrix->ranked_mask(), 1u);
+  // MIN: every number beats NaN, NaN ties NaN (whatever its sign bit), and
+  // -0.0 ties 0.0.
+  EXPECT_EQ(matrix->Compare(2, 1, NullSemantics::kComplete),
+            Dominance::kLeftDominates);
+  EXPECT_EQ(matrix->Compare(1, 6, NullSemantics::kComplete), Dominance::kEqual);
+  EXPECT_EQ(matrix->Compare(4, 5, NullSemantics::kComplete), Dominance::kEqual);
+  for (uint32_t r = 0; r < rows.size(); ++r) {
+    EXPECT_FALSE(std::isnan(matrix->key(r, 0))) << "keys are never NaN";
+  }
+
+  for (const SkylineGoal goal :
+       {SkylineGoal::kMin, SkylineGoal::kMax, SkylineGoal::kDiff}) {
+    ExpectOrderExact(rows, {{0, goal}, {1, SkylineGoal::kMax}});
+  }
 }
 
-TEST(DominanceMatrixTest, RefusesTooManyDimensions) {
+TEST(DominanceMatrixTest, VarcharGoalsRankLexicographically) {
+  std::vector<Row> rows;
+  for (const char* s : {"pear", "apple", "", "Zebra", "apple", "banana"}) {
+    rows.push_back({Value::String(s), Value::Double(std::string(s).size())});
+  }
+  rows.push_back({Value::Null(DataType::String()), Value::Double(1)});
+  auto matrix = DominanceMatrix::Build(rows, MinDims(2));
+  ASSERT_TRUE(matrix.ok());
+  EXPECT_EQ(matrix->ranked_mask(), 1u);
+  // "apple" < "pear" and 5 > 4: incomparable; "" beats "apple" on both.
+  EXPECT_EQ(matrix->Compare(1, 0, NullSemantics::kComplete),
+            Dominance::kIncomparable);
+  EXPECT_EQ(matrix->Compare(2, 1, NullSemantics::kComplete),
+            Dominance::kLeftDominates);
+  for (const SkylineGoal goal : {SkylineGoal::kMin, SkylineGoal::kMax}) {
+    ExpectOrderExact(rows, {{0, goal}, {1, SkylineGoal::kMin}});
+  }
+}
+
+TEST(DominanceMatrixTest, MixedBigintDoubleColumnRanksByDouble) {
+  // A column mixing BIGINT and DOUBLE compares as DOUBLE across types;
+  // ranking must stay a strict weak order even beyond 2^53.
+  constexpr int64_t k53 = int64_t{1} << 53;
+  std::vector<Row> rows{{Value::Int64(k53 + 1)},
+                        {Value::Double(9007199254740992.0)},
+                        {Value::Int64(k53)},
+                        {Value::Double(std::nan(""))},
+                        {Value::Int64(-3)},
+                        {Value::Double(-2.5)}};
+  auto matrix = DominanceMatrix::Build(rows, MinDims(1));
+  ASSERT_TRUE(matrix.ok());
+  EXPECT_EQ(matrix->Compare(4, 5, NullSemantics::kComplete),
+            Dominance::kLeftDominates);
+  EXPECT_EQ(matrix->Compare(1, 2, NullSemantics::kComplete), Dominance::kEqual);
+  EXPECT_EQ(matrix->Compare(1, 3, NullSemantics::kComplete),
+            Dominance::kLeftDominates);
+}
+
+TEST(DominanceMatrixTest, RejectsTooManyDimensions) {
   std::vector<Row> rows{R(std::vector<double>(33, 1.0))};
-  EXPECT_FALSE(DominanceMatrix::TryBuild(rows, MinDims(33)).has_value());
+  auto matrix = DominanceMatrix::Build(rows, MinDims(33));
+  ASSERT_FALSE(matrix.ok());
+  EXPECT_EQ(matrix.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(DominanceMatrixTest, SmallBigintsAreExact) {
   std::vector<Row> rows;
   rows.push_back({Value::Int64(3), Value::Int64(7)});
   rows.push_back({Value::Int64(3), Value::Int64(9)});
-  auto matrix = DominanceMatrix::TryBuild(rows, MinDims(2));
-  ASSERT_TRUE(matrix.has_value());
+  auto matrix = DominanceMatrix::Build(rows, MinDims(2));
+  ASSERT_TRUE(matrix.ok());
+  EXPECT_EQ(matrix->ranked_mask(), 0u);
+  EXPECT_TRUE(matrix->all_numeric_minmax());
   EXPECT_EQ(matrix->Compare(0, 1, NullSemantics::kComplete),
             Dominance::kLeftDominates);
 }
@@ -177,7 +282,7 @@ TEST(DominanceMatrixTest, SmallBigintsAreExact) {
 // --- kernel equivalence -----------------------------------------------------
 
 struct KernelCase {
-  ColumnarKernel kernel;
+  SkylineKernel kernel;
   const char* name;
 };
 
@@ -198,7 +303,7 @@ TEST_P(ColumnarKernelEquivalence, MatchesBruteForceComplete) {
   }
 }
 
-TEST_P(ColumnarKernelEquivalence, MatchesRowKernelWithDistinct) {
+TEST_P(ColumnarKernelEquivalence, MatchesBruteForceWithDistinct) {
   const auto& param = GetParam();
   // Low cardinality forces duplicate tuples, exercising DISTINCT.
   std::vector<Row> rows = RandomRows(200, 2, /*null_rate=*/0.0, 3, 77);
@@ -213,71 +318,102 @@ TEST_P(ColumnarKernelEquivalence, MatchesRowKernelWithDistinct) {
 INSTANTIATE_TEST_SUITE_P(
     Kernels, ColumnarKernelEquivalence,
     ::testing::Values(
-        KernelCase{ColumnarKernel::kBlockNestedLoop, "bnl"},
-        KernelCase{ColumnarKernel::kSortFilterSkyline, "sfs"},
-        KernelCase{ColumnarKernel::kGridFilter, "grid"}),
+        KernelCase{SkylineKernel::kBlockNestedLoop, "bnl"},
+        KernelCase{SkylineKernel::kSortFilterSkyline, "sfs"},
+        KernelCase{SkylineKernel::kGridFilter, "grid"}),
     [](const ::testing::TestParamInfo<KernelCase>& info) {
       return info.param.name;
     });
 
-TEST(ColumnarKernelTest, IndexBnlMatchesRowBnlExactly) {
+/// Block-Nested-Loop transcribed over CompareRows: the window policy the
+/// columnar BNL kernel must reproduce (same survivors, same order, same
+/// number of dominance tests).
+std::vector<Row> ReferenceBnl(const std::vector<Row>& input,
+                              const std::vector<BoundDimension>& dims,
+                              const SkylineOptions& options, int64_t* tests) {
+  std::vector<Row> window;
+  for (const Row& tuple : input) {
+    bool eliminated = false;
+    size_t i = 0;
+    while (i < window.size()) {
+      ++*tests;
+      const Dominance dom = CompareRows(tuple, window[i], dims, options.nulls);
+      if (dom == Dominance::kRightDominates ||
+          (dom == Dominance::kEqual && options.distinct)) {
+        eliminated = true;
+        break;
+      }
+      if (dom == Dominance::kLeftDominates) {
+        window[i] = std::move(window.back());
+        window.pop_back();
+        continue;
+      }
+      ++i;
+    }
+    if (!eliminated) window.push_back(tuple);
+  }
+  return window;
+}
+
+TEST(ColumnarKernelTest, BnlMatchesReferenceWindowPolicyExactly) {
   // Not just set-equal: BNL's window policy is deterministic, so the
-  // columnar kernel must produce the same rows in the same order.
+  // columnar kernel must produce the same rows in the same order with the
+  // same number of dominance tests — on direct and on ranked keys.
   std::vector<Row> rows = RandomRows(250, 4, /*null_rate=*/0.0, 6, 5);
-  auto dims = MinDims(4);
-  SkylineOptions options;
-  auto matrix = DominanceMatrix::TryBuild(rows, dims);
-  ASSERT_TRUE(matrix.has_value());
-  auto indices = ColumnarBlockNestedLoop(*matrix, AllIndices(*matrix), options);
-  ASSERT_TRUE(indices.ok());
-  auto row_result = BlockNestedLoop(rows, dims, options);
-  ASSERT_TRUE(row_result.ok());
-  const std::vector<Row> materialized = MaterializeRows(rows, *indices);
-  ASSERT_EQ(materialized.size(), row_result->size());
-  for (size_t i = 0; i < materialized.size(); ++i) {
-    EXPECT_EQ(RowToString(materialized[i]), RowToString((*row_result)[i]));
+  for (size_t r = 0; r < rows.size(); r += 7) {
+    rows[r][2] = Value::Double(std::nan(""));
+  }
+  for (const bool ranked : {false, true}) {
+    auto dims = MinDims(4);
+    dims[1].goal = SkylineGoal::kMax;
+    if (!ranked) dims.resize(2);  // drop the NaN-bearing dimension
+    for (const bool distinct : {false, true}) {
+      DominanceCounter counter;
+      SkylineOptions options;
+      options.distinct = distinct;
+      options.counter = &counter;
+      auto columnar =
+          ColumnarSkyline(SkylineKernel::kBlockNestedLoop, rows, dims, options);
+      ASSERT_TRUE(columnar.ok());
+      int64_t reference_tests = 0;
+      const std::vector<Row> reference =
+          ReferenceBnl(rows, dims, options, &reference_tests);
+      ASSERT_EQ(columnar->size(), reference.size());
+      for (size_t i = 0; i < reference.size(); ++i) {
+        EXPECT_EQ(RowToString((*columnar)[i]), RowToString(reference[i]));
+      }
+      EXPECT_EQ(counter.tests.load(), reference_tests);
+    }
   }
 }
 
-TEST(ColumnarKernelTest, IncompletePipelineMatchesRowPipeline) {
+TEST(ColumnarKernelTest, IncompletePipelineMatchesOracle) {
   std::vector<Row> rows = RandomRows(300, 3, /*null_rate=*/0.25, 5, 31);
   auto dims = MinDims(3);
   SkylineOptions options;
   options.nulls = NullSemantics::kIncomplete;
 
-  // Local stage: bitmap-grouped BNL.
+  // Local stage: bitmap-grouped BNL equals one reference BNL per group.
   auto columnar_local =
-      ColumnarSkyline(ColumnarKernel::kBlockNestedLoop, rows, dims, options);
+      ColumnarSkyline(SkylineKernel::kBlockNestedLoop, rows, dims, options);
   ASSERT_TRUE(columnar_local.ok());
-  std::vector<Row> row_local;
-  for (auto& group : PartitionByNullBitmap(rows, dims)) {
-    auto local = BlockNestedLoop(group, dims, options);
-    ASSERT_TRUE(local.ok());
-    for (auto& r : *local) row_local.push_back(std::move(r));
+  std::map<uint32_t, std::vector<Row>> groups;
+  for (const Row& r : rows) groups[NullBitmap(r, dims)].push_back(r);
+  std::vector<Row> reference_local;
+  for (const auto& [bitmap, group] : groups) {
+    int64_t tests = 0;
+    for (Row& r : ReferenceBnl(group, dims, options, &tests)) {
+      reference_local.push_back(std::move(r));
+    }
   }
-  EXPECT_EQ(Sorted(*columnar_local), Sorted(row_local));
+  EXPECT_EQ(Sorted(*columnar_local), Sorted(reference_local));
 
-  // Global stage: all-pairs with deferred deletion.
-  auto columnar_global = ColumnarAllPairsSkyline(*columnar_local, dims, options);
+  // Global stage: all-pairs with deferred deletion reaches the oracle.
+  auto columnar_global =
+      ::sparkline::testing::AllPairsSkyline(*columnar_local, dims, options);
   ASSERT_TRUE(columnar_global.ok());
-  auto row_global = AllPairsIncomplete(row_local, dims, options);
-  ASSERT_TRUE(row_global.ok());
-  EXPECT_EQ(Sorted(*columnar_global), Sorted(*row_global));
-}
-
-TEST(ColumnarKernelTest, CountsDominanceTestsLikeRowBnl) {
-  std::vector<Row> rows = RandomRows(150, 3, /*null_rate=*/0.0, 10, 13);
-  auto dims = MinDims(3);
-  DominanceCounter row_counter, col_counter;
-  SkylineOptions row_options;
-  row_options.counter = &row_counter;
-  SkylineOptions col_options;
-  col_options.counter = &col_counter;
-  ASSERT_TRUE(BlockNestedLoop(rows, dims, row_options).ok());
-  ASSERT_TRUE(ColumnarSkyline(ColumnarKernel::kBlockNestedLoop, rows, dims,
-                              col_options)
-                  .ok());
-  EXPECT_EQ(row_counter.tests.load(), col_counter.tests.load());
+  EXPECT_EQ(Sorted(*columnar_global),
+            Sorted(BruteForceSkyline(rows, dims, options)));
 }
 
 // Every columnar kernel — including the SFS early-stop scan, whose loop has
@@ -290,9 +426,9 @@ TEST(ColumnarKernelTest, EveryKernelHonorsCancelledToken) {
   CancellationToken token;
   token.Cancel();
 
-  for (const ColumnarKernel kernel :
-       {ColumnarKernel::kBlockNestedLoop, ColumnarKernel::kSortFilterSkyline,
-        ColumnarKernel::kGridFilter}) {
+  for (const SkylineKernel kernel :
+       {SkylineKernel::kBlockNestedLoop, SkylineKernel::kSortFilterSkyline,
+        SkylineKernel::kGridFilter}) {
     SkylineOptions opts;
     opts.cancel = &token;
     auto r = ColumnarSkyline(kernel, rows, dims, opts);
@@ -308,7 +444,7 @@ TEST(ColumnarKernelTest, EveryKernelHonorsCancelledToken) {
     opts.cancel = &token;
     opts.sfs_early_stop = true;
     opts.sfs_sort_key = key;
-    auto r = ColumnarSkyline(ColumnarKernel::kSortFilterSkyline,
+    auto r = ColumnarSkyline(SkylineKernel::kSortFilterSkyline,
                              CorrelatedRows(20000, 4, 23), dims, opts);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
@@ -318,7 +454,7 @@ TEST(ColumnarKernelTest, EveryKernelHonorsCancelledToken) {
   SkylineOptions iopts;
   iopts.nulls = NullSemantics::kIncomplete;
   iopts.cancel = &token;
-  auto incomplete = ColumnarAllPairsSkyline(
+  auto incomplete = ::sparkline::testing::AllPairsSkyline(
       RandomRows(4000, 3, /*null_rate=*/0.3, 50, 29), MinDims(3), iopts);
   ASSERT_FALSE(incomplete.ok());
   EXPECT_EQ(incomplete.status().code(), StatusCode::kCancelled);
@@ -326,45 +462,42 @@ TEST(ColumnarKernelTest, EveryKernelHonorsCancelledToken) {
 
 // --- regression: grid cell-key overflow past 16 dimensions -----------------
 
-TEST(GridOverflowRegression, RowGridFallsBackBeyond16Dims) {
+TEST(GridOverflowRegression, GridFallsBackBeyond16Dims) {
   // 17 dimensions * 4 bits = 68 bits: the cell key would silently wrap and
   // merge unrelated cells. The guard must fall back to BNL and keep the
   // result identical to brute force.
-  std::vector<Row> rows = RandomRows(128, 17, /*null_rate=*/0.0, 2, 99);
-  auto dims = MinDims(17);
-  SkylineOptions options;
-  auto grid = GridFilterSkyline(rows, dims, options);
-  ASSERT_TRUE(grid.ok());
-  EXPECT_EQ(Sorted(*grid), Sorted(BruteForceSkyline(rows, dims, options)));
-}
-
-TEST(GridOverflowRegression, ColumnarGridFallsBackBeyond16Dims) {
   std::vector<Row> rows = RandomRows(128, 17, /*null_rate=*/0.0, 2, 98);
   auto dims = MinDims(17);
   SkylineOptions options;
-  auto grid = ColumnarSkyline(ColumnarKernel::kGridFilter, rows, dims, options);
+  auto grid = ColumnarSkyline(SkylineKernel::kGridFilter, rows, dims, options);
   ASSERT_TRUE(grid.ok());
   EXPECT_EQ(Sorted(*grid), Sorted(BruteForceSkyline(rows, dims, options)));
 }
 
 // --- regression: 32-dimension limit is a checked Status --------------------
 
-TEST(DimensionLimitTest, AlgorithmsReturnStatusBeyond32Dims) {
+TEST(DimensionLimitTest, EntryPointsReturnStatusBeyond32Dims) {
   std::vector<Row> rows{R(std::vector<double>(33, 1.0))};
   auto dims = MinDims(33);
-  EXPECT_FALSE(BlockNestedLoop(rows, dims, {}).ok());
-  EXPECT_FALSE(SortFilterSkyline(rows, dims, {}).ok());
-  EXPECT_FALSE(GridFilterSkyline(rows, dims, {}).ok());
-  EXPECT_FALSE(AllPairsIncomplete(rows, dims, {}).ok());
-  EXPECT_FALSE(ComputeSkyline(rows, dims, {}).ok());
-  EXPECT_EQ(BlockNestedLoop(rows, dims, {}).status().code(),
-            StatusCode::kInvalidArgument);
+  for (const SkylineKernel kernel :
+       {SkylineKernel::kBlockNestedLoop, SkylineKernel::kSortFilterSkyline,
+        SkylineKernel::kGridFilter}) {
+    auto result = ColumnarSkyline(kernel, rows, dims, {});
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_FALSE(::sparkline::testing::AllPairsSkyline(rows, dims, {}).ok());
+  EXPECT_FALSE(ColumnarBatch::Project(
+                   std::make_shared<std::vector<Row>>(rows), dims)
+                   .ok());
+  EXPECT_FALSE(DeltaClassify({}, rows, dims, {}).ok());
 }
 
 TEST(DimensionLimitTest, Exactly32DimsStillWorks) {
   std::vector<Row> rows{R(std::vector<double>(32, 1.0)),
                         R(std::vector<double>(32, 2.0))};
-  auto result = BlockNestedLoop(rows, MinDims(32), {});
+  auto result =
+      ColumnarSkyline(SkylineKernel::kBlockNestedLoop, rows, MinDims(32), {});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->size(), 1u);
 }
@@ -421,7 +554,7 @@ std::shared_ptr<std::vector<Row>> SharedRows(std::vector<Row> rows) {
 TEST(ColumnarBatchTest, ProjectSelectSliceDecodeRoundTrip) {
   auto rows = SharedRows(RandomRows(100, 3, /*null_rate=*/0.0, 8, 7));
   auto batch = ColumnarBatch::Project(rows, MinDims(3));
-  ASSERT_TRUE(batch.has_value());
+  ASSERT_TRUE(batch.ok());
   EXPECT_EQ(batch->num_rows(), 100u);
 
   // A survivor view decodes to exactly the selected backing rows, in order.
@@ -455,14 +588,14 @@ TEST(ColumnarBatchTest, ConcatMatchesRowGatherAndReprojection) {
     auto rows = SharedRows(RandomRows(40, 3, /*null_rate=*/0.2, 5, seed));
     for (const auto& r : *rows) gathered.push_back(r);
     auto batch = ColumnarBatch::Project(rows, dims);
-    ASSERT_TRUE(batch.has_value());
+    ASSERT_TRUE(batch.ok());
     parts.push_back(std::move(*batch));
   }
   ColumnarBatch merged = ColumnarBatch::Concat(&parts);
   ASSERT_EQ(merged.num_rows(), gathered.size());
 
-  auto reference = DominanceMatrix::TryBuild(gathered, dims);
-  ASSERT_TRUE(reference.has_value());
+  auto reference = DominanceMatrix::Build(gathered, dims);
+  ASSERT_TRUE(reference.ok());
   for (uint32_t i = 0; i < gathered.size(); ++i) {
     for (uint32_t j = 0; j < gathered.size(); ++j) {
       EXPECT_EQ(merged.matrix().Compare(i, j, NullSemantics::kIncomplete),
@@ -478,9 +611,10 @@ TEST(ColumnarBatchTest, ConcatMatchesRowGatherAndReprojection) {
   }
 }
 
-TEST(ColumnarBatchTest, ConcatRemapsVarcharDictionaries) {
+TEST(ColumnarBatchTest, ConcatReRanksVarcharDictionaries) {
   // The same string gets different codes in independently built matrices;
-  // concat must unify them so cross-partition DIFF equality still holds.
+  // concat must re-rank the gathered rows so cross-partition DIFF equality
+  // still holds.
   std::vector<BoundDimension> dims{{0, SkylineGoal::kMin},
                                    {1, SkylineGoal::kDiff}};
   auto part1 = SharedRows({{Value::Double(1), Value::String("red")},
@@ -489,11 +623,13 @@ TEST(ColumnarBatchTest, ConcatRemapsVarcharDictionaries) {
                            {Value::Double(0.5), Value::String("red")}});
   auto b1 = ColumnarBatch::Project(part1, dims);
   auto b2 = ColumnarBatch::Project(part2, dims);
-  ASSERT_TRUE(b1.has_value() && b2.has_value());
+  ASSERT_TRUE(b1.ok() && b2.ok());
   std::vector<ColumnarBatch> parts;
   parts.push_back(std::move(*b1));
   parts.push_back(std::move(*b2));
-  ColumnarBatch merged = ColumnarBatch::Concat(&parts);
+  bool reprojected = false;
+  ColumnarBatch merged = ColumnarBatch::Concat(&parts, nullptr, &reprojected);
+  EXPECT_TRUE(reprojected);
 
   // Rows 0 ("red",1) vs 3 ("red",0.5): same color across partitions.
   EXPECT_EQ(merged.matrix().Compare(3, 0, NullSemantics::kComplete),
@@ -514,7 +650,7 @@ TEST(ColumnarBatchTest, ConcatInheritsSfsOrderAcrossParts) {
     auto rows = SharedRows(RandomRows(60, 3, /*null_rate=*/0.0, 9, seed));
     for (const auto& r : *rows) gathered.push_back(r);
     auto batch = ColumnarBatch::Project(rows, dims);
-    ASSERT_TRUE(batch.has_value());
+    ASSERT_TRUE(batch.ok());
     auto sorted =
         ColumnarSortFilterSkyline(batch->matrix(), batch->indices(), options);
     ASSERT_TRUE(sorted.ok());
@@ -533,7 +669,71 @@ TEST(ColumnarBatchTest, ConcatInheritsSfsOrderAcrossParts) {
       ColumnarSortFilterSkylinePresorted(merged.matrix(), view, options);
   ASSERT_TRUE(presorted.ok());
   EXPECT_EQ(Sorted(merged.WithSelection(*presorted, true).Decode()),
-            Sorted(*SortFilterSkyline(gathered, dims, options)));
+            Sorted(*ColumnarSkyline(SkylineKernel::kSortFilterSkyline,
+                                    gathered, dims, options)));
+}
+
+TEST(ColumnarBatchTest, ConcatCopiesKeysWhenKeySpacesAgree) {
+  // Direct keys mean the same thing in every matrix, so concat copies them
+  // instead of re-projecting.
+  std::vector<ColumnarBatch> parts;
+  for (uint64_t seed = 1; seed <= 2; ++seed) {
+    auto batch = ColumnarBatch::Project(
+        SharedRows(RandomRows(20, 2, /*null_rate=*/0.0, 5, seed)), MinDims(2));
+    ASSERT_TRUE(batch.ok());
+    parts.push_back(std::move(*batch));
+  }
+  bool reprojected = false;
+  ColumnarBatch merged = ColumnarBatch::Concat(&parts, nullptr, &reprojected);
+  EXPECT_FALSE(reprojected);
+  EXPECT_EQ(merged.num_rows(), 40u);
+  EXPECT_EQ(merged.matrix().ranked_mask(), 0u);
+}
+
+TEST(ColumnarBatchTest, ConcatReRanksWhenOnePartHasNaN) {
+  // NaN in one partition only: that part is ranked, the other direct. The
+  // gathered matrix must re-rank everything into one key space, drop the
+  // SFS order and stop bounds, and still compare exactly like CompareRows.
+  auto dims = MinDims(2);
+  std::vector<Row> clean = RandomRows(30, 2, /*null_rate=*/0.0, 6, 3);
+  std::vector<Row> dirty = RandomRows(30, 2, /*null_rate=*/0.0, 6, 4);
+  dirty[5][0] = Value::Double(std::nan(""));
+  dirty[9][1] = Value::Double(std::nan(""));
+  std::vector<Row> gathered = clean;
+  gathered.insert(gathered.end(), dirty.begin(), dirty.end());
+
+  std::vector<ColumnarBatch> parts;
+  SkylineOptions options;
+  auto clean_batch = ColumnarBatch::Project(SharedRows(clean), dims);
+  ASSERT_TRUE(clean_batch.ok());
+  ASSERT_EQ(clean_batch->matrix().ranked_mask(), 0u);
+  auto sorted = ColumnarSortFilterSkyline(clean_batch->matrix(),
+                                          clean_batch->indices(), options);
+  ASSERT_TRUE(sorted.ok());
+  const double bound = ComputeStopBound(clean_batch->matrix(), *sorted);
+  parts.push_back(clean_batch->WithSelection(clean_batch->indices(), true,
+                                             SfsSortKey::kSum, bound));
+  auto dirty_batch = ColumnarBatch::Project(SharedRows(dirty), dims);
+  ASSERT_TRUE(dirty_batch.ok());
+  EXPECT_EQ(dirty_batch->matrix().ranked_mask(), 3u);
+  parts.push_back(std::move(*dirty_batch));
+
+  bool reprojected = false;
+  ColumnarBatch merged = ColumnarBatch::Concat(&parts, nullptr, &reprojected);
+  EXPECT_TRUE(reprojected);
+  EXPECT_FALSE(merged.score_sorted());
+  EXPECT_TRUE(std::isinf(merged.stop_bound()));
+  EXPECT_EQ(merged.matrix().ranked_mask(), 3u);
+  ASSERT_EQ(merged.num_rows(), gathered.size());
+  const std::vector<Row> decoded = merged.Decode();
+  for (uint32_t i = 0; i < gathered.size(); ++i) {
+    EXPECT_EQ(RowToString(decoded[i]), RowToString(gathered[i]));
+    for (uint32_t j = 0; j < gathered.size(); ++j) {
+      EXPECT_EQ(merged.matrix().Compare(i, j, NullSemantics::kComplete),
+                CompareRows(gathered[i], gathered[j], dims,
+                            NullSemantics::kComplete));
+    }
+  }
 }
 
 TEST(ColumnarBatchTest, MatrixMemoryChargedForBatchLifetime) {
@@ -541,7 +741,7 @@ TEST(ColumnarBatchTest, MatrixMemoryChargedForBatchLifetime) {
   auto rows = SharedRows(RandomRows(200, 4, /*null_rate=*/0.1, 6, 17));
   {
     auto batch = ColumnarBatch::Project(rows, MinDims(4), &tracker);
-    ASSERT_TRUE(batch.has_value());
+    ASSERT_TRUE(batch.ok());
     EXPECT_GT(batch->matrix().MemoryBytes(), 0);
     EXPECT_GE(tracker.current_bytes(), batch->matrix().MemoryBytes());
     // Views share the reservation: copying them must not double-charge.
@@ -562,7 +762,7 @@ std::vector<Row> SfsWith(const std::vector<Row>& rows,
   options.sfs_sort_key = key;
   options.distinct = distinct;
   options.early_stop = stats;
-  auto result = ColumnarSkyline(ColumnarKernel::kSortFilterSkyline, rows, dims,
+  auto result = ColumnarSkyline(SkylineKernel::kSortFilterSkyline, rows, dims,
                                 options);
   SL_CHECK(result.ok()) << result.status().ToString();
   return *std::move(result);
@@ -615,29 +815,21 @@ TEST(SfsEarlyStop, SkipsMostRowsOnCorrelatedData) {
       << "the minC stop point must skip >1/3 of a correlated input";
 }
 
-TEST(SfsEarlyStop, RowKernelMatchesColumnarAndSkips) {
+TEST(SfsEarlyStop, BothSortKeysMatchOracleAndMinMaxSkips) {
   // All-MIN goals: with a MAX goal mixed in, a correlated generator is
   // anti-correlated in normalized space and the stop (correctly) never
   // fires. Goal mixes are covered by the equivalence sweep above.
   const std::vector<Row> rows = CorrelatedRows(1500, 3, 23);
   const auto dims = MinDims(3);
   for (const SfsSortKey key : {SfsSortKey::kSum, SfsSortKey::kMinMax}) {
-    EarlyStopStats row_stats;
-    SkylineOptions options;
-    options.sfs_sort_key = key;
-    options.early_stop = &row_stats;
-    auto row_result = SortFilterSkyline(rows, dims, options);
-    ASSERT_TRUE(row_result.ok());
-    EXPECT_EQ(Sorted(*row_result),
-              Sorted(SfsWith(rows, dims, /*early_stop=*/true, key, false)));
+    EarlyStopStats stats;
+    const std::vector<Row> stopped =
+        SfsWith(rows, dims, /*early_stop=*/true, key, false, &stats);
+    EXPECT_EQ(Sorted(stopped), Sorted(BruteForceSkyline(rows, dims, {})));
     if (key == SfsSortKey::kMinMax) {
-      EXPECT_GT(row_stats.rows_skipped.load(), 0)
-          << "the row kernel must stop early on correlated data too";
+      EXPECT_GT(stats.rows_skipped.load(), 0)
+          << "the minmax stop must fire on correlated data";
     }
-    options.sfs_early_stop = false;
-    auto full = SortFilterSkyline(rows, dims, options);
-    ASSERT_TRUE(full.ok());
-    EXPECT_EQ(Sorted(*row_result), Sorted(*full));
   }
 }
 
@@ -648,8 +840,8 @@ TEST(SfsEarlyStop, AutoDisabledOnNullBitmaps) {
   std::vector<Row> rows = CorrelatedRows(500, 3, 31);
   rows[497][1] = Value::Null(DataType::Double());
   const auto dims = MinDims(3);
-  auto matrix = DominanceMatrix::TryBuild(rows, dims);
-  ASSERT_TRUE(matrix.has_value());
+  auto matrix = DominanceMatrix::Build(rows, dims);
+  ASSERT_TRUE(matrix.ok());
   ASSERT_TRUE(matrix->has_nulls());
   EarlyStopStats stats;
   SkylineOptions options;
@@ -661,18 +853,13 @@ TEST(SfsEarlyStop, AutoDisabledOnNullBitmaps) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(stats.stops.load(), 0);
   EXPECT_EQ(stats.rows_skipped.load(), 0);
-
-  // Row kernel: same auto-disable on NULL input.
-  auto row_result = SortFilterSkyline(rows, dims, options);
-  ASSERT_TRUE(row_result.ok());
-  EXPECT_EQ(stats.stops.load(), 0);
 }
 
 TEST(SfsEarlyStop, PresortedPassInheritsStopBound) {
   const std::vector<Row> rows = CorrelatedRows(1200, 4, 43);
   const auto dims = MinDims(4);
-  auto matrix = DominanceMatrix::TryBuild(rows, dims);
-  ASSERT_TRUE(matrix.has_value());
+  auto matrix = DominanceMatrix::Build(rows, dims);
+  ASSERT_TRUE(matrix.ok());
 
   SkylineOptions options;
   options.sfs_sort_key = SfsSortKey::kMinMax;
@@ -717,7 +904,7 @@ TEST(SfsEarlyStop, StopBoundSurvivesConcat) {
   std::vector<double> bounds;
   for (const auto& rows : {part_rows_a, part_rows_b}) {
     auto batch = ColumnarBatch::Project(rows, dims);
-    ASSERT_TRUE(batch.has_value());
+    ASSERT_TRUE(batch.ok());
     auto survivors = ColumnarSortFilterSkyline(batch->matrix(),
                                                batch->indices(), options);
     ASSERT_TRUE(survivors.ok());
@@ -739,8 +926,8 @@ TEST(MergeByScoreTest, EqualKeysReproduceGlobalStableSortOrder) {
   // one global stable sort over the concatenated input.
   std::vector<Row> rows = RandomRows(240, 2, /*null_rate=*/0.0, 3, 91);
   const auto dims = MinDims(2);
-  auto matrix = DominanceMatrix::TryBuild(rows, dims);
-  ASSERT_TRUE(matrix.has_value());
+  auto matrix = DominanceMatrix::Build(rows, dims);
+  ASSERT_TRUE(matrix.ok());
 
   for (const SfsSortKey key : {SfsSortKey::kSum, SfsSortKey::kMinMax}) {
     auto key_less = [&](uint32_t a, uint32_t b) {
@@ -774,8 +961,9 @@ class ColumnarKernelDeadline : public ::testing::Test {
  protected:
   void SetUp() override {
     rows_ = AntiCorrelatedRows(600, 4, 3);
-    matrix_ = DominanceMatrix::TryBuild(rows_, MinDims(4));
-    ASSERT_TRUE(matrix_.has_value());
+    auto matrix = DominanceMatrix::Build(rows_, MinDims(4));
+    ASSERT_TRUE(matrix.ok());
+    matrix_ = std::move(matrix).MoveValue();
     // A deadline in the past: the kernels' batched checker trips on its
     // first clock read (after at most 1024 ticks).
     expired_.deadline_nanos = 1;

@@ -1,5 +1,8 @@
 // Tests for expression construction, evaluation semantics (SQL three-valued
 // logic, null propagation) and physical binding.
+#include <cmath>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "expr/evaluator.h"
@@ -86,6 +89,49 @@ TEST(ExprEvalTest, Negate) {
   EXPECT_EQ(Eval(UnaryExpr::Make(UnaryOp::kNegate, I(5))).int64_value(), -5);
   EXPECT_DOUBLE_EQ(
       Eval(UnaryExpr::Make(UnaryOp::kNegate, D(2.5))).double_value(), -2.5);
+}
+
+// BIGINT arithmetic follows Spark's non-ANSI (Java long) semantics: it wraps
+// in two's complement, and x % -1 is 0 even for INT64_MIN. The sanitizer CI
+// job runs this suite, so any signed overflow left behind is a failure.
+TEST(ExprEvalTest, BigintOverflowWrapsLikeJavaLong) {
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  EXPECT_EQ(Eval(Bin(BinaryOp::kAdd, I(kMax), I(1))).int64_value(), kMin);
+  EXPECT_EQ(Eval(Bin(BinaryOp::kAdd, I(kMin), I(-1))).int64_value(), kMax);
+  EXPECT_EQ(Eval(Bin(BinaryOp::kSub, I(kMin), I(1))).int64_value(), kMax);
+  EXPECT_EQ(Eval(Bin(BinaryOp::kSub, I(kMax), I(-1))).int64_value(), kMin);
+  EXPECT_EQ(Eval(Bin(BinaryOp::kMul, I(kMax), I(2))).int64_value(), -2);
+  EXPECT_EQ(Eval(Bin(BinaryOp::kMul, I(kMin), I(-1))).int64_value(), kMin);
+  EXPECT_EQ(Eval(Bin(BinaryOp::kMul, I(int64_t{1} << 32), I(int64_t{1} << 32)))
+                .int64_value(),
+            0);
+  EXPECT_EQ(Eval(UnaryExpr::Make(UnaryOp::kNegate, I(kMin))).int64_value(),
+            kMin);
+  // Results that do not overflow are unchanged.
+  EXPECT_EQ(Eval(Bin(BinaryOp::kMul, I(-3), I(7))).int64_value(), -21);
+}
+
+TEST(ExprEvalTest, BigintModuloByMinusOneIsZero) {
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  EXPECT_EQ(Eval(Bin(BinaryOp::kMod, I(kMin), I(-1))).int64_value(), 0);
+  EXPECT_EQ(Eval(Bin(BinaryOp::kMod, I(7), I(-1))).int64_value(), 0);
+  EXPECT_EQ(Eval(Bin(BinaryOp::kMod, I(-7), I(3))).int64_value(), -1);
+  EXPECT_EQ(Eval(Bin(BinaryOp::kMod, I(kMin), I(kMin))).int64_value(), 0);
+}
+
+// DOUBLE comparisons use Spark's total order: NaN = NaN, NaN above +inf,
+// -0.0 = 0.0.
+TEST(ExprEvalTest, NaNComparesAsLargestAndEqualToItself) {
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(Eval(Bin(BinaryOp::kEq, D(nan), D(nan))).bool_value());
+  EXPECT_TRUE(Eval(Bin(BinaryOp::kGt, D(nan), D(inf))).bool_value());
+  EXPECT_TRUE(Eval(Bin(BinaryOp::kLt, D(-inf), D(nan))).bool_value());
+  EXPECT_TRUE(Eval(Bin(BinaryOp::kGt, D(nan), I(5))).bool_value());
+  EXPECT_TRUE(Eval(Bin(BinaryOp::kEq, D(-0.0), D(0.0))).bool_value());
+  EXPECT_TRUE(Value::Double(nan).Equals(Value::Double(-nan)));
+  EXPECT_EQ(Value::Double(nan).Hash(), Value::Double(-nan).Hash());
 }
 
 TEST(ExprEvalTest, Cast) {

@@ -1,5 +1,5 @@
 // The chaos suite: sweeps every registered failpoint across kernel and
-// exchange configurations and asserts the fault-tolerance contract — under
+// plan-shape configurations and asserts the fault-tolerance contract — under
 // any injected fault a query either succeeds with results bit-identical to
 // the no-fault oracle (after retries) or returns a clean error Status.
 // Never a crash, never a hang, and never a leaked memory reservation: the
@@ -37,13 +37,12 @@ struct ChaosConfig {
 
 std::vector<ChaosConfig> SweepConfigs() {
   return {
-      {"bnl-columnar-exchange",
-       {{"sparkline.skyline.kernel", "bnl"},
-        {"sparkline.skyline.exchange.columnar", "true"}},
+      {"bnl-distributed",
+       {{"sparkline.skyline.kernel", "bnl"}},
        "SELECT * FROM pts SKYLINE OF d0 MIN, d1 MAX, d2 MIN"},
-      {"sfs-row-exchange",
+      {"sfs-non-distributed",
        {{"sparkline.skyline.kernel", "sfs"},
-        {"sparkline.skyline.exchange.columnar", "false"}},
+        {"sparkline.skyline.strategy", "non_distributed"}},
        "SELECT * FROM pts SKYLINE OF d0 MIN, d1 MAX, d2 MIN"},
       {"grid-angle-partitioning",
        {{"sparkline.skyline.kernel", "grid"},

@@ -50,13 +50,8 @@ TablePtr CopySnapshot(const TablePtr& src) {
 // guarantee for it — so the differential check isolates the cache, not
 // kernel choice.
 std::vector<std::string> OracleRows(const TablePtr& snapshot,
-                                    const std::string& sql,
-                                    bool columnar = true) {
+                                    const std::string& sql) {
   Session oracle;
-  SL_CHECK_OK(oracle.SetConf("sparkline.skyline.exchange.columnar",
-                             columnar ? "true" : "false"));
-  SL_CHECK_OK(oracle.SetConf("sparkline.skyline.columnar",
-                             columnar ? "true" : "false"));
   oracle.catalog()->RegisterOrReplaceTable(CopySnapshot(snapshot));
   return RowStrings(Rows(&oracle, sql));
 }
@@ -73,20 +68,14 @@ struct HarnessTotals {
 
 // One seeded schedule: ~16 interleaved insert/query ops over a generated
 // points table, every query result checked against the oracle.
-void RunSchedule(uint64_t seed, bool complete_data, bool columnar,
-                 HarnessTotals* totals) {
+void RunSchedule(uint64_t seed, bool complete_data, HarnessTotals* totals) {
   SCOPED_TRACE(::testing::Message()
-               << "seed=" << seed << " complete=" << complete_data
-               << " columnar=" << columnar);
-  Rng rng(seed * 7919 + complete_data * 2 + columnar);
+               << "seed=" << seed << " complete=" << complete_data);
+  Rng rng(seed * 7919 + complete_data * 2);
 
   Session session;
   ASSERT_OK(session.SetConf("sparkline.cache.enabled", "true"));
   ASSERT_OK(session.SetConf("sparkline.cache.incremental", "true"));
-  ASSERT_OK(session.SetConf("sparkline.skyline.exchange.columnar",
-                            columnar ? "true" : "false"));
-  ASSERT_OK(session.SetConf("sparkline.skyline.columnar",
-                            columnar ? "true" : "false"));
 
   const double null_rate = complete_data ? 0.0 : 0.25;
   const size_t num_rows = 24 + static_cast<size_t>(rng.UniformInt(0, 16));
@@ -147,7 +136,7 @@ void RunSchedule(uint64_t seed, bool complete_data, bool columnar,
       ASSERT_OK_AND_ASSIGN(TablePtr snapshot,
                            session.catalog()->GetTable("t"));
       // The differential check: stale answers are impossible, hit or miss.
-      ASSERT_EQ(RowStrings(result.rows()), OracleRows(snapshot, sql, columnar))
+      ASSERT_EQ(RowStrings(result.rows()), OracleRows(snapshot, sql))
           << sql;
       ++totals->queries;
       if (result.metrics.cache_hit) {
@@ -176,17 +165,14 @@ void RunSchedule(uint64_t seed, bool complete_data, bool columnar,
 }
 
 TEST(IncrementalDifferentialTest, MixedWorkloadSchedulesMatchOracle) {
-  // 60 seeds x {complete, incomplete} x {columnar on, off} = 240 schedules.
+  // 120 seeds x {complete, incomplete} = 240 schedules.
   HarnessTotals complete_totals;
   HarnessTotals incomplete_totals;
-  for (uint64_t seed = 0; seed < 60; ++seed) {
-    for (bool columnar : {false, true}) {
-      RunSchedule(seed, /*complete_data=*/true, columnar, &complete_totals);
-      if (::testing::Test::HasFatalFailure()) return;
-      RunSchedule(seed, /*complete_data=*/false, columnar,
-                  &incomplete_totals);
-      if (::testing::Test::HasFatalFailure()) return;
-    }
+  for (uint64_t seed = 0; seed < 120; ++seed) {
+    RunSchedule(seed, /*complete_data=*/true, &complete_totals);
+    if (::testing::Test::HasFatalFailure()) return;
+    RunSchedule(seed, /*complete_data=*/false, &incomplete_totals);
+    if (::testing::Test::HasFatalFailure()) return;
   }
   // The harness must actually exercise the maintained path, not just pass
   // vacuously: complete-data schedules serve delta-maintained hits.

@@ -1,13 +1,19 @@
 // The configuration matrix test: every combination of execution strategy,
-// kernel, dominance representation (row vs. columnar), partitioning scheme
-// and executor count must produce the identical skyline — and that skyline
-// must equal the brute-force oracle computed directly from the table. This
-// is the strongest single correctness statement the engine makes — no
-// physical-plan knob may change results.
+// kernel, partitioning scheme, pruning phase and executor count must produce
+// the identical skyline — and that skyline must equal the brute-force
+// oracle computed directly from the table. This is the strongest single
+// correctness statement the engine makes — no physical-plan knob may change
+// results. The encoding sweep extends it to every value shape the SQL
+// surface admits (NaN, ±0.0, ±inf, BIGINT beyond 2^53, VARCHAR goals).
+#include <cmath>
+#include <limits>
+
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "common/string_util.h"
 #include "datagen/datagen.h"
+#include "exec/physical_plan.h"
 #include "skyline/algorithms.h"
 #include "test_util.h"
 
@@ -78,57 +84,47 @@ TEST_P(ConfigMatrix, AllConfigurationsAgreeWithBruteForce) {
                                             "reference"};
   for (const char* strategy : strategies) {
     for (const KernelConfig& kernel : kernels) {
-      for (const char* columnar : {"true", "false"}) {
-        for (const char* exchange : {"true", "false"}) {
-          for (const char* partitioning : {"asis", "roundrobin", "angle"}) {
-            for (const char* executors : {"1", "3", "8"}) {
-              // Two-phase pruning axes (broadcast filter × zone maps): both
-              // phases claim bit-identical results, so they join the full
-              // cross rather than getting their own narrower sweep.
-              const std::pair<const char*, const char*> pruning_axis[] = {
-                  {"true", "true"},
-                  {"true", "false"},
-                  {"false", "true"},
-                  {"false", "false"}};
-              for (const auto& pruning : pruning_axis) {
-                ASSERT_OK(
-                    session.SetConf("sparkline.skyline.strategy", strategy));
-                ASSERT_OK(
-                    session.SetConf("sparkline.skyline.kernel", kernel.kernel));
-                ASSERT_OK(session.SetConf("sparkline.skyline.sfs.early_stop",
-                                          kernel.early_stop));
-                ASSERT_OK(session.SetConf("sparkline.skyline.sfs.sort_key",
-                                          kernel.sort_key));
-                ASSERT_OK(
-                    session.SetConf("sparkline.skyline.columnar", columnar));
-                ASSERT_OK(session.SetConf("sparkline.skyline.exchange.columnar",
-                                          exchange));
-                ASSERT_OK(session.SetConf("sparkline.skyline.partitioning",
-                                          partitioning));
-                ASSERT_OK(session.SetConf("sparkline.executors", executors));
-                ASSERT_OK(session.SetConf("sparkline.skyline.broadcast_filter",
-                                          pruning.first));
-                ASSERT_OK(session.SetConf("sparkline.scan.zone_maps",
-                                          pruning.second));
-                auto rows = RowStrings(Rows(&session, query));
-                ASSERT_EQ(expected, rows)
-                    << "strategy=" << strategy << " kernel=" << kernel.kernel
-                    << " early_stop=" << kernel.early_stop
-                    << " sort_key=" << kernel.sort_key
-                    << " columnar=" << columnar << " exchange=" << exchange
-                    << " partitioning=" << partitioning
-                    << " executors=" << executors
-                    << " broadcast_filter=" << pruning.first
-                    << " zone_maps=" << pruning.second;
-                ++combinations;
-              }
-            }
+      for (const char* partitioning : {"asis", "roundrobin", "angle"}) {
+        for (const char* executors : {"1", "3", "8"}) {
+          // Two-phase pruning axes (broadcast filter × zone maps): both
+          // phases claim bit-identical results, so they join the full cross
+          // rather than getting their own narrower sweep.
+          const std::pair<const char*, const char*> pruning_axis[] = {
+              {"true", "true"},
+              {"true", "false"},
+              {"false", "true"},
+              {"false", "false"}};
+          for (const auto& pruning : pruning_axis) {
+            ASSERT_OK(session.SetConf("sparkline.skyline.strategy", strategy));
+            ASSERT_OK(
+                session.SetConf("sparkline.skyline.kernel", kernel.kernel));
+            ASSERT_OK(session.SetConf("sparkline.skyline.sfs.early_stop",
+                                      kernel.early_stop));
+            ASSERT_OK(session.SetConf("sparkline.skyline.sfs.sort_key",
+                                      kernel.sort_key));
+            ASSERT_OK(session.SetConf("sparkline.skyline.partitioning",
+                                      partitioning));
+            ASSERT_OK(session.SetConf("sparkline.executors", executors));
+            ASSERT_OK(session.SetConf("sparkline.skyline.broadcast_filter",
+                                      pruning.first));
+            ASSERT_OK(
+                session.SetConf("sparkline.scan.zone_maps", pruning.second));
+            auto rows = RowStrings(Rows(&session, query));
+            ASSERT_EQ(expected, rows)
+                << "strategy=" << strategy << " kernel=" << kernel.kernel
+                << " early_stop=" << kernel.early_stop
+                << " sort_key=" << kernel.sort_key
+                << " partitioning=" << partitioning
+                << " executors=" << executors
+                << " broadcast_filter=" << pruning.first
+                << " zone_maps=" << pruning.second;
+            ++combinations;
           }
         }
       }
     }
   }
-  EXPECT_GE(combinations, 2 * 6 * 2 * 2 * 3 * 3 * 4);
+  EXPECT_GE(combinations, 2 * 6 * 3 * 3 * 4);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -140,10 +136,10 @@ INSTANTIATE_TEST_SUITE_P(
                       MatrixCase{"incomplete", 3, true}));
 
 // The round-based parallel incomplete global stage: sweeping
-// sparkline.skyline.incomplete.parallel on/off (crossed with row/columnar
-// and several executor counts, including one chunk per tuple) on NULL-heavy
-// data must always reproduce the brute-force oracle — the rotation rounds
-// may not change results under non-transitive dominance.
+// sparkline.skyline.incomplete.parallel on/off (crossed with several
+// executor counts, including one chunk per tuple) on NULL-heavy data must
+// always reproduce the brute-force oracle — the rotation rounds may not
+// change results under non-transitive dominance.
 struct IncompleteParallelCase {
   size_t rows;
   size_t dims;
@@ -187,32 +183,23 @@ TEST_P(IncompleteParallel, MatchesBruteForceOracle) {
   const std::vector<std::string> executor_counts = {
       "1", "2", "3", "8", std::to_string(param.rows)};
   for (const char* parallel : {"true", "false"}) {
-    for (const char* columnar : {"true", "false"}) {
-      for (const char* exchange : {"true", "false"}) {
-        for (const std::string& executors : executor_counts) {
-          // The two-phase pruning flags must be inert here: zone-map
-          // skipping and the broadcast filter are complete-dominance-only
-          // optimizations and auto-disable under incomplete semantics.
-          const std::pair<const char*, const char*> pruning_axis[] = {
-              {"true", "true"}, {"false", "false"}};
-          for (const auto& pruning : pruning_axis) {
-            ASSERT_OK(session.SetConf("sparkline.skyline.incomplete.parallel",
-                                      parallel));
-            ASSERT_OK(session.SetConf("sparkline.skyline.columnar", columnar));
-            ASSERT_OK(session.SetConf("sparkline.skyline.exchange.columnar",
-                                      exchange));
-            ASSERT_OK(session.SetConf("sparkline.executors", executors));
-            ASSERT_OK(session.SetConf("sparkline.skyline.broadcast_filter",
-                                      pruning.first));
-            ASSERT_OK(
-                session.SetConf("sparkline.scan.zone_maps", pruning.second));
-            ASSERT_EQ(expected, RowStrings(Rows(&session, query)))
-                << "parallel=" << parallel << " columnar=" << columnar
-                << " exchange=" << exchange << " executors=" << executors
-                << " broadcast_filter=" << pruning.first
-                << " zone_maps=" << pruning.second;
-          }
-        }
+    for (const std::string& executors : executor_counts) {
+      // The two-phase pruning flags must be inert here: zone-map skipping
+      // and the broadcast filter are complete-dominance-only optimizations
+      // and auto-disable under incomplete semantics.
+      const std::pair<const char*, const char*> pruning_axis[] = {
+          {"true", "true"}, {"false", "false"}};
+      for (const auto& pruning : pruning_axis) {
+        ASSERT_OK(
+            session.SetConf("sparkline.skyline.incomplete.parallel", parallel));
+        ASSERT_OK(session.SetConf("sparkline.executors", executors));
+        ASSERT_OK(session.SetConf("sparkline.skyline.broadcast_filter",
+                                  pruning.first));
+        ASSERT_OK(session.SetConf("sparkline.scan.zone_maps", pruning.second));
+        ASSERT_EQ(expected, RowStrings(Rows(&session, query)))
+            << "parallel=" << parallel << " executors=" << executors
+            << " broadcast_filter=" << pruning.first
+            << " zone_maps=" << pruning.second;
       }
     }
   }
@@ -352,11 +339,9 @@ int64_t BuildsMatching(const QueryMetrics& m, const std::string& needle) {
   return total;
 }
 
-QueryMetrics RunWithExchange(Session* session, const std::string& query,
-                             const char* executors, const char* exchange) {
+QueryMetrics RunWith(Session* session, const std::string& query,
+                     const char* executors) {
   SL_CHECK_OK(session->SetConf("sparkline.executors", executors));
-  SL_CHECK_OK(
-      session->SetConf("sparkline.skyline.exchange.columnar", exchange));
   auto df = session->Sql(query);
   SL_CHECK(df.ok());
   auto r = df->Collect();
@@ -364,10 +349,9 @@ QueryMetrics RunWithExchange(Session* session, const std::string& query,
   return r->metrics;
 }
 
-// The tentpole invariant: with the columnar exchange on, a multi-executor
-// complete plan projects each partition's DominanceMatrix exactly once (at
-// the local stage) and no global stage — in particular "[merge]" — ever
-// rebuilds; with it off, "[partial]" and "[merge]" each pay projections.
+// The build-once invariant: a multi-executor complete plan projects each
+// partition's DominanceMatrix exactly once (at the local stage) and no
+// global stage — in particular "[merge]" — ever rebuilds.
 TEST(ColumnarExchange, CompletePlanBuildsEachPartitionOnce) {
   Session session;
   ASSERT_OK(session.catalog()->RegisterTable(datagen::GeneratePoints(
@@ -376,11 +360,13 @@ TEST(ColumnarExchange, CompletePlanBuildsEachPartitionOnce) {
   const std::string query =
       "SELECT * FROM pts SKYLINE OF d0 MIN, d1 MAX, d2 MIN";
 
-  const QueryMetrics on = RunWithExchange(&session, query, "4", "true");
+  const QueryMetrics on = RunWith(&session, query, "4");
   EXPECT_EQ(BuildsMatching(on, "LocalSkyline"), 4)
       << "each of the 4 scan partitions must be projected exactly once";
   EXPECT_EQ(BuildsMatching(on, "GlobalSkyline"), 0)
-      << "no global stage may re-project with the exchange on";
+      << "no global stage may re-project a gathered batch";
+  EXPECT_EQ(BuildsMatching(on, "Exchange"), 0)
+      << "numeric partitions share one key space: no gather re-ranking";
   EXPECT_EQ(on.matrix_builds.count("GlobalSkyline [complete] [merge]"), 0u)
       << "[merge] must report zero matrix rebuilds";
   EXPECT_GE(on.matrix_reuses.count("GlobalSkyline [complete]"), 1u)
@@ -389,18 +375,16 @@ TEST(ColumnarExchange, CompletePlanBuildsEachPartitionOnce) {
       << "the gather must record a block concat instead of a re-projection";
   EXPECT_GT(on.projection_ms, 0.0);
 
-  const QueryMetrics off = RunWithExchange(&session, query, "4", "false");
-  EXPECT_EQ(BuildsMatching(off, "LocalSkyline"), 4);
-  EXPECT_EQ(off.matrix_builds.count("GlobalSkyline [complete] [partial]"), 1u)
-      << "without the exchange every partial chunk re-projects";
-  EXPECT_EQ(
-      off.matrix_builds.at("GlobalSkyline [complete] [merge]"), 1)
-      << "without the exchange the merge re-projects its whole input";
+  // Row input (non-distributed plans) is projected once, in "[project]".
+  ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "non_distributed"));
+  const QueryMetrics rows = RunWith(&session, query, "4");
+  EXPECT_EQ(BuildsMatching(rows, "GlobalSkyline"), 1);
+  EXPECT_EQ(rows.matrix_builds.count("GlobalSkyline [complete] [project]"), 1u);
 }
 
 // Same invariant for the incomplete pipeline: the round-based global stage
 // (candidates/validate/finalize) runs entirely on the matrix shipped by the
-// exchange — the "[candidates]" projection pass of the row path disappears.
+// exchange.
 TEST(ColumnarExchange, IncompletePlanReusesShuffledMatrix) {
   Session session;
   ASSERT_OK(session.catalog()->RegisterTable(datagen::GeneratePoints(
@@ -410,16 +394,11 @@ TEST(ColumnarExchange, IncompletePlanReusesShuffledMatrix) {
   const std::string query =
       "SELECT * FROM pts SKYLINE OF d0 MIN, d1 MAX, d2 MIN";
 
-  const QueryMetrics on = RunWithExchange(&session, query, "4", "true");
+  const QueryMetrics on = RunWith(&session, query, "4");
   EXPECT_GT(BuildsMatching(on, "LocalSkyline"), 0);
   EXPECT_EQ(BuildsMatching(on, "GlobalSkyline"), 0)
       << "the incomplete global stages must reuse the shuffled matrix";
   EXPECT_GE(on.matrix_reuses.count("GlobalSkyline [incomplete]"), 1u);
-
-  const QueryMetrics off = RunWithExchange(&session, query, "4", "false");
-  EXPECT_EQ(
-      off.matrix_builds.count("GlobalSkyline [incomplete] [candidates]"), 1u)
-      << "without the exchange the global stage re-projects the gathered rows";
 }
 
 // A nested skyline under the non-distributed strategy feeds the inner
@@ -436,10 +415,11 @@ TEST(ColumnarExchange, NestedSkylineWithDifferentDimsDecodes) {
       "SELECT * FROM (SELECT * FROM pts SKYLINE OF d0 MIN, d1 MAX) t "
       "SKYLINE OF d2 MIN, d1 MIN";
 
-  ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "non_distributed"));
-  ASSERT_OK(session.SetConf("sparkline.skyline.exchange.columnar", "false"));
+  // The plain-SQL rewriting never builds a matrix, so it cannot reuse the
+  // wrong one.
+  ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "reference"));
   const std::vector<std::string> expected = RowStrings(Rows(&session, nested));
-  ASSERT_OK(session.SetConf("sparkline.skyline.exchange.columnar", "true"));
+  ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "non_distributed"));
   EXPECT_EQ(expected, RowStrings(Rows(&session, nested)));
 
   ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "distributed"));
@@ -591,6 +571,347 @@ TEST(SfsEarlyStopEndToEnd, AutoDisabledOnIncompleteData) {
             RowStrings(skyline::BruteForceSkyline(
                 ::sparkline::testing::Rows(&session, "SELECT * FROM pts"),
                 oracle_dims, oracle_options)));
+}
+
+// --- order-exact encoding: NaN, wide BIGINT, VARCHAR goals -------------------
+
+/// A table whose skyline columns hold every shape DominanceMatrix::Build
+/// must rank rather than key directly, next to an ordinary numeric column:
+///   x  DOUBLE   small integers (ordinary, directly keyed)
+///   f  DOUBLE   NaN (both signs), ±0.0, ±inf and a few finite values
+///   b  BIGINT   values around ±2^53 plus INT64_MIN / INT64_MAX
+///   s  VARCHAR  short strings, including "" and mixed case
+/// With `null_rate` > 0 every skyline column is nullable and NULL-bearing.
+/// With `ranked_from` < n only rows from that index on draw f and b from
+/// the special pools (earlier rows get plain values), so contiguous scan
+/// partitions disagree on which dimensions are ranked.
+TablePtr EncodingTable(const std::string& name, size_t n, double null_rate,
+                       uint64_t seed, size_t ranked_from = 0) {
+  constexpr int64_t k53 = int64_t{1} << 53;
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> f_pool = {nan, -nan, -0.0, 0.0, inf,
+                                      -inf, 1.5,  -2.0, 3.0};
+  const std::vector<int64_t> b_pool = {
+      k53 - 1, k53,    k53 + 1, k53 + 2, -k53, -k53 - 1,
+      std::numeric_limits<int64_t>::max(), std::numeric_limits<int64_t>::min(),
+      0,       7};
+  const std::vector<std::string> s_pool = {"", "a", "ab", "b", "Zed", "zed"};
+  const bool nullable = null_rate > 0;
+  Schema schema({Field{"id", DataType::Int64(), false},
+                 Field{"x", DataType::Double(), nullable},
+                 Field{"f", DataType::Double(), nullable},
+                 Field{"b", DataType::Int64(), nullable},
+                 Field{"s", DataType::String(), nullable}});
+  auto table = std::make_shared<Table>(name, schema);
+  Rng rng(seed);
+  auto pick = [&](size_t size) {
+    return static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(size) - 1));
+  };
+  for (size_t i = 0; i < n; ++i) {
+    const bool special = i >= ranked_from;
+    Row row{Value::Int64(static_cast<int64_t>(i)),
+            Value::Double(static_cast<double>(rng.UniformInt(0, 9))),
+            Value::Double(special ? f_pool[pick(f_pool.size())]
+                                  : static_cast<double>(rng.UniformInt(0, 9))),
+            Value::Int64(special ? b_pool[pick(b_pool.size())]
+                                 : rng.UniformInt(-9, 9)),
+            Value::String(s_pool[pick(s_pool.size())])};
+    for (size_t c = 1; c < row.size(); ++c) {
+      if (nullable && rng.Bernoulli(null_rate)) {
+        row[c] = Value::Null(schema.field(c).type);
+      }
+    }
+    SL_CHECK_OK(table->AppendRow(std::move(row)));
+  }
+  return table;
+}
+
+/// Sorted multiset of rendered rows with -0.0 shown as 0: -0.0 and 0.0 are
+/// equal skyline values, so which of two equal tuples DISTINCT keeps must
+/// not show. (NaN already renders sign-free.)
+std::vector<std::string> CanonicalRows(std::vector<Row> rows) {
+  for (Row& row : rows) {
+    for (Value& v : row) {
+      if (!v.is_null() && v.type() == DataType::Double() &&
+          v.double_value() == 0.0) {
+        v = Value::Double(0.0);
+      }
+    }
+  }
+  return RowStrings(rows);
+}
+
+struct EncodingQuery {
+  std::vector<std::pair<const char*, SkylineGoal>> dims;
+
+  /// The analyzer admits VARCHAR only as a DIFF goal; VARCHAR MIN/MAX
+  /// reaches the operators only when a plan is built without SQL.
+  bool admitted_by_sql() const {
+    for (const auto& [column, goal] : dims) {
+      if (std::string(column) == "s" && goal != SkylineGoal::kDiff) {
+        return false;
+      }
+    }
+    return true;
+  }
+};
+
+/// Column ordinals of EncodingTable.
+size_t EncodingOrdinal(const std::string& column) {
+  const std::vector<std::string> columns = {"id", "x", "f", "b", "s"};
+  return static_cast<size_t>(
+      std::find(columns.begin(), columns.end(), column) - columns.begin());
+}
+
+const char* GoalName(SkylineGoal goal) {
+  switch (goal) {
+    case SkylineGoal::kMin:
+      return "MIN";
+    case SkylineGoal::kMax:
+      return "MAX";
+    case SkylineGoal::kDiff:
+      return "DIFF";
+  }
+  return "?";
+}
+
+std::vector<skyline::BoundDimension> EncodingDims(const EncodingQuery& q) {
+  std::vector<skyline::BoundDimension> dims;
+  for (const auto& [column, goal] : q.dims) {
+    dims.push_back({EncodingOrdinal(column), goal});
+  }
+  return dims;
+}
+
+/// The oracle: BruteForceSkyline straight from the table rows, projected
+/// onto the skyline columns (the queries select exactly those).
+std::vector<std::string> EncodingOracle(const Table& table,
+                                        const EncodingQuery& q, bool distinct,
+                                        skyline::NullSemantics nulls) {
+  const std::vector<skyline::BoundDimension> dims = EncodingDims(q);
+  skyline::SkylineOptions options;
+  options.distinct = distinct;
+  options.nulls = nulls;
+  std::vector<Row> projected;
+  for (const Row& row :
+       skyline::BruteForceSkyline(table.rows(), dims, options)) {
+    Row out;
+    for (const auto& d : dims) out.push_back(row[d.ordinal]);
+    projected.push_back(std::move(out));
+  }
+  return CanonicalRows(std::move(projected));
+}
+
+/// Runs the query through hand-built physical operators in the plan shapes
+/// the planner emits (Listing 8: local -> gather -> global, with a
+/// null-bitmap exchange first under incomplete semantics) and returns the
+/// skyline columns of the result.
+std::vector<Row> RunOperators(const TablePtr& table, const EncodingQuery& q,
+                              bool distinct, bool incomplete,
+                              SkylineKernel kernel, int executors) {
+  const std::vector<skyline::BoundDimension> dims = EncodingDims(q);
+  std::vector<size_t> columns;
+  std::vector<Attribute> attrs;
+  for (size_t c = 0; c < table->schema().num_fields(); ++c) {
+    const Field& field = table->schema().field(c);
+    columns.push_back(c);
+    attrs.push_back(Attribute{field.name, field.type, field.nullable});
+  }
+  PhysicalPlanPtr plan = std::make_shared<ScanExec>(table, columns, attrs);
+  if (incomplete) {
+    plan = std::make_shared<ExchangeExec>(ExchangeMode::kNullBitmapHash, dims,
+                                          plan);
+    plan = std::make_shared<LocalSkylineExec>(
+        dims, distinct, skyline::NullSemantics::kIncomplete, plan);
+    plan = std::make_shared<ExchangeExec>(ExchangeMode::kGather, dims, plan);
+    plan = std::make_shared<GlobalSkylineIncompleteExec>(dims, distinct, plan);
+  } else {
+    plan = std::make_shared<LocalSkylineExec>(
+        dims, distinct, skyline::NullSemantics::kComplete, plan, kernel);
+    plan = std::make_shared<ExchangeExec>(ExchangeMode::kGather, dims, plan);
+    plan = std::make_shared<GlobalSkylineExec>(dims, distinct, plan, kernel);
+  }
+  ClusterConfig cluster;
+  cluster.num_executors = executors;
+  ExecContext ctx(cluster);
+  auto rel = plan->Execute(&ctx);
+  SL_CHECK(rel.ok()) << rel.status().ToString();
+  std::vector<Row> projected;
+  for (const Row& row : std::move(*rel).Flatten()) {
+    Row out;
+    for (const auto& d : dims) out.push_back(row[d.ordinal]);
+    projected.push_back(std::move(out));
+  }
+  return projected;
+}
+
+std::string EncodingSql(const std::string& table, const EncodingQuery& q,
+                        bool distinct) {
+  std::vector<std::string> columns, items;
+  for (const auto& [column, goal] : q.dims) {
+    columns.push_back(column);
+    items.push_back(StrCat(column, " ", GoalName(goal)));
+  }
+  return StrCat("SELECT ", JoinStrings(columns, ", "), " FROM ", table,
+                " SKYLINE OF ", distinct ? "DISTINCT " : "",
+                JoinStrings(items, ", "));
+}
+
+const std::vector<EncodingQuery>& EncodingQueries() {
+  static const std::vector<EncodingQuery> queries = {
+      {{{"f", SkylineGoal::kMin}, {"x", SkylineGoal::kMin}}},
+      {{{"f", SkylineGoal::kMax}, {"x", SkylineGoal::kMax}}},
+      {{{"b", SkylineGoal::kMin}, {"x", SkylineGoal::kMax}}},
+      {{{"b", SkylineGoal::kMax}, {"x", SkylineGoal::kMin}}},
+      {{{"s", SkylineGoal::kMin}, {"x", SkylineGoal::kMin}}},
+      {{{"s", SkylineGoal::kMax}, {"f", SkylineGoal::kMin}}},
+      {{{"f", SkylineGoal::kMin},
+        {"b", SkylineGoal::kMax},
+        {"s", SkylineGoal::kMin},
+        {"x", SkylineGoal::kMax}}},
+      {{{"s", SkylineGoal::kDiff},
+        {"b", SkylineGoal::kMin},
+        {"f", SkylineGoal::kMax}}},
+  };
+  return queries;
+}
+
+struct EncodingCase {
+  const char* name;
+  double null_rate;
+  size_t ranked_from;  // rows before this index hold plain f/b values
+};
+
+class EncodingSweep : public ::testing::TestWithParam<EncodingCase> {};
+
+// Every query over NaN / wide-BIGINT / VARCHAR dimensions, under every
+// kernel × executor count × DISTINCT × strategy (complete and incomplete
+// semantics), must equal BruteForceSkyline — and, on NULL-free data, the
+// plain-SQL reference rewriting (Listing 4), whose NULL handling matches
+// neither semantics and so is left out for NULL-bearing data. VARCHAR
+// MIN/MAX, which the analyzer rejects, runs through hand-built operator
+// plans against BruteForceSkyline only.
+TEST_P(EncodingSweep, AgreesWithBothOracles) {
+  const auto& param = GetParam();
+  TablePtr table = EncodingTable("enc", 96, param.null_rate, /*seed=*/77,
+                                 param.ranked_from);
+  Session session;
+  ASSERT_OK(session.catalog()->RegisterTable(table));
+  const bool with_nulls = param.null_rate > 0;
+  const std::vector<const char*> strategies =
+      with_nulls ? std::vector<const char*>{"auto", "incomplete"}
+                 : std::vector<const char*>{"auto", "distributed",
+                                            "non_distributed", "incomplete"};
+  int combinations = 0;
+  for (const EncodingQuery& q : EncodingQueries()) {
+    for (const bool distinct : {false, true}) {
+      const std::string sql = EncodingSql("enc", q, distinct);
+      const std::vector<std::string> expected = EncodingOracle(
+          *table, q, distinct,
+          with_nulls ? skyline::NullSemantics::kIncomplete
+                     : skyline::NullSemantics::kComplete);
+      ASSERT_FALSE(expected.empty()) << sql;
+      if (!q.admitted_by_sql()) {
+        const std::vector<bool> semantics =
+            with_nulls ? std::vector<bool>{true}
+                       : std::vector<bool>{false, true};
+        for (const bool incomplete : semantics) {
+          for (const SkylineKernel kernel : {SkylineKernel::kBlockNestedLoop,
+                                             SkylineKernel::kSortFilterSkyline,
+                                             SkylineKernel::kGridFilter}) {
+            for (const int executors : {1, 3, 8}) {
+              ASSERT_EQ(expected,
+                        CanonicalRows(RunOperators(table, q, distinct,
+                                                   incomplete, kernel,
+                                                   executors)))
+                  << sql << " (operators) incomplete=" << incomplete
+                  << " kernel=" << static_cast<int>(kernel)
+                  << " executors=" << executors;
+              ++combinations;
+            }
+          }
+        }
+        continue;
+      }
+      if (!with_nulls) {
+        ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "reference"));
+        ASSERT_EQ(expected, CanonicalRows(Rows(&session, sql)))
+            << sql << " strategy=reference";
+      }
+      for (const char* strategy : strategies) {
+        for (const char* kernel : {"bnl", "sfs", "grid"}) {
+          for (const char* executors : {"1", "3", "8"}) {
+            ASSERT_OK(session.SetConf("sparkline.skyline.strategy", strategy));
+            ASSERT_OK(session.SetConf("sparkline.skyline.kernel", kernel));
+            ASSERT_OK(session.SetConf("sparkline.executors", executors));
+            ASSERT_EQ(expected, CanonicalRows(Rows(&session, sql)))
+                << sql << " strategy=" << strategy << " kernel=" << kernel
+                << " executors=" << executors;
+            ++combinations;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GE(combinations, 8 * 2 * 3 * 3);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, EncodingSweep,
+    ::testing::Values(EncodingCase{"complete", 0.0, 0},
+                      EncodingCase{"incomplete", 0.15, 0},
+                      // Only the last scan partitions hold NaN / wide BIGINT:
+                      // partitions disagree on encoding and the gather must
+                      // re-rank.
+                      EncodingCase{"ranked_tail", 0.0, 80},
+                      EncodingCase{"ranked_tail_incomplete", 0.15, 80}),
+    [](const ::testing::TestParamInfo<EncodingCase>& info) {
+      return info.param.name;
+    });
+
+// NaN only in the last scan partition: the other partitions key f directly
+// (and, under SFS, ship sorted views with stop bounds), the last one ranks
+// it. The gather must re-project once — counted as one matrix build under
+// the exchange's label — instead of concatenating disagreeing key spaces,
+// and the answer must still match the oracle.
+TEST(EncodingSweep, GatherReRanksWhenPartitionsDisagree) {
+  TablePtr table = EncodingTable("tail", 120, 0.0, /*seed=*/5,
+                                 /*ranked_from=*/112);
+  Session session;
+  ASSERT_OK(session.catalog()->RegisterTable(table));
+  ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "distributed"));
+  ASSERT_OK(session.SetConf("sparkline.executors", "8"));
+  const EncodingQuery q{{{"f", SkylineGoal::kMax}, {"x", SkylineGoal::kMin}}};
+  const std::string sql = EncodingSql("tail", q, /*distinct=*/false);
+  const std::vector<std::string> expected =
+      EncodingOracle(*table, q, false, skyline::NullSemantics::kComplete);
+  for (const char* kernel : {"bnl", "sfs"}) {
+    ASSERT_OK(session.SetConf("sparkline.skyline.kernel", kernel));
+    auto df = session.Sql(sql);
+    ASSERT_TRUE(df.ok());
+    auto result = df->Collect();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(expected, CanonicalRows(result->rows())) << kernel;
+    EXPECT_EQ(BuildsMatching(result->metrics, "Exchange [AllTuples]"), 1)
+        << kernel << ": the gather must re-rank the disagreeing partitions";
+    EXPECT_EQ(BuildsMatching(result->metrics, "LocalSkyline"), 8);
+    EXPECT_EQ(BuildsMatching(result->metrics, "GlobalSkyline"), 0);
+  }
+}
+
+// The removed engine switches are gone from the configuration surface.
+TEST(RemovedFlags, ColumnarSwitchesAreUnknownKeys) {
+  Session session;
+  for (const char* key :
+       {"sparkline.skyline.columnar", "sparkline.skyline.exchange.columnar"}) {
+    const Status status = session.SetConf(key, "false");
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << key;
+    EXPECT_NE(status.ToString().find("unknown configuration key"),
+              std::string::npos)
+        << status.ToString();
+  }
 }
 
 }  // namespace

@@ -331,7 +331,8 @@ TEST(AnglePartitionTest, NormalizedKeysSpreadMaxGoalMixedScaleData) {
   auto local_survivors = [&](const std::vector<std::vector<Row>>& parts) {
     size_t total = 0;
     for (const auto& part : parts) {
-      auto local = skyline::BlockNestedLoop(part, dims, {});
+      auto local = skyline::ColumnarSkyline(
+          skyline::SkylineKernel::kBlockNestedLoop, part, dims, {});
       SL_CHECK(local.ok());
       total += local->size();
     }

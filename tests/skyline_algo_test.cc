@@ -1,4 +1,4 @@
-// Tests for the skyline algorithm library, including property sweeps against
+// Tests for the skyline kernels over rows, including property sweeps against
 // the brute-force oracle and the executable Appendix-A counterexample.
 #include <optional>
 #include <tuple>
@@ -9,11 +9,14 @@
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "common/timer.h"
-#include "skyline/algorithms.h"
+#include "skyline/columnar.h"
+#include "test_util.h"
 
 namespace sparkline {
 namespace skyline {
 namespace {
+
+using ::sparkline::testing::AllPairsSkyline;
 
 Row R(std::vector<double> vals) {
   Row row;
@@ -63,27 +66,49 @@ std::vector<Row> RandomRows(size_t n, size_t dims, double null_rate,
   return rows;
 }
 
+Result<std::vector<Row>> Bnl(const std::vector<Row>& rows,
+                             const std::vector<BoundDimension>& dims,
+                             const SkylineOptions& options) {
+  return ColumnarSkyline(SkylineKernel::kBlockNestedLoop, rows, dims, options);
+}
+
+Result<std::vector<Row>> Grid(const std::vector<Row>& rows,
+                              const std::vector<BoundDimension>& dims,
+                              const SkylineOptions& options) {
+  return ColumnarSkyline(SkylineKernel::kGridFilter, rows, dims, options);
+}
+
+/// The engine's incomplete pipeline over one relation: bitmap-grouped BNL
+/// (the local stage), then all-pairs over the local union (the global
+/// stage); complete semantics run BNL alone.
+Result<std::vector<Row>> LocalThenGlobal(
+    const std::vector<Row>& rows, const std::vector<BoundDimension>& dims,
+    const SkylineOptions& options) {
+  SL_ASSIGN_OR_RETURN(std::vector<Row> local, Bnl(rows, dims, options));
+  if (options.nulls == NullSemantics::kComplete) return local;
+  return AllPairsSkyline(local, dims, options);
+}
+
 TEST(BnlTest, EmptyInput) {
-  auto result = BlockNestedLoop({}, MinDims(2), {});
+  auto result = Bnl({}, MinDims(2), {});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->empty());
 }
 
 TEST(BnlTest, SingleTupleIsItsOwnSkyline) {
-  auto result = BlockNestedLoop({R({1, 2})}, MinDims(2), {});
+  auto result = Bnl({R({1, 2})}, MinDims(2), {});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->size(), 1u);
 }
 
 TEST(BnlTest, DominatedTupleRemoved) {
-  auto result = BlockNestedLoop({R({2, 2}), R({1, 1}), R({3, 0})},
-                                MinDims(2), {});
+  auto result = Bnl({R({2, 2}), R({1, 1}), R({3, 0})}, MinDims(2), {});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(Sorted(*result), Sorted({R({1, 1}), R({3, 0})}));
 }
 
 TEST(BnlTest, DuplicatesKeptWithoutDistinct) {
-  auto result = BlockNestedLoop({R({1, 1}), R({1, 1})}, MinDims(2), {});
+  auto result = Bnl({R({1, 1}), R({1, 1})}, MinDims(2), {});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->size(), 2u);
 }
@@ -91,7 +116,7 @@ TEST(BnlTest, DuplicatesKeptWithoutDistinct) {
 TEST(BnlTest, DuplicatesCollapsedWithDistinct) {
   SkylineOptions opts;
   opts.distinct = true;
-  auto result = BlockNestedLoop({R({1, 1}), R({1, 1})}, MinDims(2), opts);
+  auto result = Bnl({R({1, 1}), R({1, 1})}, MinDims(2), opts);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->size(), 1u);
 }
@@ -100,8 +125,7 @@ TEST(BnlTest, CountsDominanceTests) {
   DominanceCounter counter;
   SkylineOptions opts;
   opts.counter = &counter;
-  auto result =
-      BlockNestedLoop({R({1, 1}), R({2, 2}), R({3, 3})}, MinDims(2), opts);
+  auto result = Bnl({R({1, 1}), R({2, 2}), R({3, 3})}, MinDims(2), opts);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(counter.tests.load(), 0);
 }
@@ -110,15 +134,15 @@ TEST(BnlTest, DeadlineProducesTimeout) {
   auto rows = RandomRows(20000, 4, 0, 1000000, 3);
   SkylineOptions opts;
   opts.deadline_nanos = StopWatch::NowNanos();  // already expired
-  auto result = BlockNestedLoop(rows, MinDims(4), opts);
+  auto result = Bnl(rows, MinDims(4), opts);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsTimeout());
 }
 
-// Every row kernel polls the cancellation token at the DeadlineChecker
-// cadence; with a pre-cancelled token each must return Status::Cancelled
-// (never a crash, a hang, or a partial result passed off as complete).
-TEST(CancellationTest, EveryRowKernelHonorsCancelledToken) {
+// Every kernel polls the cancellation token at the DeadlineChecker cadence;
+// with a pre-cancelled token each must return Status::Cancelled (never a
+// crash, a hang, or a partial result passed off as complete).
+TEST(CancellationTest, EveryKernelHonorsCancelledToken) {
   const std::vector<Row> rows = RandomRows(20000, 4, 0, 1000000, 17);
   const std::vector<BoundDimension> dims = MinDims(4);
   CancellationToken token;
@@ -131,15 +155,16 @@ TEST(CancellationTest, EveryRowKernelHonorsCancelledToken) {
 
   SkylineOptions opts;
   opts.cancel = &token;
-  expect_cancelled(BlockNestedLoop(rows, dims, opts).status(), "bnl");
-  expect_cancelled(GridFilterSkyline(rows, dims, opts).status(), "grid");
+  expect_cancelled(Bnl(rows, dims, opts).status(), "bnl");
+  expect_cancelled(Grid(rows, dims, opts).status(), "grid");
   for (const SfsSortKey key : {SfsSortKey::kSum, SfsSortKey::kMinMax}) {
     for (const bool early_stop : {false, true}) {
       SkylineOptions sfs = opts;
       sfs.sfs_sort_key = key;
       sfs.sfs_early_stop = early_stop;
       expect_cancelled(
-          SortFilterSkyline(rows, dims, sfs).status(),
+          ColumnarSkyline(SkylineKernel::kSortFilterSkyline, rows, dims, sfs)
+              .status(),
           StrCat("sfs key=", static_cast<int>(key), " stop=", early_stop));
     }
   }
@@ -147,24 +172,29 @@ TEST(CancellationTest, EveryRowKernelHonorsCancelledToken) {
   // Incomplete-data kernels (the quadratic scans are the ones that need
   // interruption most).
   const std::vector<Row> sparse = RandomRows(4000, 3, 0.3, 50, 21);
+  auto matrix = DominanceMatrix::Build(sparse, MinDims(3));
+  ASSERT_TRUE(matrix.ok());
+  const std::vector<uint32_t> all = AllIndices(*matrix);
+  const std::vector<uint32_t> first_half(all.begin(),
+                                         all.begin() + all.size() / 2);
+  const std::vector<uint32_t> second_half(all.begin() + all.size() / 2,
+                                          all.end());
   SkylineOptions iopts;
   iopts.nulls = NullSemantics::kIncomplete;
   iopts.cancel = &token;
-  expect_cancelled(AllPairsIncomplete(sparse, MinDims(3), iopts).status(),
+  expect_cancelled(ColumnarAllPairsIncomplete(*matrix, all, iopts).status(),
                    "all_pairs");
   expect_cancelled(
-      IncompleteCandidateScan(sparse, 0, sparse.size(), MinDims(3), iopts)
-          .status(),
+      ColumnarIncompleteCandidateScan(*matrix, all, iopts).status(),
       "candidate_scan");
   SkylineOptions vopts = iopts;
   vopts.cancel = nullptr;
-  auto candidates =
-      IncompleteCandidateScan(sparse, 0, sparse.size() / 2, MinDims(3), vopts);
+  auto candidates = ColumnarIncompleteCandidateScan(*matrix, first_half, vopts);
   ASSERT_TRUE(candidates.ok());
-  expect_cancelled(ValidateAgainstChunk(sparse, *candidates, sparse.size() / 2,
-                                        sparse.size(), MinDims(3), iopts)
-                       .status(),
-                   "validate");
+  expect_cancelled(
+      ColumnarValidateAgainstChunk(*matrix, *candidates, second_half, iopts)
+          .status(),
+      "validate");
 }
 
 TEST(AllPairsTest, MatchesOracleOnCyclicData) {
@@ -173,7 +203,7 @@ TEST(AllPairsTest, MatchesOracleOnCyclicData) {
                            RN({std::nullopt, 5, 3})};
   SkylineOptions opts;
   opts.nulls = NullSemantics::kIncomplete;
-  auto result = AllPairsIncomplete(rows, MinDims(3), opts);
+  auto result = AllPairsSkyline(rows, MinDims(3), opts);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->empty());
 }
@@ -188,21 +218,41 @@ TEST(FlawedGulzarTest, AppendixACounterexample) {
 
   SkylineOptions opts;
   opts.nulls = NullSemantics::kIncomplete;
-  auto correct = AllPairsIncomplete(rows, MinDims(3), opts);
+  auto correct = AllPairsSkyline(rows, MinDims(3), opts);
   ASSERT_TRUE(correct.ok());
   EXPECT_TRUE(correct->empty());
+  EXPECT_TRUE(BruteForceSkyline(rows, MinDims(3), opts).empty());
+
+  // The round-based parallel protocol (one chunk per tuple: every
+  // elimination happens in a validation round) agrees with all-pairs.
+  auto matrix = DominanceMatrix::Build(rows, MinDims(3));
+  ASSERT_TRUE(matrix.ok());
+  for (uint32_t c = 0; c < rows.size(); ++c) {
+    std::vector<uint32_t> candidate = {c};
+    for (uint32_t peer = 0; peer < rows.size(); ++peer) {
+      if (peer == c) continue;
+      auto kept =
+          ColumnarValidateAgainstChunk(*matrix, candidate, {peer}, opts);
+      ASSERT_TRUE(kept.ok());
+      candidate = *kept;
+    }
+    EXPECT_TRUE(candidate.empty()) << "tuple " << c << " leaked";
+  }
 }
 
 TEST(PartitionTest, GroupsByNullBitmap) {
   std::vector<Row> rows = {RN({1, 2}), RN({std::nullopt, 2}), RN({3, 4}),
                            RN({std::nullopt, 7})};
-  auto parts = PartitionByNullBitmap(rows, MinDims(2));
+  auto matrix = DominanceMatrix::Build(rows, MinDims(2));
+  ASSERT_TRUE(matrix.ok());
+  auto parts = PartitionIndicesByNullBitmap(*matrix);
   ASSERT_EQ(parts.size(), 2u);
   EXPECT_EQ(parts[0].size() + parts[1].size(), 4u);
   for (const auto& part : parts) {
-    const uint32_t bitmap = NullBitmap(part[0], MinDims(2));
-    for (const auto& r : part) {
-      EXPECT_EQ(NullBitmap(r, MinDims(2)), bitmap);
+    const uint32_t bitmap = NullBitmap(rows[part[0]], MinDims(2));
+    for (const uint32_t r : part) {
+      EXPECT_EQ(NullBitmap(rows[r], MinDims(2)), bitmap);
+      EXPECT_EQ(matrix->null_bitmap(r), bitmap);
     }
   }
 }
@@ -218,44 +268,46 @@ TEST(Lemma51Test, LocalSkylineUnionPreservesGlobalSkyline) {
     SkylineOptions opts;
     opts.nulls = NullSemantics::kIncomplete;
 
-    std::vector<Row> local_union;
-    for (const auto& part : PartitionByNullBitmap(rows, dims)) {
-      auto local = BlockNestedLoop(part, dims, opts);
+    auto matrix = DominanceMatrix::Build(rows, dims);
+    ASSERT_TRUE(matrix.ok());
+    std::vector<uint32_t> local_union;
+    for (const auto& part : PartitionIndicesByNullBitmap(*matrix)) {
+      auto local = ColumnarBlockNestedLoop(*matrix, part, opts);
       ASSERT_TRUE(local.ok());
       local_union.insert(local_union.end(), local->begin(), local->end());
     }
-    auto from_union = AllPairsIncomplete(local_union, dims, opts);
+    auto from_union = ColumnarAllPairsIncomplete(*matrix, local_union, opts);
     ASSERT_TRUE(from_union.ok());
     auto oracle = BruteForceSkyline(rows, dims, opts);
-    EXPECT_EQ(Sorted(*from_union), Sorted(oracle)) << "seed " << seed;
+    EXPECT_EQ(Sorted(MaterializeRows(rows, *from_union)), Sorted(oracle))
+        << "seed " << seed;
   }
 }
 
 TEST(SfsTest, MatchesBnlOnCompleteData) {
   for (uint64_t seed : {10u, 11u, 12u}) {
     auto rows = RandomRows(500, 3, 0, 50, seed);
-    auto bnl = BlockNestedLoop(rows, MinDims(3), {});
-    auto sfs = SortFilterSkyline(rows, MinDims(3), {});
+    auto bnl = Bnl(rows, MinDims(3), {});
+    auto sfs = ColumnarSkyline(SkylineKernel::kSortFilterSkyline, rows,
+                               MinDims(3), {});
     ASSERT_TRUE(bnl.ok());
     ASSERT_TRUE(sfs.ok());
     EXPECT_EQ(Sorted(*bnl), Sorted(*sfs));
   }
 }
 
-TEST(ComputeSkylineTest, CompleteDelegatesToBnl) {
+TEST(LocalThenGlobalTest, CompleteMatchesOracle) {
   auto rows = RandomRows(200, 2, 0, 20, 77);
-  auto a = ComputeSkyline(rows, MinDims(2), {});
-  auto b = BlockNestedLoop(rows, MinDims(2), {});
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(Sorted(*a), Sorted(*b));
+  auto got = LocalThenGlobal(rows, MinDims(2), {});
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(Sorted(*got), Sorted(BruteForceSkyline(rows, MinDims(2), {})));
 }
 
-TEST(ComputeSkylineTest, IncompleteMatchesOracle) {
+TEST(LocalThenGlobalTest, IncompleteMatchesOracle) {
   SkylineOptions opts;
   opts.nulls = NullSemantics::kIncomplete;
   auto rows = RandomRows(300, 3, 0.25, 5, 31);
-  auto got = ComputeSkyline(rows, MinDims(3), opts);
+  auto got = LocalThenGlobal(rows, MinDims(3), opts);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(Sorted(*got), Sorted(BruteForceSkyline(rows, MinDims(3), opts)));
 }
@@ -275,7 +327,7 @@ class SkylineSweep : public ::testing::TestWithParam<SweepParam> {};
 TEST_P(SkylineSweep, BnlMatchesOracleOnCompleteData) {
   const auto& p = GetParam();
   auto rows = RandomRows(p.n, p.dims, 0.0, p.cardinality, p.seed);
-  auto got = BlockNestedLoop(rows, MinDims(p.dims), {});
+  auto got = Bnl(rows, MinDims(p.dims), {});
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(Sorted(*got),
             Sorted(BruteForceSkyline(rows, MinDims(p.dims), {})));
@@ -286,7 +338,7 @@ TEST_P(SkylineSweep, AllPairsMatchesOracleOnIncompleteData) {
   SkylineOptions opts;
   opts.nulls = NullSemantics::kIncomplete;
   auto rows = RandomRows(p.n, p.dims, p.null_rate, p.cardinality, p.seed);
-  auto got = AllPairsIncomplete(rows, MinDims(p.dims), opts);
+  auto got = AllPairsSkyline(rows, MinDims(p.dims), opts);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(Sorted(*got),
             Sorted(BruteForceSkyline(rows, MinDims(p.dims), opts)));
@@ -295,7 +347,7 @@ TEST_P(SkylineSweep, AllPairsMatchesOracleOnIncompleteData) {
 TEST_P(SkylineSweep, GridFilterMatchesOracleOnCompleteData) {
   const auto& p = GetParam();
   auto rows = RandomRows(p.n, p.dims, 0.0, p.cardinality, p.seed);
-  auto got = GridFilterSkyline(rows, MinDims(p.dims), {});
+  auto got = Grid(rows, MinDims(p.dims), {});
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(Sorted(*got),
             Sorted(BruteForceSkyline(rows, MinDims(p.dims), {})));
@@ -308,7 +360,7 @@ TEST_P(SkylineSweep, GridFilterMatchesOracleOnMixedGoals) {
     dims.push_back({d, d % 2 == 0 ? SkylineGoal::kMin : SkylineGoal::kMax});
   }
   auto rows = RandomRows(p.n, p.dims, 0.0, p.cardinality, p.seed + 100);
-  auto got = GridFilterSkyline(rows, dims, {});
+  auto got = Grid(rows, dims, {});
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(Sorted(*got), Sorted(BruteForceSkyline(rows, dims, {})));
 }
@@ -317,14 +369,15 @@ TEST(GridFilterTest, FallsBackOnIncompleteData) {
   auto rows = RandomRows(200, 2, 0.3, 5, 55);
   SkylineOptions opts;
   opts.nulls = NullSemantics::kIncomplete;
-  // Must still be correct (it delegates to BNL, which requires
-  // bitmap-uniform input; here we only check it does not crash and matches
-  // BNL's own behaviour on the same input).
-  auto grid = GridFilterSkyline(rows, MinDims(2), opts);
-  auto bnl = BlockNestedLoop(rows, MinDims(2), opts);
+  // Grid delegates to BNL under incomplete semantics (BNL then requires
+  // bitmap-uniform input; here we only check the delegation is exact).
+  auto matrix = DominanceMatrix::Build(rows, MinDims(2));
+  ASSERT_TRUE(matrix.ok());
+  auto grid = ColumnarGridFilterSkyline(*matrix, AllIndices(*matrix), opts);
+  auto bnl = ColumnarBlockNestedLoop(*matrix, AllIndices(*matrix), opts);
   ASSERT_TRUE(grid.ok());
   ASSERT_TRUE(bnl.ok());
-  EXPECT_EQ(Sorted(*grid), Sorted(*bnl));
+  EXPECT_EQ(*grid, *bnl);
 }
 
 TEST(GridFilterTest, PrunesCellsOnLargeUniformData) {
@@ -336,8 +389,8 @@ TEST(GridFilterTest, PrunesCellsOnLargeUniformData) {
   grid_opts.counter = &grid_counter;
   SkylineOptions bnl_opts;
   bnl_opts.counter = &bnl_counter;
-  auto grid = GridFilterSkyline(rows, MinDims(2), grid_opts);
-  auto bnl = BlockNestedLoop(rows, MinDims(2), bnl_opts);
+  auto grid = Grid(rows, MinDims(2), grid_opts);
+  auto bnl = Bnl(rows, MinDims(2), bnl_opts);
   ASSERT_TRUE(grid.ok());
   ASSERT_TRUE(bnl.ok());
   EXPECT_EQ(Sorted(*grid), Sorted(*bnl));
@@ -351,7 +404,7 @@ TEST_P(SkylineSweep, MixedGoalsMatchOracle) {
     dims.push_back({d, d % 2 == 0 ? SkylineGoal::kMin : SkylineGoal::kMax});
   }
   auto rows = RandomRows(p.n, p.dims, 0.0, p.cardinality, p.seed);
-  auto got = BlockNestedLoop(rows, dims, {});
+  auto got = Bnl(rows, dims, {});
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(Sorted(*got), Sorted(BruteForceSkyline(rows, dims, {})));
 }
@@ -363,7 +416,7 @@ TEST_P(SkylineSweep, DiffGoalMatchesOracle) {
   dims.push_back({0, SkylineGoal::kDiff});
   for (size_t d = 1; d < p.dims; ++d) dims.push_back({d, SkylineGoal::kMin});
   auto rows = RandomRows(p.n, p.dims, 0.0, p.cardinality, p.seed);
-  auto got = BlockNestedLoop(rows, dims, {});
+  auto got = Bnl(rows, dims, {});
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(Sorted(*got), Sorted(BruteForceSkyline(rows, dims, {})));
 }
@@ -373,7 +426,7 @@ TEST_P(SkylineSweep, DistinctMatchesOracle) {
   SkylineOptions opts;
   opts.distinct = true;
   auto rows = RandomRows(p.n, p.dims, 0.0, p.cardinality, p.seed);
-  auto got = BlockNestedLoop(rows, MinDims(p.dims), opts);
+  auto got = Bnl(rows, MinDims(p.dims), opts);
   ASSERT_TRUE(got.ok());
   // DISTINCT keeps one representative per duplicate group; sizes must match
   // the oracle's.

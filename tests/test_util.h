@@ -12,6 +12,7 @@
 #include "api/dataframe.h"
 #include "api/session.h"
 #include "catalog/table.h"
+#include "skyline/columnar.h"
 
 namespace sparkline {
 namespace testing {
@@ -69,6 +70,20 @@ inline TablePtr MakePointsTable(const std::string& name,
     SL_CHECK_OK(table->AppendRow(std::move(row)));
   }
   return table;
+}
+
+/// The all-pairs incomplete skyline (ColumnarAllPairsIncomplete) over
+/// rows: one matrix, all rows, survivors materialized in input order.
+inline Result<std::vector<Row>> AllPairsSkyline(
+    const std::vector<Row>& rows,
+    const std::vector<skyline::BoundDimension>& dims,
+    const skyline::SkylineOptions& options) {
+  SL_ASSIGN_OR_RETURN(skyline::DominanceMatrix matrix,
+                      skyline::DominanceMatrix::Build(rows, dims));
+  SL_ASSIGN_OR_RETURN(std::vector<uint32_t> survivors,
+                      skyline::ColumnarAllPairsIncomplete(
+                          matrix, skyline::AllIndices(matrix), options));
+  return skyline::MaterializeRows(rows, survivors);
 }
 
 /// Runs SQL in the session and returns the rows (asserting success).
