@@ -136,19 +136,12 @@ Status CheckNode(const LogicalPlanPtr& node) {
       if (sky.dimensions().empty()) {
         return Status::AnalysisError("SKYLINE OF requires dimensions");
       }
+      // Any type may carry any goal: CompareValues totally orders every
+      // SQL type, VARCHAR included.
       for (const auto& d : sky.dimensions()) {
         if (d->kind() != ExprKind::kSkylineDimension) {
           return Status::Internal(
               StrCat("skyline dimension has wrong kind: ", d->ToString()));
-        }
-        const auto& dim = static_cast<const SkylineDimension&>(*d);
-        const DataType t = dim.child()->type();
-        if (dim.goal() != SkylineGoal::kDiff && !t.is_numeric() &&
-            t != DataType::Bool()) {
-          return Status::AnalysisError(StrCat(
-              "MIN/MAX skyline dimensions must be orderable (numeric or "
-              "boolean), got ",
-              t.ToString(), " in ", d->ToString()));
         }
       }
       if (sky.dimensions().size() > 32) {

@@ -217,8 +217,7 @@ Status Catalog::InsertInto(const std::string& name,
     // Bulk copy + zone-map transplant: the predecessor's summaries stay
     // exact for the copied rows, so only the inserted rows are observed
     // below — an incremental min/max merge, not a rebuild.
-    next->CopyRowsFrom(*old);
-    next->Reserve(old->num_rows() + rows.size());
+    next->CopyRowsFrom(*old, /*extra_rows=*/rows.size());
     for (const Row& row : rows) SL_RETURN_NOT_OK(next->AppendRow(row));
     WriteEvent event;
     event.kind = WriteEvent::Kind::kInsert;

@@ -74,11 +74,14 @@ class Table {
   /// copy-on-write fast path of Catalog::InsertInto. The predecessor's
   /// summaries are already exact for its rows, so the successor's zone map
   /// is maintained incrementally (only newly appended rows get observed)
-  /// instead of being rebuilt O(rows x columns).
+  /// instead of being rebuilt O(rows x columns). `extra_rows` more rows are
+  /// reserved in the same allocation, so the appends that follow never
+  /// reallocate the copy.
   ///
   /// \pre this table is empty and shares `other`'s schema.
-  void CopyRowsFrom(const Table& other) {
-    rows_ = other.rows_;
+  void CopyRowsFrom(const Table& other, size_t extra_rows) {
+    rows_.reserve(other.rows_.size() + extra_rows);
+    rows_.insert(rows_.end(), other.rows_.begin(), other.rows_.end());
     zone_map_ = other.zone_map_;
   }
 

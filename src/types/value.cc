@@ -37,35 +37,45 @@ Result<Value> Value::CastTo(DataType target) const {
   if (type() == target) return *this;
   switch (target.id()) {
     case TypeId::kDouble:
-      if (type_ == TypeId::kInt64) return Value::Double(static_cast<double>(int_));
-      if (type_ == TypeId::kBool) return Value::Double(bool_ ? 1.0 : 0.0);
+      if (type_ == TypeId::kInt64) {
+        return Value::Double(static_cast<double>(word_.i));
+      }
+      if (type_ == TypeId::kBool) return Value::Double(word_.b ? 1.0 : 0.0);
       if (type_ == TypeId::kString) {
+        const std::string& s = string_value();
         try {
-          return Value::Double(std::stod(string_));
+          return Value::Double(std::stod(s));
         } catch (...) {
-          return Status::Invalid(StrCat("cannot cast '", string_, "' to DOUBLE"));
+          return Status::Invalid(StrCat("cannot cast '", s, "' to DOUBLE"));
         }
       }
       break;
     case TypeId::kInt64:
       if (type_ == TypeId::kDouble) {
-        return Value::Int64(static_cast<int64_t>(std::llround(double_)));
+        // -2^63 is exact in both types and 2^63 is the first double past
+        // INT64_MAX; NaN fails both comparisons.
+        const double rounded = std::round(word_.d);
+        if (rounded >= -0x1p63 && rounded < 0x1p63) {
+          return Value::Int64(static_cast<int64_t>(rounded));
+        }
+        return Status::Invalid(
+            StrCat("cannot cast ", ToString(), " to BIGINT"));
       }
-      if (type_ == TypeId::kBool) return Value::Int64(bool_ ? 1 : 0);
+      if (type_ == TypeId::kBool) return Value::Int64(word_.b ? 1 : 0);
       if (type_ == TypeId::kString) {
+        const std::string& s = string_value();
         int64_t out = 0;
-        auto [ptr, ec] =
-            std::from_chars(string_.data(), string_.data() + string_.size(), out);
-        if (ec == std::errc() && ptr == string_.data() + string_.size()) {
+        auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
+        if (ec == std::errc() && ptr == s.data() + s.size()) {
           return Value::Int64(out);
         }
-        return Status::Invalid(StrCat("cannot cast '", string_, "' to BIGINT"));
+        return Status::Invalid(StrCat("cannot cast '", s, "' to BIGINT"));
       }
       break;
     case TypeId::kString:
       return Value::String(ToString());
     case TypeId::kBool:
-      if (type_ == TypeId::kInt64) return Value::Bool(int_ != 0);
+      if (type_ == TypeId::kInt64) return Value::Bool(word_.i != 0);
       break;
   }
   return Status::Invalid(StrCat("unsupported cast from ", type().ToString(),
@@ -76,13 +86,13 @@ std::string Value::ToString() const {
   if (is_null_) return "NULL";
   switch (type_) {
     case TypeId::kBool:
-      return bool_ ? "true" : "false";
+      return word_.b ? "true" : "false";
     case TypeId::kInt64:
-      return std::to_string(int_);
+      return std::to_string(word_.i);
     case TypeId::kDouble:
-      return DoubleToString(double_);
+      return DoubleToString(word_.d);
     case TypeId::kString:
-      return string_;
+      return string_value();
   }
   return "?";
 }
@@ -92,13 +102,13 @@ bool Value::Equals(const Value& other) const {
   if (type_ == other.type_) {
     switch (type_) {
       case TypeId::kBool:
-        return bool_ == other.bool_;
+        return word_.b == other.word_.b;
       case TypeId::kInt64:
-        return int_ == other.int_;
+        return word_.i == other.word_.i;
       case TypeId::kDouble:
-        return CompareDoubles(double_, other.double_) == 0;
+        return CompareDoubles(word_.d, other.word_.d) == 0;
       case TypeId::kString:
-        return string_ == other.string_;
+        return string_value() == other.string_value();
     }
   }
   if (type().is_numeric() && other.type().is_numeric()) {
@@ -111,16 +121,16 @@ size_t Value::Hash() const {
   if (is_null_) return 0x9e3779b97f4a7c15ull;
   switch (type_) {
     case TypeId::kBool:
-      return bool_ ? 0x12345 : 0x54321;
+      return word_.b ? 0x12345 : 0x54321;
     case TypeId::kInt64:
       // Hash integral-valued numerics identically to their double form so
       // Hash is consistent with Equals' numeric widening.
-      return std::hash<double>()(static_cast<double>(int_));
+      return std::hash<double>()(static_cast<double>(word_.i));
     case TypeId::kDouble:
       // Every NaN payload is one value (Equals), so all hash alike.
-      return std::hash<double>()(std::isnan(double_) ? NAN : double_);
+      return std::hash<double>()(std::isnan(word_.d) ? NAN : word_.d);
     case TypeId::kString:
-      return std::hash<std::string>()(string_);
+      return std::hash<std::string>()(string_value());
   }
   return 0;
 }

@@ -2,6 +2,7 @@
 // sparkline supports (BOOLEAN, BIGINT, DOUBLE, VARCHAR).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -49,7 +50,12 @@ bool TypesComparable(DataType a, DataType b);
 /// DOUBLE when mixing BIGINT and DOUBLE).
 DataType CommonType(DataType a, DataType b);
 
-/// \brief A single nullable SQL value.
+/// \brief A single nullable SQL value, 16 bytes.
+///
+/// A type tag, a null flag and one 8-byte word: BOOLEAN, BIGINT and DOUBLE
+/// live in the word; a VARCHAR's word points to an immutable payload that
+/// every copy of the value shares, so copying a VARCHAR never copies its
+/// characters. A moved-from value is a NULL of its type.
 ///
 /// Null values still carry a type tag so that expression evaluation stays
 /// typed; an "untyped" SQL NULL literal defaults to BIGINT and is coerced
@@ -57,40 +63,67 @@ DataType CommonType(DataType a, DataType b);
 class Value {
  public:
   /// Default-constructs a BIGINT NULL.
-  Value() : type_(TypeId::kInt64), is_null_(true) {}
+  Value() : type_(TypeId::kInt64), is_null_(true), word_{0} {}
+
+  Value(const Value& other) noexcept
+      : type_(other.type_), is_null_(other.is_null_), word_(other.word_) {
+    Retain();
+  }
+  Value(Value&& other) noexcept
+      : type_(other.type_), is_null_(other.is_null_), word_(other.word_) {
+    other.is_null_ = true;
+  }
+  Value& operator=(const Value& other) noexcept {
+    other.Retain();  // before Release, so self-assignment keeps the payload
+    Release();
+    type_ = other.type_;
+    is_null_ = other.is_null_;
+    word_ = other.word_;
+    return *this;
+  }
+  Value& operator=(Value&& other) noexcept {
+    if (this != &other) {
+      Release();
+      type_ = other.type_;
+      is_null_ = other.is_null_;
+      word_ = other.word_;
+      other.is_null_ = true;
+    }
+    return *this;
+  }
+  ~Value() { Release(); }
 
   static Value Null(DataType type = DataType::Int64()) {
     Value v;
     v.type_ = type.id();
-    v.is_null_ = true;
     return v;
   }
   static Value Bool(bool b) {
     Value v;
     v.type_ = TypeId::kBool;
     v.is_null_ = false;
-    v.bool_ = b;
+    v.word_.b = b;
     return v;
   }
   static Value Int64(int64_t i) {
     Value v;
     v.type_ = TypeId::kInt64;
     v.is_null_ = false;
-    v.int_ = i;
+    v.word_.i = i;
     return v;
   }
   static Value Double(double d) {
     Value v;
     v.type_ = TypeId::kDouble;
     v.is_null_ = false;
-    v.double_ = d;
+    v.word_.d = d;
     return v;
   }
   static Value String(std::string s) {
     Value v;
+    v.word_.s = new StringPayload(std::move(s));
     v.type_ = TypeId::kString;
     v.is_null_ = false;
-    v.string_ = std::move(s);
     return v;
   }
 
@@ -99,29 +132,32 @@ class Value {
 
   bool bool_value() const {
     SL_DCHECK(!is_null_ && type_ == TypeId::kBool);
-    return bool_;
+    return word_.b;
   }
   int64_t int64_value() const {
     SL_DCHECK(!is_null_ && type_ == TypeId::kInt64);
-    return int_;
+    return word_.i;
   }
   double double_value() const {
     SL_DCHECK(!is_null_ && type_ == TypeId::kDouble);
-    return double_;
+    return word_.d;
   }
   const std::string& string_value() const {
     SL_DCHECK(!is_null_ && type_ == TypeId::kString);
-    return string_;
+    return word_.s->str;
   }
 
   /// Numeric value widened to double; only valid for non-null numerics.
   double ToDouble() const {
     SL_DCHECK(!is_null_ && DataType(type_).is_numeric());
-    return type_ == TypeId::kDouble ? double_ : static_cast<double>(int_);
+    return type_ == TypeId::kDouble ? word_.d : static_cast<double>(word_.i);
   }
 
   /// Casts to the given type; numeric widening/narrowing and string parsing
-  /// are supported. Nulls cast to nulls of the target type.
+  /// are supported. Nulls cast to nulls of the target type. DOUBLE narrows
+  /// to BIGINT by rounding half away from zero; NaN, ±infinity and values
+  /// that round outside the BIGINT range are Invalid, like an unparsable
+  /// string.
   Result<Value> CastTo(DataType target) const;
 
   /// SQL-ish rendering; NULL renders as "NULL".
@@ -134,24 +170,52 @@ class Value {
   /// Hash consistent with Equals.
   size_t Hash() const;
 
-  /// Approximate in-memory footprint, for the memory-consumption metrics.
+  /// Approximate in-memory footprint, for the memory-consumption metrics:
+  /// 16 bytes, plus the payload for a non-null VARCHAR. A payload shared by
+  /// several values is counted once per value, so the estimate errs high.
   int64_t EstimatedBytes() const {
     return static_cast<int64_t>(sizeof(Value)) +
-           (type_ == TypeId::kString
-                ? static_cast<int64_t>(string_.capacity())
-                : 0);
+           (has_payload() ? static_cast<int64_t>(sizeof(StringPayload) +
+                                                 word_.s->str.capacity())
+                          : 0);
   }
 
  private:
+  /// A VARCHAR's characters, allocated once by String() and freed by the
+  /// last release. Immutable, so sharing it needs no lock; the count is
+  /// atomic because executor threads copy rows out of one shared table.
+  struct StringPayload {
+    explicit StringPayload(std::string s) : str(std::move(s)) {}
+    mutable std::atomic<uint64_t> refs{1};
+    const std::string str;
+  };
+
+  /// Which member is live follows type_; none is read while is_null_.
+  union Word {
+    int64_t i;
+    double d;
+    bool b;
+    const StringPayload* s;
+  };
+
+  bool has_payload() const { return type_ == TypeId::kString && !is_null_; }
+  void Retain() const {
+    if (has_payload()) word_.s->refs.fetch_add(1, std::memory_order_relaxed);
+  }
+  void Release() {
+    if (has_payload() &&
+        word_.s->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      delete word_.s;
+    }
+  }
+
   TypeId type_;
   bool is_null_;
-  union {
-    bool bool_;
-    int64_t int_;
-    double double_;
-  };
-  std::string string_;
+  Word word_;
 };
+
+static_assert(sizeof(Value) == 16,
+              "a Value is a type tag, a null flag and one 8-byte word");
 
 /// \brief Spark's total order on DOUBLE: NaN equals NaN and is greater than
 /// every other value (+infinity included), and -0.0 equals 0.0. Returns
@@ -167,8 +231,11 @@ int CompareDoubles(double x, double y);
 /// checked only in debug.
 int CompareValues(const Value& a, const Value& b);
 
-/// \brief A tuple. Row-oriented storage keeps the skyline operators simple
-/// and matches Spark's InternalRow model at the operator boundary.
+/// \brief A tuple: one 16-byte Value per column, whose VARCHAR payloads
+/// every copy of the row shares. Row-oriented storage keeps the skyline
+/// operators simple and matches Spark's InternalRow model at the operator
+/// boundary; as in Spark's UnsafeRow, each fixed-width field is one 8-byte
+/// word and variable-length data lives out of line.
 using Row = std::vector<Value>;
 
 /// Approximate memory footprint of a row.

@@ -197,10 +197,14 @@ TEST_F(AnalyzerTest, SkylineKeepsFlags) {
   EXPECT_TRUE(sky->complete());
 }
 
-TEST_F(AnalyzerTest, SkylineOnStringDimensionFails) {
-  auto r = Analyze("SELECT * FROM hotels SKYLINE OF city MIN");
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.status().message().find("orderable"), std::string::npos);
+// CompareValues totally orders VARCHAR and the ranked DominanceMatrix keys
+// strings by that order, so MIN/MAX goals over a string are admitted.
+TEST_F(AnalyzerTest, SkylineOnStringDimensionAllowed) {
+  auto plan = AnalyzeOk("SELECT * FROM hotels SKYLINE OF city MIN, price MAX");
+  const SkylineNode* sky = FindSkyline(plan);
+  ASSERT_NE(sky, nullptr);
+  EXPECT_EQ(sky->dimensions().size(), 2u);
+  AnalyzeOk("SELECT * FROM hotels SKYLINE OF city MAX");
 }
 
 TEST_F(AnalyzerTest, SkylineDiffOnStringAllowed) {

@@ -13,7 +13,6 @@
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "datagen/datagen.h"
-#include "exec/physical_plan.h"
 #include "skyline/algorithms.h"
 #include "test_util.h"
 
@@ -645,17 +644,6 @@ std::vector<std::string> CanonicalRows(std::vector<Row> rows) {
 
 struct EncodingQuery {
   std::vector<std::pair<const char*, SkylineGoal>> dims;
-
-  /// The analyzer admits VARCHAR only as a DIFF goal; VARCHAR MIN/MAX
-  /// reaches the operators only when a plan is built without SQL.
-  bool admitted_by_sql() const {
-    for (const auto& [column, goal] : dims) {
-      if (std::string(column) == "s" && goal != SkylineGoal::kDiff) {
-        return false;
-      }
-    }
-    return true;
-  }
 };
 
 /// Column ordinals of EncodingTable.
@@ -704,49 +692,6 @@ std::vector<std::string> EncodingOracle(const Table& table,
   return CanonicalRows(std::move(projected));
 }
 
-/// Runs the query through hand-built physical operators in the plan shapes
-/// the planner emits (Listing 8: local -> gather -> global, with a
-/// null-bitmap exchange first under incomplete semantics) and returns the
-/// skyline columns of the result.
-std::vector<Row> RunOperators(const TablePtr& table, const EncodingQuery& q,
-                              bool distinct, bool incomplete,
-                              SkylineKernel kernel, int executors) {
-  const std::vector<skyline::BoundDimension> dims = EncodingDims(q);
-  std::vector<size_t> columns;
-  std::vector<Attribute> attrs;
-  for (size_t c = 0; c < table->schema().num_fields(); ++c) {
-    const Field& field = table->schema().field(c);
-    columns.push_back(c);
-    attrs.push_back(Attribute{field.name, field.type, field.nullable});
-  }
-  PhysicalPlanPtr plan = std::make_shared<ScanExec>(table, columns, attrs);
-  if (incomplete) {
-    plan = std::make_shared<ExchangeExec>(ExchangeMode::kNullBitmapHash, dims,
-                                          plan);
-    plan = std::make_shared<LocalSkylineExec>(
-        dims, distinct, skyline::NullSemantics::kIncomplete, plan);
-    plan = std::make_shared<ExchangeExec>(ExchangeMode::kGather, dims, plan);
-    plan = std::make_shared<GlobalSkylineIncompleteExec>(dims, distinct, plan);
-  } else {
-    plan = std::make_shared<LocalSkylineExec>(
-        dims, distinct, skyline::NullSemantics::kComplete, plan, kernel);
-    plan = std::make_shared<ExchangeExec>(ExchangeMode::kGather, dims, plan);
-    plan = std::make_shared<GlobalSkylineExec>(dims, distinct, plan, kernel);
-  }
-  ClusterConfig cluster;
-  cluster.num_executors = executors;
-  ExecContext ctx(cluster);
-  auto rel = plan->Execute(&ctx);
-  SL_CHECK(rel.ok()) << rel.status().ToString();
-  std::vector<Row> projected;
-  for (const Row& row : std::move(*rel).Flatten()) {
-    Row out;
-    for (const auto& d : dims) out.push_back(row[d.ordinal]);
-    projected.push_back(std::move(out));
-  }
-  return projected;
-}
-
 std::string EncodingSql(const std::string& table, const EncodingQuery& q,
                         bool distinct) {
   std::vector<std::string> columns, items;
@@ -774,6 +719,9 @@ const std::vector<EncodingQuery>& EncodingQueries() {
       {{{"s", SkylineGoal::kDiff},
         {"b", SkylineGoal::kMin},
         {"f", SkylineGoal::kMax}}},
+      // One dimension: without DISTINCT, on NULL-free data, the optimizer
+      // rewrites it into a scalar MAX over VARCHAR.
+      {{{"s", SkylineGoal::kMax}}},
   };
   return queries;
 }
@@ -786,13 +734,12 @@ struct EncodingCase {
 
 class EncodingSweep : public ::testing::TestWithParam<EncodingCase> {};
 
-// Every query over NaN / wide-BIGINT / VARCHAR dimensions, under every
-// kernel × executor count × DISTINCT × strategy (complete and incomplete
-// semantics), must equal BruteForceSkyline — and, on NULL-free data, the
-// plain-SQL reference rewriting (Listing 4), whose NULL handling matches
-// neither semantics and so is left out for NULL-bearing data. VARCHAR
-// MIN/MAX, which the analyzer rejects, runs through hand-built operator
-// plans against BruteForceSkyline only.
+// Every query over NaN / wide-BIGINT / VARCHAR dimensions (VARCHAR under
+// MIN, MAX and DIFF), under every kernel × executor count × DISTINCT ×
+// strategy (complete and incomplete semantics), must equal
+// BruteForceSkyline — and, on NULL-free data, the plain-SQL reference
+// rewriting (Listing 4), whose NULL handling matches neither semantics and
+// so is left out for NULL-bearing data.
 TEST_P(EncodingSweep, AgreesWithBothOracles) {
   const auto& param = GetParam();
   TablePtr table = EncodingTable("enc", 96, param.null_rate, /*seed=*/77,
@@ -813,28 +760,6 @@ TEST_P(EncodingSweep, AgreesWithBothOracles) {
           with_nulls ? skyline::NullSemantics::kIncomplete
                      : skyline::NullSemantics::kComplete);
       ASSERT_FALSE(expected.empty()) << sql;
-      if (!q.admitted_by_sql()) {
-        const std::vector<bool> semantics =
-            with_nulls ? std::vector<bool>{true}
-                       : std::vector<bool>{false, true};
-        for (const bool incomplete : semantics) {
-          for (const SkylineKernel kernel : {SkylineKernel::kBlockNestedLoop,
-                                             SkylineKernel::kSortFilterSkyline,
-                                             SkylineKernel::kGridFilter}) {
-            for (const int executors : {1, 3, 8}) {
-              ASSERT_EQ(expected,
-                        CanonicalRows(RunOperators(table, q, distinct,
-                                                   incomplete, kernel,
-                                                   executors)))
-                  << sql << " (operators) incomplete=" << incomplete
-                  << " kernel=" << static_cast<int>(kernel)
-                  << " executors=" << executors;
-              ++combinations;
-            }
-          }
-        }
-        continue;
-      }
       if (!with_nulls) {
         ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "reference"));
         ASSERT_EQ(expected, CanonicalRows(Rows(&session, sql)))
@@ -855,7 +780,8 @@ TEST_P(EncodingSweep, AgreesWithBothOracles) {
       }
     }
   }
-  EXPECT_GE(combinations, 8 * 2 * 3 * 3);
+  EXPECT_EQ(combinations, static_cast<int>(EncodingQueries().size() * 2 *
+                                           strategies.size() * 3 * 3));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -3,6 +3,7 @@
 // hammer of mixed cached/uncached skyline queries checked against the
 // brute-force oracle. A cache hit must be *bit-identical* to uncached
 // execution — same rows, same order, in fact the same shared snapshot.
+#include <cmath>
 #include <future>
 #include <mutex>
 #include <thread>
@@ -175,6 +176,26 @@ TEST(CatalogVersionTest, MonotonicPerTableVersions) {
   EXPECT_EQ(snapshot->num_rows(), rows_before);
   ASSERT_OK_AND_ASSIGN(TablePtr current, catalog.GetTable("pts"));
   EXPECT_EQ(current->num_rows(), rows_before + 1);
+}
+
+// A NaN has no BIGINT image, so the implicit DOUBLE -> BIGINT conversion
+// on insert fails, and the write publishes nothing: not even the batch's
+// valid first row, and no new version.
+TEST(CatalogVersionTest, UnrepresentableInsertFailsCleanly) {
+  Catalog catalog;
+  ASSERT_OK(catalog.RegisterTable(SmallPoints()));
+  ASSERT_OK_AND_ASSIGN(TablePtr before, catalog.GetTable("pts"));
+  const uint64_t version = catalog.TableVersion("pts");
+  const Status status = catalog.InsertInto(
+      "pts", {Row{Value::Int64(8), Value::Double(1.0), Value::Double(1.0)},
+              Row{Value::Double(std::nan("")), Value::Double(1.0),
+                  Value::Double(1.0)}});
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_NE(status.message().find("to BIGINT"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(catalog.TableVersion("pts"), version);
+  ASSERT_OK_AND_ASSIGN(TablePtr after, catalog.GetTable("pts"));
+  EXPECT_EQ(after, before);
 }
 
 TEST(CatalogVersionTest, WriteListenerObservesOrderedEventsWithPayload) {

@@ -1,4 +1,12 @@
 // Tests for the type system (Value, DataType, Schema, rows).
+#include <atomic>
+#include <cmath>
+#include <limits>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "types/schema.h"
@@ -6,6 +14,10 @@
 
 namespace sparkline {
 namespace {
+
+// Longer than std::string's inline buffer, so a copied string would own a
+// second heap buffer and data() would differ.
+const std::string kLongText(64, 'v');
 
 TEST(DataTypeTest, Names) {
   EXPECT_EQ(DataType::Bool().ToString(), "BOOLEAN");
@@ -67,6 +79,32 @@ TEST(ValueTest, CastNumeric) {
   EXPECT_EQ(i->int64_value(), 3);  // rounds
 }
 
+// DOUBLE -> BIGINT is defined only where the rounded value is a BIGINT:
+// NaN, the infinities and anything from 2^63 up or below -2^63 are Invalid
+// instead of whatever the CPU's conversion returns.
+TEST(ValueTest, CastDoubleToBigintRejectsUnrepresentable) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double d : {std::nan(""), inf, -inf, 0x1p63,
+                         std::nextafter(-0x1p63, -inf), 1e300}) {
+    const auto r = Value::Double(d).CastTo(DataType::Int64());
+    ASSERT_FALSE(r.ok()) << d;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << d;
+    EXPECT_NE(r.status().message().find("to BIGINT"), std::string::npos)
+        << r.status().ToString();
+  }
+  // -2^63 is INT64_MIN exactly; the largest double below 2^63 fits too.
+  const auto lowest = Value::Double(-0x1p63).CastTo(DataType::Int64());
+  ASSERT_TRUE(lowest.ok());
+  EXPECT_EQ(lowest->int64_value(), std::numeric_limits<int64_t>::min());
+  const auto highest =
+      Value::Double(std::nextafter(0x1p63, 0.0)).CastTo(DataType::Int64());
+  ASSERT_TRUE(highest.ok());
+  EXPECT_EQ(highest->int64_value(), int64_t{9223372036854774784});
+  const auto half = Value::Double(-2.5).CastTo(DataType::Int64());
+  ASSERT_TRUE(half.ok());
+  EXPECT_EQ(half->int64_value(), -3);  // half away from zero
+}
+
 TEST(ValueTest, CastStringParses) {
   auto i = Value::String("123").CastTo(DataType::Int64());
   ASSERT_TRUE(i.ok());
@@ -112,6 +150,112 @@ TEST(RowTest, EstimateBytesGrowsWithStrings) {
   Row small{Value::Int64(1)};
   Row large{Value::String(std::string(1000, 'x'))};
   EXPECT_GT(EstimateRowBytes(large), EstimateRowBytes(small));
+}
+
+TEST(ValueTest, EstimatedBytes) {
+  for (const Value& v : {Value::Int64(1), Value::Double(2.5), Value::Bool(true),
+                         Value::Null(), Value::Null(DataType::String())}) {
+    EXPECT_EQ(v.EstimatedBytes(), 16) << v.ToString();
+  }
+  const Value text = Value::String(kLongText);
+  EXPECT_GE(text.EstimatedBytes(),
+            16 + static_cast<int64_t>(kLongText.size()));
+  // Every value holding a shared payload counts it in full.
+  const Value copy = text;
+  EXPECT_EQ(copy.EstimatedBytes(), text.EstimatedBytes());
+}
+
+TEST(ValueTest, VarcharCopiesShareOnePayload) {
+  const Value original = Value::String(kLongText);
+  const char* data = original.string_value().data();
+  const Value constructed(original);
+  EXPECT_EQ(constructed.string_value().data(), data);
+
+  Value assigned = Value::Int64(7);
+  assigned = original;
+  EXPECT_EQ(assigned.string_value().data(), data);
+
+  Value replaced = Value::String("an older payload, released on assignment");
+  replaced = original;
+  EXPECT_EQ(replaced.string_value().data(), data);
+  replaced = Value::Double(1.5);  // drops one share; the others keep it
+  EXPECT_DOUBLE_EQ(replaced.double_value(), 1.5);
+  EXPECT_EQ(original.string_value(), kLongText);
+
+  const Row row{Value::Int64(1), original};
+  const Row row_copy = row;
+  EXPECT_EQ(row_copy[1].string_value().data(), data);
+}
+
+TEST(ValueTest, VarcharSelfAssignmentKeepsPayload) {
+  Value v = Value::String(kLongText);
+  const char* data = v.string_value().data();
+  const Value& alias = v;
+  v = alias;
+  EXPECT_EQ(v.string_value(), kLongText);
+  EXPECT_EQ(v.string_value().data(), data);
+  Value& same = v;
+  v = std::move(same);
+  EXPECT_EQ(v.string_value(), kLongText);
+  EXPECT_EQ(v.string_value().data(), data);
+}
+
+TEST(ValueTest, MovedFromValueIsNullOfItsType) {
+  Value source = Value::String(kLongText);
+  const char* data = source.string_value().data();
+  Value constructed(std::move(source));
+  EXPECT_EQ(constructed.string_value().data(), data);
+  EXPECT_TRUE(source.is_null());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(source.type(), DataType::String());
+
+  Value assigned = Value::String("replaced");
+  assigned = std::move(constructed);
+  EXPECT_EQ(assigned.string_value().data(), data);
+  EXPECT_TRUE(constructed.is_null());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(constructed.type(), DataType::String());
+
+  Value number = Value::Double(2.5);
+  const Value taken = std::move(number);
+  EXPECT_DOUBLE_EQ(taken.double_value(), 2.5);
+  EXPECT_TRUE(number.is_null());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(number.type(), DataType::Double());
+
+  source = Value::String("reused");
+  EXPECT_EQ(source.string_value(), "reused");
+}
+
+// Executor threads copy rows out of one shared table at once, so copies
+// and destructions of one payload race on its count. TSan reports a
+// non-atomic count, ASan a second release, LeakSanitizer a missed one.
+TEST(ValueTest, ConcurrentCopiesOfOneVarchar) {
+  const Value shared = Value::String(kLongText);
+  const Row shared_row{Value::Int64(1), shared, Value::Double(0.5)};
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 2000;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kRounds; ++i) {
+        Value copy = shared;
+        Value moved = std::move(copy);
+        std::vector<Row> rows(3, shared_row);
+        rows[0][1] = moved;
+        rows.push_back(rows[1]);
+        const Row taken = std::move(rows.back());
+        rows.pop_back();
+        if (taken[1].string_value().data() !=
+                shared.string_value().data() ||
+            rows[0][1].string_value().size() != kLongText.size()) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(shared.string_value(), kLongText);
+  EXPECT_EQ(shared_row[1].string_value().data(), shared.string_value().data());
 }
 
 TEST(SchemaTest, IndexOfIsCaseInsensitive) {
