@@ -522,9 +522,10 @@ Result<QueryResult> Session::ExecuteUncached(
 
   QueryResult result;
   result.attrs = rel.attrs;
-  // The plan-root decode: a relation still in columnar-exchange form
-  // materializes its rows exactly here (timed into decode_ms).
-  const bool root_decode = rel.has_batches();
+  // The plan-root decode: a relation still in columnar-exchange form, or
+  // still borrowing its rows (a plain scan), copies out exactly the rows it
+  // returns here (timed into decode_ms).
+  const bool root_decode = rel.has_batches() || rel.has_views();
   StopWatch decode;
   result.SetRows(std::move(rel).Flatten());
   if (root_decode) ctx.AddDecodeMs(decode.ElapsedMillis());

@@ -36,6 +36,13 @@ struct TableConstraints {
 };
 
 /// \brief A named, row-oriented, in-memory table.
+///
+/// Once registered in a Catalog a table is an immutable snapshot: scans
+/// read its rows in place through RowViews that share ownership of it
+/// (docs/ARCHITECTURE.md, "Borrowed rows"), so the Append* methods are for
+/// building a table before registration only. Writes to a registered
+/// table go through Catalog::InsertInto, which publishes a copy-on-write
+/// successor.
 class Table {
  public:
   Table(std::string name, Schema schema)
@@ -88,8 +95,9 @@ class Table {
   void Reserve(size_t n) { rows_.reserve(n); }
 
   /// Per-column min/max/null-count summaries over all rows, maintained on
-  /// every append. Consumed by the scan to seed per-partition zone maps and
-  /// by tests as the incremental-maintenance ground truth.
+  /// every append and carried across copy-on-write inserts. Tests use it as
+  /// the incremental-maintenance ground truth; the scan does not read it —
+  /// it builds per-partition zone maps over the partition's own rows.
   const ZoneMap& zone_map() const { return zone_map_; }
 
   /// Approximate bytes held by the table's rows.

@@ -100,6 +100,14 @@ struct ZoneMap {
     for (size_t i = 0; i < n; ++i) columns[i].Observe(row[i]);
   }
 
+  /// Folds in the projection of `row` onto `columns` (a scan's column map:
+  /// map column i summarizes row[columns[i]]) without materializing it.
+  void ObserveProjected(const Row& row, const std::vector<size_t>& columns) {
+    ++num_rows;
+    const size_t n = std::min(this->columns.size(), columns.size());
+    for (size_t i = 0; i < n; ++i) this->columns[i].Observe(row[columns[i]]);
+  }
+
   /// Merge with a map over disjoint rows of the same schema.
   void MergeFrom(const ZoneMap& other) {
     if (columns.size() != other.columns.size()) {

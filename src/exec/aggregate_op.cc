@@ -203,7 +203,7 @@ std::string HashAggregateExec::label() const {
 
 Result<PartitionedRelation> HashAggregateExec::Execute(ExecContext* ctx) const {
   SL_ASSIGN_OR_RETURN(PartitionedRelation in, children_[0]->Execute(ctx));
-  DecodeInput(ctx, &in);
+  SL_RETURN_NOT_OK(DecodeInput(ctx, &in));
 
   const bool merge_mode = mode_ == AggMode::kFinal;
   const size_t num_partitions = in.partitions.size();

@@ -72,7 +72,8 @@ struct QueryMetrics {
   /// up as fewer rows shipped.
   int64_t exchange_rows_shipped = 0;
   /// Estimated bytes those rows occupied on the wire (row estimate, plus
-  /// packed matrix keys for batch partitions).
+  /// packed matrix keys for batch partitions). Borrowed rows count like
+  /// owned ones: a row is serialized whoever owns it.
   int64_t exchange_bytes = 0;
   /// Filter points nominated and broadcast by BroadcastFilterExec
   /// (sparkline.skyline.broadcast_filter); 0 when the phase is off or
@@ -124,8 +125,10 @@ struct QueryMetrics {
   /// across parallel tasks, so it can exceed the stage's critical-path
   /// time; the per-stage critical path already includes it).
   double projection_ms = 0;
-  /// Milliseconds spent materializing rows from batches — mid-plan decodes
-  /// for non-skyline consumers plus the plan-root decode.
+  /// Milliseconds spent copying rows out of batches and borrowed
+  /// partitions: the per-partition tasks of DecodeInput for non-skyline
+  /// consumers (summed across tasks, like projection_ms) plus the plan-root
+  /// decode.
   double decode_ms = 0;
   /// DominanceMatrix projections (DominanceMatrix::Build) per stage label.
   /// Skyline plans build each partition's matrix exactly once — at the

@@ -46,8 +46,8 @@ std::string HashJoinExec::label() const {
 Result<PartitionedRelation> HashJoinExec::Execute(ExecContext* ctx) const {
   SL_ASSIGN_OR_RETURN(PartitionedRelation left, children_[0]->Execute(ctx));
   SL_ASSIGN_OR_RETURN(PartitionedRelation right, children_[1]->Execute(ctx));
-  DecodeInput(ctx, &left);
-  DecodeInput(ctx, &right);
+  SL_RETURN_NOT_OK(DecodeInput(ctx, &left));
+  SL_RETURN_NOT_OK(DecodeInput(ctx, &right));
   const std::vector<Row> build = std::move(right).Flatten();
   // RAII so the hash-table bytes are returned on error paths too (the old
   // Grow/Shrink pair leaked the reservation when a probe task failed).
@@ -139,8 +139,8 @@ std::string NestedLoopJoinExec::label() const {
 Result<PartitionedRelation> NestedLoopJoinExec::Execute(ExecContext* ctx) const {
   SL_ASSIGN_OR_RETURN(PartitionedRelation left, children_[0]->Execute(ctx));
   SL_ASSIGN_OR_RETURN(PartitionedRelation right, children_[1]->Execute(ctx));
-  DecodeInput(ctx, &left);
-  DecodeInput(ctx, &right);
+  SL_RETURN_NOT_OK(DecodeInput(ctx, &left));
+  SL_RETURN_NOT_OK(DecodeInput(ctx, &right));
   const std::vector<Row> broadcast = std::move(right).Flatten();
 
   ExprPtr condition = condition_;

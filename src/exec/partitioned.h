@@ -1,13 +1,20 @@
 // The dataset representation flowing between physical operators: a list of
-// row partitions (the analog of an RDD's partitions in Spark), optionally
-// carried in columnar-exchange form.
+// partitions (the analog of an RDD's partitions in Spark). A partition
+// takes one of three forms:
 //
-// Columnar exchange: skyline stages hand their output to the next stage as
-// ColumnarBatch views — a shared immutable DominanceMatrix plus a row-index
-// selection — instead of materialized rows, so downstream skyline stages
-// never re-project. A partition is EITHER rows in partitions[i] OR a batch
-// in batches[i], never both; non-skyline operators call EnsureRows(), which
-// decodes every batch in place.
+//   rows       partitions[i], materialized rows the query owns;
+//   borrowed   views[i], a RowView reading a table snapshot (or a local
+//              relation's rows) in place — what the leaves emit;
+//   batch      batches[i], a ColumnarBatch: a shared immutable
+//              DominanceMatrix plus a row-index selection over its backing
+//              rows, which may themselves be borrowed — what the skyline
+//              stages hand each other, so that downstream skyline stages
+//              never re-project.
+//
+// A borrowed or batch partition leaves partitions[i] empty. The skyline
+// stages and the re-partitioning exchanges read borrowed rows in place;
+// every other operator materializes its input through EnsureRows (see
+// docs/ARCHITECTURE.md, "Borrowed rows").
 #pragma once
 
 #include <optional>
@@ -17,6 +24,7 @@
 #include "common/memory_tracker.h"
 #include "expr/expression.h"
 #include "skyline/columnar.h"
+#include "types/row_view.h"
 #include "types/value.h"
 
 namespace sparkline {
@@ -25,11 +33,14 @@ namespace sparkline {
 struct PartitionedRelation {
   std::vector<Attribute> attrs;
   std::vector<std::vector<Row>> partitions;
-  /// Columnar side channel: empty (pure row mode), or exactly
-  /// partitions.size() entries where batches[i], when engaged, replaces
-  /// partitions[i] (which is then empty). Only the skyline operators and
-  /// the gather exchange produce or consume batches; everyone else calls
-  /// EnsureRows() first.
+  /// Borrowed side channel: empty, or exactly partitions.size() entries
+  /// where views[i], when engaged, replaces partitions[i]. Produced by
+  /// ScanExec and LocalRelationExec, re-routed by the re-partitioning
+  /// exchanges, read in place by LocalSkylineExec.
+  std::vector<std::optional<RowView>> views;
+  /// Columnar side channel: empty, or exactly partitions.size() entries
+  /// where batches[i], when engaged, replaces partitions[i]. Only the
+  /// skyline operators and the gather exchange produce or consume batches.
   std::vector<std::optional<skyline::ColumnarBatch>> batches;
   /// Zone-map side channel (sparkline.scan.zone_maps): empty, or exactly
   /// partitions.size() entries where zone_maps[i] summarizes the rows of
@@ -55,7 +66,21 @@ struct PartitionedRelation {
     return false;
   }
 
+  /// True when at least one partition is borrowed.
+  bool has_views() const {
+    for (const auto& v : views) {
+      if (v.has_value()) return true;
+    }
+    return false;
+  }
+
+  /// True when partition i is borrowed.
+  bool borrowed(size_t i) const {
+    return i < views.size() && views[i].has_value();
+  }
+
   size_t PartitionRows(size_t i) const {
+    if (borrowed(i)) return views[i]->size();
     if (i < batches.size() && batches[i].has_value()) {
       return batches[i]->num_rows();
     }
@@ -68,20 +93,30 @@ struct PartitionedRelation {
     return n;
   }
 
-  /// Decodes every batch partition into rows in place (moving out of
-  /// exclusively owned backings). After this the relation is in pure row
-  /// mode. Idempotent.
-  void EnsureRows() {
-    for (size_t i = 0; i < batches.size(); ++i) {
-      if (!batches[i].has_value()) continue;
-      partitions[i] = std::move(*batches[i]).DecodeConsuming();
+  /// The one materialization path: copies a borrowed partition's rows, or
+  /// decodes a batch's selected rows, into partitions[i]. A row partition
+  /// is left as is, so the call is idempotent. Touches only entry i, so
+  /// stage tasks may call it concurrently for distinct partitions.
+  void EnsureRows(size_t i) {
+    if (borrowed(i)) {
+      partitions[i] = views[i]->Materialize();
+      views[i].reset();
+    } else if (i < batches.size() && batches[i].has_value()) {
+      partitions[i] = batches[i]->Decode();
       batches[i].reset();
     }
+  }
+
+  /// EnsureRows for every partition; afterwards the relation holds rows
+  /// only.
+  void EnsureRows() {
+    for (size_t i = 0; i < partitions.size(); ++i) EnsureRows(i);
+    views.clear();
     batches.clear();
   }
 
-  /// Concatenates all partitions in order (an AllTuples gather), decoding
-  /// batches first — this is the plan-root decode.
+  /// Concatenates all partitions in order (an AllTuples gather),
+  /// materializing them first — this is the plan-root decode.
   std::vector<Row> Flatten() && {
     EnsureRows();
     if (partitions.size() == 1) return std::move(partitions[0]);
@@ -94,9 +129,12 @@ struct PartitionedRelation {
   }
 };
 
-/// Approximate in-memory footprint (samples one row per partition; batch
-/// partitions are estimated over their backing rows — matrix bytes are
-/// charged separately through the batch's own reservation).
+/// Bytes the relation holds for the query: materialized rows at their
+/// estimated size (one sampled row per partition times the count),
+/// borrowed rows at the size of their id list — the table owns them. A
+/// batch counts its selection the same way, by whether its backing rows
+/// are borrowed; matrix bytes are charged separately through the batch's
+/// own reservation.
 int64_t EstimateRelationBytes(const PartitionedRelation& rel);
 
 }  // namespace sparkline

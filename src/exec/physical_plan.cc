@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <thread>
 
 #include "common/failpoint.h"
@@ -14,19 +15,33 @@
 
 namespace sparkline {
 
+namespace {
+
+/// Partition i's rows at their estimated size, whoever owns them: the
+/// estimated size of its first (for a batch: first backing) row times its
+/// row count.
+int64_t PartitionRowBytes(const PartitionedRelation& rel, size_t i) {
+  const int64_t rows = static_cast<int64_t>(rel.PartitionRows(i));
+  if (rows == 0) return 0;
+  if (rel.borrowed(i)) return rel.views[i]->EstimateRowBytes(0) * rows;
+  if (i < rel.batches.size() && rel.batches[i].has_value()) {
+    return rel.batches[i]->backing().EstimateRowBytes(0) * rows;
+  }
+  return EstimateRowBytes(rel.partitions[i].front()) * rows;
+}
+
+}  // namespace
+
 int64_t EstimateRelationBytes(const PartitionedRelation& rel) {
   int64_t total = 0;
   for (size_t i = 0; i < rel.partitions.size(); ++i) {
-    if (i < rel.batches.size() && rel.batches[i].has_value()) {
-      const skyline::ColumnarBatch& batch = *rel.batches[i];
-      if (batch.num_rows() == 0 || batch.backing_rows().empty()) continue;
-      total += EstimateRowBytes(batch.backing_rows().front()) *
-               static_cast<int64_t>(batch.num_rows());
-      continue;
-    }
-    const auto& p = rel.partitions[i];
-    if (p.empty()) continue;
-    total += EstimateRowBytes(p.front()) * static_cast<int64_t>(p.size());
+    const bool borrowed =
+        rel.borrowed(i) || (i < rel.batches.size() &&
+                            rel.batches[i].has_value() &&
+                            rel.batches[i]->borrowed());
+    total += borrowed
+                 ? static_cast<int64_t>(rel.PartitionRows(i) * sizeof(uint32_t))
+                 : PartitionRowBytes(rel, i);
   }
   return total;
 }
@@ -166,11 +181,19 @@ Status PhysicalPlan::ChargeOutput(ExecContext* ctx,
   return ctx->CheckMemoryLimit();
 }
 
-void PhysicalPlan::DecodeInput(ExecContext* ctx, PartitionedRelation* in) const {
-  if (!in->has_batches()) return;
-  StopWatch decode;
-  in->EnsureRows();
-  ctx->AddDecodeMs(decode.ElapsedMillis());
+Status PhysicalPlan::DecodeInput(ExecContext* ctx,
+                                 PartitionedRelation* in) const {
+  if (!in->has_views() && !in->has_batches()) return Status::OK();
+  SL_RETURN_NOT_OK(
+      RunStage(ctx, in->partitions.size(), [&](size_t i) -> Status {
+        StopWatch decode;
+        in->EnsureRows(i);
+        ctx->AddDecodeMs(decode.ElapsedMillis());
+        return Status::OK();
+      }));
+  in->views.clear();
+  in->batches.clear();
+  return Status::OK();
 }
 
 Result<ExprPtr> EvaluateSubqueries(const ExprPtr& e, ExecContext* ctx) {
@@ -216,31 +239,37 @@ std::string ScanExec::label() const {
 }
 
 Result<PartitionedRelation> ScanExec::Execute(ExecContext* ctx) const {
-  const auto& rows = table_->rows();
+  // Aliases the TablePtr: the snapshot lives as long as any view of it.
+  std::shared_ptr<const std::vector<Row>> rows(table_, &table_->rows());
+  if (rows->size() > std::numeric_limits<uint32_t>::max()) {
+    return Status::Invalid(StrCat("table ", table_->name(), " has ",
+                                  rows->size(),
+                                  " rows; row ids address at most 2^32 - 1"));
+  }
   const size_t n = std::max(1, ctx->config().num_executors);
   PartitionedRelation out;
   out.attrs = output_;
   out.partitions.assign(n, {});
+  out.views.assign(n, std::nullopt);
   if (build_zone_maps_) out.zone_maps.assign(n, ZoneMap());
 
   // Contiguous chunks, like a data source with n splits.
-  const size_t per = (rows.size() + n - 1) / n;
+  const size_t per = (rows->size() + n - 1) / n;
   SL_RETURN_NOT_OK(RunStage(ctx, n, [&](size_t i) -> Status {
-    const size_t begin = std::min(rows.size(), i * per);
-    const size_t end = std::min(rows.size(), begin + per);
-    auto& part = out.partitions[i];
-    part.reserve(end - begin);
-    // Per-partition zone map over the *projected* output columns, folded in
-    // while the rows are copied anyway — the data-skipping metadata is free
-    // relative to the copy itself.
-    if (build_zone_maps_) out.zone_maps[i] = ZoneMap(column_indices_.size());
-    for (size_t r = begin; r < end; ++r) {
-      Row projected;
-      projected.reserve(column_indices_.size());
-      for (size_t c : column_indices_) projected.push_back(rows[r][c]);
-      if (build_zone_maps_) out.zone_maps[i].Observe(projected);
-      part.push_back(std::move(projected));
+    const size_t begin = std::min(rows->size(), i * per);
+    const size_t end = std::min(rows->size(), begin + per);
+    RowView view{rows, std::vector<uint32_t>(end - begin), column_indices_};
+    std::iota(view.ids.begin(), view.ids.end(), static_cast<uint32_t>(begin));
+    // Per-partition zone map over the *projected* output columns: a
+    // read-only pass over the borrowed rows.
+    if (build_zone_maps_) {
+      ZoneMap& zone = out.zone_maps[i];
+      zone = ZoneMap(column_indices_.size());
+      for (size_t k = 0; k < view.size(); ++k) {
+        zone.ObserveProjected(view.source(k), column_indices_);
+      }
     }
+    out.views[i] = std::move(view);
     return Status::OK();
   }));
   SL_RETURN_NOT_OK(ChargeOutput(ctx, &out));
@@ -256,7 +285,8 @@ LocalRelationExec::LocalRelationExec(std::shared_ptr<std::vector<Row>> rows,
 Result<PartitionedRelation> LocalRelationExec::Execute(ExecContext* ctx) const {
   PartitionedRelation out;
   out.attrs = output_;
-  out.partitions.push_back(*rows_);
+  out.partitions.emplace_back();
+  out.views.emplace_back(RowView::All(rows_));
   SL_RETURN_NOT_OK(ChargeOutput(ctx, &out));
   return out;
 }
@@ -270,7 +300,7 @@ ProjectExec::ProjectExec(std::vector<ExprPtr> bound_list,
 
 Result<PartitionedRelation> ProjectExec::Execute(ExecContext* ctx) const {
   SL_ASSIGN_OR_RETURN(PartitionedRelation in, children_[0]->Execute(ctx));
-  DecodeInput(ctx, &in);
+  SL_RETURN_NOT_OK(DecodeInput(ctx, &in));
   std::vector<ExprPtr> list = list_;
   for (auto& e : list) {
     SL_ASSIGN_OR_RETURN(e, EvaluateSubqueries(e, ctx));
@@ -304,7 +334,7 @@ FilterExec::FilterExec(ExprPtr bound_condition, PhysicalPlanPtr child)
 
 Result<PartitionedRelation> FilterExec::Execute(ExecContext* ctx) const {
   SL_ASSIGN_OR_RETURN(PartitionedRelation in, children_[0]->Execute(ctx));
-  DecodeInput(ctx, &in);
+  SL_RETURN_NOT_OK(DecodeInput(ctx, &in));
   SL_ASSIGN_OR_RETURN(ExprPtr cond, EvaluateSubqueries(condition_, ctx));
   PartitionedRelation out;
   out.attrs = output_;
@@ -328,19 +358,38 @@ Result<PartitionedRelation> FilterExec::Execute(ExecContext* ctx) const {
 
 namespace {
 
-/// Wire-size estimate of a relation crossing an exchange: row partitions as
-/// in EstimateRelationBytes (one sampled row times the count), batch
-/// partitions additionally ship their packed matrix keys (the view's rows
-/// are already counted by the row estimate; null bitmaps and dictionaries
-/// are noise next to the keys).
+/// Wire-size estimate of a relation crossing an exchange: every row at its
+/// estimated size (one sampled row times the count), borrowed or not — a
+/// row is serialized whoever owns it — and batch partitions additionally
+/// ship their packed matrix keys (null bitmaps and dictionaries are noise
+/// next to the keys).
 int64_t EstimateShippedBytes(const PartitionedRelation& rel) {
-  int64_t total = EstimateRelationBytes(rel);
+  int64_t total = 0;
+  for (size_t i = 0; i < rel.partitions.size(); ++i) {
+    total += PartitionRowBytes(rel, i);
+  }
   for (const auto& b : rel.batches) {
     if (!b.has_value()) continue;
     total += static_cast<int64_t>(b->num_rows() * b->matrix().num_dims() *
                                   sizeof(double));
   }
   return total;
+}
+
+/// True when every partition is borrowed from one source through one
+/// column map, so a re-partitioning exchange can route row ids. Scans and
+/// the re-partitioning exchanges themselves produce exactly this shape.
+bool RoutableViews(const PartitionedRelation& rel) {
+  if (rel.views.size() != rel.partitions.size() || rel.views.empty()) {
+    return false;
+  }
+  for (const auto& v : rel.views) {
+    if (!v.has_value() || v->rows != rel.views[0]->rows ||
+        v->columns != rel.views[0]->columns) {
+      return false;
+    }
+  }
+  return true;
 }
 
 /// 32-bit mix (murmur3 finalizer) so distinct null bitmaps spread over
@@ -392,20 +441,25 @@ double NormalizedKey(const Row& row, const skyline::BoundDimension& dim) {
 }
 }  // namespace
 
+AngleBounds::AngleBounds(size_t num_dims)
+    : lo(num_dims, std::numeric_limits<double>::infinity()),
+      hi(num_dims, -std::numeric_limits<double>::infinity()) {}
+
+void AngleBounds::Observe(const Row& row,
+                          const std::vector<skyline::BoundDimension>& dims) {
+  for (size_t d = 0; d < dims.size(); ++d) {
+    const double key = NormalizedKey(row, dims[d]);
+    if (std::isnan(key)) continue;
+    lo[d] = std::min(lo[d], key);
+    hi[d] = std::max(hi[d], key);
+  }
+}
+
 AngleBounds ComputeAngleBounds(const std::vector<std::vector<Row>>& partitions,
                                const std::vector<skyline::BoundDimension>& dims) {
-  AngleBounds bounds;
-  bounds.lo.assign(dims.size(), std::numeric_limits<double>::infinity());
-  bounds.hi.assign(dims.size(), -std::numeric_limits<double>::infinity());
+  AngleBounds bounds(dims.size());
   for (const auto& partition : partitions) {
-    for (const Row& row : partition) {
-      for (size_t d = 0; d < dims.size(); ++d) {
-        const double key = NormalizedKey(row, dims[d]);
-        if (std::isnan(key)) continue;
-        bounds.lo[d] = std::min(bounds.lo[d], key);
-        bounds.hi[d] = std::max(bounds.hi[d], key);
-      }
-    }
+    for (const Row& row : partition) bounds.Observe(row, dims);
   }
   return bounds;
 }
@@ -473,7 +527,7 @@ Result<PartitionedRelation> ExchangeExec::Execute(ExecContext* ctx) const {
     for (size_t i = 0; i < in.partitions.size(); ++i) {
       if (i < in.batches.size() && in.batches[i].has_value()) {
         parts.push_back(std::move(*in.batches[i]));
-      } else if (!in.partitions[i].empty()) {
+      } else if (in.PartitionRows(i) > 0) {
         return Status::Internal(
             StrCat(label(), " received rows next to batches in partition ", i));
       }
@@ -495,54 +549,60 @@ Result<PartitionedRelation> ExchangeExec::Execute(ExecContext* ctx) const {
     SL_RETURN_NOT_OK(ChargeOutput(ctx, &out));
     return out;
   }
-  // Re-partitioning exchanges consume rows.
-  DecodeInput(ctx, &in);
+  // A re-partitioning exchange over borrowed rows routes their ids; the
+  // gather, and any other input, works on materialized rows.
+  const bool route_ids = mode_ != ExchangeMode::kGather && RoutableViews(in);
+  if (!route_ids) SL_RETURN_NOT_OK(DecodeInput(ctx, &in));
 
   SL_RETURN_NOT_OK(RunStage(ctx, 1, [&](size_t) -> Status {
-    switch (mode_) {
-      case ExchangeMode::kGather: {
-        out.partitions.push_back(std::move(in).Flatten());
-        break;
+    if (mode_ == ExchangeMode::kGather) {
+      out.partitions.push_back(std::move(in).Flatten());
+      return Status::OK();
+    }
+    // Routed ids index the source rows directly, so the dimensions move to
+    // source-column ordinals once.
+    std::vector<skyline::BoundDimension> dims = dims_;
+    if (route_ids) {
+      for (auto& d : dims) d.ordinal = in.views[0]->column(d.ordinal);
+      out.views.assign(n, RowView{in.views[0]->rows, {}, in.views[0]->columns});
+    }
+    out.partitions.assign(n, {});
+    auto row_at = [&](size_t p, size_t k) -> const Row& {
+      return route_ids ? in.views[p]->source(k) : in.partitions[p][k];
+    };
+    exchange_internal::AngleBounds bounds(dims.size());
+    if (mode_ == ExchangeMode::kAngle) {
+      for (size_t p = 0; p < in.partitions.size(); ++p) {
+        const size_t rows = in.PartitionRows(p);
+        for (size_t k = 0; k < rows; ++k) bounds.Observe(row_at(p, k), dims);
       }
-      case ExchangeMode::kRoundRobin: {
-        out.partitions.assign(n, {});
-        size_t next = 0;
-        for (auto& p : in.partitions) {
-          for (auto& row : p) {
-            out.partitions[next % n].push_back(std::move(row));
-            ++next;
-          }
-        }
-        break;
+    }
+    size_t next = 0;
+    auto target_of = [&](const Row& row) -> size_t {
+      switch (mode_) {
+        case ExchangeMode::kNullBitmapHash:
+          return MixHash(skyline::NullBitmap(row, dims)) % n;
+        case ExchangeMode::kAngle:
+          return exchange_internal::AnglePartition(row, dims, n, bounds);
+        default:
+          return next++ % n;  // kRoundRobin
       }
-      case ExchangeMode::kNullBitmapHash: {
-        out.partitions.assign(n, {});
-        for (auto& p : in.partitions) {
-          for (auto& row : p) {
-            const uint32_t bitmap = skyline::NullBitmap(row, dims_);
-            out.partitions[MixHash(bitmap) % n].push_back(std::move(row));
-          }
+    };
+    for (size_t p = 0; p < in.partitions.size(); ++p) {
+      const size_t rows = in.PartitionRows(p);
+      for (size_t k = 0; k < rows; ++k) {
+        const size_t target = target_of(row_at(p, k));
+        if (route_ids) {
+          out.views[target]->ids.push_back(in.views[p]->ids[k]);
+        } else {
+          out.partitions[target].push_back(std::move(in.partitions[p][k]));
         }
-        break;
-      }
-      case ExchangeMode::kAngle: {
-        out.partitions.assign(n, {});
-        const exchange_internal::AngleBounds bounds =
-            exchange_internal::ComputeAngleBounds(in.partitions, dims_);
-        for (auto& p : in.partitions) {
-          for (auto& row : p) {
-            out.partitions[exchange_internal::AnglePartition(row, dims_, n,
-                                                             bounds)]
-                .push_back(std::move(row));
-          }
-        }
-        break;
       }
     }
     return Status::OK();
   }));
   // `in`'s charge is still alive (serialization buffers): the exchange
-  // holds both copies transiently.
+  // holds both copies transiently (for routed ids, both id lists).
   SL_RETURN_NOT_OK(ChargeOutput(ctx, &out));
   return out;
 }
@@ -555,7 +615,7 @@ SortExec::SortExec(std::vector<BoundSortOrder> orders, PhysicalPlanPtr child)
 
 Result<PartitionedRelation> SortExec::Execute(ExecContext* ctx) const {
   SL_ASSIGN_OR_RETURN(PartitionedRelation in, children_[0]->Execute(ctx));
-  DecodeInput(ctx, &in);
+  SL_RETURN_NOT_OK(DecodeInput(ctx, &in));
   std::vector<Row> rows = std::move(in).Flatten();
 
   // Precompute sort keys so the comparator cannot fail mid-sort.
@@ -603,7 +663,7 @@ LimitExec::LimitExec(int64_t n, PhysicalPlanPtr child)
 
 Result<PartitionedRelation> LimitExec::Execute(ExecContext* ctx) const {
   SL_ASSIGN_OR_RETURN(PartitionedRelation in, children_[0]->Execute(ctx));
-  DecodeInput(ctx, &in);
+  SL_RETURN_NOT_OK(DecodeInput(ctx, &in));
   std::vector<Row> rows = std::move(in).Flatten();
   if (static_cast<int64_t>(rows.size()) > n_) {
     rows.resize(static_cast<size_t>(n_));

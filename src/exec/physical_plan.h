@@ -93,11 +93,14 @@ class PhysicalPlan {
   /// on every path — success, error, cancellation.
   Status ChargeOutput(ExecContext* ctx, PartitionedRelation* out) const;
 
-  /// Decodes every ColumnarBatch partition of batch-carrying input into
-  /// rows (timed into QueryMetrics::decode_ms). Every operator that
-  /// consumes rows calls this right after executing its child; batch-aware
-  /// operators (the skyline stages and the gather exchange) skip it.
-  void DecodeInput(ExecContext* ctx, PartitionedRelation* in) const;
+  /// Materializes every borrowed or batch partition of `in` into rows
+  /// (PartitionedRelation::EnsureRows), one task per partition in a stage
+  /// under this operator's label — the copy is the consumer's work and
+  /// stays on the simulated clock; the task times are also summed into
+  /// QueryMetrics::decode_ms. Every operator that consumes rows calls this
+  /// right after executing its child; the skyline stages and the
+  /// re-partitioning exchanges read borrowed rows in place instead.
+  Status DecodeInput(ExecContext* ctx, PartitionedRelation* in) const;
 
   /// The input of a global skyline stage as one batch projected for `dims`:
   /// the gathered batch itself when it already is one (recorded as a matrix
@@ -123,14 +126,15 @@ class PhysicalPlan {
 
 // --- leaves ----------------------------------------------------------------
 
-/// \brief Scans a catalog table, splitting it into executor-count chunks and
-/// applying column pruning while copying.
+/// \brief Scans a catalog table without copying it: splits the snapshot
+/// into executor-count chunks of borrowed rows (RowView partitions whose
+/// column map applies the pruning), which keep the snapshot alive.
 class ScanExec : public PhysicalPlan {
  public:
   /// With `build_zone_maps` (sparkline.scan.zone_maps) each output chunk
-  /// gets a per-partition ZoneMap over the *projected* columns, built while
-  /// the rows are copied — the data-skipping metadata LocalSkylineExec and
-  /// BroadcastFilterExec consult (see partitioned.h).
+  /// gets a per-partition ZoneMap over the *projected* columns, built in a
+  /// read-only pass over its borrowed rows — the data-skipping metadata
+  /// LocalSkylineExec and BroadcastFilterExec consult (see partitioned.h).
   ScanExec(TablePtr table, std::vector<size_t> column_indices,
            std::vector<Attribute> output, bool build_zone_maps = false);
   std::string label() const override;
@@ -143,7 +147,7 @@ class ScanExec : public PhysicalPlan {
   bool build_zone_maps_;
 };
 
-/// \brief Emits in-memory rows as a single partition.
+/// \brief Emits in-memory rows as a single borrowed partition.
 class LocalRelationExec : public PhysicalPlan {
  public:
   LocalRelationExec(std::shared_ptr<std::vector<Row>> rows,
@@ -209,6 +213,12 @@ namespace exchange_internal {
 /// negated for MAX goals) across all partitions — the scaling context
 /// AnglePartition needs. Non-numeric and NULL values are skipped.
 struct AngleBounds {
+  /// Empty bounds (lo = +inf, hi = -inf) for `num_dims` dimensions.
+  explicit AngleBounds(size_t num_dims);
+  /// Widens the bounds by one row's keys.
+  void Observe(const Row& row,
+               const std::vector<skyline::BoundDimension>& dims);
+
   std::vector<double> lo;
   std::vector<double> hi;
 };
@@ -235,8 +245,9 @@ size_t AnglePartition(const Row& row,
 /// A kGather exchange whose input arrives as ColumnarBatches (the output of
 /// a skyline stage) ships the matrix blocks instead of rows: the batches are
 /// concatenated into one compact batch (ColumnarBatch::Concat) and the
-/// single output partition stays columnar. Row input takes the row path;
-/// re-partitioning exchanges decode batches first.
+/// single output partition stays columnar. A re-partitioning exchange over
+/// borrowed rows (a scan) routes their row ids, so its output stays
+/// borrowed. Any other input is materialized first (DecodeInput).
 class ExchangeExec : public PhysicalPlan {
  public:
   ExchangeExec(ExchangeMode mode, std::vector<skyline::BoundDimension> dims,
@@ -372,11 +383,11 @@ class NestedLoopJoinExec : public PhysicalPlan {
 /// complete and the incomplete algorithm (the latter after a null-bitmap
 /// exchange, which makes every partition bitmap-uniform).
 ///
-/// Each partition is projected into a DominanceMatrix exactly once and the
-/// output is a ColumnarBatch survivor view over that matrix — the
-/// projection every downstream skyline stage reuses. SFS runs tag their
-/// output views score-sorted so the global stage can inherit the sort
-/// order.
+/// Each partition is projected into a DominanceMatrix exactly once (a
+/// scan's borrowed rows in place), and the output is a ColumnarBatch
+/// survivor view over that matrix — the projection every downstream
+/// skyline stage reuses. SFS runs tag their output views score-sorted so
+/// the global stage can inherit the sort order.
 ///
 /// With `zone_map_skipping` (sparkline.scan.zone_maps) and zone maps on the
 /// input relation, a partition whose per-dim *best corner* is strictly

@@ -115,8 +115,9 @@ Result<skyline::ColumnarBatch> PhysicalPlan::GatheredBatch(
     ctx->AddMatrixReuse(label());
     return std::move(*in->batches[0]);
   }
-  DecodeInput(ctx, in);
-  auto rows = std::make_shared<std::vector<Row>>(std::move(*in).Flatten());
+  SL_RETURN_NOT_OK(DecodeInput(ctx, in));
+  auto rows =
+      std::make_shared<const std::vector<Row>>(std::move(*in).Flatten());
   const std::string project_label = StrCat(label(), " [project]");
   std::optional<skyline::ColumnarBatch> batch;
   SL_RETURN_NOT_OK(RunStage(ctx, project_label, 1, [&](size_t) -> Status {
@@ -159,9 +160,6 @@ std::string LocalSkylineExec::label() const {
 
 Result<PartitionedRelation> LocalSkylineExec::Execute(ExecContext* ctx) const {
   SL_ASSIGN_OR_RETURN(PartitionedRelation in, children_[0]->Execute(ctx));
-  // A skyline stage feeding another skyline operator (nested queries)
-  // decodes between them: the two matrices project different dimensions.
-  DecodeInput(ctx, &in);
 
   skyline::SkylineOptions options;
   options.distinct = distinct_;
@@ -237,20 +235,28 @@ Result<PartitionedRelation> LocalSkylineExec::Execute(ExecContext* ctx) const {
   }
 
   SL_RETURN_NOT_OK(RunStage(ctx, n, [&](size_t i) -> Status {
+    // A skyline stage feeding another skyline operator (nested queries)
+    // decodes between them: the two matrices project different dimensions.
+    if (!in.borrowed(i)) in.EnsureRows(i);
     if (skip[i]) {
       // Zone-skipped: drop the rows before the projection. The projection
       // then runs over zero rows, producing the same (empty) batch shape and
       // sort/stop-bound flags as an actually-empty partition.
+      if (in.borrowed(i)) in.views[i]->ids.clear();
       in.partitions[i].clear();
     }
-    // Project this partition exactly once; every downstream skyline stage
-    // reuses the matrix through the batch.
-    auto rows =
-        std::make_shared<std::vector<Row>>(std::move(in.partitions[i]));
+    // Project this partition exactly once — borrowed rows in place; every
+    // downstream skyline stage reuses the matrix through the batch.
     StopWatch project;
     SL_ASSIGN_OR_RETURN(
         skyline::ColumnarBatch batch,
-        skyline::ColumnarBatch::Project(rows, dims_, ctx->memory()));
+        in.borrowed(i)
+            ? skyline::ColumnarBatch::Project(std::move(*in.views[i]), dims_,
+                                              ctx->memory())
+            : skyline::ColumnarBatch::Project(
+                  std::make_shared<const std::vector<Row>>(
+                      std::move(in.partitions[i])),
+                  dims_, ctx->memory()));
     ctx->AddProjectionMs(project.ElapsedMillis());
     ctx->AddMatrixBuilds(label(), 1);
     SL_ASSIGN_OR_RETURN(std::vector<uint32_t> survivors,

@@ -79,12 +79,30 @@ std::optional<double> DirectKey(const Value& v, bool* numeric) {
 
 Result<DominanceMatrix> DominanceMatrix::Build(
     const std::vector<Row>& rows, const std::vector<BoundDimension>& dims) {
+  return BuildFrom(
+      rows.size(), [&](size_t r) -> const Row& { return rows[r]; }, dims);
+}
+
+Result<DominanceMatrix> DominanceMatrix::Build(
+    const RowView& rows, const std::vector<BoundDimension>& dims) {
+  std::vector<BoundDimension> source_dims = dims;
+  for (BoundDimension& dim : source_dims) {
+    dim.ordinal = rows.column(dim.ordinal);
+  }
+  return BuildFrom(
+      rows.size(), [&](size_t r) -> const Row& { return rows.source(r); },
+      source_dims);
+}
+
+template <typename RowAt>
+Result<DominanceMatrix> DominanceMatrix::BuildFrom(
+    size_t n, const RowAt& row_at, const std::vector<BoundDimension>& dims) {
   if (dims.empty() || dims.size() > kMaxDims) {
     return Status::Invalid(StrCat("a dominance matrix needs 1 to ", kMaxDims,
                                   " dimensions, got ", dims.size()));
   }
   DominanceMatrix m;
-  m.n_ = rows.size();
+  m.n_ = n;
   m.d_ = dims.size();
   m.keys_.assign(m.n_ * m.d_, 0.0);
   m.numeric_minmax_ = true;
@@ -101,7 +119,7 @@ Result<DominanceMatrix> DominanceMatrix::Build(
     bool numeric = !is_diff;
     bool direct = true;
     for (size_t r = 0; r < m.n_; ++r) {
-      const Value& v = rows[r][dim.ordinal];
+      const Value& v = row_at(r)[dim.ordinal];
       if (v.is_null()) {
         nulls[r] |= (1u << d);
         any_null = true;
@@ -116,7 +134,7 @@ Result<DominanceMatrix> DominanceMatrix::Build(
       }
     }
     if (!direct) {
-      m.RankDimension(rows, dim, d);
+      m.RankDimension(row_at, dim, d);
       numeric = false;
     }
     m.numeric_minmax_ = m.numeric_minmax_ && numeric;
@@ -125,10 +143,13 @@ Result<DominanceMatrix> DominanceMatrix::Build(
   return m;
 }
 
-void DominanceMatrix::RankDimension(const std::vector<Row>& rows,
+template <typename RowAt>
+void DominanceMatrix::RankDimension(const RowAt& row_at,
                                     const BoundDimension& dim, size_t d) {
   ranked_mask_ |= (1u << d);
-  auto value = [&](uint32_t r) -> const Value& { return rows[r][dim.ordinal]; };
+  auto value = [&](uint32_t r) -> const Value& {
+    return row_at(r)[dim.ordinal];
+  };
   std::vector<uint32_t> order;
   for (uint32_t r = 0; r < n_; ++r) {
     if (!value(r).is_null()) order.push_back(r);
@@ -213,27 +234,32 @@ std::vector<uint32_t> AllIndices(const DominanceMatrix& matrix) {
 // --- ColumnarBatch ----------------------------------------------------------
 
 Result<ColumnarBatch> ColumnarBatch::Project(
-    std::shared_ptr<std::vector<Row>> rows,
+    RowView rows, const std::vector<BoundDimension>& dims,
+    MemoryTracker* memory) {
+  return ProjectView(std::move(rows), /*borrowed=*/true, dims, memory);
+}
+
+Result<ColumnarBatch> ColumnarBatch::Project(
+    std::shared_ptr<const std::vector<Row>> rows,
     const std::vector<BoundDimension>& dims, MemoryTracker* memory) {
+  return ProjectView(RowView::All(std::move(rows)), /*borrowed=*/false, dims,
+                     memory);
+}
+
+Result<ColumnarBatch> ColumnarBatch::ProjectView(
+    RowView rows, bool borrowed, const std::vector<BoundDimension>& dims,
+    MemoryTracker* memory) {
   SL_ASSIGN_OR_RETURN(DominanceMatrix matrix,
-                      DominanceMatrix::Build(*rows, dims));
+                      DominanceMatrix::Build(rows, dims));
   ColumnarBatch batch;
   batch.reservation_ =
       std::make_shared<const ScopedReservation>(memory, matrix.MemoryBytes());
   batch.matrix_ = std::make_shared<const DominanceMatrix>(std::move(matrix));
   batch.rows_ = std::move(rows);
+  batch.borrowed_ = borrowed;
   batch.dims_ = dims;
   batch.indices_ = AllIndices(*batch.matrix_);
   return batch;
-}
-
-std::vector<Row> ColumnarBatch::DecodeConsuming() && {
-  if (rows_.use_count() != 1) return Decode();
-  std::vector<Row> out;
-  out.reserve(indices_.size());
-  for (const uint32_t i : indices_) out.push_back(std::move((*rows_)[i]));
-  rows_.reset();
-  return out;
 }
 
 ColumnarBatch ColumnarBatch::Concat(std::vector<ColumnarBatch>* parts,
@@ -265,19 +291,12 @@ ColumnarBatch ColumnarBatch::Concat(std::vector<ColumnarBatch>* parts,
   if (!ranked) merged = DominanceMatrix::ConcatSelected(matrices, selections);
 
   // Backing rows of the result = the selected rows in view order, so matrix
-  // row order is the gathered input order. Exclusively owned part backings
-  // are moved (survivor views have distinct indices, so each row moves at
-  // most once).
+  // row order is the gathered input order.
   auto rows = std::make_shared<std::vector<Row>>();
   rows->reserve(total);
-  for (ColumnarBatch& part : *parts) {
-    const bool exclusive = part.rows_.use_count() == 1;
+  for (const ColumnarBatch& part : *parts) {
     for (const uint32_t r : part.indices_) {
-      if (exclusive) {
-        rows->push_back(std::move((*part.rows_)[r]));
-      } else {
-        rows->push_back((*part.rows_)[r]);
-      }
+      rows->push_back(part.rows_.Materialize(r));
     }
   }
 
@@ -297,7 +316,7 @@ ColumnarBatch ColumnarBatch::Concat(std::vector<ColumnarBatch>* parts,
   batch.reservation_ =
       std::make_shared<const ScopedReservation>(memory, merged->MemoryBytes());
   batch.matrix_ = std::make_shared<const DominanceMatrix>(std::move(*merged));
-  batch.rows_ = std::move(rows);
+  batch.rows_ = RowView::All(std::move(rows));
   batch.dims_ = parts->front().dims_;
   batch.stop_bound_ = stop_bound;
   if (all_sorted) {

@@ -41,6 +41,7 @@
 #include "common/result.h"
 #include "skyline/algorithms.h"
 #include "skyline/dominance.h"
+#include "types/row_view.h"
 
 // The explicit AVX2 dominance-test path needs x86 intrinsics plus a
 // compiler that supports per-function target attributes (GCC/Clang). Other
@@ -159,6 +160,12 @@ class DominanceMatrix {
   static Result<DominanceMatrix> Build(const std::vector<Row>& rows,
                                        const std::vector<BoundDimension>& dims);
 
+  /// \brief Same over borrowed rows: matrix row r keys view row r straight
+  /// from its source row. `dims` are in view-column ordinals; each is
+  /// remapped through the view's column map once per build.
+  static Result<DominanceMatrix> Build(const RowView& rows,
+                                       const std::vector<BoundDimension>& dims);
+
   size_t num_rows() const { return n_; }
   size_t num_dims() const { return d_; }
 
@@ -251,10 +258,16 @@ class DominanceMatrix {
  private:
   DominanceMatrix() = default;
 
+  /// The projection behind both Build overloads: `row_at(r)` is the row
+  /// holding matrix row r's values at the ordinals of `dims`.
+  template <typename RowAt>
+  static Result<DominanceMatrix> BuildFrom(
+      size_t n, const RowAt& row_at, const std::vector<BoundDimension>& dims);
+
   /// Replaces dimension `d`'s keys with dense ranks of the non-null values
   /// and records its sorted dictionary.
-  void RankDimension(const std::vector<Row>& rows, const BoundDimension& dim,
-                     size_t d);
+  template <typename RowAt>
+  void RankDimension(const RowAt& row_at, const BoundDimension& dim, size_t d);
 
   size_t n_ = 0;
   size_t d_ = 0;
@@ -481,23 +494,28 @@ Result<std::vector<uint32_t>> RunColumnarKernel(
 /// batch copies only the view vector. A batch therefore stays valid no
 /// matter which operator created it or how many views alias it, and the
 /// matrix bytes stay charged to the query's MemoryTracker until the last
-/// view dies.
+/// view dies. The backing is a RowView either way: over a table snapshot
+/// it read in place (borrowed()), or over rows the query materialized.
 class ColumnarBatch {
  public:
-  /// \brief Projects `rows` once — the only projection a partition pays
-  /// unless a gather has to re-rank it (see Concat). Fails only where
-  /// DominanceMatrix::Build does. Matrix storage is charged to `memory` (if
-  /// non-null) for the matrix's lifetime. The backing rows are semantically
-  /// immutable while any view aliases them; the non-const element type only
-  /// exists so an exclusively owned backing can be *moved* out by Concat /
-  /// DecodeConsuming instead of copied.
+  /// \brief Projects borrowed rows once, in place — the only projection a
+  /// partition pays unless a gather has to re-rank it (see Concat). `dims`
+  /// are in view-column ordinals. Fails only where DominanceMatrix::Build
+  /// does. Matrix storage is charged to `memory` (if non-null) for the
+  /// matrix's lifetime; the rows are not, the table owns them.
   static Result<ColumnarBatch> Project(
-      std::shared_ptr<std::vector<Row>> rows,
+      RowView rows, const std::vector<BoundDimension>& dims,
+      MemoryTracker* memory = nullptr);
+
+  /// \brief Same over rows the query owns (borrowed() is false).
+  static Result<ColumnarBatch> Project(
+      std::shared_ptr<const std::vector<Row>> rows,
       const std::vector<BoundDimension>& dims, MemoryTracker* memory = nullptr);
 
   /// \brief The columnar shuffle: concatenates the parts' *selected* rows
   /// into one compact batch. The backing rows of the result are the
-  /// selected rows materialized in view order, so matrix row order equals
+  /// selected rows copied out in view order — the only rows a distributed
+  /// skyline copies out of a table snapshot — so matrix row order equals
   /// gathered input order (the DISTINCT tie-break order downstream stages
   /// rely on). A single part is compacted the same way, so the upstream
   /// stage's non-survivor rows never travel past the exchange.
@@ -515,10 +533,9 @@ class ColumnarBatch {
   /// so the tightest local bound survives the gather. A re-projected result
   /// carries neither (bounds never cross key spaces).
   ///
-  /// The parts are consumed (backings moved out where exclusively owned)
-  /// but deliberately left alive in the caller's vector: destroying the old
-  /// backings — every non-survivor row of the upstream stage — is real
-  /// work, and the caller decides where it lands (the exec layer drops them
+  /// The parts are left alive in the caller's vector: destroying an owned
+  /// backing — every non-survivor row of the upstream stage — is real work,
+  /// and the caller decides where it lands (the exec layer drops them
   /// outside the timed stage, exactly where the row pipeline destroys its
   /// consumed inputs).
   ///
@@ -552,7 +569,10 @@ class ColumnarBatch {
   /// downstream SFS passes over supersets of this view may seed their minC
   /// with it.
   double stop_bound() const { return stop_bound_; }
-  const std::vector<Row>& backing_rows() const { return *rows_; }
+  /// The rows behind the matrix: matrix row i is backing() row i.
+  const RowView& backing() const { return rows_; }
+  /// True when the backing rows belong to a table snapshot (see Project).
+  bool borrowed() const { return borrowed_; }
 
   /// \brief True when this batch was projected for exactly these skyline
   /// dimensions (ordinals and goals). A consumer whose dimensions differ —
@@ -569,26 +589,21 @@ class ColumnarBatch {
     return true;
   }
 
-  /// Materializes the view's rows — the plan-root decode, or the decode a
+  /// Copies the view's rows out — the plan-root decode, or the decode a
   /// non-skyline operator consuming the relation needs.
-  std::vector<Row> Decode() const { return MaterializeRows(*rows_, indices_); }
-
-  /// \brief Decode that destroys the batch: when this view is the backing's
-  /// sole owner the selected rows are *moved* out (matching the row
-  /// pipeline, whose stages move rather than copy); aliased backings fall
-  /// back to Decode's copy.
-  ///
-  /// \pre the view's indices are pairwise distinct (every survivor view the
-  /// skyline pipeline produces is).
-  std::vector<Row> DecodeConsuming() &&;
+  std::vector<Row> Decode() const { return rows_.Materialize(indices_); }
 
  private:
   ColumnarBatch() = default;
 
+  /// Shared by both Project overloads.
+  static Result<ColumnarBatch> ProjectView(
+      RowView rows, bool borrowed, const std::vector<BoundDimension>& dims,
+      MemoryTracker* memory);
+
   std::shared_ptr<const DominanceMatrix> matrix_;
-  /// Backing rows; matrix row i == (*rows_)[i]. Semantically immutable —
-  /// non-const only so exclusive owners can move rows out (see Project).
-  std::shared_ptr<std::vector<Row>> rows_;
+  RowView rows_;  ///< backing rows; matrix row i is rows_ row i
+  bool borrowed_ = false;
   std::shared_ptr<const ScopedReservation> reservation_;  ///< matrix bytes
   std::vector<BoundDimension> dims_;  ///< what the matrix was projected for
   std::vector<uint32_t> indices_;  ///< the view, in processing order

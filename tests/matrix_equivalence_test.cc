@@ -827,6 +827,100 @@ TEST(EncodingSweep, GatherReRanksWhenPartitionsDisagree) {
   }
 }
 
+// --- borrowed rows through a scan's column map -------------------------------
+
+struct ColumnMapCase {
+  const char* name;
+  bool incomplete;
+};
+
+class PrunedScanColumnMap : public ::testing::TestWithParam<ColumnMapCase> {};
+
+// A subquery listing columns in table order prunes the scan to them and
+// leaves an identity projection the optimizer removes, so the skyline sits
+// directly on the scan and reads its borrowed rows through the column map
+// [2, 4, 5]: matrix builds, id routing in every exchange, the gather's
+// copy and the root decode all remap ordinals. Every strategy, partitioning
+// mode, executor count and DISTINCT setting must equal BruteForceSkyline —
+// and, on NULL-free data, the reference rewriting.
+TEST_P(PrunedScanColumnMap, AgreesWithBothOracles) {
+  const bool incomplete = GetParam().incomplete;
+  datagen::StoreSalesOptions data;
+  data.num_rows = 600;
+  data.seed = 19;
+  data.incomplete = incomplete;
+  TablePtr table = datagen::GenerateStoreSales(data);
+  Session session;
+  ASSERT_OK(session.catalog()->RegisterTable(table));
+  // Table columns 2, 4, 5.
+  const std::vector<skyline::BoundDimension> table_dims{
+      {2, SkylineGoal::kMax}, {4, SkylineGoal::kMin}, {5, SkylineGoal::kMin}};
+  const std::vector<const char*> strategies =
+      incomplete ? std::vector<const char*>{"auto", "incomplete"}
+                 : std::vector<const char*>{"auto", "non_distributed",
+                                            "incomplete"};
+  int combinations = 0;
+  for (const bool distinct : {false, true}) {
+    const std::string sql = StrCat(
+        "SELECT * FROM (SELECT ss_quantity, ss_list_price, ss_sales_price "
+        "FROM store_sales) SKYLINE OF ",
+        distinct ? "DISTINCT " : "",
+        "ss_quantity MAX, ss_list_price MIN, ss_sales_price MIN");
+    skyline::SkylineOptions options;
+    options.distinct = distinct;
+    options.nulls = incomplete ? skyline::NullSemantics::kIncomplete
+                               : skyline::NullSemantics::kComplete;
+    std::vector<Row> projected;
+    for (const Row& row :
+         skyline::BruteForceSkyline(table->rows(), table_dims, options)) {
+      projected.push_back(Row{row[2], row[4], row[5]});
+    }
+    const std::vector<std::string> expected = RowStrings(projected);
+    ASSERT_FALSE(expected.empty());
+    if (!incomplete) {
+      ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "reference"));
+      ASSERT_EQ(expected, RowStrings(Rows(&session, sql)))
+          << sql << " strategy=reference";
+    }
+    for (const char* strategy : strategies) {
+      for (const char* partitioning : {"asis", "roundrobin", "angle"}) {
+        for (const char* executors : {"1", "3", "4"}) {
+          ASSERT_OK(session.SetConf("sparkline.skyline.strategy", strategy));
+          ASSERT_OK(
+              session.SetConf("sparkline.skyline.partitioning", partitioning));
+          ASSERT_OK(session.SetConf("sparkline.executors", executors));
+          const std::string config = StrCat(
+              sql, " strategy=", strategy, " partitioning=", partitioning,
+              " executors=", executors);
+          ASSERT_OK_AND_ASSIGN(DataFrame df, session.Sql(sql));
+          ASSERT_OK_AND_ASSIGN(LogicalPlanPtr optimized,
+                               session.Optimize(df.plan()));
+          ASSERT_OK_AND_ASSIGN(PhysicalPlanPtr physical,
+                               session.PlanPhysical(optimized));
+          const std::string tree = physical->TreeString();
+          ASSERT_NE(tree.find("Scan store_sales [3 columns]"),
+                    std::string::npos)
+              << config << "\n" << tree;
+          ASSERT_EQ(tree.find("Project"), std::string::npos)
+              << "the skyline must read the pruned scan directly: " << config
+              << "\n" << tree;
+          ASSERT_EQ(expected, RowStrings(Rows(&session, sql))) << config;
+          ++combinations;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(combinations, static_cast<int>(2 * strategies.size() * 3 * 3));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    StoreSales, PrunedScanColumnMap,
+    ::testing::Values(ColumnMapCase{"complete", false},
+                      ColumnMapCase{"incomplete", true}),
+    [](const ::testing::TestParamInfo<ColumnMapCase>& info) {
+      return info.param.name;
+    });
+
 // The removed engine switches are gone from the configuration surface.
 TEST(RemovedFlags, ColumnarSwitchesAreUnknownKeys) {
   Session session;

@@ -261,6 +261,90 @@ TEST_F(PhysicalTest, ExecutorCountChangesPartitioning) {
   EXPECT_EQ(rel->partitions.size(), 5u);
 }
 
+// --- borrowed rows -----------------------------------------------------------
+
+TEST_F(PhysicalTest, ScanBorrowsTheSnapshotAndChargesOnlyIds) {
+  auto physical = Physical("SELECT id, y FROM pts");
+  ExecContext ctx(session_->config().cluster);
+  auto rel = physical->Execute(&ctx);
+  ASSERT_TRUE(rel.ok());
+  ASSERT_EQ(rel->views.size(), 3u);
+  for (size_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(rel->borrowed(i)) << i;
+    EXPECT_TRUE(rel->partitions[i].empty()) << i;
+  }
+  // The table owns the rows: the query pays 4 bytes per row id.
+  EXPECT_EQ(ctx.memory()->current_bytes(),
+            static_cast<int64_t>(6 * sizeof(uint32_t)));
+  // The column map projects on the way out: (id, y), not (id, x, y).
+  const std::vector<Row> rows = std::move(*rel).Flatten();
+  ASSERT_EQ(rows.size(), 6u);
+  EXPECT_EQ(RowToString(rows[0]), "(1, 5)");
+}
+
+TEST_F(PhysicalTest, LocalRelationBorrowsItsRows) {
+  Schema schema({Field{"a", DataType::Int64(), false}});
+  ASSERT_OK_AND_ASSIGN(
+      DataFrame df,
+      session_->CreateDataFrame(schema,
+                                {{Value::Int64(1)}, {Value::Int64(2)}}));
+  ASSERT_OK_AND_ASSIGN(LogicalPlanPtr optimized, session_->Optimize(df.plan()));
+  ASSERT_OK_AND_ASSIGN(PhysicalPlanPtr physical,
+                       session_->PlanPhysical(optimized));
+  ExecContext ctx(session_->config().cluster);
+  auto rel = physical->Execute(&ctx);
+  ASSERT_TRUE(rel.ok()) << rel.status().ToString();
+  ASSERT_TRUE(rel->borrowed(0));
+  EXPECT_EQ(ctx.memory()->current_bytes(),
+            static_cast<int64_t>(2 * sizeof(uint32_t)));
+  EXPECT_EQ(std::move(*rel).Flatten().size(), 2u);
+}
+
+// exchange_bytes counts wire bytes: a row crossing an exchange is
+// serialized whoever owns it, so the same skyline ships the same rows and
+// bytes whether its exchange input is borrowed from the scan or owned
+// because a Filter materialized it.
+TEST_F(PhysicalTest, BorrowedAndOwnedExchangeInputShipTheSameBytes) {
+  ASSERT_OK(session_->catalog()->RegisterTable(datagen::GeneratePoints(
+      "sparse", 1000, 3, datagen::PointDistribution::kIndependent, 3,
+      /*null_rate=*/0.2)));
+  const std::string borrowed =
+      "SELECT * FROM sparse SKYLINE OF d0 MIN, d1 MAX, d2 MIN";
+  const std::string owned =
+      "SELECT * FROM sparse WHERE id >= 0 SKYLINE OF d0 MIN, d1 MAX, d2 MIN";
+  const std::string owned_plan = Physical(owned)->TreeString();
+  ASSERT_NE(owned_plan.find("Filter"), std::string::npos)
+      << "the optimizer must keep the all-rows filter:\n" << owned_plan;
+  ASSERT_NE(owned_plan.find("Exchange [NullBitmapHash]"), std::string::npos);
+
+  const QueryMetrics a = Metrics(borrowed);
+  const QueryMetrics b = Metrics(owned);
+  EXPECT_EQ(a.exchange_rows_shipped, b.exchange_rows_shipped);
+  EXPECT_EQ(a.exchange_bytes, b.exchange_bytes);
+  EXPECT_GT(a.exchange_rows_shipped, 1000) << "every row crosses the hash";
+  EXPECT_SAME_ROWS(Rows(session_.get(), borrowed),
+                   Rows(session_.get(), owned));
+}
+
+// Borrowed rows are the table's, not the query's: a skyline over a 100k-row
+// scan tracks less than the table itself (matrices and id lists only). A
+// Sort materializes its input, so it still charges every row.
+TEST_F(PhysicalTest, BorrowedRowsAreNotChargedMaterializedRowsAre) {
+  TablePtr table = datagen::GeneratePoints(
+      "big", 100000, 4, datagen::PointDistribution::kIndependent, 11);
+  ASSERT_OK(session_->catalog()->RegisterTable(table));
+  ASSERT_OK(session_->SetConf("sparkline.executors", "4"));
+  const int64_t overhead =
+      4 * session_->config().cluster.executor_overhead_bytes;
+
+  const QueryMetrics skyline =
+      Metrics("SELECT * FROM big SKYLINE OF d0 MIN, d1 MIN, d2 MAX, d3 MIN");
+  EXPECT_LT(skyline.peak_memory_bytes - overhead, table->EstimatedBytes());
+
+  const QueryMetrics sorted = Metrics("SELECT * FROM big ORDER BY d0");
+  EXPECT_GE(sorted.peak_memory_bytes - overhead, table->EstimatedBytes());
+}
+
 TEST_F(PhysicalTest, ScalarSubqueryExecution) {
   auto rows = Rows(session_.get(),
                    "SELECT id FROM pts WHERE x = (SELECT min(x) FROM pts)");
