@@ -47,38 +47,6 @@ void ExecutorsVsMemory(Session* session, const std::string& table,
               "memory");
 }
 
-// Hook for the round-based parallel incomplete global stage: the incomplete
-// figures above run with the stage parallel (the default), so this table
-// isolates its effect by re-running the incomplete algorithm with
-// sparkline.skyline.incomplete.parallel off (the paper's single-task
-// all-pairs) across the same executor sweep, reporting simulated time.
-void IncompleteParallelAblation(Session* session, const std::string& table,
-                                const std::vector<std::string>& dimensions,
-                                size_t num_tuples, const BenchConfig& config,
-                                const char* figure) {
-  std::vector<std::string> labels;
-  for (int e : kExecutorSteps) labels.push_back(std::to_string(e));
-  const std::vector<std::string> names = {"parallel rounds (default)",
-                                          "single-task all-pairs"};
-  std::vector<std::vector<Cell>> rows(names.size());
-  for (int executors : kExecutorSteps) {
-    SL_CHECK_OK(
-        session->SetConf("sparkline.skyline.incomplete.parallel", "true"));
-    rows[0].push_back(RunCell(session, SkylineSql(table, dimensions, 6, false),
-                              "incomplete", executors, config));
-    SL_CHECK_OK(
-        session->SetConf("sparkline.skyline.incomplete.parallel", "false"));
-    rows[1].push_back(RunCell(session, SkylineSql(table, dimensions, 6, false),
-                              "incomplete", executors, config));
-  }
-  SL_CHECK_OK(
-      session->SetConf("sparkline.skyline.incomplete.parallel", "true"));
-  PrintTables(StrCat(figure, " hook | incomplete global stage: parallel "
-                             "rounds vs single task | dataset: ",
-                     table, " (", num_tuples, " tuples) | dims: 6"),
-              names, labels, rows, 1, "time");
-}
-
 // DominanceMatrix storage is charged to the query's MemoryTracker: every
 // local-stage matrix stays reserved while its batch lives, so the query's
 // peak tracked bytes (peak memory minus the fixed per-executor footprint)
@@ -140,9 +108,6 @@ int main(int argc, char** argv) {
                     complete->num_rows(), config, "Fig 8");
   ExecutorsVsMemory(&session, "airbnb_incomplete", false, AirbnbDimensions(),
                     incomplete->num_rows(), config, "Fig 8");
-  IncompleteParallelAblation(&session, "airbnb_incomplete",
-                             AirbnbDimensions(), incomplete->num_rows(),
-                             config, "Fig 8");
 
   // Figure 9: store_sales at the 5M scale.
   datagen::StoreSalesOptions sopts;
@@ -158,9 +123,6 @@ int main(int argc, char** argv) {
                     sopts.num_rows, config, "Fig 9");
   ExecutorsVsMemory(&session, "store_sales_5_incomplete", false,
                     StoreSalesDimensions(), sopts.num_rows, config, "Fig 9");
-  IncompleteParallelAblation(&session, "store_sales_5_incomplete",
-                             StoreSalesDimensions(), sopts.num_rows, config,
-                             "Fig 9");
 
   // Figure 10: tuples vs memory at 3 / 5 / 10 executors.
   const std::vector<size_t> sizes = {

@@ -1,16 +1,17 @@
-// SaLSa-style early termination ablation (PR 5): SFS stop points.
+// SaLSa-style early termination: SFS stop points.
 //
-// With sparkline.skyline.sfs.early_stop on, every SFS pass (local
-// partitions, global partial slices, the sort-free global merge) maintains
-// the SaLSa stop bound minC — the smallest max-coordinate over the skyline
-// points seen — and terminates as soon as the monotone sort key proves
-// every remaining tuple strictly dominated. The columnar exchange ships
-// each partition's tightest bound with the gathered batch, so the global
-// merge can stop before scanning most of the shuffled input.
+// Every SFS pass (local partitions, global partial slices, the sort-free
+// global merge) maintains the SaLSa stop bound minC — the smallest
+// max-coordinate over the skyline points seen — and terminates as soon as
+// the monotone sort key proves every remaining tuple strictly dominated.
+// The columnar exchange ships each partition's tightest bound with the
+// gathered batch, so the global merge can stop before scanning most of the
+// shuffled input.
 //
 // This bench quantifies the effect on the two sort keys (sum — the
 // pre-existing score order — and minmax, SaLSa's minC function with the
-// tight stop bound) across the paper's workload spectrum:
+// tight stop bound) next to BNL, which never stops early, across the
+// paper's workload spectrum:
 //   correlated      stop points fire almost immediately (small skylines)
 //   anti-correlated the skyline-heavy adversarial case: stops rarely fire,
 //                   quantifying the overhead of maintaining the bound
@@ -18,15 +19,17 @@
 //
 // Reported per configuration:
 //   total      simulated critical-path ms for the whole query
-//   sfs_ms     summed critical-path ms of the Local/GlobalSkyline stages
+//   sky_ms     summed critical-path ms of the Local/GlobalSkyline stages
 //   dom_tests  dominance tests across all stages
 //   skipped    rows never scanned thanks to stop points (+ stop count)
 //   frac       skipped / table rows (local passes see each row once; the
 //              merge sees survivors, so >1.0 is possible in principle)
 //
-// --smoke runs a scaled-down sweep and asserts the acceptance invariants
-// (correlated minmax skips >30% of the table, identical result counts), so
-// CI keeps this binary and the counters from bit-rotting between perf PRs.
+// Every SFS result is checked row-for-row (as a multiset) against BNL's.
+// --smoke runs a scaled-down sweep and also asserts that correlated minmax
+// skips >30% of the table, so CI keeps this binary and the counters from
+// bit-rotting between perf PRs.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -42,17 +45,16 @@ namespace {
 
 struct StopCell {
   double total_ms = 0;
-  double sfs_ms = 0;
+  double sky_ms = 0;
   int64_t dominance_tests = 0;
   int64_t rows_skipped = 0;
   int64_t stops = 0;
-  size_t result_rows = 0;
+  std::vector<std::string> rows;  ///< sorted, for multiset comparison
 };
 
-StopCell RunOnce(Session* session, const std::string& sql, bool early_stop,
+StopCell RunOnce(Session* session, const std::string& sql, const char* kernel,
                  const char* sort_key) {
-  SL_CHECK_OK(session->SetConf("sparkline.skyline.sfs.early_stop",
-                               early_stop ? "true" : "false"));
+  SL_CHECK_OK(session->SetConf("sparkline.skyline.kernel", kernel));
   SL_CHECK_OK(session->SetConf("sparkline.skyline.sfs.sort_key", sort_key));
   auto df = session->Sql(sql);
   SL_CHECK(df.ok()) << df.status().ToString();
@@ -64,45 +66,46 @@ StopCell RunOnce(Session* session, const std::string& sql, bool early_stop,
   const QueryMetrics& m = result->metrics;
   cell.total_ms = m.simulated_ms;
   for (const auto& [label, ms] : m.operator_ms) {
-    if (label.find("Skyline") != std::string::npos) cell.sfs_ms += ms;
+    if (label.find("Skyline") != std::string::npos) cell.sky_ms += ms;
   }
   cell.dominance_tests = m.dominance_tests;
   cell.rows_skipped = m.sfs_rows_skipped;
   cell.stops = m.sfs_early_stops;
-  cell.result_rows = result->num_rows();
+  for (const auto& row : result->rows()) cell.rows.push_back(RowToString(row));
+  std::sort(cell.rows.begin(), cell.rows.end());
   return cell;
 }
 
 void Sweep(Session* session, const char* title, const std::string& sql,
            size_t table_rows, bool smoke) {
-  std::printf("\n%s (%zu rows) | strategy: distributed, kernel: sfs, "
-              "8 executors\n",
+  std::printf("\n%s (%zu rows) | strategy: distributed, 8 executors\n",
               title, table_rows);
-  std::printf("%-8s %-12s %10s %10s %12s %16s %7s\n", "key", "early_stop",
-              "total_ms", "sfs_ms", "dom_tests", "skipped(stops)", "frac");
+  std::printf("%-10s %10s %10s %12s %16s %7s\n", "kernel", "total_ms",
+              "sky_ms", "dom_tests", "skipped(stops)", "frac");
+  auto print = [&](const char* name, const StopCell& cell) {
+    std::printf("%-10s %10.2f %10.2f %12lld %10lld (%3lld) %6.1f%%\n", name,
+                cell.total_ms, cell.sky_ms,
+                static_cast<long long>(cell.dominance_tests),
+                static_cast<long long>(cell.rows_skipped),
+                static_cast<long long>(cell.stops),
+                100.0 * static_cast<double>(cell.rows_skipped) /
+                    static_cast<double>(table_rows));
+  };
+  const StopCell bnl = RunOnce(session, sql, "bnl", "sum");
+  print("bnl", bnl);
   for (const char* sort_key : {"sum", "minmax"}) {
-    const StopCell off = RunOnce(session, sql, false, sort_key);
-    const StopCell on = RunOnce(session, sql, true, sort_key);
-    for (const auto& [name, cell] : {std::make_pair("off", &off),
-                                     std::make_pair("on", &on)}) {
-      std::printf("%-8s %-12s %10.2f %10.2f %12lld %10lld (%3lld) %6.1f%%\n",
-                  sort_key, name, cell->total_ms, cell->sfs_ms,
-                  static_cast<long long>(cell->dominance_tests),
-                  static_cast<long long>(cell->rows_skipped),
-                  static_cast<long long>(cell->stops),
-                  100.0 * static_cast<double>(cell->rows_skipped) /
-                      static_cast<double>(table_rows));
-    }
-    SL_CHECK(on.result_rows == off.result_rows)
-        << "early stop changed the result on " << title << " (" << sort_key
-        << "): " << on.result_rows << " vs " << off.result_rows;
+    const StopCell sfs = RunOnce(session, sql, "sfs", sort_key);
+    print(StrCat("sfs ", sort_key).c_str(), sfs);
+    SL_CHECK(sfs.rows == bnl.rows)
+        << "SFS (" << sort_key << ") disagrees with BNL on " << title << ": "
+        << sfs.rows.size() << " vs " << bnl.rows.size() << " rows";
     if (smoke && std::strcmp(sort_key, "minmax") == 0 &&
         std::strstr(title, "correlated") == title) {
       // The acceptance bar: the tight minC bound must terminate >30% of a
       // correlated table away, with the counters proving it.
-      SL_CHECK(on.stops >= 1) << "no SFS pass terminated early";
-      SL_CHECK(on.rows_skipped * 10 > static_cast<int64_t>(table_rows) * 3)
-          << "minmax stop point skipped only " << on.rows_skipped << " of "
+      SL_CHECK(sfs.stops >= 1) << "no SFS pass terminated early";
+      SL_CHECK(sfs.rows_skipped * 10 > static_cast<int64_t>(table_rows) * 3)
+          << "minmax stop point skipped only " << sfs.rows_skipped << " of "
           << table_rows << " correlated rows";
     }
   }
@@ -127,7 +130,6 @@ int main(int argc, char** argv) {
   SL_CHECK_OK(session.SetConf("sparkline.timeout_ms",
                               std::to_string(config.timeout_ms)));
   SL_CHECK_OK(session.SetConf("sparkline.skyline.strategy", "distributed"));
-  SL_CHECK_OK(session.SetConf("sparkline.skyline.kernel", "sfs"));
   SL_CHECK_OK(session.SetConf("sparkline.executors", "8"));
 
   const size_t points = static_cast<size_t>(40000 * config.scale);

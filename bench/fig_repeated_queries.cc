@@ -10,9 +10,10 @@
 // hash probe + shared-snapshot alias instead of a full skyline).
 //
 // A second sweep mixes InsertInto into the stream (0/1/10/30% of ops) with
-// incremental maintenance (sparkline.cache.incremental) off vs. on: with it
-// off every write invalidates, with it on cached skylines evolve by delta
-// and keep serving hits. `--smoke` runs a reduced write-mix sweep and
+// incremental maintenance off vs. on: off runs with
+// sparkline.cache.max_delta_batch=0, so every write invalidates (counted as
+// fallbacks); on keeps the default batch limit, so cached skylines evolve
+// by delta and keep serving hits. `--smoke` runs a reduced write-mix sweep and
 // asserts the contract: zero errors, cached answers multiset-identical to a
 // fresh-execution oracle, and >0 delta-maintained hits at the 10% mix.
 #include <algorithm>
@@ -175,8 +176,9 @@ WriteMixResult RunWriteMix(const std::vector<std::string>& queries,
   Session session;
   SL_CHECK_OK(session.SetConf("sparkline.executors", "2"));
   SL_CHECK_OK(session.SetConf("sparkline.cache.enabled", "true"));
-  SL_CHECK_OK(session.SetConf("sparkline.cache.incremental",
-                              incremental ? "true" : "false"));
+  if (!incremental) {
+    SL_CHECK_OK(session.SetConf("sparkline.cache.max_delta_batch", "0"));
+  }
   SL_CHECK_OK(session.catalog()->RegisterTable(datagen::GeneratePoints(
       "wpts", base_rows, 3, datagen::PointDistribution::kAntiCorrelated, 77)));
 
@@ -329,7 +331,7 @@ int main(int argc, char** argv) {
         SL_CHECK(r.errors == 0) << "write-mix queries failed";
         if (!incremental) {
           SL_CHECK(r.maintained == 0 && r.delta_hits == 0)
-              << "maintenance ran with sparkline.cache.incremental=false";
+              << "maintenance ran with sparkline.cache.max_delta_batch=0";
           off_result = r;
         } else {
           // Identical op schedule (same seed): maintenance can only keep

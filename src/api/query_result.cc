@@ -20,7 +20,6 @@ std::string QueryMetrics::ToString() const {
       "ms peak_mem=", peak_memory_bytes / (1 << 20),
       "MB dominance_tests=", dominance_tests,
       " merge_dom_tests=", merge_dominance_tests,
-      " rows_shuffled=", rows_shuffled,
       " exchange_rows=", exchange_rows_shipped,
       " exchange_bytes=", exchange_bytes,
       " tasks_retried=", tasks_retried,
@@ -35,7 +34,6 @@ std::string QueryMetrics::ToString() const {
       " sfs_skipped=", sfs_rows_skipped,
       " sfs_stops=", sfs_early_stops,
       " bcast_points=", broadcast_filter_points,
-      " parts_skipped=", partitions_skipped,
       " pruned_pre_gather=", rows_pruned_pre_gather,
       " rows_served=", rows_served,
       " bytes_served=", bytes_served);

@@ -26,12 +26,16 @@ Result<bool> ParseBool(const std::string& value) {
   if (v == "false" || v == "0" || v == "off") return false;
   return Status::Invalid(StrCat("expected a boolean, got '", value, "'"));
 }
+/// The whole value must be an integer: "4x" is rejected, not read as 4.
 Result<int64_t> ParseInt(const std::string& value) {
   try {
-    return static_cast<int64_t>(std::stoll(value));
+    size_t parsed = 0;
+    const int64_t n = static_cast<int64_t>(std::stoll(value, &parsed));
+    if (parsed == value.size()) return n;
   } catch (...) {
-    return Status::Invalid(StrCat("expected an integer, got '", value, "'"));
+    // Not a number, or out of range: rejected below.
   }
+  return Status::Invalid(StrCat("expected an integer, got '", value, "'"));
 }
 }  // namespace
 
@@ -47,11 +51,21 @@ Status Session::SetConf(const std::string& key, const std::string& value) {
   }
   if (k == "sparkline.timeout_ms") {
     SL_ASSIGN_OR_RETURN(int64_t n, ParseInt(value));
+    // The deadline is NowNanos() + timeout_ms * 10^6: 10^12 ms (~31 years)
+    // keeps it far from int64 overflow.
+    if (n < 0 || n > 1000000000000) {
+      return Status::Invalid("sparkline.timeout_ms must be in [0, 10^12]");
+    }
     config_.cluster.timeout_ms = n;
     return Status::OK();
   }
   if (k == "sparkline.memory.executoroverheadmb") {
     SL_ASSIGN_OR_RETURN(int64_t n, ParseInt(value));
+    // 4096 executors x 2^20 MB stays below 2^53 bytes.
+    if (n < 0 || n > (int64_t{1} << 20)) {
+      return Status::Invalid(
+          "sparkline.memory.executorOverheadMb must be in [0, 2^20]");
+    }
     config_.cluster.executor_overhead_bytes = n << 20;
     return Status::OK();
   }
@@ -81,22 +95,6 @@ Status Session::SetConf(const std::string& key, const std::string& value) {
     }
     return Status::Invalid(
         StrCat("unknown skyline kernel '", value, "' (bnl | sfs | grid)"));
-  }
-  if (k == "sparkline.skyline.incomplete.parallel") {
-    SL_ASSIGN_OR_RETURN(config_.skyline_incomplete_parallel, ParseBool(value));
-    return Status::OK();
-  }
-  if (k == "sparkline.skyline.broadcast_filter") {
-    SL_ASSIGN_OR_RETURN(config_.skyline_broadcast_filter, ParseBool(value));
-    return Status::OK();
-  }
-  if (k == "sparkline.scan.zone_maps") {
-    SL_ASSIGN_OR_RETURN(config_.scan_zone_maps, ParseBool(value));
-    return Status::OK();
-  }
-  if (k == "sparkline.skyline.sfs.early_stop") {
-    SL_ASSIGN_OR_RETURN(config_.skyline_sfs_early_stop, ParseBool(value));
-    return Status::OK();
   }
   if (k == "sparkline.skyline.sfs.sort_key") {
     SL_ASSIGN_OR_RETURN(config_.skyline_sfs_sort_key, ParseSfsSortKey(value));
@@ -157,14 +155,6 @@ Status Session::SetConf(const std::string& key, const std::string& value) {
     config_.cache_ttl_ms = n;
     sl::MutexLock lock(&serve_mu_);
     if (cache_ != nullptr) cache_->set_ttl_ms(n);
-    return Status::OK();
-  }
-  if (k == "sparkline.cache.incremental") {
-    SL_ASSIGN_OR_RETURN(config_.cache_incremental, ParseBool(value));
-    sl::MutexLock lock(&serve_mu_);
-    if (maintainer_ != nullptr) {
-      maintainer_->set_enabled(config_.cache_incremental);
-    }
     return Status::OK();
   }
   if (k == "sparkline.cache.max_delta_batch") {
@@ -252,7 +242,6 @@ serve::ResultCache* Session::cache() const {
     // the session.
     maintainer_ =
         std::make_shared<serve::IncrementalMaintainer>(catalog_.get(), cache_);
-    maintainer_->set_enabled(config_.cache_incremental);
     maintainer_->set_max_delta_batch(config_.cache_max_delta_batch);
     catalog_->AddWriteListener(
         [weak = std::weak_ptr<serve::IncrementalMaintainer>(maintainer_)](
@@ -355,11 +344,7 @@ Result<PhysicalPlanPtr> Session::PlanPhysical(
   opts.cluster = config_.cluster;
   opts.skyline_strategy = config_.skyline_strategy;
   opts.skyline_kernel = config_.skyline_kernel;
-  opts.skyline_incomplete_parallel = config_.skyline_incomplete_parallel;
-  opts.skyline_broadcast_filter = config_.skyline_broadcast_filter;
-  opts.scan_zone_maps = config_.scan_zone_maps;
   opts.skyline_partitioning = config_.skyline_partitioning;
-  opts.sfs_early_stop = config_.skyline_sfs_early_stop;
   opts.sfs_sort_key = config_.skyline_sfs_sort_key;
   opts.non_distributed_threshold = config_.non_distributed_threshold;
   PhysicalPlanner planner(opts);
@@ -412,7 +397,7 @@ std::string RenderAnalyzeNode(const PhysicalPlan& node, const QueryMetrics& m,
   }
   if (builds > 0) line += StrCat(", matrix_builds=", builds);
   if (reuses > 0) line += StrCat(", matrix_reuses=", reuses);
-  // Two-phase pruning annotations. The counters are query-global scalars,
+  // Broadcast-filter annotations. The counters are query-global scalars,
   // so each lands on the first (topmost) node of its operator family —
   // exact for today's single-skyline plans, attribution-fuzzy only for
   // nested skylines (like operator_rows above).
@@ -423,9 +408,6 @@ std::string RenderAnalyzeNode(const PhysicalPlan& node, const QueryMetrics& m,
     if (m.rows_pruned_pre_gather > 0) {
       line += StrCat(", pruned_pre_gather=", m.rows_pruned_pre_gather);
     }
-  }
-  if (label.compare(0, 12, "LocalSkyline") == 0 && m.partitions_skipped > 0) {
-    line += StrCat(", partitions_skipped=", m.partitions_skipped);
   }
   if (label.compare(0, 8, "Exchange") == 0 && m.exchange_rows_shipped > 0) {
     line += StrCat(", shipped_rows=", m.exchange_rows_shipped,

@@ -11,15 +11,11 @@
 //   sparkline.skyline.strategy              auto | distributed |
 //                                           non_distributed | incomplete |
 //                                           reference
-//   sparkline.timeout_ms                    per-query timeout (0 = none)
-//   sparkline.memory.executorOverheadMb     simulated per-executor footprint
+//   sparkline.timeout_ms                    per-query timeout in ms,
+//                                           [0, 10^12] (0 = none)
+//   sparkline.memory.executorOverheadMb     simulated per-executor
+//                                           footprint in MB, [0, 2^20]
 //   sparkline.skyline.kernel                bnl | sfs | grid
-//   sparkline.skyline.incomplete.parallel   bool, round-based parallel
-//                                           incomplete global stage
-//   sparkline.skyline.broadcast_filter      bool, pre-gather broadcast-filter
-//                                           pruning (two-phase pruning, 1)
-//   sparkline.scan.zone_maps                bool, per-partition zone maps +
-//                                           partition skipping (phase 2)
 //   sparkline.skyline.partitioning          asis | roundrobin | angle
 //   sparkline.skyline.nonDistributedThreshold  rows; 0 disables (section 7)
 //   sparkline.optimizer.singleDimRewrite    bool
@@ -30,9 +26,6 @@
 //   sparkline.cache.enabled                 bool, fingerprinted result cache
 //   sparkline.cache.capacity_bytes          cache byte budget
 //   sparkline.cache.ttl_ms                  entry TTL (0 = none)
-//   sparkline.cache.incremental             bool, delta-maintain cached
-//                                           skylines under InsertInto
-//                                           instead of invalidating
 //   sparkline.cache.max_delta_batch         rows; inserts larger than this
 //                                           invalidate instead of classify
 //   sparkline.serve.max_concurrent          query-service threads /
@@ -84,36 +77,9 @@ struct SessionConfig {
   /// pruning (Tang et al., paper section 2). Key:
   /// sparkline.skyline.kernel = bnl | sfs | grid.
   SkylineKernel skyline_kernel = SkylineKernel::kBlockNestedLoop;
-  /// Round-based parallel incomplete-data global stage (candidate scan per
-  /// chunk + rotating validation rounds; see GlobalSkylineIncompleteExec).
-  /// Off = the paper's single-task all-pairs. Results are identical with
-  /// the toggle on or off. Key: sparkline.skyline.incomplete.parallel.
-  bool skyline_incomplete_parallel = true;
-  /// Phase one of two-phase distributed pruning: after the local skyline
-  /// stage, each partition nominates its SaLSa minmax-best points; the
-  /// union travels as a tiny broadcast filter and every partition prunes
-  /// its local skyline against it *before* the gather exchange pays for
-  /// shipping the rows. Strict-only elimination keeps results
-  /// bit-identical with the phase off; ineligible shapes (NULLs, DIFF
-  /// dims, ranked dims) pass through. Key:
-  /// sparkline.skyline.broadcast_filter.
-  bool skyline_broadcast_filter = true;
-  /// Phase two: scans build per-partition zone maps (per-column min/max +
-  /// null counts, maintained incrementally on INSERT); the local skyline
-  /// stage drops whole partitions whose best corner is strictly dominated
-  /// by another partition's worst corner, before projection. Auto-disables
-  /// under incomplete dominance and for non-numeric/NULL/DIFF dimensions.
-  /// Key: sparkline.scan.zone_maps.
-  bool scan_zone_maps = true;
   /// Local-stage partitioning for complete data. Key:
   /// sparkline.skyline.partitioning = asis | roundrobin | angle.
   SkylinePartitioning skyline_partitioning = SkylinePartitioning::kAsIs;
-  /// SaLSa-style early termination for the SFS family (stop at the minC
-  /// stop point; the global merge inherits the tightest per-partition bound
-  /// through the columnar exchange). Auto-disabled for incomplete/NULL
-  /// data and strict-only, so results are identical with the toggle on or
-  /// off (DISTINCT included). Key: sparkline.skyline.sfs.early_stop.
-  bool skyline_sfs_early_stop = true;
   /// Monotone SFS sort key: "sum" (the pre-existing score order) or
   /// "minmax" (SaLSa's minC function — the key whose stop bound is tight).
   /// Key: sparkline.skyline.sfs.sort_key.
@@ -134,12 +100,6 @@ struct SessionConfig {
   int64_t cache_capacity_bytes = 256ll << 20;
   /// Cache entry TTL in ms (0 = no expiry). Key: sparkline.cache.ttl_ms.
   int64_t cache_ttl_ms = 0;
-  /// Incremental maintenance: InsertInto advances affected cached skylines
-  /// by classifying the inserted batch against the cached result
-  /// (serve/incremental.h) instead of invalidating them. Off = every write
-  /// invalidates (the pre-maintenance behaviour). Results are bit-identical
-  /// either way. Key: sparkline.cache.incremental.
-  bool cache_incremental = true;
   /// Inserts with more rows than this fall back to invalidation (delta
   /// classification is O((|skyline|+|batch|)*|batch|); recomputing once
   /// beats classifying a huge batch). Key: sparkline.cache.max_delta_batch.

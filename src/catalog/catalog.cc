@@ -214,9 +214,6 @@ Status Catalog::InsertInto(const std::string& name,
     }
     auto next = std::make_shared<Table>(old->name(), old->schema());
     next->constraints() = old->constraints();
-    // Bulk copy + zone-map transplant: the predecessor's summaries stay
-    // exact for the copied rows, so only the inserted rows are observed
-    // below — an incremental min/max merge, not a rebuild.
     next->CopyRowsFrom(*old, /*extra_rows=*/rows.size());
     for (const Row& row : rows) SL_RETURN_NOT_OK(next->AppendRow(row));
     WriteEvent event;

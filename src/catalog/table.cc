@@ -30,7 +30,6 @@ Status Table::AppendRow(Row row) {
                                     ", got ", row[i].type().ToString()));
     }
   }
-  zone_map_.Observe(row);
   rows_.push_back(std::move(row));
   return Status::OK();
 }

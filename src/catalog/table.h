@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "catalog/zone_map.h"
 #include "common/result.h"
 #include "types/schema.h"
 #include "types/value.h"
@@ -46,9 +45,7 @@ struct TableConstraints {
 class Table {
  public:
   Table(std::string name, Schema schema)
-      : name_(std::move(name)),
-        schema_(std::move(schema)),
-        zone_map_(schema_.num_fields()) {}
+      : name_(std::move(name)), schema_(std::move(schema)) {}
 
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
@@ -72,33 +69,19 @@ class Table {
   Status AppendRow(Row row);
 
   /// Appends without validation (used by trusted generators).
-  void AppendRowUnchecked(Row row) {
-    zone_map_.Observe(row);
-    rows_.push_back(std::move(row));
-  }
+  void AppendRowUnchecked(Row row) { rows_.push_back(std::move(row)); }
 
-  /// Bulk-copies another table's rows AND transplants its zone map — the
-  /// copy-on-write fast path of Catalog::InsertInto. The predecessor's
-  /// summaries are already exact for its rows, so the successor's zone map
-  /// is maintained incrementally (only newly appended rows get observed)
-  /// instead of being rebuilt O(rows x columns). `extra_rows` more rows are
-  /// reserved in the same allocation, so the appends that follow never
-  /// reallocate the copy.
+  /// Bulk-copies another table's rows — the copy-on-write fast path of
+  /// Catalog::InsertInto. `extra_rows` more rows are reserved in the same
+  /// allocation, so the appends that follow never reallocate the copy.
   ///
   /// \pre this table is empty and shares `other`'s schema.
   void CopyRowsFrom(const Table& other, size_t extra_rows) {
     rows_.reserve(other.rows_.size() + extra_rows);
     rows_.insert(rows_.end(), other.rows_.begin(), other.rows_.end());
-    zone_map_ = other.zone_map_;
   }
 
   void Reserve(size_t n) { rows_.reserve(n); }
-
-  /// Per-column min/max/null-count summaries over all rows, maintained on
-  /// every append and carried across copy-on-write inserts. Tests use it as
-  /// the incremental-maintenance ground truth; the scan does not read it —
-  /// it builds per-partition zone maps over the partition's own rows.
-  const ZoneMap& zone_map() const { return zone_map_; }
 
   /// Approximate bytes held by the table's rows.
   int64_t EstimatedBytes() const;
@@ -108,7 +91,6 @@ class Table {
   Schema schema_;
   std::vector<Row> rows_;
   TableConstraints constraints_;
-  ZoneMap zone_map_;
   std::atomic<uint64_t> version_{0};
 };
 

@@ -20,8 +20,7 @@ namespace {
 /// appear here; the chaos suite sweeps this list, and Arm() rejects names
 /// that are not on it so a typo cannot silently never fire.
 ///
-///   exec.scan          ScanExec partition tasks (borrowed partitions and
-///                      their zone maps)
+///   exec.scan          ScanExec partition tasks (borrowed partitions)
 ///   exec.local_task    LocalSkylineExec partition tasks
 ///   exec.global_task   GlobalSkyline{,Incomplete}Exec stage tasks
 ///                      (partial/merge/candidates/validate/finalize)

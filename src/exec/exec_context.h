@@ -63,25 +63,21 @@ struct QueryMetrics {
   double simulated_ms = 0;
   int64_t peak_memory_bytes = 0;
   int64_t dominance_tests = 0;
-  int64_t rows_shuffled = 0;
 
-  // --- exchange / two-phase pruning counters --------------------------------
+  // --- exchange / pre-gather pruning counters -------------------------------
   /// Rows that actually crossed an ExchangeExec stage boundary (batch rows
-  /// count their view, not their backing). rows_shuffled is the historical
-  /// superset counter; this one exists so the pre-gather pruning phases show
-  /// up as fewer rows shipped.
+  /// count their view, not their backing), so pre-gather pruning shows up
+  /// as fewer rows shipped.
   int64_t exchange_rows_shipped = 0;
   /// Estimated bytes those rows occupied on the wire (row estimate, plus
   /// packed matrix keys for batch partitions). Borrowed rows count like
   /// owned ones: a row is serialized whoever owns it.
   int64_t exchange_bytes = 0;
-  /// Filter points nominated and broadcast by BroadcastFilterExec
-  /// (sparkline.skyline.broadcast_filter); 0 when the phase is off or
-  /// ineligible.
+  /// Filter points nominated and broadcast by BroadcastFilterExec; 0 when
+  /// the input is ineligible.
   int64_t broadcast_filter_points = 0;
-  /// Whole partitions dropped by a zone-map corner test — either
-  /// LocalSkylineExec's pairwise best/worst-corner skip or
-  /// BroadcastFilterExec's filter-point veto (sparkline.scan.zone_maps).
+  /// Always 0: no operator skips whole partitions. Kept for sl_bench,
+  /// which still reports it.
   int64_t partitions_skipped = 0;
   /// Local-skyline rows removed by the broadcast filter before the gather —
   /// rows that would otherwise have shipped and lost at the merge.
@@ -111,7 +107,7 @@ struct QueryMetrics {
   /// On a cache hit: how many write deltas the served entry has absorbed
   /// since it was first computed (serve/incremental.h). A nonzero value is
   /// the proof a hit survived InsertInto traffic without a recompute;
-  /// always 0 on misses and with sparkline.cache.incremental off.
+  /// always 0 on misses.
   int64_t cache_delta_maintained = 0;
   /// Rows returned to the caller (executed or cached).
   int64_t rows_served = 0;
@@ -143,9 +139,8 @@ struct QueryMetrics {
 
   // --- SFS early-termination counters ---------------------------------------
   /// Input rows of SFS passes never scanned because a SaLSa stop point
-  /// proved every remaining tuple strictly dominated
-  /// (sparkline.skyline.sfs.early_stop). Summed across all passes (local
-  /// partitions, global partial slices, the global merge).
+  /// proved every remaining tuple strictly dominated. Summed across all
+  /// passes (local partitions, global partial slices, the global merge).
   int64_t sfs_rows_skipped = 0;
   /// SFS passes that terminated at a stop point before exhausting their
   /// input.
@@ -251,10 +246,6 @@ class ExecContext {
     simulated_ms_ += ms;
     operator_ms_[label] += ms;
   }
-  void AddRowsShuffled(int64_t rows) {
-    sl::MutexLock lock(&mu_);
-    rows_shuffled_ += rows;
-  }
   void AddExchangeShipped(int64_t rows, int64_t bytes) {
     sl::MutexLock lock(&mu_);
     exchange_rows_shipped_ += rows;
@@ -263,10 +254,6 @@ class ExecContext {
   void AddBroadcastFilterPoints(int64_t n) {
     sl::MutexLock lock(&mu_);
     broadcast_filter_points_ += n;
-  }
-  void AddPartitionsSkipped(int64_t n) {
-    sl::MutexLock lock(&mu_);
-    partitions_skipped_ += n;
   }
   void AddRowsPrunedPreGather(int64_t n) {
     sl::MutexLock lock(&mu_);
@@ -316,11 +303,9 @@ class ExecContext {
     m.dominance_tests =
         dominance_.tests.load() + merge_dominance_.tests.load();
     m.merge_dominance_tests = merge_dominance_.tests.load();
-    m.rows_shuffled = rows_shuffled_;
     m.exchange_rows_shipped = exchange_rows_shipped_;
     m.exchange_bytes = exchange_bytes_;
     m.broadcast_filter_points = broadcast_filter_points_;
-    m.partitions_skipped = partitions_skipped_;
     m.rows_pruned_pre_gather = rows_pruned_pre_gather_;
     m.tasks_retried = tasks_retried_.load();
     m.tasks_failed = tasks_failed_.load();
@@ -352,11 +337,9 @@ class ExecContext {
   double simulated_ms_ SL_GUARDED_BY(mu_) = 0;
   std::map<std::string, double> operator_ms_ SL_GUARDED_BY(mu_);
   std::map<std::string, int64_t> operator_rows_ SL_GUARDED_BY(mu_);
-  int64_t rows_shuffled_ SL_GUARDED_BY(mu_) = 0;
   int64_t exchange_rows_shipped_ SL_GUARDED_BY(mu_) = 0;
   int64_t exchange_bytes_ SL_GUARDED_BY(mu_) = 0;
   int64_t broadcast_filter_points_ SL_GUARDED_BY(mu_) = 0;
-  int64_t partitions_skipped_ SL_GUARDED_BY(mu_) = 0;
   int64_t rows_pruned_pre_gather_ SL_GUARDED_BY(mu_) = 0;
   double projection_ms_ SL_GUARDED_BY(mu_) = 0;
   double decode_ms_ SL_GUARDED_BY(mu_) = 0;

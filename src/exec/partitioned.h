@@ -20,7 +20,6 @@
 #include <optional>
 #include <vector>
 
-#include "catalog/zone_map.h"
 #include "common/memory_tracker.h"
 #include "expr/expression.h"
 #include "skyline/columnar.h"
@@ -42,15 +41,6 @@ struct PartitionedRelation {
   /// where batches[i], when engaged, replaces partitions[i]. Only the
   /// skyline operators and the gather exchange produce or consume batches.
   std::vector<std::optional<skyline::ColumnarBatch>> batches;
-  /// Zone-map side channel (sparkline.scan.zone_maps): empty, or exactly
-  /// partitions.size() entries where zone_maps[i] summarizes the rows of
-  /// partition i *in output-column ordinals*. Built by the scan during
-  /// partitioning; propagated only by operators that keep partitions as
-  /// row subsets with unchanged columns (Filter, LocalSkyline) — everyone
-  /// else drops the channel, which consumers must treat as "no metadata".
-  /// An engaged entry may still be invalid (no columns) for the same
-  /// reason.
-  std::vector<ZoneMap> zone_maps;
   /// The bytes this relation holds reserved on the query's MemoryTracker
   /// (attached by PhysicalPlan::ChargeOutput, released by the destructor).
   /// Making the charge a member — instead of the pre-fault-tolerance ad-hoc

@@ -227,11 +227,10 @@ Result<ExprPtr> EvaluateSubqueries(const ExprPtr& e, ExecContext* ctx) {
 // --- ScanExec ---------------------------------------------------------------
 
 ScanExec::ScanExec(TablePtr table, std::vector<size_t> column_indices,
-                   std::vector<Attribute> output, bool build_zone_maps)
+                   std::vector<Attribute> output)
     : PhysicalPlan(std::move(output), {}),
       table_(std::move(table)),
-      column_indices_(std::move(column_indices)),
-      build_zone_maps_(build_zone_maps) {}
+      column_indices_(std::move(column_indices)) {}
 
 std::string ScanExec::label() const {
   return StrCat("Scan ", table_->name(), " [", column_indices_.size(),
@@ -251,7 +250,6 @@ Result<PartitionedRelation> ScanExec::Execute(ExecContext* ctx) const {
   out.attrs = output_;
   out.partitions.assign(n, {});
   out.views.assign(n, std::nullopt);
-  if (build_zone_maps_) out.zone_maps.assign(n, ZoneMap());
 
   // Contiguous chunks, like a data source with n splits.
   const size_t per = (rows->size() + n - 1) / n;
@@ -260,15 +258,6 @@ Result<PartitionedRelation> ScanExec::Execute(ExecContext* ctx) const {
     const size_t end = std::min(rows->size(), begin + per);
     RowView view{rows, std::vector<uint32_t>(end - begin), column_indices_};
     std::iota(view.ids.begin(), view.ids.end(), static_cast<uint32_t>(begin));
-    // Per-partition zone map over the *projected* output columns: a
-    // read-only pass over the borrowed rows.
-    if (build_zone_maps_) {
-      ZoneMap& zone = out.zone_maps[i];
-      zone = ZoneMap(column_indices_.size());
-      for (size_t k = 0; k < view.size(); ++k) {
-        zone.ObserveProjected(view.source(k), column_indices_);
-      }
-    }
     out.views[i] = std::move(view);
     return Status::OK();
   }));
@@ -339,9 +328,6 @@ Result<PartitionedRelation> FilterExec::Execute(ExecContext* ctx) const {
   PartitionedRelation out;
   out.attrs = output_;
   out.partitions.assign(in.partitions.size(), {});
-  // A filter keeps each partition a row subset with unchanged columns, so
-  // the scan's zone maps stay conservative bounds and travel through.
-  out.zone_maps = std::move(in.zone_maps);
   SL_RETURN_NOT_OK(RunStage(ctx, in.partitions.size(), [&](size_t i) -> Status {
     auto& part = out.partitions[i];
     for (Row& row : in.partitions[i]) {
@@ -495,11 +481,10 @@ size_t AnglePartition(const Row& row,
 Result<PartitionedRelation> ExchangeExec::Execute(ExecContext* ctx) const {
   SL_ASSIGN_OR_RETURN(PartitionedRelation in, children_[0]->Execute(ctx));
   const int64_t moved = static_cast<int64_t>(in.TotalRows());
-  ctx->AddRowsShuffled(moved);
   // Exchange observability: what actually crosses the stage boundary, per
   // query (QueryMetrics) and process-wide (the registry). This is the
-  // scorecard of the pre-gather pruning phases — fewer rows/bytes here is
-  // the point of BroadcastFilterExec and zone-map skipping.
+  // scorecard of pre-gather pruning — fewer rows/bytes here is the point
+  // of BroadcastFilterExec.
   const int64_t shipped_bytes = EstimateShippedBytes(in);
   ctx->AddExchangeShipped(moved, shipped_bytes);
   static metrics::Counter* shipped_rows_total =

@@ -131,12 +131,8 @@ class PhysicalPlan {
 /// column map applies the pruning), which keep the snapshot alive.
 class ScanExec : public PhysicalPlan {
  public:
-  /// With `build_zone_maps` (sparkline.scan.zone_maps) each output chunk
-  /// gets a per-partition ZoneMap over the *projected* columns, built in a
-  /// read-only pass over its borrowed rows — the data-skipping metadata
-  /// LocalSkylineExec and BroadcastFilterExec consult (see partitioned.h).
   ScanExec(TablePtr table, std::vector<size_t> column_indices,
-           std::vector<Attribute> output, bool build_zone_maps = false);
+           std::vector<Attribute> output);
   std::string label() const override;
   const char* failpoint_site() const override { return "exec.scan"; }
   Result<PartitionedRelation> Execute(ExecContext* ctx) const override;
@@ -144,7 +140,6 @@ class ScanExec : public PhysicalPlan {
  private:
   TablePtr table_;
   std::vector<size_t> column_indices_;
-  bool build_zone_maps_;
 };
 
 /// \brief Emits in-memory rows as a single borrowed partition.
@@ -388,22 +383,12 @@ class NestedLoopJoinExec : public PhysicalPlan {
 /// survivor view over that matrix — the projection every downstream
 /// skyline stage reuses. SFS runs tag their output views score-sorted so
 /// the global stage can inherit the sort order.
-///
-/// With `zone_map_skipping` (sparkline.scan.zone_maps) and zone maps on the
-/// input relation, a partition whose per-dim *best corner* is strictly
-/// dominated by another partition's *worst corner* is dropped whole — before
-/// projection, not per-row (the vector generalization of the SaLSa
-/// stop-bound corner test; see docs/ARCHITECTURE.md for the soundness
-/// argument). Only sound under complete dominance over NULL-free numeric
-/// MIN/MAX dimensions; the skip auto-disables everywhere else.
 class LocalSkylineExec : public PhysicalPlan {
  public:
   LocalSkylineExec(std::vector<skyline::BoundDimension> dims, bool distinct,
                    skyline::NullSemantics nulls, PhysicalPlanPtr child,
                    SkylineKernel kernel = SkylineKernel::kBlockNestedLoop,
-                   bool sfs_early_stop = true,
-                   skyline::SfsSortKey sfs_sort_key = skyline::SfsSortKey::kSum,
-                   bool zone_map_skipping = false);
+                   skyline::SfsSortKey sfs_sort_key = skyline::SfsSortKey::kSum);
   std::string label() const override;
   const char* failpoint_site() const override { return "exec.local_task"; }
   Result<PartitionedRelation> Execute(ExecContext* ctx) const override;
@@ -413,15 +398,12 @@ class LocalSkylineExec : public PhysicalPlan {
   bool distinct_;
   skyline::NullSemantics nulls_;
   SkylineKernel kernel_;
-  bool sfs_early_stop_;
   skyline::SfsSortKey sfs_sort_key_;
-  bool zone_map_skipping_;
 };
 
-/// \brief Phase one of two-phase distributed pruning
-/// (sparkline.skyline.broadcast_filter; ROADMAP item 2, after Ciaccia &
-/// Martinenghi): sits between LocalSkylineExec and the gather exchange on
-/// the distributed complete path.
+/// \brief Pre-gather broadcast-filter pruning (after Ciaccia &
+/// Martinenghi's representative filtering): sits between LocalSkylineExec
+/// and the gather exchange on the distributed complete path.
 ///
 ///   [nominate]  each partition nominates its k strongest skyline points —
 ///               the SaLSa minmax-best tuples, whose small max-coordinate
@@ -430,12 +412,10 @@ class LocalSkylineExec : public PhysicalPlan {
 ///               (the broadcast; normalized keys compare across matrices,
 ///               so no re-projection travels with it).
 ///   [filter]    every partition prunes its local skyline against the
-///               union *before* the gather: first the partition's zone-map
-///               best corner against the filter points (a strictly
-///               dominated corner drops the whole partition), then row by
-///               row via PruneAgainstFilter. Only *strictly* dominated rows
-///               are removed — DISTINCT ties survive to the merge, so
-///               results stay bit-identical with the phase off.
+///               union *before* the gather, row by row via
+///               PruneAgainstFilter. Only *strictly* dominated rows are
+///               removed — DISTINCT ties survive to the merge, so results
+///               are bit-identical to an unfiltered plan.
 ///
 /// Eligibility is per-relation: every non-empty partition must carry a
 /// batch projected for these dimensions over an all-numeric, NULL-free,
@@ -478,13 +458,12 @@ class BroadcastFilterExec : public PhysicalPlan {
 /// (inherited order + ColumnarSortFilterSkylinePresorted) and additionally
 /// inherit the tightest per-partition SaLSa stop bound the batch carries,
 /// so the partial slices and the sort-free merge can terminate before
-/// scanning most of the gathered input (sparkline.skyline.sfs.early_stop).
+/// scanning most of the gathered input.
 class GlobalSkylineExec : public PhysicalPlan {
  public:
   GlobalSkylineExec(std::vector<skyline::BoundDimension> dims, bool distinct,
                     PhysicalPlanPtr child,
                     SkylineKernel kernel = SkylineKernel::kBlockNestedLoop,
-                    bool sfs_early_stop = true,
                     skyline::SfsSortKey sfs_sort_key = skyline::SfsSortKey::kSum);
   std::string label() const override { return "GlobalSkyline [complete]"; }
   const char* failpoint_site() const override { return "exec.global_task"; }
@@ -494,7 +473,6 @@ class GlobalSkylineExec : public PhysicalPlan {
   std::vector<skyline::BoundDimension> dims_;
   bool distinct_;
   SkylineKernel kernel_;
-  bool sfs_early_stop_;
   skyline::SfsSortKey sfs_sort_key_;
 };
 
@@ -505,8 +483,8 @@ class GlobalSkylineExec : public PhysicalPlan {
 /// partial-merge scheme (prune chunk-dominated tuples, merge survivors) is
 /// unsound here: a tuple eliminated inside its chunk can still be the only
 /// witness against another chunk's survivor. With more than one executor
-/// (and `parallel` on) the gathered input is instead split into
-/// executor-count chunks and run through round-based all-pairs validation:
+/// the gathered input is instead split into executor-count chunks and run
+/// through round-based all-pairs validation:
 ///
 ///   [candidates]  each chunk runs the all-pairs deferred-deletion scan
 ///                 locally; survivors become its candidate set.
@@ -519,8 +497,8 @@ class GlobalSkylineExec : public PhysicalPlan {
 /// After the rounds every candidate has been compared against every other
 /// input tuple, so the result equals the single-task all-pairs algorithm
 /// exactly. Stage times are recorded under "<label> [candidates]" /
-/// "[validate]" / "[finalize]"; the single-executor (or `parallel` = off)
-/// path keeps the bare label.
+/// "[validate]" / "[finalize]"; the single-executor path (the paper's
+/// single-task all-pairs) keeps the bare label.
 ///
 /// A batch from the gather exchange supplies the shared matrix (and its
 /// per-row null bitmaps) for every stage, and the output stays a batch
@@ -530,8 +508,7 @@ class GlobalSkylineExec : public PhysicalPlan {
 class GlobalSkylineIncompleteExec : public PhysicalPlan {
  public:
   GlobalSkylineIncompleteExec(std::vector<skyline::BoundDimension> dims,
-                              bool distinct, PhysicalPlanPtr child,
-                              bool parallel = true);
+                              bool distinct, PhysicalPlanPtr child);
   std::string label() const override { return "GlobalSkyline [incomplete]"; }
   const char* failpoint_site() const override { return "exec.global_task"; }
   Result<PartitionedRelation> Execute(ExecContext* ctx) const override;
@@ -539,7 +516,6 @@ class GlobalSkylineIncompleteExec : public PhysicalPlan {
  private:
   std::vector<skyline::BoundDimension> dims_;
   bool distinct_;
-  bool parallel_;
 };
 
 }  // namespace sparkline

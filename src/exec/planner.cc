@@ -176,7 +176,7 @@ Result<PhysicalPlanPtr> PhysicalPlanner::PlanNode(
       const auto& scan = static_cast<const Scan&>(*plan);
       return PhysicalPlanPtr(
           std::make_shared<ScanExec>(scan.table(), scan.column_indices(),
-                                     scan.output(), options_.scan_zone_maps));
+                                     scan.output()));
     }
     case PlanKind::kLocalRelation: {
       const auto& rel = static_cast<const LocalRelation&>(*plan);
@@ -522,25 +522,20 @@ Result<PhysicalPlanPtr> PhysicalPlanner::PlanSkyline(
       PhysicalPlanPtr local = std::make_shared<LocalSkylineExec>(
           dims, sky.distinct(), skyline::NullSemantics::kComplete,
           std::move(local_input), options_.skyline_kernel,
-          options_.sfs_early_stop, options_.sfs_sort_key,
-          options_.scan_zone_maps);
-      if (options_.skyline_broadcast_filter) {
-        // Phase one of two-phase pruning: prune every local skyline against
-        // the broadcast union of nominated points *before* the gather pays
-        // for shipping them. Ineligible inputs pass through unchanged.
-        local = std::make_shared<BroadcastFilterExec>(dims, std::move(local));
-      }
+          options_.sfs_sort_key);
+      // Prune every local skyline against the broadcast union of nominated
+      // points *before* the gather pays for shipping them. Ineligible
+      // inputs pass through unchanged.
+      local = std::make_shared<BroadcastFilterExec>(dims, std::move(local));
       result = std::make_shared<GlobalSkylineExec>(
           dims, sky.distinct(), EnsureSinglePartition(std::move(local)),
-          options_.skyline_kernel, options_.sfs_early_stop,
-          options_.sfs_sort_key);
+          options_.skyline_kernel, options_.sfs_sort_key);
       break;
     }
     case SkylineStrategy::kNonDistributedComplete: {
       result = std::make_shared<GlobalSkylineExec>(
           dims, sky.distinct(), EnsureSinglePartition(std::move(input)),
-          options_.skyline_kernel, options_.sfs_early_stop,
-          options_.sfs_sort_key);
+          options_.skyline_kernel, options_.sfs_sort_key);
       break;
     }
     case SkylineStrategy::kDistributedIncomplete: {
@@ -552,8 +547,7 @@ Result<PhysicalPlanPtr> PhysicalPlanner::PlanSkyline(
           dims, sky.distinct(), skyline::NullSemantics::kIncomplete,
           std::move(exchange));
       result = std::make_shared<GlobalSkylineIncompleteExec>(
-          dims, sky.distinct(), EnsureSinglePartition(std::move(local)),
-          options_.skyline_incomplete_parallel);
+          dims, sky.distinct(), EnsureSinglePartition(std::move(local)));
       break;
     }
     case SkylineStrategy::kAuto:

@@ -50,35 +50,10 @@ struct PlannerOptions {
   /// Kernel used by the skyline operators (paper future work: presorting).
   SkylineKernel skyline_kernel = SkylineKernel::kBlockNestedLoop;
   SkylinePartitioning skyline_partitioning = SkylinePartitioning::kAsIs;
-  /// SaLSa-style early termination for the SFS family: presorted passes
-  /// stop at the minC stop point (and the global merge inherits the
-  /// tightest per-partition bound through the columnar exchange).
-  /// Automatically disabled for incomplete/NULL data; never changes
-  /// results. Key: sparkline.skyline.sfs.early_stop.
-  bool sfs_early_stop = true;
   /// Monotone SFS sort key: sum (the pre-existing score) or minmax
   /// (SaLSa's minC function, whose stop bound is tight). Key:
   /// sparkline.skyline.sfs.sort_key.
   skyline::SfsSortKey sfs_sort_key = skyline::SfsSortKey::kSum;
-  /// Round-based parallel execution of the incomplete-data global stage
-  /// (GlobalSkylineIncompleteExec): candidate scan per chunk, then rotating
-  /// validation rounds against full peer chunks. Off = the paper's
-  /// single-task all-pairs. Results are identical either way.
-  bool skyline_incomplete_parallel = true;
-  /// Phase one of two-phase distributed pruning: nominate SaLSa minmax-best
-  /// points per partition after the local stage, broadcast the union, and
-  /// prune every local skyline against it before the gather exchange
-  /// (BroadcastFilterExec). Strict-only elimination keeps results
-  /// bit-identical; ineligible shapes pass through. Key:
-  /// sparkline.skyline.broadcast_filter.
-  bool skyline_broadcast_filter = true;
-  /// Phase two: per-partition zone maps built at scan time; the local
-  /// skyline stage drops whole partitions whose best corner another
-  /// partition's worst corner strictly dominates, and the broadcast filter
-  /// vetoes partitions whose best corner a filter point strictly dominates.
-  /// Auto-disables under incomplete dominance. Key:
-  /// sparkline.scan.zone_maps.
-  bool scan_zone_maps = true;
   /// Lightweight cost-based selection (paper section 7): below this
   /// estimated input cardinality the planner skips the distributed local
   /// stage, because the global stage dominates anyway. 0 disables.

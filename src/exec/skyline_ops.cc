@@ -48,55 +48,6 @@ std::vector<size_t> ChunkBounds(size_t n, size_t chunks) {
   return bounds;
 }
 
-/// Normalized zone-map corners for one partition over the skyline
-/// dimensions, in DominanceMatrix key space ("smaller is better": MAX
-/// values are negated). `best` is the most optimistic coordinate any row of
-/// the partition can have per dimension; `worst` the most pessimistic every
-/// row is at least as good as. Returns false when the zone cannot support a
-/// sound corner test for these dimensions: invalid / shape-poisoned zone, a
-/// dimension with no numeric range, a NULL anywhere in a skyline dimension
-/// (NULL coordinates escape the min/max summary), or a DIFF goal (its
-/// dictionary codes carry no order).
-bool ZoneCorners(const ZoneMap& zone,
-                 const std::vector<skyline::BoundDimension>& dims,
-                 std::vector<double>* best, std::vector<double>* worst) {
-  if (!zone.valid()) return false;
-  best->clear();
-  worst->clear();
-  best->reserve(dims.size());
-  worst->reserve(dims.size());
-  for (const auto& dim : dims) {
-    if (dim.goal == SkylineGoal::kDiff) return false;
-    if (dim.ordinal >= zone.columns.size()) return false;
-    const ColumnZone& col = zone.columns[dim.ordinal];
-    if (!col.has_range() || col.null_count > 0) return false;
-    if (dim.goal == SkylineGoal::kMax) {
-      best->push_back(-col.max);
-      worst->push_back(-col.min);
-    } else {
-      best->push_back(col.min);
-      worst->push_back(col.max);
-    }
-  }
-  return true;
-}
-
-/// True when the partition behind `worst` strictly dominates every possible
-/// row of the partition behind `best`: worst <= best componentwise with at
-/// least one strict dimension. Any row r of the witness and any row s of
-/// the candidate satisfy r[d] <= worst[d] <= best[d] <= s[d], strictly at
-/// the witness dimension — classic zone-map pruning lifted from scalar
-/// ranges to the dominance lattice.
-bool CornerDominates(const std::vector<double>& worst,
-                     const std::vector<double>& best) {
-  bool strict = false;
-  for (size_t d = 0; d < worst.size(); ++d) {
-    if (worst[d] > best[d]) return false;
-    if (worst[d] < best[d]) strict = true;
-  }
-  return strict;
-}
-
 }  // namespace
 
 // --- input of the global stages ---------------------------------------------
@@ -135,17 +86,13 @@ LocalSkylineExec::LocalSkylineExec(std::vector<skyline::BoundDimension> dims,
                                    bool distinct, skyline::NullSemantics nulls,
                                    PhysicalPlanPtr child,
                                    SkylineKernel kernel,
-                                   bool sfs_early_stop,
-                                   skyline::SfsSortKey sfs_sort_key,
-                                   bool zone_map_skipping)
+                                   skyline::SfsSortKey sfs_sort_key)
     : PhysicalPlan(child->output(), {child}),
       dims_(std::move(dims)),
       distinct_(distinct),
       nulls_(nulls),
       kernel_(kernel),
-      sfs_early_stop_(sfs_early_stop),
-      sfs_sort_key_(sfs_sort_key),
-      zone_map_skipping_(zone_map_skipping) {}
+      sfs_sort_key_(sfs_sort_key) {}
 
 std::string LocalSkylineExec::label() const {
   return StrCat("LocalSkyline [",
@@ -167,7 +114,6 @@ Result<PartitionedRelation> LocalSkylineExec::Execute(ExecContext* ctx) const {
   options.counter = ctx->dominance();
   options.deadline_nanos = ctx->deadline_nanos();
   options.cancel = ctx->cancel_token();
-  options.sfs_early_stop = sfs_early_stop_;
   options.sfs_sort_key = sfs_sort_key_;
   options.early_stop = ctx->early_stop();
 
@@ -178,73 +124,10 @@ Result<PartitionedRelation> LocalSkylineExec::Execute(ExecContext* ctx) const {
   out.partitions.assign(n, {});
   out.batches.assign(n, std::nullopt);
 
-  // --- Phase-two pruning: zone-map partition skipping -----------------------
-  // Drop whole partitions before projection when another partition's zone
-  // proves total strict dominance: if the witness partition's worst corner
-  // dominates the candidate's best corner (componentwise <=, strict
-  // somewhere), every row of the witness strictly dominates every row of
-  // the candidate, so the candidate contributes nothing to any skyline.
-  // Strict-only elimination keeps DISTINCT ties intact, and mutual or
-  // cyclic skipping is impossible because strict corner dominance is a
-  // strict partial order. Sound only under complete semantics — incomplete
-  // dominance is non-transitive and NULL coordinates escape the min/max
-  // summary — so the test auto-disables there. Witnesses must still hold
-  // rows: a Filter may have emptied a partition whose scan-time zone still
-  // claims a range.
-  std::vector<char> skip(n, 0);
-  if (zone_map_skipping_ && nulls_ == skyline::NullSemantics::kComplete &&
-      n > 1 && in.zone_maps.size() == n) {
-    std::vector<std::vector<double>> best(n);
-    std::vector<std::vector<double>> worst(n);
-    std::vector<char> eligible(n, 0);
-    for (size_t i = 0; i < n; ++i) {
-      eligible[i] =
-          in.PartitionRows(i) > 0 &&
-          ZoneCorners(in.zone_maps[i], dims_, &best[i], &worst[i]);
-    }
-    int64_t skipped = 0;
-    for (size_t q = 0; q < n; ++q) {
-      if (!eligible[q]) continue;
-      for (size_t p = 0; p < n; ++p) {
-        if (p == q || !eligible[p]) continue;
-        if (CornerDominates(worst[p], best[q])) {
-          skip[q] = 1;
-          ++skipped;
-          break;
-        }
-      }
-    }
-    if (skipped > 0) {
-      ctx->AddPartitionsSkipped(skipped);
-      static metrics::Counter* skipped_counter =
-          metrics::MetricsRegistry::Global().GetCounter(
-              "sparkline_partitions_skipped_total");
-      skipped_counter->Increment(skipped);
-    }
-  }
-  if (in.zone_maps.size() == n) {
-    // Output partitions are row subsets of the input partitions with the
-    // same columns, so the scan-time zones remain conservative bounds for
-    // them. Skipped partitions ship no rows; clear their zones so the
-    // broadcast phase never counts a veto against an already-empty
-    // partition.
-    out.zone_maps = std::move(in.zone_maps);
-    for (size_t i = 0; i < n; ++i) {
-      if (skip[i]) out.zone_maps[i] = ZoneMap();
-    }
-  }
-
   SL_RETURN_NOT_OK(RunStage(ctx, n, [&](size_t i) -> Status {
     // A skyline stage feeding another skyline operator (nested queries)
     // decodes between them: the two matrices project different dimensions.
     if (!in.borrowed(i)) in.EnsureRows(i);
-    if (skip[i]) {
-      // Zone-skipped: drop the rows before the projection. The projection
-      // then runs over zero rows, producing the same (empty) batch shape and
-      // sort/stop-bound flags as an actually-empty partition.
-      if (in.borrowed(i)) in.views[i]->ids.clear();
-      in.partitions[i].clear();
-    }
     // Project this partition exactly once — borrowed rows in place; every
     // downstream skyline stage reuses the matrix through the batch.
     StopWatch project;
@@ -269,9 +152,8 @@ Result<PartitionedRelation> LocalSkylineExec::Execute(ExecContext* ctx) const {
     const bool sorted = kernel_ == SkylineKernel::kSortFilterSkyline &&
                         skyline::SfsFastPathApplicable(batch.matrix(), options);
     const double stop_bound =
-        sorted && sfs_early_stop_
-            ? skyline::ComputeStopBound(batch.matrix(), survivors)
-            : std::numeric_limits<double>::infinity();
+        sorted ? skyline::ComputeStopBound(batch.matrix(), survivors)
+               : std::numeric_limits<double>::infinity();
     out.batches[i] = batch.WithSelection(std::move(survivors), sorted,
                                          sfs_sort_key_, stop_bound);
     return Status::OK();
@@ -359,41 +241,11 @@ Result<PartitionedRelation> BroadcastFilterExec::Execute(
           "sparkline_broadcast_filter_points_total");
   points_counter->Increment(filter_points);
 
-  // Zone veto corners: with zone maps still attached (Scan -> Filter ->
-  // LocalSkyline chains preserve them), a filter point strictly dominating
-  // a partition's *best corner* strictly dominates every row the partition
-  // could hold — the whole partition drops without touching a row. A
-  // partition can never veto itself (its own rows are >= its best corner
-  // componentwise, so at best they compare kEqual), and mutual vetoes are
-  // impossible for the same order-theoretic reason as mutual zone skips.
-  std::vector<std::vector<double>> best(n);
-  std::vector<char> corner_ok(n, 0);
-  if (in.zone_maps.size() == n) {
-    std::vector<double> worst;
-    for (size_t i = 0; i < n; ++i) {
-      if (in.PartitionRows(i) == 0) continue;
-      corner_ok[i] = ZoneCorners(in.zone_maps[i], dims_, &best[i], &worst) &&
-                     best[i].size() == filter.num_dims;
-    }
-  }
-
   // [filter]: every partition prunes against the union before the gather.
   std::vector<std::vector<uint32_t>> pruned(n);
-  std::vector<char> veto(n, 0);
   status =
       RunStage(ctx, StrCat(label(), " [filter]"), n, [&](size_t i) -> Status {
         if (in.PartitionRows(i) == 0) return Status::OK();
-        if (corner_ok[i]) {
-          for (size_t p = 0; p < filter.num_points(); ++p) {
-            if (skyline::CompareKeySpansComplete(filter.point(p),
-                                                 best[i].data(),
-                                                 filter.num_dims) ==
-                skyline::Dominance::kLeftDominates) {
-              veto[i] = 1;
-              return Status::OK();
-            }
-          }
-        }
         SL_ASSIGN_OR_RETURN(
             pruned[i],
             skyline::PruneAgainstFilter(in.batches[i]->matrix(),
@@ -418,9 +270,7 @@ Result<PartitionedRelation> BroadcastFilterExec::Execute(
   out.attrs = output_;
   out.partitions.assign(n, {});
   out.batches.assign(n, std::nullopt);
-  out.zone_maps = std::move(in.zone_maps);
 
-  int64_t vetoed = 0;
   int64_t rows_pruned = 0;
   for (size_t i = 0; i < n; ++i) {
     if (in.PartitionRows(i) == 0) {
@@ -429,26 +279,11 @@ Result<PartitionedRelation> BroadcastFilterExec::Execute(
       continue;
     }
     const skyline::ColumnarBatch& b = *in.batches[i];
-    if (veto[i]) {
-      ++vetoed;
-      rows_pruned += static_cast<int64_t>(b.num_rows());
-      out.batches[i] = b.WithSelection({}, b.score_sorted(), b.sort_key(),
-                                       b.stop_bound());
-      if (out.zone_maps.size() == n) out.zone_maps[i] = ZoneMap();
-      continue;
-    }
     rows_pruned += static_cast<int64_t>(b.num_rows() - pruned[i].size());
     out.batches[i] = b.WithSelection(std::move(pruned[i]), b.score_sorted(),
                                      b.sort_key(), b.stop_bound());
   }
 
-  if (vetoed > 0) {
-    ctx->AddPartitionsSkipped(vetoed);
-    static metrics::Counter* skipped_counter =
-        metrics::MetricsRegistry::Global().GetCounter(
-            "sparkline_partitions_skipped_total");
-    skipped_counter->Increment(vetoed);
-  }
   if (rows_pruned > 0) {
     ctx->AddRowsPrunedPreGather(rows_pruned);
     static metrics::Counter* pruned_counter =
@@ -465,13 +300,11 @@ Result<PartitionedRelation> BroadcastFilterExec::Execute(
 GlobalSkylineExec::GlobalSkylineExec(std::vector<skyline::BoundDimension> dims,
                                      bool distinct, PhysicalPlanPtr child,
                                      SkylineKernel kernel,
-                                     bool sfs_early_stop,
                                      skyline::SfsSortKey sfs_sort_key)
     : PhysicalPlan(child->output(), {child}),
       dims_(std::move(dims)),
       distinct_(distinct),
       kernel_(kernel),
-      sfs_early_stop_(sfs_early_stop),
       sfs_sort_key_(sfs_sort_key) {}
 
 Result<PartitionedRelation> GlobalSkylineExec::Execute(ExecContext* ctx) const {
@@ -489,7 +322,6 @@ Result<PartitionedRelation> GlobalSkylineExec::Execute(ExecContext* ctx) const {
   options.counter = ctx->merge_dominance();
   options.deadline_nanos = ctx->deadline_nanos();
   options.cancel = ctx->cancel_token();
-  options.sfs_early_stop = sfs_early_stop_;
   options.sfs_sort_key = sfs_sort_key_;
   options.early_stop = ctx->early_stop();
 
@@ -502,7 +334,7 @@ Result<PartitionedRelation> GlobalSkylineExec::Execute(ExecContext* ctx) const {
       kernel_ == SkylineKernel::kSortFilterSkyline &&
       batch.score_sorted() && batch.sort_key() == sfs_sort_key_ &&
       skyline::SfsFastPathApplicable(matrix, options);
-  if (sfs_inherited && sfs_early_stop_) {
+  if (sfs_inherited) {
     // Inherited stop bound: the tightest per-partition minC shipped with
     // the gathered batch. Its witness row is part of the gathered input,
     // so eliminating through it is sound for the global result — the
@@ -519,9 +351,8 @@ Result<PartitionedRelation> GlobalSkylineExec::Execute(ExecContext* ctx) const {
     return skyline::RunColumnarKernel(kernel_, matrix, input, options);
   };
   auto result_bound = [&](const std::vector<uint32_t>& survivors) {
-    return sfs_inherited && sfs_early_stop_
-               ? skyline::ComputeStopBound(matrix, survivors)
-               : std::numeric_limits<double>::infinity();
+    return sfs_inherited ? skyline::ComputeStopBound(matrix, survivors)
+                         : std::numeric_limits<double>::infinity();
   };
 
   PartitionedRelation out;
@@ -597,11 +428,10 @@ Result<PartitionedRelation> GlobalSkylineExec::Execute(ExecContext* ctx) const {
 
 GlobalSkylineIncompleteExec::GlobalSkylineIncompleteExec(
     std::vector<skyline::BoundDimension> dims, bool distinct,
-    PhysicalPlanPtr child, bool parallel)
+    PhysicalPlanPtr child)
     : PhysicalPlan(child->output(), {child}),
       dims_(std::move(dims)),
-      distinct_(distinct),
-      parallel_(parallel) {}
+      distinct_(distinct) {}
 
 Result<PartitionedRelation> GlobalSkylineIncompleteExec::Execute(
     ExecContext* ctx) const {
@@ -635,7 +465,7 @@ Result<PartitionedRelation> GlobalSkylineIncompleteExec::Execute(
 
   const size_t num_executors =
       static_cast<size_t>(std::max(1, ctx->config().num_executors));
-  if (!parallel_ || num_executors <= 1 || view.size() < 2) {
+  if (num_executors <= 1 || view.size() < 2) {
     // Single-task all-pairs (the paper's algorithm as written).
     std::vector<uint32_t> survivors;
     SL_RETURN_NOT_OK(RunStage(ctx, 1, [&](size_t) -> Status {

@@ -221,10 +221,10 @@ void IncrementalMaintainer::OnWrite(const WriteEvent& event) {
   const bool insert =
       event.kind == WriteEvent::Kind::kInsert && event.rows != nullptr;
   const bool incremental =
-      enabled_.load() && insert &&
+      insert &&
       static_cast<int64_t>(event.rows->size()) <= max_delta_batch_.load();
   if (!incremental) {
-    if (insert && enabled_.load()) {
+    if (insert) {
       // An oversized batch is a policy fallback, not an invalidation the
       // write would have forced anyway; count it per affected entry.
       const int64_t affected =
@@ -378,7 +378,7 @@ std::optional<SkylineDelta> IncrementalMaintainer::AdvanceSubscription(
 
   const bool insert =
       event.kind == WriteEvent::Kind::kInsert && event.rows != nullptr;
-  if (insert && event.old_version == sub->version && enabled_.load() &&
+  if (insert && event.old_version == sub->version &&
       static_cast<int64_t>(event.rows->size()) <= max_delta_batch_.load()) {
     const DeltaRecipe& recipe = *sub->recipe;
     auto batch_result = ApplyRecipe(recipe, *event.rows);

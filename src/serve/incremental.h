@@ -161,9 +161,7 @@ class IncrementalMaintainer {
   /// concurrently with (but never after *and* ordered behind) this call.
   void Unsubscribe(uint64_t id);
 
-  /// Runtime toggles (sparkline.cache.incremental / .max_delta_batch).
-  void set_enabled(bool enabled) { enabled_.store(enabled); }
-  bool enabled() const { return enabled_.load(); }
+  /// Runtime setting (sparkline.cache.max_delta_batch).
   void set_max_delta_batch(int64_t n) { max_delta_batch_.store(n); }
   int64_t max_delta_batch() const { return max_delta_batch_.load(); }
 
@@ -205,7 +203,6 @@ class IncrementalMaintainer {
   Catalog* catalog_;  ///< outlives the maintainer (session owns both)
   std::shared_ptr<ResultCache> cache_;
 
-  std::atomic<bool> enabled_{true};
   std::atomic<int64_t> max_delta_batch_{1024};
 
   sl::Mutex subs_mu_;

@@ -33,7 +33,7 @@ namespace skyline {
 ///            coordinate, tie-broken by the sum. min alone is only weakly
 ///            monotone; the strictly monotone sum tie-break restores the
 ///            "window only grows" argument. This is the key whose stop
-///            bound is tight (see SkylineOptions::sfs_early_stop).
+///            bound is tight (see the SaLSa section of SkylineOptions).
 enum class SfsSortKey : uint8_t {
   kSum,
   kMinMax,
@@ -71,23 +71,22 @@ struct SkylineOptions {
   MemoryTracker* memory = nullptr;
 
   // --- SaLSa-style early termination (SFS family only) ----------------------
+  //
+  // Every SFS filter pass terminates as soon as its sort key proves every
+  // remaining tuple strictly dominated. The pass maintains
+  // minC = the smallest max-coordinate over the skyline points seen so far
+  // (its witness dominates everything whose every coordinate strictly
+  // exceeds minC) and stops once the presorted sort key guarantees that for
+  // all remaining tuples: for kMinMax, when the next min-coordinate exceeds
+  // minC; for kSum, when the next sum exceeds minC plus the per-dimension
+  // input maxima correction (sum alone cannot bound a single coordinate).
+  //
+  // Sound only for complete, non-null numeric MIN/MAX input: with NULLs or
+  // incomplete semantics a masked comparison cannot be certified by a
+  // coordinate bound, so the SFS entry points skip the stop there (the BNL
+  // fallbacks never consult it). Only *strictly* dominated tuples are
+  // skipped — never equal ones — so DISTINCT keeps its ties.
 
-  /// Terminate an SFS filter pass as soon as its sort key proves every
-  /// remaining tuple strictly dominated. The pass maintains
-  /// minC = the smallest max-coordinate over the skyline points seen so far
-  /// (its witness dominates everything whose every coordinate strictly
-  /// exceeds minC) and stops once the presorted sort key guarantees that for
-  /// all remaining tuples: for kMinMax, when the next min-coordinate exceeds
-  /// minC; for kSum, when the next sum exceeds minC plus the per-dimension
-  /// input maxima correction (sum alone cannot bound a single coordinate).
-  ///
-  /// Sound only for complete, non-null numeric MIN/MAX input: with NULLs or
-  /// incomplete semantics a masked comparison cannot be certified by a
-  /// coordinate bound, so the SFS entry points automatically disable the
-  /// stop (the BNL fallbacks never consult it). Only *strictly* dominated
-  /// tuples are skipped — never equal ones — so results are identical with
-  /// DISTINCT on or off.
-  bool sfs_early_stop = true;
   /// Which monotone presort the SFS family uses (see SfsSortKey).
   SfsSortKey sfs_sort_key = SfsSortKey::kSum;
   /// Inherited stop bound in max-coordinate space (+infinity = none): the

@@ -448,16 +448,16 @@ double SumStopOffset(const DominanceMatrix& matrix,
 /// key buffer scanned sequentially per incoming tuple. Shared by the
 /// sorting entry point and the inherited-order (presorted) one.
 ///
-/// With options.sfs_early_stop the pass maintains the SaLSa stop bound
-/// minC = min over window members (and any inherited bound) of MaxKey and
-/// terminates once the ascending sort key proves every remaining tuple
-/// strictly dominated by the bound's witness. NULL bitmaps disable the stop
-/// (NULL key slots hold placeholders, so coordinate bounds are meaningless).
+/// The pass maintains the SaLSa stop bound minC = min over window members
+/// (and any inherited bound) of MaxKey and terminates once the ascending
+/// sort key proves every remaining tuple strictly dominated by the bound's
+/// witness. NULL bitmaps disable the stop (NULL key slots hold
+/// placeholders, so coordinate bounds are meaningless).
 Result<std::vector<uint32_t>> SfsFilterPass(const DominanceMatrix& matrix,
                                             const std::vector<uint32_t>& ordered,
                                             const SkylineOptions& options) {
   const size_t d = matrix.num_dims();
-  const bool early_stop = options.sfs_early_stop && !matrix.has_nulls();
+  const bool early_stop = !matrix.has_nulls();
   const SfsSortKey sort_key = options.sfs_sort_key;
   const double sum_offset =
       early_stop && sort_key == SfsSortKey::kSum

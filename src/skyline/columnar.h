@@ -315,9 +315,8 @@ Result<std::vector<uint32_t>> ColumnarBlockNestedLoop(
 /// future work (section 7). Falls back to ColumnarBlockNestedLoop under
 /// incomplete semantics or unless all_numeric_minmax(). Sorts by
 /// options.sfs_sort_key; after sorting no tuple can be dominated by a later
-/// one, so the window only grows. With options.sfs_early_stop the filter
-/// pass terminates at the SaLSa stop point (auto-disabled when the matrix
-/// has NULL bitmaps — results are identical either way).
+/// one, so the window only grows. The filter pass terminates at the SaLSa
+/// stop point (skipped when the matrix has NULL bitmaps).
 Result<std::vector<uint32_t>> ColumnarSortFilterSkyline(
     const DominanceMatrix& matrix, const std::vector<uint32_t>& input,
     const SkylineOptions& options);
@@ -335,10 +334,10 @@ inline bool SfsFastPathApplicable(const DominanceMatrix& matrix,
 /// \brief Sort-Filter-Skyline over input that is *already* ascending in the
 /// active sort key (options.sfs_sort_key) — the inherited-order variant the
 /// merge stage runs when its input views come from upstream SFS stages,
-/// skipping the re-sort entirely. Honours options.sfs_early_stop and any
-/// inherited options.sfs_stop_bound (the tightest per-partition bound the
-/// gathered batch carries), so a presorted merge can terminate before
-/// scanning most of the gathered input.
+/// skipping the re-sort entirely. Its stop bound starts from any inherited
+/// options.sfs_stop_bound (the tightest per-partition bound the gathered
+/// batch carries), so a presorted merge can terminate before scanning most
+/// of the gathered input.
 ///
 /// \pre SfsFastPathApplicable(matrix, options) holds and `input` is
 /// ascending in the active sort key (equal keys in the caller's intended
@@ -367,8 +366,8 @@ std::vector<uint32_t> MergeByScore(const DominanceMatrix& matrix,
 double ComputeStopBound(const DominanceMatrix& matrix,
                         const std::vector<uint32_t>& view);
 
-/// \brief The pre-gather broadcast filter set (two-phase distributed
-/// pruning): the packed normalized keys of a few strong skyline points,
+/// \brief The pre-gather broadcast filter set (BroadcastFilterExec): the
+/// packed normalized keys of a few strong skyline points,
 /// nominated per partition and unioned. Because keys are MIN/MAX-normalized
 /// at projection time, they are comparable *across* independently built
 /// matrices — unlike DIFF dictionary codes — so a point nominated from one

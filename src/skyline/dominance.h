@@ -47,9 +47,8 @@ struct DominanceCounter {
 };
 
 /// \brief Accounting for SaLSa-style early termination in the SFS family
-/// (see SkylineOptions::sfs_early_stop). Shared across threads; the exec
-/// layer surfaces the totals as QueryMetrics::sfs_rows_skipped /
-/// sfs_early_stops.
+/// (see SkylineOptions). Shared across threads; the exec layer surfaces the
+/// totals as QueryMetrics::sfs_rows_skipped / sfs_early_stops.
 struct EarlyStopStats {
   /// Input rows of SFS passes that were never scanned because a stop point
   /// proved every remaining tuple dominated.

@@ -442,7 +442,6 @@ TEST(ColumnarKernelTest, EveryKernelHonorsCancelledToken) {
   for (const SfsSortKey key : {SfsSortKey::kSum, SfsSortKey::kMinMax}) {
     SkylineOptions opts;
     opts.cancel = &token;
-    opts.sfs_early_stop = true;
     opts.sfs_sort_key = key;
     auto r = ColumnarSkyline(SkylineKernel::kSortFilterSkyline,
                              CorrelatedRows(20000, 4, 23), dims, opts);
@@ -755,10 +754,9 @@ TEST(ColumnarBatchTest, MatrixMemoryChargedForBatchLifetime) {
 
 std::vector<Row> SfsWith(const std::vector<Row>& rows,
                          const std::vector<BoundDimension>& dims,
-                         bool early_stop, SfsSortKey key, bool distinct,
+                         SfsSortKey key, bool distinct,
                          EarlyStopStats* stats = nullptr) {
   SkylineOptions options;
-  options.sfs_early_stop = early_stop;
   options.sfs_sort_key = key;
   options.distinct = distinct;
   options.early_stop = stats;
@@ -768,7 +766,7 @@ std::vector<Row> SfsWith(const std::vector<Row>& rows,
   return *std::move(result);
 }
 
-TEST(SfsEarlyStop, ResultIdenticalToFullScanAcrossKeysAndDistributions) {
+TEST(SfsEarlyStop, ResultMatchesBnlAcrossKeysAndDistributions) {
   struct Workload {
     const char* name;
     std::vector<Row> rows;
@@ -784,22 +782,17 @@ TEST(SfsEarlyStop, ResultIdenticalToFullScanAcrossKeysAndDistributions) {
     dims[1].goal = SkylineGoal::kMax;  // exercise the negated-key path
     for (const SfsSortKey key : {SfsSortKey::kSum, SfsSortKey::kMinMax}) {
       for (const bool distinct : {false, true}) {
-        const std::vector<Row> full =
-            SfsWith(w.rows, dims, /*early_stop=*/false, key, distinct);
-        const std::vector<Row> stopped =
-            SfsWith(w.rows, dims, /*early_stop=*/true, key, distinct);
-        // SFS output order is the sort order, so the full sequence (not
-        // just the set) must match.
-        ASSERT_EQ(full.size(), stopped.size())
+        SkylineOptions options;
+        options.distinct = distinct;
+        auto bnl = ColumnarSkyline(SkylineKernel::kBlockNestedLoop, w.rows,
+                                   dims, options);
+        ASSERT_TRUE(bnl.ok());
+        const std::vector<Row> stopped = SfsWith(w.rows, dims, key, distinct);
+        EXPECT_EQ(Sorted(stopped), Sorted(*bnl))
             << w.name << " key=" << static_cast<int>(key)
             << " distinct=" << distinct;
-        for (size_t i = 0; i < full.size(); ++i) {
-          EXPECT_EQ(RowToString(full[i]), RowToString(stopped[i]));
-        }
-        SkylineOptions oracle_options;
-        oracle_options.distinct = distinct;
         EXPECT_EQ(Sorted(stopped),
-                  Sorted(BruteForceSkyline(w.rows, dims, oracle_options)));
+                  Sorted(BruteForceSkyline(w.rows, dims, options)));
       }
     }
   }
@@ -809,7 +802,7 @@ TEST(SfsEarlyStop, SkipsMostRowsOnCorrelatedData) {
   const std::vector<Row> rows = CorrelatedRows(2000, 4, 11);
   const auto dims = MinDims(4);
   EarlyStopStats stats;
-  SfsWith(rows, dims, /*early_stop=*/true, SfsSortKey::kMinMax, false, &stats);
+  SfsWith(rows, dims, SfsSortKey::kMinMax, false, &stats);
   EXPECT_GE(stats.stops.load(), 1);
   EXPECT_GT(stats.rows_skipped.load(), static_cast<int64_t>(rows.size()) / 3)
       << "the minC stop point must skip >1/3 of a correlated input";
@@ -823,8 +816,7 @@ TEST(SfsEarlyStop, BothSortKeysMatchOracleAndMinMaxSkips) {
   const auto dims = MinDims(3);
   for (const SfsSortKey key : {SfsSortKey::kSum, SfsSortKey::kMinMax}) {
     EarlyStopStats stats;
-    const std::vector<Row> stopped =
-        SfsWith(rows, dims, /*early_stop=*/true, key, false, &stats);
+    const std::vector<Row> stopped = SfsWith(rows, dims, key, false, &stats);
     EXPECT_EQ(Sorted(stopped), Sorted(BruteForceSkyline(rows, dims, {})));
     if (key == SfsSortKey::kMinMax) {
       EXPECT_GT(stats.rows_skipped.load(), 0)
@@ -845,7 +837,6 @@ TEST(SfsEarlyStop, AutoDisabledOnNullBitmaps) {
   ASSERT_TRUE(matrix->has_nulls());
   EarlyStopStats stats;
   SkylineOptions options;
-  options.sfs_early_stop = true;
   options.sfs_sort_key = SfsSortKey::kMinMax;
   options.early_stop = &stats;
   auto result =

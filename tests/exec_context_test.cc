@@ -27,14 +27,12 @@ TEST(ExecContextTest, AccumulatorsSumAcrossThreads) {
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&ctx, t] {
+    threads.emplace_back([&ctx] {
       for (int i = 0; i < kPerThread; ++i) {
         ctx.AddStageTime("[local]", 1.0);
         ctx.AddStageRows("[local]", 2);
-        ctx.AddRowsShuffled(3);
         ctx.AddExchangeShipped(1, 10);
         ctx.AddMatrixBuilds("[local]", 1);
-        if (t == 0) ctx.AddPartitionsSkipped(1);
       }
     });
   }
@@ -45,11 +43,9 @@ TEST(ExecContextTest, AccumulatorsSumAcrossThreads) {
   EXPECT_DOUBLE_EQ(m.simulated_ms, kThreads * kPerThread * 1.0);
   EXPECT_DOUBLE_EQ(m.operator_ms.at("[local]"), kThreads * kPerThread * 1.0);
   EXPECT_EQ(m.operator_rows.at("[local]"), kThreads * kPerThread * 2);
-  EXPECT_EQ(m.rows_shuffled, kThreads * kPerThread * 3);
   EXPECT_EQ(m.exchange_rows_shipped, kThreads * kPerThread);
   EXPECT_EQ(m.exchange_bytes, kThreads * kPerThread * 10);
   EXPECT_EQ(m.matrix_builds.at("[local]"), kThreads * kPerThread);
-  EXPECT_EQ(m.partitions_skipped, kPerThread);
 }
 
 TEST(ExecContextTest, FinishConcurrentWithWritersIsConsistent) {

@@ -49,7 +49,7 @@ std::vector<ChaosConfig> SweepConfigs() {
         {"sparkline.skyline.partitioning", "angle"}},
        "SELECT * FROM pts SKYLINE OF d0 MIN, d1 MIN, d2 MIN"},
       {"incomplete-parallel",
-       {{"sparkline.skyline.incomplete.parallel", "true"}},
+       {},
        "SELECT * FROM sparse SKYLINE OF d0 MIN, d1 MIN, d2 MIN",
        /*incomplete_data=*/true},
   };

@@ -1,5 +1,5 @@
 // The configuration matrix test: every combination of execution strategy,
-// kernel, partitioning scheme, pruning phase and executor count must produce
+// kernel, SFS sort key, partitioning scheme and executor count must produce
 // the identical skyline — and that skyline must equal the brute-force
 // oracle computed directly from the table. This is the strongest single
 // correctness statement the engine makes — no physical-plan knob may change
@@ -62,18 +62,14 @@ TEST_P(ConfigMatrix, AllConfigurationsAgreeWithBruteForce) {
       skyline::BruteForceSkyline(table->rows(), oracle_dims, oracle_options));
   ASSERT_FALSE(expected.empty());
 
-  // The kernel axis crosses SFS with its early-stop and sort-key knobs
-  // (which only the SFS family consults); BNL and grid run once each.
+  // The kernel axis crosses SFS with its sort-key knob (which only the SFS
+  // family consults); BNL and grid run once each.
   struct KernelConfig {
     const char* kernel;
-    const char* early_stop;
     const char* sort_key;
   };
   const std::vector<KernelConfig> kernels = {
-      {"bnl", "true", "sum"},          {"grid", "true", "sum"},
-      {"sfs", "true", "sum"},          {"sfs", "true", "minmax"},
-      {"sfs", "false", "sum"},         {"sfs", "false", "minmax"},
-  };
+      {"bnl", "sum"}, {"grid", "sum"}, {"sfs", "sum"}, {"sfs", "minmax"}};
 
   int combinations = 0;
   const std::vector<const char*> strategies =
@@ -85,45 +81,25 @@ TEST_P(ConfigMatrix, AllConfigurationsAgreeWithBruteForce) {
     for (const KernelConfig& kernel : kernels) {
       for (const char* partitioning : {"asis", "roundrobin", "angle"}) {
         for (const char* executors : {"1", "3", "8"}) {
-          // Two-phase pruning axes (broadcast filter × zone maps): both
-          // phases claim bit-identical results, so they join the full cross
-          // rather than getting their own narrower sweep.
-          const std::pair<const char*, const char*> pruning_axis[] = {
-              {"true", "true"},
-              {"true", "false"},
-              {"false", "true"},
-              {"false", "false"}};
-          for (const auto& pruning : pruning_axis) {
-            ASSERT_OK(session.SetConf("sparkline.skyline.strategy", strategy));
-            ASSERT_OK(
-                session.SetConf("sparkline.skyline.kernel", kernel.kernel));
-            ASSERT_OK(session.SetConf("sparkline.skyline.sfs.early_stop",
-                                      kernel.early_stop));
-            ASSERT_OK(session.SetConf("sparkline.skyline.sfs.sort_key",
-                                      kernel.sort_key));
-            ASSERT_OK(session.SetConf("sparkline.skyline.partitioning",
-                                      partitioning));
-            ASSERT_OK(session.SetConf("sparkline.executors", executors));
-            ASSERT_OK(session.SetConf("sparkline.skyline.broadcast_filter",
-                                      pruning.first));
-            ASSERT_OK(
-                session.SetConf("sparkline.scan.zone_maps", pruning.second));
-            auto rows = RowStrings(Rows(&session, query));
-            ASSERT_EQ(expected, rows)
-                << "strategy=" << strategy << " kernel=" << kernel.kernel
-                << " early_stop=" << kernel.early_stop
-                << " sort_key=" << kernel.sort_key
-                << " partitioning=" << partitioning
-                << " executors=" << executors
-                << " broadcast_filter=" << pruning.first
-                << " zone_maps=" << pruning.second;
-            ++combinations;
-          }
+          ASSERT_OK(session.SetConf("sparkline.skyline.strategy", strategy));
+          ASSERT_OK(session.SetConf("sparkline.skyline.kernel", kernel.kernel));
+          ASSERT_OK(session.SetConf("sparkline.skyline.sfs.sort_key",
+                                    kernel.sort_key));
+          ASSERT_OK(
+              session.SetConf("sparkline.skyline.partitioning", partitioning));
+          ASSERT_OK(session.SetConf("sparkline.executors", executors));
+          auto rows = RowStrings(Rows(&session, query));
+          ASSERT_EQ(expected, rows)
+              << "strategy=" << strategy << " kernel=" << kernel.kernel
+              << " sort_key=" << kernel.sort_key
+              << " partitioning=" << partitioning
+              << " executors=" << executors;
+          ++combinations;
         }
       }
     }
   }
-  EXPECT_GE(combinations, 2 * 6 * 3 * 3 * 4);
+  EXPECT_GE(combinations, 2 * 4 * 3 * 3);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -134,11 +110,11 @@ INSTANTIATE_TEST_SUITE_P(
                       MatrixCase{"incomplete", 3, false},
                       MatrixCase{"incomplete", 3, true}));
 
-// The round-based parallel incomplete global stage: sweeping
-// sparkline.skyline.incomplete.parallel on/off (crossed with several
-// executor counts, including one chunk per tuple) on NULL-heavy data must
-// always reproduce the brute-force oracle — the rotation rounds may not
-// change results under non-transitive dominance.
+// The round-based parallel incomplete global stage: sweeping the executor
+// count (including one executor, which runs the single-task stage, and one
+// chunk per tuple) on NULL-heavy data must always reproduce the
+// brute-force oracle — the rotation rounds may not change results under
+// non-transitive dominance.
 struct IncompleteParallelCase {
   size_t rows;
   size_t dims;
@@ -181,35 +157,18 @@ TEST_P(IncompleteParallel, MatchesBruteForceOracle) {
   // all work happens in the validation rounds).
   const std::vector<std::string> executor_counts = {
       "1", "2", "3", "8", std::to_string(param.rows)};
-  for (const char* parallel : {"true", "false"}) {
-    for (const std::string& executors : executor_counts) {
-      // The two-phase pruning flags must be inert here: zone-map skipping
-      // and the broadcast filter are complete-dominance-only optimizations
-      // and auto-disable under incomplete semantics.
-      const std::pair<const char*, const char*> pruning_axis[] = {
-          {"true", "true"}, {"false", "false"}};
-      for (const auto& pruning : pruning_axis) {
-        ASSERT_OK(
-            session.SetConf("sparkline.skyline.incomplete.parallel", parallel));
-        ASSERT_OK(session.SetConf("sparkline.executors", executors));
-        ASSERT_OK(session.SetConf("sparkline.skyline.broadcast_filter",
-                                  pruning.first));
-        ASSERT_OK(session.SetConf("sparkline.scan.zone_maps", pruning.second));
-        ASSERT_EQ(expected, RowStrings(Rows(&session, query)))
-            << "parallel=" << parallel << " executors=" << executors
-            << " broadcast_filter=" << pruning.first
-            << " zone_maps=" << pruning.second;
-      }
-    }
+  for (const std::string& executors : executor_counts) {
+    ASSERT_OK(session.SetConf("sparkline.executors", executors));
+    ASSERT_EQ(expected, RowStrings(Rows(&session, query)))
+        << "executors=" << executors;
   }
 }
 
-// Zone-map partition skipping is a complete-dominance optimization: under
-// incomplete semantics (non-transitive dominance, NULL coordinates outside
-// the min/max summary) it must auto-disable even with both pruning flags
-// on. Pinned through QueryMetrics: no partition is ever skipped and no
-// broadcast filter point is nominated, while the same flags on complete
-// data do fire (guarding against the pin passing vacuously).
+// The broadcast filter is a complete-dominance optimization: under
+// incomplete semantics (non-transitive dominance, NULL key slots) it must
+// bypass itself. Pinned through QueryMetrics: no broadcast filter point is
+// nominated and no row pruned, while complete data does fire the filter
+// (guarding against the pin passing vacuously).
 TEST(TwoPhasePruning, AutoDisablesUnderIncompleteDominance) {
   Session session;
   ASSERT_OK(session.catalog()->RegisterTable(datagen::GeneratePoints(
@@ -219,8 +178,6 @@ TEST(TwoPhasePruning, AutoDisablesUnderIncompleteDominance) {
       "pts_full", 1200, 3, datagen::PointDistribution::kCorrelated, 7,
       /*null_probability=*/0.0)));
   ASSERT_OK(session.SetConf("sparkline.executors", "8"));
-  ASSERT_OK(session.SetConf("sparkline.skyline.broadcast_filter", "true"));
-  ASSERT_OK(session.SetConf("sparkline.scan.zone_maps", "true"));
 
   auto metrics_for = [&](const char* strategy, const char* table) {
     SL_CHECK_OK(session.SetConf("sparkline.skyline.strategy", strategy));
@@ -233,12 +190,10 @@ TEST(TwoPhasePruning, AutoDisablesUnderIncompleteDominance) {
   };
 
   const QueryMetrics incomplete = metrics_for("incomplete", "pts_null");
-  EXPECT_EQ(incomplete.partitions_skipped, 0);
   EXPECT_EQ(incomplete.broadcast_filter_points, 0);
   EXPECT_EQ(incomplete.rows_pruned_pre_gather, 0);
 
-  // Control: the same flags on complete correlated data fire both phases
-  // (correlated clusters give partitions strictly dominating corners).
+  // Control: complete correlated data fires the filter.
   const QueryMetrics complete = metrics_for("distributed", "pts_full");
   EXPECT_GT(complete.broadcast_filter_points, 0);
 }
@@ -252,8 +207,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // The incomplete global stage must split into the round-based stages for
 // multi-executor configs (visible as [candidates]/[validate]/[finalize]
-// entries in operator_ms) and stay a single task with one executor or the
-// flag off.
+// entries in operator_ms) and stay a single task with one executor.
 TEST(ParallelIncompleteGlobal, StageSplitsForMultipleExecutors) {
   Session session;
   ASSERT_OK(session.catalog()->RegisterTable(datagen::GeneratePoints(
@@ -263,10 +217,8 @@ TEST(ParallelIncompleteGlobal, StageSplitsForMultipleExecutors) {
   const std::string query =
       "SELECT * FROM pts SKYLINE OF d0 MIN, d1 MAX, d2 MIN";
 
-  auto metrics_for = [&](const char* execs, const char* parallel) {
+  auto metrics_for = [&](const char* execs) {
     SL_CHECK_OK(session.SetConf("sparkline.executors", execs));
-    SL_CHECK_OK(
-        session.SetConf("sparkline.skyline.incomplete.parallel", parallel));
     auto df = session.Sql(query);
     SL_CHECK(df.ok());
     auto r = df->Collect();
@@ -274,7 +226,7 @@ TEST(ParallelIncompleteGlobal, StageSplitsForMultipleExecutors) {
     return r->metrics;
   };
 
-  const QueryMetrics multi = metrics_for("4", "true");
+  const QueryMetrics multi = metrics_for("4");
   EXPECT_EQ(multi.operator_ms.count("GlobalSkyline [incomplete]"), 0u)
       << "incomplete global stage still runs as a single task with 4 executors";
   EXPECT_EQ(multi.operator_ms.count("GlobalSkyline [incomplete] [candidates]"),
@@ -284,17 +236,10 @@ TEST(ParallelIncompleteGlobal, StageSplitsForMultipleExecutors) {
   EXPECT_EQ(multi.operator_ms.count("GlobalSkyline [incomplete] [finalize]"),
             1u);
 
-  const QueryMetrics single = metrics_for("1", "true");
+  const QueryMetrics single = metrics_for("1");
   EXPECT_EQ(single.operator_ms.count("GlobalSkyline [incomplete]"), 1u);
   EXPECT_EQ(single.operator_ms.count("GlobalSkyline [incomplete] [candidates]"),
             0u);
-
-  const QueryMetrics disabled = metrics_for("4", "false");
-  EXPECT_EQ(disabled.operator_ms.count("GlobalSkyline [incomplete]"), 1u)
-      << "flag off must restore the single-task fallback";
-  EXPECT_EQ(
-      disabled.operator_ms.count("GlobalSkyline [incomplete] [candidates]"),
-      0u);
 }
 
 // The parallel partial-merge global stage (the tentpole of the columnar
@@ -464,9 +409,9 @@ std::vector<std::string> OrderedRowStrings(const std::vector<Row>& rows) {
 // MergeByScore tie-break determinism, end to end: SFS output order is the
 // global stable sort order, so equal-key rows coming from different
 // partitions must reproduce the single-partition sequence exactly — the
-// result must be bit-identical (order included) across executor counts,
-// sort keys and early-stop settings. Low-cardinality values force many
-// equal scores, equal min-keys and exact duplicate tuples.
+// result must be bit-identical (order included) across executor counts
+// and sort keys. Low-cardinality values force many equal scores, equal
+// min-keys and exact duplicate tuples.
 TEST(SfsOrderDeterminism, ExchangeMergeReproducesSinglePartitionOrder) {
   std::vector<std::array<double, 3>> pts;
   for (int i = 0; i < 240; ++i) {
@@ -483,20 +428,15 @@ TEST(SfsOrderDeterminism, ExchangeMergeReproducesSinglePartitionOrder) {
        {"SELECT x, y FROM pts SKYLINE OF x MIN, y MIN",
         "SELECT x, y FROM pts SKYLINE OF DISTINCT x MIN, y MIN"}) {
     for (const char* sort_key : {"sum", "minmax"}) {
-      for (const char* early_stop : {"true", "false"}) {
-        ASSERT_OK(session.SetConf("sparkline.skyline.sfs.sort_key", sort_key));
-        ASSERT_OK(
-            session.SetConf("sparkline.skyline.sfs.early_stop", early_stop));
-        ASSERT_OK(session.SetConf("sparkline.executors", "1"));
-        const std::vector<std::string> reference =
-            OrderedRowStrings(Rows(&session, query));
-        ASSERT_FALSE(reference.empty());
-        for (const char* executors : {"2", "4", "8"}) {
-          ASSERT_OK(session.SetConf("sparkline.executors", executors));
-          EXPECT_EQ(reference, OrderedRowStrings(Rows(&session, query)))
-              << query << " sort_key=" << sort_key
-              << " early_stop=" << early_stop << " executors=" << executors;
-        }
+      ASSERT_OK(session.SetConf("sparkline.skyline.sfs.sort_key", sort_key));
+      ASSERT_OK(session.SetConf("sparkline.executors", "1"));
+      const std::vector<std::string> reference =
+          OrderedRowStrings(Rows(&session, query));
+      ASSERT_FALSE(reference.empty());
+      for (const char* executors : {"2", "4", "8"}) {
+        ASSERT_OK(session.SetConf("sparkline.executors", executors));
+        EXPECT_EQ(reference, OrderedRowStrings(Rows(&session, query)))
+            << query << " sort_key=" << sort_key << " executors=" << executors;
       }
     }
   }
@@ -506,21 +446,20 @@ TEST(SfsOrderDeterminism, ExchangeMergeReproducesSinglePartitionOrder) {
 
 // On correlated data the minC stop point must skip a large fraction of the
 // input (acceptance bar: >30% of the table rows), visible through the
-// sfs_rows_skipped / sfs_early_stops counters, without changing the result.
+// sfs_rows_skipped / sfs_early_stops counters, and the SFS result must
+// equal BNL's, which never stops early.
 TEST(SfsEarlyStopEndToEnd, CorrelatedSkylineSkipsAndMatches) {
   Session session;
   ASSERT_OK(session.catalog()->RegisterTable(datagen::GeneratePoints(
       "pts", 4000, 3, datagen::PointDistribution::kCorrelated, 77)));
   ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "distributed"));
-  ASSERT_OK(session.SetConf("sparkline.skyline.kernel", "sfs"));
   ASSERT_OK(session.SetConf("sparkline.skyline.sfs.sort_key", "minmax"));
   ASSERT_OK(session.SetConf("sparkline.executors", "4"));
   const std::string query =
       "SELECT * FROM pts SKYLINE OF d0 MIN, d1 MIN, d2 MIN";
 
-  auto run = [&](const char* early_stop) {
-    SL_CHECK_OK(
-        session.SetConf("sparkline.skyline.sfs.early_stop", early_stop));
+  auto run = [&](const char* kernel) {
+    SL_CHECK_OK(session.SetConf("sparkline.skyline.kernel", kernel));
     auto df = session.Sql(query);
     SL_CHECK(df.ok());
     auto r = df->Collect();
@@ -528,17 +467,15 @@ TEST(SfsEarlyStopEndToEnd, CorrelatedSkylineSkipsAndMatches) {
     return *std::move(r);
   };
 
-  const QueryResult off = run("false");
-  EXPECT_EQ(off.metrics.sfs_rows_skipped, 0);
-  EXPECT_EQ(off.metrics.sfs_early_stops, 0);
+  const QueryResult bnl = run("bnl");
+  EXPECT_EQ(bnl.metrics.sfs_rows_skipped, 0);
+  EXPECT_EQ(bnl.metrics.sfs_early_stops, 0);
 
-  const QueryResult on = run("true");
-  EXPECT_GE(on.metrics.sfs_early_stops, 1);
-  EXPECT_GT(on.metrics.sfs_rows_skipped, 4000 * 3 / 10)
+  const QueryResult sfs = run("sfs");
+  EXPECT_GE(sfs.metrics.sfs_early_stops, 1);
+  EXPECT_GT(sfs.metrics.sfs_rows_skipped, 4000 * 3 / 10)
       << "the stop point must skip >30% of a correlated table";
-  EXPECT_LT(on.metrics.dominance_tests, off.metrics.dominance_tests)
-      << "skipped rows must translate into fewer dominance tests";
-  EXPECT_EQ(RowStrings(off.rows()), RowStrings(on.rows()));
+  EXPECT_EQ(RowStrings(bnl.rows()), RowStrings(sfs.rows()));
 }
 
 // With NULLs in the skyline dimensions the stop is unsound and must
@@ -551,7 +488,6 @@ TEST(SfsEarlyStopEndToEnd, AutoDisabledOnIncompleteData) {
       "pts", 800, 3, datagen::PointDistribution::kCorrelated, 78,
       /*null_probability=*/0.3)));
   ASSERT_OK(session.SetConf("sparkline.skyline.kernel", "sfs"));
-  ASSERT_OK(session.SetConf("sparkline.skyline.sfs.early_stop", "true"));
   ASSERT_OK(session.SetConf("sparkline.skyline.sfs.sort_key", "minmax"));
   ASSERT_OK(session.SetConf("sparkline.executors", "4"));
 
@@ -925,7 +861,11 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(RemovedFlags, ColumnarSwitchesAreUnknownKeys) {
   Session session;
   for (const char* key :
-       {"sparkline.skyline.columnar", "sparkline.skyline.exchange.columnar"}) {
+       {"sparkline.skyline.columnar", "sparkline.skyline.exchange.columnar",
+        "sparkline.skyline.sfs.early_stop",
+        "sparkline.skyline.incomplete.parallel",
+        "sparkline.skyline.broadcast_filter", "sparkline.scan.zone_maps",
+        "sparkline.cache.incremental"}) {
     const Status status = session.SetConf(key, "false");
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << key;
     EXPECT_NE(status.ToString().find("unknown configuration key"),

@@ -274,7 +274,6 @@ TEST(MetricsReconcileTest, CacheCountersReconcileWithQueryMetrics) {
 
   Session session;
   ASSERT_OK(session.SetConf("sparkline.cache.enabled", "true"));
-  ASSERT_OK(session.SetConf("sparkline.cache.incremental", "true"));
   ASSERT_OK(session.catalog()->RegisterTable(SmallPoints()));
   const std::string q = "SELECT id, x, y FROM pts SKYLINE OF x MIN, y MAX";
 
@@ -373,7 +372,6 @@ TEST(QueryMetricsTest, ToStringPinsFormatAndPrintsEveryField) {
   m.peak_memory_bytes = 3ll << 20;
   m.dominance_tests = 42;
   m.merge_dominance_tests = 17;
-  m.rows_shuffled = 7;
   m.exchange_rows_shipped = 11;
   m.exchange_bytes = 2048;
   m.tasks_retried = 1;
@@ -389,29 +387,26 @@ TEST(QueryMetricsTest, ToStringPinsFormatAndPrintsEveryField) {
   m.sfs_rows_skipped = 9;
   m.sfs_early_stops = 3;
   m.broadcast_filter_points = 8;
-  m.partitions_skipped = 2;
   m.rows_pruned_pre_gather = 13;
   m.rows_served = 6;
   m.bytes_served = 1234;
   EXPECT_EQ(m.ToString(),
             "wall=1.5ms simulated=0.75ms peak_mem=3MB dominance_tests=42 "
-            "merge_dom_tests=17 "
-            "rows_shuffled=7 exchange_rows=11 exchange_bytes=2048 "
+            "merge_dom_tests=17 exchange_rows=11 exchange_bytes=2048 "
             "tasks_retried=1 tasks_failed=2 cache=hit "
             "cache_lookup=0.25ms cache_deltas=5 projection=0.5ms "
             "decode=0.125ms matrix_builds=3 matrix_reuses=4 sfs_skipped=9 "
-            "sfs_stops=3 bcast_points=8 parts_skipped=2 pruned_pre_gather=13 "
+            "sfs_stops=3 bcast_points=8 pruned_pre_gather=13 "
             "rows_served=6 bytes_served=1234");
 
   // Zero metrics still print every field (no conditional sections).
   EXPECT_EQ(QueryMetrics{}.ToString(),
             "wall=0ms simulated=0ms peak_mem=0MB dominance_tests=0 "
-            "merge_dom_tests=0 "
-            "rows_shuffled=0 exchange_rows=0 exchange_bytes=0 "
+            "merge_dom_tests=0 exchange_rows=0 exchange_bytes=0 "
             "tasks_retried=0 tasks_failed=0 cache=miss "
             "cache_lookup=0ms cache_deltas=0 projection=0ms decode=0ms "
             "matrix_builds=0 matrix_reuses=0 sfs_skipped=0 sfs_stops=0 "
-            "bcast_points=0 parts_skipped=0 pruned_pre_gather=0 "
+            "bcast_points=0 pruned_pre_gather=0 "
             "rows_served=0 bytes_served=0");
 }
 

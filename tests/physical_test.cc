@@ -1,7 +1,9 @@
 // Tests for the physical operators and the distributed execution engine:
 // partitioning, exchanges, joins, aggregation phases, skyline operators,
 // metrics and timeouts.
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include <gtest/gtest.h>
 
@@ -231,9 +233,9 @@ TEST_F(PhysicalTest, MetricsPopulated) {
   EXPECT_FALSE(m.operator_ms.empty());
 }
 
-TEST_F(PhysicalTest, RowsShuffledCountsExchanges) {
+TEST_F(PhysicalTest, ExchangeCountsShippedRows) {
   auto m = Metrics("SELECT x FROM pts ORDER BY x");
-  EXPECT_EQ(m.rows_shuffled, 6);
+  EXPECT_EQ(m.exchange_rows_shipped, 6);
 }
 
 TEST_F(PhysicalTest, TimeoutProducesTimeoutStatus) {
@@ -427,6 +429,81 @@ TEST(AnglePartitionTest, NormalizedKeysSpreadMaxGoalMixedScaleData) {
   EXPECT_EQ(angle_total, 16u)
       << "each ray's chain must collapse to its innermost point";
   EXPECT_LT(angle_total, rr_total);
+}
+
+// --- pre-gather broadcast filter --------------------------------------------
+
+struct TreeRun {
+  std::vector<std::string> rows;  ///< in output order
+  QueryMetrics metrics;
+};
+
+/// Runs the distributed SFS tree Scan -> LocalSkyline -> [BroadcastFilter]
+/// -> Exchange[gather] -> GlobalSkyline over every column of `table`, with
+/// every column after the id a MIN dimension.
+TreeRun RunDistributedSfs(const TablePtr& table, int executors, bool filter) {
+  const Schema& schema = table->schema();
+  std::vector<size_t> columns(schema.num_fields());
+  std::iota(columns.begin(), columns.end(), size_t{0});
+  std::vector<Attribute> attrs;
+  std::vector<skyline::BoundDimension> dims;
+  for (size_t i = 0; i < schema.num_fields(); ++i) {
+    const Field& field = schema.field(i);
+    attrs.push_back(
+        Attribute{field.name, field.type, field.nullable, NextExprId(), ""});
+    if (i > 0) dims.push_back({i, SkylineGoal::kMin});
+  }
+  PhysicalPlanPtr plan = std::make_shared<ScanExec>(table, columns, attrs);
+  plan = std::make_shared<LocalSkylineExec>(
+      dims, /*distinct=*/false, skyline::NullSemantics::kComplete, plan,
+      SkylineKernel::kSortFilterSkyline);
+  if (filter) plan = std::make_shared<BroadcastFilterExec>(dims, plan);
+  plan = std::make_shared<ExchangeExec>(
+      ExchangeMode::kGather, std::vector<skyline::BoundDimension>{}, plan);
+  plan = std::make_shared<GlobalSkylineExec>(
+      dims, /*distinct=*/false, plan, SkylineKernel::kSortFilterSkyline);
+
+  ClusterConfig config;
+  config.num_executors = executors;
+  ExecContext ctx(config);
+  auto rel = plan->Execute(&ctx);
+  SL_CHECK(rel.ok()) << rel.status().ToString();
+  TreeRun run;
+  for (const Row& row : std::move(*rel).Flatten()) {
+    run.rows.push_back(RowToString(row));
+  }
+  run.metrics = ctx.Finish(0);
+  return run;
+}
+
+// Correlated points stored sorted by d0, so contiguous scan partitions own
+// disjoint value ranges and the leading partitions dominate the rest: the
+// broadcast filter must return exactly the unfiltered tree's rows (order
+// included) while at least halving the rows and bytes the gather ships and
+// the merge's dominance tests.
+TEST(BroadcastFilterTest, HalvesGatherTrafficOnClusteredData) {
+  const TablePtr source = datagen::GeneratePoints(
+      "src", 6000, 4, datagen::PointDistribution::kCorrelated, 42);
+  std::vector<Row> rows = source->rows();
+  std::stable_sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+    return a[1].double_value() < b[1].double_value();
+  });
+  auto table = std::make_shared<Table>("clustered", source->schema());
+  for (Row& row : rows) table->AppendRowUnchecked(std::move(row));
+
+  for (const int executors : {8, 16}) {
+    SCOPED_TRACE(StrCat("executors=", executors));
+    const TreeRun off = RunDistributedSfs(table, executors, false);
+    const TreeRun on = RunDistributedSfs(table, executors, true);
+    ASSERT_FALSE(off.rows.empty());
+    EXPECT_EQ(on.rows, off.rows);
+    EXPECT_GT(on.metrics.rows_pruned_pre_gather, 0);
+    EXPECT_LE(on.metrics.exchange_rows_shipped * 2,
+              off.metrics.exchange_rows_shipped);
+    EXPECT_LE(on.metrics.exchange_bytes * 2, off.metrics.exchange_bytes);
+    EXPECT_LE(on.metrics.merge_dominance_tests * 2,
+              off.metrics.merge_dominance_tests);
+  }
 }
 
 }  // namespace

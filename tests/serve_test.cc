@@ -453,10 +453,10 @@ TEST(CachedExecutionTest, HitIsBitIdenticalAndMetricsDistinguish) {
 TEST(CachedExecutionTest, InsertAndDropInvalidate) {
   Session session;
   ASSERT_OK(session.SetConf("sparkline.cache.enabled", "true"));
-  // Incremental maintenance off: this test pins the classic
-  // write-invalidates behaviour (the maintained path is covered by
-  // incremental_test.cc).
-  ASSERT_OK(session.SetConf("sparkline.cache.incremental", "false"));
+  // Every insert is larger than a zero-row delta batch, so writes
+  // invalidate: this test pins the classic write-invalidates behaviour
+  // (the maintained path is covered by incremental_test.cc).
+  ASSERT_OK(session.SetConf("sparkline.cache.max_delta_batch", "0"));
   ASSERT_OK(session.catalog()->RegisterTable(SmallPoints()));
   const std::string sql = "SELECT * FROM pts SKYLINE OF x MIN, y MAX";
 

@@ -57,6 +57,52 @@ TEST(SessionConfigTest, MemoryOverheadInMb) {
   EXPECT_EQ(session.config().cluster.executor_overhead_bytes, 128ll << 20);
 }
 
+// Malformed or out-of-range integers are a clean InvalidArgument that
+// leaves the config unchanged: trailing characters are not dropped, and
+// the timeout and overhead ranges keep the deadline (now + timeout * 10^6
+// ns) and the peak-memory sum (executors * overhead) clear of int64
+// overflow.
+TEST(SessionConfigTest, IntegerKeysRejectMalformedAndOutOfRange) {
+  Session session;
+  ASSERT_OK(session.SetConf("sparkline.executors", "3"));
+  ASSERT_OK(session.SetConf("sparkline.timeout_ms", "500"));
+  ASSERT_OK(session.SetConf("sparkline.memory.executorOverheadMb", "8"));
+  const std::pair<const char*, const char*> bad[] = {
+      {"sparkline.executors", "4x"},
+      {"sparkline.executors", ""},
+      {"sparkline.executors", "99999999999999999999"},
+      {"sparkline.timeout_ms", "10ms"},
+      {"sparkline.timeout_ms", "-1"},
+      {"sparkline.timeout_ms", "1000000000001"},
+      {"sparkline.timeout_ms", "10000000000000"},
+      {"sparkline.memory.executorOverheadMb", "8MB"},
+      {"sparkline.memory.executorOverheadMb", "-1"},
+      {"sparkline.memory.executorOverheadMb", "1048577"},
+      {"sparkline.memory.executorOverheadMb", "8796093022208"},  // 2^43
+  };
+  for (const auto& [key, value] : bad) {
+    const Status s = session.SetConf(key, value);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << key << "=" << value;
+    EXPECT_EQ(session.config().cluster.num_executors, 3);
+    EXPECT_EQ(session.config().cluster.timeout_ms, 500);
+    EXPECT_EQ(session.config().cluster.executor_overhead_bytes, 8ll << 20);
+  }
+
+  // The bounds themselves are accepted, and the arithmetic they guard
+  // stays in range.
+  EXPECT_OK(session.SetConf("sparkline.timeout_ms", "0"));
+  EXPECT_EQ(session.config().cluster.timeout_ms, 0);
+  EXPECT_OK(session.SetConf("sparkline.memory.executorOverheadMb", "0"));
+  EXPECT_EQ(session.config().cluster.executor_overhead_bytes, 0);
+  EXPECT_OK(session.SetConf("sparkline.timeout_ms", "1000000000000"));
+  EXPECT_EQ(session.config().cluster.timeout_ms, 1000000000000);
+  EXPECT_OK(session.SetConf("sparkline.memory.executorOverheadMb", "1048576"));
+  EXPECT_EQ(session.config().cluster.executor_overhead_bytes, 1ll << 40);
+  ExecContext ctx(session.config().cluster);
+  EXPECT_GT(ctx.deadline_nanos(), 0);
+  EXPECT_EQ(ctx.Finish(0).peak_memory_bytes, 3ll << 40);
+}
+
 TEST(SessionCatalogTest, RegisterAndDrop) {
   Session session;
   Schema s({Field{"x", DataType::Int64(), false}});

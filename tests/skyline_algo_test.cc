@@ -158,15 +158,12 @@ TEST(CancellationTest, EveryKernelHonorsCancelledToken) {
   expect_cancelled(Bnl(rows, dims, opts).status(), "bnl");
   expect_cancelled(Grid(rows, dims, opts).status(), "grid");
   for (const SfsSortKey key : {SfsSortKey::kSum, SfsSortKey::kMinMax}) {
-    for (const bool early_stop : {false, true}) {
-      SkylineOptions sfs = opts;
-      sfs.sfs_sort_key = key;
-      sfs.sfs_early_stop = early_stop;
-      expect_cancelled(
-          ColumnarSkyline(SkylineKernel::kSortFilterSkyline, rows, dims, sfs)
-              .status(),
-          StrCat("sfs key=", static_cast<int>(key), " stop=", early_stop));
-    }
+    SkylineOptions sfs = opts;
+    sfs.sfs_sort_key = key;
+    expect_cancelled(
+        ColumnarSkyline(SkylineKernel::kSortFilterSkyline, rows, dims, sfs)
+            .status(),
+        StrCat("sfs key=", static_cast<int>(key)));
   }
 
   // Incomplete-data kernels (the quadratic scans are the ones that need
