@@ -1,12 +1,11 @@
 // SaLSa-style early termination: SFS stop points.
 //
-// Every SFS pass (local partitions, global partial slices, the sort-free
-// global merge) maintains the SaLSa stop bound minC — the smallest
-// max-coordinate over the skyline points seen — and terminates as soon as
-// the monotone sort key proves every remaining tuple strictly dominated.
-// The columnar exchange ships each partition's tightest bound with the
-// gathered batch, so the global merge can stop before scanning most of the
-// shuffled input.
+// Every SFS pass (local partitions, the global stage's [partial] chunks)
+// maintains the SaLSa stop bound minC — the smallest max-coordinate over
+// the skyline points seen — and terminates as soon as every remaining tuple
+// is provably strictly dominated. The columnar exchange ships each
+// partition's tightest bound with the gathered batch, so the global chunks
+// can stop before scanning most of the shuffled input.
 //
 // This bench quantifies the effect on the two sort keys (sum — the
 // pre-existing score order — and minmax, SaLSa's minC function with the
@@ -23,7 +22,8 @@
 //   dom_tests  dominance tests across all stages
 //   skipped    rows never scanned thanks to stop points (+ stop count)
 //   frac       skipped / table rows (local passes see each row once; the
-//              merge sees survivors, so >1.0 is possible in principle)
+//              global stage sees survivors, so >1.0 is possible in
+//              principle)
 //
 // Every SFS result is checked row-for-row (as a multiset) against BNL's.
 // --smoke runs a scaled-down sweep and also asserts that correlated minmax

@@ -23,7 +23,7 @@ namespace {
 ///   exec.scan          ScanExec partition tasks (borrowed partitions)
 ///   exec.local_task    LocalSkylineExec partition tasks
 ///   exec.global_task   GlobalSkyline{,Incomplete}Exec stage tasks
-///                      (partial/merge/candidates/validate/finalize)
+///                      (partial/merge/candidates/validate)
 ///   exec.broadcast     BroadcastFilterExec nominate/filter stages
 ///                      (degrades to the unfiltered pre-gather path)
 ///   exec.exchange      ExchangeExec (row shuffle and columnar concat)

@@ -7,6 +7,7 @@
 // partitioning for the local skyline (section 5.6).
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -111,6 +112,20 @@ class PhysicalPlan {
       ExecContext* ctx, PartitionedRelation* in,
       const std::vector<skyline::BoundDimension>& dims,
       bool require_ascending) const;
+
+  /// The parallel global skyline both global skyline operators run with
+  /// more than one executor, over `chunks` chunks of their input: unless
+  /// `candidates` is empty, a "<label> <candidates_stage>" stage whose task
+  /// i computes chunk i's candidates into the caller's storage; then a
+  /// "<label> <validate_stage>" stage whose task i returns chunk i's
+  /// survivors, reading but never writing the other chunks' candidates;
+  /// then the survivors concatenated in chunk order, which needs no task.
+  Result<std::vector<uint32_t>> ChunkedGlobalSkyline(
+      ExecContext* ctx, size_t chunks, const char* candidates_stage,
+      const std::function<Status(size_t)>& candidates,
+      const char* validate_stage,
+      const std::function<Result<std::vector<uint32_t>>(size_t)>& validate)
+      const;
 
   std::vector<Attribute> output_;
   std::vector<PhysicalPlanPtr> children_;
@@ -382,7 +397,10 @@ class NestedLoopJoinExec : public PhysicalPlan {
 /// scan's borrowed rows in place), and the output is a ColumnarBatch
 /// survivor view over that matrix — the projection every downstream
 /// skyline stage reuses. SFS runs tag their output views score-sorted so
-/// the global stage can inherit the sort order.
+/// the global stage can inherit the sort order. Every other complete run
+/// leaves its view in kSum SFS order and marks it one skyline part
+/// (ColumnarBatch::skyline_parts()), so the global stage validates it
+/// against the other partitions' skylines without re-running a kernel.
 class LocalSkylineExec : public PhysicalPlan {
  public:
   LocalSkylineExec(std::vector<skyline::BoundDimension> dims, bool distinct,
@@ -440,25 +458,31 @@ class BroadcastFilterExec : public PhysicalPlan {
 /// \brief Global skyline for complete data over the single gathered
 /// partition (requires AllTuples distribution).
 ///
-/// With more than one executor the gathered input is split into
-/// executor-count chunks whose skylines are computed concurrently (a
-/// partial-skyline round, as in Ciaccia & Martinenghi's parallel skyline
-/// optimization), followed by a single-task BNL merge of the partial
-/// windows — removing the paper's single-task global bottleneck while
-/// keeping the critical-path time model intact. The two stages are
-/// recorded under "<label> [partial]" / "<label> [merge]".
+/// With one executor it is one task running the kernel over the whole
+/// input (the paper's algorithm). With more, it has no single-task step
+/// (ChunkedGlobalSkyline, after Ciaccia & Martinenghi's parallel final
+/// phase):
 ///
-/// A batch arriving from the gather exchange is consumed directly: the
-/// partial stage runs over contiguous slices of the batch's index view and
-/// the merge over the concatenated survivor views — no stage re-projects.
-/// When the input arrives as rows (non-distributed plans), the matrix is
-/// built once in a "<label> [project]" stage and shared the same way.
-/// Score-sorted
-/// batches from upstream SFS stages skip the merge re-sort entirely
-/// (inherited order + ColumnarSortFilterSkylinePresorted) and additionally
-/// inherit the tightest per-partition SaLSa stop bound the batch carries,
-/// so the partial slices and the sort-free merge can terminate before
-/// scanning most of the gathered input.
+///   [partial]  only for input without skyline parts: executor-count
+///              contiguous chunks each run the kernel, and leave their
+///              survivors in a score-sorted, densely packed copy.
+///   [merge]    one task per part (or chunk) keeps the candidates no other
+///              part's candidate dominates (ColumnarValidateAgainstPeers);
+///              survivors are concatenated in part order, so the output is
+///              deterministic for a given executor count.
+///
+/// Complete dominance is transitive, so a gathered row is in the skyline
+/// exactly when no other part's candidate dominates it. A batch from the
+/// gather exchange of local skylines arrives split into skyline parts
+/// (ColumnarBatch::skyline_parts()), one antichain per partition laid out
+/// contiguously, and goes straight to [merge]. Other input — the SFS
+/// gather's interleaved view, rows projected once in a "<label> [project]"
+/// stage (non-distributed plans, nested skylines) — runs [partial] first.
+/// Score-sorted batches from upstream SFS stages skip every re-sort
+/// (inherited order + ColumnarSortFilterSkylinePresorted) and inherit the
+/// tightest per-partition SaLSa stop bound the batch carries; their
+/// chunks' survivors, concatenated in chunk order, stay in SFS order. No
+/// stage re-projects.
 class GlobalSkylineExec : public PhysicalPlan {
  public:
   GlobalSkylineExec(std::vector<skyline::BoundDimension> dims, bool distinct,
@@ -484,21 +508,21 @@ class GlobalSkylineExec : public PhysicalPlan {
 /// unsound here: a tuple eliminated inside its chunk can still be the only
 /// witness against another chunk's survivor. With more than one executor
 /// the gathered input is instead split into executor-count chunks and run
-/// through round-based all-pairs validation:
+/// through all-pairs validation (ChunkedGlobalSkyline):
 ///
 ///   [candidates]  each chunk runs the all-pairs deferred-deletion scan
 ///                 locally; survivors become its candidate set.
-///   [validate]    chunks-1 rounds; in round r task i checks its remaining
-///                 candidates against the *full* tuple set of chunk
-///                 (i + r) mod chunks, eliminating a candidate only when a
-///                 concrete dominating witness is found.
-///   [finalize]    surviving candidates are concatenated in input order.
+///   [validate]    task i checks its candidates against the *full* tuple
+///                 set of chunks i+1, i+2, ... (mod chunks) in turn,
+///                 eliminating a candidate only when a concrete dominating
+///                 witness is found.
 ///
-/// After the rounds every candidate has been compared against every other
-/// input tuple, so the result equals the single-task all-pairs algorithm
-/// exactly. Stage times are recorded under "<label> [candidates]" /
-/// "[validate]" / "[finalize]"; the single-executor path (the paper's
-/// single-task all-pairs) keeps the bare label.
+/// Surviving candidates are then concatenated in input order. Every
+/// candidate has been compared against every other input tuple, so the
+/// result equals the single-task all-pairs algorithm exactly. Stage times
+/// are recorded under "<label> [candidates]" / "[validate]"; the
+/// single-executor path (the paper's single-task all-pairs) keeps the bare
+/// label.
 ///
 /// A batch from the gather exchange supplies the shared matrix (and its
 /// per-row null bitmaps) for every stage, and the output stays a batch

@@ -4,6 +4,7 @@
 // operators only run the algorithm library over partitions:
 //
 //   distributed complete:   LocalSkylineExec (child partitioning kept)
+//                           -> BroadcastFilterExec
 //                           -> Exchange[AllTuples] -> GlobalSkylineExec
 //   non-distributed:        Exchange[AllTuples] -> GlobalSkylineExec
 //   distributed incomplete: Exchange[NullBitmapHash] -> LocalSkylineExec
@@ -14,13 +15,17 @@
 // and the stages exchange ColumnarBatch views instead of materialized rows.
 // The local stage projects each partition exactly once; the gather exchange
 // concatenates the matrix blocks (re-ranking only when a partition holds a
-// ranked dimension); the global stages slice and merge index views over the
-// shared matrix; rows are decoded only at the plan root (or by the first
-// non-skyline consumer). A global stage whose input arrives as rows
-// (non-distributed plans, nested skylines) projects it once in a
+// ranked dimension); the global stages chunk, validate and concatenate
+// index views over the shared matrix (ChunkedGlobalSkyline). On the
+// distributed complete path every gathered part is a local skyline, so the
+// global stage is one parallel [merge] that checks each part against the
+// others — no single-task step. Rows are decoded only at the plan root (or
+// by the first non-skyline consumer). A global stage whose input arrives as
+// rows (non-distributed plans, nested skylines) projects it once in a
 // "<label> [project]" stage. QueryMetrics::matrix_builds / matrix_reuses
 // record which stages projected vs. reused.
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -38,14 +43,28 @@ namespace {
 /// Balanced contiguous chunk bounds: sizes differ by at most one, so no
 /// executor idles and the parallel stage's critical path is as short as the
 /// split allows.
-std::vector<size_t> ChunkBounds(size_t n, size_t chunks) {
-  std::vector<size_t> bounds(chunks + 1, 0);
+std::vector<uint32_t> ChunkBounds(size_t n, size_t chunks) {
+  std::vector<uint32_t> bounds(chunks + 1, 0);
   const size_t base = n / chunks;
   const size_t extra = n % chunks;
   for (size_t i = 0; i < chunks; ++i) {
-    bounds[i + 1] = bounds[i] + base + (i < extra ? 1 : 0);
+    bounds[i + 1] =
+        bounds[i] + static_cast<uint32_t>(base + (i < extra ? 1 : 0));
   }
   return bounds;
+}
+
+/// True when every part [bounds[j], bounds[j+1]) of `view` is a run of
+/// consecutive matrix rows, so the part's keys are packed densely in the
+/// matrix — how Concat lays out a gather.
+bool ContiguousRuns(const std::vector<uint32_t>& view,
+                    const std::vector<uint32_t>& bounds) {
+  for (size_t j = 0; j + 1 < bounds.size(); ++j) {
+    for (size_t p = bounds[j] + 1; p < bounds[j + 1]; ++p) {
+      if (view[p] != view[p - 1] + 1) return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -80,6 +99,29 @@ Result<skyline::ColumnarBatch> PhysicalPlan::GatheredBatch(
     return Status::OK();
   }));
   return std::move(*batch);
+}
+
+Result<std::vector<uint32_t>> PhysicalPlan::ChunkedGlobalSkyline(
+    ExecContext* ctx, size_t chunks, const char* candidates_stage,
+    const std::function<Status(size_t)>& candidates,
+    const char* validate_stage,
+    const std::function<Result<std::vector<uint32_t>>(size_t)>& validate)
+    const {
+  if (candidates) {
+    SL_RETURN_NOT_OK(RunStage(ctx, StrCat(label(), " ", candidates_stage),
+                              chunks, candidates));
+  }
+  std::vector<std::vector<uint32_t>> kept(chunks);
+  SL_RETURN_NOT_OK(RunStage(ctx, StrCat(label(), " ", validate_stage), chunks,
+                            [&](size_t i) -> Status {
+                              SL_ASSIGN_OR_RETURN(kept[i], validate(i));
+                              return Status::OK();
+                            }));
+  std::vector<uint32_t> survivors;
+  for (const std::vector<uint32_t>& k : kept) {
+    survivors.insert(survivors.end(), k.begin(), k.end());
+  }
+  return survivors;
 }
 
 LocalSkylineExec::LocalSkylineExec(std::vector<skyline::BoundDimension> dims,
@@ -154,8 +196,18 @@ Result<PartitionedRelation> LocalSkylineExec::Execute(ExecContext* ctx) const {
     const double stop_bound =
         sorted ? skyline::ComputeStopBound(batch.matrix(), survivors)
                : std::numeric_limits<double>::infinity();
+    // Any other complete skyline is an antichain: left in kSum SFS order,
+    // it is a skyline part the global [merge] validates in place (an SFS
+    // view keeps its sort order; the gather interleaves those instead).
+    const bool skyline_part =
+        nulls_ == skyline::NullSemantics::kComplete && !sorted;
+    if (skyline_part) {
+      skyline::SortInSfsOrder(batch.matrix(), skyline::SfsSortKey::kSum,
+                              &survivors);
+    }
     out.batches[i] = batch.WithSelection(std::move(survivors), sorted,
-                                         sfs_sort_key_, stop_bound);
+                                         sfs_sort_key_, stop_bound,
+                                         skyline_part);
     return Status::OK();
   }));
   SL_RETURN_NOT_OK(ChargeOutput(ctx, &out));
@@ -261,11 +313,11 @@ Result<PartitionedRelation> BroadcastFilterExec::Execute(
   }
 
   // Apply only after both stages fully succeeded. Pruned views stay
-  // subsequences of the input views, so the SFS sort flag, sort key and
-  // stop bound all remain valid: a pruned bound witness is itself strictly
-  // dominated by a filter point whose domination chain terminates at a
-  // surviving row, so every bound-based elimination downstream keeps a
-  // surviving witness by transitivity.
+  // subsequences of the input views, so the SFS sort flag, sort key, stop
+  // bound and skyline-part mark all remain valid: a pruned row (a bound
+  // witness included) is strictly dominated by a filter point whose
+  // domination chain terminates at a surviving row, so every elimination
+  // downstream keeps a surviving witness by transitivity.
   PartitionedRelation out;
   out.attrs = output_;
   out.partitions.assign(n, {});
@@ -281,7 +333,8 @@ Result<PartitionedRelation> BroadcastFilterExec::Execute(
     const skyline::ColumnarBatch& b = *in.batches[i];
     rows_pruned += static_cast<int64_t>(b.num_rows() - pruned[i].size());
     out.batches[i] = b.WithSelection(std::move(pruned[i]), b.score_sorted(),
-                                     b.sort_key(), b.stop_bound());
+                                     b.sort_key(), b.stop_bound(),
+                                     b.skyline_parts().size() == 2);
   }
 
   if (rows_pruned > 0) {
@@ -327,9 +380,9 @@ Result<PartitionedRelation> GlobalSkylineExec::Execute(ExecContext* ctx) const {
 
   const skyline::DominanceMatrix& matrix = batch.matrix();
   const std::vector<uint32_t>& view = batch.indices();
-  // Inherited SFS order: the view arrives ascending in this query's sort
-  // key (local SFS stages + the exchange's k-way merge), so every SFS pass
-  // here skips its sort.
+  // Inherited SFS order: the view arrives in this query's SFS order (local
+  // SFS stages + the exchange's k-way merge), so every SFS pass here skips
+  // its sort.
   const bool sfs_inherited =
       kernel_ == SkylineKernel::kSortFilterSkyline &&
       batch.score_sorted() && batch.sort_key() == sfs_sort_key_ &&
@@ -338,8 +391,8 @@ Result<PartitionedRelation> GlobalSkylineExec::Execute(ExecContext* ctx) const {
     // Inherited stop bound: the tightest per-partition minC shipped with
     // the gathered batch. Its witness row is part of the gathered input,
     // so eliminating through it is sound for the global result — the
-    // partial slices and the sort-free merge can terminate before their
-    // own windows tighten the bound.
+    // single task and the [partial] chunks can terminate before their own
+    // windows tighten the bound.
     options.sfs_stop_bound = batch.stop_bound();
   }
   auto run_over =
@@ -350,10 +403,6 @@ Result<PartitionedRelation> GlobalSkylineExec::Execute(ExecContext* ctx) const {
     }
     return skyline::RunColumnarKernel(kernel_, matrix, input, options);
   };
-  auto result_bound = [&](const std::vector<uint32_t>& survivors) {
-    return sfs_inherited ? skyline::ComputeStopBound(matrix, survivors)
-                         : std::numeric_limits<double>::infinity();
-  };
 
   PartitionedRelation out;
   out.attrs = output_;
@@ -362,62 +411,71 @@ Result<PartitionedRelation> GlobalSkylineExec::Execute(ExecContext* ctx) const {
 
   const size_t num_executors =
       static_cast<size_t>(std::max(1, ctx->config().num_executors));
+  std::vector<uint32_t> survivors;
   if (num_executors <= 1 || view.size() < 2) {
     // Single executor: the classic single-task global pass.
-    std::vector<uint32_t> survivors;
     SL_RETURN_NOT_OK(RunStage(ctx, 1, [&](size_t) -> Status {
       SL_ASSIGN_OR_RETURN(survivors, run_over(view));
       return Status::OK();
     }));
-    const double bound = result_bound(survivors);
-    out.batches[0] = batch.WithSelection(std::move(survivors), sfs_inherited,
-                                         sfs_sort_key_, bound);
-    SL_RETURN_NOT_OK(ChargeOutput(ctx, &out));
-    return out;
-  }
-
-  // Parallel partial-merge global skyline over index slices of the shared
-  // matrix: chunk skylines run concurrently, then one pass merges the
-  // partial windows. Correct because complete dominance is transitive: a
-  // tuple dominated in its chunk is also dominated in the full input, so
-  // chunk pruning never removes a global skyline point. No chunk
-  // materializes rows, no stage re-projects.
-  const size_t chunks = std::min(num_executors, view.size());
-  const std::vector<size_t> bounds = ChunkBounds(view.size(), chunks);
-  std::vector<std::vector<uint32_t>> partials(chunks);
-  SL_RETURN_NOT_OK(RunStage(
-      ctx, StrCat(label(), " [partial]"), chunks, [&](size_t i) -> Status {
-        // A contiguous slice of a score-ascending view is score-ascending,
-        // so the inherited order survives the chunking.
+  } else {
+    // Skyline parts laid out as contiguous matrix runs (a gather of local
+    // skylines) are already candidates, and [merge] reads their keys in
+    // place. Anything else is chunked and reduced to candidates first.
+    std::vector<uint32_t> bounds = batch.skyline_parts();
+    const bool parts = !bounds.empty() && ContiguousRuns(view, bounds);
+    if (!parts) {
+      bounds = ChunkBounds(view.size(), std::min(num_executors, view.size()));
+    }
+    const size_t chunks = bounds.size() - 1;
+    std::vector<std::vector<uint32_t>> candidates(chunks);
+    std::vector<std::vector<double>> packed(chunks);
+    std::vector<skyline::PeerKeys> peers(chunks);
+    std::function<Status(size_t)> partial;
+    if (parts) {
+      for (size_t i = 0; i < chunks; ++i) {
+        if (bounds[i] == bounds[i + 1]) continue;
+        peers[i].keys = matrix.row_keys(view[bounds[i]]);
+        peers[i].size = bounds[i + 1] - bounds[i];
+      }
+    } else {
+      partial = [&](size_t i) -> Status {
+        // A contiguous slice of a view in SFS order is in SFS order, so
+        // the inherited order survives the chunking.
         SL_ASSIGN_OR_RETURN(
-            partials[i], run_over(batch.Slice(bounds[i], bounds[i + 1]).indices()));
+            candidates[i],
+            run_over(batch.Slice(bounds[i], bounds[i + 1]).indices()));
+        // Peers read the candidates in kSum SFS order, packed densely; the
+        // list itself keeps the kernel's order for the output.
+        std::vector<uint32_t> by_score = candidates[i];
+        skyline::SortInSfsOrder(matrix, skyline::SfsSortKey::kSum, &by_score);
+        packed[i] = skyline::PackKeys(matrix, by_score);
+        peers[i].keys = packed[i].data();
+        peers[i].size = by_score.size();
         return Status::OK();
-      }));
-
-  std::vector<uint32_t> survivors;
-  SL_RETURN_NOT_OK(RunStage(
-      ctx, StrCat(label(), " [merge]"), 1, [&](size_t) -> Status {
-        if (sfs_inherited) {
-          // Partial outputs are key-ascending runs: merge them and run the
-          // grow-only window — the merge stage never re-sorts, and the
-          // inherited stop bound lets it terminate early.
-          SL_ASSIGN_OR_RETURN(
-              survivors,
-              skyline::ColumnarSortFilterSkylinePresorted(
+      };
+    }
+    SL_ASSIGN_OR_RETURN(
+        survivors,
+        ChunkedGlobalSkyline(
+            ctx, chunks, "[partial]", partial, "[merge]",
+            [&](size_t i) -> Result<std::vector<uint32_t>> {
+              std::vector<skyline::PeerKeys> others;
+              for (size_t j = 0; j < chunks; ++j) {
+                if (j == i || peers[j].size == 0) continue;
+                others.push_back(peers[j]);
+                others.back().earlier = j < i;
+              }
+              return skyline::ColumnarValidateAgainstPeers(
                   matrix,
-                  skyline::MergeByScore(matrix, partials, sfs_sort_key_),
-                  options));
-          return Status::OK();
-        }
-        std::vector<uint32_t> merge_input;
-        for (const auto& p : partials) {
-          merge_input.insert(merge_input.end(), p.begin(), p.end());
-        }
-        SL_ASSIGN_OR_RETURN(survivors, skyline::ColumnarBlockNestedLoop(
-                                           matrix, merge_input, options));
-        return Status::OK();
-      }));
-  const double bound = result_bound(survivors);
+                  parts ? batch.Slice(bounds[i], bounds[i + 1]).indices()
+                        : candidates[i],
+                  others, options);
+            }));
+  }
+  const double bound = sfs_inherited
+                           ? skyline::ComputeStopBound(matrix, survivors)
+                           : std::numeric_limits<double>::infinity();
   out.batches[0] = batch.WithSelection(std::move(survivors), sfs_inherited,
                                        sfs_sort_key_, bound);
   SL_RETURN_NOT_OK(ChargeOutput(ctx, &out));
@@ -436,8 +494,8 @@ GlobalSkylineIncompleteExec::GlobalSkylineIncompleteExec(
 Result<PartitionedRelation> GlobalSkylineIncompleteExec::Execute(
     ExecContext* ctx) const {
   SL_ASSIGN_OR_RETURN(PartitionedRelation in, children_[0]->Execute(ctx));
-  // The validation rounds' DISTINCT tie-break (t < c on matrix indices) and
-  // the finalize concatenation are sound only over a view ascending in
+  // The validation's DISTINCT tie-break (t < c on matrix indices) and the
+  // chunk-order concatenation are sound only over a view ascending in
   // matrix index. The gather's Concat always produces one, so the is_sorted
   // check inside GatheredBatch is an O(n) insurance premium against a
   // future plan shape that bypasses it (n^2 kernel work follows).
@@ -455,7 +513,7 @@ Result<PartitionedRelation> GlobalSkylineIncompleteExec::Execute(
   const skyline::DominanceMatrix& matrix = batch.matrix();
   // The view is ascending in matrix index (GatheredBatch checks it), and
   // matrix row order is gathered input order — exactly the DISTINCT
-  // tie-break and ascending-chunk preconditions of the round-based kernels.
+  // tie-break and ascending-chunk preconditions of the chunked kernels.
   const std::vector<uint32_t>& view = batch.indices();
 
   PartitionedRelation out;
@@ -465,69 +523,52 @@ Result<PartitionedRelation> GlobalSkylineIncompleteExec::Execute(
 
   const size_t num_executors =
       static_cast<size_t>(std::max(1, ctx->config().num_executors));
+  std::vector<uint32_t> survivors;
   if (num_executors <= 1 || view.size() < 2) {
     // Single-task all-pairs (the paper's algorithm as written).
-    std::vector<uint32_t> survivors;
     SL_RETURN_NOT_OK(RunStage(ctx, 1, [&](size_t) -> Status {
       SL_ASSIGN_OR_RETURN(
           survivors, skyline::ColumnarAllPairsIncomplete(matrix, view, options));
       return Status::OK();
     }));
-    out.batches[0] = batch.WithSelection(std::move(survivors), false);
-    SL_RETURN_NOT_OK(ChargeOutput(ctx, &out));
-    return out;
+  } else {
+    // Parallel all-pairs over index slices of the shared matrix (see the
+    // class comment): unlike the complete path, survivor-only validation is
+    // unsound under non-transitive dominance, so candidates are validated
+    // against every peer chunk's *full* tuple set. Contiguous chunks keep
+    // chunk order == global input order, which the DISTINCT tie-break and
+    // the concatenation rely on.
+    const size_t chunks = std::min(num_executors, view.size());
+    const std::vector<uint32_t> bounds = ChunkBounds(view.size(), chunks);
+    std::vector<std::vector<uint32_t>> chunk_indices(chunks);
+    for (size_t i = 0; i < chunks; ++i) {
+      chunk_indices[i].assign(view.begin() + bounds[i],
+                              view.begin() + bounds[i + 1]);
+    }
+    std::vector<std::vector<uint32_t>> candidates(chunks);
+    SL_ASSIGN_OR_RETURN(
+        survivors,
+        ChunkedGlobalSkyline(
+            ctx, chunks, "[candidates]",
+            [&](size_t i) -> Status {
+              SL_ASSIGN_OR_RETURN(candidates[i],
+                                  skyline::ColumnarIncompleteCandidateScan(
+                                      matrix, chunk_indices[i], options));
+              return Status::OK();
+            },
+            "[validate]",
+            [&](size_t i) -> Result<std::vector<uint32_t>> {
+              std::vector<uint32_t> kept = candidates[i];
+              for (size_t step = 1; step < chunks; ++step) {
+                SL_ASSIGN_OR_RETURN(
+                    kept, skyline::ColumnarValidateAgainstChunk(
+                              matrix, kept,
+                              chunk_indices[(i + step) % chunks], options));
+              }
+              return kept;
+            }));
   }
-
-  // Round-based parallel all-pairs over index slices of the shared matrix
-  // (see the class comment): unlike the complete path's partial-merge,
-  // survivor-only merging is unsound under non-transitive dominance, so
-  // candidates are validated against each peer chunk's *full* tuple set,
-  // one rotating peer per round. Contiguous chunks keep chunk order ==
-  // global input order, which the DISTINCT tie-break and the finalize
-  // concatenation rely on.
-  const size_t chunks = std::min(num_executors, view.size());
-  const std::vector<size_t> bounds = ChunkBounds(view.size(), chunks);
-  std::vector<std::vector<uint32_t>> chunk_indices(chunks);
-  for (size_t i = 0; i < chunks; ++i) {
-    chunk_indices[i].assign(view.begin() + bounds[i],
-                            view.begin() + bounds[i + 1]);
-  }
-
-  std::vector<std::vector<uint32_t>> candidates(chunks);
-  SL_RETURN_NOT_OK(RunStage(
-      ctx, StrCat(label(), " [candidates]"), chunks, [&](size_t i) -> Status {
-        SL_ASSIGN_OR_RETURN(candidates[i],
-                            skyline::ColumnarIncompleteCandidateScan(
-                                matrix, chunk_indices[i], options));
-        return Status::OK();
-      }));
-
-  // chunks-1 rotation rounds; each task only shrinks its own candidate
-  // list and reads peer chunks, so rounds need no cross-task coordination
-  // beyond the stage barrier (which models the per-round exchange).
-  for (size_t round = 1; round < chunks; ++round) {
-    SL_RETURN_NOT_OK(RunStage(
-        ctx, StrCat(label(), " [validate]"), chunks, [&](size_t i) -> Status {
-          const size_t peer = (i + round) % chunks;
-          SL_ASSIGN_OR_RETURN(candidates[i],
-                              skyline::ColumnarValidateAgainstChunk(
-                                  matrix, candidates[i], chunk_indices[peer],
-                                  options));
-          return Status::OK();
-        }));
-  }
-
-  SL_RETURN_NOT_OK(RunStage(
-      ctx, StrCat(label(), " [finalize]"), 1, [&](size_t) -> Status {
-        // Chunks are ascending contiguous spans, so concatenating candidate
-        // lists in chunk order reproduces the single-task output order.
-        std::vector<uint32_t> survivors;
-        for (const auto& c : candidates) {
-          survivors.insert(survivors.end(), c.begin(), c.end());
-        }
-        out.batches[0] = batch.WithSelection(std::move(survivors), false);
-        return Status::OK();
-      }));
+  out.batches[0] = batch.WithSelection(std::move(survivors), false);
   SL_RETURN_NOT_OK(ChargeOutput(ctx, &out));
   return out;
 }

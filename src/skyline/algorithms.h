@@ -25,15 +25,17 @@ namespace skyline {
 /// (over MIN-normalized values: MAX dimensions negated, so "smaller is
 /// better" everywhere):
 ///
-///   kSum     sum of the normalized coordinates — strictly monotone under
-///            dominance (a dominates b => sum(a) < sum(b)); ties keep input
-///            order. This is DominanceMatrix::Score, the pre-existing SFS
-///            order.
+///   kSum     sum of the normalized coordinates (DominanceMatrix::Score).
+///            A dominator's rounded sum is never larger than its victim's,
+///            but may be equal.
 ///   kMinMax  SaLSa's minC function: primary key = the smallest normalized
-///            coordinate, tie-broken by the sum. min alone is only weakly
-///            monotone; the strictly monotone sum tie-break restores the
-///            "window only grows" argument. This is the key whose stop
+///            coordinate, tie-broken by the sum. This is the key whose stop
 ///            bound is tight (see the SaLSa section of SkylineOptions).
+///
+/// Neither key alone orders a dominator strictly first, so both break ties
+/// lexicographically on the normalized keys — a dominator's first
+/// differing key is smaller — and only then by input order. That restores
+/// the "window only grows" argument.
 enum class SfsSortKey : uint8_t {
   kSum,
   kMinMax,
@@ -72,14 +74,14 @@ struct SkylineOptions {
 
   // --- SaLSa-style early termination (SFS family only) ----------------------
   //
-  // Every SFS filter pass terminates as soon as its sort key proves every
-  // remaining tuple strictly dominated. The pass maintains
+  // Every SFS filter pass terminates as soon as every remaining tuple is
+  // provably strictly dominated. The pass maintains
   // minC = the smallest max-coordinate over the skyline points seen so far
   // (its witness dominates everything whose every coordinate strictly
-  // exceeds minC) and stops once the presorted sort key guarantees that for
-  // all remaining tuples: for kMinMax, when the next min-coordinate exceeds
-  // minC; for kSum, when the next sum exceeds minC plus the per-dimension
-  // input maxima correction (sum alone cannot bound a single coordinate).
+  // exceeds minC) and stops once that holds for all remaining tuples: for
+  // kMinMax, when the next min-coordinate exceeds minC; for kSum, when the
+  // smallest min-coordinate of the remaining tuples does (a suffix minimum;
+  // a rounded sum cannot bound a single coordinate exactly).
   //
   // Sound only for complete, non-null numeric MIN/MAX input: with NULLs or
   // incomplete semantics a masked comparison cannot be certified by a

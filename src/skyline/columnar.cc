@@ -54,8 +54,10 @@ using internal::DeadlineChecker;
 constexpr int64_t kMaxExactInt = int64_t{1} << 53;
 
 /// The direct key of a non-null value, or nullopt when the value has no
-/// exact double image (NaN, BIGINT beyond 2^53, VARCHAR). `numeric` is
-/// cleared for BOOLEAN, which keys exactly but is not a number to SFS.
+/// exact finite double image (NaN, ±inf, BIGINT beyond 2^53, VARCHAR).
+/// Ranking ±inf keeps every key finite, so no Score sum adds +inf to -inf.
+/// `numeric` is cleared for BOOLEAN, which keys exactly but is not a number
+/// to SFS.
 std::optional<double> DirectKey(const Value& v, bool* numeric) {
   switch (v.type().id()) {
     case TypeId::kBool:
@@ -67,7 +69,7 @@ std::optional<double> DirectKey(const Value& v, bool* numeric) {
       return static_cast<double>(i);
     }
     case TypeId::kDouble:
-      if (std::isnan(v.double_value())) return std::nullopt;
+      if (!std::isfinite(v.double_value())) return std::nullopt;
       return v.double_value();
     case TypeId::kString:
       break;
@@ -273,6 +275,7 @@ ColumnarBatch ColumnarBatch::Concat(std::vector<ColumnarBatch>* parts,
   std::vector<const std::vector<uint32_t>*> selections;
   size_t total = 0;
   bool all_sorted = true;
+  bool all_parts = true;
   bool ranked = false;
   const SfsSortKey sort_key = parts->front().sort_key_;
   double stop_bound = std::numeric_limits<double>::infinity();
@@ -282,6 +285,7 @@ ColumnarBatch ColumnarBatch::Concat(std::vector<ColumnarBatch>* parts,
     total += part.num_rows();
     // Sorted inheritance needs every part ascending in the *same* key.
     all_sorted &= part.score_sorted_ && part.sort_key_ == sort_key;
+    all_parts &= !part.parts_.empty();
     // Each part's bound witness is one of its shipped rows, so the
     // tightest bound stays valid for the concatenated relation.
     stop_bound = std::min(stop_bound, part.stop_bound_);
@@ -335,6 +339,18 @@ ColumnarBatch ColumnarBatch::Concat(std::vector<ColumnarBatch>* parts,
     batch.sort_key_ = sort_key;
   } else {
     batch.indices_ = AllIndices(*batch.matrix_);
+    if (all_parts && !ranked) {
+      // The identity view keeps every part's rows contiguous, in view
+      // order: the parts' offsets shift by the rows gathered before them.
+      batch.parts_.push_back(0);
+      uint32_t offset = 0;
+      for (const ColumnarBatch& part : *parts) {
+        for (size_t j = 1; j < part.parts_.size(); ++j) {
+          batch.parts_.push_back(offset + part.parts_[j]);
+        }
+        offset += static_cast<uint32_t>(part.num_rows());
+      }
+    }
   }
   return batch;
 }
@@ -342,12 +358,17 @@ ColumnarBatch ColumnarBatch::Concat(std::vector<ColumnarBatch>* parts,
 ColumnarBatch ColumnarBatch::WithSelection(std::vector<uint32_t> indices,
                                            bool score_sorted,
                                            SfsSortKey sort_key,
-                                           double stop_bound) const {
+                                           double stop_bound,
+                                           bool skyline_part) const {
   ColumnarBatch batch = *this;
   batch.indices_ = std::move(indices);
   batch.score_sorted_ = score_sorted;
   batch.sort_key_ = sort_key;
   batch.stop_bound_ = stop_bound;
+  batch.parts_.clear();
+  if (skyline_part) {
+    batch.parts_ = {0, static_cast<uint32_t>(batch.indices_.size())};
+  }
   return batch;
 }
 
@@ -355,6 +376,7 @@ ColumnarBatch ColumnarBatch::Slice(size_t begin, size_t end) const {
   SL_DCHECK(begin <= end && end <= indices_.size());
   ColumnarBatch batch = *this;
   batch.indices_.assign(indices_.begin() + begin, indices_.begin() + end);
+  batch.parts_.clear();
   return batch;
 }
 
@@ -422,47 +444,46 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// The kSum stop test converts the max-coordinate bound minC into sort-key
-/// (sum) space: a coordinate is only lower-bounded by the sum through the
-/// other dimensions' maxima (t_j >= sum(t) - sum_{k != j} hi_k over the
-/// pass's input), so the sum threshold is minC + (sum(hi) - min(hi)).
-double SumStopOffset(const DominanceMatrix& matrix,
-                     const std::vector<uint32_t>& input) {
-  const size_t d = matrix.num_dims();
-  if (input.empty() || d == 0) return 0;
-  std::vector<double> hi(d, -kInf);
-  for (const uint32_t r : input) {
-    const double* keys = matrix.row_keys(r);
-    for (size_t j = 0; j < d; ++j) hi[j] = std::max(hi[j], keys[j]);
+/// The SFS tie-break: lexicographic order on packed keys. A dominator's
+/// first differing key is smaller, so it sorts ahead of a victim whose sort
+/// key it ties.
+bool KeysLexLess(const double* a, const double* b, size_t d) {
+  for (size_t i = 0; i < d; ++i) {
+    if (a[i] != b[i]) return a[i] < b[i];
   }
-  double total = 0, min_hi = kInf;
-  for (const double h : hi) {
-    total += h;
-    min_hi = std::min(min_hi, h);
-  }
-  return total - min_hi;
+  return false;
 }
 
-/// The SFS filter pass over key-ascending input: no later tuple can
+/// The SFS filter pass over input in SFS order: no later tuple can
 /// dominate an earlier one, so the window only grows — an append-only dense
 /// key buffer scanned sequentially per incoming tuple. Shared by the
 /// sorting entry point and the inherited-order (presorted) one.
 ///
 /// The pass maintains the SaLSa stop bound minC = min over window members
-/// (and any inherited bound) of MaxKey and terminates once the ascending
-/// sort key proves every remaining tuple strictly dominated by the bound's
-/// witness. NULL bitmaps disable the stop (NULL key slots hold
-/// placeholders, so coordinate bounds are meaningless).
+/// (and any inherited bound) of MaxKey and terminates once every remaining
+/// tuple's MinKey exceeds it: then every coordinate of every remaining
+/// tuple strictly exceeds minC, and the bound's witness strictly dominates
+/// them all. Under kMinMax the order ascends in MinKey, so the next tuple's
+/// MinKey decides; under kSum a suffix minimum does, because a rounded sum
+/// cannot bound a single coordinate exactly. NULL bitmaps disable the stop
+/// (NULL key slots hold placeholders, so coordinate bounds are
+/// meaningless).
 Result<std::vector<uint32_t>> SfsFilterPass(const DominanceMatrix& matrix,
                                             const std::vector<uint32_t>& ordered,
                                             const SkylineOptions& options) {
   const size_t d = matrix.num_dims();
   const bool early_stop = !matrix.has_nulls();
   const SfsSortKey sort_key = options.sfs_sort_key;
-  const double sum_offset =
-      early_stop && sort_key == SfsSortKey::kSum
-          ? SumStopOffset(matrix, ordered)
-          : 0;
+  // remaining_min[pos] = the smallest MinKey over ordered[pos..] (kSum).
+  std::vector<double> remaining_min;
+  if (early_stop && sort_key == SfsSortKey::kSum) {
+    remaining_min.assign(ordered.size(), kInf);
+    double lo = kInf;
+    for (size_t pos = ordered.size(); pos-- > 0;) {
+      lo = std::min(lo, matrix.MinKey(ordered[pos]));
+      remaining_min[pos] = lo;
+    }
+  }
   double min_c = early_stop ? options.sfs_stop_bound : kInf;
 
   std::vector<uint32_t> window;
@@ -474,16 +495,12 @@ Result<std::vector<uint32_t>> SfsFilterPass(const DominanceMatrix& matrix,
     SL_RETURN_NOT_OK(deadline.Check());
     const double* keys = matrix.row_keys(tuple);
     if (early_stop) {
-      // Stop point: once the ascending sort key exceeds the bound, every
-      // coordinate of every remaining tuple strictly exceeds minC, so the
-      // bound's witness strictly dominates them all. Strict-only
-      // elimination never drops equal tuples, so DISTINCT is unaffected.
-      const double key =
-          sort_key == SfsSortKey::kMinMax ? matrix.MinKey(tuple)
-                                          : matrix.Score(tuple);
-      const double bound =
-          sort_key == SfsSortKey::kMinMax ? min_c : min_c + sum_offset;
-      if (key > bound) {
+      // Stop point. Strict-only elimination never drops equal tuples, so
+      // DISTINCT is unaffected.
+      const double remaining = sort_key == SfsSortKey::kMinMax
+                                   ? matrix.MinKey(tuple)
+                                   : remaining_min[pos];
+      if (remaining > min_c) {
         if (options.early_stop != nullptr) {
           options.early_stop->rows_skipped.fetch_add(
               static_cast<int64_t>(ordered.size() - pos),
@@ -518,35 +535,39 @@ Result<std::vector<uint32_t>> SfsFilterPass(const DominanceMatrix& matrix,
 
 }  // namespace
 
+void SortInSfsOrder(const DominanceMatrix& matrix, SfsSortKey sort_key,
+                    std::vector<uint32_t>* rows) {
+  struct Keyed {
+    double min_key;  // 0 under kSum
+    double score;
+    uint32_t row;
+  };
+  std::vector<Keyed> keyed;
+  keyed.reserve(rows->size());
+  for (const uint32_t r : *rows) {
+    keyed.push_back(
+        {sort_key == SfsSortKey::kMinMax ? matrix.MinKey(r) : 0.0,
+         matrix.Score(r), r});
+  }
+  const size_t d = matrix.num_dims();
+  std::stable_sort(keyed.begin(), keyed.end(),
+                   [&](const Keyed& a, const Keyed& b) {
+                     if (a.min_key != b.min_key) return a.min_key < b.min_key;
+                     if (a.score != b.score) return a.score < b.score;
+                     return KeysLexLess(matrix.row_keys(a.row),
+                                        matrix.row_keys(b.row), d);
+                   });
+  for (size_t k = 0; k < keyed.size(); ++k) (*rows)[k] = keyed[k].row;
+}
+
 Result<std::vector<uint32_t>> ColumnarSortFilterSkyline(
     const DominanceMatrix& matrix, const std::vector<uint32_t>& input,
     const SkylineOptions& options) {
   if (!SfsFastPathApplicable(matrix, options)) {
     return ColumnarBlockNestedLoop(matrix, input, options);
   }
-  // Monotone sort key over the negated-for-MAX keys: kSum is strictly
-  // monotone under dominance; kMinMax (SaLSa's minC) is weakly monotone and
-  // tie-broken by the strictly monotone sum, so in either order the window
-  // only grows.
-  std::vector<double> scores(input.size());
-  for (size_t i = 0; i < input.size(); ++i) scores[i] = matrix.Score(input[i]);
-  std::vector<double> min_keys;
-  if (options.sfs_sort_key == SfsSortKey::kMinMax) {
-    min_keys.resize(input.size());
-    for (size_t i = 0; i < input.size(); ++i) {
-      min_keys[i] = matrix.MinKey(input[i]);
-    }
-  }
-  std::vector<uint32_t> order(input.size());
-  for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    if (!min_keys.empty() && min_keys[a] != min_keys[b]) {
-      return min_keys[a] < min_keys[b];
-    }
-    return scores[a] < scores[b];
-  });
-  std::vector<uint32_t> ordered(input.size());
-  for (size_t i = 0; i < order.size(); ++i) ordered[i] = input[order[i]];
+  std::vector<uint32_t> ordered = input;
+  SortInSfsOrder(matrix, options.sfs_sort_key, &ordered);
   return SfsFilterPass(matrix, ordered, options);
 }
 
@@ -570,7 +591,11 @@ std::vector<uint32_t> MergeByScore(
       const double mb = matrix.MinKey(b);
       if (ma != mb) return ma < mb;
     }
-    return matrix.Score(a) < matrix.Score(b);
+    const double sa = matrix.Score(a);
+    const double sb = matrix.Score(b);
+    if (sa != sb) return sa < sb;
+    return KeysLexLess(matrix.row_keys(a), matrix.row_keys(b),
+                       matrix.num_dims());
   };
   for (const auto& run : runs) {
     if (merged.empty()) {
@@ -820,6 +845,71 @@ Result<std::vector<uint32_t>> ColumnarValidateAgainstChunk(
         eliminated = true;
         break;
       }
+    }
+    if (!eliminated) survivors.push_back(c);
+  }
+  return survivors;
+}
+
+std::vector<double> PackKeys(const DominanceMatrix& matrix,
+                             const std::vector<uint32_t>& rows) {
+  const size_t d = matrix.num_dims();
+  std::vector<double> keys(rows.size() * d);
+  for (size_t k = 0; k < rows.size(); ++k) {
+    std::copy_n(matrix.row_keys(rows[k]), d, keys.begin() + k * d);
+  }
+  return keys;
+}
+
+Result<std::vector<uint32_t>> ColumnarValidateAgainstPeers(
+    const DominanceMatrix& matrix, const std::vector<uint32_t>& candidates,
+    const std::vector<PeerKeys>& peers, const SkylineOptions& options) {
+  SL_DCHECK(options.nulls == NullSemantics::kComplete);
+  const size_t d = matrix.num_dims();
+  const uint32_t diff_mask = matrix.diff_mask();
+  DeadlineChecker deadline(options);
+  BatchedCounter tests(options);
+  std::vector<uint32_t> survivors;
+  survivors.reserve(candidates.size());
+  for (const uint32_t c : candidates) {
+    const double* keys = matrix.row_keys(c);
+    const double score = DominanceMatrix::ScoreOf(keys, d);
+    bool eliminated = false;
+    for (const PeerKeys& peer : peers) {
+      // Only a prefix of the peer can eliminate c: the rows ahead of it in
+      // kSum SFS order, and, when an earlier peer's ties count under
+      // DISTINCT, the rows identical to it. Binary-search its end.
+      const bool ties = options.distinct && peer.earlier;
+      size_t end = 0;
+      for (size_t hi = peer.size; end < hi;) {
+        const size_t mid = end + (hi - end) / 2;
+        const double* pkeys = peer.keys + mid * d;
+        const double pscore = DominanceMatrix::ScoreOf(pkeys, d);
+        const bool ahead =
+            pscore < score ||
+            (pscore == score && (ties ? !KeysLexLess(keys, pkeys, d)
+                                      : KeysLexLess(pkeys, keys, d)));
+        if (ahead) {
+          end = mid + 1;
+        } else {
+          hi = mid;
+        }
+      }
+      for (size_t k = 0; k < end; ++k) {
+        SL_RETURN_NOT_OK(deadline.Check());
+        tests.Tick();
+        const double* pkeys = peer.keys + k * d;
+        const Dominance dom =
+            diff_mask == 0
+                ? CompareKeySpansComplete(pkeys, keys, d)
+                : CompareKeySpans(pkeys, keys, d, diff_mask, /*skip=*/0);
+        if (dom == Dominance::kLeftDominates ||
+            (dom == Dominance::kEqual && ties)) {
+          eliminated = true;
+          break;
+        }
+      }
+      if (eliminated) break;
     }
     if (!eliminated) survivors.push_back(c);
   }

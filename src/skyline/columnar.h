@@ -15,11 +15,12 @@
 //
 // Every type the SQL surface admits is encoded order-exactly, so the
 // projection never changes a comparison CompareRows would make. A dimension
-// whose values are all exact as doubles (BOOLEAN, BIGINT within 2^53,
-// non-NaN DOUBLE) keys them directly. Any other dimension — one holding a
-// NaN, a BIGINT beyond 2^53, or a VARCHAR — is *ranked*: its key is the
-// dense rank of the value in a sorted dictionary of that dimension's values
-// (ordered by CompareValues, so NaN ranks above +inf), negated for MAX.
+// whose values are all finite and exact as doubles (BOOLEAN, BIGINT within
+// 2^53, finite DOUBLE) keys them directly. Any other dimension — one
+// holding a NaN, ±inf, a BIGINT beyond 2^53, or a VARCHAR — is *ranked*:
+// its key is the dense rank of the value in a sorted dictionary of that
+// dimension's values (ordered by CompareValues, so NaN ranks above +inf),
+// negated for MAX. Every key is therefore finite, so no Score sum is NaN.
 // Rank codes are only comparable within one matrix, so a ranked dimension
 // clears all_numeric_minmax() and every cross-matrix consumer (SFS stop
 // bounds, the broadcast filter, grid cells) bypasses it.
@@ -111,8 +112,8 @@ namespace simd {
 #if SPARKLINE_HAVE_AVX2_COMPARE
 /// \brief Explicit AVX2 compare: both comparison directions run over four
 /// dimensions per instruction with OR-accumulated masks, then one movemask
-/// per direction. Keys are never NaN (Build ranks NaN values into ordinary
-/// codes), so the ordered predicate is exact. Only call when
+/// per direction. Keys are never NaN (Build ranks NaN and ±inf values into
+/// ordinary codes), so the ordered predicate is exact. Only call when
 /// Avx2Available() is true. Defined out-of-line with a per-function target
 /// attribute so the rest of the binary keeps the baseline ISA.
 Dominance CompareKeySpansCompleteAvx2(const double* left, const double* right,
@@ -195,11 +196,17 @@ class DominanceMatrix {
   double key(uint32_t row, size_t dim) const { return row_keys(row)[dim]; }
 
   /// Monotone SFS score: the sum of the (already negated-for-MAX) keys.
-  /// If a dominates b then score(a) < score(b) strictly.
-  double Score(uint32_t row) const {
-    const double* keys = row_keys(row);
+  /// If a dominates b then Score(a) <= Score(b): every partial sum of a is
+  /// at most b's, and rounding is monotone (DIFF keys are equal under
+  /// dominance). The rounded sums can tie, so a dominator is never later
+  /// but not always earlier in score order.
+  double Score(uint32_t row) const { return ScoreOf(row_keys(row), d_); }
+
+  /// The same sum over `d` packed keys anywhere (e.g. a copy of a row's
+  /// keys): the one summation order every score comparison shares.
+  static double ScoreOf(const double* keys, size_t d) {
     double s = 0;
-    for (size_t d = 0; d < d_; ++d) s += keys[d];
+    for (size_t i = 0; i < d; ++i) s += keys[i];
     return s;
   }
 
@@ -311,12 +318,22 @@ Result<std::vector<uint32_t>> ColumnarBlockNestedLoop(
     const DominanceMatrix& matrix, const std::vector<uint32_t>& input,
     const SkylineOptions& options);
 
+/// \brief Sorts `rows` (stable) into SFS order for `sort_key`: ascending
+/// sort key — Score for kSum, MinKey then Score for kMinMax — with ties
+/// broken lexicographically on the packed keys, then by input order. No
+/// row sorts after a row it dominates: a dominator's sort key is never
+/// larger, and its keys are lexicographically smaller. The kSum order is
+/// also the one ColumnarValidateAgainstPeers reads its peers in.
+void SortInSfsOrder(const DominanceMatrix& matrix, SfsSortKey sort_key,
+                    std::vector<uint32_t>* rows);
+
 /// \brief Sort-Filter-Skyline, the presorting family the paper lists as
 /// future work (section 7). Falls back to ColumnarBlockNestedLoop under
-/// incomplete semantics or unless all_numeric_minmax(). Sorts by
-/// options.sfs_sort_key; after sorting no tuple can be dominated by a later
-/// one, so the window only grows. The filter pass terminates at the SaLSa
-/// stop point (skipped when the matrix has NULL bitmaps).
+/// incomplete semantics or unless all_numeric_minmax(). Sorts into SFS
+/// order for options.sfs_sort_key (SortInSfsOrder), in which no tuple can
+/// be dominated by a later one, so the window only grows. The filter pass
+/// terminates at the SaLSa stop point (skipped when the matrix has NULL
+/// bitmaps).
 Result<std::vector<uint32_t>> ColumnarSortFilterSkyline(
     const DominanceMatrix& matrix, const std::vector<uint32_t>& input,
     const SkylineOptions& options);
@@ -339,20 +356,20 @@ inline bool SfsFastPathApplicable(const DominanceMatrix& matrix,
 /// batch carries), so a presorted merge can terminate before scanning most
 /// of the gathered input.
 ///
-/// \pre SfsFastPathApplicable(matrix, options) holds and `input` is
-/// ascending in the active sort key (equal keys in the caller's intended
-/// tie-break order; the window-only-grows argument needs nothing stronger
-/// than an ascending monotone key).
+/// \pre SfsFastPathApplicable(matrix, options) holds and `input` is in SFS
+/// order for the active sort key (SortInSfsOrder; rows equal in every key
+/// in the caller's intended DISTINCT tie-break order).
 Result<std::vector<uint32_t>> ColumnarSortFilterSkylinePresorted(
     const DominanceMatrix& matrix, const std::vector<uint32_t>& input,
     const SkylineOptions& options);
 
-/// \brief Merges key-ascending index runs into one key-ascending vector
-/// (O(n · k) cascade of stable merges; ties keep earlier runs first, so
-/// merging per-partition SFS outputs reproduces the tie-break order of one
-/// global stable sort over the concatenated input). `sort_key` selects the
-/// comparator: Score for kSum, (MinKey, Score) lexicographic for kMinMax —
-/// it must match the key the runs were sorted with.
+/// \brief Merges index runs in SFS order into one vector in SFS order
+/// (O(n · k) cascade of stable merges; rows equal in every key keep earlier
+/// runs first, so merging per-partition SFS outputs reproduces the order of
+/// one global stable sort over the concatenated input). `sort_key` selects
+/// the comparator — Score for kSum, (MinKey, Score) for kMinMax, either
+/// tie-broken lexicographically on the packed keys — and must match the key
+/// the runs were sorted with.
 std::vector<uint32_t> MergeByScore(const DominanceMatrix& matrix,
                                    const std::vector<std::vector<uint32_t>>& runs,
                                    SfsSortKey sort_key = SfsSortKey::kSum);
@@ -460,6 +477,46 @@ Result<std::vector<uint32_t>> ColumnarValidateAgainstChunk(
     const DominanceMatrix& matrix, const std::vector<uint32_t>& candidates,
     const std::vector<uint32_t>& peer, const SkylineOptions& options);
 
+/// \brief The packed keys of `rows`, in order: rows.size() * num_dims()
+/// contiguous doubles.
+std::vector<double> PackKeys(const DominanceMatrix& matrix,
+                             const std::vector<uint32_t>& rows);
+
+/// \brief One peer's candidates as ColumnarValidateAgainstPeers reads them:
+/// `size` rows in kSum SFS order (SortInSfsOrder), their keys packed
+/// densely (row k at keys + k * num_dims: PackKeys over such a list, or a
+/// contiguous run of matrix rows). Non-owning.
+struct PeerKeys {
+  const double* keys = nullptr;
+  size_t size = 0;
+  /// The peer precedes the candidates in input order: under DISTINCT its
+  /// rows win ties (the first-encountered rule).
+  bool earlier = false;
+};
+
+/// \brief The validate step of the parallel complete global skyline
+/// (GlobalSkylineExec's [merge] stage): keeps, in their given order, the
+/// candidates that no peer row dominates — and, under DISTINCT, that no
+/// earlier peer holds an equal row. Exact when the candidates and every
+/// peer are antichains and together hold every row the result may need as
+/// a witness: complete dominance is transitive, so a dominated candidate
+/// always has an undominated dominator in some other antichain, and peers
+/// are read-only, so one task per candidate list can run concurrently.
+///
+/// For each candidate c, each peer is scanned from its lowest score only
+/// while the peer's row is ahead of c in kSum SFS order (a dominator's
+/// score is never larger, and may be equal, but its keys are
+/// lexicographically smaller) — or, for an earlier peer under DISTINCT,
+/// identical to c. Compares with CompareKeySpansComplete when
+/// diff_mask() == 0, CompareKeySpans otherwise; counts every test and polls
+/// the deadline.
+///
+/// \pre options.nulls is kComplete; every peer is in kSum SFS order and
+/// packed from this matrix (or an identical copy of its keys).
+Result<std::vector<uint32_t>> ColumnarValidateAgainstPeers(
+    const DominanceMatrix& matrix, const std::vector<uint32_t>& candidates,
+    const std::vector<PeerKeys>& peers, const SkylineOptions& options);
+
 /// \brief Groups all matrix rows by their null bitmap (paper section 5.7),
 /// in ascending bitmap order. Input order is preserved within each group.
 std::vector<std::vector<uint32_t>> PartitionIndicesByNullBitmap(
@@ -532,6 +589,12 @@ class ColumnarBatch {
   /// so the tightest local bound survives the gather. A re-projected result
   /// carries neither (bounds never cross key spaces).
   ///
+  /// Otherwise the view is the identity, so each part's rows stay one
+  /// contiguous run of matrix rows, and if every part carries skyline parts
+  /// the result carries them all, offset to their new positions (see
+  /// skyline_parts()). Re-projection drops them: re-ranked keys sum to
+  /// different scores.
+  ///
   /// The parts are left alive in the caller's vector: destroying an owned
   /// backing — every non-survivor row of the upstream stage — is real work,
   /// and the caller decides where it lands (the exec layer drops them
@@ -547,14 +610,17 @@ class ColumnarBatch {
   /// kernel run). `score_sorted` asserts the new view is ascending in
   /// `sort_key`; `stop_bound` is the SaLSa stop bound the view's rows
   /// support (ComputeStopBound; +infinity = none), carried so the global
-  /// merge can inherit the tightest per-partition bound.
+  /// merge can inherit the tightest per-partition bound. `skyline_part`
+  /// asserts the whole view is one skyline part (see skyline_parts()).
   ColumnarBatch WithSelection(
       std::vector<uint32_t> indices, bool score_sorted,
       SfsSortKey sort_key = SfsSortKey::kSum,
-      double stop_bound = std::numeric_limits<double>::infinity()) const;
+      double stop_bound = std::numeric_limits<double>::infinity(),
+      bool skyline_part = false) const;
 
   /// Contiguous sub-view [begin, end) of the current view, inheriting the
-  /// sort flag (a slice of an ascending view is ascending) and stop bound.
+  /// sort flag (a slice of an ascending view is ascending) and stop bound,
+  /// but no skyline parts.
   ColumnarBatch Slice(size_t begin, size_t end) const;
 
   const DominanceMatrix& matrix() const { return *matrix_; }
@@ -568,6 +634,15 @@ class ColumnarBatch {
   /// downstream SFS passes over supersets of this view may seed their minC
   /// with it.
   double stop_bound() const { return stop_bound_; }
+  /// View offsets 0 = b_0 <= b_1 <= ... <= b_k = num_rows() splitting the
+  /// view into *skyline parts*, or empty when the view has none. Each part
+  /// [b_j, b_{j+1}) is an antichain under complete dominance — the skyline
+  /// of one partition (LocalSkylineExec), or a subset of it whose missing
+  /// rows some shipped row strictly dominates (BroadcastFilterExec) — and
+  /// is in kSum SFS order (SortInSfsOrder). So the complete skyline of the
+  /// whole view is what ColumnarValidateAgainstPeers keeps of each part
+  /// against the others, with no per-part skyline pass first.
+  const std::vector<uint32_t>& skyline_parts() const { return parts_; }
   /// The rows behind the matrix: matrix row i is backing() row i.
   const RowView& backing() const { return rows_; }
   /// True when the backing rows belong to a table snapshot (see Project).
@@ -611,6 +686,8 @@ class ColumnarBatch {
   SfsSortKey sort_key_ = SfsSortKey::kSum;
   /// Tightest SaLSa stop bound of the view (+infinity = none).
   double stop_bound_ = std::numeric_limits<double>::infinity();
+  /// Skyline-part offsets into the view (empty = none).
+  std::vector<uint32_t> parts_;
 };
 
 /// \brief Rows-in, rows-out convenience for standalone use: builds the

@@ -12,6 +12,7 @@
 
 #include "common/cancellation.h"
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "skyline/columnar.h"
 #include "test_util.h"
 
@@ -219,6 +220,29 @@ TEST(DominanceMatrixTest, NaNRanksAboveInfinity) {
   for (const SkylineGoal goal :
        {SkylineGoal::kMin, SkylineGoal::kMax, SkylineGoal::kDiff}) {
     ExpectOrderExact(rows, {{0, goal}, {1, SkylineGoal::kMax}});
+  }
+}
+
+// ±inf has no finite key: a row holding +inf in one normalized key and
+// -inf in another would score NaN, which breaks the SFS presort's strict
+// weak ordering and the grid kernel's bucket cast. Ranked, every key and
+// every Score is finite.
+TEST(DominanceMatrixTest, InfinitiesAreRankedSoScoresStayFinite) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<Row> rows{R({inf, -inf, 5}), R({3, 4, 4}), R({1, -inf, 5}),
+                        R({2, 2, 2}),      R({inf, -inf, 6}), R({0, 9, 9}),
+                        R({inf, 0, -inf})};
+  auto matrix = DominanceMatrix::Build(rows, MinDims(3));
+  ASSERT_TRUE(matrix.ok());
+  EXPECT_EQ(matrix->ranked_mask(), 7u);
+  EXPECT_FALSE(matrix->all_numeric_minmax());
+  for (uint32_t r = 0; r < rows.size(); ++r) {
+    EXPECT_TRUE(std::isfinite(matrix->Score(r))) << "row " << r;
+  }
+  EXPECT_EQ(matrix->Compare(2, 0, NullSemantics::kComplete),
+            Dominance::kLeftDominates);
+  for (const SkylineGoal goal : {SkylineGoal::kMin, SkylineGoal::kMax}) {
+    ExpectOrderExact(rows, {{0, goal}, {1, goal}, {2, SkylineGoal::kMin}});
   }
 }
 
@@ -445,6 +469,22 @@ TEST(ColumnarKernelTest, EveryKernelHonorsCancelledToken) {
     opts.sfs_sort_key = key;
     auto r = ColumnarSkyline(SkylineKernel::kSortFilterSkyline,
                              CorrelatedRows(20000, 4, 23), dims, opts);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
+  }
+
+  // The parallel global merge's validate kernel.
+  {
+    auto matrix = DominanceMatrix::Build(rows, dims);
+    ASSERT_TRUE(matrix.ok());
+    std::vector<uint32_t> peer = AllIndices(*matrix);
+    SortInSfsOrder(*matrix, SfsSortKey::kSum, &peer);
+    const std::vector<double> keys = PackKeys(*matrix, peer);
+    SkylineOptions opts;
+    opts.cancel = &token;
+    auto r = ColumnarValidateAgainstPeers(*matrix, AllIndices(*matrix),
+                                          {{keys.data(), peer.size(), false}},
+                                          opts);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
   }
@@ -735,6 +775,53 @@ TEST(ColumnarBatchTest, ConcatReRanksWhenOnePartHasNaN) {
   }
 }
 
+// Local skylines marked as skyline parts gather into an identity view in
+// which each part is a contiguous run of matrix rows, still ascending in
+// Score — what the global [merge] reads its peers' keys from in place. A
+// part without the mark, an SFS-sorted gather (interleaved by MergeByScore)
+// and a re-ranking gather all drop the parts.
+TEST(ColumnarBatchTest, ConcatKeepsSkylinePartBoundaries) {
+  const auto dims = MinDims(3);
+  auto gather = [&](bool mark_all, bool sorted, bool nan) {
+    std::vector<ColumnarBatch> parts;
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      // The third partition is empty.
+      std::vector<Row> rows =
+          seed == 3 ? std::vector<Row>{} : AntiCorrelatedRows(50, 3, seed);
+      if (nan && seed == 4) rows[0][1] = Value::Double(std::nan(""));
+      auto batch = ColumnarBatch::Project(SharedRows(rows), dims);
+      SL_CHECK(batch.ok());
+      auto local =
+          ColumnarBlockNestedLoop(batch->matrix(), batch->indices(), {});
+      SL_CHECK(local.ok());
+      SortInSfsOrder(batch->matrix(), SfsSortKey::kSum, &*local);
+      parts.push_back(batch->WithSelection(
+          *local, sorted, SfsSortKey::kSum,
+          std::numeric_limits<double>::infinity(), mark_all || seed != 2));
+    }
+    std::vector<uint32_t> expected = {0};
+    for (const ColumnarBatch& part : parts) {
+      expected.push_back(expected.back() +
+                         static_cast<uint32_t>(part.num_rows()));
+    }
+    return std::make_pair(ColumnarBatch::Concat(&parts), expected);
+  };
+
+  const auto [merged, expected] = gather(true, false, false);
+  ASSERT_EQ(merged.skyline_parts(), expected);
+  const DominanceMatrix& matrix = merged.matrix();
+  for (size_t j = 0; j + 1 < expected.size(); ++j) {
+    for (uint32_t p = expected[j] + 1; p < expected[j + 1]; ++p) {
+      EXPECT_EQ(merged.indices()[p], merged.indices()[p - 1] + 1);
+      EXPECT_LE(matrix.Score(merged.indices()[p - 1]),
+                matrix.Score(merged.indices()[p]));
+    }
+  }
+  EXPECT_TRUE(gather(false, false, false).first.skyline_parts().empty());
+  EXPECT_TRUE(gather(true, true, false).first.skyline_parts().empty());
+  EXPECT_TRUE(gather(true, false, true).first.skyline_parts().empty());
+}
+
 TEST(ColumnarBatchTest, MatrixMemoryChargedForBatchLifetime) {
   MemoryTracker tracker;
   auto rows = SharedRows(RandomRows(200, 4, /*null_rate=*/0.1, 6, 17));
@@ -921,13 +1008,20 @@ TEST(MergeByScoreTest, EqualKeysReproduceGlobalStableSortOrder) {
   ASSERT_TRUE(matrix.ok());
 
   for (const SfsSortKey key : {SfsSortKey::kSum, SfsSortKey::kMinMax}) {
+    // The SFS order: the sort key, ties broken lexicographically on the
+    // keys.
     auto key_less = [&](uint32_t a, uint32_t b) {
       if (key == SfsSortKey::kMinMax) {
         const double ma = matrix->MinKey(a);
         const double mb = matrix->MinKey(b);
         if (ma != mb) return ma < mb;
       }
-      return matrix->Score(a) < matrix->Score(b);
+      if (matrix->Score(a) != matrix->Score(b)) {
+        return matrix->Score(a) < matrix->Score(b);
+      }
+      return std::lexicographical_compare(
+          matrix->row_keys(a), matrix->row_keys(a) + 2, matrix->row_keys(b),
+          matrix->row_keys(b) + 2);
     };
     // Three contiguous runs in input order, each sorted by the key.
     std::vector<std::vector<uint32_t>> runs;
@@ -944,6 +1038,181 @@ TEST(MergeByScoreTest, EqualKeysReproduceGlobalStableSortOrder) {
     EXPECT_EQ(merged, global)
         << "ties must keep input (run) order, key=" << static_cast<int>(key);
   }
+}
+
+// --- exact SFS order and stop bound -------------------------------------------
+
+// Score is a rounded sum: (1e17, 1) dominates (1e17, 2), yet both score
+// 1e17. Broken by input order alone, the tie put the victim first, and the
+// grow-only window never evicts. The lexicographic tie-break puts every
+// dominator first, in the presort and in MergeByScore alike.
+TEST(SfsOrderTest, DominatorTyingItsVictimsScoreSortsFirst) {
+  const std::vector<Row> rows{R({1e17, 2}), R({1e17, 1})};
+  auto matrix = DominanceMatrix::Build(rows, MinDims(2));
+  ASSERT_TRUE(matrix.ok());
+  ASSERT_EQ(matrix->Score(0), matrix->Score(1));
+  for (const SfsSortKey key : {SfsSortKey::kSum, SfsSortKey::kMinMax}) {
+    SkylineOptions options;
+    options.sfs_sort_key = key;
+    auto sfs = ColumnarSortFilterSkyline(*matrix, {0, 1}, options);
+    ASSERT_TRUE(sfs.ok());
+    EXPECT_EQ(*sfs, std::vector<uint32_t>{1}) << static_cast<int>(key);
+    EXPECT_EQ(MergeByScore(*matrix, {{0}, {1}}, key),
+              (std::vector<uint32_t>{1, 0}));
+  }
+}
+
+// The kSum stop used to compare one rounded sum with another: here it fired
+// before row 2, whose d1 is the best of all, and dropped it. The stop now
+// fires only once every remaining row's smallest key exceeds minC.
+TEST(SfsEarlyStop, SumStopNeverDropsASkylineRow) {
+  const std::vector<Row> rows{
+      R({9007199254740990, 1e17}),           R({-7, 30000000000000012}),
+      R({-1.0000000000000002e17, -5}),       R({99999999999999984, 1}),
+      R({13, 18}),                           R({-9, 29999999999999984})};
+  const std::vector<BoundDimension> dims{{0, SkylineGoal::kMax},
+                                         {1, SkylineGoal::kMin}};
+  const std::vector<Row> expected = BruteForceSkyline(rows, dims, {});
+  ASSERT_EQ(expected.size(), 2u);
+  for (const SfsSortKey key : {SfsSortKey::kSum, SfsSortKey::kMinMax}) {
+    SkylineOptions options;
+    options.sfs_sort_key = key;
+    auto sfs =
+        ColumnarSkyline(SkylineKernel::kSortFilterSkyline, rows, dims, options);
+    ASSERT_TRUE(sfs.ok());
+    EXPECT_EQ(Sorted(*sfs), Sorted(expected)) << static_cast<int>(key);
+  }
+}
+
+// --- the parallel global merge: ColumnarValidateAgainstPeers ------------------
+
+/// Rows (id, a, b, s, k): `a` mixes ±inf into small integers, `b` is a
+/// small integer, `s` a short VARCHAR (always ranked) and `k` a
+/// low-cardinality key for DIFF goals. Low cardinalities force duplicates.
+std::vector<Row> MergeRows(size_t n, uint64_t seed) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> a_pool = {-inf, inf, 0, 1, 2, 3};
+  const std::vector<std::string> s_pool = {"a", "b", "c"};
+  Rng rng(seed);
+  std::vector<Row> rows;
+  for (size_t i = 0; i < n; ++i) {
+    rows.push_back(
+        {Value::Int64(static_cast<int64_t>(i)),
+         Value::Double(a_pool[static_cast<size_t>(rng.UniformInt(0, 5))]),
+         Value::Double(static_cast<double>(rng.UniformInt(0, 4))),
+         Value::String(s_pool[static_cast<size_t>(rng.UniformInt(0, 2))]),
+         Value::Double(static_cast<double>(rng.UniformInt(0, 1)))});
+  }
+  return rows;
+}
+
+/// The parallel merge over the contiguous parts [bounds[i], bounds[i+1])
+/// of `rows`: each part's local skyline (BNL) in kSum SFS order, packed,
+/// validated against every other part; survivors in part order.
+Result<std::vector<Row>> MergeParts(const std::vector<Row>& rows,
+                                    const std::vector<BoundDimension>& dims,
+                                    const std::vector<size_t>& bounds,
+                                    const SkylineOptions& options) {
+  SL_ASSIGN_OR_RETURN(DominanceMatrix matrix,
+                      DominanceMatrix::Build(rows, dims));
+  const size_t parts = bounds.size() - 1;
+  std::vector<std::vector<uint32_t>> local(parts);
+  std::vector<std::vector<double>> packed(parts);
+  for (size_t i = 0; i < parts; ++i) {
+    std::vector<uint32_t> slice;
+    for (size_t r = bounds[i]; r < bounds[i + 1]; ++r) {
+      slice.push_back(static_cast<uint32_t>(r));
+    }
+    SL_ASSIGN_OR_RETURN(local[i],
+                        ColumnarBlockNestedLoop(matrix, slice, options));
+    SortInSfsOrder(matrix, SfsSortKey::kSum, &local[i]);
+    packed[i] = PackKeys(matrix, local[i]);
+  }
+  std::vector<uint32_t> survivors;
+  for (size_t i = 0; i < parts; ++i) {
+    std::vector<PeerKeys> peers;
+    for (size_t j = 0; j < parts; ++j) {
+      if (j != i) peers.push_back({packed[j].data(), local[j].size(), j < i});
+    }
+    SL_ASSIGN_OR_RETURN(
+        std::vector<uint32_t> kept,
+        ColumnarValidateAgainstPeers(matrix, local[i], peers, options));
+    survivors.insert(survivors.end(), kept.begin(), kept.end());
+  }
+  return MaterializeRows(rows, survivors);
+}
+
+// Over random contiguous parts (empty ones included), the merge must equal
+// BruteForceSkyline and one BNL over all rows — rows compared whole, ids
+// included, so under DISTINCT the kept duplicate must be the first one —
+// on direct, ranked (±inf, VARCHAR) and DIFF dimensions.
+TEST(ValidateAgainstPeersTest, MatchesBnlAndBruteForceOverRandomParts) {
+  const std::vector<std::vector<BoundDimension>> dim_sets = {
+      {{1, SkylineGoal::kMin}, {2, SkylineGoal::kMax}},
+      {{2, SkylineGoal::kMin}, {4, SkylineGoal::kMin}},
+      {{1, SkylineGoal::kMax}, {2, SkylineGoal::kMin}, {4, SkylineGoal::kDiff}},
+      {{2, SkylineGoal::kMin}, {3, SkylineGoal::kMax}, {4, SkylineGoal::kDiff}},
+      {{1, SkylineGoal::kMin},
+       {2, SkylineGoal::kMin},
+       {3, SkylineGoal::kMin},
+       {4, SkylineGoal::kMax}},
+  };
+  Rng rng(2024);
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    const std::vector<Row> rows =
+        MergeRows(static_cast<size_t>(rng.UniformInt(1, 60)), seed);
+    std::vector<size_t> bounds = {0, rows.size()};
+    const int64_t cuts = rng.UniformInt(0, 4);
+    for (int64_t c = 0; c < cuts; ++c) {
+      bounds.push_back(
+          static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(rows.size()))));
+    }
+    std::sort(bounds.begin(), bounds.end());
+    for (const auto& dims : dim_sets) {
+      for (const bool distinct : {false, true}) {
+        SkylineOptions options;
+        options.distinct = distinct;
+        auto merged = MergeParts(rows, dims, bounds, options);
+        ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+        auto bnl =
+            ColumnarSkyline(SkylineKernel::kBlockNestedLoop, rows, dims, options);
+        ASSERT_TRUE(bnl.ok());
+        const std::string where = StrCat("seed=", seed, " parts=",
+                                         bounds.size() - 1, " dims=",
+                                         dims.size(), " distinct=", distinct);
+        EXPECT_EQ(Sorted(*merged), Sorted(*bnl)) << where;
+        EXPECT_EQ(Sorted(*merged), Sorted(BruteForceSkyline(rows, dims, options)))
+            << where;
+      }
+    }
+  }
+}
+
+// Every test is counted, and the score bound skips most pairs: on
+// anti-correlated parts the merge runs fewer tests than comparing every
+// candidate with every peer row.
+TEST(ValidateAgainstPeersTest, CountsTestsAndSkipsHigherScores) {
+  const std::vector<Row> rows = AntiCorrelatedRows(2000, 4, 61);
+  auto matrix = DominanceMatrix::Build(rows, MinDims(4));
+  ASSERT_TRUE(matrix.ok());
+  std::vector<std::vector<uint32_t>> local(2);
+  for (uint32_t r = 0; r < rows.size(); ++r) local[r % 2].push_back(r);
+  for (auto& part : local) {
+    auto sky = ColumnarBlockNestedLoop(*matrix, part, {});
+    ASSERT_TRUE(sky.ok());
+    part = *sky;
+    SortInSfsOrder(*matrix, SfsSortKey::kSum, &part);
+  }
+  const std::vector<double> peer = PackKeys(*matrix, local[1]);
+  DominanceCounter counter;
+  SkylineOptions options;
+  options.counter = &counter;
+  auto kept = ColumnarValidateAgainstPeers(
+      *matrix, local[0], {{peer.data(), local[1].size(), false}}, options);
+  ASSERT_TRUE(kept.ok());
+  EXPECT_GT(counter.tests.load(), 0);
+  EXPECT_LT(counter.tests.load(),
+            static_cast<int64_t>(local[0].size() * local[1].size()));
 }
 
 // --- deadline coverage: every kernel must return Timeout ---------------------
@@ -1020,6 +1289,15 @@ TEST_F(ColumnarKernelDeadline, IncompleteCandidateScan) {
   options.nulls = NullSemantics::kIncomplete;
   EXPECT_TIMES_OUT(
       ColumnarIncompleteCandidateScan(*matrix_, AllIndices(*matrix_), options));
+}
+
+TEST_F(ColumnarKernelDeadline, ValidateAgainstPeers) {
+  std::vector<uint32_t> peer = AllIndices(*matrix_);
+  SortInSfsOrder(*matrix_, SfsSortKey::kSum, &peer);
+  const std::vector<double> keys = PackKeys(*matrix_, peer);
+  EXPECT_TIMES_OUT(ColumnarValidateAgainstPeers(
+      *matrix_, AllIndices(*matrix_), {{keys.data(), peer.size(), false}},
+      expired_));
 }
 
 TEST_F(ColumnarKernelDeadline, ValidateAgainstChunk) {

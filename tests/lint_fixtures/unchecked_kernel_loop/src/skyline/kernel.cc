@@ -16,5 +16,17 @@ int UncheckedBlockScan(const Block& block) {
   return survivors;
 }
 
+// Same over packed keys: the SIMD compare is a dominance test too.
+int UncheckedPackedScan(const double* keys, size_t n, size_t d) {
+  int dominated = 0;
+  for (size_t i = 1; i < n; ++i) {
+    if (CompareKeySpansComplete(keys, keys + i * d, d) ==
+        Dominance::kLeftDominates) {
+      ++dominated;
+    }
+  }
+  return dominated;
+}
+
 }  // namespace skyline
 }  // namespace sparkline

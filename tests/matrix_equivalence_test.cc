@@ -205,9 +205,10 @@ INSTANTIATE_TEST_SUITE_P(
                       IncompleteParallelCase{200, 4, false, 0.35},
                       IncompleteParallelCase{200, 2, true, 0.6}));
 
-// The incomplete global stage must split into the round-based stages for
-// multi-executor configs (visible as [candidates]/[validate]/[finalize]
-// entries in operator_ms) and stay a single task with one executor.
+// The incomplete global stage must split into the chunked stages for
+// multi-executor configs (visible as [candidates]/[validate] entries in
+// operator_ms; the chunk-order concatenation needs no stage) and stay a
+// single task with one executor.
 TEST(ParallelIncompleteGlobal, StageSplitsForMultipleExecutors) {
   Session session;
   ASSERT_OK(session.catalog()->RegisterTable(datagen::GeneratePoints(
@@ -234,7 +235,7 @@ TEST(ParallelIncompleteGlobal, StageSplitsForMultipleExecutors) {
   EXPECT_EQ(multi.operator_ms.count("GlobalSkyline [incomplete] [validate]"),
             1u);
   EXPECT_EQ(multi.operator_ms.count("GlobalSkyline [incomplete] [finalize]"),
-            1u);
+            0u);
 
   const QueryMetrics single = metrics_for("1");
   EXPECT_EQ(single.operator_ms.count("GlobalSkyline [incomplete]"), 1u);
@@ -242,9 +243,10 @@ TEST(ParallelIncompleteGlobal, StageSplitsForMultipleExecutors) {
             0u);
 }
 
-// The parallel partial-merge global stage (the tentpole of the columnar
-// PR): with multiple executors the complete global skyline must run as a
-// parallel partial stage plus a single-task merge — not as one single task.
+// The parallel global merge: with multiple executors the complete global
+// skyline must not run as one single task. A distributed plan gathers local
+// skylines, so it validates them in one parallel [merge] stage with no
+// [partial]; a non-distributed plan's projected rows run [partial] first.
 TEST(ParallelGlobalMerge, GlobalStageSplitsForMultipleExecutors) {
   Session session;
   ASSERT_OK(session.catalog()->RegisterTable(datagen::GeneratePoints(
@@ -265,12 +267,355 @@ TEST(ParallelGlobalMerge, GlobalStageSplitsForMultipleExecutors) {
   const QueryMetrics multi = metrics_for("4");
   EXPECT_EQ(multi.operator_ms.count("GlobalSkyline [complete]"), 0u)
       << "global stage still runs as a single task with 4 executors";
-  EXPECT_EQ(multi.operator_ms.count("GlobalSkyline [complete] [partial]"), 1u);
+  EXPECT_EQ(multi.operator_ms.count("GlobalSkyline [complete] [partial]"), 0u)
+      << "gathered local skylines need no [partial] pass";
   EXPECT_EQ(multi.operator_ms.count("GlobalSkyline [complete] [merge]"), 1u);
 
   const QueryMetrics single = metrics_for("1");
   EXPECT_EQ(single.operator_ms.count("GlobalSkyline [complete]"), 1u);
   EXPECT_EQ(single.operator_ms.count("GlobalSkyline [complete] [partial]"), 0u);
+
+  ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "non_distributed"));
+  const QueryMetrics rows = metrics_for("4");
+  EXPECT_EQ(rows.operator_ms.count("GlobalSkyline [complete]"), 0u);
+  EXPECT_EQ(rows.operator_ms.count("GlobalSkyline [complete] [partial]"), 1u);
+  EXPECT_EQ(rows.operator_ms.count("GlobalSkyline [complete] [merge]"), 1u);
+}
+
+/// A table (id BIGINT, d0 .. d{k-1} DOUBLE), all non-null; row i has id i.
+TablePtr DoublesTable(const std::string& name,
+                      const std::vector<std::vector<double>>& rows) {
+  std::vector<Field> fields = {Field{"id", DataType::Int64(), false}};
+  for (size_t d = 0; d < rows.front().size(); ++d) {
+    fields.push_back(Field{StrCat("d", d), DataType::Double(), false});
+  }
+  Schema schema(fields);
+  auto table = std::make_shared<Table>(name, schema);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    Row row{Value::Int64(static_cast<int64_t>(i))};
+    for (const double v : rows[i]) row.push_back(Value::Double(v));
+    SL_CHECK_OK(table->AppendRow(std::move(row)));
+  }
+  return table;
+}
+
+/// BruteForceSkyline over every row of `table` (whole rows, ids included).
+std::vector<std::string> Oracle(const Table& table,
+                                const std::vector<skyline::BoundDimension>& dims,
+                                bool distinct) {
+  skyline::SkylineOptions options;
+  options.distinct = distinct;
+  return RowStrings(skyline::BruteForceSkyline(table.rows(), dims, options));
+}
+
+/// "SELECT * FROM <table> SKYLINE OF [DISTINCT] d0 <goal>, ...".
+std::string SkylineSql(const std::string& table,
+                       const std::vector<skyline::BoundDimension>& dims,
+                       bool distinct) {
+  std::vector<std::string> items;
+  for (const auto& dim : dims) {
+    items.push_back(StrCat("d", dim.ordinal - 1,
+                           dim.goal == SkylineGoal::kMin ? " MIN" : " MAX"));
+  }
+  return StrCat("SELECT * FROM ", table, " SKYLINE OF ",
+                distinct ? "DISTINCT " : "", JoinStrings(items, ", "));
+}
+
+// --- regressions: ±inf, score ties and the kSum stop --------------------------
+
+// Row 2 dominates row 0, but with ±inf keyed directly row 0 scored NaN
+// (+inf + -inf), and SFS at one executor kept it under either sort key.
+// Ranked, ±inf keys are finite and SFS agrees with both oracles.
+TEST(SkylineRegression, InfinityInTwoDimensionsKeepsNoDominatedRow) {
+  const double inf = std::numeric_limits<double>::infinity();
+  Session session;
+  TablePtr table = DoublesTable("t", {{inf, -inf, 5},
+                                      {3, 4, 4},
+                                      {1, -inf, 5},
+                                      {2, 2, 2},
+                                      {inf, -inf, 6},
+                                      {0, 9, 9},
+                                      {inf, 0, -inf}});
+  ASSERT_OK(session.catalog()->RegisterTable(table));
+  const std::vector<skyline::BoundDimension> dims = {
+      {1, SkylineGoal::kMin}, {2, SkylineGoal::kMin}, {3, SkylineGoal::kMin}};
+  const std::string sql = SkylineSql("t", dims, false);
+  const std::vector<std::string> expected = Oracle(*table, dims, false);
+  ASSERT_EQ(expected.size(), 4u);  // rows 2, 3, 5 and 6
+  ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "reference"));
+  ASSERT_EQ(expected, RowStrings(Rows(&session, sql)));
+  ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "auto"));
+  ASSERT_OK(session.SetConf("sparkline.skyline.kernel", "sfs"));
+  ASSERT_OK(session.SetConf("sparkline.executors", "1"));
+  for (const char* sort_key : {"sum", "minmax"}) {
+    ASSERT_OK(session.SetConf("sparkline.skyline.sfs.sort_key", sort_key));
+    EXPECT_EQ(expected, RowStrings(Rows(&session, sql))) << sort_key;
+  }
+}
+
+// A -inf key used to reach the grid kernel's bucket cast as NaN, which is
+// undefined behaviour (-fsanitize=float-cast-overflow stops on it). Ranked,
+// the dimension sends the grid kernel to its BNL fallback.
+TEST(SkylineRegression, GridNeverBucketsAnInfiniteKey) {
+  std::vector<std::vector<double>> rows;
+  for (int i = 0; i < 100; ++i) {
+    rows.push_back({static_cast<double>((i * 37) % 100),
+                    static_cast<double>((i * 53) % 100)});
+  }
+  rows[41][0] = -std::numeric_limits<double>::infinity();
+  Session session;
+  TablePtr table = DoublesTable("t", rows);
+  ASSERT_OK(session.catalog()->RegisterTable(table));
+  const std::vector<skyline::BoundDimension> dims = {{1, SkylineGoal::kMin},
+                                                     {2, SkylineGoal::kMin}};
+  ASSERT_OK(session.SetConf("sparkline.skyline.kernel", "grid"));
+  for (const char* executors : {"1", "4"}) {
+    ASSERT_OK(session.SetConf("sparkline.executors", executors));
+    EXPECT_EQ(Oracle(*table, dims, false),
+              RowStrings(Rows(&session, SkylineSql("t", dims, false))))
+        << executors;
+  }
+}
+
+// (1e17, 1) dominates (1e17, 2) while both score 1e17. Ties kept input
+// order, so the victim came first and the SFS window never evicted it.
+TEST(SkylineRegression, DominatorTyingItsVictimsScoreEliminatesIt) {
+  Session session;
+  TablePtr table = DoublesTable("t", {{1e17, 2}, {1e17, 1}});
+  ASSERT_OK(session.catalog()->RegisterTable(table));
+  const std::vector<skyline::BoundDimension> dims = {{1, SkylineGoal::kMin},
+                                                     {2, SkylineGoal::kMin}};
+  const std::string sql = SkylineSql("t", dims, false);
+  const std::vector<std::string> expected = Oracle(*table, dims, false);
+  ASSERT_EQ(expected.size(), 1u);
+  ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "reference"));
+  ASSERT_EQ(expected, RowStrings(Rows(&session, sql)));
+  ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "auto"));
+  ASSERT_OK(session.SetConf("sparkline.skyline.kernel", "sfs"));
+  ASSERT_OK(session.SetConf("sparkline.skyline.sfs.sort_key", "sum"));
+  ASSERT_OK(session.SetConf("sparkline.executors", "1"));
+  EXPECT_EQ(expected, RowStrings(Rows(&session, sql)));
+}
+
+// The kSum stop compared two rounded sums and fired before row 2, the row
+// with the best d1, so SFS returned row 3 alone.
+TEST(SkylineRegression, SumStopKeepsEverySkylineRow) {
+  Session session;
+  TablePtr table = DoublesTable("t", {{9007199254740990, 1e17},
+                                      {-7, 30000000000000012},
+                                      {-1.0000000000000002e17, -5},
+                                      {99999999999999984, 1},
+                                      {13, 18},
+                                      {-9, 29999999999999984}});
+  ASSERT_OK(session.catalog()->RegisterTable(table));
+  const std::vector<skyline::BoundDimension> dims = {{1, SkylineGoal::kMax},
+                                                     {2, SkylineGoal::kMin}};
+  const std::string sql = SkylineSql("t", dims, false);
+  const std::vector<std::string> expected = Oracle(*table, dims, false);
+  ASSERT_EQ(expected.size(), 2u);  // rows 2 and 3
+  ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "reference"));
+  ASSERT_EQ(expected, RowStrings(Rows(&session, sql)));
+  ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "auto"));
+  ASSERT_OK(session.SetConf("sparkline.skyline.kernel", "sfs"));
+  ASSERT_OK(session.SetConf("sparkline.executors", "1"));
+  for (const char* sort_key : {"sum", "minmax"}) {
+    ASSERT_OK(session.SetConf("sparkline.skyline.sfs.sort_key", sort_key));
+    EXPECT_EQ(expected, RowStrings(Rows(&session, sql))) << sort_key;
+  }
+}
+
+// Seeded differential sweep over keys where rounding bites: each value is a
+// base from {0, ±1e17, 2^53, 3e16, ±inf} plus a small integer offset, so
+// scores tie, sums lose low bits and ±inf meet. Every kernel × sort key ×
+// strategy × executor count × DISTINCT must equal BruteForceSkyline and the
+// reference rewriting.
+TEST(SkylineRegression, RoundingSweepAgreesWithBothOracles) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> bases = {0, 1e17, -1e17, 9007199254740992.0,
+                                     3e16, inf, -inf};
+  struct KernelConfig {
+    const char* kernel;
+    const char* sort_key;
+  };
+  const std::vector<KernelConfig> kernels = {
+      {"bnl", "sum"}, {"grid", "sum"}, {"sfs", "sum"}, {"sfs", "minmax"}};
+  Rng rng(17);
+  int runs = 0;
+  for (int t = 0; t < 60; ++t) {
+    const size_t num_dims = static_cast<size_t>(rng.UniformInt(2, 4));
+    std::vector<std::vector<double>> rows(
+        static_cast<size_t>(rng.UniformInt(3, 15)));
+    for (auto& row : rows) {
+      for (size_t d = 0; d < num_dims; ++d) {
+        row.push_back(bases[static_cast<size_t>(rng.UniformInt(0, 6))] +
+                      static_cast<double>(rng.UniformInt(-2, 2)));
+      }
+    }
+    std::vector<skyline::BoundDimension> dims;
+    for (size_t d = 0; d < num_dims; ++d) {
+      dims.push_back({d + 1, rng.Bernoulli(0.5) ? SkylineGoal::kMin
+                                                : SkylineGoal::kMax});
+    }
+    const std::string name = StrCat("sweep", t);
+    Session session;
+    TablePtr table = DoublesTable(name, rows);
+    ASSERT_OK(session.catalog()->RegisterTable(table));
+    for (const bool distinct : {false, true}) {
+      const std::string sql = SkylineSql(name, dims, distinct);
+      const std::vector<std::string> expected = Oracle(*table, dims, distinct);
+      ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "reference"));
+      ASSERT_EQ(expected, RowStrings(Rows(&session, sql))) << sql;
+      for (const char* strategy :
+           {"distributed", "non_distributed", "incomplete"}) {
+        for (const KernelConfig& kernel : kernels) {
+          for (const char* executors : {"1", "3", "4", "8"}) {
+            ASSERT_OK(session.SetConf("sparkline.skyline.strategy", strategy));
+            ASSERT_OK(session.SetConf("sparkline.skyline.kernel", kernel.kernel));
+            ASSERT_OK(session.SetConf("sparkline.skyline.sfs.sort_key",
+                                      kernel.sort_key));
+            ASSERT_OK(session.SetConf("sparkline.executors", executors));
+            ASSERT_EQ(expected, RowStrings(Rows(&session, sql)))
+                << sql << " strategy=" << strategy
+                << " kernel=" << kernel.kernel
+                << " sort_key=" << kernel.sort_key
+                << " executors=" << executors;
+            ++runs;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(runs, 60 * 2 * 3 * 4 * 4);
+}
+
+// --- the parallel global merge, end to end -----------------------------------
+
+struct MergeRun {
+  std::vector<std::string> rows;
+  QueryMetrics metrics;
+};
+
+MergeRun RunMerge(Session* session, const std::string& sql) {
+  auto df = session->Sql(sql);
+  SL_CHECK(df.ok()) << df.status().ToString();
+  auto r = df->Collect();
+  SL_CHECK(r.ok()) << r.status().ToString();
+  return MergeRun{RowStrings(r->rows()), r->metrics};
+}
+
+/// Runs `sql` under the distributed strategy at executors {2, 3, 4, 8} with
+/// every kernel, expecting `expected` from one parallel [merge] stage.
+void ExpectMergeAgrees(Session* session, const std::string& sql,
+                       const std::vector<std::string>& expected) {
+  for (const char* kernel : {"bnl", "grid", "sfs"}) {
+    for (const char* executors : {"2", "3", "4", "8"}) {
+      SL_CHECK_OK(session->SetConf("sparkline.skyline.strategy", "distributed"));
+      SL_CHECK_OK(session->SetConf("sparkline.skyline.kernel", kernel));
+      SL_CHECK_OK(session->SetConf("sparkline.executors", executors));
+      const MergeRun run = RunMerge(session, sql);
+      EXPECT_EQ(expected, run.rows)
+          << sql << " kernel=" << kernel << " executors=" << executors;
+      EXPECT_EQ(run.metrics.operator_ms.count("GlobalSkyline [complete] [merge]"),
+                1u)
+          << sql << " kernel=" << kernel << " executors=" << executors;
+    }
+  }
+}
+
+// Equal tuples in different scan partitions: without DISTINCT all survive,
+// with it exactly the first one (smallest id) — across part boundaries the
+// [merge] must apply the first-encountered rule, not keep every copy or
+// drop them all.
+TEST(ParallelGlobalMerge, DistinctTiesStraddlingPartsKeepTheFirst) {
+  std::vector<std::vector<double>> rows;
+  for (int copy = 0; copy < 3; ++copy) {
+    for (int i = 0; i < 8; ++i) {
+      rows.push_back({static_cast<double>(i), static_cast<double>(7 - i)});
+      rows.push_back({static_cast<double>(i + 1), static_cast<double>(8 - i)});
+    }
+  }
+  Session session;
+  TablePtr table = DoublesTable("ties", rows);
+  ASSERT_OK(session.catalog()->RegisterTable(table));
+  const std::vector<skyline::BoundDimension> dims = {{1, SkylineGoal::kMin},
+                                                     {2, SkylineGoal::kMin}};
+  for (const bool distinct : {false, true}) {
+    const std::string sql = SkylineSql("ties", dims, distinct);
+    const std::vector<std::string> expected = Oracle(*table, dims, distinct);
+    ASSERT_EQ(expected.size(), distinct ? 8u : 24u);
+    ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "reference"));
+    ASSERT_EQ(expected, RowStrings(Rows(&session, sql)));
+    ExpectMergeAgrees(&session, sql, expected);
+  }
+}
+
+// Parts can be empty: more executors than rows leaves scan partitions
+// empty, and on clustered data the broadcast filter empties whole local
+// skylines before the gather.
+TEST(ParallelGlobalMerge, EmptyPartsAgreeWithBothOracles) {
+  // Four clusters of 16 rows on anti-diagonals: the first holds the whole
+  // skyline (duplicates included), and its row (3, 3) strictly dominates
+  // every row of the other three.
+  std::vector<std::vector<double>> clustered;
+  for (int i = 0; i < 64; ++i) {
+    const double base = static_cast<double>(i / 16) * 10;
+    clustered.push_back({base + i % 7, base + 6 - i % 7});
+  }
+  const std::vector<std::vector<double>> tiny = {{3, 1}, {1, 3}, {2, 2}};
+  const std::vector<skyline::BoundDimension> dims = {{1, SkylineGoal::kMin},
+                                                     {2, SkylineGoal::kMin}};
+  for (const auto& [name, rows] :
+       {std::make_pair(std::string("clustered"), clustered),
+        std::make_pair(std::string("tiny"), tiny)}) {
+    Session session;
+    TablePtr table = DoublesTable(name, rows);
+    ASSERT_OK(session.catalog()->RegisterTable(table));
+    for (const bool distinct : {false, true}) {
+      const std::string sql = SkylineSql(name, dims, distinct);
+      const std::vector<std::string> expected = Oracle(*table, dims, distinct);
+      ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "reference"));
+      ASSERT_EQ(expected, RowStrings(Rows(&session, sql)));
+      ExpectMergeAgrees(&session, sql, expected);
+    }
+    if (name == "clustered") {
+      ASSERT_OK(session.SetConf("sparkline.skyline.kernel", "bnl"));
+      EXPECT_GT(RunMerge(&session, SkylineSql(name, dims, false))
+                    .metrics.rows_pruned_pre_gather,
+                0)
+          << "the broadcast filter must empty the dominated clusters";
+    }
+  }
+}
+
+// Two rows of the first scan partition dominate every other row, and the
+// broadcast filter ships them alone: the gather holds exactly one non-empty
+// part, which has no peers, so the [merge] keeps it without a single
+// dominance test.
+TEST(ParallelGlobalMerge, OneNonEmptyPartNeedsNoDominanceTests) {
+  std::vector<std::vector<double>> rows = {{0, 1}, {1, 0}};
+  for (int i = 2; i < 40; ++i) {
+    rows.push_back({2.0 + (i * 7) % 13, 2.0 + (i * 11) % 13});
+  }
+  Session session;
+  TablePtr table = DoublesTable("corner", rows);
+  ASSERT_OK(session.catalog()->RegisterTable(table));
+  const std::vector<skyline::BoundDimension> dims = {{1, SkylineGoal::kMin},
+                                                     {2, SkylineGoal::kMin}};
+  const std::string sql = SkylineSql("corner", dims, false);
+  const std::vector<std::string> expected = Oracle(*table, dims, false);
+  ASSERT_EQ(expected.size(), 2u);
+  ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "reference"));
+  ASSERT_EQ(expected, RowStrings(Rows(&session, sql)));
+  ExpectMergeAgrees(&session, sql, expected);
+
+  ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "distributed"));
+  ASSERT_OK(session.SetConf("sparkline.skyline.kernel", "bnl"));
+  for (const char* executors : {"2", "3", "4", "8"}) {
+    ASSERT_OK(session.SetConf("sparkline.executors", executors));
+    const MergeRun run = RunMerge(&session, sql);
+    EXPECT_EQ(run.metrics.exchange_rows_shipped, 2) << executors;
+    EXPECT_EQ(run.metrics.merge_dominance_tests, 0) << executors;
+  }
 }
 
 // --- columnar exchange: build-once accounting -------------------------------

@@ -16,8 +16,8 @@ Rules (each suppressible per line/function with `sl-lint: allow(<rule>)`):
                      lower-cases keys; docs use camelCase).
   kernel-deadline    Every kernel function in src/skyline/*.cc whose loops
                      perform dominance tests (CompareRows / matrix.Compare /
-                     CountTest) must poll DeadlineChecker / CheckInterrupt
-                     so queries stay cancellable mid-scan.
+                     CompareKeySpans* / CountTest) must poll DeadlineChecker
+                     / CheckInterrupt so queries stay cancellable mid-scan.
   metric-names       Literal instrument names passed to GetCounter /
                      GetGauge / GetHistogram must match the Prometheus
                      metric-name grammar and the `sparkline_` prefix
@@ -216,7 +216,9 @@ def check_flag_docs(root):
 # --- rule: kernel-deadline ---------------------------------------------------
 
 LOOP_RE = re.compile(r"\b(?:for|while)\s*\(")
-DOM_TEST_RE = re.compile(r"\bCompareRows\s*\(|\.Compare\s*\(|\bCountTest\s*\(")
+DOM_TEST_RE = re.compile(
+    r"\bCompareRows\s*\(|\.Compare\s*\(|\bCompareKeySpans\w*\s*\(|"
+    r"\bCountTest\s*\(")
 DEADLINE_RE = re.compile(r"DeadlineChecker|deadline\.Check|CheckInterrupt")
 FUNC_START_RE = re.compile(r"^[A-Za-z_].*\(")
 
