@@ -29,7 +29,9 @@ enum class Partitioning : uint8_t {
   kUnspecified,
   /// Exactly one partition (Spark AllTuples).
   kSinglePartition,
-  /// Partitioned by the null bitmap of the skyline dimensions (section 5.7).
+  /// Partitioned by the null bitmap of the skyline dimensions (section 5.7):
+  /// a partition may hold several bitmap classes, and a large class may be
+  /// split over several partitions.
   kNullBitmapHashed,
 };
 
@@ -204,8 +206,10 @@ enum class ExchangeMode : uint8_t {
   kGather,
   /// Spread rows evenly over num_executors partitions.
   kRoundRobin,
-  /// Hash rows by the null bitmap of the skyline dimensions; rows with the
-  /// same bitmap land in the same partition (section 5.7).
+  /// Route rows by the null bitmap of the skyline dimensions (section 5.7),
+  /// balancing load: whole bitmap classes, and near-equal pieces of classes
+  /// above the fair share, go to the least-loaded partition. A partition
+  /// may hold several classes, and a class may span partitions.
   kNullBitmapHash,
   /// Angle-based space partitioning (Vlachou et al.; paper section 7
   /// future work): rows in similar "directions" of the dimension space land
@@ -258,6 +262,14 @@ size_t AnglePartition(const Row& row,
 /// single output partition stays columnar. A re-partitioning exchange over
 /// borrowed rows (a scan) routes their row ids, so its output stays
 /// borrowed. Any other input is materialized first (DecodeInput).
+///
+/// The null-bitmap exchange routes on the map side in two stages, both
+/// labelled "<label> [...]": "[route]", one task per input partition,
+/// groups the partition's row positions by bitmap; between the stages the
+/// operator assigns classes and pieces of classes to targets from the
+/// per-partition counts (greedy LPT, see ExchangeMode::kNullBitmapHash);
+/// "[concat]", one task per target, concatenates the target's row ids
+/// (borrowed input) or moves its rows (owned input).
 class ExchangeExec : public PhysicalPlan {
  public:
   ExchangeExec(ExchangeMode mode, std::vector<skyline::BoundDimension> dims,
@@ -277,6 +289,12 @@ class ExchangeExec : public PhysicalPlan {
   Result<PartitionedRelation> Execute(ExecContext* ctx) const override;
 
  private:
+  /// The kNullBitmapHash mode's [route] and [concat] stages: fills `out`'s
+  /// partitions (and views, with `route_ids`) from `in`.
+  Status RouteByNullBitmap(ExecContext* ctx, bool route_ids,
+                           PartitionedRelation* in,
+                           PartitionedRelation* out) const;
+
   ExchangeMode mode_;
   std::vector<skyline::BoundDimension> dims_;  // for kNullBitmapHash
 };
@@ -390,8 +408,11 @@ class NestedLoopJoinExec : public PhysicalPlan {
 
 /// \brief Local skyline computation (paper section 5.5/5.6): one BNL pass
 /// per partition, preserving the child's partitioning. Used for both the
-/// complete and the incomplete algorithm (the latter after a null-bitmap
-/// exchange, which makes every partition bitmap-uniform).
+/// complete and the incomplete algorithm. After the null-bitmap exchange a
+/// partition may hold several bitmap classes, so the incomplete algorithm
+/// reduces each bitmap group of a partition separately (RunColumnarKernel):
+/// elimination within one bitmap is sound, and a class split over several
+/// partitions only leaves extra candidates for the global stage.
 ///
 /// Each partition is projected into a DominanceMatrix exactly once (a
 /// scan's borrowed rows in place), and the output is a ColumnarBatch
@@ -459,7 +480,9 @@ class BroadcastFilterExec : public PhysicalPlan {
 /// partition (requires AllTuples distribution).
 ///
 /// With one executor it is one task running the kernel over the whole
-/// input (the paper's algorithm). With more, it has no single-task step
+/// input (the paper's algorithm); that task returns a gather of at most one
+/// non-empty skyline part as it is, since one local skyline is already the
+/// answer. With more executors it has no single-task step
 /// (ChunkedGlobalSkyline, after Ciaccia & Martinenghi's parallel final
 /// phase):
 ///

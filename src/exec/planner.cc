@@ -539,8 +539,10 @@ Result<PhysicalPlanPtr> PhysicalPlanner::PlanSkyline(
       break;
     }
     case SkylineStrategy::kDistributedIncomplete: {
-      // Null-bitmap partitioning makes each partition bitmap-uniform, so the
-      // BNL local pass stays correct despite missing values (section 5.7).
+      // Null-bitmap partitioning spreads bitmap classes over the executors
+      // by load (splitting large ones); the local pass reduces each bitmap
+      // group separately, so BNL stays correct despite missing values
+      // (section 5.7).
       PhysicalPlanPtr exchange = std::make_shared<ExchangeExec>(
           ExchangeMode::kNullBitmapHash, dims, std::move(input));
       PhysicalPlanPtr local = std::make_shared<LocalSkylineExec>(

@@ -7,7 +7,9 @@
 //                           -> BroadcastFilterExec
 //                           -> Exchange[AllTuples] -> GlobalSkylineExec
 //   non-distributed:        Exchange[AllTuples] -> GlobalSkylineExec
-//   distributed incomplete: Exchange[NullBitmapHash] -> LocalSkylineExec
+//   distributed incomplete: Exchange[NullBitmapHash] (bitmap classes spread
+//                           by load; large ones split over partitions)
+//                           -> LocalSkylineExec (one pass per bitmap group)
 //                           -> Exchange[AllTuples]
 //                           -> GlobalSkylineIncompleteExec
 //
@@ -19,11 +21,12 @@
 // index views over the shared matrix (ChunkedGlobalSkyline). On the
 // distributed complete path every gathered part is a local skyline, so the
 // global stage is one parallel [merge] that checks each part against the
-// others — no single-task step. Rows are decoded only at the plan root (or
-// by the first non-skyline consumer). A global stage whose input arrives as
-// rows (non-distributed plans, nested skylines) projects it once in a
-// "<label> [project]" stage. QueryMetrics::matrix_builds / matrix_reuses
-// record which stages projected vs. reused.
+// others — no single-task step — and with one executor a gather of at most
+// one non-empty part is returned as it is. Rows are decoded only at the
+// plan root (or by the first non-skyline consumer). A global stage whose
+// input arrives as rows (non-distributed plans, nested skylines) projects
+// it once in a "<label> [project]" stage. QueryMetrics::matrix_builds /
+// matrix_reuses record which stages projected vs. reused.
 #include <algorithm>
 #include <functional>
 #include <limits>
@@ -413,8 +416,20 @@ Result<PartitionedRelation> GlobalSkylineExec::Execute(ExecContext* ctx) const {
       static_cast<size_t>(std::max(1, ctx->config().num_executors));
   std::vector<uint32_t> survivors;
   if (num_executors <= 1 || view.size() < 2) {
-    // Single executor: the classic single-task global pass.
+    // Single executor: the classic single-task global pass — unless the
+    // gather holds at most one non-empty skyline part, which is already
+    // the answer.
+    const std::vector<uint32_t>& parts = batch.skyline_parts();
+    size_t non_empty = 0;
+    for (size_t j = 0; j + 1 < parts.size(); ++j) {
+      non_empty += parts[j] < parts[j + 1] ? 1 : 0;
+    }
+    const bool one_part = !parts.empty() && non_empty <= 1;
     SL_RETURN_NOT_OK(RunStage(ctx, 1, [&](size_t) -> Status {
+      if (one_part) {
+        survivors = view;
+        return Status::OK();
+      }
       SL_ASSIGN_OR_RETURN(survivors, run_over(view));
       return Status::OK();
     }));

@@ -967,11 +967,16 @@ Result<std::vector<uint32_t>> RunColumnarKernel(
     return DispatchKernel(kernel, matrix, input, options);
   }
   // Incomplete semantics: one BNL per bitmap-uniform group over the shared
-  // matrix (no per-group re-projection).
+  // matrix (no per-group re-projection). Every row of a group holds the
+  // 0.0 placeholder in the same NULL slots, so complete dominance over all
+  // slots is incomplete dominance within the group: the branchless compare
+  // applies, with the same survivors and test counts.
+  SkylineOptions group_options = options;
+  group_options.nulls = NullSemantics::kComplete;
   std::vector<uint32_t> survivors;
   for (const auto& group : PartitionIndicesByNullBitmap(matrix, input)) {
     SL_ASSIGN_OR_RETURN(std::vector<uint32_t> local,
-                        ColumnarBlockNestedLoop(matrix, group, options));
+                        ColumnarBlockNestedLoop(matrix, group, group_options));
     survivors.insert(survivors.end(), local.begin(), local.end());
   }
   return survivors;

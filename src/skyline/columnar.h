@@ -149,6 +149,13 @@ inline Dominance CompareKeySpansComplete(const double* left,
 /// \brief Projection of the skyline dimensions of an input relation into
 /// packed key rows, normalized so every MIN/MAX comparison is "smaller is
 /// better" over doubles.
+///
+/// Invariant: every NULL key slot holds the placeholder 0.0 — after Build
+/// (directly keyed and ranked dimensions alike), ConcatSelected and a
+/// re-ranking ColumnarBatch::Concat. Two rows with one null bitmap
+/// therefore compare under complete semantics exactly as under incomplete
+/// semantics, which lets RunColumnarKernel reduce each bitmap group with
+/// the branchless complete test.
 class DominanceMatrix {
  public:
   /// Hard dimension cap: null bitmaps are 32-bit (see dominance.h).
@@ -535,7 +542,9 @@ std::vector<Row> MaterializeRows(const std::vector<Row>& input,
 /// \brief Runs the chosen kernel over a matrix view. Complete semantics
 /// dispatch the kernel directly; incomplete semantics run one BNL per
 /// bitmap-uniform group of the view (the local-stage contract of paper
-/// section 5.7). Returns the surviving sub-view.
+/// section 5.7), comparing with complete semantics (sound by the NULL
+/// placeholder invariant of DominanceMatrix). Returns the surviving
+/// sub-view.
 Result<std::vector<uint32_t>> RunColumnarKernel(
     SkylineKernel kernel, const DominanceMatrix& matrix,
     const std::vector<uint32_t>& input, const SkylineOptions& options);

@@ -440,6 +440,132 @@ TEST(ColumnarKernelTest, IncompletePipelineMatchesOracle) {
             Sorted(BruteForceSkyline(rows, dims, options)));
 }
 
+// --- the NULL placeholder invariant -----------------------------------------
+
+/// Every NULL key slot of `matrix` holds +0.0.
+void ExpectNullSlotsHoldZero(const DominanceMatrix& matrix) {
+  ASSERT_TRUE(matrix.has_nulls());
+  for (uint32_t r = 0; r < matrix.num_rows(); ++r) {
+    for (size_t d = 0; d < matrix.num_dims(); ++d) {
+      if (((matrix.null_bitmap(r) >> d) & 1u) == 0) continue;
+      EXPECT_EQ(matrix.key(r, d), 0.0) << "row " << r << " dim " << d;
+      EXPECT_FALSE(std::signbit(matrix.key(r, d))) << "row " << r;
+    }
+  }
+}
+
+/// Random rows over (DOUBLE, DOUBLE, VARCHAR, DOUBLE) with NULLs in every
+/// column. With `ranked`, column 1 holds a NaN (so it is ranked too) and
+/// column 2 is non-null VARCHAR in some rows; otherwise column 2 is DOUBLE.
+/// Low cardinality, so rows tie and repeat.
+std::vector<Row> PlaceholderRows(size_t n, bool ranked, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Row> rows;
+  for (size_t i = 0; i < n; ++i) {
+    Row row;
+    for (size_t d = 0; d < 4; ++d) {
+      const int v = static_cast<int>(rng.UniformInt(0, 3));
+      if (rng.Bernoulli(0.3)) {
+        row.push_back(Value::Null(d == 2 && ranked ? DataType::String()
+                                                   : DataType::Double()));
+      } else if (d == 2 && ranked) {
+        row.push_back(
+            Value::String(std::string(1, static_cast<char>('a' + v))));
+      } else {
+        row.push_back(Value::Double(v - 1.5));
+      }
+    }
+    rows.push_back(std::move(row));
+  }
+  if (ranked) rows[0][1] = Value::Double(std::nan(""));
+  return rows;
+}
+
+std::vector<BoundDimension> PlaceholderDims(bool diff) {
+  return {{0, SkylineGoal::kMin},
+          {1, SkylineGoal::kMax},
+          {2, SkylineGoal::kMin},
+          {3, diff ? SkylineGoal::kDiff : SkylineGoal::kMax}};
+}
+
+// Every NULL key slot holds 0.0 however its matrix was made — Build with
+// direct and ranked dimensions, ConcatSelected, and the re-ranking Concat —
+// the invariant that lets the incomplete local stage compare each bitmap
+// group with complete semantics.
+TEST(NullPlaceholderTest, NullSlotsHoldZeroAfterBuildAndConcat) {
+  for (const bool diff : {false, true}) {
+    SCOPED_TRACE(diff ? "with a DIFF dimension" : "MIN/MAX only");
+    const auto dims = PlaceholderDims(diff);
+
+    auto ranked = DominanceMatrix::Build(PlaceholderRows(60, true, 1), dims);
+    ASSERT_TRUE(ranked.ok());
+    EXPECT_EQ(ranked->ranked_mask(), 6u);  // NaN in d1, VARCHAR in d2
+    ExpectNullSlotsHoldZero(*ranked);
+
+    auto a = DominanceMatrix::Build(PlaceholderRows(40, false, 2), dims);
+    auto b = DominanceMatrix::Build(PlaceholderRows(40, false, 3), dims);
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_EQ(a->ranked_mask(), 0u);
+    ExpectNullSlotsHoldZero(*a);
+    const std::vector<uint32_t> odd = {1, 3, 5, 7, 9, 11, 13, 15, 17, 19};
+    const std::vector<uint32_t> all = AllIndices(*b);
+    ExpectNullSlotsHoldZero(DominanceMatrix::ConcatSelected(
+        {&*a, &*b}, {&odd, &all}));
+
+    std::vector<ColumnarBatch> parts;
+    for (uint64_t seed = 4; seed <= 6; ++seed) {
+      auto part = ColumnarBatch::Project(
+          std::make_shared<const std::vector<Row>>(
+              PlaceholderRows(30, true, seed)),
+          dims);
+      ASSERT_TRUE(part.ok());
+      parts.push_back(part->WithSelection({0, 2, 4, 6, 8, 10, 12, 14}, false));
+    }
+    bool reprojected = false;
+    ColumnarBatch merged = ColumnarBatch::Concat(&parts, nullptr, &reprojected);
+    EXPECT_TRUE(reprojected);
+    ExpectNullSlotsHoldZero(merged.matrix());
+  }
+}
+
+// Over a bitmap-uniform group, BNL through the complete comparator (the
+// branchless one without DIFF dimensions) keeps exactly the survivors, in
+// the same order, and runs exactly the tests of BNL through CompareKeySpans
+// with the group's null mask — DIFF and ranked dimensions included.
+TEST(NullPlaceholderTest, BitmapGroupsCompareAlikeUnderBothSemantics) {
+  size_t groups_checked = 0;
+  for (const bool diff : {false, true}) {
+    for (const bool ranked : {false, true}) {
+      for (const bool distinct : {false, true}) {
+        SCOPED_TRACE(StrCat("diff=", diff, " ranked=", ranked,
+                            " distinct=", distinct));
+        const std::vector<Row> rows = PlaceholderRows(400, ranked, 7 + diff);
+        auto matrix = DominanceMatrix::Build(rows, PlaceholderDims(diff));
+        ASSERT_TRUE(matrix.ok());
+        ASSERT_EQ(matrix->ranked_mask() != 0, ranked);
+        ASSERT_EQ(matrix->diff_mask() != 0, diff);
+        for (const auto& group : PartitionIndicesByNullBitmap(*matrix)) {
+          SkylineOptions options;
+          options.distinct = distinct;
+          DominanceCounter masked_tests;
+          options.counter = &masked_tests;
+          options.nulls = NullSemantics::kIncomplete;
+          auto masked = ColumnarBlockNestedLoop(*matrix, group, options);
+          DominanceCounter complete_tests;
+          options.counter = &complete_tests;
+          options.nulls = NullSemantics::kComplete;
+          auto complete = ColumnarBlockNestedLoop(*matrix, group, options);
+          ASSERT_TRUE(masked.ok() && complete.ok());
+          EXPECT_EQ(*masked, *complete);
+          EXPECT_EQ(masked_tests.tests.load(), complete_tests.tests.load());
+          groups_checked += group.size() > 1 ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GE(groups_checked, 8u * 8u);
+}
+
 // Every columnar kernel — including the SFS early-stop scan, whose loop has
 // its own termination logic — polls the cancellation token and returns
 // Status::Cancelled under a pre-cancelled token instead of finishing the

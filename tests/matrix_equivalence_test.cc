@@ -321,6 +321,134 @@ std::string SkylineSql(const std::string& table,
                 distinct ? "DISTINCT " : "", JoinStrings(items, ", "));
 }
 
+/// The incomplete skyline in plain SQL: the Listing-4 NOT EXISTS rewriting
+/// with null-restricted comparisons (`i` is no worse on every dimension
+/// both rows hold, and better on one of them). Under DISTINCT an equal row
+/// — NULL in the same dimensions, equal elsewhere — with a smaller id also
+/// eliminates, and SELECT DISTINCT folds whole-row copies, which share
+/// their id. Dimension k is column "d<k-1>".
+std::string IncompleteReferenceSql(
+    const std::string& table, const std::vector<skyline::BoundDimension>& dims,
+    bool distinct) {
+  std::vector<std::string> no_worse, better, same;
+  for (const auto& dim : dims) {
+    const std::string c = StrCat("d", dim.ordinal - 1);
+    const bool min = dim.goal == SkylineGoal::kMin;
+    no_worse.push_back(StrCat("(i.", c, " IS NULL OR o.", c, " IS NULL OR i.",
+                              c, min ? " <= " : " >= ", "o.", c, ")"));
+    better.push_back(StrCat("i.", c, min ? " < " : " > ", "o.", c));
+    same.push_back(StrCat("((i.", c, " IS NULL AND o.", c, " IS NULL) OR i.",
+                          c, " = o.", c, ")"));
+  }
+  std::string witness = StrCat(JoinStrings(no_worse, " AND "), " AND (",
+                               JoinStrings(better, " OR "), ")");
+  if (distinct) {
+    witness = StrCat("(", witness, ") OR (", JoinStrings(same, " AND "),
+                     " AND i.id < o.id)");
+  }
+  return StrCat("SELECT ", distinct ? "DISTINCT " : "", "* FROM ", table,
+                " AS o WHERE NOT EXISTS(SELECT * FROM ", table, " AS i WHERE ",
+                witness, ")");
+}
+
+// Skewed null-bitmap classes: with few NULLs one class (no NULL at all)
+// holds most rows, so the null-bitmap exchange cuts it into pieces over
+// several partitions. Every row appears twice, the copy 750 rows later, so
+// DISTINCT duplicates straddle the pieces. Each executor count must agree
+// with BruteForceSkyline and with the incomplete rewriting in plain SQL.
+// (The built-in strategy=reference rewriting compares NULLs as unknown,
+// which is neither semantics, so it cannot serve here.)
+class SkewedBitmapClasses : public ::testing::TestWithParam<double> {};
+
+TEST_P(SkewedBitmapClasses, SplitClassesAgreeWithBothOracles) {
+  const double null_rate = GetParam();
+  Session session;
+  int non_empty = 0;  // cyclic dominance empties some skylines
+  for (size_t num_dims = 2; num_dims <= 6; ++num_dims) {
+    TablePtr base = datagen::GeneratePoints(
+        "base", 750, num_dims, datagen::PointDistribution::kIndependent,
+        /*seed=*/31 + num_dims, null_rate);
+    const std::string name = StrCat("skew", num_dims);
+    auto table = std::make_shared<Table>(name, base->schema());
+    for (int copy = 0; copy < 2; ++copy) {
+      for (const Row& row : base->rows()) ASSERT_OK(table->AppendRow(row));
+    }
+    ASSERT_OK(session.catalog()->RegisterTable(table));
+
+    std::vector<skyline::BoundDimension> dims;
+    for (size_t d = 0; d < num_dims; ++d) {
+      dims.push_back({d + 1, SkylineGoal::kMin});
+    }
+    for (const bool distinct : {false, true}) {
+      skyline::SkylineOptions options;
+      options.distinct = distinct;
+      options.nulls = skyline::NullSemantics::kIncomplete;
+      const std::vector<std::string> expected = RowStrings(
+          skyline::BruteForceSkyline(table->rows(), dims, options));
+      non_empty += expected.empty() ? 0 : 1;
+      ASSERT_OK(session.SetConf("sparkline.executors", "4"));
+      ASSERT_EQ(expected,
+                RowStrings(Rows(&session, IncompleteReferenceSql(
+                                              name, dims, distinct))))
+          << "plain-SQL oracle, dims=" << num_dims
+          << " distinct=" << distinct;
+      const std::string sql = SkylineSql(name, dims, distinct);
+      for (const char* executors : {"1", "2", "3", "4", "8", "13"}) {
+        ASSERT_OK(session.SetConf("sparkline.executors", executors));
+        ASSERT_EQ(expected, RowStrings(Rows(&session, sql)))
+            << sql << " executors=" << executors;
+      }
+    }
+  }
+  EXPECT_GE(non_empty, 6) << "too few non-empty skylines to test anything";
+}
+
+INSTANTIATE_TEST_SUITE_P(NullRates, SkewedBitmapClasses,
+                         ::testing::Values(0.02, 0.05, 0.2));
+
+// With one executor a distributed plan gathers a single local skyline,
+// which is already the answer: the global stage keeps its label but runs
+// no kernel, so no merge dominance test — after BNL and grid local stages,
+// and under DISTINCT with every row duplicated. An SFS gather carries no
+// skyline parts and still runs its kernel (the control). Results match
+// BruteForceSkyline and the reference strategy (whose rewriting leaves
+// DISTINCT to the native operator).
+TEST(ParallelGlobalMerge, SingleExecutorReturnsTheGatheredPart) {
+  TablePtr base = datagen::GeneratePoints(
+      "base", 1000, 3, datagen::PointDistribution::kAntiCorrelated, 7);
+  auto table = std::make_shared<Table>("pts", base->schema());
+  for (int copy = 0; copy < 2; ++copy) {
+    for (const Row& row : base->rows()) ASSERT_OK(table->AppendRow(row));
+  }
+  Session session;
+  ASSERT_OK(session.catalog()->RegisterTable(table));
+  ASSERT_OK(session.SetConf("sparkline.executors", "1"));
+  const std::vector<skyline::BoundDimension> dims = {
+      {1, SkylineGoal::kMin}, {2, SkylineGoal::kMax}, {3, SkylineGoal::kMin}};
+
+  for (const bool distinct : {false, true}) {
+    const std::string sql = SkylineSql("pts", dims, distinct);
+    const std::vector<std::string> expected = Oracle(*table, dims, distinct);
+    ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "reference"));
+    ASSERT_EQ(expected, RowStrings(Rows(&session, sql))) << sql;
+    ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "distributed"));
+    for (const char* kernel : {"bnl", "grid", "sfs"}) {
+      ASSERT_OK(session.SetConf("sparkline.skyline.kernel", kernel));
+      ASSERT_OK_AND_ASSIGN(DataFrame df, session.Sql(sql));
+      ASSERT_OK_AND_ASSIGN(QueryResult result, df.Collect());
+      EXPECT_EQ(expected, RowStrings(result.rows())) << sql << " " << kernel;
+      EXPECT_EQ(result.metrics.operator_ms.count("GlobalSkyline [complete]"),
+                1u);
+      if (std::string(kernel) == "sfs") {
+        EXPECT_GT(result.metrics.merge_dominance_tests, 0) << sql;
+      } else {
+        EXPECT_EQ(result.metrics.merge_dominance_tests, 0)
+            << sql << " " << kernel;
+      }
+    }
+  }
+}
+
 // --- regressions: ±inf, score ties and the kSum stop --------------------------
 
 // Row 2 dominates row 0, but with ±inf keyed directly row 0 scored NaN

@@ -3,7 +3,9 @@
 // metrics and timeouts.
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <numeric>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -326,6 +328,99 @@ TEST_F(PhysicalTest, BorrowedAndOwnedExchangeInputShipTheSameBytes) {
   EXPECT_GT(a.exchange_rows_shipped, 1000) << "every row crosses the hash";
   EXPECT_SAME_ROWS(Rows(session_.get(), borrowed),
                    Rows(session_.get(), owned));
+}
+
+/// The first operator labelled `label` in `plan`, depth first.
+PhysicalPlanPtr FindOperator(const PhysicalPlanPtr& plan,
+                             const std::string& label) {
+  if (plan->label() == label) return plan;
+  for (const PhysicalPlanPtr& child : plan->children()) {
+    if (PhysicalPlanPtr found = FindOperator(child, label)) return found;
+  }
+  return nullptr;
+}
+
+// The null-bitmap exchange balances store_sales-shaped data (5% NULLs in
+// each of 6 dimensions, so about 74% of the rows share the no-NULL bitmap)
+// over 4 executors: every partition holds within 25% of N/4 rows, the
+// oversized class is split, no class within the fair share F = ceil(N/4)
+// is, and the assignment is deterministic — the same partitions on a
+// second run, and the same rows per partition whether the exchange routes
+// borrowed ids or moves the rows a Filter materialized.
+TEST_F(PhysicalTest, NullBitmapExchangeBalancesSkewedClasses) {
+  datagen::StoreSalesOptions options;
+  options.num_rows = 20000;
+  options.incomplete = true;
+  options.null_rate = 0.05;
+  TablePtr table = datagen::GenerateStoreSales(options);
+  ASSERT_OK(session_->catalog()->RegisterTable(table));
+  ASSERT_OK(session_->SetConf("sparkline.executors", "4"));
+  const std::string dims =
+      " SKYLINE OF ss_quantity MAX, ss_wholesale_cost MIN, ss_list_price MIN,"
+      " ss_sales_price MIN, ss_ext_discount_amt MAX, ss_ext_sales_price MIN";
+  std::vector<skyline::BoundDimension> bound;
+  for (size_t c = 2; c < 8; ++c) bound.push_back({c, SkylineGoal::kMin});
+
+  // The exchange's output, every partition materialized.
+  auto exchange_rows = [&](const std::string& sql, bool borrowed) {
+    PhysicalPlanPtr exchange =
+        FindOperator(Physical(sql), "Exchange [NullBitmapHash]");
+    SL_CHECK(exchange != nullptr) << Physical(sql)->TreeString();
+    ExecContext ctx(session_->config().cluster);
+    auto rel = exchange->Execute(&ctx);
+    SL_CHECK(rel.ok()) << rel.status().ToString();
+    std::vector<std::vector<Row>> out;
+    for (size_t i = 0; i < rel->partitions.size(); ++i) {
+      EXPECT_EQ(rel->borrowed(i), borrowed) << sql;
+      out.push_back(rel->borrowed(i) ? rel->views[i]->Materialize()
+                                     : std::move(rel->partitions[i]));
+    }
+    return out;
+  };
+  // Each partition's rows as strings, in order or as a sorted multiset.
+  auto strings = [](const std::vector<std::vector<Row>>& parts, bool sorted) {
+    std::vector<std::vector<std::string>> out;
+    for (const auto& rows : parts) {
+      out.emplace_back();
+      for (const Row& row : rows) out.back().push_back(RowToString(row));
+      if (sorted) std::sort(out.back().begin(), out.back().end());
+    }
+    return out;
+  };
+  const std::string borrowed_sql = "SELECT * FROM store_sales" + dims;
+  const std::vector<std::vector<Row>> parts = exchange_rows(borrowed_sql, true);
+  ASSERT_EQ(parts.size(), 4u);
+
+  const size_t n = table->rows().size();
+  const size_t fair = (n + 3) / 4;
+  std::map<uint32_t, size_t> class_rows;
+  for (const Row& row : table->rows()) {
+    ++class_rows[skyline::NullBitmap(row, bound)];
+  }
+  ASSERT_GT(class_rows.at(0), fair) << "no class needs splitting";
+  std::map<uint32_t, std::set<size_t>> class_parts;
+  for (size_t p = 0; p < parts.size(); ++p) {
+    EXPECT_GE(parts[p].size(), n / 4 * 3 / 4) << "partition " << p;
+    EXPECT_LE(parts[p].size(), n / 4 * 5 / 4) << "partition " << p;
+    for (const Row& row : parts[p]) {
+      class_parts[skyline::NullBitmap(row, bound)].insert(p);
+    }
+  }
+  for (const auto& [bitmap, rows] : class_rows) {
+    if (rows <= fair) {
+      EXPECT_EQ(class_parts[bitmap].size(), 1u) << "class " << bitmap;
+    }
+  }
+  EXPECT_GT(class_parts[0].size(), 1u);
+
+  EXPECT_EQ(strings(parts, false),
+            strings(exchange_rows(borrowed_sql, true), false));
+  const std::string owned_sql =
+      "SELECT * FROM store_sales WHERE ss_item_sk >= 0" + dims;
+  ASSERT_NE(Physical(owned_sql)->TreeString().find("Filter"),
+            std::string::npos);
+  EXPECT_EQ(strings(parts, true),
+            strings(exchange_rows(owned_sql, false), true));
 }
 
 // Borrowed rows are the table's, not the query's: a skyline over a 100k-row
