@@ -4,7 +4,8 @@
 //
 //   rows       partitions[i], materialized rows the query owns;
 //   borrowed   views[i], a RowView reading a table snapshot (or a local
-//              relation's rows) in place — what the leaves emit;
+//              relation's rows) in place — what the leaves emit, and what
+//              filters and the re-partitioning exchanges pass on;
 //   batch      batches[i], a ColumnarBatch: a shared immutable
 //              DominanceMatrix plus a row-index selection over its backing
 //              rows, which may themselves be borrowed — what the skyline
@@ -12,9 +13,9 @@
 //              never re-project.
 //
 // A borrowed or batch partition leaves partitions[i] empty. The skyline
-// stages and the re-partitioning exchanges read borrowed rows in place;
-// every other operator materializes its input through EnsureRows (see
-// docs/ARCHITECTURE.md, "Borrowed rows").
+// stages, filters and the re-partitioning exchanges read borrowed rows in
+// place; every other operator materializes its input through EnsureRows
+// (see docs/ARCHITECTURE.md, "Borrowed rows").
 #pragma once
 
 #include <optional>
@@ -34,8 +35,8 @@ struct PartitionedRelation {
   std::vector<std::vector<Row>> partitions;
   /// Borrowed side channel: empty, or exactly partitions.size() entries
   /// where views[i], when engaged, replaces partitions[i]. Produced by
-  /// ScanExec and LocalRelationExec, re-routed by the re-partitioning
-  /// exchanges, read in place by LocalSkylineExec.
+  /// ScanExec and LocalRelationExec, filtered and re-routed by id, read in
+  /// place by LocalSkylineExec.
   std::vector<std::optional<RowView>> views;
   /// Columnar side channel: empty, or exactly partitions.size() entries
   /// where batches[i], when engaged, replaces partitions[i]. Only the

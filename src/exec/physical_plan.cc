@@ -31,6 +31,42 @@ int64_t PartitionRowBytes(const PartitionedRelation& rel, size_t i) {
   return EstimateRowBytes(rel.partitions[i].front()) * rows;
 }
 
+/// True when every partition is borrowed from one source through one
+/// column map, so an operator can work on row ids alone. Scans, local
+/// relations, filters and the re-partitioning exchanges produce exactly
+/// this shape.
+bool RoutableViews(const PartitionedRelation& rel) {
+  if (rel.views.size() != rel.partitions.size() || rel.views.empty()) {
+    return false;
+  }
+  for (const auto& v : rel.views) {
+    if (!v.has_value() || !v->SameSource(*rel.views[0])) return false;
+  }
+  return true;
+}
+
+/// `e` bound to the source rows of `view`: every bound ordinal moves
+/// through the column map once, so `e` evaluates on view.source(k) without
+/// projecting the row (as DominanceMatrix::Build does for its dimensions).
+Result<ExprPtr> BindToSource(const ExprPtr& e, const RowView& view) {
+  if (view.columns.empty()) return e;
+  Status error = Status::OK();
+  ExprPtr out = Expression::Transform(e, [&](const ExprPtr& n) -> ExprPtr {
+    if (n->kind() != ExprKind::kBoundReference) return n;
+    const auto& ref = static_cast<const BoundReference&>(*n);
+    if (ref.ordinal() >= view.columns.size()) {
+      error = Status::Internal(StrCat("bound ordinal ", ref.ordinal(),
+                                      " out of range (row has ",
+                                      view.columns.size(), " columns)"));
+      return n;
+    }
+    return BoundReference::Make(view.columns[ref.ordinal()], ref.type(),
+                                ref.nullable());
+  });
+  SL_RETURN_NOT_OK(error);
+  return out;
+}
+
 }  // namespace
 
 int64_t EstimateRelationBytes(const PartitionedRelation& rel) {
@@ -324,12 +360,29 @@ FilterExec::FilterExec(ExprPtr bound_condition, PhysicalPlanPtr child)
 
 Result<PartitionedRelation> FilterExec::Execute(ExecContext* ctx) const {
   SL_ASSIGN_OR_RETURN(PartitionedRelation in, children_[0]->Execute(ctx));
-  SL_RETURN_NOT_OK(DecodeInput(ctx, &in));
+  // Borrowed input is read in place and stays borrowed: each partition
+  // keeps the ids of its passing rows. Anything else is materialized first.
+  const bool borrowed = RoutableViews(in);
+  if (!borrowed) SL_RETURN_NOT_OK(DecodeInput(ctx, &in));
   SL_ASSIGN_OR_RETURN(ExprPtr cond, EvaluateSubqueries(condition_, ctx));
+  if (borrowed) {
+    SL_ASSIGN_OR_RETURN(cond, BindToSource(cond, *in.views[0]));
+  }
   PartitionedRelation out;
   out.attrs = output_;
   out.partitions.assign(in.partitions.size(), {});
+  if (borrowed) out.views.assign(in.partitions.size(), std::nullopt);
   SL_RETURN_NOT_OK(RunStage(ctx, in.partitions.size(), [&](size_t i) -> Status {
+    if (borrowed) {
+      const RowView& view = *in.views[i];
+      RowView kept{view.rows, {}, view.columns};
+      for (size_t k = 0; k < view.size(); ++k) {
+        SL_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*cond, view.source(k)));
+        if (pass) kept.ids.push_back(view.ids[k]);
+      }
+      out.views[i] = std::move(kept);
+      return Status::OK();
+    }
     auto& part = out.partitions[i];
     for (Row& row : in.partitions[i]) {
       SL_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*cond, row));
@@ -361,22 +414,6 @@ int64_t EstimateShippedBytes(const PartitionedRelation& rel) {
                                   sizeof(double));
   }
   return total;
-}
-
-/// True when every partition is borrowed from one source through one
-/// column map, so a re-partitioning exchange can route row ids. Scans and
-/// the re-partitioning exchanges themselves produce exactly this shape.
-bool RoutableViews(const PartitionedRelation& rel) {
-  if (rel.views.size() != rel.partitions.size() || rel.views.empty()) {
-    return false;
-  }
-  for (const auto& v : rel.views) {
-    if (!v.has_value() || v->rows != rel.views[0]->rows ||
-        v->columns != rel.views[0]->columns) {
-      return false;
-    }
-  }
-  return true;
 }
 
 /// The rows of one null-bitmap class in one input partition, in position

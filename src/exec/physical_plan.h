@@ -1,9 +1,12 @@
 // Physical operators (Spark's SparkPlan analog).
 //
-// Operators execute materialized partition-at-a-time: each operator consumes
-// its children's PartitionedRelations and produces its own. Stage boundaries
-// (exchanges) match where Spark would shuffle; narrow operators preserve the
-// child partitioning, mirroring the paper's decision to keep Spark's
+// Operators execute partition-at-a-time: each operator consumes its
+// children's PartitionedRelations and produces its own. Borrowed rows pass
+// through the operators that only select or move them (filters, the
+// re-partitioning exchanges, the skyline stages; see partitioned.h);
+// every other operator materializes its input. Stage boundaries
+// (exchanges) match where Spark would shuffle; narrow operators preserve
+// the child partitioning, mirroring the paper's decision to keep Spark's
 // partitioning for the local skyline (section 5.6).
 #pragma once
 
@@ -101,8 +104,10 @@ class PhysicalPlan {
   /// under this operator's label — the copy is the consumer's work and
   /// stays on the simulated clock; the task times are also summed into
   /// QueryMetrics::decode_ms. Every operator that consumes rows calls this
-  /// right after executing its child; the skyline stages and the
-  /// re-partitioning exchanges read borrowed rows in place instead.
+  /// right after executing its child. A filter and a re-partitioning
+  /// exchange call it only for input they cannot read by row id (owned
+  /// rows, batches, or views of several sources); the skyline stages read
+  /// borrowed rows in place.
   Status DecodeInput(ExecContext* ctx, PartitionedRelation* in) const;
 
   /// The input of a global skyline stage as one batch projected for `dims`:
@@ -188,7 +193,12 @@ class ProjectExec : public PhysicalPlan {
   std::vector<ExprPtr> list_;
 };
 
-/// \brief Predicate filter.
+/// \brief Predicate filter. Scalar subqueries are evaluated first. Over
+/// borrowed input whose partitions all read one source through one column
+/// map, the predicate's bound ordinals are remapped through the column map
+/// once and the predicate evaluates on each source row; each partition
+/// keeps a view of the ids it passes, with the same source and map. Any
+/// other input is decoded first and the passing rows are moved.
 class FilterExec : public PhysicalPlan {
  public:
   FilterExec(ExprPtr bound_condition, PhysicalPlanPtr child);
@@ -258,10 +268,11 @@ size_t AnglePartition(const Row& row,
 ///
 /// A kGather exchange whose input arrives as ColumnarBatches (the output of
 /// a skyline stage) ships the matrix blocks instead of rows: the batches are
-/// concatenated into one compact batch (ColumnarBatch::Concat) and the
-/// single output partition stays columnar. A re-partitioning exchange over
-/// borrowed rows (a scan) routes their row ids, so its output stays
-/// borrowed. Any other input is materialized first (DecodeInput).
+/// concatenated into one compact batch (ColumnarBatch::Concat, which keeps
+/// borrowed rows borrowed) and the single output partition stays columnar.
+/// A re-partitioning exchange over borrowed rows (a scan or a filter)
+/// routes their row ids, so its output stays borrowed. Any other input is
+/// materialized first (DecodeInput).
 ///
 /// The null-bitmap exchange routes on the map side in two stages, both
 /// labelled "<label> [...]": "[route]", one task per input partition,

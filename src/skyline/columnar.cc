@@ -295,20 +295,39 @@ ColumnarBatch ColumnarBatch::Concat(std::vector<ColumnarBatch>* parts,
   if (!ranked) merged = DominanceMatrix::ConcatSelected(matrices, selections);
 
   // Backing rows of the result = the selected rows in view order, so matrix
-  // row order is the gathered input order.
-  auto rows = std::make_shared<std::vector<Row>>();
-  rows->reserve(total);
+  // row order is the gathered input order. Parts borrowing from one source
+  // through one column map gather their selected ids; any other gather
+  // copies the selected rows out.
+  const RowView& first = parts->front().rows_;
+  bool one_source = true;
   for (const ColumnarBatch& part : *parts) {
-    for (const uint32_t r : part.indices_) {
-      rows->push_back(part.rows_.Materialize(r));
+    one_source &= part.borrowed_ && part.rows_.SameSource(first);
+  }
+  RowView backing;
+  if (one_source) {
+    backing = RowView{first.rows, {}, first.columns};
+    backing.ids.reserve(total);
+    for (const ColumnarBatch& part : *parts) {
+      for (const uint32_t r : part.indices_) {
+        backing.ids.push_back(part.rows_.ids[r]);
+      }
     }
+  } else {
+    auto rows = std::make_shared<std::vector<Row>>();
+    rows->reserve(total);
+    for (const ColumnarBatch& part : *parts) {
+      for (const uint32_t r : part.indices_) {
+        rows->push_back(part.rows_.Materialize(r));
+      }
+    }
+    backing = RowView::All(std::move(rows));
   }
 
   if (ranked) {
     // Rank codes of different parts index different dictionaries: re-rank
     // the gathered rows in one matrix. Build cannot fail here — the parts
     // were built for the same dimensions.
-    merged = DominanceMatrix::Build(*rows, parts->front().dims_).MoveValue();
+    merged = DominanceMatrix::Build(backing, parts->front().dims_).MoveValue();
     if (reprojected != nullptr) *reprojected = true;
     // A ranked part is never SFS-sorted, and stop bounds never cross key
     // spaces.
@@ -320,7 +339,8 @@ ColumnarBatch ColumnarBatch::Concat(std::vector<ColumnarBatch>* parts,
   batch.reservation_ =
       std::make_shared<const ScopedReservation>(memory, merged->MemoryBytes());
   batch.matrix_ = std::make_shared<const DominanceMatrix>(std::move(*merged));
-  batch.rows_ = RowView::All(std::move(rows));
+  batch.rows_ = std::move(backing);
+  batch.borrowed_ = one_source;
   batch.dims_ = parts->front().dims_;
   batch.stop_bound_ = stop_bound;
   if (all_sorted) {

@@ -560,7 +560,8 @@ Result<std::vector<uint32_t>> RunColumnarKernel(
 /// matter which operator created it or how many views alias it, and the
 /// matrix bytes stay charged to the query's MemoryTracker until the last
 /// view dies. The backing is a RowView either way: over a table snapshot
-/// it read in place (borrowed()), or over rows the query materialized.
+/// it reads in place (borrowed(); Project over borrowed rows, or Concat of
+/// such parts), or over rows the query materialized.
 class ColumnarBatch {
  public:
   /// \brief Projects borrowed rows once, in place — the only projection a
@@ -579,17 +580,20 @@ class ColumnarBatch {
 
   /// \brief The columnar shuffle: concatenates the parts' *selected* rows
   /// into one compact batch. The backing rows of the result are the
-  /// selected rows copied out in view order — the only rows a distributed
-  /// skyline copies out of a table snapshot — so matrix row order equals
-  /// gathered input order (the DISTINCT tie-break order downstream stages
-  /// rely on). A single part is compacted the same way, so the upstream
-  /// stage's non-survivor rows never travel past the exchange.
+  /// selected rows in view order, so matrix row order equals gathered input
+  /// order (the DISTINCT tie-break order downstream stages rely on). When
+  /// every part borrows from one source through one column map, the
+  /// backing is a view of that source holding the selected rows' ids, and
+  /// the result stays borrowed(); otherwise the selected rows are copied
+  /// out. A single part is compacted the same way, so the upstream stage's
+  /// non-survivor rows never travel past the exchange.
   ///
   /// When no part has a ranked dimension, every key means the same thing in
   /// every part and DominanceMatrix::ConcatSelected copies keys and bitmaps.
-  /// Otherwise the parts' rank codes disagree, so the gathered rows are
-  /// re-projected with DominanceMatrix::Build and `*reprojected` (if
-  /// non-null) is set — the one matrix build a gather can cost.
+  /// Otherwise the parts' rank codes disagree, so the gathered backing is
+  /// re-projected with DominanceMatrix::Build (in place when borrowed) and
+  /// `*reprojected` (if non-null) is set — the one matrix build a gather
+  /// can cost.
   ///
   /// If every part is score-sorted with the same sort key, the merged view
   /// is produced by MergeByScore and stays score-sorted (SFS-order
@@ -605,8 +609,8 @@ class ColumnarBatch {
   /// different scores.
   ///
   /// The parts are left alive in the caller's vector: destroying an owned
-  /// backing — every non-survivor row of the upstream stage — is real work,
-  /// and the caller decides where it lands (the exec layer drops them
+  /// backing — every non-survivor row of an owned upstream stage — is real
+  /// work, and the caller decides where it lands (the exec layer drops them
   /// outside the timed stage, exactly where the row pipeline destroys its
   /// consumed inputs).
   ///
@@ -654,7 +658,8 @@ class ColumnarBatch {
   const std::vector<uint32_t>& skyline_parts() const { return parts_; }
   /// The rows behind the matrix: matrix row i is backing() row i.
   const RowView& backing() const { return rows_; }
-  /// True when the backing rows belong to a table snapshot (see Project).
+  /// True when the backing rows belong to a table snapshot (see Project
+  /// and Concat).
   bool borrowed() const { return borrowed_; }
 
   /// \brief True when this batch was projected for exactly these skyline

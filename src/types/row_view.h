@@ -42,6 +42,12 @@ struct RowView {
 
   size_t size() const { return ids.size(); }
 
+  /// True when `other` reads the same source through the same column map,
+  /// so the two views' ids can be mixed into one view.
+  bool SameSource(const RowView& other) const {
+    return rows == other.rows && columns == other.columns;
+  }
+
   /// The unprojected source row behind view row `k`.
   const Row& source(size_t k) const { return (*rows)[ids[k]]; }
 

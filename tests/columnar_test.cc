@@ -776,6 +776,64 @@ TEST(ColumnarBatchTest, ConcatMatchesRowGatherAndReprojection) {
   }
 }
 
+// Parts borrowing from one source through one column map gather their
+// selected ids: the result stays borrowed() and decodes, through the
+// column map, exactly the selected rows in part order — also when a NaN in
+// one part ranks a dimension and the gather re-projects, which it then does
+// from the borrowed backing. A part of another source makes the gather copy
+// the selected rows out instead.
+TEST(ColumnarBatchTest, ConcatOfOneSourceGathersIds) {
+  for (const bool ranked : {false, true}) {
+    SCOPED_TRACE(ranked ? "ranked" : "direct");
+    // Source rows (id, a, b); the views read (b, a) through the map [2, 1].
+    std::vector<Row> rows = RandomRows(12, 3, /*null_rate=*/0.0, 9, 41);
+    if (ranked) rows[10][2] = Value::Double(std::nan(""));
+    auto source = SharedRows(rows);
+    const std::vector<BoundDimension> dims{{0, SkylineGoal::kMin},
+                                           {1, SkylineGoal::kMax}};
+    auto part = [&](std::shared_ptr<std::vector<Row>> from,
+                    std::vector<uint32_t> ids,
+                    std::vector<uint32_t> selection) {
+      auto batch =
+          ColumnarBatch::Project(RowView{from, std::move(ids), {2, 1}}, dims);
+      SL_CHECK(batch.ok()) << batch.status().ToString();
+      return batch->WithSelection(std::move(selection), false);
+    };
+    std::vector<Row> expected;
+    for (const uint32_t id : {5u, 1u, 3u, 6u, 10u}) {
+      expected.push_back(Row{rows[id][2], rows[id][1]});
+    }
+    auto reference = DominanceMatrix::Build(expected, dims);
+    ASSERT_TRUE(reference.ok());
+
+    for (const bool one_source : {true, false}) {
+      std::vector<ColumnarBatch> parts;
+      parts.push_back(part(source, {0, 1, 2, 3, 4, 5}, {5, 1, 3}));
+      parts.push_back(part(one_source ? source : SharedRows(rows),
+                           {6, 7, 8, 9, 10, 11}, {0, 4}));
+      bool reprojected = false;
+      ColumnarBatch merged =
+          ColumnarBatch::Concat(&parts, nullptr, &reprojected);
+      EXPECT_EQ(merged.borrowed(), one_source);
+      EXPECT_EQ(reprojected, ranked);
+      if (one_source) {
+        EXPECT_EQ(merged.backing().ids,
+                  (std::vector<uint32_t>{5, 1, 3, 6, 10}));
+      }
+      const std::vector<Row> decoded = merged.Decode();
+      ASSERT_EQ(decoded.size(), expected.size());
+      for (uint32_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(RowToString(decoded[i]), RowToString(expected[i]));
+        for (uint32_t j = 0; j < expected.size(); ++j) {
+          EXPECT_EQ(merged.matrix().Compare(i, j, NullSemantics::kComplete),
+                    reference->Compare(i, j, NullSemantics::kComplete))
+              << i << " vs " << j;
+        }
+      }
+    }
+  }
+}
+
 TEST(ColumnarBatchTest, ConcatReRanksVarcharDictionaries) {
   // The same string gets different codes in independently built matrices;
   // concat must re-rank the gathered rows so cross-partition DIFF equality

@@ -1330,6 +1330,161 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.name;
     });
 
+// --- filters and projections over borrowed rows ------------------------------
+
+/// 300 anti-correlated points (id, d0..d3) with NULLs at `null_rate` in
+/// d0..d2, a NaN in d1 of every 7th row, a NULL or a NaN in d3 (never a
+/// skyline dimension) of two rows in every 5, and every 4th row appended
+/// again at the end (DISTINCT duplicates).
+TablePtr FilterSweepTable(double null_rate) {
+  TablePtr base = datagen::GeneratePoints(
+      "base", 300, 4, datagen::PointDistribution::kAntiCorrelated,
+      /*seed=*/41, null_rate);
+  const bool nullable = null_rate > 0;
+  Schema schema({Field{"id", DataType::Int64(), false},
+                 Field{"d0", DataType::Double(), nullable},
+                 Field{"d1", DataType::Double(), nullable},
+                 Field{"d2", DataType::Double(), nullable},
+                 Field{"d3", DataType::Double(), true}});
+  auto table = std::make_shared<Table>("pts", schema);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<Row> rows = base->rows();
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (i % 7 == 3) rows[i][2] = Value::Double(nan);
+    if (i % 5 == 1) rows[i][4] = Value::Null(DataType::Double());
+    if (i % 5 == 2) rows[i][4] = Value::Double(nan);
+  }
+  for (const Row& row : rows) SL_CHECK_OK(table->AppendRow(row));
+  for (size_t i = 0; i < rows.size(); i += 4) {
+    SL_CHECK_OK(table->AppendRow(rows[i]));
+  }
+  return table;
+}
+
+/// A WHERE clause and the rows it keeps, written out independently of the
+/// engine's evaluator: NULL fails every comparison, and NaN sorts above
+/// every number (so `NaN >= 0.5` holds and `NaN < 0.5` does not).
+struct SweepPredicate {
+  const char* sql;
+  size_t column;
+  enum { kAll, kHalf, kNone } keeps;
+  bool (*keep)(const Value& v);
+};
+
+const std::vector<SweepPredicate>& SweepPredicates() {
+  static const std::vector<SweepPredicate> predicates = {
+      {"d1 IS NULL OR d1 >= 0", 2, SweepPredicate::kAll,
+       [](const Value&) { return true; }},
+      {"d1 < 0.5", 2, SweepPredicate::kHalf,
+       [](const Value& v) { return !v.is_null() && v.double_value() < 0.5; }},
+      {"d1 < 0", 2, SweepPredicate::kNone, [](const Value&) { return false; }},
+      {"d3 IS NULL OR d3 = d3", 4, SweepPredicate::kAll,
+       [](const Value&) { return true; }},
+      {"d3 >= 0.5", 4, SweepPredicate::kHalf,
+       [](const Value& v) {
+         return !v.is_null() &&
+                (std::isnan(v.double_value()) || v.double_value() >= 0.5);
+       }},
+      {"d3 < 0", 4, SweepPredicate::kNone, [](const Value&) { return false; }},
+  };
+  return predicates;
+}
+
+class BorrowedFilterSweep : public ::testing::TestWithParam<ColumnMapCase> {};
+
+// A skyline over a filter reads the snapshot in place — directly over the
+// scan, or under a subquery that lists the columns out of table order (the
+// filter moves below that projection, which copies the filter's borrowed
+// rows out in its own column order). For predicates keeping all, half or
+// none of the rows, on a skyline and on a non-skyline column holding NULL
+// and NaN, every kernel and executor count must return BruteForceSkyline
+// over the filtered rows, with and without DISTINCT over duplicated rows —
+// and, on NULL-free dimensions, what the reference rewriting returns.
+TEST_P(BorrowedFilterSweep, AgreesWithBothOracles) {
+  const bool incomplete = GetParam().incomplete;
+  TablePtr table = FilterSweepTable(incomplete ? 0.1 : 0.0);
+  Session session;
+  ASSERT_OK(session.catalog()->RegisterTable(table));
+  const std::vector<skyline::BoundDimension> dims{
+      {1, SkylineGoal::kMin}, {2, SkylineGoal::kMin}, {3, SkylineGoal::kMax}};
+  const std::string skyline_of = "d0 MIN, d1 MIN, d2 MAX";
+  // Each shape's FROM clause, and how it lays out a table row.
+  struct Shape {
+    const char* from;
+    std::vector<size_t> columns;
+  };
+  const std::vector<Shape> shapes = {
+      {"pts", {0, 1, 2, 3, 4}},
+      {"(SELECT d2, id, d0, d1, d3 FROM pts)", {3, 0, 1, 2, 4}}};
+  int combinations = 0;
+  int non_empty = 0;
+  for (const SweepPredicate& predicate : SweepPredicates()) {
+    std::vector<Row> kept;
+    for (const Row& row : table->rows()) {
+      if (predicate.keep(row[predicate.column])) kept.push_back(row);
+    }
+    switch (predicate.keeps) {
+      case SweepPredicate::kAll:
+        ASSERT_EQ(kept.size(), table->num_rows()) << predicate.sql;
+        break;
+      case SweepPredicate::kHalf:
+        ASSERT_GT(kept.size(), table->num_rows() / 3) << predicate.sql;
+        ASSERT_LT(kept.size(), table->num_rows() * 2 / 3) << predicate.sql;
+        break;
+      case SweepPredicate::kNone:
+        ASSERT_TRUE(kept.empty()) << predicate.sql;
+        break;
+    }
+    for (const bool distinct : {false, true}) {
+      skyline::SkylineOptions options;
+      options.distinct = distinct;
+      options.nulls = incomplete ? skyline::NullSemantics::kIncomplete
+                                 : skyline::NullSemantics::kComplete;
+      const std::vector<Row> oracle =
+          skyline::BruteForceSkyline(kept, dims, options);
+      non_empty += oracle.empty() ? 0 : 1;
+      for (const Shape& shape : shapes) {
+        std::vector<Row> projected;
+        for (const Row& row : oracle) {
+          projected.emplace_back();
+          for (const size_t c : shape.columns) {
+            projected.back().push_back(row[c]);
+          }
+        }
+        const std::vector<std::string> expected = RowStrings(projected);
+        const std::string sql =
+            StrCat("SELECT * FROM ", shape.from, " WHERE ", predicate.sql,
+                   " SKYLINE OF ", distinct ? "DISTINCT " : "", skyline_of);
+        if (!incomplete) {
+          ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "reference"));
+          ASSERT_EQ(expected, RowStrings(Rows(&session, sql)))
+              << sql << " strategy=reference";
+          ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "auto"));
+        }
+        for (const char* kernel : {"bnl", "sfs", "grid"}) {
+          for (const char* executors : {"1", "2", "3", "4", "8"}) {
+            ASSERT_OK(session.SetConf("sparkline.skyline.kernel", kernel));
+            ASSERT_OK(session.SetConf("sparkline.executors", executors));
+            ASSERT_EQ(expected, RowStrings(Rows(&session, sql)))
+                << sql << " kernel=" << kernel << " executors=" << executors;
+            ++combinations;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(combinations, 6 * 2 * 2 * 3 * 5);
+  EXPECT_GE(non_empty, 8) << "too few non-empty skylines to test anything";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Points, BorrowedFilterSweep,
+    ::testing::Values(ColumnMapCase{"complete", false},
+                      ColumnMapCase{"incomplete", true}),
+    [](const ::testing::TestParamInfo<ColumnMapCase>& info) {
+      return info.param.name;
+    });
+
 // The removed engine switches are gone from the configuration surface.
 TEST(RemovedFlags, ColumnarSwitchesAreUnknownKeys) {
   Session session;

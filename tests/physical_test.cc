@@ -304,32 +304,6 @@ TEST_F(PhysicalTest, LocalRelationBorrowsItsRows) {
   EXPECT_EQ(std::move(*rel).Flatten().size(), 2u);
 }
 
-// exchange_bytes counts wire bytes: a row crossing an exchange is
-// serialized whoever owns it, so the same skyline ships the same rows and
-// bytes whether its exchange input is borrowed from the scan or owned
-// because a Filter materialized it.
-TEST_F(PhysicalTest, BorrowedAndOwnedExchangeInputShipTheSameBytes) {
-  ASSERT_OK(session_->catalog()->RegisterTable(datagen::GeneratePoints(
-      "sparse", 1000, 3, datagen::PointDistribution::kIndependent, 3,
-      /*null_rate=*/0.2)));
-  const std::string borrowed =
-      "SELECT * FROM sparse SKYLINE OF d0 MIN, d1 MAX, d2 MIN";
-  const std::string owned =
-      "SELECT * FROM sparse WHERE id >= 0 SKYLINE OF d0 MIN, d1 MAX, d2 MIN";
-  const std::string owned_plan = Physical(owned)->TreeString();
-  ASSERT_NE(owned_plan.find("Filter"), std::string::npos)
-      << "the optimizer must keep the all-rows filter:\n" << owned_plan;
-  ASSERT_NE(owned_plan.find("Exchange [NullBitmapHash]"), std::string::npos);
-
-  const QueryMetrics a = Metrics(borrowed);
-  const QueryMetrics b = Metrics(owned);
-  EXPECT_EQ(a.exchange_rows_shipped, b.exchange_rows_shipped);
-  EXPECT_EQ(a.exchange_bytes, b.exchange_bytes);
-  EXPECT_GT(a.exchange_rows_shipped, 1000) << "every row crosses the hash";
-  EXPECT_SAME_ROWS(Rows(session_.get(), borrowed),
-                   Rows(session_.get(), owned));
-}
-
 /// The first operator labelled `label` in `plan`, depth first.
 PhysicalPlanPtr FindOperator(const PhysicalPlanPtr& plan,
                              const std::string& label) {
@@ -340,13 +314,56 @@ PhysicalPlanPtr FindOperator(const PhysicalPlanPtr& plan,
   return nullptr;
 }
 
+/// Asserts that the input of `plan`'s first `exchange` comes from a
+/// Project, and that it arrives as rows the query owns: filters pass
+/// borrowed rows through, a projection materializes.
+void ExpectOwnedExchangeInput(const PhysicalPlanPtr& plan,
+                              const std::string& exchange,
+                              const ClusterConfig& cluster) {
+  const PhysicalPlanPtr op = FindOperator(plan, exchange);
+  ASSERT_NE(op, nullptr) << plan->TreeString();
+  const PhysicalPlanPtr input = op->children()[0];
+  ASSERT_EQ(input->label(), "Project") << plan->TreeString();
+  ExecContext ctx(cluster);
+  auto rel = input->Execute(&ctx);
+  ASSERT_TRUE(rel.ok()) << rel.status().ToString();
+  EXPECT_FALSE(rel->has_views()) << "the exchange input must be owned";
+  EXPECT_GT(rel->TotalRows(), 0u);
+}
+
+// exchange_bytes counts wire bytes: a row crossing an exchange is
+// serialized whoever owns it, so the same skyline ships the same rows and
+// bytes whether its exchange input is borrowed from the scan or owned
+// because a computed projection materialized it.
+TEST_F(PhysicalTest, BorrowedAndOwnedExchangeInputShipTheSameBytes) {
+  ASSERT_OK(session_->catalog()->RegisterTable(datagen::GeneratePoints(
+      "sparse", 1000, 3, datagen::PointDistribution::kIndependent, 3,
+      /*null_rate=*/0.2)));
+  const std::string borrowed =
+      "SELECT * FROM sparse SKYLINE OF d0 MIN, d1 MAX, d2 MIN";
+  const std::string owned =
+      "SELECT * FROM (SELECT id + 0 AS id, d0, d1, d2 FROM sparse) "
+      "SKYLINE OF d0 MIN, d1 MAX, d2 MIN";
+  ASSERT_NO_FATAL_FAILURE(ExpectOwnedExchangeInput(
+      Physical(owned), "Exchange [NullBitmapHash]",
+      session_->config().cluster));
+
+  const QueryMetrics a = Metrics(borrowed);
+  const QueryMetrics b = Metrics(owned);
+  EXPECT_EQ(a.exchange_rows_shipped, b.exchange_rows_shipped);
+  EXPECT_EQ(a.exchange_bytes, b.exchange_bytes);
+  EXPECT_GT(a.exchange_rows_shipped, 1000) << "every row crosses the hash";
+  EXPECT_SAME_ROWS(Rows(session_.get(), borrowed),
+                   Rows(session_.get(), owned));
+}
+
 // The null-bitmap exchange balances store_sales-shaped data (5% NULLs in
 // each of 6 dimensions, so about 74% of the rows share the no-NULL bitmap)
 // over 4 executors: every partition holds within 25% of N/4 rows, the
 // oversized class is split, no class within the fair share F = ceil(N/4)
 // is, and the assignment is deterministic — the same partitions on a
 // second run, and the same rows per partition whether the exchange routes
-// borrowed ids or moves the rows a Filter materialized.
+// borrowed ids or moves the rows a computed projection materialized.
 TEST_F(PhysicalTest, NullBitmapExchangeBalancesSkewedClasses) {
   datagen::StoreSalesOptions options;
   options.num_rows = 20000;
@@ -416,9 +433,13 @@ TEST_F(PhysicalTest, NullBitmapExchangeBalancesSkewedClasses) {
   EXPECT_EQ(strings(parts, false),
             strings(exchange_rows(borrowed_sql, true), false));
   const std::string owned_sql =
-      "SELECT * FROM store_sales WHERE ss_item_sk >= 0" + dims;
-  ASSERT_NE(Physical(owned_sql)->TreeString().find("Filter"),
-            std::string::npos);
+      "SELECT * FROM (SELECT ss_item_sk + 0 AS ss_item_sk, ss_ticket_number,"
+      " ss_quantity, ss_wholesale_cost, ss_list_price, ss_sales_price,"
+      " ss_ext_discount_amt, ss_ext_sales_price FROM store_sales)" +
+      dims;
+  ASSERT_NO_FATAL_FAILURE(ExpectOwnedExchangeInput(
+      Physical(owned_sql), "Exchange [NullBitmapHash]",
+      session_->config().cluster));
   EXPECT_EQ(strings(parts, true),
             strings(exchange_rows(owned_sql, false), true));
 }
@@ -440,6 +461,111 @@ TEST_F(PhysicalTest, BorrowedRowsAreNotChargedMaterializedRowsAre) {
 
   const QueryMetrics sorted = Metrics("SELECT * FROM big ORDER BY d0");
   EXPECT_GE(sorted.peak_memory_bytes - overhead, table->EstimatedBytes());
+}
+
+/// Rows as strings, in order.
+std::vector<std::string> OrderedStrings(const std::vector<Row>& rows) {
+  std::vector<std::string> out;
+  out.reserve(rows.size());
+  for (const Row& row : rows) out.push_back(RowToString(row));
+  return out;
+}
+
+// A Filter passes borrowed rows through: every output partition is a view
+// of the snapshot, and the query tracks only the kept ids. A Project,
+// plain or computed, materializes its output rows.
+TEST_F(PhysicalTest, FiltersBorrowProjectionsOwn) {
+  struct Case {
+    const char* sql;
+    const char* root;
+    bool borrowed;
+    std::vector<std::string> rows;
+  };
+  const std::vector<Case> cases = {
+      {"SELECT * FROM pts WHERE x <= 2", "Filter", true,
+       {"(1, 1, 5)", "(2, 2, 4)", "(6, 2, 2)"}},
+      {"SELECT y, id FROM pts WHERE x <= 2", "Project", false,
+       {"(5, 1)", "(4, 2)", "(2, 6)"}},
+      {"SELECT id * 10 AS i, y FROM pts WHERE x <= 2", "Project", false,
+       {"(10, 5)", "(20, 4)", "(60, 2)"}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.sql);
+    const PhysicalPlanPtr physical = Physical(c.sql);
+    EXPECT_EQ(physical->label(), c.root) << physical->TreeString();
+    ExecContext ctx(session_->config().cluster);
+    auto rel = physical->Execute(&ctx);
+    ASSERT_TRUE(rel.ok()) << rel.status().ToString();
+    ASSERT_EQ(rel->partitions.size(), 3u);
+    for (size_t i = 0; i < 3; ++i) EXPECT_EQ(rel->borrowed(i), c.borrowed) << i;
+    if (c.borrowed) {
+      EXPECT_EQ(ctx.memory()->current_bytes(),
+                static_cast<int64_t>(c.rows.size() * sizeof(uint32_t)));
+    }
+    EXPECT_EQ(OrderedStrings(std::move(*rel).Flatten()), c.rows);
+  }
+}
+
+// Over a scan whose column map is not the identity (the columns y, id:
+// source columns 2 and 0), a filter remaps its bound ordinals to source
+// columns once and evaluates on the source rows; its output keeps the map.
+TEST_F(PhysicalTest, FilterRemapsThroughTheScansColumnMap) {
+  ASSERT_OK_AND_ASSIGN(TablePtr table, session_->catalog()->GetTable("pts"));
+  const std::vector<Attribute> columns = {
+      {"y", DataType::Double(), false, NextExprId(), ""},
+      {"id", DataType::Int64(), false, NextExprId(), ""}};
+  const PhysicalPlanPtr scan = std::make_shared<ScanExec>(
+      table, std::vector<size_t>{2, 0}, columns);
+  const ExprPtr y = BoundReference::Make(0, DataType::Double(), false);
+  const PhysicalPlanPtr filter = std::make_shared<FilterExec>(
+      BinaryExpr::Make(BinaryOp::kLe, y, Literal::Make(Value::Double(2))),
+      scan);
+  ExecContext ctx(session_->config().cluster);
+  auto kept = filter->Execute(&ctx);
+  ASSERT_TRUE(kept.ok()) << kept.status().ToString();
+  for (size_t i = 0; i < kept->partitions.size(); ++i) {
+    ASSERT_TRUE(kept->borrowed(i)) << i;
+    EXPECT_EQ(kept->views[i]->columns, (std::vector<size_t>{2, 0})) << i;
+  }
+  EXPECT_EQ(OrderedStrings(std::move(*kept).Flatten()),
+            (std::vector<std::string>{"(2, 4)", "(1, 5)", "(2, 6)"}));
+}
+
+// A filter that keeps every row costs a skyline no more tracked memory
+// than its kept ids: the local stage builds its matrices straight from the
+// snapshot, as it does without the filter.
+TEST_F(PhysicalTest, KeepEveryRowFilterTracksOnlyItsIds) {
+  const size_t n = 20000;
+  ASSERT_OK(session_->catalog()->RegisterTable(datagen::GeneratePoints(
+      "corr", n, 4, datagen::PointDistribution::kCorrelated, 21)));
+  ASSERT_OK(session_->SetConf("sparkline.executors", "4"));
+  const std::string dims = " SKYLINE OF d0 MIN, d1 MIN, d2 MIN, d3 MIN";
+  const std::string unfiltered = "SELECT * FROM corr" + dims;
+  const std::string filtered = "SELECT * FROM corr WHERE d0 >= 0" + dims;
+  ASSERT_NE(Physical(filtered)->TreeString().find("Filter"),
+            std::string::npos);
+  const QueryMetrics a = Metrics(unfiltered);
+  const QueryMetrics b = Metrics(filtered);
+  EXPECT_LE(b.peak_memory_bytes,
+            a.peak_memory_bytes + static_cast<int64_t>(n * sizeof(uint32_t)));
+  EXPECT_SAME_ROWS(Rows(session_.get(), unfiltered),
+                   Rows(session_.get(), filtered));
+}
+
+// A predicate with a scalar subquery runs the subquery first, then
+// filters the borrowed rows in place.
+TEST_F(PhysicalTest, ScalarSubqueryPredicateFiltersBorrowedRows) {
+  const PhysicalPlanPtr physical =
+      Physical("SELECT * FROM pts WHERE x >= (SELECT avg(x) FROM pts)");
+  ExecContext ctx(session_->config().cluster);
+  auto rel = physical->Execute(&ctx);
+  ASSERT_TRUE(rel.ok()) << rel.status().ToString();
+  for (size_t i = 0; i < rel->partitions.size(); ++i) {
+    EXPECT_TRUE(rel->borrowed(i)) << i;
+  }
+  // avg(x) = 17 / 6: ids 3, 4 and 5 qualify.
+  EXPECT_EQ(OrderedStrings(std::move(*rel).Flatten()),
+            (std::vector<std::string>{"(3, 3, 3)", "(4, 4, 2)", "(5, 5, 1)"}));
 }
 
 TEST_F(PhysicalTest, ScalarSubqueryExecution) {

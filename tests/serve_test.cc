@@ -178,37 +178,43 @@ TEST(CatalogVersionTest, MonotonicPerTableVersions) {
   EXPECT_EQ(current->num_rows(), rows_before + 1);
 }
 
-// Scans borrow the snapshot a plan holds instead of copying it. Planned
-// before an InsertInto replaces that snapshot, a query holds its last
-// reference, and its borrowed rows keep it alive even past the plan: the
-// query answers from the old snapshot, and the snapshot dies with the
+// Scans borrow the snapshot a plan holds instead of copying it, and
+// filters pass the borrowed rows through. Planned before an InsertInto
+// replaces that snapshot, a query holds its last reference, and its
+// borrowed rows keep it alive even past the plan — through a skyline and
+// a Filter alike, and up to the Project that copies a Filter's rows out:
+// the query answers from the old snapshot, and the snapshot dies with the
 // result's last view (under ASan: no use after free, no leak).
 TEST(CatalogVersionTest, PlannedQueryOutlivesItsReplacedSnapshot) {
   Session session;
   ASSERT_OK(session.catalog()->RegisterTable(datagen::GeneratePoints(
       "pts", 300, 2, datagen::PointDistribution::kAntiCorrelated, 8)));
   const std::string skyline_sql = "SELECT * FROM pts SKYLINE OF d0 MIN, d1 MIN";
-  const std::vector<std::string> old_answer =
-      RowStrings(::sparkline::testing::Rows(&session, skyline_sql));
-  ASSERT_GT(old_answer.size(), 1u);
+  const std::string filtered_sql =
+      "SELECT * FROM pts WHERE d0 < 1e9 SKYLINE OF d0 MIN, d1 MIN";
+  const std::string scan_sql = "SELECT * FROM pts";
+  const std::string filter_sql = "SELECT * FROM pts WHERE d0 < 1e9";
+  const std::string project_sql = "SELECT id, d1 FROM pts WHERE d0 < 1e9";
 
   double best = 0.0;
-  const std::string scan_sql = "SELECT * FROM pts";
-  for (const std::string& sql : {skyline_sql, scan_sql}) {
+  for (const std::string& sql :
+       {skyline_sql, filtered_sql, scan_sql, filter_sql, project_sql}) {
     SCOPED_TRACE(sql);
     std::weak_ptr<Table> snapshot;
-    size_t snapshot_rows = 0;
+    std::vector<std::string> old_answer;
     PhysicalPlanPtr physical;
     {
       ASSERT_OK_AND_ASSIGN(TablePtr table, session.catalog()->GetTable("pts"));
       snapshot = table;
-      snapshot_rows = table->num_rows();
+      old_answer = RowStrings(::sparkline::testing::Rows(&session, sql));
+      ASSERT_GT(old_answer.size(), 0u);
       ASSERT_OK_AND_ASSIGN(DataFrame df, session.Sql(sql));
       ASSERT_OK_AND_ASSIGN(LogicalPlanPtr optimized,
                            session.Optimize(df.plan()));
       ASSERT_OK_AND_ASSIGN(physical, session.PlanPhysical(optimized));
     }
-    // A row dominating every other one replaces the snapshot.
+    // A row dominating every other one replaces the snapshot, so every
+    // query's answer changes.
     best -= 1.0;
     ASSERT_OK(session.catalog()->InsertInto(
         "pts",
@@ -220,11 +226,7 @@ TEST(CatalogVersionTest, PlannedQueryOutlivesItsReplacedSnapshot) {
     ASSERT_TRUE(rel.ok()) << rel.status().ToString();
     physical.reset();  // only the relation can still hold the snapshot
     const std::vector<Row> rows = std::move(*rel).Flatten();
-    if (sql == skyline_sql) {
-      EXPECT_EQ(RowStrings(rows), old_answer);
-    } else {
-      EXPECT_EQ(rows.size(), snapshot_rows);
-    }
+    EXPECT_EQ(RowStrings(rows), old_answer);
     EXPECT_TRUE(snapshot.expired()) << "the snapshot must die with its views";
   }
   // A fresh query sees the dominating row alone.
