@@ -134,19 +134,11 @@ int main(int argc, char** argv) {
     Report("kernel: BNL vs SFS", bnl, sfs);
   }
   {
-    Cell bnl = RunCell(&session, anti_sql, "distributed", 4, config);
-    SL_CHECK_OK(session.SetConf("sparkline.skyline.kernel", "grid"));
-    Cell grid = RunCell(&session, anti_sql, "distributed", 4, config);
-    SL_CHECK_OK(session.SetConf("sparkline.skyline.kernel", "bnl"));
-    Report("kernel: BNL vs grid", bnl, grid);
-  }
-  {
-    SL_CHECK_OK(session.SetConf("sparkline.skyline.partitioning", "roundrobin"));
-    Cell rr = RunCell(&session, anti_sql, "distributed", 8, config);
+    Cell as_is = RunCell(&session, anti_sql, "distributed", 8, config);
     SL_CHECK_OK(session.SetConf("sparkline.skyline.partitioning", "angle"));
     Cell angle = RunCell(&session, anti_sql, "distributed", 8, config);
     SL_CHECK_OK(session.SetConf("sparkline.skyline.partitioning", "asis"));
-    Report("partitioning: rr vs angle", rr, angle);
+    Report("partitioning: as-is vs angle", as_is, angle);
   }
   {
     SL_CHECK_OK(session.catalog()->RegisterTable(datagen::GeneratePoints(

@@ -7,10 +7,9 @@
 // partition's tightest bound with the gathered batch, so the global chunks
 // can stop before scanning most of the shuffled input.
 //
-// This bench quantifies the effect on the two sort keys (sum — the
-// pre-existing score order — and minmax, SaLSa's minC function with the
-// tight stop bound) next to BNL, which never stops early, across the
-// paper's workload spectrum:
+// This bench quantifies the effect on SFS, which presorts by the sum of the
+// normalized keys, next to BNL, which never stops early, across the paper's
+// workload spectrum:
 //   correlated      stop points fire almost immediately (small skylines)
 //   anti-correlated the skyline-heavy adversarial case: stops rarely fire,
 //                   quantifying the overhead of maintaining the bound
@@ -26,9 +25,9 @@
 //              principle)
 //
 // Every SFS result is checked row-for-row (as a multiset) against BNL's.
-// --smoke runs a scaled-down sweep and also asserts that correlated minmax
-// skips >30% of the table, so CI keeps this binary and the counters from
-// bit-rotting between perf PRs.
+// --smoke runs a scaled-down sweep and also asserts that SFS on the
+// correlated table stops at least once and skips >30% of it, so CI keeps
+// this binary and the counters from bit-rotting between perf PRs.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -52,10 +51,8 @@ struct StopCell {
   std::vector<std::string> rows;  ///< sorted, for multiset comparison
 };
 
-StopCell RunOnce(Session* session, const std::string& sql, const char* kernel,
-                 const char* sort_key) {
+StopCell RunOnce(Session* session, const std::string& sql, const char* kernel) {
   SL_CHECK_OK(session->SetConf("sparkline.skyline.kernel", kernel));
-  SL_CHECK_OK(session->SetConf("sparkline.skyline.sfs.sort_key", sort_key));
   auto df = session->Sql(sql);
   SL_CHECK(df.ok()) << df.status().ToString();
   SL_CHECK(df->Collect().ok());  // warm-up
@@ -91,23 +88,20 @@ void Sweep(Session* session, const char* title, const std::string& sql,
                 100.0 * static_cast<double>(cell.rows_skipped) /
                     static_cast<double>(table_rows));
   };
-  const StopCell bnl = RunOnce(session, sql, "bnl", "sum");
+  const StopCell bnl = RunOnce(session, sql, "bnl");
   print("bnl", bnl);
-  for (const char* sort_key : {"sum", "minmax"}) {
-    const StopCell sfs = RunOnce(session, sql, "sfs", sort_key);
-    print(StrCat("sfs ", sort_key).c_str(), sfs);
-    SL_CHECK(sfs.rows == bnl.rows)
-        << "SFS (" << sort_key << ") disagrees with BNL on " << title << ": "
-        << sfs.rows.size() << " vs " << bnl.rows.size() << " rows";
-    if (smoke && std::strcmp(sort_key, "minmax") == 0 &&
-        std::strstr(title, "correlated") == title) {
-      // The acceptance bar: the tight minC bound must terminate >30% of a
-      // correlated table away, with the counters proving it.
-      SL_CHECK(sfs.stops >= 1) << "no SFS pass terminated early";
-      SL_CHECK(sfs.rows_skipped * 10 > static_cast<int64_t>(table_rows) * 3)
-          << "minmax stop point skipped only " << sfs.rows_skipped << " of "
-          << table_rows << " correlated rows";
-    }
+  const StopCell sfs = RunOnce(session, sql, "sfs");
+  print("sfs sum", sfs);
+  SL_CHECK(sfs.rows == bnl.rows)
+      << "SFS disagrees with BNL on " << title << ": " << sfs.rows.size()
+      << " vs " << bnl.rows.size() << " rows";
+  if (smoke && std::strstr(title, "correlated") == title) {
+    // The acceptance bar: the minC stop must terminate >30% of a correlated
+    // table away, with the counters proving it.
+    SL_CHECK(sfs.stops >= 1) << "no SFS pass terminated early";
+    SL_CHECK(sfs.rows_skipped * 10 > static_cast<int64_t>(table_rows) * 3)
+        << "SFS stop point skipped only " << sfs.rows_skipped << " of "
+        << table_rows << " correlated rows";
   }
 }
 

@@ -1,9 +1,9 @@
 // Micro benchmarks (google-benchmark) for the skyline kernels of paper
 // sections 5.5-5.7: dominance tests, Block-Nested-Loop, Sort-Filter-Skyline
-// (the paper's future-work presorting family), grid filtering, the
-// all-pairs incomplete algorithm, null-bitmap partitioning and the
-// DominanceMatrix projection itself (direct vs. ranked keys) — across the
-// classic correlated / independent / anti-correlated workloads. The
+// (the paper's future-work presorting family), the all-pairs incomplete
+// algorithm, null-bitmap partitioning and the DominanceMatrix projection
+// itself (direct vs. ranked keys) — across the classic correlated /
+// independent / anti-correlated workloads. The
 // dominance-test-throughput counters report "the main cost factor of
 // skyline computation" (paper section 2); BM_BruteForce times the
 // quadratic reference oracle the tests compare against.
@@ -249,23 +249,6 @@ void BM_ColumnarSortFilterSkyline(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ColumnarSortFilterSkyline)
-    ->Args({2000, 0})
-    ->Args({2000, 1})
-    ->Args({10000, 0})
-    ->Args({10000, 1});
-
-void BM_ColumnarGridFilterSkyline(benchmark::State& state) {
-  auto rows = MakeRows(static_cast<size_t>(state.range(0)), 4,
-                       DistFromArg(state.range(1)));
-  auto dims = MinDims(4);
-  for (auto _ : state) {
-    auto result = skyline::ColumnarSkyline(skyline::SkylineKernel::kGridFilter,
-                                           rows, dims, {});
-    benchmark::DoNotOptimize(result);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_ColumnarGridFilterSkyline)
     ->Args({2000, 0})
     ->Args({2000, 1})
     ->Args({10000, 0})

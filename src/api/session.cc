@@ -89,16 +89,8 @@ Status Session::SetConf(const std::string& key, const std::string& value) {
       config_.skyline_kernel = SkylineKernel::kSortFilterSkyline;
       return Status::OK();
     }
-    if (EqualsIgnoreCase(value, "grid")) {
-      config_.skyline_kernel = SkylineKernel::kGridFilter;
-      return Status::OK();
-    }
     return Status::Invalid(
-        StrCat("unknown skyline kernel '", value, "' (bnl | sfs | grid)"));
-  }
-  if (k == "sparkline.skyline.sfs.sort_key") {
-    SL_ASSIGN_OR_RETURN(config_.skyline_sfs_sort_key, ParseSfsSortKey(value));
-    return Status::OK();
+        StrCat("unknown skyline kernel '", value, "' (bnl | sfs)"));
   }
   if (k == "sparkline.skyline.partitioning") {
     SL_ASSIGN_OR_RETURN(config_.skyline_partitioning,
@@ -345,7 +337,6 @@ Result<PhysicalPlanPtr> Session::PlanPhysical(
   opts.skyline_strategy = config_.skyline_strategy;
   opts.skyline_kernel = config_.skyline_kernel;
   opts.skyline_partitioning = config_.skyline_partitioning;
-  opts.sfs_sort_key = config_.skyline_sfs_sort_key;
   opts.non_distributed_threshold = config_.non_distributed_threshold;
   PhysicalPlanner planner(opts);
   return planner.Plan(optimized);

@@ -15,8 +15,8 @@
 //                                           [0, 10^12] (0 = none)
 //   sparkline.memory.executorOverheadMb     simulated per-executor
 //                                           footprint in MB, [0, 2^20]
-//   sparkline.skyline.kernel                bnl | sfs | grid
-//   sparkline.skyline.partitioning          asis | roundrobin | angle
+//   sparkline.skyline.kernel                bnl | sfs
+//   sparkline.skyline.partitioning          asis | angle
 //   sparkline.skyline.nonDistributedThreshold  rows; 0 disables (section 7)
 //   sparkline.optimizer.singleDimRewrite    bool
 //   sparkline.optimizer.skylineJoinPushdown bool
@@ -72,18 +72,13 @@ struct SessionConfig {
   SkylineStrategy skyline_strategy = SkylineStrategy::kAuto;
   /// Run skylines via the plain-SQL rewriting (the "reference" algorithm).
   bool skyline_reference = false;
-  /// Skyline kernel: Block-Nested-Loop (paper), Sort-Filter-Skyline
-  /// (the paper's future-work presorting family) or grid-based cell
-  /// pruning (Tang et al., paper section 2). Key:
-  /// sparkline.skyline.kernel = bnl | sfs | grid.
+  /// Skyline kernel: Block-Nested-Loop (paper) or Sort-Filter-Skyline
+  /// (the paper's future-work presorting family). Key:
+  /// sparkline.skyline.kernel = bnl | sfs.
   SkylineKernel skyline_kernel = SkylineKernel::kBlockNestedLoop;
   /// Local-stage partitioning for complete data. Key:
-  /// sparkline.skyline.partitioning = asis | roundrobin | angle.
+  /// sparkline.skyline.partitioning = asis | angle.
   SkylinePartitioning skyline_partitioning = SkylinePartitioning::kAsIs;
-  /// Monotone SFS sort key: "sum" (the pre-existing score order) or
-  /// "minmax" (SaLSa's minC function — the key whose stop bound is tight).
-  /// Key: sparkline.skyline.sfs.sort_key.
-  skyline::SfsSortKey skyline_sfs_sort_key = skyline::SfsSortKey::kSum;
   /// Cost-based refinement threshold (section 7 future work). Key:
   /// sparkline.skyline.nonDistributedThreshold (rows; 0 = off).
   int64_t non_distributed_threshold = 0;

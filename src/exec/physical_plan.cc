@@ -511,8 +511,6 @@ std::string ExchangeExec::label() const {
   switch (mode_) {
     case ExchangeMode::kGather:
       return "Exchange [AllTuples]";
-    case ExchangeMode::kRoundRobin:
-      return "Exchange [RoundRobin]";
     case ExchangeMode::kNullBitmapHash:
       return "Exchange [NullBitmapHash]";
     case ExchangeMode::kAngle:
@@ -526,13 +524,15 @@ namespace exchange_internal {
 namespace {
 /// Sign-adjusted numeric key: negated for MAX so "smaller is better" holds
 /// in every dimension, exactly like the DominanceMatrix projection. NaN for
-/// NULL / non-numeric values (skipped by the bounds, neutral in the angle).
+/// NULL, non-numeric and non-finite values (skipped by the bounds, neutral
+/// in the angle): an infinite bound would turn every scaled coordinate into
+/// inf/inf.
 double NormalizedKey(const Row& row, const skyline::BoundDimension& dim) {
   const Value& v = row[dim.ordinal];
-  if (v.is_null() || !v.type().is_numeric()) {
-    return std::numeric_limits<double>::quiet_NaN();
-  }
-  const double value = v.ToDouble();
+  const double value = v.is_null() || !v.type().is_numeric()
+                           ? std::numeric_limits<double>::quiet_NaN()
+                           : v.ToDouble();
+  if (!std::isfinite(value)) return std::numeric_limits<double>::quiet_NaN();
   return dim.goal == SkylineGoal::kMax ? -value : value;
 }
 }  // namespace
@@ -568,12 +568,13 @@ size_t AnglePartition(const Row& row,
   // |value|+1 magnitudes ignored both the MIN/MAX negation and the
   // per-dimension scale, so MAX goals (large raw magnitudes for *good*
   // values) and wide-range dimensions swamped the angle and collapsed most
-  // rows into one or two buckets. Degenerate (constant) and NULL
-  // dimensions contribute a neutral 0.5.
+  // rows into one or two buckets. Degenerate (constant) dimensions and
+  // keys the bounds skip contribute a neutral 0.5. Both differences are
+  // halved so that a range wider than DBL_MAX cannot overflow to inf/inf.
   auto scaled = [&](size_t d) {
     const double key = NormalizedKey(row, dims[d]);
     if (std::isnan(key) || !(bounds.hi[d] > bounds.lo[d])) return 0.5;
-    return (key - bounds.lo[d]) / (bounds.hi[d] - bounds.lo[d]);
+    return (key / 2 - bounds.lo[d] / 2) / (bounds.hi[d] / 2 - bounds.lo[d] / 2);
   };
   double rest = 0;
   for (size_t d = 1; d < dims.size(); ++d) {
@@ -670,22 +671,17 @@ Result<PartitionedRelation> ExchangeExec::Execute(ExecContext* ctx) const {
     auto row_at = [&](size_t p, size_t k) -> const Row& {
       return route_ids ? in.views[p]->source(k) : in.partitions[p][k];
     };
+    // kAngle: scale by the bounds of every row, then route by angle.
     exchange_internal::AngleBounds bounds(dims.size());
-    if (mode_ == ExchangeMode::kAngle) {
-      for (size_t p = 0; p < in.partitions.size(); ++p) {
-        const size_t rows = in.PartitionRows(p);
-        for (size_t k = 0; k < rows; ++k) bounds.Observe(row_at(p, k), dims);
-      }
+    for (size_t p = 0; p < in.partitions.size(); ++p) {
+      const size_t rows = in.PartitionRows(p);
+      for (size_t k = 0; k < rows; ++k) bounds.Observe(row_at(p, k), dims);
     }
-    size_t next = 0;
     for (size_t p = 0; p < in.partitions.size(); ++p) {
       const size_t rows = in.PartitionRows(p);
       for (size_t k = 0; k < rows; ++k) {
         const size_t target =
-            mode_ == ExchangeMode::kAngle
-                ? exchange_internal::AnglePartition(row_at(p, k), dims, n,
-                                                    bounds)
-                : next++ % n;  // kRoundRobin
+            exchange_internal::AnglePartition(row_at(p, k), dims, n, bounds);
         if (route_ids) {
           out.views[target]->ids.push_back(in.views[p]->ids[k]);
         } else {

@@ -214,8 +214,6 @@ class FilterExec : public PhysicalPlan {
 enum class ExchangeMode : uint8_t {
   /// Gather everything into one partition (AllTuples distribution).
   kGather,
-  /// Spread rows evenly over num_executors partitions.
-  kRoundRobin,
   /// Route rows by the null bitmap of the skyline dimensions (section 5.7),
   /// balancing load: whole bitmap classes, and near-equal pieces of classes
   /// above the fair share, go to the least-loaded partition. A partition
@@ -235,7 +233,8 @@ namespace exchange_internal {
 
 /// Per-dimension [lo, hi] range of the normalized skyline keys (values
 /// negated for MAX goals) across all partitions — the scaling context
-/// AnglePartition needs. Non-numeric and NULL values are skipped.
+/// AnglePartition needs. NULL, non-numeric and non-finite (±inf, NaN)
+/// values are skipped.
 struct AngleBounds {
   /// Empty bounds (lo = +inf, hi = -inf) for `num_dims` dimensions.
   explicit AngleBounds(size_t num_dims);
@@ -255,8 +254,10 @@ AngleBounds ComputeAngleBounds(const std::vector<std::vector<Row>>& partitions,
 /// of the dimension vector, computed over *normalized* keys — negated for
 /// MAX goals and min-max scaled into [0, 1] per dimension — so that MAX
 /// goals and mixed-scale dimensions spread over buckets instead of
-/// collapsing into one. Correctness never depends on the scheme (any
-/// partitioning is valid for complete data); only pruning power does.
+/// collapsing into one. A key the bounds skip sits at the neutral
+/// midpoint 0.5, so one infinite value cannot collapse the other rows.
+/// Correctness never depends on the scheme (any partitioning is valid for
+/// complete data); only pruning power does.
 size_t AnglePartition(const Row& row,
                       const std::vector<skyline::BoundDimension>& dims,
                       size_t n, const AngleBounds& bounds);
@@ -430,15 +431,14 @@ class NestedLoopJoinExec : public PhysicalPlan {
 /// survivor view over that matrix — the projection every downstream
 /// skyline stage reuses. SFS runs tag their output views score-sorted so
 /// the global stage can inherit the sort order. Every other complete run
-/// leaves its view in kSum SFS order and marks it one skyline part
+/// leaves its view in SFS order and marks it one skyline part
 /// (ColumnarBatch::skyline_parts()), so the global stage validates it
 /// against the other partitions' skylines without re-running a kernel.
 class LocalSkylineExec : public PhysicalPlan {
  public:
   LocalSkylineExec(std::vector<skyline::BoundDimension> dims, bool distinct,
                    skyline::NullSemantics nulls, PhysicalPlanPtr child,
-                   SkylineKernel kernel = SkylineKernel::kBlockNestedLoop,
-                   skyline::SfsSortKey sfs_sort_key = skyline::SfsSortKey::kSum);
+                   SkylineKernel kernel = SkylineKernel::kBlockNestedLoop);
   std::string label() const override;
   const char* failpoint_site() const override { return "exec.local_task"; }
   Result<PartitionedRelation> Execute(ExecContext* ctx) const override;
@@ -448,7 +448,6 @@ class LocalSkylineExec : public PhysicalPlan {
   bool distinct_;
   skyline::NullSemantics nulls_;
   SkylineKernel kernel_;
-  skyline::SfsSortKey sfs_sort_key_;
 };
 
 /// \brief Pre-gather broadcast-filter pruning (after Ciaccia &
@@ -521,8 +520,7 @@ class GlobalSkylineExec : public PhysicalPlan {
  public:
   GlobalSkylineExec(std::vector<skyline::BoundDimension> dims, bool distinct,
                     PhysicalPlanPtr child,
-                    SkylineKernel kernel = SkylineKernel::kBlockNestedLoop,
-                    skyline::SfsSortKey sfs_sort_key = skyline::SfsSortKey::kSum);
+                    SkylineKernel kernel = SkylineKernel::kBlockNestedLoop);
   std::string label() const override { return "GlobalSkyline [complete]"; }
   const char* failpoint_site() const override { return "exec.global_task"; }
   Result<PartitionedRelation> Execute(ExecContext* ctx) const override;
@@ -531,7 +529,6 @@ class GlobalSkylineExec : public PhysicalPlan {
   std::vector<skyline::BoundDimension> dims_;
   bool distinct_;
   SkylineKernel kernel_;
-  skyline::SfsSortKey sfs_sort_key_;
 };
 
 /// \brief Global skyline for incomplete data (paper section 5.7 /

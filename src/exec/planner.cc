@@ -32,32 +32,9 @@ Result<SkylinePartitioning> ParseSkylinePartitioning(const std::string& name) {
   if (lower == "asis" || lower == "as_is" || lower == "default") {
     return SkylinePartitioning::kAsIs;
   }
-  if (lower == "roundrobin" || lower == "round_robin") {
-    return SkylinePartitioning::kRoundRobin;
-  }
   if (lower == "angle") return SkylinePartitioning::kAngle;
   return Status::Invalid(StrCat("unknown skyline partitioning '", name,
-                                "' (asis | roundrobin | angle)"));
-}
-
-Result<skyline::SfsSortKey> ParseSfsSortKey(const std::string& name) {
-  const std::string lower = ToLower(name);
-  if (lower == "sum") return skyline::SfsSortKey::kSum;
-  if (lower == "minmax" || lower == "min_max" || lower == "minc") {
-    return skyline::SfsSortKey::kMinMax;
-  }
-  return Status::Invalid(
-      StrCat("unknown SFS sort key '", name, "' (sum | minmax)"));
-}
-
-const char* SfsSortKeyName(skyline::SfsSortKey key) {
-  switch (key) {
-    case skyline::SfsSortKey::kSum:
-      return "sum";
-    case skyline::SfsSortKey::kMinMax:
-      return "minmax";
-  }
-  return "?";
+                                "' (asis | angle)"));
 }
 
 const char* SkylineStrategyName(SkylineStrategy s) {
@@ -510,32 +487,28 @@ Result<PhysicalPlanPtr> PhysicalPlanner::PlanSkyline(
   switch (strategy) {
     case SkylineStrategy::kDistributedComplete: {
       // Default: keep the child's partitioning for the local pass (the
-      // paper's choice, section 5.6). Alternative schemes re-shuffle first.
+      // paper's choice, section 5.6). Angle partitioning re-shuffles first.
       PhysicalPlanPtr local_input = input;
-      if (options_.skyline_partitioning == SkylinePartitioning::kRoundRobin) {
-        local_input = std::make_shared<ExchangeExec>(ExchangeMode::kRoundRobin,
-                                                     dims, local_input);
-      } else if (options_.skyline_partitioning == SkylinePartitioning::kAngle) {
+      if (options_.skyline_partitioning == SkylinePartitioning::kAngle) {
         local_input = std::make_shared<ExchangeExec>(ExchangeMode::kAngle,
                                                      dims, local_input);
       }
       PhysicalPlanPtr local = std::make_shared<LocalSkylineExec>(
           dims, sky.distinct(), skyline::NullSemantics::kComplete,
-          std::move(local_input), options_.skyline_kernel,
-          options_.sfs_sort_key);
+          std::move(local_input), options_.skyline_kernel);
       // Prune every local skyline against the broadcast union of nominated
       // points *before* the gather pays for shipping them. Ineligible
       // inputs pass through unchanged.
       local = std::make_shared<BroadcastFilterExec>(dims, std::move(local));
       result = std::make_shared<GlobalSkylineExec>(
           dims, sky.distinct(), EnsureSinglePartition(std::move(local)),
-          options_.skyline_kernel, options_.sfs_sort_key);
+          options_.skyline_kernel);
       break;
     }
     case SkylineStrategy::kNonDistributedComplete: {
       result = std::make_shared<GlobalSkylineExec>(
           dims, sky.distinct(), EnsureSinglePartition(std::move(input)),
-          options_.skyline_kernel, options_.sfs_sort_key);
+          options_.skyline_kernel);
       break;
     }
     case SkylineStrategy::kDistributedIncomplete: {

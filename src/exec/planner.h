@@ -33,16 +33,10 @@ const char* SkylineStrategyName(SkylineStrategy s);
 enum class SkylinePartitioning : uint8_t {
   /// Keep the child's partitioning (the paper's choice, section 5.6).
   kAsIs,
-  /// Re-balance rows evenly first.
-  kRoundRobin,
   /// Angle-based space partitioning (Vlachou et al.).
   kAngle,
 };
 Result<SkylinePartitioning> ParseSkylinePartitioning(const std::string& name);
-
-/// Parses "sum" | "minmax" (sparkline.skyline.sfs.sort_key).
-Result<skyline::SfsSortKey> ParseSfsSortKey(const std::string& name);
-const char* SfsSortKeyName(skyline::SfsSortKey key);
 
 struct PlannerOptions {
   ClusterConfig cluster;
@@ -50,10 +44,6 @@ struct PlannerOptions {
   /// Kernel used by the skyline operators (paper future work: presorting).
   SkylineKernel skyline_kernel = SkylineKernel::kBlockNestedLoop;
   SkylinePartitioning skyline_partitioning = SkylinePartitioning::kAsIs;
-  /// Monotone SFS sort key: sum (the pre-existing score) or minmax
-  /// (SaLSa's minC function, whose stop bound is tight). Key:
-  /// sparkline.skyline.sfs.sort_key.
-  skyline::SfsSortKey sfs_sort_key = skyline::SfsSortKey::kSum;
   /// Lightweight cost-based selection (paper section 7): below this
   /// estimated input cardinality the planner skips the distributed local
   /// stage, because the global stage dominates anyway. 0 disables.

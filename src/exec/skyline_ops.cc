@@ -130,23 +130,19 @@ Result<std::vector<uint32_t>> PhysicalPlan::ChunkedGlobalSkyline(
 LocalSkylineExec::LocalSkylineExec(std::vector<skyline::BoundDimension> dims,
                                    bool distinct, skyline::NullSemantics nulls,
                                    PhysicalPlanPtr child,
-                                   SkylineKernel kernel,
-                                   skyline::SfsSortKey sfs_sort_key)
+                                   SkylineKernel kernel)
     : PhysicalPlan(child->output(), {child}),
       dims_(std::move(dims)),
       distinct_(distinct),
       nulls_(nulls),
-      kernel_(kernel),
-      sfs_sort_key_(sfs_sort_key) {}
+      kernel_(kernel) {}
 
 std::string LocalSkylineExec::label() const {
   return StrCat("LocalSkyline [",
                 nulls_ == skyline::NullSemantics::kComplete ? "complete"
                                                             : "incomplete",
                 ", ", dims_.size(), " dims",
-                kernel_ == SkylineKernel::kSortFilterSkyline
-                    ? ", sfs"
-                    : (kernel_ == SkylineKernel::kGridFilter ? ", grid" : ""),
+                kernel_ == SkylineKernel::kSortFilterSkyline ? ", sfs" : "",
                 "]");
 }
 
@@ -159,7 +155,6 @@ Result<PartitionedRelation> LocalSkylineExec::Execute(ExecContext* ctx) const {
   options.counter = ctx->dominance();
   options.deadline_nanos = ctx->deadline_nanos();
   options.cancel = ctx->cancel_token();
-  options.sfs_sort_key = sfs_sort_key_;
   options.early_stop = ctx->early_stop();
 
   const size_t n = in.partitions.size();
@@ -190,7 +185,7 @@ Result<PartitionedRelation> LocalSkylineExec::Execute(ExecContext* ctx) const {
     SL_ASSIGN_OR_RETURN(std::vector<uint32_t> survivors,
                         skyline::RunColumnarKernel(kernel_, batch.matrix(),
                                                    batch.indices(), options));
-    // SFS leaves its window in sort-key order; tag the view so the global
+    // SFS leaves its window in SFS order; tag the view so the global
     // stage can inherit the sort instead of re-sorting, and attach this
     // partition's SaLSa stop bound (the tightest max-coordinate over its
     // skyline) so the merge can inherit it too.
@@ -199,18 +194,16 @@ Result<PartitionedRelation> LocalSkylineExec::Execute(ExecContext* ctx) const {
     const double stop_bound =
         sorted ? skyline::ComputeStopBound(batch.matrix(), survivors)
                : std::numeric_limits<double>::infinity();
-    // Any other complete skyline is an antichain: left in kSum SFS order,
+    // Any other complete skyline is an antichain: left in SFS order,
     // it is a skyline part the global [merge] validates in place (an SFS
     // view keeps its sort order; the gather interleaves those instead).
     const bool skyline_part =
         nulls_ == skyline::NullSemantics::kComplete && !sorted;
     if (skyline_part) {
-      skyline::SortInSfsOrder(batch.matrix(), skyline::SfsSortKey::kSum,
-                              &survivors);
+      skyline::SortInSfsOrder(batch.matrix(), &survivors);
     }
     out.batches[i] = batch.WithSelection(std::move(survivors), sorted,
-                                         sfs_sort_key_, stop_bound,
-                                         skyline_part);
+                                         stop_bound, skyline_part);
     return Status::OK();
   }));
   SL_RETURN_NOT_OK(ChargeOutput(ctx, &out));
@@ -316,8 +309,8 @@ Result<PartitionedRelation> BroadcastFilterExec::Execute(
   }
 
   // Apply only after both stages fully succeeded. Pruned views stay
-  // subsequences of the input views, so the SFS sort flag, sort key, stop
-  // bound and skyline-part mark all remain valid: a pruned row (a bound
+  // subsequences of the input views, so the SFS sort flag, stop bound and
+  // skyline-part mark all remain valid: a pruned row (a bound
   // witness included) is strictly dominated by a filter point whose
   // domination chain terminates at a surviving row, so every elimination
   // downstream keeps a surviving witness by transitivity.
@@ -336,7 +329,7 @@ Result<PartitionedRelation> BroadcastFilterExec::Execute(
     const skyline::ColumnarBatch& b = *in.batches[i];
     rows_pruned += static_cast<int64_t>(b.num_rows() - pruned[i].size());
     out.batches[i] = b.WithSelection(std::move(pruned[i]), b.score_sorted(),
-                                     b.sort_key(), b.stop_bound(),
+                                     b.stop_bound(),
                                      b.skyline_parts().size() == 2);
   }
 
@@ -355,13 +348,11 @@ Result<PartitionedRelation> BroadcastFilterExec::Execute(
 
 GlobalSkylineExec::GlobalSkylineExec(std::vector<skyline::BoundDimension> dims,
                                      bool distinct, PhysicalPlanPtr child,
-                                     SkylineKernel kernel,
-                                     skyline::SfsSortKey sfs_sort_key)
+                                     SkylineKernel kernel)
     : PhysicalPlan(child->output(), {child}),
       dims_(std::move(dims)),
       distinct_(distinct),
-      kernel_(kernel),
-      sfs_sort_key_(sfs_sort_key) {}
+      kernel_(kernel) {}
 
 Result<PartitionedRelation> GlobalSkylineExec::Execute(ExecContext* ctx) const {
   SL_ASSIGN_OR_RETURN(PartitionedRelation in, children_[0]->Execute(ctx));
@@ -378,18 +369,15 @@ Result<PartitionedRelation> GlobalSkylineExec::Execute(ExecContext* ctx) const {
   options.counter = ctx->merge_dominance();
   options.deadline_nanos = ctx->deadline_nanos();
   options.cancel = ctx->cancel_token();
-  options.sfs_sort_key = sfs_sort_key_;
   options.early_stop = ctx->early_stop();
 
   const skyline::DominanceMatrix& matrix = batch.matrix();
   const std::vector<uint32_t>& view = batch.indices();
-  // Inherited SFS order: the view arrives in this query's SFS order (local
-  // SFS stages + the exchange's k-way merge), so every SFS pass here skips
-  // its sort.
-  const bool sfs_inherited =
-      kernel_ == SkylineKernel::kSortFilterSkyline &&
-      batch.score_sorted() && batch.sort_key() == sfs_sort_key_ &&
-      skyline::SfsFastPathApplicable(matrix, options);
+  // Inherited SFS order: the view arrives in SFS order (local SFS stages +
+  // the exchange's k-way merge), so every SFS pass here skips its sort.
+  const bool sfs_inherited = kernel_ == SkylineKernel::kSortFilterSkyline &&
+                             batch.score_sorted() &&
+                             skyline::SfsFastPathApplicable(matrix, options);
   if (sfs_inherited) {
     // Inherited stop bound: the tightest per-partition minC shipped with
     // the gathered batch. Its witness row is part of the gathered input,
@@ -460,10 +448,10 @@ Result<PartitionedRelation> GlobalSkylineExec::Execute(ExecContext* ctx) const {
         SL_ASSIGN_OR_RETURN(
             candidates[i],
             run_over(batch.Slice(bounds[i], bounds[i + 1]).indices()));
-        // Peers read the candidates in kSum SFS order, packed densely; the
-        // list itself keeps the kernel's order for the output.
+        // Peers read the candidates in SFS order, packed densely; the list
+        // itself keeps the kernel's order for the output.
         std::vector<uint32_t> by_score = candidates[i];
-        skyline::SortInSfsOrder(matrix, skyline::SfsSortKey::kSum, &by_score);
+        skyline::SortInSfsOrder(matrix, &by_score);
         packed[i] = skyline::PackKeys(matrix, by_score);
         peers[i].keys = packed[i].data();
         peers[i].size = by_score.size();
@@ -492,7 +480,7 @@ Result<PartitionedRelation> GlobalSkylineExec::Execute(ExecContext* ctx) const {
                            ? skyline::ComputeStopBound(matrix, survivors)
                            : std::numeric_limits<double>::infinity();
   out.batches[0] = batch.WithSelection(std::move(survivors), sfs_inherited,
-                                       sfs_sort_key_, bound);
+                                       bound);
   SL_RETURN_NOT_OK(ChargeOutput(ctx, &out));
   return out;
 }

@@ -20,34 +20,12 @@ class MemoryTracker;
 
 namespace skyline {
 
-/// \brief Monotone sort key of the SFS presorting family. Both keys order
-/// the input so that no tuple can be strictly dominated by a later one
-/// (over MIN-normalized values: MAX dimensions negated, so "smaller is
-/// better" everywhere):
-///
-///   kSum     sum of the normalized coordinates (DominanceMatrix::Score).
-///            A dominator's rounded sum is never larger than its victim's,
-///            but may be equal.
-///   kMinMax  SaLSa's minC function: primary key = the smallest normalized
-///            coordinate, tie-broken by the sum. This is the key whose stop
-///            bound is tight (see the SaLSa section of SkylineOptions).
-///
-/// Neither key alone orders a dominator strictly first, so both break ties
-/// lexicographically on the normalized keys — a dominator's first
-/// differing key is smaller — and only then by input order. That restores
-/// the "window only grows" argument.
-enum class SfsSortKey : uint8_t {
-  kSum,
-  kMinMax,
-};
-
 /// \brief Which kernel the skyline operators run. BNL is the paper's
-/// choice; SFS (presorting) and grid-based cell pruning are the section-7 /
-/// section-2 alternatives implemented as extensions.
+/// choice; SFS (presorting) is the section-7 alternative implemented as an
+/// extension.
 enum class SkylineKernel : uint8_t {
   kBlockNestedLoop,
   kSortFilterSkyline,
-  kGridFilter,
 };
 
 /// \brief Options shared by all skyline algorithms.
@@ -78,10 +56,9 @@ struct SkylineOptions {
   // provably strictly dominated. The pass maintains
   // minC = the smallest max-coordinate over the skyline points seen so far
   // (its witness dominates everything whose every coordinate strictly
-  // exceeds minC) and stops once that holds for all remaining tuples: for
-  // kMinMax, when the next min-coordinate exceeds minC; for kSum, when the
-  // smallest min-coordinate of the remaining tuples does (a suffix minimum;
-  // a rounded sum cannot bound a single coordinate exactly).
+  // exceeds minC) and stops once the smallest min-coordinate of the
+  // remaining tuples does (a suffix minimum: the presort orders by a
+  // rounded sum, which cannot bound a single coordinate exactly).
   //
   // Sound only for complete, non-null numeric MIN/MAX input: with NULLs or
   // incomplete semantics a masked comparison cannot be certified by a
@@ -89,8 +66,6 @@ struct SkylineOptions {
   // fallbacks never consult it). Only *strictly* dominated tuples are
   // skipped — never equal ones — so DISTINCT keeps its ties.
 
-  /// Which monotone presort the SFS family uses (see SfsSortKey).
-  SfsSortKey sfs_sort_key = SfsSortKey::kSum;
   /// Inherited stop bound in max-coordinate space (+infinity = none): the
   /// tightest minC produced by upstream passes whose witness points belong
   /// to the same relation (e.g. the per-partition bounds a gathered

@@ -277,14 +277,12 @@ ColumnarBatch ColumnarBatch::Concat(std::vector<ColumnarBatch>* parts,
   bool all_sorted = true;
   bool all_parts = true;
   bool ranked = false;
-  const SfsSortKey sort_key = parts->front().sort_key_;
   double stop_bound = std::numeric_limits<double>::infinity();
   for (const ColumnarBatch& part : *parts) {
     matrices.push_back(part.matrix_.get());
     selections.push_back(&part.indices_);
     total += part.num_rows();
-    // Sorted inheritance needs every part ascending in the *same* key.
-    all_sorted &= part.score_sorted_ && part.sort_key_ == sort_key;
+    all_sorted &= part.score_sorted_;
     all_parts &= !part.parts_.empty();
     // Each part's bound witness is one of its shipped rows, so the
     // tightest bound stays valid for the concatenated relation.
@@ -354,9 +352,8 @@ ColumnarBatch ColumnarBatch::Concat(std::vector<ColumnarBatch>* parts,
       offset += static_cast<uint32_t>(part.num_rows());
       runs.push_back(std::move(run));
     }
-    batch.indices_ = MergeByScore(*batch.matrix_, runs, sort_key);
+    batch.indices_ = MergeByScore(*batch.matrix_, runs);
     batch.score_sorted_ = true;
-    batch.sort_key_ = sort_key;
   } else {
     batch.indices_ = AllIndices(*batch.matrix_);
     if (all_parts && !ranked) {
@@ -377,13 +374,11 @@ ColumnarBatch ColumnarBatch::Concat(std::vector<ColumnarBatch>* parts,
 
 ColumnarBatch ColumnarBatch::WithSelection(std::vector<uint32_t> indices,
                                            bool score_sorted,
-                                           SfsSortKey sort_key,
                                            double stop_bound,
                                            bool skyline_part) const {
   ColumnarBatch batch = *this;
   batch.indices_ = std::move(indices);
   batch.score_sorted_ = score_sorted;
-  batch.sort_key_ = sort_key;
   batch.stop_bound_ = stop_bound;
   batch.parts_.clear();
   if (skyline_part) {
@@ -483,20 +478,18 @@ bool KeysLexLess(const double* a, const double* b, size_t d) {
 /// (and any inherited bound) of MaxKey and terminates once every remaining
 /// tuple's MinKey exceeds it: then every coordinate of every remaining
 /// tuple strictly exceeds minC, and the bound's witness strictly dominates
-/// them all. Under kMinMax the order ascends in MinKey, so the next tuple's
-/// MinKey decides; under kSum a suffix minimum does, because a rounded sum
-/// cannot bound a single coordinate exactly. NULL bitmaps disable the stop
-/// (NULL key slots hold placeholders, so coordinate bounds are
-/// meaningless).
+/// them all. The order ascends in a rounded sum, which cannot bound a single
+/// coordinate exactly, so a suffix minimum of MinKey decides. NULL bitmaps
+/// disable the stop (NULL key slots hold placeholders, so coordinate bounds
+/// are meaningless).
 Result<std::vector<uint32_t>> SfsFilterPass(const DominanceMatrix& matrix,
                                             const std::vector<uint32_t>& ordered,
                                             const SkylineOptions& options) {
   const size_t d = matrix.num_dims();
   const bool early_stop = !matrix.has_nulls();
-  const SfsSortKey sort_key = options.sfs_sort_key;
-  // remaining_min[pos] = the smallest MinKey over ordered[pos..] (kSum).
+  // remaining_min[pos] = the smallest MinKey over ordered[pos..].
   std::vector<double> remaining_min;
-  if (early_stop && sort_key == SfsSortKey::kSum) {
+  if (early_stop) {
     remaining_min.assign(ordered.size(), kInf);
     double lo = kInf;
     for (size_t pos = ordered.size(); pos-- > 0;) {
@@ -517,10 +510,7 @@ Result<std::vector<uint32_t>> SfsFilterPass(const DominanceMatrix& matrix,
     if (early_stop) {
       // Stop point. Strict-only elimination never drops equal tuples, so
       // DISTINCT is unaffected.
-      const double remaining = sort_key == SfsSortKey::kMinMax
-                                   ? matrix.MinKey(tuple)
-                                   : remaining_min[pos];
-      if (remaining > min_c) {
+      if (remaining_min[pos] > min_c) {
         if (options.early_stop != nullptr) {
           options.early_stop->rows_skipped.fetch_add(
               static_cast<int64_t>(ordered.size() - pos),
@@ -555,24 +545,18 @@ Result<std::vector<uint32_t>> SfsFilterPass(const DominanceMatrix& matrix,
 
 }  // namespace
 
-void SortInSfsOrder(const DominanceMatrix& matrix, SfsSortKey sort_key,
+void SortInSfsOrder(const DominanceMatrix& matrix,
                     std::vector<uint32_t>* rows) {
   struct Keyed {
-    double min_key;  // 0 under kSum
     double score;
     uint32_t row;
   };
   std::vector<Keyed> keyed;
   keyed.reserve(rows->size());
-  for (const uint32_t r : *rows) {
-    keyed.push_back(
-        {sort_key == SfsSortKey::kMinMax ? matrix.MinKey(r) : 0.0,
-         matrix.Score(r), r});
-  }
+  for (const uint32_t r : *rows) keyed.push_back({matrix.Score(r), r});
   const size_t d = matrix.num_dims();
   std::stable_sort(keyed.begin(), keyed.end(),
                    [&](const Keyed& a, const Keyed& b) {
-                     if (a.min_key != b.min_key) return a.min_key < b.min_key;
                      if (a.score != b.score) return a.score < b.score;
                      return KeysLexLess(matrix.row_keys(a.row),
                                         matrix.row_keys(b.row), d);
@@ -587,7 +571,7 @@ Result<std::vector<uint32_t>> ColumnarSortFilterSkyline(
     return ColumnarBlockNestedLoop(matrix, input, options);
   }
   std::vector<uint32_t> ordered = input;
-  SortInSfsOrder(matrix, options.sfs_sort_key, &ordered);
+  SortInSfsOrder(matrix, &ordered);
   return SfsFilterPass(matrix, ordered, options);
 }
 
@@ -600,17 +584,12 @@ Result<std::vector<uint32_t>> ColumnarSortFilterSkylinePresorted(
 
 std::vector<uint32_t> MergeByScore(
     const DominanceMatrix& matrix,
-    const std::vector<std::vector<uint32_t>>& runs, SfsSortKey sort_key) {
+    const std::vector<std::vector<uint32_t>>& runs) {
   // Iterative stable two-way merges: std::merge takes from the first range
   // on ties, and earlier runs accumulate on the left, so equal keys keep
   // run order — the same tie-break a global stable sort would produce.
   std::vector<uint32_t> merged;
   auto key_less = [&](uint32_t a, uint32_t b) {
-    if (sort_key == SfsSortKey::kMinMax) {
-      const double ma = matrix.MinKey(a);
-      const double mb = matrix.MinKey(b);
-      if (ma != mb) return ma < mb;
-    }
     const double sa = matrix.Score(a);
     const double sb = matrix.Score(b);
     if (sa != sb) return sa < sb;
@@ -699,93 +678,6 @@ Result<std::vector<uint32_t>> PruneAgainstFilter(
     if (!dominated) survivors.push_back(r);
   }
   return survivors;
-}
-
-Result<std::vector<uint32_t>> ColumnarGridFilterSkyline(
-    const DominanceMatrix& matrix, const std::vector<uint32_t>& input,
-    const SkylineOptions& options) {
-  const size_t n = input.size();
-  const size_t num_dims = matrix.num_dims();
-  // Cell keys pack 4 bits per dimension into a uint64_t, so beyond 16
-  // dimensions the shift would silently wrap — fall back (regression-tested).
-  if (options.nulls != NullSemantics::kComplete || n < 64 ||
-      !matrix.all_numeric_minmax() || num_dims > 16) {
-    return ColumnarBlockNestedLoop(matrix, input, options);
-  }
-  // Roughly n^(1/d) buckets per dimension, clamped to [2, 16]. All keys are
-  // already "smaller is better", so no bucket mirroring is needed: floor
-  // bucketing keeps the strictness argument — a point in bucket b lies
-  // strictly below the lower edge of bucket b+1, so cell A < cell B in every
-  // dimension implies every point of A strictly dominates every point of B.
-  size_t buckets = static_cast<size_t>(
-      std::round(std::pow(static_cast<double>(n), 1.0 / num_dims)));
-  buckets = std::min<size_t>(16, std::max<size_t>(2, buckets));
-
-  std::vector<double> lo(num_dims), hi(num_dims);
-  for (size_t d = 0; d < num_dims; ++d) {
-    lo[d] = hi[d] = matrix.key(input[0], d);
-  }
-  for (const uint32_t r : input) {
-    const double* keys = matrix.row_keys(r);
-    for (size_t d = 0; d < num_dims; ++d) {
-      lo[d] = std::min(lo[d], keys[d]);
-      hi[d] = std::max(hi[d], keys[d]);
-    }
-  }
-
-  auto cell_key = [&](uint32_t r) {
-    const double* keys = matrix.row_keys(r);
-    uint64_t key = 0;
-    for (size_t d = 0; d < num_dims; ++d) {
-      const double width = (hi[d] - lo[d]) / static_cast<double>(buckets);
-      uint64_t b = 0;
-      if (width > 0) {
-        b = static_cast<uint64_t>((keys[d] - lo[d]) / width);
-        if (b >= buckets) b = buckets - 1;
-      }
-      key = (key << 4) | b;
-    }
-    return key;
-  };
-
-  std::map<uint64_t, std::vector<uint32_t>> cells;
-  for (const uint32_t r : input) cells[cell_key(r)].push_back(r);
-  if (cells.size() > 4096) {
-    // Too fragmented for the quadratic cell pass to pay off.
-    return ColumnarBlockNestedLoop(matrix, input, options);
-  }
-
-  auto unpack = [&](uint64_t key, size_t d) {
-    return (key >> (4 * (num_dims - 1 - d))) & 0xf;
-  };
-  std::vector<uint64_t> keys;
-  keys.reserve(cells.size());
-  for (const auto& [key, rows] : cells) keys.push_back(key);
-
-  std::vector<uint32_t> survivors;
-  DeadlineChecker deadline(options);
-  for (const uint64_t key : keys) {
-    bool eliminated = false;
-    for (const uint64_t other : keys) {
-      SL_RETURN_NOT_OK(deadline.Check());
-      if (other == key) continue;
-      bool strictly_better_everywhere = true;
-      for (size_t d = 0; d < num_dims; ++d) {
-        if (unpack(other, d) >= unpack(key, d)) {
-          strictly_better_everywhere = false;
-          break;
-        }
-      }
-      if (strictly_better_everywhere) {
-        eliminated = true;
-        break;
-      }
-    }
-    if (!eliminated) {
-      for (const uint32_t r : cells[key]) survivors.push_back(r);
-    }
-  }
-  return ColumnarBlockNestedLoop(matrix, survivors, options);
 }
 
 Result<std::vector<uint32_t>> ColumnarAllPairsIncomplete(
@@ -897,7 +789,7 @@ Result<std::vector<uint32_t>> ColumnarValidateAgainstPeers(
     bool eliminated = false;
     for (const PeerKeys& peer : peers) {
       // Only a prefix of the peer can eliminate c: the rows ahead of it in
-      // kSum SFS order, and, when an earlier peer's ties count under
+      // SFS order, and, when an earlier peer's ties count under
       // DISTINCT, the rows identical to it. Binary-search its end.
       const bool ties = options.distinct && peer.earlier;
       size_t end = 0;
@@ -961,30 +853,13 @@ std::vector<Row> MaterializeRows(const std::vector<Row>& input,
   return out;
 }
 
-namespace {
-
-Result<std::vector<uint32_t>> DispatchKernel(SkylineKernel kernel,
-                                             const DominanceMatrix& matrix,
-                                             const std::vector<uint32_t>& input,
-                                             const SkylineOptions& options) {
-  switch (kernel) {
-    case SkylineKernel::kSortFilterSkyline:
-      return ColumnarSortFilterSkyline(matrix, input, options);
-    case SkylineKernel::kGridFilter:
-      return ColumnarGridFilterSkyline(matrix, input, options);
-    case SkylineKernel::kBlockNestedLoop:
-      break;
-  }
-  return ColumnarBlockNestedLoop(matrix, input, options);
-}
-
-}  // namespace
-
 Result<std::vector<uint32_t>> RunColumnarKernel(
     SkylineKernel kernel, const DominanceMatrix& matrix,
     const std::vector<uint32_t>& input, const SkylineOptions& options) {
   if (options.nulls == NullSemantics::kComplete) {
-    return DispatchKernel(kernel, matrix, input, options);
+    return kernel == SkylineKernel::kSortFilterSkyline
+               ? ColumnarSortFilterSkyline(matrix, input, options)
+               : ColumnarBlockNestedLoop(matrix, input, options);
   }
   // Incomplete semantics: one BNL per bitmap-uniform group over the shared
   // matrix (no per-group re-projection). Every row of a group holds the

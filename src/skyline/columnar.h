@@ -23,7 +23,7 @@
 // negated for MAX. Every key is therefore finite, so no Score sum is NaN.
 // Rank codes are only comparable within one matrix, so a ranked dimension
 // clears all_numeric_minmax() and every cross-matrix consumer (SFS stop
-// bounds, the broadcast filter, grid cells) bypasses it.
+// bounds, the broadcast filter) bypasses it.
 //
 // The kernels in this header run entirely over row *indices* into the
 // matrix and materialize full Rows only for the final survivors. They must
@@ -184,7 +184,7 @@ class DominanceMatrix {
   bool has_nulls() const { return !nulls_.empty(); }
 
   /// True when every dimension is a directly keyed numeric MIN/MAX — the
-  /// precondition of SFS, grid cells, stop bounds and the broadcast filter,
+  /// precondition of SFS, stop bounds and the broadcast filter,
   /// whose keys or bounds must mean the same thing in every matrix. BOOLEAN,
   /// DIFF and ranked dimensions clear it.
   bool all_numeric_minmax() const { return numeric_minmax_; }
@@ -217,9 +217,9 @@ class DominanceMatrix {
     return s;
   }
 
-  /// Smallest normalized key of one row — SaLSa's minC sort function (the
-  /// SfsSortKey::kMinMax primary key). Only meaningful for all-numeric
-  /// MIN/MAX matrices without NULLs (NULL slots hold 0.0 placeholders).
+  /// Smallest normalized key of one row — the coordinate the SFS stop point
+  /// compares with minC. Only meaningful for all-numeric MIN/MAX matrices
+  /// without NULLs (NULL slots hold 0.0 placeholders).
   double MinKey(uint32_t row) const {
     const double* keys = row_keys(row);
     double lo = keys[0];
@@ -325,22 +325,20 @@ Result<std::vector<uint32_t>> ColumnarBlockNestedLoop(
     const DominanceMatrix& matrix, const std::vector<uint32_t>& input,
     const SkylineOptions& options);
 
-/// \brief Sorts `rows` (stable) into SFS order for `sort_key`: ascending
-/// sort key — Score for kSum, MinKey then Score for kMinMax — with ties
+/// \brief Sorts `rows` (stable) into SFS order: ascending Score, with ties
 /// broken lexicographically on the packed keys, then by input order. No
-/// row sorts after a row it dominates: a dominator's sort key is never
-/// larger, and its keys are lexicographically smaller. The kSum order is
-/// also the one ColumnarValidateAgainstPeers reads its peers in.
-void SortInSfsOrder(const DominanceMatrix& matrix, SfsSortKey sort_key,
-                    std::vector<uint32_t>* rows);
+/// row sorts after a row it dominates: a dominator's score is never larger
+/// (but may be equal, the sum being rounded), and its keys are
+/// lexicographically smaller. It is also the order
+/// ColumnarValidateAgainstPeers reads its peers in.
+void SortInSfsOrder(const DominanceMatrix& matrix, std::vector<uint32_t>* rows);
 
 /// \brief Sort-Filter-Skyline, the presorting family the paper lists as
 /// future work (section 7). Falls back to ColumnarBlockNestedLoop under
 /// incomplete semantics or unless all_numeric_minmax(). Sorts into SFS
-/// order for options.sfs_sort_key (SortInSfsOrder), in which no tuple can
-/// be dominated by a later one, so the window only grows. The filter pass
-/// terminates at the SaLSa stop point (skipped when the matrix has NULL
-/// bitmaps).
+/// order (SortInSfsOrder), in which no tuple can be dominated by a later
+/// one, so the window only grows. The filter pass terminates at the SaLSa
+/// stop point (skipped when the matrix has NULL bitmaps).
 Result<std::vector<uint32_t>> ColumnarSortFilterSkyline(
     const DominanceMatrix& matrix, const std::vector<uint32_t>& input,
     const SkylineOptions& options);
@@ -355,17 +353,16 @@ inline bool SfsFastPathApplicable(const DominanceMatrix& matrix,
          matrix.all_numeric_minmax();
 }
 
-/// \brief Sort-Filter-Skyline over input that is *already* ascending in the
-/// active sort key (options.sfs_sort_key) — the inherited-order variant the
-/// merge stage runs when its input views come from upstream SFS stages,
-/// skipping the re-sort entirely. Its stop bound starts from any inherited
-/// options.sfs_stop_bound (the tightest per-partition bound the gathered
-/// batch carries), so a presorted merge can terminate before scanning most
-/// of the gathered input.
+/// \brief Sort-Filter-Skyline over input that is *already* in SFS order —
+/// the inherited-order variant the merge stage runs when its input views
+/// come from upstream SFS stages, skipping the re-sort entirely. Its stop
+/// bound starts from any inherited options.sfs_stop_bound (the tightest
+/// per-partition bound the gathered batch carries), so a presorted merge
+/// can terminate before scanning most of the gathered input.
 ///
 /// \pre SfsFastPathApplicable(matrix, options) holds and `input` is in SFS
-/// order for the active sort key (SortInSfsOrder; rows equal in every key
-/// in the caller's intended DISTINCT tie-break order).
+/// order (SortInSfsOrder; rows equal in every key in the caller's intended
+/// DISTINCT tie-break order).
 Result<std::vector<uint32_t>> ColumnarSortFilterSkylinePresorted(
     const DominanceMatrix& matrix, const std::vector<uint32_t>& input,
     const SkylineOptions& options);
@@ -373,13 +370,10 @@ Result<std::vector<uint32_t>> ColumnarSortFilterSkylinePresorted(
 /// \brief Merges index runs in SFS order into one vector in SFS order
 /// (O(n · k) cascade of stable merges; rows equal in every key keep earlier
 /// runs first, so merging per-partition SFS outputs reproduces the order of
-/// one global stable sort over the concatenated input). `sort_key` selects
-/// the comparator — Score for kSum, (MinKey, Score) for kMinMax, either
-/// tie-broken lexicographically on the packed keys — and must match the key
-/// the runs were sorted with.
-std::vector<uint32_t> MergeByScore(const DominanceMatrix& matrix,
-                                   const std::vector<std::vector<uint32_t>>& runs,
-                                   SfsSortKey sort_key = SfsSortKey::kSum);
+/// one global stable sort over the concatenated input).
+std::vector<uint32_t> MergeByScore(
+    const DominanceMatrix& matrix,
+    const std::vector<std::vector<uint32_t>>& runs);
 
 /// \brief The tightest SaLSa stop bound a (skyline) result view supports:
 /// the smallest MaxKey over the view's rows (+infinity for an empty view or
@@ -434,18 +428,6 @@ Result<std::vector<uint32_t>> PruneAgainstFilter(
     const DominanceMatrix& matrix, const std::vector<uint32_t>& view,
     const FilterPointSet& filter, const SkylineOptions& options);
 
-/// \brief Grid-based skyline with cell-level pruning (Tang et al., paper
-/// section 2): rows are bucketed into a uniform grid over the normalized
-/// keys (all dimensions MIN after negation, so no bucket mirroring is
-/// needed); a non-empty cell strictly below another cell in *every*
-/// dimension eliminates it wholesale, then ColumnarBlockNestedLoop runs
-/// over the survivors. Falls back to plain BNL under incomplete semantics,
-/// unless all_numeric_minmax(), for fewer than 64 rows, and beyond 16
-/// dimensions (cell keys pack 4 bits per dimension).
-Result<std::vector<uint32_t>> ColumnarGridFilterSkyline(
-    const DominanceMatrix& matrix, const std::vector<uint32_t>& input,
-    const SkylineOptions& options);
-
 /// \brief Global skyline for (potentially) incomplete data: compares all
 /// pairs and only *flags* dominated tuples, deleting them after the last
 /// comparison. Deferred deletion is what makes cyclic dominance safe
@@ -490,7 +472,7 @@ std::vector<double> PackKeys(const DominanceMatrix& matrix,
                              const std::vector<uint32_t>& rows);
 
 /// \brief One peer's candidates as ColumnarValidateAgainstPeers reads them:
-/// `size` rows in kSum SFS order (SortInSfsOrder), their keys packed
+/// `size` rows in SFS order (SortInSfsOrder), their keys packed
 /// densely (row k at keys + k * num_dims: PackKeys over such a list, or a
 /// contiguous run of matrix rows). Non-owning.
 struct PeerKeys {
@@ -511,14 +493,14 @@ struct PeerKeys {
 /// are read-only, so one task per candidate list can run concurrently.
 ///
 /// For each candidate c, each peer is scanned from its lowest score only
-/// while the peer's row is ahead of c in kSum SFS order (a dominator's
+/// while the peer's row is ahead of c in SFS order (a dominator's
 /// score is never larger, and may be equal, but its keys are
 /// lexicographically smaller) — or, for an earlier peer under DISTINCT,
 /// identical to c. Compares with CompareKeySpansComplete when
 /// diff_mask() == 0, CompareKeySpans otherwise; counts every test and polls
 /// the deadline.
 ///
-/// \pre options.nulls is kComplete; every peer is in kSum SFS order and
+/// \pre options.nulls is kComplete; every peer is in SFS order and
 /// packed from this matrix (or an identical copy of its keys).
 Result<std::vector<uint32_t>> ColumnarValidateAgainstPeers(
     const DominanceMatrix& matrix, const std::vector<uint32_t>& candidates,
@@ -552,7 +534,7 @@ Result<std::vector<uint32_t>> RunColumnarKernel(
 /// \brief The unit the columnar exchange ships between skyline stages: one
 /// immutable, shared DominanceMatrix over a set of backing rows (matrix row
 /// i is the projection of backing row i) plus a row-index *view* selecting
-/// the live subset, and an optional inherited SFS sort order.
+/// the live subset, and an optional inherited SFS order.
 ///
 /// Ownership rules: matrix, backing rows and the memory reservation are
 /// shared (shared_ptr) and never mutated after construction; copying a
@@ -595,12 +577,12 @@ class ColumnarBatch {
   /// `*reprojected` (if non-null) is set — the one matrix build a gather
   /// can cost.
   ///
-  /// If every part is score-sorted with the same sort key, the merged view
-  /// is produced by MergeByScore and stays score-sorted (SFS-order
-  /// inheritance across the exchange). The result's stop bound is the
-  /// minimum over the parts' bounds — every part's witness row is shipped,
-  /// so the tightest local bound survives the gather. A re-projected result
-  /// carries neither (bounds never cross key spaces).
+  /// If every part is score-sorted, the merged view is produced by
+  /// MergeByScore and stays score-sorted (SFS-order inheritance across the
+  /// exchange). The result's stop bound is the minimum over the parts'
+  /// bounds — every part's witness row is shipped, so the tightest local
+  /// bound survives the gather. A re-projected result carries neither
+  /// (bounds never cross key spaces).
   ///
   /// Otherwise the view is the identity, so each part's rows stay one
   /// contiguous run of matrix rows, and if every part carries skyline parts
@@ -620,14 +602,13 @@ class ColumnarBatch {
                               bool* reprojected = nullptr);
 
   /// A derived view over the same matrix/rows (e.g. the survivors of a
-  /// kernel run). `score_sorted` asserts the new view is ascending in
-  /// `sort_key`; `stop_bound` is the SaLSa stop bound the view's rows
+  /// kernel run). `score_sorted` asserts the new view is in SFS order
+  /// (SortInSfsOrder); `stop_bound` is the SaLSa stop bound the view's rows
   /// support (ComputeStopBound; +infinity = none), carried so the global
   /// merge can inherit the tightest per-partition bound. `skyline_part`
   /// asserts the whole view is one skyline part (see skyline_parts()).
   ColumnarBatch WithSelection(
       std::vector<uint32_t> indices, bool score_sorted,
-      SfsSortKey sort_key = SfsSortKey::kSum,
       double stop_bound = std::numeric_limits<double>::infinity(),
       bool skyline_part = false) const;
 
@@ -640,8 +621,6 @@ class ColumnarBatch {
   const std::vector<uint32_t>& indices() const { return indices_; }
   size_t num_rows() const { return indices_.size(); }
   bool score_sorted() const { return score_sorted_; }
-  /// The key the view is sorted by; meaningful only when score_sorted().
-  SfsSortKey sort_key() const { return sort_key_; }
   /// Tightest inherited SaLSa stop bound (+infinity = none). Its witness is
   /// a row of this batch (or of an upstream batch of the same relation), so
   /// downstream SFS passes over supersets of this view may seed their minC
@@ -652,7 +631,7 @@ class ColumnarBatch {
   /// [b_j, b_{j+1}) is an antichain under complete dominance — the skyline
   /// of one partition (LocalSkylineExec), or a subset of it whose missing
   /// rows some shipped row strictly dominates (BroadcastFilterExec) — and
-  /// is in kSum SFS order (SortInSfsOrder). So the complete skyline of the
+  /// is in SFS order (SortInSfsOrder). So the complete skyline of the
   /// whole view is what ColumnarValidateAgainstPeers keeps of each part
   /// against the others, with no per-part skyline pass first.
   const std::vector<uint32_t>& skyline_parts() const { return parts_; }
@@ -696,8 +675,6 @@ class ColumnarBatch {
   std::vector<BoundDimension> dims_;  ///< what the matrix was projected for
   std::vector<uint32_t> indices_;  ///< the view, in processing order
   bool score_sorted_ = false;
-  /// Key the view is ascending in (valid when score_sorted_).
-  SfsSortKey sort_key_ = SfsSortKey::kSum;
   /// Tightest SaLSa stop bound of the view (+infinity = none).
   double stop_bound_ = std::numeric_limits<double>::infinity();
   /// Skyline-part offsets into the view (empty = none).

@@ -1,8 +1,8 @@
 // Tests for the columnar dominance subsystem (skyline/columnar.h): the
 // DominanceMatrix projection and its order-exact encoding of every admitted
 // type (huge BIGINTs, NaN, VARCHAR goals), the index-based kernels'
-// equivalence with the brute-force oracle, and the limits that keep them
-// safe (>32 dimensions, >16-dimension grid cell keys).
+// equivalence with the brute-force oracle, and the limit that keeps them
+// safe (>32 dimensions).
 #include <cmath>
 #include <limits>
 #include <map>
@@ -225,8 +225,7 @@ TEST(DominanceMatrixTest, NaNRanksAboveInfinity) {
 
 // ±inf has no finite key: a row holding +inf in one normalized key and
 // -inf in another would score NaN, which breaks the SFS presort's strict
-// weak ordering and the grid kernel's bucket cast. Ranked, every key and
-// every Score is finite.
+// weak ordering. Ranked, every key and every Score is finite.
 TEST(DominanceMatrixTest, InfinitiesAreRankedSoScoresStayFinite) {
   const double inf = std::numeric_limits<double>::infinity();
   std::vector<Row> rows{R({inf, -inf, 5}), R({3, 4, 4}), R({1, -inf, 5}),
@@ -343,8 +342,7 @@ INSTANTIATE_TEST_SUITE_P(
     Kernels, ColumnarKernelEquivalence,
     ::testing::Values(
         KernelCase{SkylineKernel::kBlockNestedLoop, "bnl"},
-        KernelCase{SkylineKernel::kSortFilterSkyline, "sfs"},
-        KernelCase{SkylineKernel::kGridFilter, "grid"}),
+        KernelCase{SkylineKernel::kSortFilterSkyline, "sfs"}),
     [](const ::testing::TestParamInfo<KernelCase>& info) {
       return info.param.name;
     });
@@ -577,8 +575,7 @@ TEST(ColumnarKernelTest, EveryKernelHonorsCancelledToken) {
   token.Cancel();
 
   for (const SkylineKernel kernel :
-       {SkylineKernel::kBlockNestedLoop, SkylineKernel::kSortFilterSkyline,
-        SkylineKernel::kGridFilter}) {
+       {SkylineKernel::kBlockNestedLoop, SkylineKernel::kSortFilterSkyline}) {
     SkylineOptions opts;
     opts.cancel = &token;
     auto r = ColumnarSkyline(kernel, rows, dims, opts);
@@ -589,10 +586,9 @@ TEST(ColumnarKernelTest, EveryKernelHonorsCancelledToken) {
 
   // The early-stop SFS pass on correlated data (where the stop normally
   // fires) still honors cancellation before reaching its stop point.
-  for (const SfsSortKey key : {SfsSortKey::kSum, SfsSortKey::kMinMax}) {
+  {
     SkylineOptions opts;
     opts.cancel = &token;
-    opts.sfs_sort_key = key;
     auto r = ColumnarSkyline(SkylineKernel::kSortFilterSkyline,
                              CorrelatedRows(20000, 4, 23), dims, opts);
     ASSERT_FALSE(r.ok());
@@ -604,7 +600,7 @@ TEST(ColumnarKernelTest, EveryKernelHonorsCancelledToken) {
     auto matrix = DominanceMatrix::Build(rows, dims);
     ASSERT_TRUE(matrix.ok());
     std::vector<uint32_t> peer = AllIndices(*matrix);
-    SortInSfsOrder(*matrix, SfsSortKey::kSum, &peer);
+    SortInSfsOrder(*matrix, &peer);
     const std::vector<double> keys = PackKeys(*matrix, peer);
     SkylineOptions opts;
     opts.cancel = &token;
@@ -625,28 +621,13 @@ TEST(ColumnarKernelTest, EveryKernelHonorsCancelledToken) {
   EXPECT_EQ(incomplete.status().code(), StatusCode::kCancelled);
 }
 
-// --- regression: grid cell-key overflow past 16 dimensions -----------------
-
-TEST(GridOverflowRegression, GridFallsBackBeyond16Dims) {
-  // 17 dimensions * 4 bits = 68 bits: the cell key would silently wrap and
-  // merge unrelated cells. The guard must fall back to BNL and keep the
-  // result identical to brute force.
-  std::vector<Row> rows = RandomRows(128, 17, /*null_rate=*/0.0, 2, 98);
-  auto dims = MinDims(17);
-  SkylineOptions options;
-  auto grid = ColumnarSkyline(SkylineKernel::kGridFilter, rows, dims, options);
-  ASSERT_TRUE(grid.ok());
-  EXPECT_EQ(Sorted(*grid), Sorted(BruteForceSkyline(rows, dims, options)));
-}
-
 // --- regression: 32-dimension limit is a checked Status --------------------
 
 TEST(DimensionLimitTest, EntryPointsReturnStatusBeyond32Dims) {
   std::vector<Row> rows{R(std::vector<double>(33, 1.0))};
   auto dims = MinDims(33);
   for (const SkylineKernel kernel :
-       {SkylineKernel::kBlockNestedLoop, SkylineKernel::kSortFilterSkyline,
-        SkylineKernel::kGridFilter}) {
+       {SkylineKernel::kBlockNestedLoop, SkylineKernel::kSortFilterSkyline}) {
     auto result = ColumnarSkyline(kernel, rows, dims, {});
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
@@ -934,8 +915,8 @@ TEST(ColumnarBatchTest, ConcatReRanksWhenOnePartHasNaN) {
                                           clean_batch->indices(), options);
   ASSERT_TRUE(sorted.ok());
   const double bound = ComputeStopBound(clean_batch->matrix(), *sorted);
-  parts.push_back(clean_batch->WithSelection(clean_batch->indices(), true,
-                                             SfsSortKey::kSum, bound));
+  parts.push_back(
+      clean_batch->WithSelection(clean_batch->indices(), true, bound));
   auto dirty_batch = ColumnarBatch::Project(SharedRows(dirty), dims);
   ASSERT_TRUE(dirty_batch.ok());
   EXPECT_EQ(dirty_batch->matrix().ranked_mask(), 3u);
@@ -978,10 +959,10 @@ TEST(ColumnarBatchTest, ConcatKeepsSkylinePartBoundaries) {
       auto local =
           ColumnarBlockNestedLoop(batch->matrix(), batch->indices(), {});
       SL_CHECK(local.ok());
-      SortInSfsOrder(batch->matrix(), SfsSortKey::kSum, &*local);
+      SortInSfsOrder(batch->matrix(), &*local);
       parts.push_back(batch->WithSelection(
-          *local, sorted, SfsSortKey::kSum,
-          std::numeric_limits<double>::infinity(), mark_all || seed != 2));
+          *local, sorted, std::numeric_limits<double>::infinity(),
+          mark_all || seed != 2));
     }
     std::vector<uint32_t> expected = {0};
     for (const ColumnarBatch& part : parts) {
@@ -1024,11 +1005,9 @@ TEST(ColumnarBatchTest, MatrixMemoryChargedForBatchLifetime) {
 // --- SaLSa-style early termination ------------------------------------------
 
 std::vector<Row> SfsWith(const std::vector<Row>& rows,
-                         const std::vector<BoundDimension>& dims,
-                         SfsSortKey key, bool distinct,
+                         const std::vector<BoundDimension>& dims, bool distinct,
                          EarlyStopStats* stats = nullptr) {
   SkylineOptions options;
-  options.sfs_sort_key = key;
   options.distinct = distinct;
   options.early_stop = stats;
   auto result = ColumnarSkyline(SkylineKernel::kSortFilterSkyline, rows, dims,
@@ -1037,7 +1016,7 @@ std::vector<Row> SfsWith(const std::vector<Row>& rows,
   return *std::move(result);
 }
 
-TEST(SfsEarlyStop, ResultMatchesBnlAcrossKeysAndDistributions) {
+TEST(SfsEarlyStop, ResultMatchesBnlAcrossDistributions) {
   struct Workload {
     const char* name;
     std::vector<Row> rows;
@@ -1051,20 +1030,17 @@ TEST(SfsEarlyStop, ResultMatchesBnlAcrossKeysAndDistributions) {
     const size_t num_dims = w.rows[0].size();
     auto dims = MinDims(num_dims);
     dims[1].goal = SkylineGoal::kMax;  // exercise the negated-key path
-    for (const SfsSortKey key : {SfsSortKey::kSum, SfsSortKey::kMinMax}) {
-      for (const bool distinct : {false, true}) {
-        SkylineOptions options;
-        options.distinct = distinct;
-        auto bnl = ColumnarSkyline(SkylineKernel::kBlockNestedLoop, w.rows,
-                                   dims, options);
-        ASSERT_TRUE(bnl.ok());
-        const std::vector<Row> stopped = SfsWith(w.rows, dims, key, distinct);
-        EXPECT_EQ(Sorted(stopped), Sorted(*bnl))
-            << w.name << " key=" << static_cast<int>(key)
-            << " distinct=" << distinct;
-        EXPECT_EQ(Sorted(stopped),
-                  Sorted(BruteForceSkyline(w.rows, dims, options)));
-      }
+    for (const bool distinct : {false, true}) {
+      SkylineOptions options;
+      options.distinct = distinct;
+      auto bnl = ColumnarSkyline(SkylineKernel::kBlockNestedLoop, w.rows, dims,
+                                 options);
+      ASSERT_TRUE(bnl.ok());
+      const std::vector<Row> stopped = SfsWith(w.rows, dims, distinct);
+      EXPECT_EQ(Sorted(stopped), Sorted(*bnl))
+          << w.name << " distinct=" << distinct;
+      EXPECT_EQ(Sorted(stopped),
+                Sorted(BruteForceSkyline(w.rows, dims, options)));
     }
   }
 }
@@ -1073,27 +1049,23 @@ TEST(SfsEarlyStop, SkipsMostRowsOnCorrelatedData) {
   const std::vector<Row> rows = CorrelatedRows(2000, 4, 11);
   const auto dims = MinDims(4);
   EarlyStopStats stats;
-  SfsWith(rows, dims, SfsSortKey::kMinMax, false, &stats);
+  SfsWith(rows, dims, false, &stats);
   EXPECT_GE(stats.stops.load(), 1);
   EXPECT_GT(stats.rows_skipped.load(), static_cast<int64_t>(rows.size()) / 3)
       << "the minC stop point must skip >1/3 of a correlated input";
 }
 
-TEST(SfsEarlyStop, BothSortKeysMatchOracleAndMinMaxSkips) {
+TEST(SfsEarlyStop, StoppedPassMatchesOracle) {
   // All-MIN goals: with a MAX goal mixed in, a correlated generator is
   // anti-correlated in normalized space and the stop (correctly) never
   // fires. Goal mixes are covered by the equivalence sweep above.
   const std::vector<Row> rows = CorrelatedRows(1500, 3, 23);
   const auto dims = MinDims(3);
-  for (const SfsSortKey key : {SfsSortKey::kSum, SfsSortKey::kMinMax}) {
-    EarlyStopStats stats;
-    const std::vector<Row> stopped = SfsWith(rows, dims, key, false, &stats);
-    EXPECT_EQ(Sorted(stopped), Sorted(BruteForceSkyline(rows, dims, {})));
-    if (key == SfsSortKey::kMinMax) {
-      EXPECT_GT(stats.rows_skipped.load(), 0)
-          << "the minmax stop must fire on correlated data";
-    }
-  }
+  EarlyStopStats stats;
+  const std::vector<Row> stopped = SfsWith(rows, dims, false, &stats);
+  EXPECT_EQ(Sorted(stopped), Sorted(BruteForceSkyline(rows, dims, {})));
+  EXPECT_GT(stats.rows_skipped.load(), 0)
+      << "the stop must fire on correlated data";
 }
 
 TEST(SfsEarlyStop, AutoDisabledOnNullBitmaps) {
@@ -1108,7 +1080,6 @@ TEST(SfsEarlyStop, AutoDisabledOnNullBitmaps) {
   ASSERT_TRUE(matrix->has_nulls());
   EarlyStopStats stats;
   SkylineOptions options;
-  options.sfs_sort_key = SfsSortKey::kMinMax;
   options.early_stop = &stats;
   auto result =
       ColumnarSortFilterSkyline(*matrix, AllIndices(*matrix), options);
@@ -1124,25 +1095,17 @@ TEST(SfsEarlyStop, PresortedPassInheritsStopBound) {
   ASSERT_TRUE(matrix.ok());
 
   SkylineOptions options;
-  options.sfs_sort_key = SfsSortKey::kMinMax;
   auto baseline =
       ColumnarSortFilterSkyline(*matrix, AllIndices(*matrix), options);
   ASSERT_TRUE(baseline.ok());
   const double bound = ComputeStopBound(*matrix, *baseline);
   ASSERT_TRUE(std::isfinite(bound));
 
-  // Presort by (MinKey, Score) — the kMinMax order the presorted pass
-  // expects — then run it with the inherited bound: the result must be
-  // identical and the bound must skip rows before the pass's own window
-  // could have tightened minC.
+  // Presort into SFS order, as the presorted pass expects, then run it with
+  // the inherited bound: the result must be identical and the bound must
+  // skip rows.
   std::vector<uint32_t> ordered = AllIndices(*matrix);
-  std::stable_sort(ordered.begin(), ordered.end(),
-                   [&](uint32_t a, uint32_t b) {
-                     const double ma = matrix->MinKey(a);
-                     const double mb = matrix->MinKey(b);
-                     if (ma != mb) return ma < mb;
-                     return matrix->Score(a) < matrix->Score(b);
-                   });
+  SortInSfsOrder(*matrix, &ordered);
   EarlyStopStats stats;
   SkylineOptions inherited = options;
   inherited.sfs_stop_bound = bound;
@@ -1172,8 +1135,7 @@ TEST(SfsEarlyStop, StopBoundSurvivesConcat) {
     ASSERT_TRUE(survivors.ok());
     const double bound = ComputeStopBound(batch->matrix(), *survivors);
     bounds.push_back(bound);
-    parts.push_back(batch->WithSelection(std::move(*survivors), true,
-                                         SfsSortKey::kSum, bound));
+    parts.push_back(batch->WithSelection(std::move(*survivors), true, bound));
   }
   ColumnarBatch merged = ColumnarBatch::Concat(&parts);
   EXPECT_TRUE(merged.score_sorted());
@@ -1183,45 +1145,36 @@ TEST(SfsEarlyStop, StopBoundSurvivesConcat) {
 // --- MergeByScore tie-break determinism --------------------------------------
 
 TEST(MergeByScoreTest, EqualKeysReproduceGlobalStableSortOrder) {
-  // Low-cardinality rows produce many equal scores (and equal min keys)
-  // across runs; the cascade of stable merges must order them exactly like
-  // one global stable sort over the concatenated input.
+  // Low-cardinality rows produce many equal scores across runs; the
+  // cascade of stable merges must order them exactly like one global stable
+  // sort over the concatenated input.
   std::vector<Row> rows = RandomRows(240, 2, /*null_rate=*/0.0, 3, 91);
   const auto dims = MinDims(2);
   auto matrix = DominanceMatrix::Build(rows, dims);
   ASSERT_TRUE(matrix.ok());
 
-  for (const SfsSortKey key : {SfsSortKey::kSum, SfsSortKey::kMinMax}) {
-    // The SFS order: the sort key, ties broken lexicographically on the
-    // keys.
-    auto key_less = [&](uint32_t a, uint32_t b) {
-      if (key == SfsSortKey::kMinMax) {
-        const double ma = matrix->MinKey(a);
-        const double mb = matrix->MinKey(b);
-        if (ma != mb) return ma < mb;
-      }
-      if (matrix->Score(a) != matrix->Score(b)) {
-        return matrix->Score(a) < matrix->Score(b);
-      }
-      return std::lexicographical_compare(
-          matrix->row_keys(a), matrix->row_keys(a) + 2, matrix->row_keys(b),
-          matrix->row_keys(b) + 2);
-    };
-    // Three contiguous runs in input order, each sorted by the key.
-    std::vector<std::vector<uint32_t>> runs;
-    for (uint32_t begin = 0; begin < 240; begin += 80) {
-      std::vector<uint32_t> run;
-      for (uint32_t i = begin; i < begin + 80; ++i) run.push_back(i);
-      std::stable_sort(run.begin(), run.end(), key_less);
-      runs.push_back(std::move(run));
+  // The SFS order: the score, ties broken lexicographically on the keys.
+  auto key_less = [&](uint32_t a, uint32_t b) {
+    if (matrix->Score(a) != matrix->Score(b)) {
+      return matrix->Score(a) < matrix->Score(b);
     }
-    const std::vector<uint32_t> merged = MergeByScore(*matrix, runs, key);
-
-    std::vector<uint32_t> global = AllIndices(*matrix);
-    std::stable_sort(global.begin(), global.end(), key_less);
-    EXPECT_EQ(merged, global)
-        << "ties must keep input (run) order, key=" << static_cast<int>(key);
+    return std::lexicographical_compare(
+        matrix->row_keys(a), matrix->row_keys(a) + 2, matrix->row_keys(b),
+        matrix->row_keys(b) + 2);
+  };
+  // Three contiguous runs in input order, each sorted by the key.
+  std::vector<std::vector<uint32_t>> runs;
+  for (uint32_t begin = 0; begin < 240; begin += 80) {
+    std::vector<uint32_t> run;
+    for (uint32_t i = begin; i < begin + 80; ++i) run.push_back(i);
+    std::stable_sort(run.begin(), run.end(), key_less);
+    runs.push_back(std::move(run));
   }
+  const std::vector<uint32_t> merged = MergeByScore(*matrix, runs);
+
+  std::vector<uint32_t> global = AllIndices(*matrix);
+  std::stable_sort(global.begin(), global.end(), key_less);
+  EXPECT_EQ(merged, global) << "ties must keep input (run) order";
 }
 
 // --- exact SFS order and stop bound -------------------------------------------
@@ -1235,18 +1188,13 @@ TEST(SfsOrderTest, DominatorTyingItsVictimsScoreSortsFirst) {
   auto matrix = DominanceMatrix::Build(rows, MinDims(2));
   ASSERT_TRUE(matrix.ok());
   ASSERT_EQ(matrix->Score(0), matrix->Score(1));
-  for (const SfsSortKey key : {SfsSortKey::kSum, SfsSortKey::kMinMax}) {
-    SkylineOptions options;
-    options.sfs_sort_key = key;
-    auto sfs = ColumnarSortFilterSkyline(*matrix, {0, 1}, options);
-    ASSERT_TRUE(sfs.ok());
-    EXPECT_EQ(*sfs, std::vector<uint32_t>{1}) << static_cast<int>(key);
-    EXPECT_EQ(MergeByScore(*matrix, {{0}, {1}}, key),
-              (std::vector<uint32_t>{1, 0}));
-  }
+  auto sfs = ColumnarSortFilterSkyline(*matrix, {0, 1}, {});
+  ASSERT_TRUE(sfs.ok());
+  EXPECT_EQ(*sfs, std::vector<uint32_t>{1});
+  EXPECT_EQ(MergeByScore(*matrix, {{0}, {1}}), (std::vector<uint32_t>{1, 0}));
 }
 
-// The kSum stop used to compare one rounded sum with another: here it fired
+// The sum stop used to compare one rounded sum with another: here it fired
 // before row 2, whose d1 is the best of all, and dropped it. The stop now
 // fires only once every remaining row's smallest key exceeds minC.
 TEST(SfsEarlyStop, SumStopNeverDropsASkylineRow) {
@@ -1258,14 +1206,9 @@ TEST(SfsEarlyStop, SumStopNeverDropsASkylineRow) {
                                          {1, SkylineGoal::kMin}};
   const std::vector<Row> expected = BruteForceSkyline(rows, dims, {});
   ASSERT_EQ(expected.size(), 2u);
-  for (const SfsSortKey key : {SfsSortKey::kSum, SfsSortKey::kMinMax}) {
-    SkylineOptions options;
-    options.sfs_sort_key = key;
-    auto sfs =
-        ColumnarSkyline(SkylineKernel::kSortFilterSkyline, rows, dims, options);
-    ASSERT_TRUE(sfs.ok());
-    EXPECT_EQ(Sorted(*sfs), Sorted(expected)) << static_cast<int>(key);
-  }
+  auto sfs = ColumnarSkyline(SkylineKernel::kSortFilterSkyline, rows, dims, {});
+  ASSERT_TRUE(sfs.ok());
+  EXPECT_EQ(Sorted(*sfs), Sorted(expected));
 }
 
 // --- the parallel global merge: ColumnarValidateAgainstPeers ------------------
@@ -1291,7 +1234,7 @@ std::vector<Row> MergeRows(size_t n, uint64_t seed) {
 }
 
 /// The parallel merge over the contiguous parts [bounds[i], bounds[i+1])
-/// of `rows`: each part's local skyline (BNL) in kSum SFS order, packed,
+/// of `rows`: each part's local skyline (BNL) in SFS order, packed,
 /// validated against every other part; survivors in part order.
 Result<std::vector<Row>> MergeParts(const std::vector<Row>& rows,
                                     const std::vector<BoundDimension>& dims,
@@ -1309,7 +1252,7 @@ Result<std::vector<Row>> MergeParts(const std::vector<Row>& rows,
     }
     SL_ASSIGN_OR_RETURN(local[i],
                         ColumnarBlockNestedLoop(matrix, slice, options));
-    SortInSfsOrder(matrix, SfsSortKey::kSum, &local[i]);
+    SortInSfsOrder(matrix, &local[i]);
     packed[i] = PackKeys(matrix, local[i]);
   }
   std::vector<uint32_t> survivors;
@@ -1385,7 +1328,7 @@ TEST(ValidateAgainstPeersTest, CountsTestsAndSkipsHigherScores) {
     auto sky = ColumnarBlockNestedLoop(*matrix, part, {});
     ASSERT_TRUE(sky.ok());
     part = *sky;
-    SortInSfsOrder(*matrix, SfsSortKey::kSum, &part);
+    SortInSfsOrder(*matrix, &part);
   }
   const std::vector<double> peer = PackKeys(*matrix, local[1]);
   DominanceCounter counter;
@@ -1431,20 +1374,13 @@ TEST_F(ColumnarKernelDeadline, BlockNestedLoop) {
 }
 
 TEST_F(ColumnarKernelDeadline, SortFilterSkyline) {
+  // On anti-correlated data the stop never fires (the pass runs its
+  // early-stop bookkeeping for every tuple), and the loop must still
+  // observe the deadline. (On data where the stop fires before the
+  // checker's first clock read, finishing OK is the correct outcome — fast
+  // passes need no timeout.)
   EXPECT_TIMES_OUT(
       ColumnarSortFilterSkyline(*matrix_, AllIndices(*matrix_), expired_));
-}
-
-TEST_F(ColumnarKernelDeadline, SortFilterSkylineEarlyStopLoop) {
-  // Early stop enabled with the kMinMax key on anti-correlated data: the
-  // stop never fires (the pass runs its early-stop bookkeeping for every
-  // tuple), and the loop must still observe the deadline. (On data where
-  // the stop fires before the checker's first clock read, finishing OK is
-  // the correct outcome — fast passes need no timeout.)
-  SkylineOptions options = expired_;
-  options.sfs_sort_key = SfsSortKey::kMinMax;
-  EXPECT_TIMES_OUT(
-      ColumnarSortFilterSkyline(*matrix_, AllIndices(*matrix_), options));
 }
 
 TEST_F(ColumnarKernelDeadline, SortFilterSkylinePresorted) {
@@ -1454,11 +1390,6 @@ TEST_F(ColumnarKernelDeadline, SortFilterSkylinePresorted) {
   });
   EXPECT_TIMES_OUT(
       ColumnarSortFilterSkylinePresorted(*matrix_, ordered, expired_));
-}
-
-TEST_F(ColumnarKernelDeadline, GridFilter) {
-  EXPECT_TIMES_OUT(
-      ColumnarGridFilterSkyline(*matrix_, AllIndices(*matrix_), expired_));
 }
 
 TEST_F(ColumnarKernelDeadline, AllPairsIncomplete) {
@@ -1477,7 +1408,7 @@ TEST_F(ColumnarKernelDeadline, IncompleteCandidateScan) {
 
 TEST_F(ColumnarKernelDeadline, ValidateAgainstPeers) {
   std::vector<uint32_t> peer = AllIndices(*matrix_);
-  SortInSfsOrder(*matrix_, SfsSortKey::kSum, &peer);
+  SortInSfsOrder(*matrix_, &peer);
   const std::vector<double> keys = PackKeys(*matrix_, peer);
   EXPECT_TIMES_OUT(ColumnarValidateAgainstPeers(
       *matrix_, AllIndices(*matrix_), {{keys.data(), peer.size(), false}},

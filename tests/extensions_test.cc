@@ -46,25 +46,15 @@ TEST_F(ExtensionsTest, SfsKernelProducesSameSkyline) {
   EXPECT_NE(PhysicalTree(kQuery).find("sfs"), std::string::npos);
 }
 
-TEST_F(ExtensionsTest, GridKernelProducesSameSkyline) {
-  auto bnl = Rows(session_.get(), kQuery);
-  ASSERT_OK(session_->SetConf("sparkline.skyline.kernel", "grid"));
-  auto grid = Rows(session_.get(), kQuery);
-  EXPECT_SAME_ROWS(bnl, grid);
-  EXPECT_NE(PhysicalTree(kQuery).find("grid"), std::string::npos);
-}
-
 TEST_F(ExtensionsTest, UnknownKernelRejected) {
   EXPECT_FALSE(session_->SetConf("sparkline.skyline.kernel", "quadtree").ok());
 }
 
 TEST_F(ExtensionsTest, AnglePartitioningPreservesResults) {
   auto as_is = Rows(session_.get(), kQuery);
-  for (const char* scheme : {"roundrobin", "angle"}) {
-    ASSERT_OK(session_->SetConf("sparkline.skyline.partitioning", scheme));
-    auto rows = Rows(session_.get(), kQuery);
-    EXPECT_SAME_ROWS(as_is, rows) << scheme;
-  }
+  ASSERT_OK(session_->SetConf("sparkline.skyline.partitioning", "angle"));
+  auto angle = Rows(session_.get(), kQuery);
+  EXPECT_SAME_ROWS(as_is, angle);
 }
 
 TEST_F(ExtensionsTest, AnglePartitioningAddsExchange) {
@@ -87,11 +77,11 @@ TEST_F(ExtensionsTest, AnglePartitioningPrunesMoreOnAntiCorrelatedData) {
     SL_CHECK(r.ok());
     return r->metrics.dominance_tests;
   };
-  // Round-robin is the neutral baseline (contiguous chunks of generated
-  // data could be accidentally ordered).
-  const int64_t neutral = tests_with("roundrobin");
+  // The as-is scan partitions are the baseline: contiguous chunks of
+  // generated rows, with no order in dimension space.
+  const int64_t as_is = tests_with("asis");
   const int64_t angle = tests_with("angle");
-  EXPECT_LT(angle, neutral);
+  EXPECT_LT(angle, as_is);
 }
 
 TEST_F(ExtensionsTest, CostBasedRefinementSkipsLocalStageForTinyInputs) {

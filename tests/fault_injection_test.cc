@@ -44,8 +44,8 @@ std::vector<ChaosConfig> SweepConfigs() {
        {{"sparkline.skyline.kernel", "sfs"},
         {"sparkline.skyline.strategy", "non_distributed"}},
        "SELECT * FROM pts SKYLINE OF d0 MIN, d1 MAX, d2 MIN"},
-      {"grid-angle-partitioning",
-       {{"sparkline.skyline.kernel", "grid"},
+      {"sfs-angle-partitioning",
+       {{"sparkline.skyline.kernel", "sfs"},
         {"sparkline.skyline.partitioning", "angle"}},
        "SELECT * FROM pts SKYLINE OF d0 MIN, d1 MIN, d2 MIN"},
       {"incomplete-parallel",

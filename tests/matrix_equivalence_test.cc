@@ -1,5 +1,5 @@
 // The configuration matrix test: every combination of execution strategy,
-// kernel, SFS sort key, partitioning scheme and executor count must produce
+// kernel, partitioning scheme and executor count must produce
 // the identical skyline — and that skyline must equal the brute-force
 // oracle computed directly from the table. This is the strongest single
 // correctness statement the engine makes — no physical-plan knob may change
@@ -62,15 +62,6 @@ TEST_P(ConfigMatrix, AllConfigurationsAgreeWithBruteForce) {
       skyline::BruteForceSkyline(table->rows(), oracle_dims, oracle_options));
   ASSERT_FALSE(expected.empty());
 
-  // The kernel axis crosses SFS with its sort-key knob (which only the SFS
-  // family consults); BNL and grid run once each.
-  struct KernelConfig {
-    const char* kernel;
-    const char* sort_key;
-  };
-  const std::vector<KernelConfig> kernels = {
-      {"bnl", "sum"}, {"grid", "sum"}, {"sfs", "sum"}, {"sfs", "minmax"}};
-
   int combinations = 0;
   const std::vector<const char*> strategies =
       incomplete ? std::vector<const char*>{"auto", "incomplete"}
@@ -78,20 +69,17 @@ TEST_P(ConfigMatrix, AllConfigurationsAgreeWithBruteForce) {
                                             "non_distributed", "incomplete",
                                             "reference"};
   for (const char* strategy : strategies) {
-    for (const KernelConfig& kernel : kernels) {
-      for (const char* partitioning : {"asis", "roundrobin", "angle"}) {
+    for (const char* kernel : {"bnl", "sfs"}) {
+      for (const char* partitioning : {"asis", "angle"}) {
         for (const char* executors : {"1", "3", "8"}) {
           ASSERT_OK(session.SetConf("sparkline.skyline.strategy", strategy));
-          ASSERT_OK(session.SetConf("sparkline.skyline.kernel", kernel.kernel));
-          ASSERT_OK(session.SetConf("sparkline.skyline.sfs.sort_key",
-                                    kernel.sort_key));
+          ASSERT_OK(session.SetConf("sparkline.skyline.kernel", kernel));
           ASSERT_OK(
               session.SetConf("sparkline.skyline.partitioning", partitioning));
           ASSERT_OK(session.SetConf("sparkline.executors", executors));
           auto rows = RowStrings(Rows(&session, query));
           ASSERT_EQ(expected, rows)
-              << "strategy=" << strategy << " kernel=" << kernel.kernel
-              << " sort_key=" << kernel.sort_key
+              << "strategy=" << strategy << " kernel=" << kernel
               << " partitioning=" << partitioning
               << " executors=" << executors;
           ++combinations;
@@ -99,7 +87,7 @@ TEST_P(ConfigMatrix, AllConfigurationsAgreeWithBruteForce) {
       }
     }
   }
-  EXPECT_GE(combinations, 2 * 4 * 3 * 3);
+  EXPECT_EQ(combinations, static_cast<int>(strategies.size()) * 2 * 2 * 3);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -408,8 +396,8 @@ INSTANTIATE_TEST_SUITE_P(NullRates, SkewedBitmapClasses,
 
 // With one executor a distributed plan gathers a single local skyline,
 // which is already the answer: the global stage keeps its label but runs
-// no kernel, so no merge dominance test — after BNL and grid local stages,
-// and under DISTINCT with every row duplicated. An SFS gather carries no
+// no kernel, so no merge dominance test — after a BNL local stage, and
+// under DISTINCT with every row duplicated. An SFS gather carries no
 // skyline parts and still runs its kernel (the control). Results match
 // BruteForceSkyline and the reference strategy (whose rewriting leaves
 // DISTINCT to the native operator).
@@ -432,7 +420,7 @@ TEST(ParallelGlobalMerge, SingleExecutorReturnsTheGatheredPart) {
     ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "reference"));
     ASSERT_EQ(expected, RowStrings(Rows(&session, sql))) << sql;
     ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "distributed"));
-    for (const char* kernel : {"bnl", "grid", "sfs"}) {
+    for (const char* kernel : {"bnl", "sfs"}) {
       ASSERT_OK(session.SetConf("sparkline.skyline.kernel", kernel));
       ASSERT_OK_AND_ASSIGN(DataFrame df, session.Sql(sql));
       ASSERT_OK_AND_ASSIGN(QueryResult result, df.Collect());
@@ -449,11 +437,11 @@ TEST(ParallelGlobalMerge, SingleExecutorReturnsTheGatheredPart) {
   }
 }
 
-// --- regressions: ±inf, score ties and the kSum stop --------------------------
+// --- regressions: ±inf, score ties and the sum stop ---------------------------
 
 // Row 2 dominates row 0, but with ±inf keyed directly row 0 scored NaN
-// (+inf + -inf), and SFS at one executor kept it under either sort key.
-// Ranked, ±inf keys are finite and SFS agrees with both oracles.
+// (+inf + -inf), and SFS at one executor kept it. Ranked, ±inf keys are
+// finite and SFS agrees with both oracles.
 TEST(SkylineRegression, InfinityInTwoDimensionsKeepsNoDominatedRow) {
   const double inf = std::numeric_limits<double>::infinity();
   Session session;
@@ -475,34 +463,7 @@ TEST(SkylineRegression, InfinityInTwoDimensionsKeepsNoDominatedRow) {
   ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "auto"));
   ASSERT_OK(session.SetConf("sparkline.skyline.kernel", "sfs"));
   ASSERT_OK(session.SetConf("sparkline.executors", "1"));
-  for (const char* sort_key : {"sum", "minmax"}) {
-    ASSERT_OK(session.SetConf("sparkline.skyline.sfs.sort_key", sort_key));
-    EXPECT_EQ(expected, RowStrings(Rows(&session, sql))) << sort_key;
-  }
-}
-
-// A -inf key used to reach the grid kernel's bucket cast as NaN, which is
-// undefined behaviour (-fsanitize=float-cast-overflow stops on it). Ranked,
-// the dimension sends the grid kernel to its BNL fallback.
-TEST(SkylineRegression, GridNeverBucketsAnInfiniteKey) {
-  std::vector<std::vector<double>> rows;
-  for (int i = 0; i < 100; ++i) {
-    rows.push_back({static_cast<double>((i * 37) % 100),
-                    static_cast<double>((i * 53) % 100)});
-  }
-  rows[41][0] = -std::numeric_limits<double>::infinity();
-  Session session;
-  TablePtr table = DoublesTable("t", rows);
-  ASSERT_OK(session.catalog()->RegisterTable(table));
-  const std::vector<skyline::BoundDimension> dims = {{1, SkylineGoal::kMin},
-                                                     {2, SkylineGoal::kMin}};
-  ASSERT_OK(session.SetConf("sparkline.skyline.kernel", "grid"));
-  for (const char* executors : {"1", "4"}) {
-    ASSERT_OK(session.SetConf("sparkline.executors", executors));
-    EXPECT_EQ(Oracle(*table, dims, false),
-              RowStrings(Rows(&session, SkylineSql("t", dims, false))))
-        << executors;
-  }
+  EXPECT_EQ(expected, RowStrings(Rows(&session, sql)));
 }
 
 // (1e17, 1) dominates (1e17, 2) while both score 1e17. Ties kept input
@@ -520,12 +481,11 @@ TEST(SkylineRegression, DominatorTyingItsVictimsScoreEliminatesIt) {
   ASSERT_EQ(expected, RowStrings(Rows(&session, sql)));
   ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "auto"));
   ASSERT_OK(session.SetConf("sparkline.skyline.kernel", "sfs"));
-  ASSERT_OK(session.SetConf("sparkline.skyline.sfs.sort_key", "sum"));
   ASSERT_OK(session.SetConf("sparkline.executors", "1"));
   EXPECT_EQ(expected, RowStrings(Rows(&session, sql)));
 }
 
-// The kSum stop compared two rounded sums and fired before row 2, the row
+// The sum stop compared two rounded sums and fired before row 2, the row
 // with the best d1, so SFS returned row 3 alone.
 TEST(SkylineRegression, SumStopKeepsEverySkylineRow) {
   Session session;
@@ -546,27 +506,26 @@ TEST(SkylineRegression, SumStopKeepsEverySkylineRow) {
   ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "auto"));
   ASSERT_OK(session.SetConf("sparkline.skyline.kernel", "sfs"));
   ASSERT_OK(session.SetConf("sparkline.executors", "1"));
-  for (const char* sort_key : {"sum", "minmax"}) {
-    ASSERT_OK(session.SetConf("sparkline.skyline.sfs.sort_key", sort_key));
-    EXPECT_EQ(expected, RowStrings(Rows(&session, sql))) << sort_key;
-  }
+  EXPECT_EQ(expected, RowStrings(Rows(&session, sql)));
 }
 
 // Seeded differential sweep over keys where rounding bites: each value is a
 // base from {0, ±1e17, 2^53, 3e16, ±inf} plus a small integer offset, so
-// scores tie, sums lose low bits and ±inf meet. Every kernel × sort key ×
-// strategy × executor count × DISTINCT must equal BruteForceSkyline and the
-// reference rewriting.
+// scores tie, sums lose low bits and ±inf meet. Every kernel × strategy
+// (the distributed one under both partitionings) × executor count ×
+// DISTINCT must equal BruteForceSkyline and the reference rewriting.
 TEST(SkylineRegression, RoundingSweepAgreesWithBothOracles) {
   const double inf = std::numeric_limits<double>::infinity();
   const std::vector<double> bases = {0, 1e17, -1e17, 9007199254740992.0,
                                      3e16, inf, -inf};
-  struct KernelConfig {
-    const char* kernel;
-    const char* sort_key;
+  struct Plan {
+    const char* strategy;
+    const char* partitioning;
   };
-  const std::vector<KernelConfig> kernels = {
-      {"bnl", "sum"}, {"grid", "sum"}, {"sfs", "sum"}, {"sfs", "minmax"}};
+  const std::vector<Plan> plans = {{"distributed", "asis"},
+                                   {"distributed", "angle"},
+                                   {"non_distributed", "asis"},
+                                   {"incomplete", "asis"}};
   Rng rng(17);
   int runs = 0;
   for (int t = 0; t < 60; ++t) {
@@ -593,27 +552,26 @@ TEST(SkylineRegression, RoundingSweepAgreesWithBothOracles) {
       const std::vector<std::string> expected = Oracle(*table, dims, distinct);
       ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "reference"));
       ASSERT_EQ(expected, RowStrings(Rows(&session, sql))) << sql;
-      for (const char* strategy :
-           {"distributed", "non_distributed", "incomplete"}) {
-        for (const KernelConfig& kernel : kernels) {
+      for (const Plan& plan : plans) {
+        for (const char* kernel : {"bnl", "sfs"}) {
           for (const char* executors : {"1", "3", "4", "8"}) {
-            ASSERT_OK(session.SetConf("sparkline.skyline.strategy", strategy));
-            ASSERT_OK(session.SetConf("sparkline.skyline.kernel", kernel.kernel));
-            ASSERT_OK(session.SetConf("sparkline.skyline.sfs.sort_key",
-                                      kernel.sort_key));
+            ASSERT_OK(
+                session.SetConf("sparkline.skyline.strategy", plan.strategy));
+            ASSERT_OK(session.SetConf("sparkline.skyline.partitioning",
+                                      plan.partitioning));
+            ASSERT_OK(session.SetConf("sparkline.skyline.kernel", kernel));
             ASSERT_OK(session.SetConf("sparkline.executors", executors));
             ASSERT_EQ(expected, RowStrings(Rows(&session, sql)))
-                << sql << " strategy=" << strategy
-                << " kernel=" << kernel.kernel
-                << " sort_key=" << kernel.sort_key
-                << " executors=" << executors;
+                << sql << " strategy=" << plan.strategy
+                << " partitioning=" << plan.partitioning
+                << " kernel=" << kernel << " executors=" << executors;
             ++runs;
           }
         }
       }
     }
   }
-  EXPECT_EQ(runs, 60 * 2 * 3 * 4 * 4);
+  EXPECT_EQ(runs, 60 * 2 * 4 * 2 * 4);
 }
 
 // --- the parallel global merge, end to end -----------------------------------
@@ -635,7 +593,7 @@ MergeRun RunMerge(Session* session, const std::string& sql) {
 /// every kernel, expecting `expected` from one parallel [merge] stage.
 void ExpectMergeAgrees(Session* session, const std::string& sql,
                        const std::vector<std::string>& expected) {
-  for (const char* kernel : {"bnl", "grid", "sfs"}) {
+  for (const char* kernel : {"bnl", "sfs"}) {
     for (const char* executors : {"2", "3", "4", "8"}) {
       SL_CHECK_OK(session->SetConf("sparkline.skyline.strategy", "distributed"));
       SL_CHECK_OK(session->SetConf("sparkline.skyline.kernel", kernel));
@@ -882,9 +840,9 @@ std::vector<std::string> OrderedRowStrings(const std::vector<Row>& rows) {
 // MergeByScore tie-break determinism, end to end: SFS output order is the
 // global stable sort order, so equal-key rows coming from different
 // partitions must reproduce the single-partition sequence exactly — the
-// result must be bit-identical (order included) across executor counts
-// and sort keys. Low-cardinality values force many equal scores, equal
-// min-keys and exact duplicate tuples.
+// result must be bit-identical (order included) across executor counts.
+// Low-cardinality values force many equal scores and exact duplicate
+// tuples.
 TEST(SfsOrderDeterminism, ExchangeMergeReproducesSinglePartitionOrder) {
   std::vector<std::array<double, 3>> pts;
   for (int i = 0; i < 240; ++i) {
@@ -900,17 +858,14 @@ TEST(SfsOrderDeterminism, ExchangeMergeReproducesSinglePartitionOrder) {
   for (const char* query :
        {"SELECT x, y FROM pts SKYLINE OF x MIN, y MIN",
         "SELECT x, y FROM pts SKYLINE OF DISTINCT x MIN, y MIN"}) {
-    for (const char* sort_key : {"sum", "minmax"}) {
-      ASSERT_OK(session.SetConf("sparkline.skyline.sfs.sort_key", sort_key));
-      ASSERT_OK(session.SetConf("sparkline.executors", "1"));
-      const std::vector<std::string> reference =
-          OrderedRowStrings(Rows(&session, query));
-      ASSERT_FALSE(reference.empty());
-      for (const char* executors : {"2", "4", "8"}) {
-        ASSERT_OK(session.SetConf("sparkline.executors", executors));
-        EXPECT_EQ(reference, OrderedRowStrings(Rows(&session, query)))
-            << query << " sort_key=" << sort_key << " executors=" << executors;
-      }
+    ASSERT_OK(session.SetConf("sparkline.executors", "1"));
+    const std::vector<std::string> reference =
+        OrderedRowStrings(Rows(&session, query));
+    ASSERT_FALSE(reference.empty());
+    for (const char* executors : {"2", "4", "8"}) {
+      ASSERT_OK(session.SetConf("sparkline.executors", executors));
+      EXPECT_EQ(reference, OrderedRowStrings(Rows(&session, query)))
+          << query << " executors=" << executors;
     }
   }
 }
@@ -926,7 +881,6 @@ TEST(SfsEarlyStopEndToEnd, CorrelatedSkylineSkipsAndMatches) {
   ASSERT_OK(session.catalog()->RegisterTable(datagen::GeneratePoints(
       "pts", 4000, 3, datagen::PointDistribution::kCorrelated, 77)));
   ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "distributed"));
-  ASSERT_OK(session.SetConf("sparkline.skyline.sfs.sort_key", "minmax"));
   ASSERT_OK(session.SetConf("sparkline.executors", "4"));
   const std::string query =
       "SELECT * FROM pts SKYLINE OF d0 MIN, d1 MIN, d2 MIN";
@@ -961,7 +915,6 @@ TEST(SfsEarlyStopEndToEnd, AutoDisabledOnIncompleteData) {
       "pts", 800, 3, datagen::PointDistribution::kCorrelated, 78,
       /*null_probability=*/0.3)));
   ASSERT_OK(session.SetConf("sparkline.skyline.kernel", "sfs"));
-  ASSERT_OK(session.SetConf("sparkline.skyline.sfs.sort_key", "minmax"));
   ASSERT_OK(session.SetConf("sparkline.executors", "4"));
 
   auto df = session.Sql("SELECT * FROM pts SKYLINE OF d0 MIN, d1 MIN, d2 MIN");
@@ -1175,7 +1128,7 @@ TEST_P(EncodingSweep, AgreesWithBothOracles) {
             << sql << " strategy=reference";
       }
       for (const char* strategy : strategies) {
-        for (const char* kernel : {"bnl", "sfs", "grid"}) {
+        for (const char* kernel : {"bnl", "sfs"}) {
           for (const char* executors : {"1", "3", "8"}) {
             ASSERT_OK(session.SetConf("sparkline.skyline.strategy", strategy));
             ASSERT_OK(session.SetConf("sparkline.skyline.kernel", kernel));
@@ -1190,7 +1143,7 @@ TEST_P(EncodingSweep, AgreesWithBothOracles) {
     }
   }
   EXPECT_EQ(combinations, static_cast<int>(EncodingQueries().size() * 2 *
-                                           strategies.size() * 3 * 3));
+                                           strategies.size() * 2 * 3));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -1292,7 +1245,7 @@ TEST_P(PrunedScanColumnMap, AgreesWithBothOracles) {
           << sql << " strategy=reference";
     }
     for (const char* strategy : strategies) {
-      for (const char* partitioning : {"asis", "roundrobin", "angle"}) {
+      for (const char* partitioning : {"asis", "angle"}) {
         for (const char* executors : {"1", "3", "4"}) {
           ASSERT_OK(session.SetConf("sparkline.skyline.strategy", strategy));
           ASSERT_OK(
@@ -1319,7 +1272,7 @@ TEST_P(PrunedScanColumnMap, AgreesWithBothOracles) {
       }
     }
   }
-  EXPECT_EQ(combinations, static_cast<int>(2 * strategies.size() * 3 * 3));
+  EXPECT_EQ(combinations, static_cast<int>(2 * strategies.size() * 2 * 3));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -1461,7 +1414,7 @@ TEST_P(BorrowedFilterSweep, AgreesWithBothOracles) {
               << sql << " strategy=reference";
           ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "auto"));
         }
-        for (const char* kernel : {"bnl", "sfs", "grid"}) {
+        for (const char* kernel : {"bnl", "sfs"}) {
           for (const char* executors : {"1", "2", "3", "4", "8"}) {
             ASSERT_OK(session.SetConf("sparkline.skyline.kernel", kernel));
             ASSERT_OK(session.SetConf("sparkline.executors", executors));
@@ -1473,7 +1426,7 @@ TEST_P(BorrowedFilterSweep, AgreesWithBothOracles) {
       }
     }
   }
-  EXPECT_EQ(combinations, 6 * 2 * 2 * 3 * 5);
+  EXPECT_EQ(combinations, 6 * 2 * 2 * 2 * 5);
   EXPECT_GE(non_empty, 8) << "too few non-empty skylines to test anything";
 }
 
@@ -1493,13 +1446,28 @@ TEST(RemovedFlags, ColumnarSwitchesAreUnknownKeys) {
         "sparkline.skyline.sfs.early_stop",
         "sparkline.skyline.incomplete.parallel",
         "sparkline.skyline.broadcast_filter", "sparkline.scan.zone_maps",
-        "sparkline.cache.incremental"}) {
+        "sparkline.cache.incremental", "sparkline.skyline.sfs.sort_key"}) {
     const Status status = session.SetConf(key, "false");
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << key;
     EXPECT_NE(status.ToString().find("unknown configuration key"),
               std::string::npos)
         << status.ToString();
   }
+}
+
+// The grid kernel and round-robin partitioning are gone; the messages name
+// the values that remain.
+TEST(RemovedFlags, GridKernelAndRoundRobinAreRejected) {
+  Session session;
+  const Status kernel = session.SetConf("sparkline.skyline.kernel", "grid");
+  EXPECT_EQ(kernel.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(kernel.ToString().find("(bnl | sfs)"), std::string::npos)
+      << kernel.ToString();
+  const Status partitioning =
+      session.SetConf("sparkline.skyline.partitioning", "roundrobin");
+  EXPECT_EQ(partitioning.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(partitioning.ToString().find("(asis | angle)"), std::string::npos)
+      << partitioning.ToString();
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // metrics and timeouts.
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <set>
@@ -650,6 +651,44 @@ TEST(AnglePartitionTest, NormalizedKeysSpreadMaxGoalMixedScaleData) {
   EXPECT_EQ(angle_total, 16u)
       << "each ray's chain must collapse to its innermost point";
   EXPECT_LT(angle_total, rr_total);
+}
+
+// A non-finite key is skipped like NULL. One ±inf used to make a bound
+// infinite, every scaled coordinate inf/inf = NaN and the bucket cast
+// undefined, which put every row in one bucket.
+TEST(AnglePartitionTest, NonFiniteKeysKeepTheSpread) {
+  const std::vector<skyline::BoundDimension> dims{{0, SkylineGoal::kMax},
+                                                  {1, SkylineGoal::kMax}};
+  const size_t n = 4;
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double special : {inf, -inf, std::nan("")}) {
+    std::vector<Row> rows = RayRows(16, 8);
+    rows[5][0] = Value::Double(special);
+    rows[77][1] = Value::Double(special);
+    const auto bounds = exchange_internal::ComputeAngleBounds({rows}, dims);
+    std::vector<size_t> sizes(n, 0);
+    for (const Row& row : rows) {
+      const size_t bucket =
+          exchange_internal::AnglePartition(row, dims, n, bounds);
+      ASSERT_LT(bucket, n);
+      ++sizes[bucket];
+    }
+    for (size_t b = 0; b < n; ++b) {
+      EXPECT_GT(sizes[b], 0u) << "key " << special << ", bucket " << b;
+    }
+  }
+
+  // Keys spanning more than DBL_MAX scale without overflowing to inf/inf:
+  // the scaled points are (1, 0), (0, 1) and (0.5, 0.5).
+  const std::vector<Row> wide{{Value::Double(-1e308), Value::Double(1e308)},
+                              {Value::Double(1e308), Value::Double(-1e308)},
+                              {Value::Double(0), Value::Double(0)}};
+  const auto bounds = exchange_internal::ComputeAngleBounds({wide}, dims);
+  std::vector<size_t> buckets;
+  for (const Row& row : wide) {
+    buckets.push_back(exchange_internal::AnglePartition(row, dims, n, bounds));
+  }
+  EXPECT_EQ(buckets, (std::vector<size_t>{0, 3, 2}));
 }
 
 // --- pre-gather broadcast filter --------------------------------------------

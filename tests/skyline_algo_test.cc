@@ -7,7 +7,6 @@
 
 #include "common/cancellation.h"
 #include "common/rng.h"
-#include "common/string_util.h"
 #include "common/timer.h"
 #include "skyline/columnar.h"
 #include "test_util.h"
@@ -70,12 +69,6 @@ Result<std::vector<Row>> Bnl(const std::vector<Row>& rows,
                              const std::vector<BoundDimension>& dims,
                              const SkylineOptions& options) {
   return ColumnarSkyline(SkylineKernel::kBlockNestedLoop, rows, dims, options);
-}
-
-Result<std::vector<Row>> Grid(const std::vector<Row>& rows,
-                              const std::vector<BoundDimension>& dims,
-                              const SkylineOptions& options) {
-  return ColumnarSkyline(SkylineKernel::kGridFilter, rows, dims, options);
 }
 
 /// The engine's incomplete pipeline over one relation: bitmap-grouped BNL
@@ -156,15 +149,10 @@ TEST(CancellationTest, EveryKernelHonorsCancelledToken) {
   SkylineOptions opts;
   opts.cancel = &token;
   expect_cancelled(Bnl(rows, dims, opts).status(), "bnl");
-  expect_cancelled(Grid(rows, dims, opts).status(), "grid");
-  for (const SfsSortKey key : {SfsSortKey::kSum, SfsSortKey::kMinMax}) {
-    SkylineOptions sfs = opts;
-    sfs.sfs_sort_key = key;
-    expect_cancelled(
-        ColumnarSkyline(SkylineKernel::kSortFilterSkyline, rows, dims, sfs)
-            .status(),
-        StrCat("sfs key=", static_cast<int>(key)));
-  }
+  expect_cancelled(
+      ColumnarSkyline(SkylineKernel::kSortFilterSkyline, rows, dims, opts)
+          .status(),
+      "sfs");
 
   // Incomplete-data kernels (the quadratic scans are the ones that need
   // interruption most).
@@ -339,59 +327,6 @@ TEST_P(SkylineSweep, AllPairsMatchesOracleOnIncompleteData) {
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(Sorted(*got),
             Sorted(BruteForceSkyline(rows, MinDims(p.dims), opts)));
-}
-
-TEST_P(SkylineSweep, GridFilterMatchesOracleOnCompleteData) {
-  const auto& p = GetParam();
-  auto rows = RandomRows(p.n, p.dims, 0.0, p.cardinality, p.seed);
-  auto got = Grid(rows, MinDims(p.dims), {});
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(Sorted(*got),
-            Sorted(BruteForceSkyline(rows, MinDims(p.dims), {})));
-}
-
-TEST_P(SkylineSweep, GridFilterMatchesOracleOnMixedGoals) {
-  const auto& p = GetParam();
-  std::vector<BoundDimension> dims;
-  for (size_t d = 0; d < p.dims; ++d) {
-    dims.push_back({d, d % 2 == 0 ? SkylineGoal::kMin : SkylineGoal::kMax});
-  }
-  auto rows = RandomRows(p.n, p.dims, 0.0, p.cardinality, p.seed + 100);
-  auto got = Grid(rows, dims, {});
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(Sorted(*got), Sorted(BruteForceSkyline(rows, dims, {})));
-}
-
-TEST(GridFilterTest, FallsBackOnIncompleteData) {
-  auto rows = RandomRows(200, 2, 0.3, 5, 55);
-  SkylineOptions opts;
-  opts.nulls = NullSemantics::kIncomplete;
-  // Grid delegates to BNL under incomplete semantics (BNL then requires
-  // bitmap-uniform input; here we only check the delegation is exact).
-  auto matrix = DominanceMatrix::Build(rows, MinDims(2));
-  ASSERT_TRUE(matrix.ok());
-  auto grid = ColumnarGridFilterSkyline(*matrix, AllIndices(*matrix), opts);
-  auto bnl = ColumnarBlockNestedLoop(*matrix, AllIndices(*matrix), opts);
-  ASSERT_TRUE(grid.ok());
-  ASSERT_TRUE(bnl.ok());
-  EXPECT_EQ(*grid, *bnl);
-}
-
-TEST(GridFilterTest, PrunesCellsOnLargeUniformData) {
-  // On big uniform data the cell pass must eliminate most tuples before
-  // the BNL, i.e. use far fewer dominance tests than plain BNL.
-  auto rows = RandomRows(4000, 2, 0.0, 1000000, 77);
-  DominanceCounter grid_counter, bnl_counter;
-  SkylineOptions grid_opts;
-  grid_opts.counter = &grid_counter;
-  SkylineOptions bnl_opts;
-  bnl_opts.counter = &bnl_counter;
-  auto grid = Grid(rows, MinDims(2), grid_opts);
-  auto bnl = Bnl(rows, MinDims(2), bnl_opts);
-  ASSERT_TRUE(grid.ok());
-  ASSERT_TRUE(bnl.ok());
-  EXPECT_EQ(Sorted(*grid), Sorted(*bnl));
-  EXPECT_LT(grid_counter.tests.load(), bnl_counter.tests.load() / 2);
 }
 
 TEST_P(SkylineSweep, MixedGoalsMatchOracle) {
