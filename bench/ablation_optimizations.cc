@@ -1,9 +1,16 @@
 // Ablation of the skyline-specific optimizer rules (paper section 5.4 and
 // docs/ARCHITECTURE.md, "`src/optimizer` — rule-based rewriting"):
 // single-dimension rewrite, skyline-through-join pushdown, and filter
-// pushdown, each toggled off individually.
-#include <cinttypes>
+// pushdown, each toggled off individually, plus the section-7 extensions.
+//
+// Each cell runs both sides once untimed (a warm-up), then kTimedRuns
+// rounds that alternate which side goes first, and prints each side's
+// median simulated time: a single cold run, one side always first, lets
+// order and noise decide sub-millisecond cells.
+#include <algorithm>
 #include <cstdio>
+#include <functional>
+#include <vector>
 
 #include "bench_common.h"
 #include "common/rng.h"
@@ -14,27 +21,71 @@ using namespace sparkline::bench; // NOLINT
 
 namespace {
 
-Cell Run(Session* session, const std::string& sql, const BenchConfig& config,
-         const std::string& toggle_key, bool enabled) {
-  if (!toggle_key.empty()) {
-    SL_CHECK_OK(session->SetConf(toggle_key, enabled ? "true" : "false"));
-  }
-  Cell cell = RunCell(session, sql, "auto", 4, config);
-  if (!toggle_key.empty()) SL_CHECK_OK(session->SetConf(toggle_key, "true"));
-  return cell;
+constexpr int kTimedRuns = 5;
+
+/// One side of a cell: runs the query under that side's configuration and
+/// restores the session afterwards.
+using Side = std::function<Cell()>;
+
+/// The side that sets `key` to `value` for one run of `sql`, then back to
+/// `restore`.
+Side Toggle(Session* session, const std::string& sql, const BenchConfig& config,
+            const std::string& strategy, int executors, const std::string& key,
+            const std::string& value, const std::string& restore) {
+  return [=]() {
+    SL_CHECK_OK(session->SetConf(key, value));
+    Cell cell = RunCell(session, sql, strategy, executors, config);
+    SL_CHECK_OK(session->SetConf(key, restore));
+    return cell;
+  };
 }
 
-void Report(const char* name, const Cell& on, const Cell& off) {
-  auto fmt = [](const Cell& c) {
-    if (c.timeout) return std::string("t.o.");
-    if (c.error) return std::string("err");
-    return StrCat(DoubleToString(c.simulated_ms / 1000.0), "s (",
-                  c.dominance_tests, " dominance tests)");
-  };
-  std::printf("%-28s on: %-36s off: %s\n", name, fmt(on).c_str(),
-              fmt(off).c_str());
-  if (!on.timeout && !off.timeout && !on.error && !off.error) {
-    SL_CHECK(on.result_rows == off.result_rows)
+/// A side's timed runs, summarized: the median simulated time and the
+/// first run's deterministic fields (dominance tests, result rows).
+struct Summary {
+  Cell first;
+  std::vector<double> simulated_ms;
+  bool failed = false;
+
+  void Add(const Cell& cell) {
+    if (simulated_ms.empty()) first = cell;
+    failed |= cell.timeout || cell.error;
+    simulated_ms.push_back(cell.simulated_ms);
+  }
+  double MedianMs() const {
+    std::vector<double> sorted = simulated_ms;
+    std::sort(sorted.begin(), sorted.end());
+    return sorted[sorted.size() / 2];
+  }
+  std::string Format() const {
+    if (first.timeout) return "t.o.";
+    if (failed) return "err";
+    return StrCat(FormatFixed(MedianMs(), 3), " ms (", first.dominance_tests,
+                  " dominance tests)");
+  }
+};
+
+/// Runs one cell (see the file comment) and prints both medians; aborts if
+/// the two sides return different results.
+void Compare(const char* name, const char* a_name, const Side& a,
+             const char* b_name, const Side& b) {
+  const Side* sides[2] = {&a, &b};
+  Summary summary[2];
+  const Cell warm_a = a();
+  const Cell warm_b = b();
+  for (int round = 0; round < kTimedRuns; ++round) {
+    for (int k = 0; k < 2; ++k) {
+      const int side = (round + k) % 2;
+      summary[side].Add((*sides[side])());
+    }
+  }
+  std::printf("%-28s %s: %-34s %s: %s\n", name, a_name,
+              summary[0].Format().c_str(), b_name,
+              summary[1].Format().c_str());
+  if (!summary[0].failed && !summary[1].failed && !warm_a.timeout &&
+      !warm_a.error && !warm_b.timeout && !warm_b.error) {
+    SL_CHECK(warm_a.result_rows == warm_b.result_rows &&
+             summary[0].first.result_rows == summary[1].first.result_rows)
         << name << ": ablation changed the result!";
   }
 }
@@ -78,45 +129,40 @@ int main(int argc, char** argv) {
   }
   SL_CHECK_OK(session.catalog()->RegisterTable(listings));
 
-  std::printf("== Ablation of skyline-specific optimizations (section 5.4) ==\n\n");
+  std::printf(
+      "== Ablation of skyline-specific optimizations (section 5.4) ==\n");
+  std::printf("(median simulated time of %d runs per side, alternating which "
+              "side goes first, after one warm-up each)\n\n",
+              kTimedRuns);
+
+  // One rule toggled on and off for `sql` (auto strategy, 4 executors).
+  auto rule = [&](const char* name, const std::string& sql,
+                  const std::string& key) {
+    Compare(name, "on",
+            Toggle(&session, sql, config, "auto", 4, key, "true", "true"),
+            "off",
+            Toggle(&session, sql, config, "auto", 4, key, "false", "true"));
+  };
 
   // 1. Single-dimension rewrite: O(n) scalar lookup vs. full BNL skyline.
-  {
-    const std::string sql =
-        "SELECT * FROM store_sales SKYLINE OF ss_wholesale_cost MIN";
-    Cell on = Run(&session, sql, config,
-                  "sparkline.optimizer.singleDimRewrite", true);
-    Cell off = Run(&session, sql, config,
-                   "sparkline.optimizer.singleDimRewrite", false);
-    Report("single-dim rewrite", on, off);
-  }
+  rule("single-dim rewrite",
+       "SELECT * FROM store_sales SKYLINE OF ss_wholesale_cost MIN",
+       "sparkline.optimizer.singleDimRewrite");
 
   // 2. Skyline-through-join pushdown: skyline before vs. after the join.
-  {
-    const std::string sql =
-        "SELECT l.price, l.rating, h.since FROM listings l "
-        "JOIN hosts h ON l.host = h.id "
-        "SKYLINE OF l.price MIN, l.rating MAX";
-    Cell on = Run(&session, sql, config,
-                  "sparkline.optimizer.skylineJoinPushdown", true);
-    Cell off = Run(&session, sql, config,
-                   "sparkline.optimizer.skylineJoinPushdown", false);
-    Report("skyline-join pushdown", on, off);
-  }
+  rule("skyline-join pushdown",
+       "SELECT l.price, l.rating, h.since FROM listings l "
+       "JOIN hosts h ON l.host = h.id "
+       "SKYLINE OF l.price MIN, l.rating MAX",
+       "sparkline.optimizer.skylineJoinPushdown");
 
   // 3. Generic filter pushdown under a skyline-bearing query.
-  {
-    const std::string sql =
-        "SELECT * FROM (SELECT * FROM store_sales) t "
-        "WHERE ss_quantity > 50 "
-        "SKYLINE OF ss_wholesale_cost MIN, ss_list_price MIN, "
-        "ss_ext_discount_amt MAX";
-    Cell on = Run(&session, sql, config,
-                  "sparkline.optimizer.filterPushdown", true);
-    Cell off = Run(&session, sql, config,
-                   "sparkline.optimizer.filterPushdown", false);
-    Report("filter pushdown", on, off);
-  }
+  rule("filter pushdown",
+       "SELECT * FROM (SELECT * FROM store_sales) t "
+       "WHERE ss_quantity > 50 "
+       "SKYLINE OF ss_wholesale_cost MIN, ss_list_price MIN, "
+       "ss_ext_discount_amt MAX",
+       "sparkline.optimizer.filterPushdown");
 
   // 4. Section-7 future-work features on anti-correlated data (the hard
   // case: skylines are large).
@@ -125,33 +171,28 @@ int main(int argc, char** argv) {
       datagen::PointDistribution::kAntiCorrelated, 99)));
   const std::string anti_sql =
       "SELECT * FROM anti SKYLINE OF d0 MIN, d1 MIN, d2 MIN, d3 MIN";
+  Compare("kernel", "bnl",
+          Toggle(&session, anti_sql, config, "distributed", 4,
+                 "sparkline.skyline.kernel", "bnl", "bnl"),
+          "sfs",
+          Toggle(&session, anti_sql, config, "distributed", 4,
+                 "sparkline.skyline.kernel", "sfs", "bnl"));
+  Compare("partitioning", "asis",
+          Toggle(&session, anti_sql, config, "distributed", 8,
+                 "sparkline.skyline.partitioning", "asis", "asis"),
+          "angle",
+          Toggle(&session, anti_sql, config, "distributed", 8,
+                 "sparkline.skyline.partitioning", "angle", "asis"));
 
-  {
-    Cell bnl = RunCell(&session, anti_sql, "distributed", 4, config);
-    SL_CHECK_OK(session.SetConf("sparkline.skyline.kernel", "sfs"));
-    Cell sfs = RunCell(&session, anti_sql, "distributed", 4, config);
-    SL_CHECK_OK(session.SetConf("sparkline.skyline.kernel", "bnl"));
-    Report("kernel: BNL vs SFS", bnl, sfs);
-  }
-  {
-    Cell as_is = RunCell(&session, anti_sql, "distributed", 8, config);
-    SL_CHECK_OK(session.SetConf("sparkline.skyline.partitioning", "angle"));
-    Cell angle = RunCell(&session, anti_sql, "distributed", 8, config);
-    SL_CHECK_OK(session.SetConf("sparkline.skyline.partitioning", "asis"));
-    Report("partitioning: as-is vs angle", as_is, angle);
-  }
-  {
-    SL_CHECK_OK(session.catalog()->RegisterTable(datagen::GeneratePoints(
-        "tiny", 200, 2, datagen::PointDistribution::kIndependent, 3)));
-    const std::string tiny_sql = "SELECT * FROM tiny SKYLINE OF d0 MIN, d1 MIN";
-    Cell off = RunCell(&session, tiny_sql, "auto", 8, config);
-    SL_CHECK_OK(
-        session.SetConf("sparkline.skyline.nonDistributedThreshold", "1000"));
-    Cell on = RunCell(&session, tiny_sql, "auto", 8, config);
-    SL_CHECK_OK(
-        session.SetConf("sparkline.skyline.nonDistributedThreshold", "0"));
-    Report("cost-based tiny-input", on, off);
-  }
+  SL_CHECK_OK(session.catalog()->RegisterTable(datagen::GeneratePoints(
+      "tiny", 200, 2, datagen::PointDistribution::kIndependent, 3)));
+  const std::string tiny_sql = "SELECT * FROM tiny SKYLINE OF d0 MIN, d1 MIN";
+  Compare("cost-based tiny-input", "on",
+          Toggle(&session, tiny_sql, config, "auto", 8,
+                 "sparkline.skyline.nonDistributedThreshold", "1000", "0"),
+          "off",
+          Toggle(&session, tiny_sql, config, "auto", 8,
+                 "sparkline.skyline.nonDistributedThreshold", "0", "0"));
 
   std::printf(
       "\nEach rule may only improve time/dominance tests, never change the\n"

@@ -33,8 +33,6 @@ std::string QueryMetrics::ToString() const {
       " matrix_reuses=", reuses,
       " sfs_skipped=", sfs_rows_skipped,
       " sfs_stops=", sfs_early_stops,
-      " bcast_points=", broadcast_filter_points,
-      " pruned_pre_gather=", rows_pruned_pre_gather,
       " rows_served=", rows_served,
       " bytes_served=", bytes_served);
 }

@@ -388,18 +388,6 @@ std::string RenderAnalyzeNode(const PhysicalPlan& node, const QueryMetrics& m,
   }
   if (builds > 0) line += StrCat(", matrix_builds=", builds);
   if (reuses > 0) line += StrCat(", matrix_reuses=", reuses);
-  // Broadcast-filter annotations. The counters are query-global scalars,
-  // so each lands on the first (topmost) node of its operator family —
-  // exact for today's single-skyline plans, attribution-fuzzy only for
-  // nested skylines (like operator_rows above).
-  if (label == "BroadcastFilter") {
-    if (m.broadcast_filter_points > 0) {
-      line += StrCat(", filter_points=", m.broadcast_filter_points);
-    }
-    if (m.rows_pruned_pre_gather > 0) {
-      line += StrCat(", pruned_pre_gather=", m.rows_pruned_pre_gather);
-    }
-  }
   if (label.compare(0, 8, "Exchange") == 0 && m.exchange_rows_shipped > 0) {
     line += StrCat(", shipped_rows=", m.exchange_rows_shipped,
                    ", shipped_bytes=", m.exchange_bytes);

@@ -76,7 +76,7 @@ struct SessionConfig {
   /// (the paper's future-work presorting family). Key:
   /// sparkline.skyline.kernel = bnl | sfs.
   SkylineKernel skyline_kernel = SkylineKernel::kBlockNestedLoop;
-  /// Local-stage partitioning for complete data. Key:
+  /// Local-stage partitioning of distributed skylines. Key:
   /// sparkline.skyline.partitioning = asis | angle.
   SkylinePartitioning skyline_partitioning = SkylinePartitioning::kAsIs;
   /// Cost-based refinement threshold (section 7 future work). Key:

@@ -24,8 +24,6 @@ namespace {
 ///   exec.local_task    LocalSkylineExec partition tasks
 ///   exec.global_task   GlobalSkyline{,Incomplete}Exec stage tasks
 ///                      (partial/merge/candidates/validate)
-///   exec.broadcast     BroadcastFilterExec nominate/filter stages
-///                      (degrades to the unfiltered pre-gather path)
 ///   exec.exchange      ExchangeExec (row shuffle and columnar concat)
 ///   exec.stage_task    every other stage runner (project/filter/join/
 ///                      aggregate/sort — the generic per-task site)
@@ -34,9 +32,9 @@ namespace {
 ///                      to invalidation — never a stale hit)
 ///   catalog.write      Catalog::InsertInto (copy-on-write publish)
 constexpr const char* kSites[] = {
-    "exec.scan",          "exec.local_task", "exec.global_task",
-    "exec.broadcast",     "exec.exchange",   "exec.stage_task",
-    "serve.cache_insert", "serve.delta_apply", "catalog.write",
+    "exec.scan",          "exec.local_task",   "exec.global_task",
+    "exec.exchange",      "exec.stage_task",   "serve.cache_insert",
+    "serve.delta_apply",  "catalog.write",
 };
 
 struct SiteState {

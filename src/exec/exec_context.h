@@ -64,28 +64,23 @@ struct QueryMetrics {
   int64_t peak_memory_bytes = 0;
   int64_t dominance_tests = 0;
 
-  // --- exchange / pre-gather pruning counters -------------------------------
+  // --- exchange counters ----------------------------------------------------
   /// Rows that actually crossed an ExchangeExec stage boundary (batch rows
-  /// count their view, not their backing), so pre-gather pruning shows up
-  /// as fewer rows shipped.
+  /// count their view, not their backing).
   int64_t exchange_rows_shipped = 0;
   /// Estimated bytes those rows occupied on the wire (row estimate, plus
   /// packed matrix keys for batch partitions). Borrowed rows count like
   /// owned ones: a row is serialized whoever owns it.
   int64_t exchange_bytes = 0;
-  /// Filter points nominated and broadcast by BroadcastFilterExec; 0 when
-  /// the input is ineligible.
-  int64_t broadcast_filter_points = 0;
   /// Always 0: no operator skips whole partitions. Kept for sl_bench,
   /// which still reports it.
   int64_t partitions_skipped = 0;
-  /// Local-skyline rows removed by the broadcast filter before the gather —
-  /// rows that would otherwise have shipped and lost at the merge.
+  /// Always 0: no operator prunes local skylines before the gather. Kept
+  /// for sl_bench, which still reports it.
   int64_t rows_pruned_pre_gather = 0;
   /// The post-gather share of dominance_tests: tests performed by the
-  /// GlobalSkyline* merge stages. Pre-gather pruning exists to shrink this
-  /// (fewer shipped rows, fewer merge comparisons); the local stages'
-  /// share is dominance_tests - merge_dominance_tests.
+  /// GlobalSkyline* merge stages; the local stages' share is
+  /// dominance_tests - merge_dominance_tests.
   int64_t merge_dominance_tests = 0;
 
   // --- fault-tolerance counters ---------------------------------------------
@@ -251,14 +246,6 @@ class ExecContext {
     exchange_rows_shipped_ += rows;
     exchange_bytes_ += bytes;
   }
-  void AddBroadcastFilterPoints(int64_t n) {
-    sl::MutexLock lock(&mu_);
-    broadcast_filter_points_ += n;
-  }
-  void AddRowsPrunedPreGather(int64_t n) {
-    sl::MutexLock lock(&mu_);
-    rows_pruned_pre_gather_ += n;
-  }
   /// Records a stage's output row count under its operator label.
   void AddStageRows(const std::string& label, int64_t rows) {
     sl::MutexLock lock(&mu_);
@@ -305,8 +292,6 @@ class ExecContext {
     m.merge_dominance_tests = merge_dominance_.tests.load();
     m.exchange_rows_shipped = exchange_rows_shipped_;
     m.exchange_bytes = exchange_bytes_;
-    m.broadcast_filter_points = broadcast_filter_points_;
-    m.rows_pruned_pre_gather = rows_pruned_pre_gather_;
     m.tasks_retried = tasks_retried_.load();
     m.tasks_failed = tasks_failed_.load();
     m.sfs_rows_skipped = early_stop_.rows_skipped.load();
@@ -339,8 +324,6 @@ class ExecContext {
   std::map<std::string, int64_t> operator_rows_ SL_GUARDED_BY(mu_);
   int64_t exchange_rows_shipped_ SL_GUARDED_BY(mu_) = 0;
   int64_t exchange_bytes_ SL_GUARDED_BY(mu_) = 0;
-  int64_t broadcast_filter_points_ SL_GUARDED_BY(mu_) = 0;
-  int64_t rows_pruned_pre_gather_ SL_GUARDED_BY(mu_) = 0;
   double projection_ms_ SL_GUARDED_BY(mu_) = 0;
   double decode_ms_ SL_GUARDED_BY(mu_) = 0;
   std::map<std::string, int64_t> matrix_builds_ SL_GUARDED_BY(mu_);

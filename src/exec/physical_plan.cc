@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <numeric>
 #include <thread>
 
@@ -416,88 +415,6 @@ int64_t EstimateShippedBytes(const PartitionedRelation& rel) {
   return total;
 }
 
-/// The rows of one null-bitmap class in one input partition, in position
-/// order.
-struct ClassRun {
-  uint32_t bitmap;
-  std::vector<uint32_t> positions;
-};
-
-/// A piece of one null-bitmap class: its rows [begin, end) in class rank
-/// (input partition order, then position).
-struct ClassSlice {
-  uint32_t bitmap;
-  size_t begin;
-  size_t end;
-
-  size_t size() const { return end - begin; }
-};
-
-/// The null-bitmap exchange's assignment of classes to `n` targets, from
-/// each class's row count. With F = ceil(N / n) the fair share of N rows, a
-/// class of c > F rows is cut into min(n, ceil(c / F)) near-equal pieces,
-/// each on a different target; smaller classes stay whole. Classes and
-/// pieces go, largest first (ties by bitmap), to the least-loaded target
-/// (lowest index on ties): greedy LPT, deterministic for a given input and
-/// n. A split class's pieces then take its rows in class rank over their
-/// targets in ascending order, so a gather of the targets keeps every class
-/// in rank order (the DISTINCT tie-break). Each target's slices are
-/// returned in bitmap order.
-std::vector<std::vector<ClassSlice>> AssignBitmapClasses(
-    const std::map<uint32_t, size_t>& class_rows, size_t n) {
-  size_t total = 0;
-  for (const auto& [bitmap, rows] : class_rows) total += rows;
-  const size_t fair = std::max<size_t>(1, (total + n - 1) / n);
-  struct Piece {
-    uint32_t bitmap;
-    size_t rows;
-    bool split;
-  };
-  std::vector<Piece> pieces;
-  for (const auto& [bitmap, rows] : class_rows) {
-    const size_t k = rows > fair ? std::min(n, (rows + fair - 1) / fair) : 1;
-    for (size_t j = 0; j < k; ++j) {
-      pieces.push_back({bitmap, rows * (j + 1) / k - rows * j / k, k > 1});
-    }
-  }
-  std::sort(pieces.begin(), pieces.end(), [](const Piece& a, const Piece& b) {
-    return a.rows != b.rows ? a.rows > b.rows : a.bitmap < b.bitmap;
-  });
-  std::vector<std::vector<ClassSlice>> plan(n);
-  std::vector<size_t> load(n, 0);
-  // Targets already holding a piece of each split class.
-  std::map<uint32_t, std::vector<bool>> taken;
-  for (const Piece& piece : pieces) {
-    std::vector<bool>* used = nullptr;
-    if (piece.split) {
-      used = &taken[piece.bitmap];
-      used->resize(n, false);
-    }
-    size_t best = n;
-    for (size_t t = 0; t < n; ++t) {
-      if (used != nullptr && (*used)[t]) continue;
-      if (best == n || load[t] < load[best]) best = t;
-    }
-    if (used != nullptr) (*used)[best] = true;
-    plan[best].push_back({piece.bitmap, 0, piece.rows});  // ranked below
-    load[best] += piece.rows;
-  }
-  std::map<uint32_t, size_t> next_rank;
-  for (std::vector<ClassSlice>& target : plan) {
-    std::sort(target.begin(), target.end(),
-              [](const ClassSlice& a, const ClassSlice& b) {
-                return a.bitmap < b.bitmap;
-              });
-    for (ClassSlice& slice : target) {
-      const size_t rows = slice.size();
-      slice.begin = next_rank[slice.bitmap];
-      slice.end = slice.begin + rows;
-      next_rank[slice.bitmap] = slice.end;
-    }
-  }
-  return plan;
-}
-
 }  // namespace
 
 ExchangeExec::ExchangeExec(ExchangeMode mode,
@@ -511,8 +428,6 @@ std::string ExchangeExec::label() const {
   switch (mode_) {
     case ExchangeMode::kGather:
       return "Exchange [AllTuples]";
-    case ExchangeMode::kNullBitmapHash:
-      return "Exchange [NullBitmapHash]";
     case ExchangeMode::kAngle:
       return "Exchange [Angle]";
   }
@@ -593,9 +508,7 @@ Result<PartitionedRelation> ExchangeExec::Execute(ExecContext* ctx) const {
   SL_ASSIGN_OR_RETURN(PartitionedRelation in, children_[0]->Execute(ctx));
   const int64_t moved = static_cast<int64_t>(in.TotalRows());
   // Exchange observability: what actually crosses the stage boundary, per
-  // query (QueryMetrics) and process-wide (the registry). This is the
-  // scorecard of pre-gather pruning — fewer rows/bytes here is the point
-  // of BroadcastFilterExec.
+  // query (QueryMetrics) and process-wide (the registry).
   const int64_t shipped_bytes = EstimateShippedBytes(in);
   ctx->AddExchangeShipped(moved, shipped_bytes);
   static metrics::Counter* shipped_rows_total =
@@ -645,15 +558,10 @@ Result<PartitionedRelation> ExchangeExec::Execute(ExecContext* ctx) const {
     SL_RETURN_NOT_OK(ChargeOutput(ctx, &out));
     return out;
   }
-  // A re-partitioning exchange over borrowed rows routes their ids; the
-  // gather, and any other input, works on materialized rows.
-  const bool route_ids = mode_ != ExchangeMode::kGather && RoutableViews(in);
+  // The angle exchange over borrowed rows routes their ids; the gather,
+  // and any other input, works on materialized rows.
+  const bool route_ids = mode_ == ExchangeMode::kAngle && RoutableViews(in);
   if (!route_ids) SL_RETURN_NOT_OK(DecodeInput(ctx, &in));
-  if (mode_ == ExchangeMode::kNullBitmapHash) {
-    SL_RETURN_NOT_OK(RouteByNullBitmap(ctx, route_ids, &in, &out));
-    SL_RETURN_NOT_OK(ChargeOutput(ctx, &out));
-    return out;
-  }
 
   SL_RETURN_NOT_OK(RunStage(ctx, 1, [&](size_t) -> Status {
     if (mode_ == ExchangeMode::kGather) {
@@ -695,87 +603,6 @@ Result<PartitionedRelation> ExchangeExec::Execute(ExecContext* ctx) const {
   // holds both copies transiently (for routed ids, both id lists).
   SL_RETURN_NOT_OK(ChargeOutput(ctx, &out));
   return out;
-}
-
-Status ExchangeExec::RouteByNullBitmap(ExecContext* ctx, bool route_ids,
-                                       PartitionedRelation* in,
-                                       PartitionedRelation* out) const {
-  const size_t inputs = in->partitions.size();
-  const size_t n =
-      static_cast<size_t>(std::max(1, ctx->config().num_executors));
-  // Routed ids index the source rows directly, so the dimensions move to
-  // source-column ordinals once.
-  std::vector<skyline::BoundDimension> dims = dims_;
-  if (route_ids) {
-    for (auto& d : dims) d.ordinal = in->views[0]->column(d.ordinal);
-  }
-
-  // [route]: every input partition groups its row positions by bitmap.
-  std::vector<std::vector<ClassRun>> runs(inputs);
-  SL_RETURN_NOT_OK(RunStage(
-      ctx, StrCat(label(), " [route]"), inputs, [&](size_t p) -> Status {
-        std::map<uint32_t, std::vector<uint32_t>> groups;
-        const size_t rows = in->PartitionRows(p);
-        for (size_t k = 0; k < rows; ++k) {
-          const Row& row =
-              route_ids ? in->views[p]->source(k) : in->partitions[p][k];
-          groups[skyline::NullBitmap(row, dims)].push_back(
-              static_cast<uint32_t>(k));
-        }
-        for (auto& [bitmap, positions] : groups) {
-          runs[p].push_back({bitmap, std::move(positions)});
-        }
-        return Status::OK();
-      }));
-
-  // The plan, from the per-partition class counts; each class's runs in
-  // class rank order.
-  std::map<uint32_t, size_t> class_rows;
-  std::map<uint32_t, std::vector<std::pair<size_t, const ClassRun*>>> members;
-  for (size_t p = 0; p < inputs; ++p) {
-    for (const ClassRun& run : runs[p]) {
-      class_rows[run.bitmap] += run.positions.size();
-      members[run.bitmap].emplace_back(p, &run);
-    }
-  }
-  const std::vector<std::vector<ClassSlice>> plan =
-      AssignBitmapClasses(class_rows, n);
-
-  // [concat]: every target concatenates its slices; each row is routed (or
-  // moved) by exactly one task.
-  out->partitions.assign(n, {});
-  if (route_ids) {
-    out->views.assign(n,
-                      RowView{in->views[0]->rows, {}, in->views[0]->columns});
-  }
-  return RunStage(
-      ctx, StrCat(label(), " [concat]"), n, [&](size_t t) -> Status {
-        size_t rows = 0;
-        for (const ClassSlice& slice : plan[t]) rows += slice.size();
-        if (route_ids) {
-          out->views[t]->ids.reserve(rows);
-        } else {
-          out->partitions[t].reserve(rows);
-        }
-        for (const ClassSlice& slice : plan[t]) {
-          size_t first = 0;  // class rank of the run's first row
-          for (const auto& [p, run] : members.at(slice.bitmap)) {
-            const size_t last = first + run->positions.size();
-            for (size_t r = std::max(first, slice.begin);
-                 r < std::min(last, slice.end); ++r) {
-              const uint32_t k = run->positions[r - first];
-              if (route_ids) {
-                out->views[t]->ids.push_back(in->views[p]->ids[k]);
-              } else {
-                out->partitions[t].push_back(std::move(in->partitions[p][k]));
-              }
-            }
-            if (last >= slice.end) break;
-            first = last;
-          }
-        }
-        return Status::OK();
-      });
 }
 
 // --- SortExec ---------------------------------------------------------------------

@@ -3,7 +3,7 @@
 // Operators execute partition-at-a-time: each operator consumes its
 // children's PartitionedRelations and produces its own. Borrowed rows pass
 // through the operators that only select or move them (filters, the
-// re-partitioning exchanges, the skyline stages; see partitioned.h);
+// angle exchange, the skyline stages; see partitioned.h);
 // every other operator materializes its input. Stage boundaries
 // (exchanges) match where Spark would shuffle; narrow operators preserve
 // the child partitioning, mirroring the paper's decision to keep Spark's
@@ -32,10 +32,6 @@ enum class Partitioning : uint8_t {
   kUnspecified,
   /// Exactly one partition (Spark AllTuples).
   kSinglePartition,
-  /// Partitioned by the null bitmap of the skyline dimensions (section 5.7):
-  /// a partition may hold several bitmap classes, and a large class may be
-  /// split over several partitions.
-  kNullBitmapHashed,
 };
 
 /// \brief Base class of all physical operators.
@@ -214,11 +210,6 @@ class FilterExec : public PhysicalPlan {
 enum class ExchangeMode : uint8_t {
   /// Gather everything into one partition (AllTuples distribution).
   kGather,
-  /// Route rows by the null bitmap of the skyline dimensions (section 5.7),
-  /// balancing load: whole bitmap classes, and near-equal pieces of classes
-  /// above the fair share, go to the least-loaded partition. A partition
-  /// may hold several classes, and a class may span partitions.
-  kNullBitmapHash,
   /// Angle-based space partitioning (Vlachou et al.; paper section 7
   /// future work): rows in similar "directions" of the dimension space land
   /// together, which keeps local skylines small on anti-correlated data.
@@ -271,17 +262,9 @@ size_t AnglePartition(const Row& row,
 /// a skyline stage) ships the matrix blocks instead of rows: the batches are
 /// concatenated into one compact batch (ColumnarBatch::Concat, which keeps
 /// borrowed rows borrowed) and the single output partition stays columnar.
-/// A re-partitioning exchange over borrowed rows (a scan or a filter)
-/// routes their row ids, so its output stays borrowed. Any other input is
-/// materialized first (DecodeInput).
-///
-/// The null-bitmap exchange routes on the map side in two stages, both
-/// labelled "<label> [...]": "[route]", one task per input partition,
-/// groups the partition's row positions by bitmap; between the stages the
-/// operator assigns classes and pieces of classes to targets from the
-/// per-partition counts (greedy LPT, see ExchangeMode::kNullBitmapHash);
-/// "[concat]", one task per target, concatenates the target's row ids
-/// (borrowed input) or moves its rows (owned input).
+/// The angle exchange over borrowed rows (a scan or a filter) routes their
+/// row ids, so its output stays borrowed. Any other input is materialized
+/// first (DecodeInput).
 class ExchangeExec : public PhysicalPlan {
  public:
   ExchangeExec(ExchangeMode mode, std::vector<skyline::BoundDimension> dims,
@@ -289,26 +272,14 @@ class ExchangeExec : public PhysicalPlan {
   std::string label() const override;
   const char* failpoint_site() const override { return "exec.exchange"; }
   Partitioning output_partitioning() const override {
-    switch (mode_) {
-      case ExchangeMode::kGather:
-        return Partitioning::kSinglePartition;
-      case ExchangeMode::kNullBitmapHash:
-        return Partitioning::kNullBitmapHashed;
-      default:
-        return Partitioning::kUnspecified;
-    }
+    return mode_ == ExchangeMode::kGather ? Partitioning::kSinglePartition
+                                          : Partitioning::kUnspecified;
   }
   Result<PartitionedRelation> Execute(ExecContext* ctx) const override;
 
  private:
-  /// The kNullBitmapHash mode's [route] and [concat] stages: fills `out`'s
-  /// partitions (and views, with `route_ids`) from `in`.
-  Status RouteByNullBitmap(ExecContext* ctx, bool route_ids,
-                           PartitionedRelation* in,
-                           PartitionedRelation* out) const;
-
   ExchangeMode mode_;
-  std::vector<skyline::BoundDimension> dims_;  // for kNullBitmapHash
+  std::vector<skyline::BoundDimension> dims_;  // for kAngle
 };
 
 // --- aggregation -------------------------------------------------------------
@@ -420,11 +391,12 @@ class NestedLoopJoinExec : public PhysicalPlan {
 
 /// \brief Local skyline computation (paper section 5.5/5.6): one BNL pass
 /// per partition, preserving the child's partitioning. Used for both the
-/// complete and the incomplete algorithm. After the null-bitmap exchange a
-/// partition may hold several bitmap classes, so the incomplete algorithm
-/// reduces each bitmap group of a partition separately (RunColumnarKernel):
-/// elimination within one bitmap is sound, and a class split over several
-/// partitions only leaves extra candidates for the global stage.
+/// complete and the incomplete algorithm. A partition may hold any mix of
+/// null bitmaps, so the incomplete algorithm reduces each bitmap group of a
+/// partition separately (RunColumnarKernel): within one bitmap, a row that
+/// dominates r also dominates every row r dominates, so dropping r loses no
+/// witness, and a bitmap spread over several partitions only leaves extra
+/// candidates for the global stage.
 ///
 /// Each partition is projected into a DominanceMatrix exactly once (a
 /// scan's borrowed rows in place), and the output is a ColumnarBatch
@@ -448,42 +420,6 @@ class LocalSkylineExec : public PhysicalPlan {
   bool distinct_;
   skyline::NullSemantics nulls_;
   SkylineKernel kernel_;
-};
-
-/// \brief Pre-gather broadcast-filter pruning (after Ciaccia &
-/// Martinenghi's representative filtering): sits between LocalSkylineExec
-/// and the gather exchange on the distributed complete path.
-///
-///   [nominate]  each partition nominates its k strongest skyline points —
-///               the SaLSa minmax-best tuples, whose small max-coordinate
-///               makes them dominate the largest boxes — and their packed
-///               normalized keys are unioned into a tiny FilterPointSet
-///               (the broadcast; normalized keys compare across matrices,
-///               so no re-projection travels with it).
-///   [filter]    every partition prunes its local skyline against the
-///               union *before* the gather, row by row via
-///               PruneAgainstFilter. Only *strictly* dominated rows are
-///               removed — DISTINCT ties survive to the merge, so results
-///               are bit-identical to an unfiltered plan.
-///
-/// Eligibility is per-relation: every non-empty partition must carry a
-/// batch projected for these dimensions over an all-numeric, NULL-free,
-/// DIFF-free, unranked matrix (cross-matrix key comparability); anything
-/// else passes
-/// through unchanged. Faults at "exec.broadcast" degrade the same way:
-/// transient/injected errors fall back to the unfiltered input (never a
-/// wrong result), while cancellation/timeout/memory errors propagate.
-class BroadcastFilterExec : public PhysicalPlan {
- public:
-  BroadcastFilterExec(std::vector<skyline::BoundDimension> dims,
-                      PhysicalPlanPtr child, size_t points_per_partition = 2);
-  std::string label() const override { return "BroadcastFilter"; }
-  const char* failpoint_site() const override { return "exec.broadcast"; }
-  Result<PartitionedRelation> Execute(ExecContext* ctx) const override;
-
- private:
-  std::vector<skyline::BoundDimension> dims_;
-  size_t points_per_partition_;
 };
 
 /// \brief Global skyline for complete data over the single gathered
@@ -539,8 +475,16 @@ class GlobalSkylineExec : public PhysicalPlan {
 /// unsound here: a tuple eliminated inside its chunk can still be the only
 /// witness against another chunk's survivor. With more than one executor
 /// the gathered input is instead split into executor-count chunks and run
-/// through all-pairs validation (ChunkedGlobalSkyline):
+/// through all-pairs validation (ChunkedGlobalSkyline), after one step
+/// that is sound because dominance *within* one null bitmap is transitive:
 ///
+///   [reduce]      only for a gather of local skylines (skyline parts):
+///                 one task per part drops the rows that another part's
+///                 row of the same bitmap dominates (and, under DISTINCT,
+///                 that an earlier part holds equal), reading each bitmap
+///                 group in place (ColumnarValidateAgainstPeers). The
+///                 dominator dominates every row the dropped one does, so
+///                 no witness is lost.
 ///   [candidates]  each chunk runs the all-pairs deferred-deletion scan
 ///                 locally; survivors become its candidate set.
 ///   [validate]    task i checks its candidates against the *full* tuple
@@ -549,11 +493,11 @@ class GlobalSkylineExec : public PhysicalPlan {
 ///                 witness is found.
 ///
 /// Surviving candidates are then concatenated in input order. Every
-/// candidate has been compared against every other input tuple, so the
-/// result equals the single-task all-pairs algorithm exactly. Stage times
-/// are recorded under "<label> [candidates]" / "[validate]"; the
-/// single-executor path (the paper's single-task all-pairs) keeps the bare
-/// label.
+/// candidate has been compared against every other input tuple [reduce]
+/// kept, so the result equals the single-task all-pairs algorithm exactly.
+/// Stage times are recorded under "<label> [reduce]" / "[candidates]" /
+/// "[validate]"; the single-executor path (the paper's single-task
+/// all-pairs) keeps the bare label.
 ///
 /// A batch from the gather exchange supplies the shared matrix (and its
 /// per-row null bitmaps) for every stage, and the output stays a batch
@@ -569,6 +513,12 @@ class GlobalSkylineIncompleteExec : public PhysicalPlan {
   Result<PartitionedRelation> Execute(ExecContext* ctx) const override;
 
  private:
+  /// The [reduce] stage over `batch`, whose skyline parts are contiguous
+  /// runs of matrix rows; returns the kept view, ascending in matrix index.
+  Result<std::vector<uint32_t>> ReduceBitmapGroups(
+      ExecContext* ctx, const skyline::ColumnarBatch& batch,
+      const skyline::SkylineOptions& options) const;
+
   std::vector<skyline::BoundDimension> dims_;
   bool distinct_;
 };

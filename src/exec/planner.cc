@@ -485,44 +485,43 @@ Result<PhysicalPlanPtr> PhysicalPlanner::PlanSkyline(
 
   PhysicalPlanPtr result;
   switch (strategy) {
-    case SkylineStrategy::kDistributedComplete: {
-      // Default: keep the child's partitioning for the local pass (the
-      // paper's choice, section 5.6). Angle partitioning re-shuffles first.
+    case SkylineStrategy::kDistributedComplete:
+    case SkylineStrategy::kDistributedIncomplete: {
+      // Keep the child's partitioning for the local pass (the paper's
+      // choice, section 5.6); angle partitioning re-shuffles first. The
+      // paper routes incomplete input by null bitmap (section 5.7) so that
+      // each local BNL sees one bitmap; LocalSkylineExec already reduces
+      // every bitmap group of a partition on its own, which is sound on
+      // any partitioning, so both semantics share one plan shape.
+      const bool complete =
+          strategy == SkylineStrategy::kDistributedComplete;
       PhysicalPlanPtr local_input = input;
       if (options_.skyline_partitioning == SkylinePartitioning::kAngle) {
         local_input = std::make_shared<ExchangeExec>(ExchangeMode::kAngle,
                                                      dims, local_input);
       }
-      PhysicalPlanPtr local = std::make_shared<LocalSkylineExec>(
-          dims, sky.distinct(), skyline::NullSemantics::kComplete,
-          std::move(local_input), options_.skyline_kernel);
-      // Prune every local skyline against the broadcast union of nominated
-      // points *before* the gather pays for shipping them. Ineligible
-      // inputs pass through unchanged.
-      local = std::make_shared<BroadcastFilterExec>(dims, std::move(local));
-      result = std::make_shared<GlobalSkylineExec>(
-          dims, sky.distinct(), EnsureSinglePartition(std::move(local)),
-          options_.skyline_kernel);
+      PhysicalPlanPtr gathered = EnsureSinglePartition(
+          std::make_shared<LocalSkylineExec>(
+              dims, sky.distinct(),
+              complete ? skyline::NullSemantics::kComplete
+                       : skyline::NullSemantics::kIncomplete,
+              std::move(local_input),
+              complete ? options_.skyline_kernel
+                       : SkylineKernel::kBlockNestedLoop));
+      if (complete) {
+        result = std::make_shared<GlobalSkylineExec>(
+            dims, sky.distinct(), std::move(gathered),
+            options_.skyline_kernel);
+      } else {
+        result = std::make_shared<GlobalSkylineIncompleteExec>(
+            dims, sky.distinct(), std::move(gathered));
+      }
       break;
     }
     case SkylineStrategy::kNonDistributedComplete: {
       result = std::make_shared<GlobalSkylineExec>(
           dims, sky.distinct(), EnsureSinglePartition(std::move(input)),
           options_.skyline_kernel);
-      break;
-    }
-    case SkylineStrategy::kDistributedIncomplete: {
-      // Null-bitmap partitioning spreads bitmap classes over the executors
-      // by load (splitting large ones); the local pass reduces each bitmap
-      // group separately, so BNL stays correct despite missing values
-      // (section 5.7).
-      PhysicalPlanPtr exchange = std::make_shared<ExchangeExec>(
-          ExchangeMode::kNullBitmapHash, dims, std::move(input));
-      PhysicalPlanPtr local = std::make_shared<LocalSkylineExec>(
-          dims, sky.distinct(), skyline::NullSemantics::kIncomplete,
-          std::move(exchange));
-      result = std::make_shared<GlobalSkylineIncompleteExec>(
-          dims, sky.distinct(), EnsureSinglePartition(std::move(local)));
       break;
     }
     case SkylineStrategy::kAuto:

@@ -2,9 +2,9 @@
 //
 // Implements the paper's algorithm selection (Listing 8): the complete
 // skyline algorithm is chosen when the COMPLETE keyword is present or no
-// skyline dimension is nullable; otherwise the incomplete algorithm with
-// null-bitmap partitioning. Session configuration can force a strategy,
-// which is how the benchmarks run all four algorithms of section 6.3.
+// skyline dimension is nullable; otherwise the incomplete algorithm.
+// Session configuration can force a strategy, which is how the benchmarks
+// run all four algorithms of section 6.3.
 #pragma once
 
 #include "common/result.h"
@@ -21,14 +21,15 @@ enum class SkylineStrategy : uint8_t {
   kDistributedComplete,
   /// "non-distributed complete": gather, then a single global pass.
   kNonDistributedComplete,
-  /// "distributed incomplete": null-bitmap partitioning + all-pairs global.
+  /// "distributed incomplete": local skylines per null-bitmap group of each
+  /// partition, then the all-pairs global stage.
   kDistributedIncomplete,
 };
 
 Result<SkylineStrategy> ParseSkylineStrategy(const std::string& name);
 const char* SkylineStrategyName(SkylineStrategy s);
 
-/// \brief Partitioning scheme for the local skyline stage on complete data
+/// \brief Partitioning scheme for the local stage of a distributed skyline
 /// (paper section 7 lists angle-based partitioning as future work).
 enum class SkylinePartitioning : uint8_t {
   /// Keep the child's partitioning (the paper's choice, section 5.6).

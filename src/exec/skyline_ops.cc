@@ -3,15 +3,13 @@
 // Algorithm selection happens in the physical planner (Listing 8); these
 // operators only run the algorithm library over partitions:
 //
-//   distributed complete:   LocalSkylineExec (child partitioning kept)
-//                           -> BroadcastFilterExec
-//                           -> Exchange[AllTuples] -> GlobalSkylineExec
-//   non-distributed:        Exchange[AllTuples] -> GlobalSkylineExec
-//   distributed incomplete: Exchange[NullBitmapHash] (bitmap classes spread
-//                           by load; large ones split over partitions)
-//                           -> LocalSkylineExec (one pass per bitmap group)
-//                           -> Exchange[AllTuples]
-//                           -> GlobalSkylineIncompleteExec
+//   distributed:      [Exchange[Angle] ->] LocalSkylineExec (the child's
+//                     partitioning; under incomplete semantics one pass
+//                     per null-bitmap group)
+//                     -> Exchange[AllTuples]
+//                     -> GlobalSkylineExec (complete semantics)
+//                        or GlobalSkylineIncompleteExec (incomplete)
+//   non-distributed:  Exchange[AllTuples] -> GlobalSkylineExec
 //
 // Every dominance test runs over a DominanceMatrix (skyline/columnar.h),
 // and the stages exchange ColumnarBatch views instead of materialized rows.
@@ -30,11 +28,10 @@
 #include <algorithm>
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <optional>
 
-#include "common/logging.h"
-#include "common/metrics.h"
 #include "common/string_util.h"
 #include "exec/physical_plan.h"
 #include "skyline/columnar.h"
@@ -197,149 +194,26 @@ Result<PartitionedRelation> LocalSkylineExec::Execute(ExecContext* ctx) const {
     // Any other complete skyline is an antichain: left in SFS order,
     // it is a skyline part the global [merge] validates in place (an SFS
     // view keeps its sort order; the gather interleaves those instead).
-    const bool skyline_part =
-        nulls_ == skyline::NullSemantics::kComplete && !sorted;
-    if (skyline_part) {
-      skyline::SortInSfsOrder(batch.matrix(), &survivors);
+    // An incomplete skyline is one antichain per null-bitmap group: each
+    // group, in SFS order and in ascending bitmap order, is read in place
+    // by the global [reduce].
+    const bool skyline_part = !sorted;
+    if (nulls_ == skyline::NullSemantics::kComplete) {
+      if (skyline_part) skyline::SortInSfsOrder(batch.matrix(), &survivors);
+    } else {
+      std::vector<uint32_t> grouped;
+      grouped.reserve(survivors.size());
+      for (std::vector<uint32_t>& group :
+           skyline::PartitionIndicesByNullBitmap(batch.matrix(), survivors)) {
+        skyline::SortInSfsOrder(batch.matrix(), &group);
+        grouped.insert(grouped.end(), group.begin(), group.end());
+      }
+      survivors = std::move(grouped);
     }
     out.batches[i] = batch.WithSelection(std::move(survivors), sorted,
                                          stop_bound, skyline_part);
     return Status::OK();
   }));
-  SL_RETURN_NOT_OK(ChargeOutput(ctx, &out));
-  return out;
-}
-
-// --- BroadcastFilterExec ----------------------------------------------------
-
-BroadcastFilterExec::BroadcastFilterExec(
-    std::vector<skyline::BoundDimension> dims, PhysicalPlanPtr child,
-    size_t points_per_partition)
-    : PhysicalPlan(child->output(), {child}),
-      dims_(std::move(dims)),
-      points_per_partition_(points_per_partition) {}
-
-Result<PartitionedRelation> BroadcastFilterExec::Execute(
-    ExecContext* ctx) const {
-  SL_ASSIGN_OR_RETURN(PartitionedRelation in, children_[0]->Execute(ctx));
-
-  // Eligibility (see the class comment): every non-empty partition must
-  // carry a batch projected for these dimensions whose matrix supports
-  // cross-matrix key comparison. Anything else — row partitions, ranked
-  // dimensions, NULL bitmaps, DIFF dimensions — passes through unchanged; the
-  // gather and global merge compute the same result, just without the
-  // pre-gather discount.
-  const size_t n = in.partitions.size();
-  size_t non_empty = 0;
-  bool eligible = n > 1 && in.batches.size() == n && points_per_partition_ > 0;
-  for (size_t i = 0; eligible && i < n; ++i) {
-    if (in.PartitionRows(i) == 0) continue;
-    ++non_empty;
-    const std::optional<skyline::ColumnarBatch>& b = in.batches[i];
-    eligible = b.has_value() && b->ProjectedFor(dims_) &&
-               b->matrix().all_numeric_minmax() && !b->matrix().has_nulls() &&
-               b->matrix().diff_mask() == 0;
-  }
-  if (!eligible || non_empty < 2) return in;
-
-  // Degradation contract: the filter is a shuffle discount, never a
-  // correctness dependency. Cancellation, timeout and memory exhaustion
-  // keep their meaning and propagate; any other stage failure (including
-  // injected "exec.broadcast" faults that outlive the retry budget) falls
-  // back to the unfiltered input. Both stages only read `in` and write
-  // side vectors, so the fallback input is untouched.
-  auto degradable = [](const Status& s) {
-    return !s.IsCancelled() && !s.IsTimeout() && !s.IsResourceExhausted();
-  };
-
-  skyline::SkylineOptions options;
-  options.counter = ctx->dominance();
-  options.deadline_nanos = ctx->deadline_nanos();
-  options.cancel = ctx->cancel_token();
-
-  // [nominate]: each partition offers its k SaLSa minmax-best points; the
-  // union is the broadcast filter set.
-  std::vector<skyline::FilterPointSet> nominated(n);
-  Status status =
-      RunStage(ctx, StrCat(label(), " [nominate]"), n, [&](size_t i) -> Status {
-        if (in.PartitionRows(i) == 0) return Status::OK();
-        skyline::NominateFilterPoints(in.batches[i]->matrix(),
-                                      in.batches[i]->indices(),
-                                      points_per_partition_, &nominated[i]);
-        return Status::OK();
-      });
-  if (!status.ok()) {
-    if (!degradable(status)) return status;
-    SL_LOG_WARN << "broadcast filter [nominate] degraded to pass-through: "
-                << status.ToString();
-    return in;
-  }
-
-  skyline::FilterPointSet filter;
-  for (const auto& part : nominated) {
-    if (part.num_points() == 0) continue;
-    if (filter.num_dims == 0) filter.num_dims = part.num_dims;
-    filter.keys.insert(filter.keys.end(), part.keys.begin(), part.keys.end());
-  }
-  const int64_t filter_points = static_cast<int64_t>(filter.num_points());
-  if (filter_points == 0) return in;
-  ctx->AddBroadcastFilterPoints(filter_points);
-  static metrics::Counter* points_counter =
-      metrics::MetricsRegistry::Global().GetCounter(
-          "sparkline_broadcast_filter_points_total");
-  points_counter->Increment(filter_points);
-
-  // [filter]: every partition prunes against the union before the gather.
-  std::vector<std::vector<uint32_t>> pruned(n);
-  status =
-      RunStage(ctx, StrCat(label(), " [filter]"), n, [&](size_t i) -> Status {
-        if (in.PartitionRows(i) == 0) return Status::OK();
-        SL_ASSIGN_OR_RETURN(
-            pruned[i],
-            skyline::PruneAgainstFilter(in.batches[i]->matrix(),
-                                        in.batches[i]->indices(), filter,
-                                        options));
-        return Status::OK();
-      });
-  if (!status.ok()) {
-    if (!degradable(status)) return status;
-    SL_LOG_WARN << "broadcast filter [filter] degraded to pass-through: "
-                << status.ToString();
-    return in;
-  }
-
-  // Apply only after both stages fully succeeded. Pruned views stay
-  // subsequences of the input views, so the SFS sort flag, stop bound and
-  // skyline-part mark all remain valid: a pruned row (a bound
-  // witness included) is strictly dominated by a filter point whose
-  // domination chain terminates at a surviving row, so every elimination
-  // downstream keeps a surviving witness by transitivity.
-  PartitionedRelation out;
-  out.attrs = output_;
-  out.partitions.assign(n, {});
-  out.batches.assign(n, std::nullopt);
-
-  int64_t rows_pruned = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (in.PartitionRows(i) == 0) {
-      out.partitions[i] = std::move(in.partitions[i]);
-      if (in.batches[i].has_value()) out.batches[i] = std::move(in.batches[i]);
-      continue;
-    }
-    const skyline::ColumnarBatch& b = *in.batches[i];
-    rows_pruned += static_cast<int64_t>(b.num_rows() - pruned[i].size());
-    out.batches[i] = b.WithSelection(std::move(pruned[i]), b.score_sorted(),
-                                     b.stop_bound(),
-                                     b.skyline_parts().size() == 2);
-  }
-
-  if (rows_pruned > 0) {
-    ctx->AddRowsPrunedPreGather(rows_pruned);
-    static metrics::Counter* pruned_counter =
-        metrics::MetricsRegistry::Global().GetCounter(
-            "sparkline_rows_pruned_pre_gather_total");
-    pruned_counter->Increment(rows_pruned);
-  }
   SL_RETURN_NOT_OK(ChargeOutput(ctx, &out));
   return out;
 }
@@ -487,6 +361,61 @@ Result<PartitionedRelation> GlobalSkylineExec::Execute(ExecContext* ctx) const {
 
 // --- GlobalSkylineIncompleteExec --------------------------------------------
 
+Result<std::vector<uint32_t>> GlobalSkylineIncompleteExec::ReduceBitmapGroups(
+    ExecContext* ctx, const skyline::ColumnarBatch& batch,
+    const skyline::SkylineOptions& options) const {
+  const skyline::DominanceMatrix& matrix = batch.matrix();
+  const std::vector<uint32_t>& view = batch.indices();
+  const std::vector<uint32_t>& bounds = batch.skyline_parts();
+  const size_t parts = bounds.size() - 1;
+  // Every part's bitmap groups: contiguous runs of matrix rows in SFS
+  // order, so peers read their keys in place.
+  struct Group {
+    uint32_t begin;  // view offset
+    skyline::PeerKeys keys;
+  };
+  std::vector<std::map<uint32_t, Group>> groups(parts);
+  for (size_t j = 0; j < parts; ++j) {
+    for (uint32_t p = bounds[j]; p < bounds[j + 1]; ++p) {
+      auto [it, first] = groups[j].try_emplace(matrix.null_bitmap(view[p]));
+      if (first) it->second = {p, {matrix.row_keys(view[p]), 0, false}};
+      ++it->second.keys.size;
+    }
+  }
+  // Within one bitmap group complete dominance over all key slots is
+  // incomplete dominance, and it is transitive.
+  skyline::SkylineOptions group_options = options;
+  group_options.nulls = skyline::NullSemantics::kComplete;
+  std::vector<std::vector<uint32_t>> kept(parts);
+  SL_RETURN_NOT_OK(RunStage(
+      ctx, StrCat(label(), " [reduce]"), parts, [&](size_t i) -> Status {
+        for (const auto& [bitmap, group] : groups[i]) {
+          std::vector<skyline::PeerKeys> peers;
+          for (size_t j = 0; j < parts; ++j) {
+            auto peer = groups[j].find(bitmap);
+            if (j == i || peer == groups[j].end()) continue;
+            peers.push_back(peer->second.keys);
+            peers.back().earlier = j < i;
+          }
+          SL_ASSIGN_OR_RETURN(
+              std::vector<uint32_t> survivors,
+              skyline::ColumnarValidateAgainstPeers(
+                  matrix,
+                  std::vector<uint32_t>(
+                      view.begin() + group.begin,
+                      view.begin() + group.begin + group.keys.size),
+                  peers, group_options));
+          kept[i].insert(kept[i].end(), survivors.begin(), survivors.end());
+        }
+        return Status::OK();
+      }));
+  std::vector<uint32_t> out;
+  for (const std::vector<uint32_t>& k : kept) {
+    out.insert(out.end(), k.begin(), k.end());
+  }
+  return out;
+}
+
 GlobalSkylineIncompleteExec::GlobalSkylineIncompleteExec(
     std::vector<skyline::BoundDimension> dims, bool distinct,
     PhysicalPlanPtr child)
@@ -535,18 +464,23 @@ Result<PartitionedRelation> GlobalSkylineIncompleteExec::Execute(
       return Status::OK();
     }));
   } else {
+    std::vector<uint32_t> input = view;
+    const std::vector<uint32_t>& parts = batch.skyline_parts();
+    if (parts.size() > 2 && ContiguousRuns(view, parts)) {
+      SL_ASSIGN_OR_RETURN(input, ReduceBitmapGroups(ctx, batch, options));
+    }
     // Parallel all-pairs over index slices of the shared matrix (see the
     // class comment): unlike the complete path, survivor-only validation is
     // unsound under non-transitive dominance, so candidates are validated
     // against every peer chunk's *full* tuple set. Contiguous chunks keep
     // chunk order == global input order, which the DISTINCT tie-break and
     // the concatenation rely on.
-    const size_t chunks = std::min(num_executors, view.size());
-    const std::vector<uint32_t> bounds = ChunkBounds(view.size(), chunks);
+    const size_t chunks = std::min(num_executors, input.size());
+    const std::vector<uint32_t> bounds = ChunkBounds(input.size(), chunks);
     std::vector<std::vector<uint32_t>> chunk_indices(chunks);
     for (size_t i = 0; i < chunks; ++i) {
-      chunk_indices[i].assign(view.begin() + bounds[i],
-                              view.begin() + bounds[i + 1]);
+      chunk_indices[i].assign(input.begin() + bounds[i],
+                              input.begin() + bounds[i + 1]);
     }
     std::vector<std::vector<uint32_t>> candidates(chunks);
     SL_ASSIGN_OR_RETURN(

@@ -81,7 +81,9 @@ Result<LogicalPlanPtr> SingleDimSkylineRewrite(const LogicalPlanPtr& plan);
 Result<LogicalPlanPtr> PushSkylineThroughJoin(const LogicalPlanPtr& plan);
 
 /// SkylineNode -> left-anti self-join with the dominance predicate
-/// (Listing 4); mechanizes the paper's "reference" algorithm.
+/// (Listing 4); mechanizes the paper's "reference" algorithm. A skyline the
+/// planner would run under incomplete semantics (no COMPLETE, some nullable
+/// dimension) compares only the dimensions both tuples hold.
 Result<LogicalPlanPtr> SkylineToReference(const LogicalPlanPtr& plan);
 
 }  // namespace rules

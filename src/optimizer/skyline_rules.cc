@@ -266,27 +266,40 @@ Result<LogicalPlanPtr> SkylineToReference(const LogicalPlanPtr& plan) {
                         CloneWithFreshIds(sky.child(), &ids));
 
     // Dominance predicate of Listing 4: the inner tuple is at least as good
-    // everywhere (equal on DIFF dims) and strictly better somewhere.
+    // everywhere (equal on DIFF dims) and strictly better somewhere. Where
+    // the planner would run the incomplete algorithm, dominance compares
+    // only the dimensions both tuples hold: each no-worse conjunct also
+    // holds when either side is NULL, and a strict comparison with a NULL
+    // side is unknown, so the disjunction needs one shared dimension that
+    // is strictly better.
+    const bool incomplete = !InputProvablyComplete(sky);
     std::vector<ExprPtr> non_strict;
     std::vector<ExprPtr> strict;
     for (const auto& d : sky.dimensions()) {
       const auto& dim = static_cast<const SkylineDimension&>(*d);
       ExprPtr outer_e = dim.child();
       ExprPtr inner_e = RemapAttributeIds(dim.child(), ids);
+      auto no_worse = [&](BinaryOp op) {
+        ExprPtr cmp = BinaryExpr::Make(op, inner_e, outer_e);
+        if (!incomplete) return cmp;
+        return BinaryExpr::Make(
+            BinaryOp::kOr,
+            BinaryExpr::Make(BinaryOp::kOr,
+                             UnaryExpr::Make(UnaryOp::kIsNull, inner_e),
+                             UnaryExpr::Make(UnaryOp::kIsNull, outer_e)),
+            std::move(cmp));
+      };
       switch (dim.goal()) {
         case SkylineGoal::kMin:
-          non_strict.push_back(
-              BinaryExpr::Make(BinaryOp::kLe, inner_e, outer_e));
+          non_strict.push_back(no_worse(BinaryOp::kLe));
           strict.push_back(BinaryExpr::Make(BinaryOp::kLt, inner_e, outer_e));
           break;
         case SkylineGoal::kMax:
-          non_strict.push_back(
-              BinaryExpr::Make(BinaryOp::kGe, inner_e, outer_e));
+          non_strict.push_back(no_worse(BinaryOp::kGe));
           strict.push_back(BinaryExpr::Make(BinaryOp::kGt, inner_e, outer_e));
           break;
         case SkylineGoal::kDiff:
-          non_strict.push_back(
-              BinaryExpr::Make(BinaryOp::kEq, inner_e, outer_e));
+          non_strict.push_back(no_worse(BinaryOp::kEq));
           break;
       }
     }

@@ -618,68 +618,6 @@ double ComputeStopBound(const DominanceMatrix& matrix,
   return bound;
 }
 
-void NominateFilterPoints(const DominanceMatrix& matrix,
-                          const std::vector<uint32_t>& view, size_t k,
-                          FilterPointSet* out) {
-  SL_DCHECK(matrix.all_numeric_minmax() && !matrix.has_nulls() &&
-            matrix.diff_mask() == 0);
-  const size_t d = matrix.num_dims();
-  if (out->num_dims == 0) out->num_dims = d;
-  SL_DCHECK(out->num_dims == d);
-  if (k == 0 || view.empty() || d == 0) return;
-
-  // k is tiny (a handful of points per partition), so a linear scan keeping
-  // the k smallest MaxKeys beats sorting the view.
-  std::vector<std::pair<double, uint32_t>> best;  // (MaxKey, row), ascending
-  best.reserve(k + 1);
-  for (const uint32_t r : view) {
-    const double mk = matrix.MaxKey(r);
-    if (best.size() == k && mk >= best.back().first) continue;
-    auto pos = std::upper_bound(
-        best.begin(), best.end(), mk,
-        [](double v, const auto& e) { return v < e.first; });
-    best.insert(pos, {mk, r});
-    if (best.size() > k) best.pop_back();
-  }
-  for (const auto& [mk, r] : best) {
-    const double* keys = matrix.row_keys(r);
-    out->keys.insert(out->keys.end(), keys, keys + d);
-  }
-}
-
-Result<std::vector<uint32_t>> PruneAgainstFilter(
-    const DominanceMatrix& matrix, const std::vector<uint32_t>& view,
-    const FilterPointSet& filter, const SkylineOptions& options) {
-  SL_DCHECK(matrix.all_numeric_minmax() && !matrix.has_nulls() &&
-            matrix.diff_mask() == 0);
-  const size_t d = matrix.num_dims();
-  SL_DCHECK(filter.num_dims == d);
-  const size_t k = filter.num_points();
-  if (k == 0) return view;
-
-  DeadlineChecker deadline(options);
-  BatchedCounter tests(options);
-  std::vector<uint32_t> survivors;
-  survivors.reserve(view.size());
-  for (const uint32_t r : view) {
-    SL_RETURN_NOT_OK(deadline.Check());
-    const double* keys = matrix.row_keys(r);
-    bool dominated = false;
-    for (size_t p = 0; p < k; ++p) {
-      tests.Tick();
-      // Strict-only: kEqual keeps the row (a nominee survives meeting its
-      // own broadcast copy; DISTINCT ties are resolved at the merge).
-      if (CompareKeySpansComplete(filter.point(p), keys, d) ==
-          Dominance::kLeftDominates) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) survivors.push_back(r);
-  }
-  return survivors;
-}
-
 Result<std::vector<uint32_t>> ColumnarAllPairsIncomplete(
     const DominanceMatrix& matrix, const std::vector<uint32_t>& input,
     const SkylineOptions& options) {

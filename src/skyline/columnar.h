@@ -23,7 +23,7 @@
 // negated for MAX. Every key is therefore finite, so no Score sum is NaN.
 // Rank codes are only comparable within one matrix, so a ranked dimension
 // clears all_numeric_minmax() and every cross-matrix consumer (SFS stop
-// bounds, the broadcast filter) bypasses it.
+// bounds) bypasses it.
 //
 // The kernels in this header run entirely over row *indices* into the
 // matrix and materialize full Rows only for the final survivors. They must
@@ -184,9 +184,9 @@ class DominanceMatrix {
   bool has_nulls() const { return !nulls_.empty(); }
 
   /// True when every dimension is a directly keyed numeric MIN/MAX — the
-  /// precondition of SFS, stop bounds and the broadcast filter,
-  /// whose keys or bounds must mean the same thing in every matrix. BOOLEAN,
-  /// DIFF and ranked dimensions clear it.
+  /// precondition of SFS and its stop bounds, whose keys or bounds must
+  /// mean the same thing in every matrix. BOOLEAN, DIFF and ranked
+  /// dimensions clear it.
   bool all_numeric_minmax() const { return numeric_minmax_; }
 
   /// Bitmask of ranked dimensions (keys are dictionary ranks; see Build).
@@ -384,50 +384,6 @@ std::vector<uint32_t> MergeByScore(
 double ComputeStopBound(const DominanceMatrix& matrix,
                         const std::vector<uint32_t>& view);
 
-/// \brief The pre-gather broadcast filter set (BroadcastFilterExec): the
-/// packed normalized keys of a few strong skyline points,
-/// nominated per partition and unioned. Because keys are MIN/MAX-normalized
-/// at projection time, they are comparable *across* independently built
-/// matrices — unlike DIFF dictionary codes — so a point nominated from one
-/// partition's matrix prunes rows of every other partition directly via
-/// CompareKeySpansComplete. Valid only for all-numeric MIN/MAX matrices
-/// without NULL bitmaps and with diff_mask() == 0; producers must check.
-struct FilterPointSet {
-  size_t num_dims = 0;
-  /// Row-major packed keys, num_points() * num_dims entries.
-  std::vector<double> keys;
-
-  size_t num_points() const {
-    return num_dims == 0 ? 0 : keys.size() / num_dims;
-  }
-  const double* point(size_t i) const { return keys.data() + i * num_dims; }
-};
-
-/// \brief Nominates up to `k` rows of `view` with the smallest MaxKey — the
-/// SaLSa minmax-best tuples, whose stop-point coordinate makes them the
-/// strongest single-point pruners a partition can offer — and appends their
-/// packed keys to `out` (initializing out->num_dims on first use).
-///
-/// \pre the matrix is all-numeric MIN/MAX, NULL-free, diff_mask() == 0
-/// (MinKey/MaxKey preconditions); `view` holds valid row indices.
-void NominateFilterPoints(const DominanceMatrix& matrix,
-                          const std::vector<uint32_t>& view, size_t k,
-                          FilterPointSet* out);
-
-/// \brief Returns the sub-view of `view` whose rows are not *strictly*
-/// dominated by any filter point. kEqual never eliminates: a nominated
-/// point meeting itself survives, and under DISTINCT the first-encountered
-/// tie-break belongs to the merge stage, which only works if ties still
-/// reach it — strict-only elimination is what keeps this sound for both
-/// DISTINCT settings (see docs/ARCHITECTURE.md). Each comparison counts as
-/// one dominance test in options.counter; honours options.deadline_nanos.
-///
-/// \pre same matrix preconditions as NominateFilterPoints, and
-/// filter.num_dims == matrix.num_dims().
-Result<std::vector<uint32_t>> PruneAgainstFilter(
-    const DominanceMatrix& matrix, const std::vector<uint32_t>& view,
-    const FilterPointSet& filter, const SkylineOptions& options);
-
 /// \brief Global skyline for (potentially) incomplete data: compares all
 /// pairs and only *flags* dominated tuples, deleting them after the last
 /// comparison. Deferred deletion is what makes cyclic dominance safe
@@ -484,7 +440,8 @@ struct PeerKeys {
 };
 
 /// \brief The validate step of the parallel complete global skyline
-/// (GlobalSkylineExec's [merge] stage): keeps, in their given order, the
+/// (GlobalSkylineExec's [merge] stage, and GlobalSkylineIncompleteExec's
+/// [reduce] within one null-bitmap group): keeps, in their given order, the
 /// candidates that no peer row dominates — and, under DISTINCT, that no
 /// earlier peer holds an equal row. Exact when the candidates and every
 /// peer are antichains and together hold every row the result may need as
@@ -628,12 +585,13 @@ class ColumnarBatch {
   double stop_bound() const { return stop_bound_; }
   /// View offsets 0 = b_0 <= b_1 <= ... <= b_k = num_rows() splitting the
   /// view into *skyline parts*, or empty when the view has none. Each part
-  /// [b_j, b_{j+1}) is an antichain under complete dominance — the skyline
-  /// of one partition (LocalSkylineExec), or a subset of it whose missing
-  /// rows some shipped row strictly dominates (BroadcastFilterExec) — and
-  /// is in SFS order (SortInSfsOrder). So the complete skyline of the
-  /// whole view is what ColumnarValidateAgainstPeers keeps of each part
-  /// against the others, with no per-part skyline pass first.
+  /// [b_j, b_{j+1}) is the skyline of one partition (LocalSkylineExec).
+  /// Under complete semantics it is an antichain in SFS order
+  /// (SortInSfsOrder), so the complete skyline of the whole view is what
+  /// ColumnarValidateAgainstPeers keeps of each part against the others,
+  /// with no per-part skyline pass first. Under incomplete semantics each
+  /// null-bitmap group of the part is such an antichain, and the groups
+  /// follow each other in ascending bitmap order.
   const std::vector<uint32_t>& skyline_parts() const { return parts_; }
   /// The rows behind the matrix: matrix row i is backing() row i.
   const RowView& backing() const { return rows_; }

@@ -161,30 +161,6 @@ TEST_F(FaultInjectionTest, ChaosSweepNeverCorruptsOrLeaks) {
   }
 }
 
-// The broadcast filter is a pure optimization, so its failure contract is
-// stronger than the sweep's either/or: any non-cancellation fault at
-// exec.broadcast must degrade to the unfiltered pre-gather path and still
-// serve the bit-identical skyline — never an error, never a wrong result.
-TEST_F(FaultInjectionTest, BroadcastFilterFaultDegradesToUnfilteredPath) {
-  Session session;
-  ASSERT_OK(session.SetConf("sparkline.executors", "8"));
-  RegisterData(&session);
-  const std::string sql =
-      "SELECT * FROM pts SKYLINE OF d0 MIN, d1 MAX, d2 MIN";
-  auto oracle = RunPlanLevel(&session, sql);
-  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
-
-  for (const char* spec :
-       {"error", "error(internal)", "throw*1", "delay:1*2", "error%0.5:13"}) {
-    SCOPED_TRACE(spec);
-    ASSERT_OK(fail::ArmFromString(StrCat("exec.broadcast=", spec)));
-    auto faulted = RunPlanLevel(&session, sql);
-    ASSERT_TRUE(faulted.ok()) << spec << ": " << faulted.status().ToString();
-    EXPECT_EQ(*faulted, *oracle) << spec;
-    fail::DisarmAll();
-  }
-}
-
 // The retry path end to end, through the public Session API: a transient
 // fault budget smaller than the retry budget must be absorbed, visibly.
 TEST_F(FaultInjectionTest, TransientFaultsAreRetriedAndCounted) {

@@ -386,8 +386,6 @@ TEST(QueryMetricsTest, ToStringPinsFormatAndPrintsEveryField) {
   m.matrix_reuses["c"] = 4;
   m.sfs_rows_skipped = 9;
   m.sfs_early_stops = 3;
-  m.broadcast_filter_points = 8;
-  m.rows_pruned_pre_gather = 13;
   m.rows_served = 6;
   m.bytes_served = 1234;
   EXPECT_EQ(m.ToString(),
@@ -396,8 +394,7 @@ TEST(QueryMetricsTest, ToStringPinsFormatAndPrintsEveryField) {
             "tasks_retried=1 tasks_failed=2 cache=hit "
             "cache_lookup=0.25ms cache_deltas=5 projection=0.5ms "
             "decode=0.125ms matrix_builds=3 matrix_reuses=4 sfs_skipped=9 "
-            "sfs_stops=3 bcast_points=8 pruned_pre_gather=13 "
-            "rows_served=6 bytes_served=1234");
+            "sfs_stops=3 rows_served=6 bytes_served=1234");
 
   // Zero metrics still print every field (no conditional sections).
   EXPECT_EQ(QueryMetrics{}.ToString(),
@@ -406,7 +403,6 @@ TEST(QueryMetricsTest, ToStringPinsFormatAndPrintsEveryField) {
             "tasks_retried=0 tasks_failed=0 cache=miss "
             "cache_lookup=0ms cache_deltas=0 projection=0ms decode=0ms "
             "matrix_builds=0 matrix_reuses=0 sfs_skipped=0 sfs_stops=0 "
-            "bcast_points=0 pruned_pre_gather=0 "
             "rows_served=0 bytes_served=0");
 }
 

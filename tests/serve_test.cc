@@ -318,10 +318,10 @@ TEST(ResultCacheTest, ByteBudgetEvictsLeastRecentlyUsed) {
   const PlanFingerprint a = SyntheticFp(1, {"t"});
   const PlanFingerprint b = SyntheticFp(2, {"t"});
   const PlanFingerprint c = SyntheticFp(3, {"t"});
-  cache.Insert(a, SyntheticEntry(100));
-  cache.Insert(b, SyntheticEntry(100));
+  ASSERT_OK(cache.Insert(a, SyntheticEntry(100)));
+  ASSERT_OK(cache.Insert(b, SyntheticEntry(100)));
   EXPECT_NE(cache.Lookup(a), nullptr);  // refresh A: B is now the LRU entry
-  cache.Insert(c, SyntheticEntry(150));
+  ASSERT_OK(cache.Insert(c, SyntheticEntry(150)));
 
   EXPECT_NE(cache.Lookup(a), nullptr);
   EXPECT_EQ(cache.Lookup(b), nullptr);  // evicted over budget
@@ -331,7 +331,7 @@ TEST(ResultCacheTest, ByteBudgetEvictsLeastRecentlyUsed) {
 
   // Entries larger than the budget are not admitted at all.
   const PlanFingerprint d = SyntheticFp(4, {"t"});
-  cache.Insert(d, SyntheticEntry(1000));
+  ASSERT_OK(cache.Insert(d, SyntheticEntry(1000)));
   EXPECT_EQ(cache.Lookup(d), nullptr);
 }
 
@@ -340,10 +340,10 @@ TEST(ResultCacheTest, InvalidateTableDropsExactlyDependents) {
   options.num_shards = 4;
   ResultCache cache(options);
 
-  cache.Insert(SyntheticFp(1, {"a"}), SyntheticEntry(10));
-  cache.Insert(SyntheticFp(2, {"a", "b"}), SyntheticEntry(10));
-  cache.Insert(SyntheticFp(3, {"b"}), SyntheticEntry(10));
-  cache.Insert(SyntheticFp(4, {"c"}), SyntheticEntry(10));
+  ASSERT_OK(cache.Insert(SyntheticFp(1, {"a"}), SyntheticEntry(10)));
+  ASSERT_OK(cache.Insert(SyntheticFp(2, {"a", "b"}), SyntheticEntry(10)));
+  ASSERT_OK(cache.Insert(SyntheticFp(3, {"b"}), SyntheticEntry(10)));
+  ASSERT_OK(cache.Insert(SyntheticFp(4, {"c"}), SyntheticEntry(10)));
 
   cache.InvalidateTable("a");
   EXPECT_EQ(cache.Lookup(SyntheticFp(1, {"a"})), nullptr);
@@ -360,7 +360,7 @@ TEST(ResultCacheTest, TtlExpiry) {
   ResultCache cache(options);
 
   const PlanFingerprint a = SyntheticFp(1, {"t"});
-  cache.Insert(a, SyntheticEntry(10));
+  ASSERT_OK(cache.Insert(a, SyntheticEntry(10)));
   EXPECT_NE(cache.Lookup(a), nullptr);
   std::this_thread::sleep_for(std::chrono::milliseconds(25));
   EXPECT_EQ(cache.Lookup(a), nullptr);
@@ -381,8 +381,8 @@ TEST(ResultCacheTest, ExpiredEntriesReleaseBudgetWithoutReprobe) {
   options.num_shards = 1;
   ResultCache cache(options);
 
-  cache.Insert(SyntheticFp(1, {"t"}), SyntheticEntry(100));
-  cache.Insert(SyntheticFp(2, {"t"}), SyntheticEntry(100));
+  ASSERT_OK(cache.Insert(SyntheticFp(1, {"t"}), SyntheticEntry(100)));
+  ASSERT_OK(cache.Insert(SyntheticFp(2, {"t"}), SyntheticEntry(100)));
   ASSERT_EQ(cache.stats().resident_bytes, 200);
   std::this_thread::sleep_for(std::chrono::milliseconds(25));
 
@@ -400,8 +400,8 @@ TEST(ResultCacheTest, ExpiredEntriesReleaseBudgetWithoutReprobe) {
 
   // The full purge reclaims expired entries with no lookup or insert
   // traffic at all.
-  cache.Insert(SyntheticFp(4, {"t"}), SyntheticEntry(50));
-  cache.Insert(SyntheticFp(5, {"t"}), SyntheticEntry(50));
+  ASSERT_OK(cache.Insert(SyntheticFp(4, {"t"}), SyntheticEntry(50)));
+  ASSERT_OK(cache.Insert(SyntheticFp(5, {"t"}), SyntheticEntry(50)));
   std::this_thread::sleep_for(std::chrono::milliseconds(25));
   cache.PurgeExpired();
   EXPECT_EQ(cache.stats().entries, 0);
@@ -683,7 +683,7 @@ TEST(QueryServiceTest, StatsSnapshotIsConsistentUnderConcurrency) {
     submitters.emplace_back([&] {
       for (int i = 0; i < 25; ++i) {
         auto handle = service->Submit("SELECT * FROM pts SKYLINE OF x MIN");
-        if (handle.ok()) handle->future.get();
+        if (handle.ok()) EXPECT_OK(handle->future.get().status());
       }
     });
   }

@@ -86,10 +86,9 @@ INSTANTIATE_TEST_SUITE_P(
 class IncompleteOracle : public ::testing::TestWithParam<E2eParam> {};
 
 TEST_P(IncompleteOracle, AutoStrategyMatchesBruteForceOnIncompleteData) {
-  // On incomplete data the plain-SQL rewriting computes *different*
-  // semantics (NULL comparisons are UNKNOWN, so null-restricted dominance
-  // never fires); the integrated algorithm must instead match the paper's
-  // Definition via the brute-force oracle.
+  // On incomplete data the integrated algorithm must match the paper's
+  // definition (dominance over the dimensions both tuples hold) via the
+  // brute-force oracle, and so must the plain-SQL reference rewriting.
   const auto& p = GetParam();
   Session session;
   ASSERT_OK(session.SetConf("sparkline.executors", "4"));
@@ -107,6 +106,9 @@ TEST_P(IncompleteOracle, AutoStrategyMatchesBruteForceOnIncompleteData) {
   opts.nulls = skyline::NullSemantics::kIncomplete;
   auto oracle = skyline::BruteForceSkyline(table->rows(), dims, opts);
   EXPECT_SAME_ROWS(rows, oracle);
+
+  ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "reference"));
+  EXPECT_SAME_ROWS(Rows(&session, SkylineSql("pts", p.dims, false)), oracle);
 }
 
 INSTANTIATE_TEST_SUITE_P(
