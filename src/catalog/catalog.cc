@@ -199,9 +199,9 @@ Status Catalog::InsertInto(const std::string& name,
   SL_FAILPOINT("catalog.write");
   std::string key = ToLower(name);
   for (;;) {
-    // Snapshot under a shared lock, build the successor unlocked (the copy
-    // and validation are O(table), far too slow to hold readers out), then
-    // publish only if no other writer got there first.
+    // Snapshot under a shared lock, build the successor unlocked (it copies
+    // the partial tail chunk and validates the batch), then publish only if
+    // no other writer got there first.
     TablePtr old;
     {
       sl::SharedLock lock(&mu_);
@@ -212,9 +212,7 @@ Status Catalog::InsertInto(const std::string& name,
       }
       old = it->second;
     }
-    auto next = std::make_shared<Table>(old->name(), old->schema());
-    next->constraints() = old->constraints();
-    next->CopyRowsFrom(*old, /*extra_rows=*/rows.size());
+    TablePtr next = old->Successor(/*extra_rows=*/rows.size());
     for (const Row& row : rows) SL_RETURN_NOT_OK(next->AppendRow(row));
     WriteEvent event;
     event.kind = WriteEvent::Kind::kInsert;

@@ -3,8 +3,10 @@
 //
 // Thread safety: all methods may be called concurrently. Lookups take a
 // shared (reader) lock; DDL and inserts take an exclusive (writer) lock.
-// Tables themselves are treated as immutable once registered — InsertInto
-// replaces the registered Table with a copy-on-write successor, so plans
+// Tables themselves are immutable once registered — InsertInto replaces the
+// registered Table with its Table::Successor, which shares every full row
+// chunk of the old snapshot and copies only its partial tail chunk, so an
+// insert costs its batch plus at most one chunk, not the table. Plans
 // holding a TablePtr snapshot keep reading a consistent row set while
 // concurrent writers publish new versions.
 //
@@ -83,10 +85,12 @@ class Catalog {
   bool HasTable(const std::string& name) const;
   Status DropTable(const std::string& name);
 
-  /// Appends rows to a registered table via copy-on-write: validates and
-  /// builds a successor Table, then atomically replaces the registered
-  /// pointer and bumps the version. Readers holding the old TablePtr are
-  /// unaffected.
+  /// Appends rows to a registered table: builds a successor Table that
+  /// shares the old snapshot's full chunks, copies its partial tail chunk
+  /// and appends the validated rows, then atomically replaces the
+  /// registered pointer and bumps the version. A writer that loses the race
+  /// to another rebuilds on the winner's snapshot. Readers holding the old
+  /// TablePtr are unaffected.
   Status InsertInto(const std::string& name, const std::vector<Row>& rows);
 
   /// Monotonic version of a table name; 0 if the name was never written.

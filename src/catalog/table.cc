@@ -30,8 +30,15 @@ Status Table::AppendRow(Row row) {
                                     ", got ", row[i].type().ToString()));
     }
   }
-  rows_.push_back(std::move(row));
+  rows_.Append(std::move(row));
   return Status::OK();
+}
+
+std::shared_ptr<Table> Table::Successor(size_t extra_rows) const {
+  auto next = std::make_shared<Table>(name_, schema_);
+  next->constraints_ = constraints_;
+  next->rows_.ShareFrom(rows_, extra_rows);
+  return next;
 }
 
 int64_t Table::EstimatedBytes() const {

@@ -1,5 +1,10 @@
 // In-memory tables with declared constraints.
 //
+// A table's rows live in shared, immutable chunks of kChunkRows rows
+// (ChunkedRows, types/row_view.h). A write publishes a successor table
+// that shares every full chunk and copies only the partial tail chunk, so
+// old and new snapshots share all but at most one chunk.
+//
 // Constraints (primary keys / foreign keys) are not enforced on insert; they
 // are *metadata* consumed by the optimizer, in particular by the
 // push-skyline-through-non-reductive-join rule (paper section 5.4, citing
@@ -13,6 +18,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "types/row_view.h"
 #include "types/schema.h"
 #include "types/value.h"
 
@@ -36,12 +42,14 @@ struct TableConstraints {
 
 /// \brief A named, row-oriented, in-memory table.
 ///
-/// Once registered in a Catalog a table is an immutable snapshot: scans
-/// read its rows in place through RowViews that share ownership of it
-/// (docs/ARCHITECTURE.md, "Borrowed rows"), so the Append* methods are for
-/// building a table before registration only. Writes to a registered
-/// table go through Catalog::InsertInto, which publishes a copy-on-write
-/// successor.
+/// The rows live in shared, immutable chunks of kChunkRows rows
+/// (ChunkedRows, types/row_view.h). Once registered in a Catalog a table is
+/// an immutable snapshot: scans read its rows in place through RowViews
+/// that share ownership of it (docs/ARCHITECTURE.md, "Borrowed rows"), so
+/// the Append* methods are for building a table before registration only.
+/// Writes to a registered table go through Catalog::InsertInto, which
+/// publishes a Successor: it shares every full chunk of this snapshot and
+/// copies only the partial tail chunk.
 class Table {
  public:
   Table(std::string name, Schema schema)
@@ -49,17 +57,19 @@ class Table {
 
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
-  const std::vector<Row>& rows() const { return rows_; }
+  /// The rows in id order: iterable and indexable in place, and
+  /// convertible to a std::vector<Row> copy.
+  const ChunkedRows& rows() const { return rows_; }
   size_t num_rows() const { return rows_.size(); }
 
   TableConstraints& constraints() { return constraints_; }
   const TableConstraints& constraints() const { return constraints_; }
 
   /// Catalog version stamped when this snapshot was (re)registered /
-  /// produced by a copy-on-write insert; 0 before registration. Plan
-  /// fingerprints read the version of the snapshot a Scan actually holds,
-  /// so cached results always describe the rows that were executed, even
-  /// if the catalog has moved on since analysis.
+  /// published by an insert; 0 before registration. Plan fingerprints read
+  /// the version of the snapshot a Scan actually holds, so cached results
+  /// always describe the rows that were executed, even if the catalog has
+  /// moved on since analysis.
   uint64_t version() const { return version_.load(std::memory_order_acquire); }
   void set_version(uint64_t v) {
     version_.store(v, std::memory_order_release);
@@ -69,19 +79,17 @@ class Table {
   Status AppendRow(Row row);
 
   /// Appends without validation (used by trusted generators).
-  void AppendRowUnchecked(Row row) { rows_.push_back(std::move(row)); }
+  void AppendRowUnchecked(Row row) { rows_.Append(std::move(row)); }
 
-  /// Bulk-copies another table's rows — the copy-on-write fast path of
-  /// Catalog::InsertInto. `extra_rows` more rows are reserved in the same
-  /// allocation, so the appends that follow never reallocate the copy.
-  ///
-  /// \pre this table is empty and shares `other`'s schema.
-  void CopyRowsFrom(const Table& other, size_t extra_rows) {
-    rows_.reserve(other.rows_.size() + extra_rows);
-    rows_.insert(rows_.end(), other.rows_.begin(), other.rows_.end());
-  }
+  /// Allocates room for a table of `n` rows, chunk by chunk.
+  void Reserve(size_t n) { rows_.Reserve(n); }
 
-  void Reserve(size_t n) { rows_.reserve(n); }
+  /// The unregistered table a write publishes in this one's place: same
+  /// name, schema and constraints, sharing every full chunk of this
+  /// snapshot and a copy of its partial tail chunk, with room for
+  /// `extra_rows` appends. Appending to the successor never writes a chunk
+  /// this table holds, so readers of this snapshot are unaffected.
+  std::shared_ptr<Table> Successor(size_t extra_rows) const;
 
   /// Approximate bytes held by the table's rows.
   int64_t EstimatedBytes() const;
@@ -89,7 +97,7 @@ class Table {
  private:
   std::string name_;
   Schema schema_;
-  std::vector<Row> rows_;
+  ChunkedRows rows_;
   TableConstraints constraints_;
   std::atomic<uint64_t> version_{0};
 };

@@ -30,7 +30,7 @@ namespace {
 ///   serve.cache_insert ResultCache::Insert (degrades to uncached serving)
 ///   serve.delta_apply  IncrementalMaintainer delta application (degrades
 ///                      to invalidation — never a stale hit)
-///   catalog.write      Catalog::InsertInto (copy-on-write publish)
+///   catalog.write      Catalog::InsertInto (publish of the successor)
 constexpr const char* kSites[] = {
     "exec.scan",          "exec.local_task",   "exec.global_task",
     "exec.exchange",      "exec.stage_task",   "serve.cache_insert",

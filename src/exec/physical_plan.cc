@@ -275,7 +275,7 @@ std::string ScanExec::label() const {
 
 Result<PartitionedRelation> ScanExec::Execute(ExecContext* ctx) const {
   // Aliases the TablePtr: the snapshot lives as long as any view of it.
-  std::shared_ptr<const std::vector<Row>> rows(table_, &table_->rows());
+  std::shared_ptr<const ChunkedRows> rows(table_, &table_->rows());
   if (rows->size() > std::numeric_limits<uint32_t>::max()) {
     return Status::Invalid(StrCat("table ", table_->name(), " has ",
                                   rows->size(),
@@ -287,7 +287,7 @@ Result<PartitionedRelation> ScanExec::Execute(ExecContext* ctx) const {
   out.partitions.assign(n, {});
   out.views.assign(n, std::nullopt);
 
-  // Contiguous chunks, like a data source with n splits.
+  // Contiguous id ranges, like a data source with n splits.
   const size_t per = (rows->size() + n - 1) / n;
   SL_RETURN_NOT_OK(RunStage(ctx, n, [&](size_t i) -> Status {
     const size_t begin = std::min(rows->size(), i * per);
@@ -305,7 +305,8 @@ Result<PartitionedRelation> ScanExec::Execute(ExecContext* ctx) const {
 
 LocalRelationExec::LocalRelationExec(std::shared_ptr<std::vector<Row>> rows,
                                      std::vector<Attribute> output)
-    : PhysicalPlan(std::move(output), {}), rows_(std::move(rows)) {}
+    : PhysicalPlan(std::move(output), {}),
+      rows_(ChunkedRows::Single(std::move(rows))) {}
 
 Result<PartitionedRelation> LocalRelationExec::Execute(ExecContext* ctx) const {
   PartitionedRelation out;

@@ -145,8 +145,9 @@ class PhysicalPlan {
 // --- leaves ----------------------------------------------------------------
 
 /// \brief Scans a catalog table without copying it: splits the snapshot
-/// into executor-count chunks of borrowed rows (RowView partitions whose
-/// column map applies the pruning), which keep the snapshot alive.
+/// into executor-count contiguous id ranges of borrowed rows (RowView
+/// partitions whose column map applies the pruning), which keep the
+/// snapshot alive.
 class ScanExec : public PhysicalPlan {
  public:
   ScanExec(TablePtr table, std::vector<size_t> column_indices,
@@ -172,7 +173,9 @@ class LocalRelationExec : public PhysicalPlan {
   Result<PartitionedRelation> Execute(ExecContext* ctx) const override;
 
  private:
-  std::shared_ptr<std::vector<Row>> rows_;
+  /// The relation's rows as one store, built once, so every view of them
+  /// has the same source.
+  std::shared_ptr<const ChunkedRows> rows_;
 };
 
 // --- narrow operators --------------------------------------------------------

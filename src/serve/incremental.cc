@@ -156,8 +156,11 @@ std::shared_ptr<const DeltaRecipe> BuildDeltaRecipe(
   return recipe;
 }
 
-Result<std::vector<Row>> ApplyRecipe(const DeltaRecipe& recipe,
-                                     const std::vector<Row>& table_rows) {
+namespace {
+
+template <typename Rows>
+Result<std::vector<Row>> ApplyRecipeTo(const DeltaRecipe& recipe,
+                                       const Rows& table_rows) {
   std::vector<Row> out;
   out.reserve(table_rows.size());
   for (const Row& table_row : table_rows) {
@@ -196,6 +199,18 @@ Result<std::vector<Row>> ApplyRecipe(const DeltaRecipe& recipe,
     out.push_back(std::move(row));
   }
   return out;
+}
+
+}  // namespace
+
+Result<std::vector<Row>> ApplyRecipe(const DeltaRecipe& recipe,
+                                     const std::vector<Row>& table_rows) {
+  return ApplyRecipeTo(recipe, table_rows);
+}
+
+Result<std::vector<Row>> ApplyRecipe(const DeltaRecipe& recipe,
+                                     const ChunkedRows& table_rows) {
+  return ApplyRecipeTo(recipe, table_rows);
 }
 
 namespace {

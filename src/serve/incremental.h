@@ -109,6 +109,11 @@ std::shared_ptr<const DeltaRecipe> BuildDeltaRecipe(
 Result<std::vector<Row>> ApplyRecipe(const DeltaRecipe& recipe,
                                      const std::vector<Row>& table_rows);
 
+/// \brief Same over a table snapshot's rows, read in place chunk by chunk
+/// (the subscription resync).
+Result<std::vector<Row>> ApplyRecipe(const DeltaRecipe& recipe,
+                                     const ChunkedRows& table_rows);
+
 /// \brief One continuous-query notification: the skyline gained `added`
 /// and lost `removed` going to table version `version`. `resync` marks
 /// deltas derived from a full recompute (unsound batch, non-insert write,

@@ -107,41 +107,58 @@ Result<DominanceMatrix> DominanceMatrix::BuildFrom(
   m.n_ = n;
   m.d_ = dims.size();
   m.keys_.assign(m.n_ * m.d_, 0.0);
-  m.numeric_minmax_ = true;
   m.dicts_.assign(m.d_, {});
 
-  bool any_null = false;
-  std::vector<uint32_t> nulls(m.n_, 0);
-  for (size_t d = 0; d < dims.size(); ++d) {
-    const BoundDimension& dim = dims[d];
-    const bool is_diff = dim.goal == SkylineGoal::kDiff;
-    if (is_diff) m.diff_mask_ |= (1u << d);
-    const double sign = dim.goal == SkylineGoal::kMax ? -1.0 : 1.0;
-
-    bool numeric = !is_diff;
-    bool direct = true;
-    for (size_t r = 0; r < m.n_; ++r) {
-      const Value& v = row_at(r)[dim.ordinal];
+  // One row-major pass keys every dimension of a row while the row is at
+  // hand. A dimension leaves `direct` at its first value without an exact
+  // double image and is ranked afterwards; `numeric` tracks the numeric
+  // MIN/MAX dimensions.
+  const uint32_t all = m.d_ == 32 ? ~0u : (1u << m.d_) - 1;
+  uint32_t direct = all;
+  uint32_t numeric = all;
+  std::vector<double> sign(m.d_, 1.0);
+  for (size_t d = 0; d < m.d_; ++d) {
+    if (dims[d].goal == SkylineGoal::kDiff) {
+      m.diff_mask_ |= 1u << d;
+      numeric &= ~(1u << d);
+    } else if (dims[d].goal == SkylineGoal::kMax) {
+      sign[d] = -1.0;
+    }
+  }
+  // A row's values sit in their own heap block, scattered when the table
+  // was ingested out of order (say, sorted after generation). Fetching the
+  // block a few rows ahead keeps several of those misses in flight.
+  constexpr size_t kFetchAhead = 8;
+  for (size_t r = 0; r < m.n_; ++r) {
+    if (r + kFetchAhead < m.n_) {
+      __builtin_prefetch(row_at(r + kFetchAhead).data());
+    }
+    const Row& row = row_at(r);
+    double* keys = m.keys_.data() + r * m.d_;
+    for (size_t d = 0; d < m.d_; ++d) {
+      const Value& v = row[dims[d].ordinal];
       if (v.is_null()) {
-        nulls[r] |= (1u << d);
-        any_null = true;
+        if (m.nulls_.empty()) m.nulls_.assign(m.n_, 0);
+        m.nulls_[r] |= 1u << d;
         continue;
       }
-      if (!direct) continue;
-      const std::optional<double> key = DirectKey(v, &numeric);
+      if ((direct >> d & 1u) == 0) continue;
+      bool is_number = true;
+      const std::optional<double> key = DirectKey(v, &is_number);
+      if (!is_number) numeric &= ~(1u << d);
       if (key.has_value()) {
-        m.keys_[r * m.d_ + d] = is_diff ? *key : sign * *key;
+        keys[d] = sign[d] * *key;
       } else {
-        direct = false;
+        direct &= ~(1u << d);
       }
     }
-    if (!direct) {
-      m.RankDimension(row_at, dim, d);
-      numeric = false;
-    }
-    m.numeric_minmax_ = m.numeric_minmax_ && numeric;
   }
-  if (any_null) m.nulls_ = std::move(nulls);
+  for (size_t d = 0; d < m.d_; ++d) {
+    if ((direct >> d & 1u) != 0) continue;
+    m.RankDimension(row_at, dims[d], d);
+    numeric &= ~(1u << d);
+  }
+  m.numeric_minmax_ = numeric == all;
   return m;
 }
 
@@ -244,8 +261,8 @@ Result<ColumnarBatch> ColumnarBatch::Project(
 Result<ColumnarBatch> ColumnarBatch::Project(
     std::shared_ptr<const std::vector<Row>> rows,
     const std::vector<BoundDimension>& dims, MemoryTracker* memory) {
-  return ProjectView(RowView::All(std::move(rows)), /*borrowed=*/false, dims,
-                     memory);
+  return ProjectView(RowView::All(ChunkedRows::Single(std::move(rows))),
+                     /*borrowed=*/false, dims, memory);
 }
 
 Result<ColumnarBatch> ColumnarBatch::ProjectView(
@@ -318,7 +335,7 @@ ColumnarBatch ColumnarBatch::Concat(std::vector<ColumnarBatch>* parts,
         rows->push_back(part.rows_.Materialize(r));
       }
     }
-    backing = RowView::All(std::move(rows));
+    backing = RowView::All(ChunkedRows::Single(std::move(rows)));
   }
 
   if (ranked) {

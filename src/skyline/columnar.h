@@ -273,7 +273,10 @@ class DominanceMatrix {
   DominanceMatrix() = default;
 
   /// The projection behind both Build overloads: `row_at(r)` is the row
-  /// holding matrix row r's values at the ordinals of `dims`.
+  /// holding matrix row r's values at the ordinals of `dims`. It reads each
+  /// row once for every dimension; only ranked dimensions take a second,
+  /// per-dimension pass (RankDimension). The null bitmaps are allocated at
+  /// the first NULL.
   template <typename RowAt>
   static Result<DominanceMatrix> BuildFrom(
       size_t n, const RowAt& row_at, const std::vector<BoundDimension>& dims);

@@ -769,10 +769,11 @@ TEST(ColumnarBatchTest, ConcatOfOneSourceGathersIds) {
     // Source rows (id, a, b); the views read (b, a) through the map [2, 1].
     std::vector<Row> rows = RandomRows(12, 3, /*null_rate=*/0.0, 9, 41);
     if (ranked) rows[10][2] = Value::Double(std::nan(""));
-    auto source = SharedRows(rows);
+    // Each store is built once: views of one store have the same source.
+    auto source = ChunkedRows::Single(SharedRows(rows));
     const std::vector<BoundDimension> dims{{0, SkylineGoal::kMin},
                                            {1, SkylineGoal::kMax}};
-    auto part = [&](std::shared_ptr<std::vector<Row>> from,
+    auto part = [&](std::shared_ptr<const ChunkedRows> from,
                     std::vector<uint32_t> ids,
                     std::vector<uint32_t> selection) {
       auto batch =
@@ -790,7 +791,8 @@ TEST(ColumnarBatchTest, ConcatOfOneSourceGathersIds) {
     for (const bool one_source : {true, false}) {
       std::vector<ColumnarBatch> parts;
       parts.push_back(part(source, {0, 1, 2, 3, 4, 5}, {5, 1, 3}));
-      parts.push_back(part(one_source ? source : SharedRows(rows),
+      parts.push_back(part(one_source ? source
+                                      : ChunkedRows::Single(SharedRows(rows)),
                            {6, 7, 8, 9, 10, 11}, {0, 4}));
       bool reprojected = false;
       ColumnarBatch merged =

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/failpoint.h"
 #include "common/string_util.h"
 #include "datagen/datagen.h"
 #include "serve/fingerprint.h"
@@ -558,7 +559,14 @@ TEST(QueryServiceTest, AsyncExecutionAndAdmissionCap) {
   serve::QueryService service(&session, options);
 
   // The single service thread chews on the heavy query; the second slot
-  // fills the admission window, the third submit must be rejected.
+  // fills the admission window, the third submit must be rejected. The
+  // heavy query's first scan task sleeps, so it cannot finish before the
+  // third submit however fast the host is (only that one hit fires).
+  fail::FailpointSpec hold;
+  hold.action = fail::Action::kDelay;
+  hold.delay_ms = 1500;
+  hold.max_fires = 1;
+  fail::ScopedFailpoint scan_delay("exec.scan", hold);
   ASSERT_OK_AND_ASSIGN(
       auto heavy,
       service.Submit(
