@@ -1,11 +1,11 @@
 // SaLSa-style early termination: SFS stop points.
 //
-// Every SFS pass (local partitions, the global stage's [partial] chunks)
-// maintains the SaLSa stop bound minC — the smallest max-coordinate over
-// the skyline points seen — and terminates as soon as every remaining tuple
-// is provably strictly dominated. The columnar exchange ships each
-// partition's tightest bound with the gathered batch, so the global chunks
-// can stop before scanning most of the shuffled input.
+// Every SFS pass maintains the SaLSa stop bound minC — the smallest
+// max-coordinate over the skyline points seen — and terminates as soon as
+// every remaining tuple is provably strictly dominated. In a distributed
+// plan those passes are the local ones: each local skyline reaches the
+// global stage as a skyline part, whichever kernel found it, and the
+// global [merge] validates the parts against each other.
 //
 // This bench quantifies the effect on SFS, which presorts by the sum of the
 // normalized keys, next to BNL, which never stops early, across the paper's
@@ -19,15 +19,17 @@
 //   total      simulated critical-path ms for the whole query
 //   sky_ms     summed critical-path ms of the Local/GlobalSkyline stages
 //   dom_tests  dominance tests across all stages
+//   merge      of those, the global stage's
 //   skipped    rows never scanned thanks to stop points (+ stop count)
-//   frac       skipped / table rows (local passes see each row once; the
-//              global stage sees survivors, so >1.0 is possible in
-//              principle)
+//   frac       skipped / table rows (the local passes see each row once)
 //
-// Every SFS result is checked row-for-row (as a multiset) against BNL's.
-// --smoke runs a scaled-down sweep and also asserts that SFS on the
-// correlated table stops at least once and skips >30% of it, so CI keeps
-// this binary and the counters from bit-rotting between perf PRs.
+// Every SFS result is checked row-for-row (as a multiset) against BNL's,
+// and its merge dominance tests against BNL's: both kernels gather their
+// local skylines as skyline parts in SFS order, so the global stage does
+// the same work after either. --smoke runs a scaled-down sweep and also
+// asserts that SFS on the correlated table stops at least once and skips
+// >30% of it, so CI keeps this binary and the counters from bit-rotting
+// between perf PRs.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -46,6 +48,7 @@ struct StopCell {
   double total_ms = 0;
   double sky_ms = 0;
   int64_t dominance_tests = 0;
+  int64_t merge_dominance_tests = 0;
   int64_t rows_skipped = 0;
   int64_t stops = 0;
   std::vector<std::string> rows;  ///< sorted, for multiset comparison
@@ -66,6 +69,7 @@ StopCell RunOnce(Session* session, const std::string& sql, const char* kernel) {
     if (label.find("Skyline") != std::string::npos) cell.sky_ms += ms;
   }
   cell.dominance_tests = m.dominance_tests;
+  cell.merge_dominance_tests = m.merge_dominance_tests;
   cell.rows_skipped = m.sfs_rows_skipped;
   cell.stops = m.sfs_early_stops;
   for (const auto& row : result->rows()) cell.rows.push_back(RowToString(row));
@@ -77,12 +81,13 @@ void Sweep(Session* session, const char* title, const std::string& sql,
            size_t table_rows, bool smoke) {
   std::printf("\n%s (%zu rows) | strategy: distributed, 8 executors\n",
               title, table_rows);
-  std::printf("%-10s %10s %10s %12s %16s %7s\n", "kernel", "total_ms",
-              "sky_ms", "dom_tests", "skipped(stops)", "frac");
+  std::printf("%-10s %10s %10s %12s %12s %16s %7s\n", "kernel", "total_ms",
+              "sky_ms", "dom_tests", "merge", "skipped(stops)", "frac");
   auto print = [&](const char* name, const StopCell& cell) {
-    std::printf("%-10s %10.2f %10.2f %12lld %10lld (%3lld) %6.1f%%\n", name,
-                cell.total_ms, cell.sky_ms,
+    std::printf("%-10s %10.2f %10.2f %12lld %12lld %10lld (%3lld) %6.1f%%\n",
+                name, cell.total_ms, cell.sky_ms,
                 static_cast<long long>(cell.dominance_tests),
+                static_cast<long long>(cell.merge_dominance_tests),
                 static_cast<long long>(cell.rows_skipped),
                 static_cast<long long>(cell.stops),
                 100.0 * static_cast<double>(cell.rows_skipped) /
@@ -95,6 +100,9 @@ void Sweep(Session* session, const char* title, const std::string& sql,
   SL_CHECK(sfs.rows == bnl.rows)
       << "SFS disagrees with BNL on " << title << ": " << sfs.rows.size()
       << " vs " << bnl.rows.size() << " rows";
+  SL_CHECK(sfs.merge_dominance_tests == bnl.merge_dominance_tests)
+      << "SFS ran " << sfs.merge_dominance_tests << " merge dominance tests on "
+      << title << ", BNL " << bnl.merge_dominance_tests;
   if (smoke && std::strstr(title, "correlated") == title) {
     // The acceptance bar: the minC stop must terminate >30% of a correlated
     // table away, with the counters proving it.

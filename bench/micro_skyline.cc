@@ -259,7 +259,8 @@ void BM_NullBitmapPartitioning(benchmark::State& state) {
                        PointDistribution::kIndependent, 0.2);
   auto matrix = skyline::DominanceMatrix::Build(rows, MinDims(6));
   for (auto _ : state) {
-    auto parts = skyline::PartitionIndicesByNullBitmap(*matrix);
+    auto parts = skyline::PartitionIndicesByNullBitmap(
+        *matrix, skyline::AllIndices(*matrix));
     benchmark::DoNotOptimize(parts);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));

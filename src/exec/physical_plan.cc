@@ -467,15 +467,6 @@ void AngleBounds::Observe(const Row& row,
   }
 }
 
-AngleBounds ComputeAngleBounds(const std::vector<std::vector<Row>>& partitions,
-                               const std::vector<skyline::BoundDimension>& dims) {
-  AngleBounds bounds(dims.size());
-  for (const auto& partition : partitions) {
-    for (const Row& row : partition) bounds.Observe(row, dims);
-  }
-  return bounds;
-}
-
 size_t AnglePartition(const Row& row,
                       const std::vector<skyline::BoundDimension>& dims,
                       size_t n, const AngleBounds& bounds) {

@@ -240,9 +240,6 @@ struct AngleBounds {
   std::vector<double> hi;
 };
 
-AngleBounds ComputeAngleBounds(const std::vector<std::vector<Row>>& partitions,
-                               const std::vector<skyline::BoundDimension>& dims);
-
 /// Simplified angle-based partition assignment (Vlachou et al.): buckets
 /// the hyperspherical angle between the first dimension and the remainder
 /// of the dimension vector, computed over *normalized* keys — negated for
@@ -404,9 +401,8 @@ class NestedLoopJoinExec : public PhysicalPlan {
 /// Each partition is projected into a DominanceMatrix exactly once (a
 /// scan's borrowed rows in place), and the output is a ColumnarBatch
 /// survivor view over that matrix — the projection every downstream
-/// skyline stage reuses. SFS runs tag their output views score-sorted so
-/// the global stage can inherit the sort order. Every other complete run
-/// leaves its view in SFS order and marks it one skyline part
+/// skyline stage reuses. A complete run, whichever kernel it used, leaves
+/// its view in SFS order and marks it one skyline part
 /// (ColumnarBatch::skyline_parts()), so the global stage validates it
 /// against the other partitions' skylines without re-running a kernel.
 class LocalSkylineExec : public PhysicalPlan {
@@ -428,16 +424,17 @@ class LocalSkylineExec : public PhysicalPlan {
 /// \brief Global skyline for complete data over the single gathered
 /// partition (requires AllTuples distribution).
 ///
-/// With one executor it is one task running the kernel over the whole
-/// input (the paper's algorithm); that task returns a gather of at most one
-/// non-empty skyline part as it is, since one local skyline is already the
-/// answer. With more executors it has no single-task step
-/// (ChunkedGlobalSkyline, after Ciaccia & Martinenghi's parallel final
-/// phase):
+/// A gather of at most one non-empty skyline part is returned as it is by
+/// one task that runs no kernel, at any executor count: one local skyline
+/// (one executor, or a single-partition child) is already the answer.
+/// Otherwise, with one executor it is one task running the kernel over the
+/// whole input (the paper's algorithm). With more executors it has no
+/// single-task step (ChunkedGlobalSkyline, after Ciaccia & Martinenghi's
+/// parallel final phase):
 ///
 ///   [partial]  only for input without skyline parts: executor-count
 ///              contiguous chunks each run the kernel, and leave their
-///              survivors in a score-sorted, densely packed copy.
+///              survivors in an SFS-ordered, densely packed copy.
 ///   [merge]    one task per part (or chunk) keeps the candidates no other
 ///              part's candidate dominates (ColumnarValidateAgainstPeers);
 ///              survivors are concatenated in part order, so the output is
@@ -447,14 +444,10 @@ class LocalSkylineExec : public PhysicalPlan {
 /// exactly when no other part's candidate dominates it. A batch from the
 /// gather exchange of local skylines arrives split into skyline parts
 /// (ColumnarBatch::skyline_parts()), one antichain per partition laid out
-/// contiguously, and goes straight to [merge]. Other input — the SFS
-/// gather's interleaved view, rows projected once in a "<label> [project]"
-/// stage (non-distributed plans, nested skylines) — runs [partial] first.
-/// Score-sorted batches from upstream SFS stages skip every re-sort
-/// (inherited order + ColumnarSortFilterSkylinePresorted) and inherit the
-/// tightest per-partition SaLSa stop bound the batch carries; their
-/// chunks' survivors, concatenated in chunk order, stay in SFS order. No
-/// stage re-projects.
+/// contiguously, and goes straight to [merge], whichever kernel the local
+/// stage ran. Other input — rows projected once in a "<label> [project]"
+/// stage (non-distributed plans, nested skylines), or a re-ranked gather —
+/// runs [partial] first. No stage re-projects.
 class GlobalSkylineExec : public PhysicalPlan {
  public:
   GlobalSkylineExec(std::vector<skyline::BoundDimension> dims, bool distinct,

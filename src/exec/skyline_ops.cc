@@ -17,17 +17,17 @@
 // concatenates the matrix blocks (re-ranking only when a partition holds a
 // ranked dimension); the global stages chunk, validate and concatenate
 // index views over the shared matrix (ChunkedGlobalSkyline). On the
-// distributed complete path every gathered part is a local skyline, so the
-// global stage is one parallel [merge] that checks each part against the
-// others — no single-task step — and with one executor a gather of at most
-// one non-empty part is returned as it is. Rows are decoded only at the
-// plan root (or by the first non-skyline consumer). A global stage whose
-// input arrives as rows (non-distributed plans, nested skylines) projects
-// it once in a "<label> [project]" stage. QueryMetrics::matrix_builds /
-// matrix_reuses record which stages projected vs. reused.
+// distributed complete path every gathered part is a local skyline in SFS
+// order, whichever kernel found it, so the global stage is one parallel
+// [merge] that checks each part against the others — no single-task step —
+// and a gather of at most one non-empty part is returned as it is, at any
+// executor count. Rows are decoded only at the plan root (or by the first
+// non-skyline consumer). A global stage whose input arrives as rows
+// (non-distributed plans, nested skylines) projects it once in a
+// "<label> [project]" stage. QueryMetrics::matrix_builds / matrix_reuses
+// record which stages projected vs. reused.
 #include <algorithm>
 #include <functional>
-#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -182,24 +182,13 @@ Result<PartitionedRelation> LocalSkylineExec::Execute(ExecContext* ctx) const {
     SL_ASSIGN_OR_RETURN(std::vector<uint32_t> survivors,
                         skyline::RunColumnarKernel(kernel_, batch.matrix(),
                                                    batch.indices(), options));
-    // SFS leaves its window in SFS order; tag the view so the global
-    // stage can inherit the sort instead of re-sorting, and attach this
-    // partition's SaLSa stop bound (the tightest max-coordinate over its
-    // skyline) so the merge can inherit it too.
-    const bool sorted = kernel_ == SkylineKernel::kSortFilterSkyline &&
-                        skyline::SfsFastPathApplicable(batch.matrix(), options);
-    const double stop_bound =
-        sorted ? skyline::ComputeStopBound(batch.matrix(), survivors)
-               : std::numeric_limits<double>::infinity();
-    // Any other complete skyline is an antichain: left in SFS order,
-    // it is a skyline part the global [merge] validates in place (an SFS
-    // view keeps its sort order; the gather interleaves those instead).
-    // An incomplete skyline is one antichain per null-bitmap group: each
-    // group, in SFS order and in ascending bitmap order, is read in place
-    // by the global [reduce].
-    const bool skyline_part = !sorted;
+    // A complete skyline, whichever kernel found it, is an antichain: left
+    // in SFS order, it is a skyline part the global [merge] validates in
+    // place. An incomplete skyline is one antichain per null-bitmap group:
+    // each group, in SFS order and in ascending bitmap order, is read in
+    // place by the global [reduce].
     if (nulls_ == skyline::NullSemantics::kComplete) {
-      if (skyline_part) skyline::SortInSfsOrder(batch.matrix(), &survivors);
+      skyline::SortInSfsOrder(batch.matrix(), &survivors);
     } else {
       std::vector<uint32_t> grouped;
       grouped.reserve(survivors.size());
@@ -210,8 +199,8 @@ Result<PartitionedRelation> LocalSkylineExec::Execute(ExecContext* ctx) const {
       }
       survivors = std::move(grouped);
     }
-    out.batches[i] = batch.WithSelection(std::move(survivors), sorted,
-                                         stop_bound, skyline_part);
+    out.batches[i] =
+        batch.WithSelection(std::move(survivors), /*skyline_part=*/true);
     return Status::OK();
   }));
   SL_RETURN_NOT_OK(ChargeOutput(ctx, &out));
@@ -247,27 +236,14 @@ Result<PartitionedRelation> GlobalSkylineExec::Execute(ExecContext* ctx) const {
 
   const skyline::DominanceMatrix& matrix = batch.matrix();
   const std::vector<uint32_t>& view = batch.indices();
-  // Inherited SFS order: the view arrives in SFS order (local SFS stages +
-  // the exchange's k-way merge), so every SFS pass here skips its sort.
-  const bool sfs_inherited = kernel_ == SkylineKernel::kSortFilterSkyline &&
-                             batch.score_sorted() &&
-                             skyline::SfsFastPathApplicable(matrix, options);
-  if (sfs_inherited) {
-    // Inherited stop bound: the tightest per-partition minC shipped with
-    // the gathered batch. Its witness row is part of the gathered input,
-    // so eliminating through it is sound for the global result — the
-    // single task and the [partial] chunks can terminate before their own
-    // windows tighten the bound.
-    options.sfs_stop_bound = batch.stop_bound();
+  // A gather of at most one non-empty skyline part is already the answer:
+  // one local skyline, at one executor or over a single-partition child.
+  const std::vector<uint32_t>& skyline_parts = batch.skyline_parts();
+  size_t non_empty = 0;
+  for (size_t j = 0; j + 1 < skyline_parts.size(); ++j) {
+    non_empty += skyline_parts[j] < skyline_parts[j + 1] ? 1 : 0;
   }
-  auto run_over =
-      [&](const std::vector<uint32_t>& input) -> Result<std::vector<uint32_t>> {
-    if (sfs_inherited) {
-      return skyline::ColumnarSortFilterSkylinePresorted(matrix, input,
-                                                         options);
-    }
-    return skyline::RunColumnarKernel(kernel_, matrix, input, options);
-  };
+  const bool one_part = !skyline_parts.empty() && non_empty <= 1;
 
   PartitionedRelation out;
   out.attrs = output_;
@@ -277,34 +253,33 @@ Result<PartitionedRelation> GlobalSkylineExec::Execute(ExecContext* ctx) const {
   const size_t num_executors =
       static_cast<size_t>(std::max(1, ctx->config().num_executors));
   std::vector<uint32_t> survivors;
-  if (num_executors <= 1 || view.size() < 2) {
-    // Single executor: the classic single-task global pass — unless the
-    // gather holds at most one non-empty skyline part, which is already
-    // the answer.
-    const std::vector<uint32_t>& parts = batch.skyline_parts();
-    size_t non_empty = 0;
-    for (size_t j = 0; j + 1 < parts.size(); ++j) {
-      non_empty += parts[j] < parts[j + 1] ? 1 : 0;
-    }
-    const bool one_part = !parts.empty() && non_empty <= 1;
+  if (one_part || num_executors <= 1 || view.size() < 2) {
+    // The classic single-task global pass, which runs no kernel over a
+    // finished skyline.
     SL_RETURN_NOT_OK(RunStage(ctx, 1, [&](size_t) -> Status {
       if (one_part) {
         survivors = view;
         return Status::OK();
       }
-      SL_ASSIGN_OR_RETURN(survivors, run_over(view));
+      SL_ASSIGN_OR_RETURN(
+          survivors,
+          skyline::RunColumnarKernel(kernel_, matrix, view, options));
       return Status::OK();
     }));
   } else {
     // Skyline parts laid out as contiguous matrix runs (a gather of local
     // skylines) are already candidates, and [merge] reads their keys in
     // place. Anything else is chunked and reduced to candidates first.
-    std::vector<uint32_t> bounds = batch.skyline_parts();
+    std::vector<uint32_t> bounds = skyline_parts;
     const bool parts = !bounds.empty() && ContiguousRuns(view, bounds);
     if (!parts) {
       bounds = ChunkBounds(view.size(), std::min(num_executors, view.size()));
     }
     const size_t chunks = bounds.size() - 1;
+    auto chunk = [&](size_t i) {
+      return std::vector<uint32_t>(view.begin() + bounds[i],
+                                   view.begin() + bounds[i + 1]);
+    };
     std::vector<std::vector<uint32_t>> candidates(chunks);
     std::vector<std::vector<double>> packed(chunks);
     std::vector<skyline::PeerKeys> peers(chunks);
@@ -317,11 +292,9 @@ Result<PartitionedRelation> GlobalSkylineExec::Execute(ExecContext* ctx) const {
       }
     } else {
       partial = [&](size_t i) -> Status {
-        // A contiguous slice of a view in SFS order is in SFS order, so
-        // the inherited order survives the chunking.
         SL_ASSIGN_OR_RETURN(
             candidates[i],
-            run_over(batch.Slice(bounds[i], bounds[i + 1]).indices()));
+            skyline::RunColumnarKernel(kernel_, matrix, chunk(i), options));
         // Peers read the candidates in SFS order, packed densely; the list
         // itself keeps the kernel's order for the output.
         std::vector<uint32_t> by_score = candidates[i];
@@ -343,18 +316,12 @@ Result<PartitionedRelation> GlobalSkylineExec::Execute(ExecContext* ctx) const {
                 others.push_back(peers[j]);
                 others.back().earlier = j < i;
               }
+              if (parts) candidates[i] = chunk(i);
               return skyline::ColumnarValidateAgainstPeers(
-                  matrix,
-                  parts ? batch.Slice(bounds[i], bounds[i + 1]).indices()
-                        : candidates[i],
-                  others, options);
+                  matrix, candidates[i], others, options);
             }));
   }
-  const double bound = sfs_inherited
-                           ? skyline::ComputeStopBound(matrix, survivors)
-                           : std::numeric_limits<double>::infinity();
-  out.batches[0] = batch.WithSelection(std::move(survivors), sfs_inherited,
-                                       bound);
+  out.batches[0] = batch.WithSelection(std::move(survivors));
   SL_RETURN_NOT_OK(ChargeOutput(ctx, &out));
   return out;
 }
@@ -488,8 +455,11 @@ Result<PartitionedRelation> GlobalSkylineIncompleteExec::Execute(
         ChunkedGlobalSkyline(
             ctx, chunks, "[candidates]",
             [&](size_t i) -> Status {
+              // All-pairs deferred deletion within the chunk: every
+              // elimination cites a witness inside the chunk, so it is
+              // sound, and the survivors are only candidates.
               SL_ASSIGN_OR_RETURN(candidates[i],
-                                  skyline::ColumnarIncompleteCandidateScan(
+                                  skyline::ColumnarAllPairsIncomplete(
                                       matrix, chunk_indices[i], options));
               return Status::OK();
             },
@@ -505,7 +475,7 @@ Result<PartitionedRelation> GlobalSkylineIncompleteExec::Execute(
               return kept;
             }));
   }
-  out.batches[0] = batch.WithSelection(std::move(survivors), false);
+  out.batches[0] = batch.WithSelection(std::move(survivors));
   SL_RETURN_NOT_OK(ChargeOutput(ctx, &out));
   return out;
 }

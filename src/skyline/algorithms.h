@@ -7,7 +7,6 @@
 #pragma once
 
 #include <functional>
-#include <limits>
 #include <vector>
 
 #include "common/result.h"
@@ -66,14 +65,6 @@ struct SkylineOptions {
   // fallbacks never consult it). Only *strictly* dominated tuples are
   // skipped — never equal ones — so DISTINCT keeps its ties.
 
-  /// Inherited stop bound in max-coordinate space (+infinity = none): the
-  /// tightest minC produced by upstream passes whose witness points belong
-  /// to the same relation (e.g. the per-partition bounds a gathered
-  /// ColumnarBatch carries into the global merge). Combined with the pass's
-  /// own running minC; a tuple eliminated through it is dominated by a
-  /// concrete witness somewhere in the original input, which is sound for
-  /// the global result under transitive (complete) dominance.
-  double sfs_stop_bound = std::numeric_limits<double>::infinity();
   /// If non-null, early-termination accounting (rows skipped, passes that
   /// stopped early).
   EarlyStopStats* early_stop = nullptr;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <optional>
 
@@ -291,19 +292,13 @@ ColumnarBatch ColumnarBatch::Concat(std::vector<ColumnarBatch>* parts,
   std::vector<const DominanceMatrix*> matrices;
   std::vector<const std::vector<uint32_t>*> selections;
   size_t total = 0;
-  bool all_sorted = true;
   bool all_parts = true;
   bool ranked = false;
-  double stop_bound = std::numeric_limits<double>::infinity();
   for (const ColumnarBatch& part : *parts) {
     matrices.push_back(part.matrix_.get());
     selections.push_back(&part.indices_);
     total += part.num_rows();
-    all_sorted &= part.score_sorted_;
     all_parts &= !part.parts_.empty();
-    // Each part's bound witness is one of its shipped rows, so the
-    // tightest bound stays valid for the concatenated relation.
-    stop_bound = std::min(stop_bound, part.stop_bound_);
     ranked |= part.matrix_->ranked_mask() != 0;
   }
   std::optional<DominanceMatrix> merged;
@@ -344,10 +339,6 @@ ColumnarBatch ColumnarBatch::Concat(std::vector<ColumnarBatch>* parts,
     // were built for the same dimensions.
     merged = DominanceMatrix::Build(backing, parts->front().dims_).MoveValue();
     if (reprojected != nullptr) *reprojected = true;
-    // A ranked part is never SFS-sorted, and stop bounds never cross key
-    // spaces.
-    all_sorted = false;
-    stop_bound = std::numeric_limits<double>::infinity();
   }
 
   ColumnarBatch batch;
@@ -357,58 +348,30 @@ ColumnarBatch ColumnarBatch::Concat(std::vector<ColumnarBatch>* parts,
   batch.rows_ = std::move(backing);
   batch.borrowed_ = one_source;
   batch.dims_ = parts->front().dims_;
-  batch.stop_bound_ = stop_bound;
-  if (all_sorted) {
-    // SFS-order inheritance: each part's view became one contiguous run of
-    // the new matrix; merge the runs instead of re-sorting downstream.
-    std::vector<std::vector<uint32_t>> runs;
+  batch.indices_ = AllIndices(*batch.matrix_);
+  if (all_parts && !ranked) {
+    // The identity view keeps every part's rows contiguous, in view order:
+    // the parts' offsets shift by the rows gathered before them.
+    batch.parts_.push_back(0);
     uint32_t offset = 0;
     for (const ColumnarBatch& part : *parts) {
-      std::vector<uint32_t> run(part.num_rows());
-      for (uint32_t i = 0; i < run.size(); ++i) run[i] = offset + i;
-      offset += static_cast<uint32_t>(part.num_rows());
-      runs.push_back(std::move(run));
-    }
-    batch.indices_ = MergeByScore(*batch.matrix_, runs);
-    batch.score_sorted_ = true;
-  } else {
-    batch.indices_ = AllIndices(*batch.matrix_);
-    if (all_parts && !ranked) {
-      // The identity view keeps every part's rows contiguous, in view
-      // order: the parts' offsets shift by the rows gathered before them.
-      batch.parts_.push_back(0);
-      uint32_t offset = 0;
-      for (const ColumnarBatch& part : *parts) {
-        for (size_t j = 1; j < part.parts_.size(); ++j) {
-          batch.parts_.push_back(offset + part.parts_[j]);
-        }
-        offset += static_cast<uint32_t>(part.num_rows());
+      for (size_t j = 1; j < part.parts_.size(); ++j) {
+        batch.parts_.push_back(offset + part.parts_[j]);
       }
+      offset += static_cast<uint32_t>(part.num_rows());
     }
   }
   return batch;
 }
 
 ColumnarBatch ColumnarBatch::WithSelection(std::vector<uint32_t> indices,
-                                           bool score_sorted,
-                                           double stop_bound,
                                            bool skyline_part) const {
   ColumnarBatch batch = *this;
   batch.indices_ = std::move(indices);
-  batch.score_sorted_ = score_sorted;
-  batch.stop_bound_ = stop_bound;
   batch.parts_.clear();
   if (skyline_part) {
     batch.parts_ = {0, static_cast<uint32_t>(batch.indices_.size())};
   }
-  return batch;
-}
-
-ColumnarBatch ColumnarBatch::Slice(size_t begin, size_t end) const {
-  SL_DCHECK(begin <= end && end <= indices_.size());
-  ColumnarBatch batch = *this;
-  batch.indices_.assign(indices_.begin() + begin, indices_.begin() + end);
-  batch.parts_.clear();
   return batch;
 }
 
@@ -488,17 +451,15 @@ bool KeysLexLess(const double* a, const double* b, size_t d) {
 
 /// The SFS filter pass over input in SFS order: no later tuple can
 /// dominate an earlier one, so the window only grows — an append-only dense
-/// key buffer scanned sequentially per incoming tuple. Shared by the
-/// sorting entry point and the inherited-order (presorted) one.
+/// key buffer scanned sequentially per incoming tuple.
 ///
 /// The pass maintains the SaLSa stop bound minC = min over window members
-/// (and any inherited bound) of MaxKey and terminates once every remaining
-/// tuple's MinKey exceeds it: then every coordinate of every remaining
-/// tuple strictly exceeds minC, and the bound's witness strictly dominates
-/// them all. The order ascends in a rounded sum, which cannot bound a single
-/// coordinate exactly, so a suffix minimum of MinKey decides. NULL bitmaps
-/// disable the stop (NULL key slots hold placeholders, so coordinate bounds
-/// are meaningless).
+/// of MaxKey and terminates once every remaining tuple's MinKey exceeds it:
+/// then every coordinate of every remaining tuple strictly exceeds minC, and
+/// the bound's witness strictly dominates them all. The order ascends in a
+/// rounded sum, which cannot bound a single coordinate exactly, so a suffix
+/// minimum of MinKey decides. NULL bitmaps disable the stop (NULL key slots
+/// hold placeholders, so coordinate bounds are meaningless).
 Result<std::vector<uint32_t>> SfsFilterPass(const DominanceMatrix& matrix,
                                             const std::vector<uint32_t>& ordered,
                                             const SkylineOptions& options) {
@@ -514,7 +475,7 @@ Result<std::vector<uint32_t>> SfsFilterPass(const DominanceMatrix& matrix,
       remaining_min[pos] = lo;
     }
   }
-  double min_c = early_stop ? options.sfs_stop_bound : kInf;
+  double min_c = kInf;
 
   std::vector<uint32_t> window;
   std::vector<double> window_keys;
@@ -584,55 +545,13 @@ void SortInSfsOrder(const DominanceMatrix& matrix,
 Result<std::vector<uint32_t>> ColumnarSortFilterSkyline(
     const DominanceMatrix& matrix, const std::vector<uint32_t>& input,
     const SkylineOptions& options) {
-  if (!SfsFastPathApplicable(matrix, options)) {
+  if (options.nulls != NullSemantics::kComplete ||
+      !matrix.all_numeric_minmax()) {
     return ColumnarBlockNestedLoop(matrix, input, options);
   }
   std::vector<uint32_t> ordered = input;
   SortInSfsOrder(matrix, &ordered);
   return SfsFilterPass(matrix, ordered, options);
-}
-
-Result<std::vector<uint32_t>> ColumnarSortFilterSkylinePresorted(
-    const DominanceMatrix& matrix, const std::vector<uint32_t>& input,
-    const SkylineOptions& options) {
-  SL_DCHECK(SfsFastPathApplicable(matrix, options));
-  return SfsFilterPass(matrix, input, options);
-}
-
-std::vector<uint32_t> MergeByScore(
-    const DominanceMatrix& matrix,
-    const std::vector<std::vector<uint32_t>>& runs) {
-  // Iterative stable two-way merges: std::merge takes from the first range
-  // on ties, and earlier runs accumulate on the left, so equal keys keep
-  // run order — the same tie-break a global stable sort would produce.
-  std::vector<uint32_t> merged;
-  auto key_less = [&](uint32_t a, uint32_t b) {
-    const double sa = matrix.Score(a);
-    const double sb = matrix.Score(b);
-    if (sa != sb) return sa < sb;
-    return KeysLexLess(matrix.row_keys(a), matrix.row_keys(b),
-                       matrix.num_dims());
-  };
-  for (const auto& run : runs) {
-    if (merged.empty()) {
-      merged = run;
-      continue;
-    }
-    std::vector<uint32_t> next;
-    next.reserve(merged.size() + run.size());
-    std::merge(merged.begin(), merged.end(), run.begin(), run.end(),
-               std::back_inserter(next), key_less);
-    merged = std::move(next);
-  }
-  return merged;
-}
-
-double ComputeStopBound(const DominanceMatrix& matrix,
-                        const std::vector<uint32_t>& view) {
-  if (matrix.has_nulls() || matrix.num_dims() == 0) return kInf;
-  double bound = kInf;
-  for (const uint32_t r : view) bound = std::min(bound, matrix.MaxKey(r));
-  return bound;
 }
 
 Result<std::vector<uint32_t>> ColumnarAllPairsIncomplete(
@@ -677,17 +596,6 @@ Result<std::vector<uint32_t>> ColumnarAllPairsIncomplete(
     if (!dominated[i]) result.push_back(input[i]);
   }
   return result;
-}
-
-Result<std::vector<uint32_t>> ColumnarIncompleteCandidateScan(
-    const DominanceMatrix& matrix, const std::vector<uint32_t>& chunk,
-    const SkylineOptions& options) {
-  // The candidate stage *is* the all-pairs deferred-deletion scan run over
-  // one chunk's index slice: every elimination cites a witness inside the
-  // chunk, survivors are the chunk-local candidates. The shared matrix
-  // supplies the per-row null bitmaps, so no per-chunk re-projection
-  // happens.
-  return ColumnarAllPairsIncomplete(matrix, chunk, options);
 }
 
 Result<std::vector<uint32_t>> ColumnarValidateAgainstChunk(
@@ -781,11 +689,6 @@ Result<std::vector<uint32_t>> ColumnarValidateAgainstPeers(
     if (!eliminated) survivors.push_back(c);
   }
   return survivors;
-}
-
-std::vector<std::vector<uint32_t>> PartitionIndicesByNullBitmap(
-    const DominanceMatrix& matrix) {
-  return PartitionIndicesByNullBitmap(matrix, AllIndices(matrix));
 }
 
 std::vector<std::vector<uint32_t>> PartitionIndicesByNullBitmap(

@@ -21,9 +21,8 @@
 // its key is the dense rank of the value in a sorted dictionary of that
 // dimension's values (ordered by CompareValues, so NaN ranks above +inf),
 // negated for MAX. Every key is therefore finite, so no Score sum is NaN.
-// Rank codes are only comparable within one matrix, so a ranked dimension
-// clears all_numeric_minmax() and every cross-matrix consumer (SFS stop
-// bounds) bypasses it.
+// Rank codes are only comparable within one matrix, so a gather of parts
+// holding a ranked dimension re-ranks them (ColumnarBatch::Concat).
 //
 // The kernels in this header run entirely over row *indices* into the
 // matrix and materialize full Rows only for the final survivors. They must
@@ -33,7 +32,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -184,9 +182,8 @@ class DominanceMatrix {
   bool has_nulls() const { return !nulls_.empty(); }
 
   /// True when every dimension is a directly keyed numeric MIN/MAX — the
-  /// precondition of SFS and its stop bounds, whose keys or bounds must
-  /// mean the same thing in every matrix. BOOLEAN, DIFF and ranked
-  /// dimensions clear it.
+  /// precondition of the SFS presort and its stop bound. BOOLEAN, DIFF and
+  /// ranked dimensions clear it.
   bool all_numeric_minmax() const { return numeric_minmax_; }
 
   /// Bitmask of ranked dimensions (keys are dictionary ranks; see Build).
@@ -346,47 +343,6 @@ Result<std::vector<uint32_t>> ColumnarSortFilterSkyline(
     const DominanceMatrix& matrix, const std::vector<uint32_t>& input,
     const SkylineOptions& options);
 
-/// \brief True when ColumnarSortFilterSkyline runs its presort fast path on
-/// this matrix (rather than falling back to BNL) — which also means its
-/// result view is ascending in DominanceMatrix::Score. The exec layer uses
-/// this to tag batches as score-sorted for SFS-order inheritance.
-inline bool SfsFastPathApplicable(const DominanceMatrix& matrix,
-                                  const SkylineOptions& options) {
-  return options.nulls == NullSemantics::kComplete &&
-         matrix.all_numeric_minmax();
-}
-
-/// \brief Sort-Filter-Skyline over input that is *already* in SFS order —
-/// the inherited-order variant the merge stage runs when its input views
-/// come from upstream SFS stages, skipping the re-sort entirely. Its stop
-/// bound starts from any inherited options.sfs_stop_bound (the tightest
-/// per-partition bound the gathered batch carries), so a presorted merge
-/// can terminate before scanning most of the gathered input.
-///
-/// \pre SfsFastPathApplicable(matrix, options) holds and `input` is in SFS
-/// order (SortInSfsOrder; rows equal in every key in the caller's intended
-/// DISTINCT tie-break order).
-Result<std::vector<uint32_t>> ColumnarSortFilterSkylinePresorted(
-    const DominanceMatrix& matrix, const std::vector<uint32_t>& input,
-    const SkylineOptions& options);
-
-/// \brief Merges index runs in SFS order into one vector in SFS order
-/// (O(n · k) cascade of stable merges; rows equal in every key keep earlier
-/// runs first, so merging per-partition SFS outputs reproduces the order of
-/// one global stable sort over the concatenated input).
-std::vector<uint32_t> MergeByScore(
-    const DominanceMatrix& matrix,
-    const std::vector<std::vector<uint32_t>>& runs);
-
-/// \brief The tightest SaLSa stop bound a (skyline) result view supports:
-/// the smallest MaxKey over the view's rows (+infinity for an empty view or
-/// a matrix with NULL bitmaps, which cannot certify coordinate bounds).
-/// Since the point minimizing the max-coordinate of any input always has a
-/// skyline representative with an equal-or-smaller max-coordinate, the
-/// bound computed over a skyline equals the bound over its full input.
-double ComputeStopBound(const DominanceMatrix& matrix,
-                        const std::vector<uint32_t>& view);
-
 /// \brief Global skyline for (potentially) incomplete data: compares all
 /// pairs and only *flags* dominated tuples, deleting them after the last
 /// comparison. Deferred deletion is what makes cyclic dominance safe
@@ -394,20 +350,6 @@ double ComputeStopBound(const DominanceMatrix& matrix,
 /// eager alternative failing). Sound for any mix of null bitmaps.
 Result<std::vector<uint32_t>> ColumnarAllPairsIncomplete(
     const DominanceMatrix& matrix, const std::vector<uint32_t>& input,
-    const SkylineOptions& options);
-
-/// \brief Candidate stage of the round-based parallel incomplete global
-/// skyline: all-pairs with deferred deletion restricted to `chunk`. Returns
-/// the surviving chunk indices in input order. Eliminations are sound
-/// because every flagged tuple has a concrete dominating witness inside the
-/// chunk; survivors are only *candidates* and must still be validated
-/// against every other chunk's full tuple set (ColumnarValidateAgainstChunk).
-/// Since a chunk is an ascending slice of the gathered input, index order
-/// doubles as the global DISTINCT tie-break order.
-///
-/// \pre `chunk` holds valid, ascending matrix row indices.
-Result<std::vector<uint32_t>> ColumnarIncompleteCandidateScan(
-    const DominanceMatrix& matrix, const std::vector<uint32_t>& chunk,
     const SkylineOptions& options);
 
 /// \brief One validation round of the parallel incomplete global skyline:
@@ -466,13 +408,9 @@ Result<std::vector<uint32_t>> ColumnarValidateAgainstPeers(
     const DominanceMatrix& matrix, const std::vector<uint32_t>& candidates,
     const std::vector<PeerKeys>& peers, const SkylineOptions& options);
 
-/// \brief Groups all matrix rows by their null bitmap (paper section 5.7),
-/// in ascending bitmap order. Input order is preserved within each group.
-std::vector<std::vector<uint32_t>> PartitionIndicesByNullBitmap(
-    const DominanceMatrix& matrix);
-
-/// \brief Same, restricted to the given view (used by batch-aware stages
-/// that operate on a survivor view rather than the whole matrix).
+/// \brief Groups the rows of `input` by their null bitmap (paper section
+/// 5.7), in ascending bitmap order. Input order is preserved within each
+/// group.
 std::vector<std::vector<uint32_t>> PartitionIndicesByNullBitmap(
     const DominanceMatrix& matrix, const std::vector<uint32_t>& input);
 
@@ -494,7 +432,7 @@ Result<std::vector<uint32_t>> RunColumnarKernel(
 /// \brief The unit the columnar exchange ships between skyline stages: one
 /// immutable, shared DominanceMatrix over a set of backing rows (matrix row
 /// i is the projection of backing row i) plus a row-index *view* selecting
-/// the live subset, and an optional inherited SFS order.
+/// the live subset, and the view's skyline parts, if it has any.
 ///
 /// Ownership rules: matrix, backing rows and the memory reservation are
 /// shared (shared_ptr) and never mutated after construction; copying a
@@ -537,18 +475,10 @@ class ColumnarBatch {
   /// `*reprojected` (if non-null) is set — the one matrix build a gather
   /// can cost.
   ///
-  /// If every part is score-sorted, the merged view is produced by
-  /// MergeByScore and stays score-sorted (SFS-order inheritance across the
-  /// exchange). The result's stop bound is the minimum over the parts'
-  /// bounds — every part's witness row is shipped, so the tightest local
-  /// bound survives the gather. A re-projected result carries neither
-  /// (bounds never cross key spaces).
-  ///
-  /// Otherwise the view is the identity, so each part's rows stay one
-  /// contiguous run of matrix rows, and if every part carries skyline parts
-  /// the result carries them all, offset to their new positions (see
-  /// skyline_parts()). Re-projection drops them: re-ranked keys sum to
-  /// different scores.
+  /// The view is the identity, so each part's rows stay one contiguous run
+  /// of matrix rows, and if every part carries skyline parts the result
+  /// carries them all, offset to their new positions (see skyline_parts()).
+  /// Re-projection drops them: re-ranked keys sum to different scores.
   ///
   /// The parts are left alive in the caller's vector: destroying an owned
   /// backing — every non-survivor row of an owned upstream stage — is real
@@ -562,30 +492,14 @@ class ColumnarBatch {
                               bool* reprojected = nullptr);
 
   /// A derived view over the same matrix/rows (e.g. the survivors of a
-  /// kernel run). `score_sorted` asserts the new view is in SFS order
-  /// (SortInSfsOrder); `stop_bound` is the SaLSa stop bound the view's rows
-  /// support (ComputeStopBound; +infinity = none), carried so the global
-  /// merge can inherit the tightest per-partition bound. `skyline_part`
-  /// asserts the whole view is one skyline part (see skyline_parts()).
-  ColumnarBatch WithSelection(
-      std::vector<uint32_t> indices, bool score_sorted,
-      double stop_bound = std::numeric_limits<double>::infinity(),
-      bool skyline_part = false) const;
-
-  /// Contiguous sub-view [begin, end) of the current view, inheriting the
-  /// sort flag (a slice of an ascending view is ascending) and stop bound,
-  /// but no skyline parts.
-  ColumnarBatch Slice(size_t begin, size_t end) const;
+  /// kernel run). `skyline_part` asserts the whole view is one skyline part
+  /// (see skyline_parts()).
+  ColumnarBatch WithSelection(std::vector<uint32_t> indices,
+                              bool skyline_part = false) const;
 
   const DominanceMatrix& matrix() const { return *matrix_; }
   const std::vector<uint32_t>& indices() const { return indices_; }
   size_t num_rows() const { return indices_.size(); }
-  bool score_sorted() const { return score_sorted_; }
-  /// Tightest inherited SaLSa stop bound (+infinity = none). Its witness is
-  /// a row of this batch (or of an upstream batch of the same relation), so
-  /// downstream SFS passes over supersets of this view may seed their minC
-  /// with it.
-  double stop_bound() const { return stop_bound_; }
   /// View offsets 0 = b_0 <= b_1 <= ... <= b_k = num_rows() splitting the
   /// view into *skyline parts*, or empty when the view has none. Each part
   /// [b_j, b_{j+1}) is the skyline of one partition (LocalSkylineExec).
@@ -635,9 +549,6 @@ class ColumnarBatch {
   std::shared_ptr<const ScopedReservation> reservation_;  ///< matrix bytes
   std::vector<BoundDimension> dims_;  ///< what the matrix was projected for
   std::vector<uint32_t> indices_;  ///< the view, in processing order
-  bool score_sorted_ = false;
-  /// Tightest SaLSa stop bound of the view (+infinity = none).
-  double stop_bound_ = std::numeric_limits<double>::infinity();
   /// Skyline-part offsets into the view (empty = none).
   std::vector<uint32_t> parts_;
 };

@@ -517,7 +517,7 @@ TEST(NullPlaceholderTest, NullSlotsHoldZeroAfterBuildAndConcat) {
               PlaceholderRows(30, true, seed)),
           dims);
       ASSERT_TRUE(part.ok());
-      parts.push_back(part->WithSelection({0, 2, 4, 6, 8, 10, 12, 14}, false));
+      parts.push_back(part->WithSelection({0, 2, 4, 6, 8, 10, 12, 14}));
     }
     bool reprojected = false;
     ColumnarBatch merged = ColumnarBatch::Concat(&parts, nullptr, &reprojected);
@@ -542,7 +542,8 @@ TEST(NullPlaceholderTest, BitmapGroupsCompareAlikeUnderBothSemantics) {
         ASSERT_TRUE(matrix.ok());
         ASSERT_EQ(matrix->ranked_mask() != 0, ranked);
         ASSERT_EQ(matrix->diff_mask() != 0, diff);
-        for (const auto& group : PartitionIndicesByNullBitmap(*matrix)) {
+        for (const auto& group :
+             PartitionIndicesByNullBitmap(*matrix, AllIndices(*matrix))) {
           SkylineOptions options;
           options.distinct = distinct;
           DominanceCounter masked_tests;
@@ -691,13 +692,13 @@ TEST(SimdCompareTest, Avx2MatchesScalarWhenAvailable) {
 }
 #endif
 
-// --- ColumnarBatch: slice / concat / append round-trips ---------------------
+// --- ColumnarBatch: select / concat round-trips ------------------------------
 
 std::shared_ptr<std::vector<Row>> SharedRows(std::vector<Row> rows) {
   return std::make_shared<std::vector<Row>>(std::move(rows));
 }
 
-TEST(ColumnarBatchTest, ProjectSelectSliceDecodeRoundTrip) {
+TEST(ColumnarBatchTest, ProjectSelectDecodeRoundTrip) {
   auto rows = SharedRows(RandomRows(100, 3, /*null_rate=*/0.0, 8, 7));
   auto batch = ColumnarBatch::Project(rows, MinDims(3));
   ASSERT_TRUE(batch.ok());
@@ -705,19 +706,11 @@ TEST(ColumnarBatchTest, ProjectSelectSliceDecodeRoundTrip) {
 
   // A survivor view decodes to exactly the selected backing rows, in order.
   std::vector<uint32_t> selection = {5, 17, 3, 99, 17};
-  ColumnarBatch view = batch->WithSelection(selection, /*score_sorted=*/false);
+  ColumnarBatch view = batch->WithSelection(selection);
   std::vector<Row> decoded = view.Decode();
   ASSERT_EQ(decoded.size(), selection.size());
   for (size_t i = 0; i < selection.size(); ++i) {
     EXPECT_EQ(RowToString(decoded[i]), RowToString((*rows)[selection[i]]));
-  }
-
-  // A contiguous slice of the view is the corresponding sub-range.
-  ColumnarBatch slice = view.Slice(1, 4);
-  std::vector<Row> sliced = slice.Decode();
-  ASSERT_EQ(sliced.size(), 3u);
-  for (size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(RowToString(sliced[i]), RowToString(decoded[i + 1]));
   }
 }
 
@@ -779,7 +772,7 @@ TEST(ColumnarBatchTest, ConcatOfOneSourceGathersIds) {
       auto batch =
           ColumnarBatch::Project(RowView{from, std::move(ids), {2, 1}}, dims);
       SL_CHECK(batch.ok()) << batch.status().ToString();
-      return batch->WithSelection(std::move(selection), false);
+      return batch->WithSelection(std::move(selection));
     };
     std::vector<Row> expected;
     for (const uint32_t id : {5u, 1u, 3u, 6u, 10u}) {
@@ -845,40 +838,6 @@ TEST(ColumnarBatchTest, ConcatReRanksVarcharDictionaries) {
             Dominance::kIncomparable);
 }
 
-TEST(ColumnarBatchTest, ConcatInheritsSfsOrderAcrossParts) {
-  // Score-sorted parts merge into one score-sorted view, and the presorted
-  // SFS pass over it matches the sorting SFS run over the gathered rows.
-  auto dims = MinDims(3);
-  SkylineOptions options;
-  std::vector<ColumnarBatch> parts;
-  std::vector<Row> gathered;
-  for (uint64_t seed = 11; seed <= 13; ++seed) {
-    auto rows = SharedRows(RandomRows(60, 3, /*null_rate=*/0.0, 9, seed));
-    for (const auto& r : *rows) gathered.push_back(r);
-    auto batch = ColumnarBatch::Project(rows, dims);
-    ASSERT_TRUE(batch.ok());
-    auto sorted =
-        ColumnarSortFilterSkyline(batch->matrix(), batch->indices(), options);
-    ASSERT_TRUE(sorted.ok());
-    parts.push_back(batch->WithSelection(*sorted, /*score_sorted=*/true));
-  }
-  ColumnarBatch merged = ColumnarBatch::Concat(&parts);
-  ASSERT_TRUE(merged.score_sorted());
-  const auto& view = merged.indices();
-  for (size_t i = 1; i < view.size(); ++i) {
-    EXPECT_LE(merged.matrix().Score(view[i - 1]),
-              merged.matrix().Score(view[i]))
-        << "merged view must be score-ascending";
-  }
-
-  auto presorted =
-      ColumnarSortFilterSkylinePresorted(merged.matrix(), view, options);
-  ASSERT_TRUE(presorted.ok());
-  EXPECT_EQ(Sorted(merged.WithSelection(*presorted, true).Decode()),
-            Sorted(*ColumnarSkyline(SkylineKernel::kSortFilterSkyline,
-                                    gathered, dims, options)));
-}
-
 TEST(ColumnarBatchTest, ConcatCopiesKeysWhenKeySpacesAgree) {
   // Direct keys mean the same thing in every matrix, so concat copies them
   // instead of re-projecting.
@@ -899,7 +858,8 @@ TEST(ColumnarBatchTest, ConcatCopiesKeysWhenKeySpacesAgree) {
 TEST(ColumnarBatchTest, ConcatReRanksWhenOnePartHasNaN) {
   // NaN in one partition only: that part is ranked, the other direct. The
   // gathered matrix must re-rank everything into one key space, drop the
-  // SFS order and stop bounds, and still compare exactly like CompareRows.
+  // skyline parts (re-ranked keys sum to different scores), and still
+  // compare exactly like CompareRows.
   auto dims = MinDims(2);
   std::vector<Row> clean = RandomRows(30, 2, /*null_rate=*/0.0, 6, 3);
   std::vector<Row> dirty = RandomRows(30, 2, /*null_rate=*/0.0, 6, 4);
@@ -908,27 +868,23 @@ TEST(ColumnarBatchTest, ConcatReRanksWhenOnePartHasNaN) {
   std::vector<Row> gathered = clean;
   gathered.insert(gathered.end(), dirty.begin(), dirty.end());
 
+  // Both parts are marked skyline parts, as LocalSkylineExec marks them.
   std::vector<ColumnarBatch> parts;
-  SkylineOptions options;
   auto clean_batch = ColumnarBatch::Project(SharedRows(clean), dims);
   ASSERT_TRUE(clean_batch.ok());
   ASSERT_EQ(clean_batch->matrix().ranked_mask(), 0u);
-  auto sorted = ColumnarSortFilterSkyline(clean_batch->matrix(),
-                                          clean_batch->indices(), options);
-  ASSERT_TRUE(sorted.ok());
-  const double bound = ComputeStopBound(clean_batch->matrix(), *sorted);
-  parts.push_back(
-      clean_batch->WithSelection(clean_batch->indices(), true, bound));
+  parts.push_back(clean_batch->WithSelection(clean_batch->indices(),
+                                             /*skyline_part=*/true));
   auto dirty_batch = ColumnarBatch::Project(SharedRows(dirty), dims);
   ASSERT_TRUE(dirty_batch.ok());
   EXPECT_EQ(dirty_batch->matrix().ranked_mask(), 3u);
-  parts.push_back(std::move(*dirty_batch));
+  parts.push_back(dirty_batch->WithSelection(dirty_batch->indices(),
+                                             /*skyline_part=*/true));
 
   bool reprojected = false;
   ColumnarBatch merged = ColumnarBatch::Concat(&parts, nullptr, &reprojected);
   EXPECT_TRUE(reprojected);
-  EXPECT_FALSE(merged.score_sorted());
-  EXPECT_TRUE(std::isinf(merged.stop_bound()));
+  EXPECT_TRUE(merged.skyline_parts().empty());
   EXPECT_EQ(merged.matrix().ranked_mask(), 3u);
   ASSERT_EQ(merged.num_rows(), gathered.size());
   const std::vector<Row> decoded = merged.Decode();
@@ -945,11 +901,10 @@ TEST(ColumnarBatchTest, ConcatReRanksWhenOnePartHasNaN) {
 // Local skylines marked as skyline parts gather into an identity view in
 // which each part is a contiguous run of matrix rows, still ascending in
 // Score — what the global [merge] reads its peers' keys from in place. A
-// part without the mark, an SFS-sorted gather (interleaved by MergeByScore)
-// and a re-ranking gather all drop the parts.
+// part without the mark and a re-ranking gather both drop the parts.
 TEST(ColumnarBatchTest, ConcatKeepsSkylinePartBoundaries) {
   const auto dims = MinDims(3);
-  auto gather = [&](bool mark_all, bool sorted, bool nan) {
+  auto gather = [&](bool mark_all, bool nan) {
     std::vector<ColumnarBatch> parts;
     for (uint64_t seed = 1; seed <= 4; ++seed) {
       // The third partition is empty.
@@ -962,9 +917,7 @@ TEST(ColumnarBatchTest, ConcatKeepsSkylinePartBoundaries) {
           ColumnarBlockNestedLoop(batch->matrix(), batch->indices(), {});
       SL_CHECK(local.ok());
       SortInSfsOrder(batch->matrix(), &*local);
-      parts.push_back(batch->WithSelection(
-          *local, sorted, std::numeric_limits<double>::infinity(),
-          mark_all || seed != 2));
+      parts.push_back(batch->WithSelection(*local, mark_all || seed != 2));
     }
     std::vector<uint32_t> expected = {0};
     for (const ColumnarBatch& part : parts) {
@@ -974,7 +927,7 @@ TEST(ColumnarBatchTest, ConcatKeepsSkylinePartBoundaries) {
     return std::make_pair(ColumnarBatch::Concat(&parts), expected);
   };
 
-  const auto [merged, expected] = gather(true, false, false);
+  const auto [merged, expected] = gather(true, false);
   ASSERT_EQ(merged.skyline_parts(), expected);
   const DominanceMatrix& matrix = merged.matrix();
   for (size_t j = 0; j + 1 < expected.size(); ++j) {
@@ -984,9 +937,8 @@ TEST(ColumnarBatchTest, ConcatKeepsSkylinePartBoundaries) {
                 matrix.Score(merged.indices()[p]));
     }
   }
-  EXPECT_TRUE(gather(false, false, false).first.skyline_parts().empty());
-  EXPECT_TRUE(gather(true, true, false).first.skyline_parts().empty());
-  EXPECT_TRUE(gather(true, false, true).first.skyline_parts().empty());
+  EXPECT_TRUE(gather(false, false).first.skyline_parts().empty());
+  EXPECT_TRUE(gather(true, true).first.skyline_parts().empty());
 }
 
 TEST(ColumnarBatchTest, MatrixMemoryChargedForBatchLifetime) {
@@ -998,7 +950,7 @@ TEST(ColumnarBatchTest, MatrixMemoryChargedForBatchLifetime) {
     EXPECT_GT(batch->matrix().MemoryBytes(), 0);
     EXPECT_GE(tracker.current_bytes(), batch->matrix().MemoryBytes());
     // Views share the reservation: copying them must not double-charge.
-    ColumnarBatch view = batch->WithSelection({1, 2, 3}, false);
+    ColumnarBatch view = batch->WithSelection({1, 2, 3});
     EXPECT_EQ(tracker.current_bytes(), batch->matrix().MemoryBytes());
   }
   EXPECT_EQ(tracker.current_bytes(), 0) << "reservation must die with the batch";
@@ -1090,110 +1042,23 @@ TEST(SfsEarlyStop, AutoDisabledOnNullBitmaps) {
   EXPECT_EQ(stats.rows_skipped.load(), 0);
 }
 
-TEST(SfsEarlyStop, PresortedPassInheritsStopBound) {
-  const std::vector<Row> rows = CorrelatedRows(1200, 4, 43);
-  const auto dims = MinDims(4);
-  auto matrix = DominanceMatrix::Build(rows, dims);
-  ASSERT_TRUE(matrix.ok());
-
-  SkylineOptions options;
-  auto baseline =
-      ColumnarSortFilterSkyline(*matrix, AllIndices(*matrix), options);
-  ASSERT_TRUE(baseline.ok());
-  const double bound = ComputeStopBound(*matrix, *baseline);
-  ASSERT_TRUE(std::isfinite(bound));
-
-  // Presort into SFS order, as the presorted pass expects, then run it with
-  // the inherited bound: the result must be identical and the bound must
-  // skip rows.
-  std::vector<uint32_t> ordered = AllIndices(*matrix);
-  SortInSfsOrder(*matrix, &ordered);
-  EarlyStopStats stats;
-  SkylineOptions inherited = options;
-  inherited.sfs_stop_bound = bound;
-  inherited.early_stop = &stats;
-  auto presorted =
-      ColumnarSortFilterSkylinePresorted(*matrix, ordered, inherited);
-  ASSERT_TRUE(presorted.ok());
-  EXPECT_EQ(Sorted(MaterializeRows(rows, *baseline)),
-            Sorted(MaterializeRows(rows, *presorted)));
-  EXPECT_GT(stats.rows_skipped.load(), 0);
-}
-
-TEST(SfsEarlyStop, StopBoundSurvivesConcat) {
-  // Two parts with different bounds: the concatenated batch must carry the
-  // tighter one (its witness row ships with its part).
-  auto part_rows_a = SharedRows(CorrelatedRows(300, 3, 51));
-  auto part_rows_b = SharedRows(CorrelatedRows(300, 3, 52));
-  const auto dims = MinDims(3);
-  SkylineOptions options;
-  std::vector<ColumnarBatch> parts;
-  std::vector<double> bounds;
-  for (const auto& rows : {part_rows_a, part_rows_b}) {
-    auto batch = ColumnarBatch::Project(rows, dims);
-    ASSERT_TRUE(batch.ok());
-    auto survivors = ColumnarSortFilterSkyline(batch->matrix(),
-                                               batch->indices(), options);
-    ASSERT_TRUE(survivors.ok());
-    const double bound = ComputeStopBound(batch->matrix(), *survivors);
-    bounds.push_back(bound);
-    parts.push_back(batch->WithSelection(std::move(*survivors), true, bound));
-  }
-  ColumnarBatch merged = ColumnarBatch::Concat(&parts);
-  EXPECT_TRUE(merged.score_sorted());
-  EXPECT_EQ(merged.stop_bound(), std::min(bounds[0], bounds[1]));
-}
-
-// --- MergeByScore tie-break determinism --------------------------------------
-
-TEST(MergeByScoreTest, EqualKeysReproduceGlobalStableSortOrder) {
-  // Low-cardinality rows produce many equal scores across runs; the
-  // cascade of stable merges must order them exactly like one global stable
-  // sort over the concatenated input.
-  std::vector<Row> rows = RandomRows(240, 2, /*null_rate=*/0.0, 3, 91);
-  const auto dims = MinDims(2);
-  auto matrix = DominanceMatrix::Build(rows, dims);
-  ASSERT_TRUE(matrix.ok());
-
-  // The SFS order: the score, ties broken lexicographically on the keys.
-  auto key_less = [&](uint32_t a, uint32_t b) {
-    if (matrix->Score(a) != matrix->Score(b)) {
-      return matrix->Score(a) < matrix->Score(b);
-    }
-    return std::lexicographical_compare(
-        matrix->row_keys(a), matrix->row_keys(a) + 2, matrix->row_keys(b),
-        matrix->row_keys(b) + 2);
-  };
-  // Three contiguous runs in input order, each sorted by the key.
-  std::vector<std::vector<uint32_t>> runs;
-  for (uint32_t begin = 0; begin < 240; begin += 80) {
-    std::vector<uint32_t> run;
-    for (uint32_t i = begin; i < begin + 80; ++i) run.push_back(i);
-    std::stable_sort(run.begin(), run.end(), key_less);
-    runs.push_back(std::move(run));
-  }
-  const std::vector<uint32_t> merged = MergeByScore(*matrix, runs);
-
-  std::vector<uint32_t> global = AllIndices(*matrix);
-  std::stable_sort(global.begin(), global.end(), key_less);
-  EXPECT_EQ(merged, global) << "ties must keep input (run) order";
-}
-
 // --- exact SFS order and stop bound -------------------------------------------
 
 // Score is a rounded sum: (1e17, 1) dominates (1e17, 2), yet both score
 // 1e17. Broken by input order alone, the tie put the victim first, and the
 // grow-only window never evicts. The lexicographic tie-break puts every
-// dominator first, in the presort and in MergeByScore alike.
+// dominator first in the presort.
 TEST(SfsOrderTest, DominatorTyingItsVictimsScoreSortsFirst) {
   const std::vector<Row> rows{R({1e17, 2}), R({1e17, 1})};
   auto matrix = DominanceMatrix::Build(rows, MinDims(2));
   ASSERT_TRUE(matrix.ok());
   ASSERT_EQ(matrix->Score(0), matrix->Score(1));
+  std::vector<uint32_t> order = {0, 1};
+  SortInSfsOrder(*matrix, &order);
+  EXPECT_EQ(order, (std::vector<uint32_t>{1, 0}));
   auto sfs = ColumnarSortFilterSkyline(*matrix, {0, 1}, {});
   ASSERT_TRUE(sfs.ok());
   EXPECT_EQ(*sfs, std::vector<uint32_t>{1});
-  EXPECT_EQ(MergeByScore(*matrix, {{0}, {1}}), (std::vector<uint32_t>{1, 0}));
 }
 
 // The sum stop used to compare one rounded sum with another: here it fired
@@ -1385,27 +1250,11 @@ TEST_F(ColumnarKernelDeadline, SortFilterSkyline) {
       ColumnarSortFilterSkyline(*matrix_, AllIndices(*matrix_), expired_));
 }
 
-TEST_F(ColumnarKernelDeadline, SortFilterSkylinePresorted) {
-  std::vector<uint32_t> ordered = AllIndices(*matrix_);
-  std::stable_sort(ordered.begin(), ordered.end(), [&](uint32_t a, uint32_t b) {
-    return matrix_->Score(a) < matrix_->Score(b);
-  });
-  EXPECT_TIMES_OUT(
-      ColumnarSortFilterSkylinePresorted(*matrix_, ordered, expired_));
-}
-
 TEST_F(ColumnarKernelDeadline, AllPairsIncomplete) {
   SkylineOptions options = expired_;
   options.nulls = NullSemantics::kIncomplete;
   EXPECT_TIMES_OUT(
       ColumnarAllPairsIncomplete(*matrix_, AllIndices(*matrix_), options));
-}
-
-TEST_F(ColumnarKernelDeadline, IncompleteCandidateScan) {
-  SkylineOptions options = expired_;
-  options.nulls = NullSemantics::kIncomplete;
-  EXPECT_TIMES_OUT(
-      ColumnarIncompleteCandidateScan(*matrix_, AllIndices(*matrix_), options));
 }
 
 TEST_F(ColumnarKernelDeadline, ValidateAgainstPeers) {

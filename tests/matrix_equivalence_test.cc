@@ -499,11 +499,12 @@ TEST(BitmapGroupSoundness, DominanceCycleAcrossPartitionsIsEmpty) {
 
 // With one executor a distributed plan gathers a single local skyline,
 // which is already the answer: the global stage keeps its label but runs
-// no kernel, so no merge dominance test — after a BNL local stage, and
-// under DISTINCT with every row duplicated. An SFS gather carries no
-// skyline parts and still runs its kernel (the control). Results match
-// BruteForceSkyline and the reference strategy (whose rewriting leaves
-// DISTINCT to the native operator).
+// no kernel, so no merge dominance test — after either kernel's local
+// stage, and under DISTINCT with every row duplicated. Input without
+// skyline parts still runs its kernel (the control: a non-distributed plan
+// projects the gathered rows). Results match BruteForceSkyline and the
+// reference strategy (whose rewriting leaves DISTINCT to the native
+// operator).
 TEST(ParallelGlobalMerge, SingleExecutorReturnsTheGatheredPart) {
   TablePtr base = datagen::GeneratePoints(
       "base", 1000, 3, datagen::PointDistribution::kAntiCorrelated, 7);
@@ -522,19 +523,24 @@ TEST(ParallelGlobalMerge, SingleExecutorReturnsTheGatheredPart) {
     const std::vector<std::string> expected = Oracle(*table, dims, distinct);
     ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "reference"));
     ASSERT_EQ(expected, RowStrings(Rows(&session, sql))) << sql;
-    ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "distributed"));
-    for (const char* kernel : {"bnl", "sfs"}) {
-      ASSERT_OK(session.SetConf("sparkline.skyline.kernel", kernel));
-      ASSERT_OK_AND_ASSIGN(DataFrame df, session.Sql(sql));
-      ASSERT_OK_AND_ASSIGN(QueryResult result, df.Collect());
-      EXPECT_EQ(expected, RowStrings(result.rows())) << sql << " " << kernel;
-      EXPECT_EQ(result.metrics.operator_ms.count("GlobalSkyline [complete]"),
-                1u);
-      if (std::string(kernel) == "sfs") {
-        EXPECT_GT(result.metrics.merge_dominance_tests, 0) << sql;
-      } else {
-        EXPECT_EQ(result.metrics.merge_dominance_tests, 0)
-            << sql << " " << kernel;
+    for (const char* strategy : {"distributed", "non_distributed"}) {
+      const bool parts = std::string(strategy) == "distributed";
+      ASSERT_OK(session.SetConf("sparkline.skyline.strategy", strategy));
+      for (const char* kernel : {"bnl", "sfs"}) {
+        ASSERT_OK(session.SetConf("sparkline.skyline.kernel", kernel));
+        ASSERT_OK_AND_ASSIGN(DataFrame df, session.Sql(sql));
+        ASSERT_OK_AND_ASSIGN(QueryResult result, df.Collect());
+        EXPECT_EQ(expected, RowStrings(result.rows()))
+            << sql << " " << strategy << " " << kernel;
+        EXPECT_EQ(result.metrics.operator_ms.count("GlobalSkyline [complete]"),
+                  1u);
+        if (parts) {
+          EXPECT_EQ(result.metrics.merge_dominance_tests, 0)
+              << sql << " " << kernel;
+        } else {
+          EXPECT_GT(result.metrics.merge_dominance_tests, 0)
+              << sql << " " << kernel;
+        }
       }
     }
   }
@@ -804,12 +810,31 @@ TEST(ParallelGlobalMerge, EmptyPartsAgreeWithBothOracles) {
   }
 }
 
-// A borrowing WHERE keeps five rows, all in the first scan partition, and
-// two of them dominate the rest: the gather holds exactly one non-empty
-// part, which has no peers, so the [merge] keeps it without a single
-// dominance test.
+/// Asserts that the complete global stage returned its gathered input as
+/// the answer: one task under the bare label, no [partial] or [merge], and
+/// no merge dominance test.
+void ExpectGatherReturned(const QueryMetrics& metrics,
+                          const std::string& context) {
+  EXPECT_EQ(metrics.operator_ms.count("GlobalSkyline [complete]"), 1u)
+      << context;
+  EXPECT_EQ(metrics.operator_ms.count("GlobalSkyline [complete] [partial]"),
+            0u)
+      << context;
+  EXPECT_EQ(metrics.operator_ms.count("GlobalSkyline [complete] [merge]"), 0u)
+      << context;
+  EXPECT_EQ(metrics.merge_dominance_tests, 0) << context;
+}
+
+// Two ways to leave exactly one non-empty local skyline, which is already
+// the answer, so the global stage returns it without a single dominance
+// test, at every executor count and with either kernel:
+//   - a borrowing WHERE keeps five rows, all in the first scan partition,
+//     and two of them dominate the rest;
+//   - a single-partition child (a local relation) reaches the global stage
+//     without a gather exchange, so its one part is the local survivors in
+//     SFS order, rows 1 and 0, not a contiguous run of matrix rows.
 TEST(ParallelGlobalMerge, OneNonEmptyPartNeedsNoDominanceTests) {
-  std::vector<std::vector<double>> rows = {{0, 1}, {1, 0}};
+  std::vector<std::vector<double>> rows = {{1, 0}, {0, 1}};
   for (int i = 2; i < 40; ++i) {
     rows.push_back({2.0 + (i * 7) % 13, 2.0 + (i * 11) % 13});
   }
@@ -824,20 +849,34 @@ TEST(ParallelGlobalMerge, OneNonEmptyPartNeedsNoDominanceTests) {
   ASSERT_EQ(expected.size(), 2u);
   ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "reference"));
   ASSERT_EQ(expected, RowStrings(Rows(&session, sql)));
-  ExpectMergeAgrees(&session, sql, expected);
+  ASSERT_OK_AND_ASSIGN(
+      DataFrame local,
+      session.CreateDataFrame(table->schema(), table->rows()));
+  ASSERT_OK_AND_ASSIGN(
+      DataFrame local_skyline,
+      local.Skyline({{"d0", SkylineGoal::kMin}, {"d1", SkylineGoal::kMin}}));
 
   ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "distributed"));
-  ASSERT_OK(session.SetConf("sparkline.skyline.kernel", "bnl"));
-  for (const char* executors : {"2", "3", "4", "8"}) {
-    ASSERT_OK(session.SetConf("sparkline.executors", executors));
-    const std::vector<size_t> parts = LocalInputRows(&session, sql);
-    EXPECT_EQ(parts.front(), 5u) << executors;
-    EXPECT_EQ(std::count(parts.begin(), parts.end(), size_t{0}),
-              static_cast<std::ptrdiff_t>(parts.size() - 1))
-        << executors;
-    const MergeRun run = RunMerge(&session, sql);
-    EXPECT_EQ(run.metrics.exchange_rows_shipped, 2) << executors;
-    EXPECT_EQ(run.metrics.merge_dominance_tests, 0) << executors;
+  for (const char* kernel : {"bnl", "sfs"}) {
+    ASSERT_OK(session.SetConf("sparkline.skyline.kernel", kernel));
+    for (const char* executors : {"2", "3", "4", "8"}) {
+      const std::string context =
+          StrCat("kernel=", kernel, " executors=", executors);
+      ASSERT_OK(session.SetConf("sparkline.executors", executors));
+      const std::vector<size_t> parts = LocalInputRows(&session, sql);
+      EXPECT_EQ(parts.front(), 5u) << context;
+      EXPECT_EQ(std::count(parts.begin(), parts.end(), size_t{0}),
+                static_cast<std::ptrdiff_t>(parts.size() - 1))
+          << context;
+      const MergeRun run = RunMerge(&session, sql);
+      EXPECT_EQ(expected, run.rows) << context;
+      EXPECT_EQ(run.metrics.exchange_rows_shipped, 2) << context;
+      ExpectGatherReturned(run.metrics, context);
+
+      ASSERT_OK_AND_ASSIGN(QueryResult result, local_skyline.Collect());
+      EXPECT_EQ(expected, RowStrings(result.rows())) << "local " << context;
+      ExpectGatherReturned(result.metrics, StrCat("local ", context));
+    }
   }
 }
 
@@ -965,7 +1004,7 @@ TEST(ColumnarExchange, RootDecodeAndRowFallback) {
       << "a row-consuming parent must see identical rows via the fallback";
 }
 
-// --- SFS order determinism across the exchange --------------------------------
+// --- one gather shape for both kernels ----------------------------------------
 
 std::vector<std::string> OrderedRowStrings(const std::vector<Row>& rows) {
   std::vector<std::string> out;
@@ -974,37 +1013,103 @@ std::vector<std::string> OrderedRowStrings(const std::vector<Row>& rows) {
   return out;
 }
 
-// MergeByScore tie-break determinism, end to end: SFS output order is the
-// global stable sort order, so equal-key rows coming from different
-// partitions must reproduce the single-partition sequence exactly — the
-// result must be bit-identical (order included) across executor counts.
-// Low-cardinality values force many equal scores and exact duplicate
-// tuples.
-TEST(SfsOrderDeterminism, ExchangeMergeReproducesSinglePartitionOrder) {
-  std::vector<std::array<double, 3>> pts;
-  for (int i = 0; i < 240; ++i) {
-    pts.push_back({static_cast<double>(i), static_cast<double>((i * 7) % 5),
-                   static_cast<double>((i * 11) % 5)});
-  }
-  Session session;
-  ASSERT_OK(session.catalog()->RegisterTable(
-      ::sparkline::testing::MakePointsTable("pts", pts)));
-  ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "distributed"));
-  ASSERT_OK(session.SetConf("sparkline.skyline.kernel", "sfs"));
-
-  for (const char* query :
-       {"SELECT x, y FROM pts SKYLINE OF x MIN, y MIN",
-        "SELECT x, y FROM pts SKYLINE OF DISTINCT x MIN, y MIN"}) {
-    ASSERT_OK(session.SetConf("sparkline.executors", "1"));
-    const std::vector<std::string> reference =
-        OrderedRowStrings(Rows(&session, query));
-    ASSERT_FALSE(reference.empty());
-    for (const char* executors : {"2", "4", "8"}) {
-      ASSERT_OK(session.SetConf("sparkline.executors", executors));
-      EXPECT_EQ(reference, OrderedRowStrings(Rows(&session, query)))
-          << query << " executors=" << executors;
+/// True when no two of `rows` are equal in every skyline dimension.
+bool KeyVectorsUnique(const std::vector<Row>& rows,
+                      const std::vector<skyline::BoundDimension>& dims) {
+  for (size_t i = 0; i < rows.size(); ++i) {
+    for (size_t j = i + 1; j < rows.size(); ++j) {
+      if (skyline::CompareRows(rows[i], rows[j], dims,
+                               skyline::NullSemantics::kComplete) ==
+          skyline::Dominance::kEqual) {
+        return false;
+      }
     }
   }
+  return true;
+}
+
+// Either kernel's local skyline reaches the global stage as one skyline
+// part in SFS order, so kernel=sfs returns BNL's rows and runs BNL's merge
+// dominance tests at every executor count, under both partitionings, with
+// and without DISTINCT. Where no two result rows share a key vector, the
+// part order fixes the row order, and it is the same too. The points are
+// anti-correlated with every row duplicated; store_sales mixes MIN and MAX
+// goals.
+TEST(OneGatherShape, SfsMatchesBnlRowsAndMergeTests) {
+  TablePtr base = datagen::GeneratePoints(
+      "base", 1000, 3, datagen::PointDistribution::kAntiCorrelated, 11);
+  auto points = std::make_shared<Table>("pts", base->schema());
+  for (int copy = 0; copy < 2; ++copy) {
+    for (const Row& row : base->rows()) ASSERT_OK(points->AppendRow(row));
+  }
+  datagen::StoreSalesOptions store_options;
+  store_options.num_rows = 4000;
+  Session session;
+  ASSERT_OK(session.catalog()->RegisterTable(points));
+  ASSERT_OK(session.catalog()->RegisterTable(
+      datagen::GenerateStoreSales(store_options)));
+  ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "distributed"));
+
+  struct Query {
+    const char* table;
+    std::vector<skyline::BoundDimension> dims;  ///< ordinals in SELECT *
+    const char* skyline_of;
+  };
+  const std::vector<Query> queries = {
+      {"pts",
+       {{1, SkylineGoal::kMin}, {2, SkylineGoal::kMax}, {3, SkylineGoal::kMin}},
+       "d0 MIN, d1 MAX, d2 MIN"},
+      {"store_sales",
+       {{2, SkylineGoal::kMax},
+        {3, SkylineGoal::kMin},
+        {4, SkylineGoal::kMin},
+        {5, SkylineGoal::kMin},
+        {6, SkylineGoal::kMax},
+        {7, SkylineGoal::kMin}},
+       "ss_quantity MAX, ss_wholesale_cost MIN, ss_list_price MIN, "
+       "ss_sales_price MIN, ss_ext_discount_amt MAX, ss_ext_sales_price MIN"}};
+  auto run = [&](const std::string& sql, const char* kernel) {
+    SL_CHECK_OK(session.SetConf("sparkline.skyline.kernel", kernel));
+    auto df = session.Sql(sql);
+    SL_CHECK(df.ok()) << df.status().ToString();
+    auto result = df->Collect();
+    SL_CHECK(result.ok()) << result.status().ToString();
+    return *std::move(result);
+  };
+  int ordered = 0;
+  for (const Query& query : queries) {
+    for (const bool distinct : {false, true}) {
+      const std::string sql =
+          StrCat("SELECT * FROM ", query.table, " SKYLINE OF ",
+                 distinct ? "DISTINCT " : "", query.skyline_of);
+      for (const char* partitioning : {"asis", "angle"}) {
+        ASSERT_OK(
+            session.SetConf("sparkline.skyline.partitioning", partitioning));
+        for (const char* executors : {"1", "2", "4", "8", "13"}) {
+          ASSERT_OK(session.SetConf("sparkline.executors", executors));
+          const std::string context =
+              StrCat(sql, " partitioning=", partitioning,
+                     " executors=", executors);
+          const QueryResult bnl = run(sql, "bnl");
+          const QueryResult sfs = run(sql, "sfs");
+          ASSERT_FALSE(bnl.rows().empty()) << context;
+          EXPECT_EQ(RowStrings(bnl.rows()), RowStrings(sfs.rows())) << context;
+          EXPECT_EQ(bnl.metrics.merge_dominance_tests,
+                    sfs.metrics.merge_dominance_tests)
+              << context;
+          if (KeyVectorsUnique(bnl.rows(), query.dims)) {
+            EXPECT_EQ(OrderedRowStrings(bnl.rows()),
+                      OrderedRowStrings(sfs.rows()))
+                << context;
+            ++ordered;
+          }
+        }
+      }
+    }
+  }
+  // DISTINCT leaves no two rows with one key vector, so order is checked
+  // at least there.
+  EXPECT_GE(ordered, 2 * 2 * 5);
 }
 
 // --- SFS early termination: metrics and auto-disable --------------------------

@@ -564,12 +564,21 @@ std::vector<Row> RayRows(size_t rays, size_t per_ray) {
   return rows;
 }
 
+/// The bounds ExchangeExec scales by: every row observed once.
+exchange_internal::AngleBounds BoundsOf(
+    const std::vector<Row>& rows,
+    const std::vector<skyline::BoundDimension>& dims) {
+  exchange_internal::AngleBounds bounds(dims.size());
+  for (const Row& row : rows) bounds.Observe(row, dims);
+  return bounds;
+}
+
 TEST(AnglePartitionTest, NormalizedKeysSpreadMaxGoalMixedScaleData) {
   const std::vector<Row> rows = RayRows(16, 8);
   const std::vector<skyline::BoundDimension> dims{{0, SkylineGoal::kMax},
                                                   {1, SkylineGoal::kMax}};
   const size_t n = 4;
-  const auto bounds = exchange_internal::ComputeAngleBounds({rows}, dims);
+  const auto bounds = BoundsOf(rows, dims);
 
   std::vector<std::vector<Row>> angle_parts(n), round_robin(n);
   for (size_t i = 0; i < rows.size(); ++i) {
@@ -618,7 +627,7 @@ TEST(AnglePartitionTest, NonFiniteKeysKeepTheSpread) {
     std::vector<Row> rows = RayRows(16, 8);
     rows[5][0] = Value::Double(special);
     rows[77][1] = Value::Double(special);
-    const auto bounds = exchange_internal::ComputeAngleBounds({rows}, dims);
+    const auto bounds = BoundsOf(rows, dims);
     std::vector<size_t> sizes(n, 0);
     for (const Row& row : rows) {
       const size_t bucket =
@@ -636,7 +645,7 @@ TEST(AnglePartitionTest, NonFiniteKeysKeepTheSpread) {
   const std::vector<Row> wide{{Value::Double(-1e308), Value::Double(1e308)},
                               {Value::Double(1e308), Value::Double(-1e308)},
                               {Value::Double(0), Value::Double(0)}};
-  const auto bounds = exchange_internal::ComputeAngleBounds({wide}, dims);
+  const auto bounds = BoundsOf(wide, dims);
   std::vector<size_t> buckets;
   for (const Row& row : wide) {
     buckets.push_back(exchange_internal::AnglePartition(row, dims, n, bounds));

@@ -169,12 +169,9 @@ TEST(CancellationTest, EveryKernelHonorsCancelledToken) {
   iopts.cancel = &token;
   expect_cancelled(ColumnarAllPairsIncomplete(*matrix, all, iopts).status(),
                    "all_pairs");
-  expect_cancelled(
-      ColumnarIncompleteCandidateScan(*matrix, all, iopts).status(),
-      "candidate_scan");
   SkylineOptions vopts = iopts;
   vopts.cancel = nullptr;
-  auto candidates = ColumnarIncompleteCandidateScan(*matrix, first_half, vopts);
+  auto candidates = ColumnarAllPairsIncomplete(*matrix, first_half, vopts);
   ASSERT_TRUE(candidates.ok());
   expect_cancelled(
       ColumnarValidateAgainstChunk(*matrix, *candidates, second_half, iopts)
@@ -230,7 +227,7 @@ TEST(PartitionTest, GroupsByNullBitmap) {
                            RN({std::nullopt, 7})};
   auto matrix = DominanceMatrix::Build(rows, MinDims(2));
   ASSERT_TRUE(matrix.ok());
-  auto parts = PartitionIndicesByNullBitmap(*matrix);
+  auto parts = PartitionIndicesByNullBitmap(*matrix, AllIndices(*matrix));
   ASSERT_EQ(parts.size(), 2u);
   EXPECT_EQ(parts[0].size() + parts[1].size(), 4u);
   for (const auto& part : parts) {
@@ -256,7 +253,8 @@ TEST(Lemma51Test, LocalSkylineUnionPreservesGlobalSkyline) {
     auto matrix = DominanceMatrix::Build(rows, dims);
     ASSERT_TRUE(matrix.ok());
     std::vector<uint32_t> local_union;
-    for (const auto& part : PartitionIndicesByNullBitmap(*matrix)) {
+    for (const auto& part :
+         PartitionIndicesByNullBitmap(*matrix, AllIndices(*matrix))) {
       auto local = ColumnarBlockNestedLoop(*matrix, part, opts);
       ASSERT_TRUE(local.ok());
       local_union.insert(local_union.end(), local->begin(), local->end());
