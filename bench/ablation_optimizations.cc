@@ -1,7 +1,6 @@
-// Ablation of the skyline-specific optimizer rules (paper section 5.4 and
-// docs/ARCHITECTURE.md, "`src/optimizer` — rule-based rewriting"):
-// single-dimension rewrite, skyline-through-join pushdown, and filter
-// pushdown, each toggled off individually, plus the section-7 extensions.
+// Ablation of the skyline knobs that remain (paper section 7 future work):
+// the kernel (BNL vs. SFS) and the local-stage partitioning (as-is vs.
+// angle), each on anti-correlated points, where skylines are large.
 //
 // Each cell runs both sides once untimed (a warm-up), then kTimedRuns
 // rounds that alternate which side goes first, and prints each side's
@@ -13,7 +12,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "common/rng.h"
 #include "common/string_util.h"
 
 using namespace sparkline;        // NOLINT
@@ -96,76 +94,11 @@ int main(int argc, char** argv) {
   BenchConfig config = ParseArgs(argc, argv);
   Session session;
 
-  // Dataset 1: store_sales (single-dimension rewrite showcase).
-  datagen::StoreSalesOptions sopts;
-  sopts.num_rows = static_cast<size_t>(20000 * config.scale);
-  SL_CHECK_OK(
-      session.catalog()->RegisterTable(datagen::GenerateStoreSales(sopts)));
-
-  // Dataset 2: listings with a declared FK to hosts (join pushdown
-  // showcase): every listing has exactly one matching host.
-  Schema hosts_schema({Field{"id", DataType::Int64(), false},
-                       Field{"since", DataType::Int64(), false}});
-  auto hosts = std::make_shared<Table>("hosts", hosts_schema);
-  hosts->constraints().primary_key = {"id"};
-  for (int i = 1; i <= 50; ++i) {
-    SL_CHECK_OK(hosts->AppendRow({Value::Int64(i), Value::Int64(1990 + i)}));
-  }
-  SL_CHECK_OK(session.catalog()->RegisterTable(hosts));
-  Schema listings_schema({Field{"id", DataType::Int64(), false},
-                          Field{"price", DataType::Double(), false},
-                          Field{"rating", DataType::Double(), false},
-                          Field{"host", DataType::Int64(), false}});
-  auto listings = std::make_shared<Table>("listings", listings_schema);
-  listings->constraints().foreign_keys.push_back(
-      TableConstraints::ForeignKey{{"host"}, "hosts", {"id"}, true});
-  Rng rng(7);
-  const size_t n_listings = static_cast<size_t>(12000 * config.scale);
-  for (size_t i = 0; i < n_listings; ++i) {
-    SL_CHECK_OK(listings->AppendRow({Value::Int64(static_cast<int64_t>(i)),
-                                     Value::Double(rng.Uniform(20, 900)),
-                                     Value::Double(rng.Uniform(1, 5)),
-                                     Value::Int64(rng.UniformInt(1, 50))}));
-  }
-  SL_CHECK_OK(session.catalog()->RegisterTable(listings));
-
-  std::printf(
-      "== Ablation of skyline-specific optimizations (section 5.4) ==\n");
+  std::printf("== Ablation of the skyline kernel and partitioning ==\n");
   std::printf("(median simulated time of %d runs per side, alternating which "
               "side goes first, after one warm-up each)\n\n",
               kTimedRuns);
 
-  // One rule toggled on and off for `sql` (auto strategy, 4 executors).
-  auto rule = [&](const char* name, const std::string& sql,
-                  const std::string& key) {
-    Compare(name, "on",
-            Toggle(&session, sql, config, "auto", 4, key, "true", "true"),
-            "off",
-            Toggle(&session, sql, config, "auto", 4, key, "false", "true"));
-  };
-
-  // 1. Single-dimension rewrite: O(n) scalar lookup vs. full BNL skyline.
-  rule("single-dim rewrite",
-       "SELECT * FROM store_sales SKYLINE OF ss_wholesale_cost MIN",
-       "sparkline.optimizer.singleDimRewrite");
-
-  // 2. Skyline-through-join pushdown: skyline before vs. after the join.
-  rule("skyline-join pushdown",
-       "SELECT l.price, l.rating, h.since FROM listings l "
-       "JOIN hosts h ON l.host = h.id "
-       "SKYLINE OF l.price MIN, l.rating MAX",
-       "sparkline.optimizer.skylineJoinPushdown");
-
-  // 3. Generic filter pushdown under a skyline-bearing query.
-  rule("filter pushdown",
-       "SELECT * FROM (SELECT * FROM store_sales) t "
-       "WHERE ss_quantity > 50 "
-       "SKYLINE OF ss_wholesale_cost MIN, ss_list_price MIN, "
-       "ss_ext_discount_amt MAX",
-       "sparkline.optimizer.filterPushdown");
-
-  // 4. Section-7 future-work features on anti-correlated data (the hard
-  // case: skylines are large).
   SL_CHECK_OK(session.catalog()->RegisterTable(datagen::GeneratePoints(
       "anti", static_cast<size_t>(8000 * config.scale), 4,
       datagen::PointDistribution::kAntiCorrelated, 99)));
@@ -184,18 +117,8 @@ int main(int argc, char** argv) {
           Toggle(&session, anti_sql, config, "distributed", 8,
                  "sparkline.skyline.partitioning", "angle", "asis"));
 
-  SL_CHECK_OK(session.catalog()->RegisterTable(datagen::GeneratePoints(
-      "tiny", 200, 2, datagen::PointDistribution::kIndependent, 3)));
-  const std::string tiny_sql = "SELECT * FROM tiny SKYLINE OF d0 MIN, d1 MIN";
-  Compare("cost-based tiny-input", "on",
-          Toggle(&session, tiny_sql, config, "auto", 8,
-                 "sparkline.skyline.nonDistributedThreshold", "1000", "0"),
-          "off",
-          Toggle(&session, tiny_sql, config, "auto", 8,
-                 "sparkline.skyline.nonDistributedThreshold", "0", "0"));
-
   std::printf(
-      "\nEach rule may only improve time/dominance tests, never change the\n"
+      "\nEach knob may only change time and dominance tests, never the\n"
       "result (checked above).\n");
   return 0;
 }

@@ -6,6 +6,7 @@
 #include "common/metrics.h"
 #include "common/string_util.h"
 #include "common/timer.h"
+#include "optimizer/optimizer.h"
 #include "sql/parser.h"
 
 namespace sparkline {
@@ -70,14 +71,7 @@ Status Session::SetConf(const std::string& key, const std::string& value) {
     return Status::OK();
   }
   if (k == "sparkline.skyline.strategy") {
-    if (EqualsIgnoreCase(value, "reference")) {
-      config_.skyline_reference = true;
-      config_.skyline_strategy = SkylineStrategy::kAuto;
-      return Status::OK();
-    }
-    SL_ASSIGN_OR_RETURN(SkylineStrategy s, ParseSkylineStrategy(value));
-    config_.skyline_reference = false;
-    config_.skyline_strategy = s;
+    SL_ASSIGN_OR_RETURN(config_.skyline_strategy, ParseSkylineStrategy(value));
     return Status::OK();
   }
   if (k == "sparkline.skyline.kernel") {
@@ -95,32 +89,6 @@ Status Session::SetConf(const std::string& key, const std::string& value) {
   if (k == "sparkline.skyline.partitioning") {
     SL_ASSIGN_OR_RETURN(config_.skyline_partitioning,
                         ParseSkylinePartitioning(value));
-    return Status::OK();
-  }
-  if (k == "sparkline.skyline.nondistributedthreshold") {
-    SL_ASSIGN_OR_RETURN(config_.non_distributed_threshold, ParseInt(value));
-    return Status::OK();
-  }
-  if (k == "sparkline.optimizer.singledimrewrite") {
-    SL_ASSIGN_OR_RETURN(config_.optimizer.single_dim_skyline_rewrite,
-                        ParseBool(value));
-    return Status::OK();
-  }
-  if (k == "sparkline.optimizer.skylinejoinpushdown") {
-    SL_ASSIGN_OR_RETURN(config_.optimizer.skyline_join_pushdown,
-                        ParseBool(value));
-    return Status::OK();
-  }
-  if (k == "sparkline.optimizer.filterpushdown") {
-    SL_ASSIGN_OR_RETURN(config_.optimizer.filter_pushdown, ParseBool(value));
-    return Status::OK();
-  }
-  if (k == "sparkline.optimizer.constantfolding") {
-    SL_ASSIGN_OR_RETURN(config_.optimizer.constant_folding, ParseBool(value));
-    return Status::OK();
-  }
-  if (k == "sparkline.optimizer.columnpruning") {
-    SL_ASSIGN_OR_RETURN(config_.optimizer.column_pruning, ParseBool(value));
     return Status::OK();
   }
   if (k == "sparkline.cache.enabled") {
@@ -324,9 +292,7 @@ Result<LogicalPlanPtr> Session::Analyze(const LogicalPlanPtr& plan) const {
 }
 
 Result<LogicalPlanPtr> Session::Optimize(const LogicalPlanPtr& analyzed) const {
-  OptimizerOptions opts = config_.optimizer;
-  opts.rewrite_skyline_to_reference = config_.skyline_reference;
-  Optimizer optimizer(opts);
+  Optimizer optimizer(config_.skyline_strategy == SkylineStrategy::kReference);
   return optimizer.Optimize(analyzed);
 }
 
@@ -337,7 +303,6 @@ Result<PhysicalPlanPtr> Session::PlanPhysical(
   opts.skyline_strategy = config_.skyline_strategy;
   opts.skyline_kernel = config_.skyline_kernel;
   opts.skyline_partitioning = config_.skyline_partitioning;
-  opts.non_distributed_threshold = config_.non_distributed_threshold;
   PhysicalPlanner planner(opts);
   return planner.Plan(optimized);
 }

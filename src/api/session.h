@@ -17,12 +17,6 @@
 //                                           footprint in MB, [0, 2^20]
 //   sparkline.skyline.kernel                bnl | sfs
 //   sparkline.skyline.partitioning          asis | angle
-//   sparkline.skyline.nonDistributedThreshold  rows; 0 disables (section 7)
-//   sparkline.optimizer.singleDimRewrite    bool
-//   sparkline.optimizer.skylineJoinPushdown bool
-//   sparkline.optimizer.filterPushdown      bool
-//   sparkline.optimizer.constantFolding     bool
-//   sparkline.optimizer.columnPruning       bool
 //   sparkline.cache.enabled                 bool, fingerprinted result cache
 //   sparkline.cache.capacity_bytes          cache byte budget
 //   sparkline.cache.ttl_ms                  entry TTL (0 = none)
@@ -57,7 +51,6 @@
 #include "catalog/catalog.h"
 #include "common/thread_safety.h"
 #include "exec/planner.h"
-#include "optimizer/optimizer.h"
 #include "serve/incremental.h"
 #include "serve/query_service.h"
 #include "serve/result_cache.h"
@@ -69,9 +62,9 @@ class DataFrame;
 /// \brief Session configuration (see header comment for the string keys).
 struct SessionConfig {
   ClusterConfig cluster;
+  /// Key: sparkline.skyline.strategy; `reference` runs skylines via the
+  /// plain-SQL rewriting (the "reference" algorithm).
   SkylineStrategy skyline_strategy = SkylineStrategy::kAuto;
-  /// Run skylines via the plain-SQL rewriting (the "reference" algorithm).
-  bool skyline_reference = false;
   /// Skyline kernel: Block-Nested-Loop (paper) or Sort-Filter-Skyline
   /// (the paper's future-work presorting family). Key:
   /// sparkline.skyline.kernel = bnl | sfs.
@@ -79,10 +72,6 @@ struct SessionConfig {
   /// Local-stage partitioning of distributed skylines. Key:
   /// sparkline.skyline.partitioning = asis | angle.
   SkylinePartitioning skyline_partitioning = SkylinePartitioning::kAsIs;
-  /// Cost-based refinement threshold (section 7 future work). Key:
-  /// sparkline.skyline.nonDistributedThreshold (rows; 0 = off).
-  int64_t non_distributed_threshold = 0;
-  OptimizerOptions optimizer;
 
   // --- serve layer (src/serve) ---------------------------------------------
   /// Fingerprinted result cache around Execute. Results served from the

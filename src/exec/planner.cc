@@ -22,9 +22,10 @@ Result<SkylineStrategy> ParseSkylineStrategy(const std::string& name) {
   if (lower == "incomplete" || lower == "distributed_incomplete") {
     return SkylineStrategy::kDistributedIncomplete;
   }
+  if (lower == "reference") return SkylineStrategy::kReference;
   return Status::Invalid(StrCat("unknown skyline strategy '", name,
                                 "' (auto | distributed | non_distributed | "
-                                "incomplete)"));
+                                "incomplete | reference)"));
 }
 
 Result<SkylinePartitioning> ParseSkylinePartitioning(const std::string& name) {
@@ -35,66 +36,6 @@ Result<SkylinePartitioning> ParseSkylinePartitioning(const std::string& name) {
   if (lower == "angle") return SkylinePartitioning::kAngle;
   return Status::Invalid(StrCat("unknown skyline partitioning '", name,
                                 "' (asis | angle)"));
-}
-
-const char* SkylineStrategyName(SkylineStrategy s) {
-  switch (s) {
-    case SkylineStrategy::kAuto:
-      return "auto";
-    case SkylineStrategy::kDistributedComplete:
-      return "distributed";
-    case SkylineStrategy::kNonDistributedComplete:
-      return "non_distributed";
-    case SkylineStrategy::kDistributedIncomplete:
-      return "incomplete";
-  }
-  return "?";
-}
-
-int64_t EstimateRowCount(const LogicalPlanPtr& plan) {
-  switch (plan->kind()) {
-    case PlanKind::kScan:
-      return static_cast<int64_t>(
-          static_cast<const Scan&>(*plan).table()->num_rows());
-    case PlanKind::kLocalRelation:
-      return static_cast<int64_t>(
-          static_cast<const LocalRelation&>(*plan).rows()->size());
-    case PlanKind::kFilter: {
-      int64_t child = EstimateRowCount(plan->children()[0]);
-      return child < 0 ? -1 : (child + 1) / 2;  // default selectivity 0.5
-    }
-    case PlanKind::kLimit: {
-      int64_t child = EstimateRowCount(plan->children()[0]);
-      int64_t n = static_cast<const Limit&>(*plan).n();
-      return child < 0 ? n : std::min(child, n);
-    }
-    case PlanKind::kAggregate: {
-      const auto& agg = static_cast<const Aggregate&>(*plan);
-      if (agg.group_list().empty()) return 1;
-      int64_t child = EstimateRowCount(agg.child());
-      return child < 0 ? -1 : std::max<int64_t>(1, child / 10);
-    }
-    case PlanKind::kJoin: {
-      const auto& join = static_cast<const Join&>(*plan);
-      int64_t left = EstimateRowCount(join.left());
-      if (join.join_type() == JoinType::kLeftSemi ||
-          join.join_type() == JoinType::kLeftAnti) {
-        return left;
-      }
-      int64_t right = EstimateRowCount(join.right());
-      if (left < 0 || right < 0) return -1;
-      if (join.join_type() == JoinType::kCross) return left * right;
-      return std::max(left, right);
-    }
-    case PlanKind::kProject:
-    case PlanKind::kSort:
-    case PlanKind::kDistinct:
-    case PlanKind::kSubqueryAlias:
-    case PlanKind::kSkyline:
-      return EstimateRowCount(plan->children()[0]);
-    default:
-      return -1;
-  }
 }
 
 namespace {
@@ -465,22 +406,14 @@ Result<PhysicalPlanPtr> PhysicalPlanner::PlanSkyline(
     any_nullable |= dp.nullable;
   }
 
-  // Listing 8: choose the algorithm.
+  // Listing 8: choose the algorithm. A skyline left standing under
+  // strategy=reference is one Listing 4 cannot express; it runs natively.
   SkylineStrategy strategy = options_.skyline_strategy;
-  if (strategy == SkylineStrategy::kAuto) {
+  if (strategy == SkylineStrategy::kAuto ||
+      strategy == SkylineStrategy::kReference) {
     const bool complete_ok = sky.complete() || !any_nullable;
     strategy = complete_ok ? SkylineStrategy::kDistributedComplete
                            : SkylineStrategy::kDistributedIncomplete;
-    // Lightweight cost-based refinement (section 7 future work): for tiny
-    // inputs the non-parallel global stage dominates, so skip the local
-    // stage and its exchange altogether.
-    if (strategy == SkylineStrategy::kDistributedComplete &&
-        options_.non_distributed_threshold > 0) {
-      int64_t estimate = EstimateRowCount(sky.child());
-      if (estimate >= 0 && estimate < options_.non_distributed_threshold) {
-        strategy = SkylineStrategy::kNonDistributedComplete;
-      }
-    }
   }
 
   PhysicalPlanPtr result;
@@ -525,7 +458,8 @@ Result<PhysicalPlanPtr> PhysicalPlanner::PlanSkyline(
       break;
     }
     case SkylineStrategy::kAuto:
-      return Status::Internal("auto strategy should have been resolved");
+    case SkylineStrategy::kReference:
+      return Status::Internal("the strategy should have been resolved");
   }
 
   if (!helper_exprs.empty()) {

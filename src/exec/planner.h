@@ -24,10 +24,13 @@ enum class SkylineStrategy : uint8_t {
   /// "distributed incomplete": local skylines per null-bitmap group of each
   /// partition, then the all-pairs global stage.
   kDistributedIncomplete,
+  /// "reference": the optimizer rewrites every skyline into the plain-SQL
+  /// anti-join of Listing 4. A skyline it keeps (SKYLINE OF DISTINCT, which
+  /// Listing 4 cannot express) plans as kAuto.
+  kReference,
 };
 
 Result<SkylineStrategy> ParseSkylineStrategy(const std::string& name);
-const char* SkylineStrategyName(SkylineStrategy s);
 
 /// \brief Partitioning scheme for the local stage of a distributed skyline
 /// (paper section 7 lists angle-based partitioning as future work).
@@ -45,15 +48,7 @@ struct PlannerOptions {
   /// Kernel used by the skyline operators (paper future work: presorting).
   SkylineKernel skyline_kernel = SkylineKernel::kBlockNestedLoop;
   SkylinePartitioning skyline_partitioning = SkylinePartitioning::kAsIs;
-  /// Lightweight cost-based selection (paper section 7): below this
-  /// estimated input cardinality the planner skips the distributed local
-  /// stage, because the global stage dominates anyway. 0 disables.
-  int64_t non_distributed_threshold = 0;
 };
-
-/// \brief Rough cardinality estimate for the cost-based strategy refinement;
-/// returns -1 when unknown. Exposed for tests.
-int64_t EstimateRowCount(const LogicalPlanPtr& plan);
 
 class PhysicalPlanner {
  public:

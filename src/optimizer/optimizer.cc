@@ -4,7 +4,11 @@
 
 namespace sparkline {
 
-Optimizer::Optimizer(OptimizerOptions options) : options_(options) {
+namespace {
+constexpr int kMaxIterations = 50;
+}  // namespace
+
+Optimizer::Optimizer(bool reference) {
   using namespace rules;  // NOLINT(build/namespaces)
 
   RuleBatch finish{"Finish Analysis", 1, {}};
@@ -13,38 +17,26 @@ Optimizer::Optimizer(OptimizerOptions options) : options_(options) {
       {"ReplaceDistinctWithAggregate", ReplaceDistinctWithAggregate});
   batches_.push_back(std::move(finish));
 
-  if (options_.rewrite_skyline_to_reference) {
-    RuleBatch reference{"Skyline Reference Rewrite", 1, {}};
-    reference.rules.push_back({"SkylineToReference", SkylineToReference});
-    batches_.push_back(std::move(reference));
+  if (reference) {
+    RuleBatch rewrite{"Skyline Reference Rewrite", 1, {}};
+    rewrite.rules.push_back({"SkylineToReference", SkylineToReference});
+    batches_.push_back(std::move(rewrite));
   }
 
-  RuleBatch skyline{"Skyline Optimizations", options_.max_iterations, {}};
-  if (options_.single_dim_skyline_rewrite) {
-    skyline.rules.push_back(
-        {"SingleDimSkylineRewrite", SingleDimSkylineRewrite});
-  }
-  if (options_.skyline_join_pushdown) {
-    skyline.rules.push_back({"PushSkylineThroughJoin", PushSkylineThroughJoin});
-  }
-  if (!skyline.rules.empty()) batches_.push_back(std::move(skyline));
+  RuleBatch skyline{"Skyline Optimizations", kMaxIterations, {}};
+  skyline.rules.push_back({"PushSkylineThroughJoin", PushSkylineThroughJoin});
+  batches_.push_back(std::move(skyline));
 
-  RuleBatch operators{"Operator Optimizations", options_.max_iterations, {}};
-  if (options_.constant_folding) {
-    operators.rules.push_back({"ConstantFolding", ConstantFolding});
-    operators.rules.push_back({"SimplifyBooleans", SimplifyBooleans});
-  }
+  RuleBatch operators{"Operator Optimizations", kMaxIterations, {}};
+  operators.rules.push_back({"ConstantFolding", ConstantFolding});
+  operators.rules.push_back({"SimplifyBooleans", SimplifyBooleans});
   operators.rules.push_back({"CombineFilters", CombineFilters});
-  if (options_.filter_pushdown) {
-    operators.rules.push_back(
-        {"PushFilterThroughProject", PushFilterThroughProject});
-    operators.rules.push_back({"PushFilterThroughJoin", PushFilterThroughJoin});
-  }
+  operators.rules.push_back(
+      {"PushFilterThroughProject", PushFilterThroughProject});
+  operators.rules.push_back({"PushFilterThroughJoin", PushFilterThroughJoin});
   operators.rules.push_back({"CollapseProjects", CollapseProjects});
   operators.rules.push_back({"EliminateNoopProjects", EliminateNoopProjects});
-  if (options_.column_pruning) {
-    operators.rules.push_back({"PruneScanColumns", PruneScanColumns});
-  }
+  operators.rules.push_back({"PruneScanColumns", PruneScanColumns});
   batches_.push_back(std::move(operators));
 }
 
@@ -52,11 +44,11 @@ Result<LogicalPlanPtr> Optimizer::Optimize(const LogicalPlanPtr& plan) const {
   LogicalPlanPtr current = plan;
   for (const auto& batch : batches_) {
     for (int iter = 0; iter < batch.max_iterations; ++iter) {
-      const std::string before = current->TreeString();
+      const LogicalPlanPtr before = current;
       for (const auto& rule : batch.rules) {
         SL_ASSIGN_OR_RETURN(current, rule.apply(current));
       }
-      if (current->TreeString() == before) break;
+      if (current == before) break;
       if (iter == batch.max_iterations - 1 && batch.max_iterations > 1) {
         SL_LOG_WARN << "optimizer batch '" << batch.name
                     << "' hit max iterations without reaching a fixed point";

@@ -1,9 +1,9 @@
 // A Catalyst-style rule-based optimizer (paper section 5.4).
 //
 // Rules run in named batches; each batch iterates to a fixed point (bounded
-// by max_iterations) before the next batch starts, exactly like Spark's
-// RuleExecutor. Skyline-specific rules are individually toggleable so the
-// ablation benchmarks can quantify them.
+// by its max_iterations) before the next batch starts, exactly like Spark's
+// RuleExecutor. A batch stops once an iteration returns the very plan it
+// started from: every rule returns its input pointer when it does not apply.
 #pragma once
 
 #include <functional>
@@ -14,20 +14,6 @@
 #include "plan/logical_plan.h"
 
 namespace sparkline {
-
-struct OptimizerOptions {
-  bool constant_folding = true;
-  bool filter_pushdown = true;
-  bool column_pruning = true;
-  /// Section 5.4: a 1-dimensional skyline is a scalar MIN/MAX lookup.
-  bool single_dim_skyline_rewrite = true;
-  /// Section 5.4: move the skyline below non-reductive joins.
-  bool skyline_join_pushdown = true;
-  /// Replace every SkylineNode by the plain-SQL NOT EXISTS anti-join
-  /// (Listing 4). Used to run the "reference" algorithm of section 6.3.
-  bool rewrite_skyline_to_reference = false;
-  int max_iterations = 50;
-};
 
 /// \brief One rewrite rule. Must be a no-op (return the input pointer) when
 /// it does not apply.
@@ -45,19 +31,18 @@ struct RuleBatch {
 
 class Optimizer {
  public:
-  explicit Optimizer(OptimizerOptions options = {});
+  /// `reference` first replaces every SkylineNode by the plain-SQL NOT
+  /// EXISTS anti-join (Listing 4): the "reference" algorithm of section 6.3.
+  explicit Optimizer(bool reference);
 
   /// Optimizes a resolved logical plan.
   Result<LogicalPlanPtr> Optimize(const LogicalPlanPtr& plan) const;
 
-  const std::vector<RuleBatch>& batches() const { return batches_; }
-
  private:
-  OptimizerOptions options_;
   std::vector<RuleBatch> batches_;
 };
 
-// Individual rules, exposed for unit tests and the ablation bench.
+// The rules the batches run (rules.cc and skyline_rules.cc).
 namespace rules {
 
 Result<LogicalPlanPtr> EliminateSubqueryAliases(const LogicalPlanPtr& plan);
@@ -70,10 +55,6 @@ Result<LogicalPlanPtr> PushFilterThroughJoin(const LogicalPlanPtr& plan);
 Result<LogicalPlanPtr> CollapseProjects(const LogicalPlanPtr& plan);
 Result<LogicalPlanPtr> EliminateNoopProjects(const LogicalPlanPtr& plan);
 Result<LogicalPlanPtr> PruneScanColumns(const LogicalPlanPtr& plan);
-
-/// SkylineNode with one MIN/MAX dimension on provably complete input ->
-/// Filter(dim = (SELECT min/max(dim) FROM child)) (section 5.4).
-Result<LogicalPlanPtr> SingleDimSkylineRewrite(const LogicalPlanPtr& plan);
 
 /// SkylineNode over a non-reductive join whose dimensions come from the
 /// left side -> join over the skyline of the left side (section 5.4,

@@ -29,16 +29,14 @@ Result<LogicalPlanPtr> TransformPlan(
   return out;
 }
 
-const SkylineDimension& AsDimension(const ExprPtr& e) {
-  return static_cast<const SkylineDimension&>(*e);
-}
-
 /// True when Listing 8 would pick the complete algorithm: the COMPLETE
 /// keyword is set, or no skyline dimension is nullable.
 bool InputProvablyComplete(const SkylineNode& sky) {
   if (sky.complete()) return true;
   for (const auto& d : sky.dimensions()) {
-    if (AsDimension(d).child()->nullable()) return false;
+    if (static_cast<const SkylineDimension&>(*d).child()->nullable()) {
+      return false;
+    }
   }
   return true;
 }
@@ -55,40 +53,6 @@ void CollectScanOrigins(
     }
   });
 }
-
-}  // namespace
-
-Result<LogicalPlanPtr> SingleDimSkylineRewrite(const LogicalPlanPtr& plan) {
-  return TransformPlan(plan, [](const LogicalPlanPtr& node)
-                                 -> Result<LogicalPlanPtr> {
-    if (node->kind() != PlanKind::kSkyline) return node;
-    const auto& sky = static_cast<const SkylineNode&>(*node);
-    if (sky.distinct() || sky.dimensions().size() != 1) return node;
-    const auto& dim = AsDimension(sky.dimensions()[0]);
-    if (dim.goal() == SkylineGoal::kDiff) return node;
-    // With nulls in the dimension, null tuples are incomparable to all
-    // others and belong to the skyline; the scalar rewrite would drop them.
-    if (!InputProvablyComplete(sky)) return node;
-
-    std::map<ExprId, ExprId> ids;
-    SL_ASSIGN_OR_RETURN(LogicalPlanPtr clone,
-                        CloneWithFreshIds(sky.child(), &ids));
-    ExprPtr cloned_dim = RemapAttributeIds(dim.child(), ids);
-    const AggFn fn =
-        dim.goal() == SkylineGoal::kMin ? AggFn::kMin : AggFn::kMax;
-    LogicalPlanPtr agg = Aggregate::Make(
-        {}, {Alias::Make(AggregateExpr::Make(fn, cloned_dim), "optimum")},
-        std::move(clone));
-    ExprPtr scalar = ScalarSubquery::Make(std::move(agg), dim.child()->type(),
-                                          /*nullable=*/true,
-                                          /*resolved=*/true);
-    return Filter::Make(
-        BinaryExpr::Make(BinaryOp::kEq, dim.child(), std::move(scalar)),
-        sky.child());
-  });
-}
-
-namespace {
 
 /// Substitutes project-list aliases into `e` (so a skyline dimension over a
 /// projected column maps back onto the join output).

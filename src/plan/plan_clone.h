@@ -1,9 +1,8 @@
 // Deep-copies a resolved plan while minting fresh attribute ids.
 //
 // Needed wherever one logical subtree must appear twice in a plan with
-// unambiguous references — most prominently the skyline "reference"
-// rewriting (paper Listing 4), which turns SKYLINE OF into a self anti-join,
-// and the single-dimension optimization's scalar subquery (section 5.4).
+// unambiguous references: the skyline "reference" rewriting (paper
+// Listing 4) turns SKYLINE OF into a self anti-join.
 #pragma once
 
 #include <map>

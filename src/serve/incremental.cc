@@ -458,12 +458,15 @@ SkylineDelta IncrementalMaintainer::ResyncSubscription(
     version = snapshot->version();
     auto input = ApplyRecipe(*sub->recipe, snapshot->rows());
     if (input.ok()) {
-      next = skyline::BruteForceSkyline(*input, sub->recipe->dims,
-                                        RecipeOptions(*sub->recipe));
+      auto computed = skyline::ColumnarSkyline(
+          skyline::SkylineKernel::kBlockNestedLoop, *input, sub->recipe->dims,
+          RecipeOptions(*sub->recipe));
+      if (computed.ok()) next = std::move(*computed);
     }
   }
-  // A dropped table (or a recipe the rows no longer satisfy) reads as an
-  // empty skyline; the version still advances so stale events stay skipped.
+  // A dropped table (or a recipe the rows no longer satisfy, or a failed
+  // kernel) reads as an empty skyline; the version still advances so stale
+  // events stay skipped.
   out.version = version;
 
   // Multiset diff old -> next (row printing is a total key for Values).

@@ -59,10 +59,9 @@ std::vector<Row> FlawedGulzarGlobal(const std::vector<Row>& input,
 std::vector<Row> BruteForceSkyline(const std::vector<Row>& input,
                                    const std::vector<BoundDimension>& dims,
                                    const SkylineOptions& options) {
-  // sl-lint: allow(kernel-deadline) — infallible-by-contract oracle (tests
-  // and the maintainer's subscription resync); its std::vector return
-  // cannot propagate a Status, and resync batches are already bounded by
-  // sparkline.cache.max_delta_batch upstream.
+  // sl-lint: allow(kernel-deadline) — infallible-by-contract oracle that
+  // only tests and benches call; its std::vector return cannot propagate a
+  // Status.
   std::vector<Row> result;
   std::vector<uint32_t> bitmaps(input.size());
   for (size_t i = 0; i < input.size(); ++i) {

@@ -78,7 +78,8 @@ std::vector<Row> FlawedGulzarGlobal(const std::vector<Row>& input,
                                     const std::vector<BoundDimension>& dims);
 
 /// \brief Quadratic reference oracle implementing the skyline definition
-/// verbatim over CompareRows (used by tests and the subscription resync).
+/// verbatim over CompareRows, for tests and benches. The engine, the
+/// subscription resync included, runs the columnar kernels instead.
 /// Under DISTINCT it keeps the first of each group of equal tuples with the
 /// same null bitmap.
 std::vector<Row> BruteForceSkyline(const std::vector<Row>& input,

@@ -1,11 +1,8 @@
 // Tests for the paper's section-7 future-work features implemented here:
-// the SFS kernel, angle-based partitioning, and the lightweight cost-based
-// strategy refinement.
+// the SFS kernel and angle-based partitioning.
 #include <gtest/gtest.h>
 
 #include "datagen/datagen.h"
-#include "exec/planner.h"
-#include "sql/parser.h"
 #include "test_util.h"
 
 namespace sparkline {
@@ -20,8 +17,6 @@ class ExtensionsTest : public ::testing::Test {
     ASSERT_OK(session_->SetConf("sparkline.executors", "4"));
     ASSERT_OK(session_->catalog()->RegisterTable(datagen::GeneratePoints(
         "anti", 600, 3, datagen::PointDistribution::kAntiCorrelated, 5)));
-    ASSERT_OK(session_->catalog()->RegisterTable(datagen::GeneratePoints(
-        "tiny", 50, 2, datagen::PointDistribution::kIndependent, 6)));
   }
 
   std::string PhysicalTree(const std::string& sql) {
@@ -82,52 +77,6 @@ TEST_F(ExtensionsTest, AnglePartitioningPrunesMoreOnAntiCorrelatedData) {
   const int64_t as_is = tests_with("asis");
   const int64_t angle = tests_with("angle");
   EXPECT_LT(angle, as_is);
-}
-
-TEST_F(ExtensionsTest, CostBasedRefinementSkipsLocalStageForTinyInputs) {
-  // tiny has 50 rows and anti 600; a threshold of 100 separates them.
-  ASSERT_OK(
-      session_->SetConf("sparkline.skyline.nonDistributedThreshold", "100"));
-  const std::string tiny_q = "SELECT * FROM tiny SKYLINE OF d0 MIN, d1 MIN";
-  EXPECT_EQ(PhysicalTree(tiny_q).find("LocalSkyline"), std::string::npos);
-  // Above the threshold the distributed plan is kept.
-  EXPECT_NE(PhysicalTree(kQuery).find("LocalSkyline"), std::string::npos);
-  // Results stay the same either way.
-  auto with = Rows(session_.get(), tiny_q);
-  ASSERT_OK(session_->SetConf("sparkline.skyline.nonDistributedThreshold", "0"));
-  auto without = Rows(session_.get(), tiny_q);
-  EXPECT_SAME_ROWS(with, without);
-}
-
-TEST_F(ExtensionsTest, CostBasedRefinementIgnoresForcedStrategies) {
-  ASSERT_OK(session_->SetConf("sparkline.skyline.nonDistributedThreshold",
-                              "1000000"));
-  ASSERT_OK(session_->SetConf("sparkline.skyline.strategy", "distributed"));
-  EXPECT_NE(PhysicalTree(kQuery).find("LocalSkyline"), std::string::npos);
-}
-
-TEST(EstimateRowCountTest, WalksThePlan) {
-  Session session;
-  ASSERT_OK(session.catalog()->RegisterTable(datagen::GeneratePoints(
-      "pts", 1000, 2, datagen::PointDistribution::kIndependent, 7)));
-  auto analyzed = [&](const std::string& sql) {
-    auto plan = ParseSql(sql);
-    SL_CHECK(plan.ok());
-    auto a = session.Analyze(*plan);
-    SL_CHECK(a.ok()) << a.status().ToString();
-    return *a;
-  };
-  EXPECT_EQ(EstimateRowCount(analyzed("SELECT * FROM pts")), 1000);
-  EXPECT_EQ(EstimateRowCount(analyzed("SELECT * FROM pts WHERE d0 < 0.5")),
-            500);
-  EXPECT_EQ(EstimateRowCount(analyzed("SELECT * FROM pts LIMIT 10")), 10);
-  EXPECT_EQ(EstimateRowCount(analyzed("SELECT count(*) FROM pts")), 1);
-  EXPECT_EQ(EstimateRowCount(
-                analyzed("SELECT * FROM pts a CROSS JOIN pts b LIMIT 5")),
-            5);
-  EXPECT_EQ(EstimateRowCount(analyzed(
-                "SELECT d0 FROM pts SKYLINE OF d0 MIN, d1 MIN")),
-            1000);  // skylines are conservatively passed through
 }
 
 TEST(SfsKernelTest, MatchesAcrossStrategiesAndData) {

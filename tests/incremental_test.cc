@@ -494,6 +494,55 @@ TEST_F(IncrementalSessionTest, SubscribeRejectsUnsoundShapes) {
   EXPECT_TRUE(session_->Subscribe(kSql, ignore).ok());
 }
 
+// A subscription's initial state is the engine's own answer. SKYLINE OF
+// DISTINCT COMPLETE over nullable columns, with NULLs and many duplicate key
+// vectors, is where a different skyline routine would show: the state the
+// deltas accumulate must equal a fresh query's rows as a multiset.
+TEST(SubscriptionResyncTest, InitialStateMatchesFreshQueryOverNullsAndTies) {
+  const std::string sql =
+      "SELECT * FROM t SKYLINE OF DISTINCT COMPLETE a MIN, b MIN, c MAX";
+  Schema schema({Field{"id", DataType::Int64(), false},
+                 Field{"a", DataType::Int64(), true},
+                 Field{"b", DataType::Int64(), true},
+                 Field{"c", DataType::Int64(), true}});
+  Rng rng(5);
+  for (int round = 0; round < 50; ++round) {
+    auto table = std::make_shared<Table>("t", schema);
+    for (int i = 0; i < 200; ++i) {
+      Row row{Value::Int64(i)};
+      for (int d = 0; d < 3; ++d) {
+        row.push_back(rng.Uniform(0, 1) < 0.1
+                          ? Value::Null(DataType::Int64())
+                          : Value::Int64(rng.UniformInt(0, 6)));
+      }
+      ASSERT_OK(table->AppendRow(std::move(row)));
+    }
+    Session session;
+    ASSERT_OK(session.SetConf("sparkline.executors", round % 2 ? "4" : "1"));
+    ASSERT_OK(session.catalog()->RegisterTable(table));
+
+    std::mutex mu;
+    std::map<std::string, int> state;
+    ASSERT_OK_AND_ASSIGN(
+        uint64_t sub_id,
+        session.Subscribe(sql, [&](const serve::SkylineDelta& d) {
+          std::lock_guard<std::mutex> lock(mu);
+          for (const Row& row : d.added) ++state[RowToString(row)];
+          for (const Row& row : d.removed) --state[RowToString(row)];
+        }));
+    std::vector<std::string> subscribed;
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      for (const auto& [row, count] : state) {
+        ASSERT_GE(count, 0) << row;
+        subscribed.insert(subscribed.end(), count, row);
+      }
+    }
+    EXPECT_EQ(subscribed, RowStrings(Rows(&session, sql))) << "round " << round;
+    ASSERT_OK(session.Unsubscribe(sub_id));
+  }
+}
+
 // --- slow-listener regression ----------------------------------------------
 
 // A listener stuck in its callback must not block writers: dispatch happens

@@ -94,9 +94,12 @@ TEST_P(ConfigMatrix, AllConfigurationsAgreeWithBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, ConfigMatrix,
-    ::testing::Values(MatrixCase{"complete", 2, false},
+    ::testing::Values(MatrixCase{"complete", 1, false},
+                      MatrixCase{"complete", 1, true},
+                      MatrixCase{"complete", 2, false},
                       MatrixCase{"complete", 4, false},
                       MatrixCase{"complete", 3, true},
+                      MatrixCase{"incomplete", 1, false},
                       MatrixCase{"incomplete", 3, false},
                       MatrixCase{"incomplete", 3, true}));
 

@@ -42,8 +42,8 @@ class OptimizerTest : public ::testing::Test {
     return *analyzed;
   }
 
-  LogicalPlanPtr Optimize(const std::string& sql, OptimizerOptions opts = {}) {
-    Optimizer optimizer(opts);
+  LogicalPlanPtr Optimize(const std::string& sql, bool reference = false) {
+    Optimizer optimizer(reference);
     auto out = optimizer.Optimize(Analyze(sql));
     SL_CHECK(out.ok()) << out.status().ToString();
     return *out;
@@ -135,42 +135,12 @@ TEST_F(OptimizerTest, DistinctBecomesAggregate) {
   EXPECT_EQ(CountNodes(plan, PlanKind::kAggregate), 1);
 }
 
-TEST_F(OptimizerTest, SingleDimSkylineBecomesScalarLookup) {
-  // Section 5.4: one MIN dimension on non-nullable input -> Filter over a
-  // scalar min() subquery, no Skyline node left.
+TEST_F(OptimizerTest, OneDimensionSkylineStaysASkyline) {
+  // The engine runs a 1-dimension skyline as one BNL pass over one key
+  // column; the paper's MIN/MAX subquery rewrite (section 5.4) is not done.
   auto plan = Optimize("SELECT * FROM listings SKYLINE OF price MIN");
-  EXPECT_EQ(CountNodes(plan, PlanKind::kSkyline), 0);
-  EXPECT_EQ(CountNodes(plan, PlanKind::kFilter), 1);
-}
-
-TEST_F(OptimizerTest, SingleDimRewriteSkippedWhenNullable) {
-  // rating is nullable and COMPLETE is not set: null tuples belong to the
-  // skyline, so the rewrite must not fire.
-  auto plan = Optimize("SELECT * FROM listings SKYLINE OF rating MAX");
   EXPECT_EQ(CountNodes(plan, PlanKind::kSkyline), 1);
-}
-
-TEST_F(OptimizerTest, SingleDimRewriteFiresWithCompleteKeyword) {
-  auto plan = Optimize("SELECT * FROM listings SKYLINE OF COMPLETE rating MAX");
-  EXPECT_EQ(CountNodes(plan, PlanKind::kSkyline), 0);
-}
-
-TEST_F(OptimizerTest, SingleDimRewriteRespectsToggle) {
-  OptimizerOptions opts;
-  opts.single_dim_skyline_rewrite = false;
-  auto plan = Optimize("SELECT * FROM listings SKYLINE OF price MIN", opts);
-  EXPECT_EQ(CountNodes(plan, PlanKind::kSkyline), 1);
-}
-
-TEST_F(OptimizerTest, SingleDimRewriteSkippedForDistinctAndDiff) {
-  EXPECT_EQ(CountNodes(
-                Optimize("SELECT * FROM listings SKYLINE OF DISTINCT price MIN"),
-                PlanKind::kSkyline),
-            1);
-  EXPECT_EQ(
-      CountNodes(Optimize("SELECT * FROM listings SKYLINE OF host DIFF"),
-                 PlanKind::kSkyline),
-      1);
+  EXPECT_EQ(CountNodes(plan, PlanKind::kFilter), 0);
 }
 
 TEST_F(OptimizerTest, SkylinePushedBelowFkJoin) {
@@ -233,28 +203,10 @@ TEST_F(OptimizerTest, SkylineNotPushedWhenDimsUseRightSide) {
   EXPECT_EQ(CountNodes(join->left(), PlanKind::kSkyline), 0);
 }
 
-TEST_F(OptimizerTest, SkylineJoinPushdownRespectsToggle) {
-  OptimizerOptions opts;
-  opts.skyline_join_pushdown = false;
-  auto plan = Optimize(
-      "SELECT l.price, l.rating FROM listings l "
-      "LEFT OUTER JOIN hosts h ON l.host = h.id "
-      "SKYLINE OF COMPLETE l.price MIN, l.rating MAX",
-      opts);
-  const Join* join = nullptr;
-  LogicalPlan::Foreach(plan, [&](const LogicalPlanPtr& n) {
-    if (n->kind() == PlanKind::kJoin) join = static_cast<const Join*>(n.get());
-  });
-  ASSERT_NE(join, nullptr);
-  EXPECT_EQ(CountNodes(join->left(), PlanKind::kSkyline), 0);
-}
-
 TEST_F(OptimizerTest, ReferenceRewriteProducesAntiSelfJoin) {
-  OptimizerOptions opts;
-  opts.rewrite_skyline_to_reference = true;
   auto plan = Optimize(
       "SELECT price, rating FROM listings SKYLINE OF price MIN, rating MAX",
-      opts);
+      /*reference=*/true);
   EXPECT_EQ(CountNodes(plan, PlanKind::kSkyline), 0);
   const Join* anti = nullptr;
   LogicalPlan::Foreach(plan, [&](const LogicalPlanPtr& n) {
@@ -269,9 +221,8 @@ TEST_F(OptimizerTest, ReferenceRewriteProducesAntiSelfJoin) {
 }
 
 TEST_F(OptimizerTest, ReferenceRewriteAllDiffReturnsChild) {
-  OptimizerOptions opts;
-  opts.rewrite_skyline_to_reference = true;
-  auto plan = Optimize("SELECT * FROM listings SKYLINE OF host DIFF", opts);
+  auto plan = Optimize("SELECT * FROM listings SKYLINE OF host DIFF",
+                       /*reference=*/true);
   EXPECT_EQ(CountNodes(plan, PlanKind::kSkyline), 0);
   EXPECT_EQ(CountNodes(plan, PlanKind::kJoin), 0);
 }
@@ -299,6 +250,45 @@ TEST_F(OptimizerTest, FixpointTerminates) {
       "SELECT id, price FROM listings WHERE price > 0) a WHERE id < 100) b "
       "WHERE p < 500");
   EXPECT_LE(CountNodes(plan, PlanKind::kFilter), 1);
+}
+
+// A batch stops once an iteration returns the very plan it started from, so
+// every rule must return its input when it does not apply: optimizing an
+// optimized plan returns the same pointer, with and without the Listing 4
+// rewrite.
+TEST_F(OptimizerTest, OptimizedPlanIsAFixedPointByIdentity) {
+  const char* const corpus[] = {
+      "SELECT * FROM (SELECT id, price FROM listings) t "
+      "WHERE price > 1 AND id < 5",
+      "SELECT 1 + 2 * 3 AS v, price FROM listings WHERE true AND id > 2 - 1",
+      "SELECT * FROM listings l JOIN hosts h ON l.host = h.id "
+      "WHERE l.price > 10 AND h.since > 2000",
+      "SELECT host, count(*) AS n, min(price) AS p FROM listings "
+      "GROUP BY host",
+      "SELECT id FROM listings WHERE price = (SELECT min(price) FROM listings)",
+      "SELECT DISTINCT host FROM listings ORDER BY host LIMIT 3",
+      "SELECT * FROM listings SKYLINE OF price MIN",
+      "SELECT id, price FROM listings WHERE rating > 2 "
+      "SKYLINE OF DISTINCT price MIN, rating MAX",
+      "SELECT id FROM listings SKYLINE OF price * 2 MIN, abs(rating) MAX, "
+      "host DIFF",
+      "SELECT l.price, l.rating, h.since FROM listings l "
+      "JOIN hosts h ON l.host = h.id "
+      "SKYLINE OF COMPLETE l.price MIN, l.rating MAX",
+  };
+  for (const bool reference : {false, true}) {
+    const Optimizer optimizer(reference);
+    for (const char* sql : corpus) {
+      auto once = optimizer.Optimize(Analyze(sql));
+      ASSERT_TRUE(once.ok()) << sql << ": " << once.status().ToString();
+      auto twice = optimizer.Optimize(*once);
+      ASSERT_TRUE(twice.ok()) << sql << ": " << twice.status().ToString();
+      EXPECT_EQ(once->get(), twice->get())
+          << sql << " reference=" << reference << "\n"
+          << (*once)->TreeString() << "\n"
+          << (*twice)->TreeString();
+    }
+  }
 }
 
 }  // namespace

@@ -22,26 +22,24 @@ TEST(SessionConfigTest, StrategyValues) {
   EXPECT_OK(session.SetConf("sparkline.skyline.strategy", "non_distributed"));
   EXPECT_EQ(session.config().skyline_strategy,
             SkylineStrategy::kNonDistributedComplete);
-  EXPECT_FALSE(session.config().skyline_reference);
   EXPECT_OK(session.SetConf("sparkline.skyline.strategy", "reference"));
-  EXPECT_TRUE(session.config().skyline_reference);
+  EXPECT_EQ(session.config().skyline_strategy, SkylineStrategy::kReference);
   EXPECT_OK(session.SetConf("sparkline.skyline.strategy", "auto"));
-  EXPECT_FALSE(session.config().skyline_reference);
+  EXPECT_EQ(session.config().skyline_strategy, SkylineStrategy::kAuto);
   EXPECT_FALSE(session.SetConf("sparkline.skyline.strategy", "quantum").ok());
 }
 
 TEST(SessionConfigTest, BooleanParsing) {
   Session session;
   for (const char* v : {"true", "1", "on"}) {
-    EXPECT_OK(session.SetConf("sparkline.optimizer.filterPushdown", v));
-    EXPECT_TRUE(session.config().optimizer.filter_pushdown);
+    EXPECT_OK(session.SetConf("sparkline.trace.enabled", v));
+    EXPECT_TRUE(session.config().cluster.trace_enabled);
   }
   for (const char* v : {"false", "0", "off"}) {
-    EXPECT_OK(session.SetConf("sparkline.optimizer.filterPushdown", v));
-    EXPECT_FALSE(session.config().optimizer.filter_pushdown);
+    EXPECT_OK(session.SetConf("sparkline.trace.enabled", v));
+    EXPECT_FALSE(session.config().cluster.trace_enabled);
   }
-  EXPECT_FALSE(
-      session.SetConf("sparkline.optimizer.filterPushdown", "maybe").ok());
+  EXPECT_FALSE(session.SetConf("sparkline.trace.enabled", "maybe").ok());
 }
 
 TEST(SessionConfigTest, UnknownKeyRejected) {
@@ -49,6 +47,25 @@ TEST(SessionConfigTest, UnknownKeyRejected) {
   auto s = session.SetConf("sparkline.nope", "1");
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("sparkline.nope"), std::string::npos);
+}
+
+// The optimizer rules always run and the planner has no cardinality cut:
+// their switches are gone from the configuration surface.
+TEST(SessionConfigTest, RemovedRewriteSwitchesAreUnknownKeys) {
+  Session session;
+  for (const char* key : {"sparkline.optimizer.singleDimRewrite",
+                          "sparkline.optimizer.skylineJoinPushdown",
+                          "sparkline.optimizer.filterPushdown",
+                          "sparkline.optimizer.constantFolding",
+                          "sparkline.optimizer.columnPruning",
+                          "sparkline.skyline.nonDistributedThreshold"}) {
+    // Each of these keys accepted "0", so only the key itself can fail.
+    const Status status = session.SetConf(key, "0");
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << key;
+    EXPECT_NE(status.ToString().find("unknown configuration key"),
+              std::string::npos)
+        << status.ToString();
+  }
 }
 
 TEST(SessionConfigTest, MemoryOverheadInMb) {
