@@ -25,8 +25,10 @@ std::vector<Row> MakeRows(size_t n, size_t dims, PointDistribution dist,
                                        null_rate);
   std::vector<Row> rows;
   rows.reserve(n);
-  for (const auto& r : table->rows()) {
-    rows.emplace_back(r.begin() + 1, r.end());  // drop the id column
+  for (const RowRef r : table->rows()) {
+    Row row;
+    for (size_t c = 1; c < r.size(); ++c) row.push_back(r[c]);  // drop the id
+    rows.push_back(std::move(row));
   }
   return rows;
 }

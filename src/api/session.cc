@@ -283,6 +283,9 @@ Result<DataFrame> Session::Table(const std::string& name) {
 
 Result<DataFrame> Session::CreateDataFrame(const Schema& schema,
                                            std::vector<Row> rows) {
+  for (Row& row : rows) {
+    SL_ASSIGN_OR_RETURN(row, schema.Conform(std::move(row), "the DataFrame"));
+  }
   return DataFrame(this, LocalRelation::Make(schema, std::move(rows)));
 }
 

@@ -165,7 +165,10 @@ class Session {
   /// A DataFrame over a registered table.
   Result<DataFrame> Table(const std::string& name);
 
-  /// A DataFrame over in-memory rows.
+  /// A DataFrame over in-memory rows, checked against `schema` as a table
+  /// insert checks them (Schema::Conform): a row of the wrong arity, a
+  /// value of another type (BIGINT and DOUBLE cast to each other) or a
+  /// NULL in a non-nullable column is Invalid.
   Result<DataFrame> CreateDataFrame(const Schema& schema,
                                     std::vector<Row> rows);
 

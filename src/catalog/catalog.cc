@@ -212,12 +212,21 @@ Status Catalog::InsertInto(const std::string& name,
       }
       old = it->second;
     }
-    TablePtr next = old->Successor(/*extra_rows=*/rows.size());
-    for (const Row& row : rows) SL_RETURN_NOT_OK(next->AppendRow(row));
+    // The batch as the table stores it (numerics and NULLs cast to the
+    // column types) is both what the successor appends and what the write
+    // event publishes, so delta-maintained answers read what a scan reads.
+    auto batch = std::make_shared<std::vector<Row>>();
+    batch->reserve(rows.size());
+    for (const Row& row : rows) {
+      SL_ASSIGN_OR_RETURN(Row conformed, old->Conform(row));
+      batch->push_back(std::move(conformed));
+    }
+    TablePtr next = old->Successor(/*extra_rows=*/batch->size());
+    for (const Row& row : *batch) next->AppendRowUnchecked(row);
     WriteEvent event;
     event.kind = WriteEvent::Kind::kInsert;
     event.table = key;
-    event.rows = std::make_shared<const std::vector<Row>>(rows);
+    event.rows = std::move(batch);
     {
       sl::MutexLock lock(&mu_);
       auto it = tables_.find(key);

@@ -5,33 +5,13 @@
 namespace sparkline {
 
 Status Table::AppendRow(Row row) {
-  if (row.size() != schema_.num_fields()) {
-    return Status::Invalid(StrCat("row arity ", row.size(),
-                                  " does not match schema arity ",
-                                  schema_.num_fields(), " of table ", name_));
-  }
-  for (size_t i = 0; i < row.size(); ++i) {
-    const Field& f = schema_.field(i);
-    if (row[i].is_null()) {
-      if (!f.nullable) {
-        return Status::Invalid(
-            StrCat("NULL in non-nullable column ", f.name, " of ", name_));
-      }
-      continue;
-    }
-    if (row[i].type() != f.type) {
-      // Allow implicit numeric widening on insert.
-      if (f.type.is_numeric() && row[i].type().is_numeric()) {
-        SL_ASSIGN_OR_RETURN(row[i], row[i].CastTo(f.type));
-        continue;
-      }
-      return Status::Invalid(StrCat("type mismatch in column ", f.name, " of ",
-                                    name_, ": expected ", f.type.ToString(),
-                                    ", got ", row[i].type().ToString()));
-    }
-  }
-  rows_.Append(std::move(row));
+  SL_ASSIGN_OR_RETURN(Row conformed, Conform(std::move(row)));
+  rows_.Append(conformed);
   return Status::OK();
+}
+
+Result<Row> Table::Conform(Row row) const {
+  return schema_.Conform(std::move(row), StrCat("table ", name_));
 }
 
 std::shared_ptr<Table> Table::Successor(size_t extra_rows) const {
@@ -43,7 +23,10 @@ std::shared_ptr<Table> Table::Successor(size_t extra_rows) const {
 
 int64_t Table::EstimatedBytes() const {
   int64_t total = 0;
-  for (const auto& r : rows_) total += EstimateRowBytes(r);
+  for (const RowRef row : rows_) {
+    total += static_cast<int64_t>(sizeof(Row));
+    for (size_t c = 0; c < row.size(); ++c) total += row[c].EstimatedBytes();
+  }
   return total;
 }
 

@@ -1,9 +1,11 @@
 // In-memory tables with declared constraints.
 //
 // A table's rows live in shared, immutable chunks of kChunkRows rows
-// (ChunkedRows, types/row_view.h). A write publishes a successor table
-// that shares every full chunk and copies only the partial tail chunk, so
-// old and new snapshots share all but at most one chunk.
+// (ChunkedRows, types/row_view.h), each one array per column: 8-byte words
+// plus a null bitmap for BOOLEAN, BIGINT and DOUBLE, boxed Values for
+// VARCHAR. A write publishes a successor table that shares every full
+// chunk and copies only the partial tail chunk's arrays, so old and new
+// snapshots share all but at most one chunk.
 //
 // Constraints (primary keys / foreign keys) are not enforced on insert; they
 // are *metadata* consumed by the optimizer, in particular by the
@@ -40,25 +42,28 @@ struct TableConstraints {
   std::vector<ForeignKey> foreign_keys;
 };
 
-/// \brief A named, row-oriented, in-memory table.
+/// \brief A named, in-memory table, stored column by column.
 ///
 /// The rows live in shared, immutable chunks of kChunkRows rows
-/// (ChunkedRows, types/row_view.h). Once registered in a Catalog a table is
+/// (ChunkedRows, types/row_view.h), typed by the schema: a NULL read from
+/// a column carries the column's type. Once registered in a Catalog a table is
 /// an immutable snapshot: scans read its rows in place through RowViews
 /// that share ownership of it (docs/ARCHITECTURE.md, "Borrowed rows"), so
 /// the Append* methods are for building a table before registration only.
 /// Writes to a registered table go through Catalog::InsertInto, which
 /// publishes a Successor: it shares every full chunk of this snapshot and
-/// copies only the partial tail chunk.
+/// copies only the partial tail chunk's arrays.
 class Table {
  public:
   Table(std::string name, Schema schema)
-      : name_(std::move(name)), schema_(std::move(schema)) {}
+      : name_(std::move(name)),
+        schema_(std::move(schema)),
+        rows_(schema_.types()) {}
 
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
-  /// The rows in id order: iterable and indexable in place, and
-  /// convertible to a std::vector<Row> copy.
+  /// The rows in id order: iterable and indexable in place as RowRefs,
+  /// and convertible to a std::vector<Row> copy.
   const ChunkedRows& rows() const { return rows_; }
   size_t num_rows() const { return rows_.size(); }
 
@@ -75,18 +80,23 @@ class Table {
     version_.store(v, std::memory_order_release);
   }
 
-  /// Appends a row after checking arity and per-column type/nullability.
+  /// Appends a row after checking arity and per-column type/nullability
+  /// (Conform).
   Status AppendRow(Row row);
 
+  /// `row` as this table stores it: Schema::Conform naming this table.
+  Result<Row> Conform(Row row) const;
+
   /// Appends without validation (used by trusted generators).
-  void AppendRowUnchecked(Row row) { rows_.Append(std::move(row)); }
+  /// \pre `row` has the schema's arity and, outside NULLs, its types.
+  void AppendRowUnchecked(const Row& row) { rows_.Append(row); }
 
   /// Allocates room for a table of `n` rows, chunk by chunk.
   void Reserve(size_t n) { rows_.Reserve(n); }
 
   /// The unregistered table a write publishes in this one's place: same
   /// name, schema and constraints, sharing every full chunk of this
-  /// snapshot and a copy of its partial tail chunk, with room for
+  /// snapshot and a copy of its partial tail chunk's arrays, with room for
   /// `extra_rows` appends. Appending to the successor never writes a chunk
   /// this table holds, so readers of this snapshot are unaffected.
   std::shared_ptr<Table> Successor(size_t extra_rows) const;

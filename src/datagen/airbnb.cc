@@ -80,10 +80,10 @@ TablePtr CompleteSubset(const Table& table, const std::string& new_name) {
   }
   auto out = std::make_shared<Table>(new_name, std::move(schema));
   out->constraints() = table.constraints();
-  for (const auto& row : table.rows()) {
+  for (const RowRef row : table.rows()) {
     bool complete = true;
-    for (const auto& v : row) complete &= !v.is_null();
-    if (complete) out->AppendRowUnchecked(row);
+    for (size_t c = 0; c < row.size(); ++c) complete &= !row[c].is_null();
+    if (complete) out->AppendRowUnchecked(row.Materialize());
   }
   return out;
 }

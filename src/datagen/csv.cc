@@ -76,7 +76,7 @@ Status WriteCsv(const Table& table, const std::string& path) {
   std::vector<std::string> names;
   for (const auto& f : table.schema().fields()) names.push_back(f.name);
   out << JoinStrings(names, ",") << "\n";
-  for (const auto& row : table.rows()) {
+  for (const RowRef row : table.rows()) {
     for (size_t i = 0; i < row.size(); ++i) {
       if (i > 0) out << ",";
       out << EscapeField(row[i]);

@@ -303,10 +303,9 @@ Result<PartitionedRelation> ScanExec::Execute(ExecContext* ctx) const {
 
 // --- LocalRelationExec --------------------------------------------------------
 
-LocalRelationExec::LocalRelationExec(std::shared_ptr<std::vector<Row>> rows,
+LocalRelationExec::LocalRelationExec(std::shared_ptr<const ChunkedRows> rows,
                                      std::vector<Attribute> output)
-    : PhysicalPlan(std::move(output), {}),
-      rows_(ChunkedRows::Single(std::move(rows))) {}
+    : PhysicalPlan(std::move(output), {}), rows_(std::move(rows)) {}
 
 Result<PartitionedRelation> LocalRelationExec::Execute(ExecContext* ctx) const {
   PartitionedRelation out;
@@ -443,7 +442,8 @@ namespace {
 /// NULL, non-numeric and non-finite values (skipped by the bounds, neutral
 /// in the angle): an infinite bound would turn every scaled coordinate into
 /// inf/inf.
-double NormalizedKey(const Row& row, const skyline::BoundDimension& dim) {
+template <typename RowT>
+double NormalizedKey(const RowT& row, const skyline::BoundDimension& dim) {
   const Value& v = row[dim.ordinal];
   const double value = v.is_null() || !v.type().is_numeric()
                            ? std::numeric_limits<double>::quiet_NaN()
@@ -457,7 +457,8 @@ AngleBounds::AngleBounds(size_t num_dims)
     : lo(num_dims, std::numeric_limits<double>::infinity()),
       hi(num_dims, -std::numeric_limits<double>::infinity()) {}
 
-void AngleBounds::Observe(const Row& row,
+template <typename RowT>
+void AngleBounds::Observe(const RowT& row,
                           const std::vector<skyline::BoundDimension>& dims) {
   for (size_t d = 0; d < dims.size(); ++d) {
     const double key = NormalizedKey(row, dims[d]);
@@ -467,7 +468,8 @@ void AngleBounds::Observe(const Row& row,
   }
 }
 
-size_t AnglePartition(const Row& row,
+template <typename RowT>
+size_t AnglePartition(const RowT& row,
                       const std::vector<skyline::BoundDimension>& dims,
                       size_t n, const AngleBounds& bounds) {
   if (dims.size() < 2 || n <= 1) return 0;
@@ -493,6 +495,17 @@ size_t AnglePartition(const Row& row,
   size_t bucket = static_cast<size_t>(angle / kHalfPi * static_cast<double>(n));
   return bucket >= n ? n - 1 : bucket;
 }
+
+template void AngleBounds::Observe(const Row&,
+                                   const std::vector<skyline::BoundDimension>&);
+template void AngleBounds::Observe(const RowRef&,
+                                   const std::vector<skyline::BoundDimension>&);
+template size_t AnglePartition(const Row&,
+                               const std::vector<skyline::BoundDimension>&,
+                               size_t, const AngleBounds&);
+template size_t AnglePartition(const RowRef&,
+                               const std::vector<skyline::BoundDimension>&,
+                               size_t, const AngleBounds&);
 
 }  // namespace exchange_internal
 
@@ -568,20 +581,26 @@ Result<PartitionedRelation> ExchangeExec::Execute(ExecContext* ctx) const {
       out.views.assign(n, RowView{in.views[0]->rows, {}, in.views[0]->columns});
     }
     out.partitions.assign(n, {});
-    auto row_at = [&](size_t p, size_t k) -> const Row& {
-      return route_ids ? in.views[p]->source(k) : in.partitions[p][k];
-    };
     // kAngle: scale by the bounds of every row, then route by angle.
     exchange_internal::AngleBounds bounds(dims.size());
     for (size_t p = 0; p < in.partitions.size(); ++p) {
       const size_t rows = in.PartitionRows(p);
-      for (size_t k = 0; k < rows; ++k) bounds.Observe(row_at(p, k), dims);
+      for (size_t k = 0; k < rows; ++k) {
+        if (route_ids) {
+          bounds.Observe(in.views[p]->source(k), dims);
+        } else {
+          bounds.Observe(in.partitions[p][k], dims);
+        }
+      }
     }
     for (size_t p = 0; p < in.partitions.size(); ++p) {
       const size_t rows = in.PartitionRows(p);
       for (size_t k = 0; k < rows; ++k) {
         const size_t target =
-            exchange_internal::AnglePartition(row_at(p, k), dims, n, bounds);
+            route_ids ? exchange_internal::AnglePartition(
+                            in.views[p]->source(k), dims, n, bounds)
+                      : exchange_internal::AnglePartition(
+                            in.partitions[p][k], dims, n, bounds);
         if (route_ids) {
           out.views[target]->ids.push_back(in.views[p]->ids[k]);
         } else {

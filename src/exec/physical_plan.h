@@ -164,7 +164,7 @@ class ScanExec : public PhysicalPlan {
 /// \brief Emits in-memory rows as a single borrowed partition.
 class LocalRelationExec : public PhysicalPlan {
  public:
-  LocalRelationExec(std::shared_ptr<std::vector<Row>> rows,
+  LocalRelationExec(std::shared_ptr<const ChunkedRows> rows,
                     std::vector<Attribute> output);
   std::string label() const override { return "LocalRelation"; }
   Partitioning output_partitioning() const override {
@@ -173,8 +173,8 @@ class LocalRelationExec : public PhysicalPlan {
   Result<PartitionedRelation> Execute(ExecContext* ctx) const override;
 
  private:
-  /// The relation's rows as one store, built once, so every view of them
-  /// has the same source.
+  /// The relation's rows as one store, converted once when the logical
+  /// node was built, so every view of them has the same source.
   std::shared_ptr<const ChunkedRows> rows_;
 };
 
@@ -233,7 +233,9 @@ struct AngleBounds {
   /// Empty bounds (lo = +inf, hi = -inf) for `num_dims` dimensions.
   explicit AngleBounds(size_t num_dims);
   /// Widens the bounds by one row's keys.
-  void Observe(const Row& row,
+  /// RowT is a Row or a RowRef.
+  template <typename RowT>
+  void Observe(const RowT& row,
                const std::vector<skyline::BoundDimension>& dims);
 
   std::vector<double> lo;
@@ -249,7 +251,8 @@ struct AngleBounds {
 /// midpoint 0.5, so one infinite value cannot collapse the other rows.
 /// Correctness never depends on the scheme (any partitioning is valid for
 /// complete data); only pruning power does.
-size_t AnglePartition(const Row& row,
+template <typename RowT>
+size_t AnglePartition(const RowT& row,
                       const std::vector<skyline::BoundDimension>& dims,
                       size_t n, const AngleBounds& bounds);
 

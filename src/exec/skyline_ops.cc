@@ -86,14 +86,13 @@ Result<skyline::ColumnarBatch> PhysicalPlan::GatheredBatch(
     return std::move(*in->batches[0]);
   }
   SL_RETURN_NOT_OK(DecodeInput(ctx, in));
-  auto rows =
-      std::make_shared<const std::vector<Row>>(std::move(*in).Flatten());
+  std::vector<Row> rows = std::move(*in).Flatten();
   const std::string project_label = StrCat(label(), " [project]");
   std::optional<skyline::ColumnarBatch> batch;
   SL_RETURN_NOT_OK(RunStage(ctx, project_label, 1, [&](size_t) -> Status {
     StopWatch project;
-    SL_ASSIGN_OR_RETURN(
-        batch, skyline::ColumnarBatch::Project(rows, dims, ctx->memory()));
+    SL_ASSIGN_OR_RETURN(batch, skyline::ColumnarBatch::Project(
+                                   std::move(rows), dims, ctx->memory()));
     ctx->AddProjectionMs(project.ElapsedMillis());
     ctx->AddMatrixBuilds(project_label, 1);
     return Status::OK();
@@ -173,10 +172,8 @@ Result<PartitionedRelation> LocalSkylineExec::Execute(ExecContext* ctx) const {
         in.borrowed(i)
             ? skyline::ColumnarBatch::Project(std::move(*in.views[i]), dims_,
                                               ctx->memory())
-            : skyline::ColumnarBatch::Project(
-                  std::make_shared<const std::vector<Row>>(
-                      std::move(in.partitions[i])),
-                  dims_, ctx->memory()));
+            : skyline::ColumnarBatch::Project(std::move(in.partitions[i]),
+                                              dims_, ctx->memory()));
     ctx->AddProjectionMs(project.ElapsedMillis());
     ctx->AddMatrixBuilds(label(), 1);
     SL_ASSIGN_OR_RETURN(std::vector<uint32_t> survivors,

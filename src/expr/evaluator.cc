@@ -40,27 +40,31 @@ Result<ExprPtr> BindExpression(const ExprPtr& e,
 
 namespace {
 
-Result<Value> EvalBinary(const BinaryExpr& e, const Row& row) {
+template <typename RowT>
+Result<Value> EvalRow(const Expression& e, const RowT& row);
+
+template <typename RowT>
+Result<Value> EvalBinary(const BinaryExpr& e, const RowT& row) {
   const BinaryOp op = e.op();
   if (IsLogicalOp(op)) {
-    SL_ASSIGN_OR_RETURN(Value l, EvalExpr(*e.left(), row));
+    SL_ASSIGN_OR_RETURN(Value l, EvalRow(*e.left(), row));
     if (op == BinaryOp::kAnd) {
       if (!l.is_null() && !l.bool_value()) return Value::Bool(false);
-      SL_ASSIGN_OR_RETURN(Value r, EvalExpr(*e.right(), row));
+      SL_ASSIGN_OR_RETURN(Value r, EvalRow(*e.right(), row));
       if (!r.is_null() && !r.bool_value()) return Value::Bool(false);
       if (l.is_null() || r.is_null()) return Value::Null(DataType::Bool());
       return Value::Bool(true);
     }
     // OR
     if (!l.is_null() && l.bool_value()) return Value::Bool(true);
-    SL_ASSIGN_OR_RETURN(Value r, EvalExpr(*e.right(), row));
+    SL_ASSIGN_OR_RETURN(Value r, EvalRow(*e.right(), row));
     if (!r.is_null() && r.bool_value()) return Value::Bool(true);
     if (l.is_null() || r.is_null()) return Value::Null(DataType::Bool());
     return Value::Bool(false);
   }
 
-  SL_ASSIGN_OR_RETURN(Value l, EvalExpr(*e.left(), row));
-  SL_ASSIGN_OR_RETURN(Value r, EvalExpr(*e.right(), row));
+  SL_ASSIGN_OR_RETURN(Value l, EvalRow(*e.left(), row));
+  SL_ASSIGN_OR_RETURN(Value r, EvalRow(*e.right(), row));
 
   if (IsComparisonOp(op)) {
     if (l.is_null() || r.is_null()) return Value::Null(DataType::Bool());
@@ -134,14 +138,15 @@ Result<Value> EvalBinary(const BinaryExpr& e, const Row& row) {
   return Status::Internal(StrCat("unhandled binary op in ", e.ToString()));
 }
 
-Result<Value> EvalFunction(const FunctionCall& e, const Row& row) {
+template <typename RowT>
+Result<Value> EvalFunction(const FunctionCall& e, const RowT& row) {
   if (!e.fn().has_value()) {
     return Status::ExecutionError(StrCat("unresolved function ", e.name()));
   }
   std::vector<Value> args;
   args.reserve(e.args().size());
   for (const auto& a : e.args()) {
-    SL_ASSIGN_OR_RETURN(Value v, EvalExpr(*a, row));
+    SL_ASSIGN_OR_RETURN(Value v, EvalRow(*a, row));
     args.push_back(std::move(v));
   }
   const DataType out = e.type();
@@ -189,9 +194,8 @@ Result<Value> EvalFunction(const FunctionCall& e, const Row& row) {
   return Status::Internal(StrCat("unhandled function ", e.name()));
 }
 
-}  // namespace
-
-Result<Value> EvalExpr(const Expression& e, const Row& row) {
+template <typename RowT>
+Result<Value> EvalRow(const Expression& e, const RowT& row) {
   switch (e.kind()) {
     case ExprKind::kLiteral:
       return static_cast<const Literal&>(e).value();
@@ -205,15 +209,15 @@ Result<Value> EvalExpr(const Expression& e, const Row& row) {
       return row[ref.ordinal()];
     }
     case ExprKind::kAlias:
-      return EvalExpr(*static_cast<const Alias&>(e).child(), row);
+      return EvalRow(*static_cast<const Alias&>(e).child(), row);
     case ExprKind::kCast: {
       const auto& cast = static_cast<const Cast&>(e);
-      SL_ASSIGN_OR_RETURN(Value v, EvalExpr(*cast.child(), row));
+      SL_ASSIGN_OR_RETURN(Value v, EvalRow(*cast.child(), row));
       return v.CastTo(cast.type());
     }
     case ExprKind::kUnary: {
       const auto& u = static_cast<const UnaryExpr&>(e);
-      SL_ASSIGN_OR_RETURN(Value v, EvalExpr(*u.child(), row));
+      SL_ASSIGN_OR_RETURN(Value v, EvalRow(*u.child(), row));
       switch (u.op()) {
         case UnaryOp::kNot:
           if (v.is_null()) return Value::Null(DataType::Bool());
@@ -239,7 +243,7 @@ Result<Value> EvalExpr(const Expression& e, const Row& row) {
     case ExprKind::kFunctionCall:
       return EvalFunction(static_cast<const FunctionCall&>(e), row);
     case ExprKind::kSkylineDimension:
-      return EvalExpr(*static_cast<const SkylineDimension&>(e).child(), row);
+      return EvalRow(*static_cast<const SkylineDimension&>(e).child(), row);
     default:
       break;
   }
@@ -247,14 +251,33 @@ Result<Value> EvalExpr(const Expression& e, const Row& row) {
       StrCat("expression not evaluable row-at-a-time: ", e.ToString()));
 }
 
-Result<bool> EvalPredicate(const Expression& e, const Row& row) {
-  SL_ASSIGN_OR_RETURN(Value v, EvalExpr(e, row));
+template <typename RowT>
+Result<bool> PredicateOn(const Expression& e, const RowT& row) {
+  SL_ASSIGN_OR_RETURN(Value v, EvalRow(e, row));
   if (v.is_null()) return false;
   if (v.type() != DataType::Bool()) {
     return Status::ExecutionError(
         StrCat("predicate is not boolean: ", e.ToString()));
   }
   return v.bool_value();
+}
+
+}  // namespace
+
+Result<Value> EvalExpr(const Expression& e, const Row& row) {
+  return EvalRow(e, row);
+}
+
+Result<Value> EvalExpr(const Expression& e, const RowRef& row) {
+  return EvalRow(e, row);
+}
+
+Result<bool> EvalPredicate(const Expression& e, const Row& row) {
+  return PredicateOn(e, row);
+}
+
+Result<bool> EvalPredicate(const Expression& e, const RowRef& row) {
+  return PredicateOn(e, row);
 }
 
 bool IsConstantExpr(const ExprPtr& e) {

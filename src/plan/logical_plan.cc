@@ -136,7 +136,7 @@ LogicalPlanPtr LocalRelation::Make(const Schema& schema,
     attrs.push_back(Attribute{f.name, f.type, f.nullable, NextExprId(), ""});
   }
   return std::make_shared<LocalRelation>(
-      std::move(attrs), std::make_shared<std::vector<Row>>(std::move(rows)));
+      std::move(attrs), ChunkedRows::Single(std::move(rows)));
 }
 
 std::string LocalRelation::NodeString() const {

@@ -140,16 +140,19 @@ class Scan : public LogicalPlan {
   std::vector<size_t> column_indices_;
 };
 
-/// \brief Inline rows (used by tests and the DataFrame API).
+/// \brief Inline rows (used by tests and the DataFrame API), converted once
+/// into one column-oriented chunk (ChunkedRows::Single) that every plan of
+/// this node reads in place.
 class LocalRelation : public LogicalPlan {
  public:
-  LocalRelation(std::vector<Attribute> attrs, std::shared_ptr<std::vector<Row>> rows)
+  LocalRelation(std::vector<Attribute> attrs,
+                std::shared_ptr<const ChunkedRows> rows)
       : LogicalPlan(PlanKind::kLocalRelation),
         attrs_(std::move(attrs)),
         rows_(std::move(rows)) {}
   static LogicalPlanPtr Make(const Schema& schema, std::vector<Row> rows);
 
-  const std::shared_ptr<std::vector<Row>>& rows() const { return rows_; }
+  const std::shared_ptr<const ChunkedRows>& rows() const { return rows_; }
   std::vector<LogicalPlanPtr> children() const override { return {}; }
   LogicalPlanPtr WithNewChildren(std::vector<LogicalPlanPtr>) const override {
     return shared_from_this();
@@ -159,7 +162,7 @@ class LocalRelation : public LogicalPlan {
 
  private:
   std::vector<Attribute> attrs_;
-  std::shared_ptr<std::vector<Row>> rows_;
+  std::shared_ptr<const ChunkedRows> rows_;
 };
 
 /// \brief Attaches an alias qualifier to a subtree ("FROM (...) AS t").

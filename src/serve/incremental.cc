@@ -163,7 +163,9 @@ Result<std::vector<Row>> ApplyRecipeTo(const DeltaRecipe& recipe,
                                        const Rows& table_rows) {
   std::vector<Row> out;
   out.reserve(table_rows.size());
-  for (const Row& table_row : table_rows) {
+  // A table row is a Row (an inserted batch) or a RowRef read in place
+  // from a chunk (the resync over a snapshot).
+  for (const auto& table_row : table_rows) {
     Row row;
     row.reserve(recipe.scan_columns.size());
     for (size_t col : recipe.scan_columns) {

@@ -93,8 +93,7 @@ Result<DominanceMatrix> DominanceMatrix::Build(
     dim.ordinal = rows.column(dim.ordinal);
   }
   return BuildFrom(
-      rows.size(), [&](size_t r) -> const Row& { return rows.source(r); },
-      source_dims);
+      rows.size(), [&](size_t r) { return rows.source(r); }, source_dims);
 }
 
 template <typename RowAt>
@@ -126,15 +125,8 @@ Result<DominanceMatrix> DominanceMatrix::BuildFrom(
       sign[d] = -1.0;
     }
   }
-  // A row's values sit in their own heap block, scattered when the table
-  // was ingested out of order (say, sorted after generation). Fetching the
-  // block a few rows ahead keeps several of those misses in flight.
-  constexpr size_t kFetchAhead = 8;
   for (size_t r = 0; r < m.n_; ++r) {
-    if (r + kFetchAhead < m.n_) {
-      __builtin_prefetch(row_at(r + kFetchAhead).data());
-    }
-    const Row& row = row_at(r);
+    const auto& row = row_at(r);
     double* keys = m.keys_.data() + r * m.d_;
     for (size_t d = 0; d < m.d_; ++d) {
       const Value& v = row[dims[d].ordinal];
@@ -167,21 +159,25 @@ template <typename RowAt>
 void DominanceMatrix::RankDimension(const RowAt& row_at,
                                     const BoundDimension& dim, size_t d) {
   ranked_mask_ |= (1u << d);
-  auto value = [&](uint32_t r) -> const Value& {
-    return row_at(r)[dim.ordinal];
-  };
-  std::vector<uint32_t> order;
+  // The non-null values, read once, and the matrix row of each; `order`
+  // sorts positions into them.
+  std::vector<Value> values;
+  std::vector<uint32_t> rows;
   for (uint32_t r = 0; r < n_; ++r) {
-    if (!value(r).is_null()) order.push_back(r);
+    Value v = row_at(r)[dim.ordinal];
+    if (v.is_null()) continue;
+    values.push_back(std::move(v));
+    rows.push_back(r);
   }
+  auto value = [&](uint32_t i) -> const Value& { return values[i]; };
+  std::vector<uint32_t> order(values.size());
+  for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
   // CompareValues is a total order within one type. A column mixing BIGINT
   // and DOUBLE compares across types as DOUBLE, which is not transitive
   // with exact BIGINT-BIGINT comparison beyond 2^53, so such a dimension
   // ranks every value by its DOUBLE image instead.
   bool mixed = false;
-  for (const uint32_t r : order) {
-    mixed |= value(r).type() != value(order.front()).type();
-  }
+  for (const Value& v : values) mixed |= v.type() != values.front().type();
   auto compare = [&](const Value& a, const Value& b) {
     return mixed ? CompareDoubles(a.ToDouble(), b.ToDouble())
                  : CompareValues(a, b);
@@ -191,11 +187,11 @@ void DominanceMatrix::RankDimension(const RowAt& row_at,
   });
   const double sign = dim.goal == SkylineGoal::kMax ? -1.0 : 1.0;
   std::vector<Value>& dict = dicts_[d];
-  for (const uint32_t r : order) {
-    if (dict.empty() || compare(dict.back(), value(r)) != 0) {
-      dict.push_back(value(r));
+  for (const uint32_t i : order) {
+    if (dict.empty() || compare(dict.back(), value(i)) != 0) {
+      dict.push_back(value(i));
     }
-    keys_[r * d_ + d] = sign * static_cast<double>(dict.size() - 1);
+    keys_[rows[i] * d_ + d] = sign * static_cast<double>(dict.size() - 1);
   }
 }
 
@@ -260,8 +256,8 @@ Result<ColumnarBatch> ColumnarBatch::Project(
 }
 
 Result<ColumnarBatch> ColumnarBatch::Project(
-    std::shared_ptr<const std::vector<Row>> rows,
-    const std::vector<BoundDimension>& dims, MemoryTracker* memory) {
+    std::vector<Row> rows, const std::vector<BoundDimension>& dims,
+    MemoryTracker* memory) {
   return ProjectView(RowView::All(ChunkedRows::Single(std::move(rows))),
                      /*borrowed=*/false, dims, memory);
 }
@@ -323,11 +319,11 @@ ColumnarBatch ColumnarBatch::Concat(std::vector<ColumnarBatch>* parts,
       }
     }
   } else {
-    auto rows = std::make_shared<std::vector<Row>>();
-    rows->reserve(total);
+    std::vector<Row> rows;
+    rows.reserve(total);
     for (const ColumnarBatch& part : *parts) {
       for (const uint32_t r : part.indices_) {
-        rows->push_back(part.rows_.Materialize(r));
+        rows.push_back(part.rows_.Materialize(r));
       }
     }
     backing = RowView::All(ChunkedRows::Single(std::move(rows)));

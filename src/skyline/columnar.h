@@ -269,8 +269,9 @@ class DominanceMatrix {
  private:
   DominanceMatrix() = default;
 
-  /// The projection behind both Build overloads: `row_at(r)` is the row
-  /// holding matrix row r's values at the ordinals of `dims`. It reads each
+  /// The projection behind both Build overloads: `row_at(r)` is the row (a
+  /// Row, or a RowRef into a chunk) holding matrix row r's values at the
+  /// ordinals of `dims`. It reads each
   /// row once for every dimension; only ranked dimensions take a second,
   /// per-dimension pass (RankDimension). The null bitmaps are allocated at
   /// the first NULL.
@@ -453,10 +454,11 @@ class ColumnarBatch {
       RowView rows, const std::vector<BoundDimension>& dims,
       MemoryTracker* memory = nullptr);
 
-  /// \brief Same over rows the query owns (borrowed() is false).
+  /// \brief Same over rows the query owns (borrowed() is false), converted
+  /// into one column-oriented chunk first (ChunkedRows::Single).
   static Result<ColumnarBatch> Project(
-      std::shared_ptr<const std::vector<Row>> rows,
-      const std::vector<BoundDimension>& dims, MemoryTracker* memory = nullptr);
+      std::vector<Row> rows, const std::vector<BoundDimension>& dims,
+      MemoryTracker* memory = nullptr);
 
   /// \brief The columnar shuffle: concatenates the parts' *selected* rows
   /// into one compact batch. The backing rows of the result are the

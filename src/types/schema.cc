@@ -22,4 +22,41 @@ std::string Schema::ToString() const {
   return StrCat("(", JoinStrings(parts, ", "), ")");
 }
 
+Result<Row> Schema::Conform(Row row, const std::string& owner) const {
+  if (row.size() != fields_.size()) {
+    return Status::Invalid(StrCat("row arity ", row.size(),
+                                  " does not match schema arity ",
+                                  fields_.size(), " of ", owner));
+  }
+  for (size_t i = 0; i < row.size(); ++i) {
+    const Field& f = fields_[i];
+    if (row[i].is_null()) {
+      if (!f.nullable) {
+        return Status::Invalid(
+            StrCat("NULL in non-nullable column ", f.name, " of ", owner));
+      }
+      row[i] = Value::Null(f.type);
+      continue;
+    }
+    if (row[i].type() != f.type) {
+      // Allow implicit numeric widening on insert.
+      if (f.type.is_numeric() && row[i].type().is_numeric()) {
+        SL_ASSIGN_OR_RETURN(row[i], row[i].CastTo(f.type));
+        continue;
+      }
+      return Status::Invalid(StrCat("type mismatch in column ", f.name, " of ",
+                                    owner, ": expected ", f.type.ToString(),
+                                    ", got ", row[i].type().ToString()));
+    }
+  }
+  return row;
+}
+
+std::vector<DataType> Schema::types() const {
+  std::vector<DataType> out;
+  out.reserve(fields_.size());
+  for (const Field& f : fields_) out.push_back(f.type);
+  return out;
+}
+
 }  // namespace sparkline

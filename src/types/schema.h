@@ -40,6 +40,16 @@ class Schema {
   /// "(id BIGINT NOT NULL, price DOUBLE)".
   std::string ToString() const;
 
+  /// \brief Checks `row` as an insert into rows of this schema: its arity,
+  /// each value's type (a BIGINT or DOUBLE is cast to a numeric column's
+  /// type) and NULLs in non-nullable columns. Returns the row with every
+  /// value, NULLs included, carrying its column's type; the Invalid status
+  /// names `owner` (say, "table t").
+  Result<Row> Conform(Row row, const std::string& owner) const;
+
+  /// The column types, in order.
+  std::vector<DataType> types() const;
+
   bool operator==(const Schema& o) const { return fields_ == o.fields_; }
 
  private:

@@ -232,10 +232,11 @@ int CompareDoubles(double x, double y);
 int CompareValues(const Value& a, const Value& b);
 
 /// \brief A tuple: one 16-byte Value per column, whose VARCHAR payloads
-/// every copy of the row shares. Row-oriented storage keeps the skyline
-/// operators simple and matches Spark's InternalRow model at the operator
-/// boundary; as in Spark's UnsafeRow, each fixed-width field is one 8-byte
-/// word and variable-length data lives out of line.
+/// every copy of the row shares. Rows are what operators exchange above
+/// the storage layer, as Spark's InternalRow is; tables store their values
+/// column by column (RowChunk, types/row_view.h), and a RowRef builds one
+/// Value per column from there, so a Row exists only where an operator
+/// materializes one.
 using Row = std::vector<Value>;
 
 /// Approximate memory footprint of a row.

@@ -5,12 +5,16 @@
 // tests pin the sharing and the chunk boundaries, and run skylines,
 // borrowing filters, the angle exchange, DISTINCT and cached answers over
 // tables of one, two and three chunks against BruteForceSkyline,
-// strategy=reference and a fresh session. sl_bench's smoke tables hold
-// less than one chunk, so this suite is the only coverage of multi-chunk
-// tables.
+// strategy=reference and a fresh session. Chunks store one array per
+// column, so the typed-store tests below round-trip every value class
+// bit for bit through appends, inserts and views. sl_bench's smoke tables
+// hold less than one chunk, so this suite is the only coverage of
+// multi-chunk tables.
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -22,6 +26,8 @@
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "datagen/datagen.h"
+#include "exec/exec_context.h"
+#include "exec/physical_plan.h"
 #include "skyline/algorithms.h"
 #include "skyline/columnar.h"
 #include "test_util.h"
@@ -180,7 +186,8 @@ TEST(ChunkedTableTest, BatchesCrossChunkBoundaries) {
     size_t id = 0;
     for (const Row& row : next->rows()) {
       ASSERT_EQ(RowToString(row), expected[id]) << "row " << id;
-      ASSERT_EQ(&next->rows()[id], &row) << "row " << id;
+      ASSERT_EQ(RowToString(next->rows()[id]), RowToString(row))
+          << "row " << id;
       ++id;
     }
     EXPECT_EQ(id, expected.size());
@@ -365,19 +372,241 @@ TEST(ChunkedTableTest, CachedAnswersAcrossBoundaryInsertsMatchAFreshSession) {
   }
 }
 
+// --- the typed column store --------------------------------------------------
+
+/// Same type tag, NULL flag and bits (a DOUBLE's sign and NaN included).
+void ExpectSameValue(const Value& got, const Value& want) {
+  ASSERT_EQ(got.type(), want.type()) << got.ToString();
+  ASSERT_EQ(got.is_null(), want.is_null()) << got.ToString();
+  if (want.is_null()) return;
+  switch (want.type().id()) {
+    case TypeId::kBool:
+      EXPECT_EQ(got.bool_value(), want.bool_value());
+      break;
+    case TypeId::kInt64:
+      EXPECT_EQ(got.int64_value(), want.int64_value());
+      break;
+    case TypeId::kDouble: {
+      const double a = got.double_value();
+      const double b = want.double_value();
+      EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0) << a << " vs " << b;
+      break;
+    }
+    case TypeId::kString:
+      EXPECT_EQ(got.string_value(), want.string_value());
+      break;
+  }
+}
+
+void ExpectSameRow(const Row& got, const Row& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t c = 0; c < want.size(); ++c) {
+    SCOPED_TRACE(StrCat("column ", c));
+    ExpectSameValue(got[c], want[c]);
+  }
+}
+
+Schema TypedSchema() {
+  return Schema({Field{"i", DataType::Int64(), false},
+                 Field{"b", DataType::Bool(), true},
+                 Field{"n", DataType::Int64(), true},
+                 Field{"d", DataType::Double(), true},
+                 Field{"s", DataType::String(), true}});
+}
+
+/// Row `i` of TypedSchema cycles through every value class of each column:
+/// NaN, -0.0, ±inf, INT64 min/max, 2^53 + 1, "", one shared VARCHAR
+/// payload, both BOOLEANs and a NULL of each type.
+Row TypedRow(int64_t i, const Value& shared) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<Value> bools = {Value::Bool(true), Value::Bool(false),
+                                    Value::Null(DataType::Bool())};
+  const std::vector<Value> ints = {
+      Value::Int64(std::numeric_limits<int64_t>::min()),
+      Value::Int64(std::numeric_limits<int64_t>::max()),
+      Value::Int64((int64_t{1} << 53) + 1), Value::Int64(-7),
+      Value::Null(DataType::Int64())};
+  const std::vector<Value> doubles = {
+      Value::Double(std::nan("")), Value::Double(-0.0), Value::Double(inf),
+      Value::Double(-inf),         Value::Double(0.25), Value::Null(DataType::Double())};
+  const std::vector<Value> strings = {Value::String(""), shared,
+                                      Value::String(StrCat("s", i)),
+                                      Value::Null(DataType::String())};
+  const size_t k = static_cast<size_t>(i);
+  return {Value::Int64(i), bools[k % bools.size()], ints[k % ints.size()],
+          doubles[k % doubles.size()], strings[k % strings.size()]};
+}
+
+// Rows appended before registration, then inserted in batches that cross
+// both chunk boundaries, read back bit for bit by iteration, by operator[]
+// and by Materialize, in every snapshot along the way.
+TEST(TypedChunkTest, AppendAndInsertRoundTripEveryValueClass) {
+  const Value shared = Value::String("a shared payload");
+  std::vector<Row> expected;
+  auto table = std::make_shared<Table>("typed", TypedSchema());
+  for (int64_t i = 0; i < static_cast<int64_t>(kChunkRows) - 5; ++i) {
+    expected.push_back(TypedRow(i, shared));
+    ASSERT_OK(table->AppendRow(expected.back()));
+  }
+  Catalog catalog;
+  ASSERT_OK(catalog.RegisterTable(table));
+  for (const size_t batch_size : {size_t{9}, kChunkRows, size_t{3}}) {
+    std::vector<Row> batch;
+    for (size_t k = 0; k < batch_size; ++k) {
+      batch.push_back(
+          TypedRow(static_cast<int64_t>(expected.size() + k), shared));
+    }
+    ASSERT_OK(catalog.InsertInto("typed", batch));
+    expected.insert(expected.end(), batch.begin(), batch.end());
+  }
+  ASSERT_OK_AND_ASSIGN(TablePtr live, catalog.GetTable("typed"));
+  ASSERT_EQ(live->num_rows(), expected.size());
+  ASSERT_EQ(live->rows().chunks().size(), 3u);
+  ExpectChunkInvariant(live->rows());
+
+  size_t id = 0;
+  for (const RowRef row : live->rows()) {
+    SCOPED_TRACE(StrCat("row ", id));
+    ExpectSameRow(row.Materialize(), expected[id]);
+    ExpectSameRow(live->rows()[id], expected[id]);
+    ++id;
+  }
+  ASSERT_EQ(id, expected.size());
+  const std::vector<Row> copied =
+      RowView::All(std::shared_ptr<const ChunkedRows>(live, &live->rows()))
+          .Materialize();
+  ASSERT_EQ(copied.size(), expected.size());
+  for (size_t r = 0; r < copied.size(); ++r) {
+    SCOPED_TRACE(StrCat("materialized row ", r));
+    ExpectSameRow(copied[r], expected[r]);
+  }
+  // Every copy of the shared VARCHAR reads the one payload.
+  EXPECT_EQ(&live->rows()[1][4].string_value(), &shared.string_value());
+  const size_t last_shared = (expected.size() - 1) / 4 * 4 + 1;
+  ASSERT_LT(last_shared, expected.size());
+  EXPECT_EQ(&live->rows()[last_shared][4].string_value(),
+            &shared.string_value());
+}
+
+// A WHERE keeps non-contiguous ids of the snapshot; a view of those ids
+// through a column map reads the rows through the map, in place and
+// materialized, bit for bit.
+TEST(TypedChunkTest, FilteredViewWithAColumnMapReadsThroughTheMap) {
+  Session session;
+  ASSERT_OK(session.SetConf("sparkline.executors", "3"));
+  const Value shared = Value::String("shared");
+  std::vector<Row> expected;
+  auto table = std::make_shared<Table>("typed", TypedSchema());
+  for (int64_t i = 0; i < static_cast<int64_t>(kChunkRows) + 500; ++i) {
+    expected.push_back(TypedRow(i, shared));
+    ASSERT_OK(table->AppendRow(expected.back()));
+  }
+  ASSERT_OK(session.catalog()->RegisterTable(table));
+  ASSERT_OK_AND_ASSIGN(DataFrame df,
+                       session.Sql("SELECT * FROM typed WHERE "
+                                   "i % 3 = 1 AND i > 100"));
+  ASSERT_OK_AND_ASSIGN(LogicalPlanPtr optimized, session.Optimize(df.plan()));
+  ASSERT_OK_AND_ASSIGN(PhysicalPlanPtr physical,
+                       session.PlanPhysical(optimized));
+  ExecContext ctx(session.config().cluster);
+  ASSERT_OK_AND_ASSIGN(PartitionedRelation rel, physical->Execute(&ctx));
+  size_t seen = 0;
+  for (size_t p = 0; p < rel.partitions.size(); ++p) {
+    ASSERT_TRUE(rel.borrowed(p)) << physical->TreeString();
+    const RowView view{rel.views[p]->rows, rel.views[p]->ids, {0, 1, 3, 4}};
+    for (size_t k = 0; k < view.size(); ++k) {
+      const Row& source = expected[view.ids[k]];
+      ASSERT_EQ(view.ids[k] % 3, 1u);
+      const Row want{source[0], source[1], source[3], source[4]};
+      ExpectSameRow(view.Materialize(k), want);
+      for (size_t c = 0; c < want.size(); ++c) {
+        ExpectSameValue(view.source(k)[view.column(c)], want[c]);
+      }
+      ++seen;
+    }
+  }
+  size_t kept = 0;
+  for (size_t i = 101; i < expected.size(); ++i) kept += i % 3 == 1;
+  EXPECT_EQ(seen, kept);
+}
+
+// A NULL read from a table column carries the column's type, whatever tag
+// it was appended or inserted with.
+TEST(TypedChunkTest, NullsTakeTheColumnType) {
+  auto table = std::make_shared<Table>("typed", TypedSchema());
+  ASSERT_OK(table->AppendRow({Value::Int64(0), Value::Null(), Value::Null(),
+                              Value::Null(), Value::Null()}));
+  Catalog catalog;
+  ASSERT_OK(catalog.RegisterTable(table));
+  ASSERT_OK(catalog.InsertInto(
+      "typed", {{Value::Int64(1), Value::Null(DataType::String()),
+                 Value::Null(DataType::Double()), Value::Null(DataType::Bool()),
+                 Value::Null(DataType::Int64())}}));
+  ASSERT_OK_AND_ASSIGN(TablePtr live, catalog.GetTable("typed"));
+  const Schema schema = TypedSchema();
+  for (const RowRef row : live->rows()) {
+    for (size_t c = 1; c < schema.num_fields(); ++c) {
+      EXPECT_TRUE(row[c].is_null());
+      EXPECT_EQ(row[c].type(), schema.field(c).type) << "column " << c;
+    }
+  }
+}
+
+// Owned rows keep every value's type: a column mixing BIGINT and DOUBLE,
+// or DOUBLE values next to a BIGINT-tagged NULL, stays boxed; a column of
+// one type tag becomes words and reads back with that tag.
+TEST(TypedChunkTest, SingleOverOwnedRowsKeepsEveryValueType) {
+  const std::vector<Row> rows = {
+      {Value::Int64(1), Value::Double(1.5), Value::Null(DataType::Double())},
+      {Value::Double(2.5), Value::Null(), Value::Double(-0.0)},
+      {Value::Null(), Value::Double(3.5), Value::Double(4.0)}};
+  auto store = ChunkedRows::Single(rows);
+  ASSERT_EQ(store->size(), rows.size());
+  ASSERT_EQ(store->chunks().size(), 1u);
+  const RowChunk& chunk = *store->chunks()[0];
+  EXPECT_TRUE(chunk.column(0).boxed);
+  EXPECT_TRUE(chunk.column(1).boxed);
+  EXPECT_FALSE(chunk.column(2).boxed);
+  for (size_t r = 0; r < rows.size(); ++r) {
+    SCOPED_TRACE(StrCat("row ", r));
+    ExpectSameRow((*store)[r].Materialize(), rows[r]);
+  }
+}
+
+// SELECT without FROM plans a local relation of one row and no columns: a
+// chunk of zero columns still holds that row.
+TEST(TypedChunkTest, ZeroColumnLocalRelationHoldsItsRow) {
+  auto store = ChunkedRows::Single({Row{}});
+  ASSERT_EQ(store->size(), 1u);
+  ASSERT_EQ(store->chunks().size(), 1u);
+  EXPECT_EQ(store->chunks()[0]->size(), 1u);
+  EXPECT_EQ((*store)[0].size(), 0u);
+  const std::vector<Row> rows = RowView::All(store).Materialize();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_TRUE(rows[0].empty());
+
+  Session session;
+  const std::vector<Row> answer = Rows(&session, "SELECT 1 + 2 AS three");
+  ASSERT_EQ(answer.size(), 1u);
+  EXPECT_EQ(RowToString(answer[0]), "(3)");
+}
+
 // --- the matrix build over several chunks -----------------------------------
 
 // A view over a three-chunk table, reading its ids out of order across
-// chunk boundaries through a column map, builds the same matrix as the
-// materialized view rows: keys, null bitmaps, ranked mask, dictionaries.
-// The columns hold NaN (ranked), BIGINT beyond 2^53 (ranked), VARCHAR
-// (ranked, MIN and DIFF) and NULLs next to a directly keyed DOUBLE.
+// chunk boundaries through a column map, or the ascending, non-contiguous
+// ids a WHERE keeps, builds the same matrix as the materialized view rows:
+// keys, null bitmaps, ranked mask, dictionaries. The columns hold NaN
+// (ranked), BIGINT beyond 2^53 (ranked), VARCHAR (ranked, MIN and DIFF),
+// BOOLEAN, -0.0 and NULLs next to a directly keyed DOUBLE.
 TEST(ChunkedTableTest, MatrixBuildOverAMultiChunkViewMatchesMaterializedRows) {
   Schema schema({Field{"id", DataType::Int64(), false},
                  Field{"x", DataType::Double(), true},
                  Field{"nan", DataType::Double(), true},
                  Field{"wide", DataType::Int64(), true},
-                 Field{"name", DataType::String(), true}});
+                 Field{"name", DataType::String(), true},
+                 Field{"flag", DataType::Bool(), true},
+                 Field{"zero", DataType::Double(), false}});
   auto table = std::make_shared<Table>("wide", schema);
   Rng rng(17);
   const size_t n = 2 * kChunkRows + 77;
@@ -397,18 +626,28 @@ TEST(ChunkedTableTest, MatrixBuildOverAMultiChunkViewMatchesMaterializedRows) {
             maybe_null(Value::Int64(rng.Bernoulli(0.5) ? wide : -wide),
                        DataType::Int64()),
             maybe_null(Value::String(StrCat("s", rng.UniformInt(0, 40))),
-                       DataType::String())};
+                       DataType::String()),
+            maybe_null(Value::Bool(rng.Bernoulli(0.5)), DataType::Bool()),
+            Value::Double(rng.Bernoulli(0.3)   ? -0.0
+                          : rng.Bernoulli(0.5) ? 0.0
+                                               : rng.Uniform(-1.0, 1.0))};
     ASSERT_OK(table->AppendRow(std::move(row)));
   }
   ASSERT_EQ(table->rows().chunks().size(), 3u);
 
-  RowView view;
-  view.rows = std::shared_ptr<const ChunkedRows>(table, &table->rows());
+  const auto store = std::shared_ptr<const ChunkedRows>(table, &table->rows());
+  // name, x, nan, wide, name, flag, zero
+  const std::vector<size_t> columns = {4, 1, 2, 3, 4, 5, 6};
+  RowView reversed{store, {}, columns};
   for (size_t id = n; id-- > 0;) {
-    if (id % 3 != 1) view.ids.push_back(static_cast<uint32_t>(id));
+    if (id % 3 != 1) reversed.ids.push_back(static_cast<uint32_t>(id));
   }
-  view.columns = {4, 1, 2, 3, 4};  // name, x, nan, wide, name
-  const std::vector<Row> materialized = view.Materialize();
+  // The ids a borrowed Filter keeps for WHERE x < 0.5.
+  RowView filtered{store, {}, columns};
+  for (uint32_t id = 0; id < n; ++id) {
+    const Value x = (*store)[id][1];
+    if (!x.is_null() && x.double_value() < 0.5) filtered.ids.push_back(id);
+  }
 
   const std::vector<std::vector<BoundDimension>> dim_sets = {
       {{1, SkylineGoal::kMin}, {0, SkylineGoal::kMax}},  // direct x; VARCHAR
@@ -417,9 +656,16 @@ TEST(ChunkedTableTest, MatrixBuildOverAMultiChunkViewMatchesMaterializedRows) {
        {3, SkylineGoal::kMax},
        {4, SkylineGoal::kDiff}},
       {{1, SkylineGoal::kMin}},  // direct only, with NULLs
+      // BOOLEAN and -0.0 key directly; -0.0 keys equal to 0.0.
+      {{5, SkylineGoal::kMax}, {6, SkylineGoal::kMin}, {1, SkylineGoal::kMin}},
   };
-  for (size_t s = 0; s < dim_sets.size(); ++s) {
-    SCOPED_TRACE(StrCat("dimension set ", s));
+  for (size_t run = 0; run < 2 * dim_sets.size(); ++run) {
+    const bool filter = run >= dim_sets.size();
+    const size_t s = run % dim_sets.size();
+    SCOPED_TRACE(StrCat(filter ? "filtered" : "reversed",
+                        " view, dimension set ", s));
+    const RowView& view = filter ? filtered : reversed;
+    const std::vector<Row> materialized = view.Materialize();
     const auto& dims = dim_sets[s];
     ASSERT_OK_AND_ASSIGN(DominanceMatrix chunked,
                          DominanceMatrix::Build(view, dims));
@@ -429,7 +675,7 @@ TEST(ChunkedTableTest, MatrixBuildOverAMultiChunkViewMatchesMaterializedRows) {
     ASSERT_EQ(flat.num_rows(), view.size());
     EXPECT_EQ(chunked.ranked_mask(), flat.ranked_mask());
     EXPECT_EQ(chunked.all_numeric_minmax(), flat.all_numeric_minmax());
-    EXPECT_TRUE(chunked.has_nulls());
+    if (!filter) EXPECT_TRUE(chunked.has_nulls());
     EXPECT_EQ(chunked.has_nulls(), flat.has_nulls());
     for (size_t d = 0; d < dims.size(); ++d) {
       const auto& a = chunked.dictionary(d);
@@ -454,11 +700,15 @@ TEST(ChunkedTableTest, MatrixBuildOverAMultiChunkViewMatchesMaterializedRows) {
                   x.is_null() ? 0.0 : sign * x.double_value());
       }
     }
+    if (s == 3) {
+      EXPECT_EQ(chunked.ranked_mask(), 0u);
+      EXPECT_FALSE(chunked.all_numeric_minmax());  // BOOLEAN
+    }
   }
   // A dimension without a NULL in the view allocates no bitmaps.
   ASSERT_OK_AND_ASSIGN(
       DominanceMatrix ids_only,
-      DominanceMatrix::Build(RowView{view.rows, view.ids, {0}},
+      DominanceMatrix::Build(RowView{store, reversed.ids, {0}},
                              {{0, SkylineGoal::kMin}}));
   EXPECT_FALSE(ids_only.has_nulls());
   EXPECT_TRUE(ids_only.all_numeric_minmax());

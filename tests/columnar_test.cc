@@ -512,10 +512,8 @@ TEST(NullPlaceholderTest, NullSlotsHoldZeroAfterBuildAndConcat) {
 
     std::vector<ColumnarBatch> parts;
     for (uint64_t seed = 4; seed <= 6; ++seed) {
-      auto part = ColumnarBatch::Project(
-          std::make_shared<const std::vector<Row>>(
-              PlaceholderRows(30, true, seed)),
-          dims);
+      auto part =
+          ColumnarBatch::Project(PlaceholderRows(30, true, seed), dims);
       ASSERT_TRUE(part.ok());
       parts.push_back(part->WithSelection({0, 2, 4, 6, 8, 10, 12, 14}));
     }
@@ -634,9 +632,7 @@ TEST(DimensionLimitTest, EntryPointsReturnStatusBeyond32Dims) {
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   }
   EXPECT_FALSE(::sparkline::testing::AllPairsSkyline(rows, dims, {}).ok());
-  EXPECT_FALSE(ColumnarBatch::Project(
-                   std::make_shared<std::vector<Row>>(rows), dims)
-                   .ok());
+  EXPECT_FALSE(ColumnarBatch::Project(rows, dims).ok());
   EXPECT_FALSE(DeltaClassify({}, rows, dims, {}).ok());
 }
 
@@ -694,12 +690,8 @@ TEST(SimdCompareTest, Avx2MatchesScalarWhenAvailable) {
 
 // --- ColumnarBatch: select / concat round-trips ------------------------------
 
-std::shared_ptr<std::vector<Row>> SharedRows(std::vector<Row> rows) {
-  return std::make_shared<std::vector<Row>>(std::move(rows));
-}
-
 TEST(ColumnarBatchTest, ProjectSelectDecodeRoundTrip) {
-  auto rows = SharedRows(RandomRows(100, 3, /*null_rate=*/0.0, 8, 7));
+  const std::vector<Row> rows = RandomRows(100, 3, /*null_rate=*/0.0, 8, 7);
   auto batch = ColumnarBatch::Project(rows, MinDims(3));
   ASSERT_TRUE(batch.ok());
   EXPECT_EQ(batch->num_rows(), 100u);
@@ -710,7 +702,7 @@ TEST(ColumnarBatchTest, ProjectSelectDecodeRoundTrip) {
   std::vector<Row> decoded = view.Decode();
   ASSERT_EQ(decoded.size(), selection.size());
   for (size_t i = 0; i < selection.size(); ++i) {
-    EXPECT_EQ(RowToString(decoded[i]), RowToString((*rows)[selection[i]]));
+    EXPECT_EQ(RowToString(decoded[i]), RowToString(rows[selection[i]]));
   }
 }
 
@@ -724,8 +716,9 @@ TEST(ColumnarBatchTest, ConcatMatchesRowGatherAndReprojection) {
   std::vector<ColumnarBatch> parts;
   std::vector<Row> gathered;
   for (uint64_t seed = 1; seed <= 3; ++seed) {
-    auto rows = SharedRows(RandomRows(40, 3, /*null_rate=*/0.2, 5, seed));
-    for (const auto& r : *rows) gathered.push_back(r);
+    const std::vector<Row> rows =
+        RandomRows(40, 3, /*null_rate=*/0.2, 5, seed);
+    for (const auto& r : rows) gathered.push_back(r);
     auto batch = ColumnarBatch::Project(rows, dims);
     ASSERT_TRUE(batch.ok());
     parts.push_back(std::move(*batch));
@@ -763,7 +756,7 @@ TEST(ColumnarBatchTest, ConcatOfOneSourceGathersIds) {
     std::vector<Row> rows = RandomRows(12, 3, /*null_rate=*/0.0, 9, 41);
     if (ranked) rows[10][2] = Value::Double(std::nan(""));
     // Each store is built once: views of one store have the same source.
-    auto source = ChunkedRows::Single(SharedRows(rows));
+    auto source = ChunkedRows::Single(rows);
     const std::vector<BoundDimension> dims{{0, SkylineGoal::kMin},
                                            {1, SkylineGoal::kMax}};
     auto part = [&](std::shared_ptr<const ChunkedRows> from,
@@ -785,7 +778,7 @@ TEST(ColumnarBatchTest, ConcatOfOneSourceGathersIds) {
       std::vector<ColumnarBatch> parts;
       parts.push_back(part(source, {0, 1, 2, 3, 4, 5}, {5, 1, 3}));
       parts.push_back(part(one_source ? source
-                                      : ChunkedRows::Single(SharedRows(rows)),
+                                      : ChunkedRows::Single(rows),
                            {6, 7, 8, 9, 10, 11}, {0, 4}));
       bool reprojected = false;
       ColumnarBatch merged =
@@ -816,10 +809,10 @@ TEST(ColumnarBatchTest, ConcatReRanksVarcharDictionaries) {
   // still holds.
   std::vector<BoundDimension> dims{{0, SkylineGoal::kMin},
                                    {1, SkylineGoal::kDiff}};
-  auto part1 = SharedRows({{Value::Double(1), Value::String("red")},
-                           {Value::Double(2), Value::String("blue")}});
-  auto part2 = SharedRows({{Value::Double(3), Value::String("blue")},
-                           {Value::Double(0.5), Value::String("red")}});
+  const std::vector<Row> part1 = {{Value::Double(1), Value::String("red")},
+                                  {Value::Double(2), Value::String("blue")}};
+  const std::vector<Row> part2 = {{Value::Double(3), Value::String("blue")},
+                                  {Value::Double(0.5), Value::String("red")}};
   auto b1 = ColumnarBatch::Project(part1, dims);
   auto b2 = ColumnarBatch::Project(part2, dims);
   ASSERT_TRUE(b1.ok() && b2.ok());
@@ -844,7 +837,7 @@ TEST(ColumnarBatchTest, ConcatCopiesKeysWhenKeySpacesAgree) {
   std::vector<ColumnarBatch> parts;
   for (uint64_t seed = 1; seed <= 2; ++seed) {
     auto batch = ColumnarBatch::Project(
-        SharedRows(RandomRows(20, 2, /*null_rate=*/0.0, 5, seed)), MinDims(2));
+        RandomRows(20, 2, /*null_rate=*/0.0, 5, seed), MinDims(2));
     ASSERT_TRUE(batch.ok());
     parts.push_back(std::move(*batch));
   }
@@ -870,12 +863,12 @@ TEST(ColumnarBatchTest, ConcatReRanksWhenOnePartHasNaN) {
 
   // Both parts are marked skyline parts, as LocalSkylineExec marks them.
   std::vector<ColumnarBatch> parts;
-  auto clean_batch = ColumnarBatch::Project(SharedRows(clean), dims);
+  auto clean_batch = ColumnarBatch::Project(clean, dims);
   ASSERT_TRUE(clean_batch.ok());
   ASSERT_EQ(clean_batch->matrix().ranked_mask(), 0u);
   parts.push_back(clean_batch->WithSelection(clean_batch->indices(),
                                              /*skyline_part=*/true));
-  auto dirty_batch = ColumnarBatch::Project(SharedRows(dirty), dims);
+  auto dirty_batch = ColumnarBatch::Project(dirty, dims);
   ASSERT_TRUE(dirty_batch.ok());
   EXPECT_EQ(dirty_batch->matrix().ranked_mask(), 3u);
   parts.push_back(dirty_batch->WithSelection(dirty_batch->indices(),
@@ -911,7 +904,7 @@ TEST(ColumnarBatchTest, ConcatKeepsSkylinePartBoundaries) {
       std::vector<Row> rows =
           seed == 3 ? std::vector<Row>{} : AntiCorrelatedRows(50, 3, seed);
       if (nan && seed == 4) rows[0][1] = Value::Double(std::nan(""));
-      auto batch = ColumnarBatch::Project(SharedRows(rows), dims);
+      auto batch = ColumnarBatch::Project(rows, dims);
       SL_CHECK(batch.ok());
       auto local =
           ColumnarBlockNestedLoop(batch->matrix(), batch->indices(), {});
@@ -943,7 +936,7 @@ TEST(ColumnarBatchTest, ConcatKeepsSkylinePartBoundaries) {
 
 TEST(ColumnarBatchTest, MatrixMemoryChargedForBatchLifetime) {
   MemoryTracker tracker;
-  auto rows = SharedRows(RandomRows(200, 4, /*null_rate=*/0.1, 6, 17));
+  const std::vector<Row> rows = RandomRows(200, 4, /*null_rate=*/0.1, 6, 17);
   {
     auto batch = ColumnarBatch::Project(rows, MinDims(4), &tracker);
     ASSERT_TRUE(batch.ok());

@@ -193,5 +193,47 @@ TEST_F(DataFrameTest, EagerAnalysisSurfacesErrors) {
   EXPECT_FALSE(df.Where(col("d0") < lit("text")).ok());
 }
 
+// CreateDataFrame checks its rows as a table insert does: each malformed
+// row is Invalid, where it used to reach the skyline operators (a short row
+// read past its end; a NULL in a non-nullable column keyed as 0.0).
+TEST_F(DataFrameTest, CreateDataFrameRejectsMalformedRows) {
+  const Schema schema({Field{"x", DataType::Double(), false},
+                       Field{"y", DataType::Double(), false}});
+  const std::vector<std::vector<Row>> malformed = {
+      {{Value::Double(1.0), Value::Double(2.0)}, {Value::Double(3.0)}},
+      {{Value::Double(1.0), Value::Double(2.0), Value::Double(3.0)}},
+      {{Value::Double(1.0), Value::Null(DataType::Double())}},
+      {{Value::String("1.0"), Value::Double(2.0)}},
+  };
+  for (const std::vector<Row>& rows : malformed) {
+    SCOPED_TRACE(RowToString(rows.back()));
+    auto df = session_->CreateDataFrame(schema, rows);
+    ASSERT_FALSE(df.ok());
+    EXPECT_EQ(df.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST_F(DataFrameTest, CreateDataFrameWidensBigintToDouble) {
+  const Schema schema({Field{"x", DataType::Double(), false},
+                       Field{"y", DataType::Double(), true}});
+  ASSERT_OK_AND_ASSIGN(
+      DataFrame df,
+      session_->CreateDataFrame(
+          schema, {{Value::Int64(1), Value::Null(DataType::Int64())},
+                   {Value::Double(0.5), Value::Int64(3)}}));
+  ASSERT_OK_AND_ASSIGN(QueryResult r, df.Collect());
+  ASSERT_EQ(r.num_rows(), 2u);
+  for (const Row& row : r.rows()) {
+    for (const Value& v : row) EXPECT_EQ(v.type(), DataType::Double());
+  }
+  EXPECT_EQ(r.rows()[0][0].double_value(), 1.0);
+  EXPECT_TRUE(r.rows()[0][1].is_null());
+  EXPECT_EQ(r.rows()[1][1].double_value(), 3.0);
+  ASSERT_OK_AND_ASSIGN(DataFrame sky,
+                       df.Skyline({smin(col("x")), smin(col("y"))}));
+  ASSERT_OK_AND_ASSIGN(QueryResult skyline, sky.Collect());
+  EXPECT_GT(skyline.num_rows(), 0u);
+}
+
 }  // namespace
 }  // namespace sparkline

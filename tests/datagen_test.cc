@@ -43,7 +43,7 @@ TEST(AirbnbGenTest, CompleteVariantHasNoNulls) {
   AirbnbOptions opts;
   opts.num_rows = 200;
   auto t = GenerateAirbnb(opts);  // incomplete = false
-  for (const auto& row : t->rows()) {
+  for (const Row& row : t->rows()) {
     for (const auto& v : row) EXPECT_FALSE(v.is_null());
   }
 }
@@ -124,7 +124,7 @@ TEST(MusicBrainzGenTest, TablesAndConstraints) {
 
 TEST(MusicBrainzGenTest, CompleteRecordingsHaveNoNulls) {
   auto mb = GenerateMusicBrainz({500, 9});
-  for (const auto& row : mb.recording_complete->rows()) {
+  for (const Row& row : mb.recording_complete->rows()) {
     for (const auto& v : row) EXPECT_FALSE(v.is_null());
   }
   size_t nulls = 0;

@@ -9,6 +9,7 @@
 // plan shapes, DISTINCT duplicates, incomplete dominance, injected
 // delta_apply faults), subscription delta semantics, the slow-listener
 // regression, and — under TSan — writers racing readers and a subscriber.
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <future>
@@ -464,6 +465,62 @@ TEST_F(IncrementalSessionTest, SubscribeDeliversInitialAndIncrementalDeltas) {
   std::lock_guard<std::mutex> lock(mu);
   EXPECT_EQ(deltas.size(), 3u);
   EXPECT_GT(session_->maintainer()->stats().deltas_delivered, 0);
+}
+
+/// Rows in printed order, each value as "TYPE value": RowToString prints a
+/// BIGINT 1 and a DOUBLE 1 alike.
+std::vector<std::string> TypedRows(const std::vector<Row>& rows) {
+  std::vector<std::string> out;
+  for (const Row& row : rows) {
+    std::string typed;
+    for (const Value& v : row) {
+      typed += v.type().ToString() + " " + v.ToString() + "; ";
+    }
+    out.push_back(std::move(typed));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// An inserted BIGINT in a DOUBLE column enters the cached answer and the
+// subscription delta as the table stores it, a DOUBLE: the delta hit and
+// the delta's rows match a fresh session value by value, types included.
+TEST_F(IncrementalSessionTest, DeltaRowsCarryTheColumnTypes) {
+  ASSERT_OK(session_->catalog()->RegisterTable(TriSkyline("t")));
+  Rows(session_.get(), kSql);
+  std::mutex mu;
+  std::vector<serve::SkylineDelta> deltas;
+  ASSERT_OK(session_
+                ->Subscribe(kSql,
+                            [&](const serve::SkylineDelta& d) {
+                              std::lock_guard<std::mutex> lock(mu);
+                              deltas.push_back(d);
+                            })
+                .status());
+
+  ASSERT_OK(session_->catalog()->InsertInto(
+      "t", {{Value::Int64(7), Value::Int64(0), Value::Double(9.0)}}));
+  session_->catalog()->DrainWrites();
+  ASSERT_OK_AND_ASSIGN(auto df, session_->Sql(kSql));
+  ASSERT_OK_AND_ASSIGN(QueryResult hit, df.Collect());
+  EXPECT_TRUE(hit.metrics.cache_hit);
+  EXPECT_EQ(hit.metrics.cache_delta_maintained, 1);
+
+  ASSERT_OK_AND_ASSIGN(TablePtr live, session_->catalog()->GetTable("t"));
+  Session fresh;
+  fresh.catalog()->RegisterOrReplaceTable(CopySnapshot(live));
+  const std::vector<Row> expected = Rows(&fresh, kSql);
+  EXPECT_EQ(TypedRows(hit.rows()), TypedRows(expected));
+
+  std::vector<Row> inserted;
+  for (const Row& row : expected) {
+    if (row[0].int64_value() == 7) inserted.push_back(row);
+  }
+  ASSERT_EQ(inserted.size(), 1u);
+  std::lock_guard<std::mutex> lock(mu);
+  ASSERT_EQ(deltas.size(), 2u);
+  EXPECT_FALSE(deltas[1].resync);
+  EXPECT_EQ(TypedRows(deltas[1].added), TypedRows(inserted));
 }
 
 TEST_F(IncrementalSessionTest, SubscribeRejectsUnsoundShapes) {
