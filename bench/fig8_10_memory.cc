@@ -7,6 +7,7 @@
 //    execution environment) and with the number of tuples;
 //  * the four algorithms consume comparable memory; the specialized
 //    algorithms' speedup is not bought with memory.
+#include <algorithm>
 #include <cstdio>
 
 #include "bench_common.h"
@@ -47,45 +48,48 @@ void ExecutorsVsMemory(Session* session, const std::string& table,
               "memory");
 }
 
-// DominanceMatrix storage is charged to the query's MemoryTracker: every
-// local-stage matrix stays reserved while its batch lives, so the query's
-// peak tracked bytes (peak memory minus the fixed per-executor footprint)
-// must cover at least one projection of the whole input over the query's
-// dimensions — which is what the per-partition matrices add up to.
-void AssertMatrixMemoryVisible(Session* session, const std::string& table,
-                               const std::vector<std::string>& dimensions) {
+// Kernel key storage is charged to the query's MemoryTracker. A local task
+// streams its partition: it holds one key block and its BNL window, and
+// hands the exchange a compact matrix of its local skyline, which stays
+// reserved while the gather concatenates it. So the query's peak tracked
+// bytes (peak memory minus the fixed per-executor footprint) must cover
+// both what the gather holds — the keys of every local skyline shipped —
+// and what a local task holds — its first key block. Tasks need not
+// overlap in time, so the blocks of different tasks are not summed.
+void AssertKeyMemoryVisible(Session* session, const std::string& table,
+                            const std::vector<std::string>& dimensions) {
   constexpr int kExecutors = 3;
+  constexpr size_t kDims = 6;
   SL_CHECK_OK(
       session->SetConf("sparkline.executors", std::to_string(kExecutors)));
-  auto df = session->Sql(SkylineSql(table, dimensions, 6, true));
+  SL_CHECK_OK(session->SetConf("sparkline.skyline.strategy", "distributed"));
+  auto df = session->Sql(SkylineSql(table, dimensions, kDims, true));
   SL_CHECK(df.ok());
   auto r = df->Collect();
   SL_CHECK(r.ok()) << r.status().ToString();
+  SL_CHECK_OK(session->SetConf("sparkline.skyline.strategy", "auto"));
   const int64_t tracked_peak =
       r->metrics.peak_memory_bytes -
       kExecutors * session->config().cluster.executor_overhead_bytes;
 
-  TablePtr input = session->catalog()->GetTable(table).MoveValue();
-  std::vector<skyline::BoundDimension> dims;
-  for (size_t i = 0; i < 6; ++i) {
-    const std::string& item = dimensions[i];
-    const std::string column = item.substr(0, item.find(' '));
-    const int ordinal = input->schema().IndexOf(column);
-    SL_CHECK(ordinal >= 0) << "no column " << column << " in " << table;
-    dims.push_back({static_cast<size_t>(ordinal),
-                    item.find("MAX") != std::string::npos ? SkylineGoal::kMax
-                                                          : SkylineGoal::kMin});
-  }
-  auto matrix = skyline::DominanceMatrix::Build(input->rows(), dims);
-  SL_CHECK(matrix.ok()) << matrix.status().ToString();
-  const int64_t matrix_bytes = matrix->MemoryBytes();
-  SL_CHECK(tracked_peak >= matrix_bytes)
-      << "DominanceMatrix bytes are invisible to the MemoryTracker: tracked "
-      << "peak " << tracked_peak << " B < matrix " << matrix_bytes << " B";
-  std::printf("matrix-memory check | %s | tracked peak %lld B >= matrix "
-              "%lld B\n",
+  const size_t rows = session->catalog()->GetTable(table).MoveValue()->num_rows();
+  const size_t partition = (rows + kExecutors - 1) / kExecutors;
+  const int64_t block_bytes = static_cast<int64_t>(
+      std::min(partition, skyline::kKeyBlockRows) * kDims * sizeof(double));
+  const int64_t gathered_bytes = static_cast<int64_t>(
+      r->metrics.exchange_rows_shipped * kDims * sizeof(double));
+  SL_CHECK(tracked_peak >= gathered_bytes)
+      << "local skyline keys are invisible to the MemoryTracker: tracked "
+      << "peak " << tracked_peak << " B < gathered keys " << gathered_bytes
+      << " B";
+  SL_CHECK(tracked_peak >= block_bytes)
+      << "the local key block is invisible to the MemoryTracker: tracked "
+      << "peak " << tracked_peak << " B < one block " << block_bytes << " B";
+  std::printf("key-memory check | %s | tracked peak %lld B >= gathered keys "
+              "%lld B and one key block %lld B\n",
               table.c_str(), static_cast<long long>(tracked_peak),
-              static_cast<long long>(matrix_bytes));
+              static_cast<long long>(gathered_bytes),
+              static_cast<long long>(block_bytes));
 }
 
 }  // namespace
@@ -103,7 +107,7 @@ int main(int argc, char** argv) {
   auto complete = datagen::CompleteSubset(*incomplete, "airbnb");
   SL_CHECK_OK(session.catalog()->RegisterTable(incomplete));
   SL_CHECK_OK(session.catalog()->RegisterTable(complete));
-  AssertMatrixMemoryVisible(&session, "airbnb", AirbnbDimensions());
+  AssertKeyMemoryVisible(&session, "airbnb", AirbnbDimensions());
   ExecutorsVsMemory(&session, "airbnb", true, AirbnbDimensions(),
                     complete->num_rows(), config, "Fig 8");
   ExecutorsVsMemory(&session, "airbnb_incomplete", false, AirbnbDimensions(),

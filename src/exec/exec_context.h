@@ -112,21 +112,23 @@ struct QueryMetrics {
   int64_t bytes_served = 0;
 
   // --- columnar exchange counters ------------------------------------------
-  /// Milliseconds spent projecting rows into DominanceMatrix form (summed
-  /// across parallel tasks, so it can exceed the stage's critical-path
-  /// time; the per-stage critical path already includes it).
+  /// Milliseconds spent keying rows: each block a streamed local stage
+  /// keys, and each whole DominanceMatrix::Build (summed across parallel
+  /// tasks, so it can exceed the stage's critical-path time; the per-stage
+  /// critical path already includes it).
   double projection_ms = 0;
   /// Milliseconds spent copying rows out of batches and borrowed
   /// partitions: the per-partition tasks of DecodeInput for non-skyline
   /// consumers (summed across tasks, like projection_ms) plus the plan-root
   /// decode.
   double decode_ms = 0;
-  /// DominanceMatrix projections (DominanceMatrix::Build) per stage label.
-  /// Skyline plans build each partition's matrix exactly once — at the
-  /// local stage (or once in the global stage's "[project]" for
-  /// non-distributed plans) — so no "[partial]"/"[merge]"/"[candidates]"
-  /// label appears here. A gather re-ranking a ranked dimension adds one
-  /// build under its own label.
+  /// Key projections per stage label: one per partition at the local
+  /// stage, whether it streamed its partition into a compact matrix or
+  /// built the whole partition's (DominanceMatrix::Build), and one in the
+  /// global stage's "[project]" for non-distributed plans. The stages
+  /// after the local one reuse its matrix, so no "[partial]"/"[merge]"/
+  /// "[candidates]" label appears here. A gather re-ranking a ranked
+  /// dimension adds one build under its own label.
   std::map<std::string, int64_t> matrix_builds;
   /// Stages that consumed an already-built matrix (a batch or a view)
   /// instead of re-projecting, per stage label.

@@ -401,13 +401,15 @@ class NestedLoopJoinExec : public PhysicalPlan {
 /// witness, and a bitmap spread over several partitions only leaves extra
 /// candidates for the global stage.
 ///
-/// Each partition is projected into a DominanceMatrix exactly once (a
-/// scan's borrowed rows in place), and the output is a ColumnarBatch
-/// survivor view over that matrix — the projection every downstream
-/// skyline stage reuses. A complete run, whichever kernel it used, leaves
-/// its view in SFS order and marks it one skyline part
-/// (ColumnarBatch::skyline_parts()), so the global stage validates it
-/// against the other partitions' skylines without re-running a kernel.
+/// Each partition's rows are keyed in the task (a scan's borrowed rows in
+/// place) by ColumnarBatch::LocalSkyline: BNL streams them through its
+/// window and outputs a compact batch of the local skyline, SFS builds the
+/// whole partition's matrix and outputs a survivor view over it. Either
+/// way every downstream skyline stage reuses the batch's matrix. A
+/// complete run, whichever kernel it used, leaves its view in SFS order
+/// and marks it one skyline part (ColumnarBatch::skyline_parts()), so the
+/// global stage validates it against the other partitions' skylines
+/// without re-running a kernel.
 class LocalSkylineExec : public PhysicalPlan {
  public:
   LocalSkylineExec(std::vector<skyline::BoundDimension> dims, bool distinct,

@@ -13,9 +13,13 @@
 //
 // Every dominance test runs over a DominanceMatrix (skyline/columnar.h),
 // and the stages exchange ColumnarBatch views instead of materialized rows.
-// The local stage projects each partition exactly once; the gather exchange
-// concatenates the matrix blocks (re-ranking only when a partition holds a
-// ranked dimension); the global stages chunk, validate and concatenate
+// The local stage keys each partition: BNL and incomplete skylines
+// stream it a block at a time through the BNL window and keep only the
+// window, a compact batch of the local skyline; SFS, and a partition
+// holding a value that must be ranked, build the whole partition's matrix
+// (ColumnarBatch::LocalSkyline). The gather exchange concatenates the
+// matrix blocks (re-ranking only when a partition holds a ranked
+// dimension); the global stages chunk, validate and concatenate
 // index views over the shared matrix (ChunkedGlobalSkyline). On the
 // distributed complete path every gathered part is a local skyline in SFS
 // order, whichever kernel found it, so the global stage is one parallel
@@ -152,6 +156,7 @@ Result<PartitionedRelation> LocalSkylineExec::Execute(ExecContext* ctx) const {
   options.deadline_nanos = ctx->deadline_nanos();
   options.cancel = ctx->cancel_token();
   options.early_stop = ctx->early_stop();
+  options.memory = ctx->memory();
 
   const size_t n = in.partitions.size();
 
@@ -164,40 +169,20 @@ Result<PartitionedRelation> LocalSkylineExec::Execute(ExecContext* ctx) const {
     // A skyline stage feeding another skyline operator (nested queries)
     // decodes between them: the two matrices project different dimensions.
     if (!in.borrowed(i)) in.EnsureRows(i);
-    // Project this partition exactly once — borrowed rows in place; every
-    // downstream skyline stage reuses the matrix through the batch.
-    StopWatch project;
-    SL_ASSIGN_OR_RETURN(
-        skyline::ColumnarBatch batch,
+    // Key this partition — borrowed rows in place — into the local
+    // skyline's batch; every downstream skyline stage reuses its matrix.
+    double keying_ms = 0;
+    Result<skyline::ColumnarBatch> local =
         in.borrowed(i)
-            ? skyline::ColumnarBatch::Project(std::move(*in.views[i]), dims_,
-                                              ctx->memory())
-            : skyline::ColumnarBatch::Project(std::move(in.partitions[i]),
-                                              dims_, ctx->memory()));
-    ctx->AddProjectionMs(project.ElapsedMillis());
+            ? skyline::ColumnarBatch::LocalSkyline(std::move(*in.views[i]),
+                                                   kernel_, dims_, options,
+                                                   &keying_ms)
+            : skyline::ColumnarBatch::LocalSkyline(
+                  &in.partitions[i], kernel_, dims_, options, &keying_ms);
+    ctx->AddProjectionMs(keying_ms);
+    SL_RETURN_NOT_OK(local.status());
     ctx->AddMatrixBuilds(label(), 1);
-    SL_ASSIGN_OR_RETURN(std::vector<uint32_t> survivors,
-                        skyline::RunColumnarKernel(kernel_, batch.matrix(),
-                                                   batch.indices(), options));
-    // A complete skyline, whichever kernel found it, is an antichain: left
-    // in SFS order, it is a skyline part the global [merge] validates in
-    // place. An incomplete skyline is one antichain per null-bitmap group:
-    // each group, in SFS order and in ascending bitmap order, is read in
-    // place by the global [reduce].
-    if (nulls_ == skyline::NullSemantics::kComplete) {
-      skyline::SortInSfsOrder(batch.matrix(), &survivors);
-    } else {
-      std::vector<uint32_t> grouped;
-      grouped.reserve(survivors.size());
-      for (std::vector<uint32_t>& group :
-           skyline::PartitionIndicesByNullBitmap(batch.matrix(), survivors)) {
-        skyline::SortInSfsOrder(batch.matrix(), &group);
-        grouped.insert(grouped.end(), group.begin(), group.end());
-      }
-      survivors = std::move(grouped);
-    }
-    out.batches[i] =
-        batch.WithSelection(std::move(survivors), /*skyline_part=*/true);
+    out.batches[i] = std::move(local).MoveValue();
     return Status::OK();
   }));
   SL_RETURN_NOT_OK(ChargeOutput(ctx, &out));
@@ -318,7 +303,7 @@ Result<PartitionedRelation> GlobalSkylineExec::Execute(ExecContext* ctx) const {
                   matrix, candidates[i], others, options);
             }));
   }
-  out.batches[0] = batch.WithSelection(std::move(survivors));
+  out.batches[0] = std::move(batch).WithSelection(std::move(survivors));
   SL_RETURN_NOT_OK(ChargeOutput(ctx, &out));
   return out;
 }
@@ -472,7 +457,7 @@ Result<PartitionedRelation> GlobalSkylineIncompleteExec::Execute(
               return kept;
             }));
   }
-  out.batches[0] = batch.WithSelection(std::move(survivors));
+  out.batches[0] = std::move(batch).WithSelection(std::move(survivors));
   SL_RETURN_NOT_OK(ChargeOutput(ctx, &out));
   return out;
 }

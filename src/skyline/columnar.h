@@ -167,8 +167,10 @@ class DominanceMatrix {
                                        const std::vector<BoundDimension>& dims);
 
   /// \brief Same over borrowed rows: matrix row r keys view row r straight
-  /// from its source row. `dims` are in view-column ordinals; each is
-  /// remapped through the view's column map once per build.
+  /// from the typed words of its source chunk — the keying routine the
+  /// streamed local stage uses too (ColumnarBatch::LocalSkyline). `dims`
+  /// are in view-column ordinals; each is remapped through the view's
+  /// column map once per build.
   static Result<DominanceMatrix> Build(const RowView& rows,
                                        const std::vector<BoundDimension>& dims);
 
@@ -267,17 +269,21 @@ class DominanceMatrix {
   }
 
  private:
+  /// Builds a local skyline's compact matrix straight from its window.
+  friend class ColumnarBatch;
+
   DominanceMatrix() = default;
 
-  /// The projection behind both Build overloads: `row_at(r)` is the row (a
-  /// Row, or a RowRef into a chunk) holding matrix row r's values at the
-  /// ordinals of `dims`. It reads each
-  /// row once for every dimension; only ranked dimensions take a second,
-  /// per-dimension pass (RankDimension). The null bitmaps are allocated at
-  /// the first NULL.
-  template <typename RowAt>
+  /// The projection behind both Build overloads: `key_rows(target,
+  /// masks)` keys every row into the matrix (KeyTarget and KeyMasks in
+  /// columnar.cc), and `row_at(r)` is the row (a Row, or a RowRef into a chunk) holding
+  /// matrix row r's values at the ordinals of `dims`, which only ranked
+  /// dimensions read again, in a per-dimension pass (RankDimension). The
+  /// null bitmaps are allocated at the first NULL.
+  template <typename KeyRows, typename RowAt>
   static Result<DominanceMatrix> BuildFrom(
-      size_t n, const RowAt& row_at, const std::vector<BoundDimension>& dims);
+      size_t n, const KeyRows& key_rows, const RowAt& row_at,
+      const std::vector<BoundDimension>& dims);
 
   /// Replaces dimension `d`'s keys with dense ranks of the non-null values
   /// and records its sorted dictionary.
@@ -322,6 +328,9 @@ std::vector<uint32_t> AllIndices(const DominanceMatrix& matrix);
 /// dominance. Under kIncomplete the input must therefore be bitmap-uniform
 /// (all rows null in the same dimensions) — RunColumnarKernel groups by
 /// bitmap first; mixed-bitmap input needs ColumnarAllPairsIncomplete.
+/// This is the engine's one BNL loop read over a matrix; the streamed local
+/// stage (ColumnarBatch::LocalSkyline) runs the same loop over keyed
+/// blocks.
 Result<std::vector<uint32_t>> ColumnarBlockNestedLoop(
     const DominanceMatrix& matrix, const std::vector<uint32_t>& input,
     const SkylineOptions& options);
@@ -430,6 +439,9 @@ Result<std::vector<uint32_t>> RunColumnarKernel(
     SkylineKernel kernel, const DominanceMatrix& matrix,
     const std::vector<uint32_t>& input, const SkylineOptions& options);
 
+/// Rows the streamed local stage keys at a time (ColumnarBatch::LocalSkyline).
+inline constexpr size_t kKeyBlockRows = 1024;
+
 /// \brief The unit the columnar exchange ships between skyline stages: one
 /// immutable, shared DominanceMatrix over a set of backing rows (matrix row
 /// i is the projection of backing row i) plus a row-index *view* selecting
@@ -445,8 +457,8 @@ Result<std::vector<uint32_t>> RunColumnarKernel(
 /// such parts), or over rows the query materialized.
 class ColumnarBatch {
  public:
-  /// \brief Projects borrowed rows once, in place — the only projection a
-  /// partition pays unless a gather has to re-rank it (see Concat). `dims`
+  /// \brief Projects borrowed rows once, in place: the whole-partition
+  /// matrix of a local stage that cannot stream (see LocalSkyline). `dims`
   /// are in view-column ordinals. Fails only where DominanceMatrix::Build
   /// does. Matrix storage is charged to `memory` (if non-null) for the
   /// matrix's lifetime; the rows are not, the table owns them.
@@ -493,11 +505,51 @@ class ColumnarBatch {
                               MemoryTracker* memory = nullptr,
                               bool* reprojected = nullptr);
 
+  /// \brief The local skyline of one partition (LocalSkylineExec's task),
+  /// as one skyline part: complete semantics leave it in SFS order
+  /// (SortInSfsOrder, ties in window order); incomplete semantics leave
+  /// each null-bitmap group in SFS order, groups in ascending bitmap order.
+  ///
+  /// BNL, and every incomplete skyline (one BNL per bitmap group), runs as
+  /// a stream: the partition is keyed kKeyBlockRows rows at a time into
+  /// one reused buffer and fed to the BNL window, which is all the task
+  /// keeps. The result is the compact batch Concat would make of it — the
+  /// window's keys and bitmaps over the survivors' rows — so no task holds
+  /// anything the size of its partition. A value with no exact double
+  /// image (NaN, ±inf, BIGINT beyond 2^53, VARCHAR) voids the stream: its
+  /// tests are never counted, and the partition runs the matrix path
+  /// instead — Build, RunColumnarKernel, a view over the whole matrix —
+  /// which is also how SFS runs under complete semantics (its presort
+  /// reads every key).
+  ///
+  /// `dims` are in view-column ordinals. Window and block bytes are
+  /// charged to options.memory as they grow, through TryGrow: a window that
+  /// outgrows the limit fails with ResourceExhausted. `*keying_ms` gains
+  /// the time spent keying rows (each block, or the matrix build).
+  static Result<ColumnarBatch> LocalSkyline(
+      RowView rows, SkylineKernel kernel,
+      const std::vector<BoundDimension>& dims, const SkylineOptions& options,
+      double* keying_ms);
+
+  /// \brief Same over rows the query owns (a join's, an aggregate's or a
+  /// nested skyline's output): the stream keys each Row's Values, and only
+  /// the window's rows move out of `*rows`, into the result's backing
+  /// chunk; the caller drops the rest, outside the timed task. The matrix
+  /// path converts every row into one chunk first (ChunkedRows::Single).
+  static Result<ColumnarBatch> LocalSkyline(
+      std::vector<Row>* rows, SkylineKernel kernel,
+      const std::vector<BoundDimension>& dims, const SkylineOptions& options,
+      double* keying_ms);
+
   /// A derived view over the same matrix/rows (e.g. the survivors of a
-  /// kernel run). `skyline_part` asserts the whole view is one skyline part
-  /// (see skyline_parts()).
+  /// kernel run), sharing this batch's matrix, backing and reservation.
+  /// `skyline_part` asserts the whole view is one skyline part (see
+  /// skyline_parts()). Copies neither this batch's view nor its parts; on
+  /// an expiring batch it moves the backing instead of copying its ids.
   ColumnarBatch WithSelection(std::vector<uint32_t> indices,
-                              bool skyline_part = false) const;
+                              bool skyline_part = false) const&;
+  ColumnarBatch WithSelection(std::vector<uint32_t> indices,
+                              bool skyline_part = false) &&;
 
   const DominanceMatrix& matrix() const { return *matrix_; }
   const std::vector<uint32_t>& indices() const { return indices_; }
@@ -544,6 +596,22 @@ class ColumnarBatch {
   static Result<ColumnarBatch> ProjectView(
       RowView rows, bool borrowed, const std::vector<BoundDimension>& dims,
       MemoryTracker* memory);
+
+  /// The matrix path of LocalSkyline: Build, the kernel, and a view of the
+  /// survivors over the whole matrix.
+  static Result<ColumnarBatch> MatrixSkyline(
+      RowView rows, bool borrowed, SkylineKernel kernel,
+      const std::vector<BoundDimension>& dims, const SkylineOptions& options,
+      double* keying_ms);
+
+  /// The compact batch of a streamed window: `backing` holds the survivors
+  /// in output order, `keys` and `nulls` (empty when the partition held no
+  /// NULL) their keys and bitmaps in the same order.
+  static ColumnarBatch FromWindow(RowView backing, bool borrowed,
+                                  const std::vector<BoundDimension>& dims,
+                                  std::vector<double> keys,
+                                  std::vector<uint32_t> nulls, bool numeric,
+                                  MemoryTracker* memory);
 
   std::shared_ptr<const DominanceMatrix> matrix_;
   RowView rows_;  ///< backing rows; matrix row i is rows_ row i

@@ -81,12 +81,15 @@ class RowChunk {
     /// Boxed values, one a row.
     std::vector<Value> values;
 
+    /// True when an unboxed column's row `slot` is NULL.
+    bool IsNull(size_t slot) const {
+      const size_t w = slot >> 6;
+      return w < nulls.size() && ((nulls[w] >> (slot & 63)) & 1u) != 0;
+    }
+
     Value Get(size_t slot) const {
       if (boxed) return values[slot];
-      const size_t w = slot >> 6;
-      if (w < nulls.size() && ((nulls[w] >> (slot & 63)) & 1u) != 0) {
-        return Value::Null(type);
-      }
+      if (IsNull(slot)) return Value::Null(type);
       const uint64_t word = words[slot];
       switch (type.id()) {
         case TypeId::kBool:
@@ -167,6 +170,10 @@ class ChunkedRows {
   RowRef operator[](size_t id) const {
     return (*chunks_[id >> shift_])[id & mask_];
   }
+  /// The chunk holding row `id`, and the row's slot in it: what a reader
+  /// of the typed column arrays needs.
+  const Chunk& chunk_of(size_t id) const { return *chunks_[id >> shift_]; }
+  size_t slot_of(size_t id) const { return id & mask_; }
   RowRef front() const { return (*this)[0]; }
 
   /// Walks the rows in id order without copying them.

@@ -3,13 +3,17 @@
 // type (huge BIGINTs, NaN, VARCHAR goals), the index-based kernels'
 // equivalence with the brute-force oracle, and the limit that keeps them
 // safe (>32 dimensions).
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <optional>
+#include <type_traits>
 
 #include <gtest/gtest.h>
 
+#include "catalog/table.h"
 #include "common/cancellation.h"
 #include "common/rng.h"
 #include "common/string_util.h"
@@ -934,6 +938,41 @@ TEST(ColumnarBatchTest, ConcatKeepsSkylinePartBoundaries) {
   EXPECT_TRUE(gather(true, true).first.skyline_parts().empty());
 }
 
+// WithSelection builds its result from the parent's shared parts only: the
+// result reads the parent's matrix and backing under the parent's one
+// reservation, with the skyline parts it asks for — on a live batch and on
+// an expiring one alike.
+TEST(ColumnarBatchTest, WithSelectionSharesMatrixAndReservation) {
+  MemoryTracker tracker;
+  const std::vector<Row> rows = RandomRows(50, 3, /*null_rate=*/0.0, 6, 23);
+  std::optional<ColumnarBatch> moved;
+  int64_t charged = 0;
+  {
+    auto batch = ColumnarBatch::Project(rows, MinDims(3), &tracker);
+    ASSERT_TRUE(batch.ok());
+    charged = tracker.current_bytes();
+    ColumnarBatch part =
+        batch->WithSelection({4, 1, 7}, /*skyline_part=*/true);
+    EXPECT_EQ(&part.matrix(), &batch->matrix());
+    EXPECT_EQ(part.backing().ids, batch->backing().ids);
+    EXPECT_EQ(part.indices(), (std::vector<uint32_t>{4, 1, 7}));
+    EXPECT_EQ(part.skyline_parts(), (std::vector<uint32_t>{0, 3}));
+    EXPECT_EQ(batch->num_rows(), 50u) << "the parent keeps its view";
+    EXPECT_EQ(tracker.current_bytes(), charged);
+
+    moved = std::move(part).WithSelection({7});
+    EXPECT_EQ(&moved->matrix(), &batch->matrix());
+    EXPECT_EQ(moved->indices(), (std::vector<uint32_t>{7}));
+    EXPECT_TRUE(moved->skyline_parts().empty());
+    EXPECT_EQ(RowToString(moved->Decode()[0]), RowToString(rows[7]));
+    EXPECT_EQ(tracker.current_bytes(), charged);
+  }
+  EXPECT_EQ(tracker.current_bytes(), charged)
+      << "the result keeps the parent's reservation";
+  moved.reset();
+  EXPECT_EQ(tracker.current_bytes(), 0);
+}
+
 TEST(ColumnarBatchTest, MatrixMemoryChargedForBatchLifetime) {
   MemoryTracker tracker;
   const std::vector<Row> rows = RandomRows(200, 4, /*null_rate=*/0.1, 6, 17);
@@ -1200,6 +1239,353 @@ TEST(ValidateAgainstPeersTest, CountsTestsAndSkipsHigherScores) {
   EXPECT_GT(counter.tests.load(), 0);
   EXPECT_LT(counter.tests.load(),
             static_cast<int64_t>(local[0].size() * local[1].size()));
+}
+
+// --- the streamed local skyline ----------------------------------------------
+
+constexpr int64_t kTwo53 = int64_t{1} << 53;
+
+/// (id BIGINT, a DOUBLE, b BIGINT, c BOOLEAN, e DOUBLE, s VARCHAR) over
+/// `n` rows, several chunks when n > kChunkRows. The value columns draw
+/// from a few dozen values, so rows tie and repeat; `a` holds both zeros,
+/// `b` a few ±2^53, and `s` is NULL throughout. With `null_rate` > 0 the
+/// value columns are nullable and that share of their values is NULL.
+TablePtr MixedTable(size_t n, double null_rate, uint64_t seed) {
+  const bool nullable = null_rate > 0;
+  Schema schema({Field{"id", DataType::Int64(), false},
+                 Field{"a", DataType::Double(), nullable},
+                 Field{"b", DataType::Int64(), nullable},
+                 Field{"c", DataType::Bool(), nullable},
+                 Field{"e", DataType::Double(), nullable},
+                 Field{"s", DataType::String(), true}});
+  auto table = std::make_shared<Table>("mixed", std::move(schema));
+  table->Reserve(n);
+  Rng rng(seed);
+  auto maybe_null = [&](Value v) {
+    return nullable && rng.Bernoulli(null_rate) ? Value::Null(v.type()) : v;
+  };
+  for (size_t i = 0; i < n; ++i) {
+    const int64_t a = rng.UniformInt(0, 30);
+    const int64_t b = rng.Bernoulli(0.01) ? (rng.Bernoulli(0.5) ? kTwo53 : -kTwo53)
+                                          : rng.UniformInt(0, 30);
+    table->AppendRowUnchecked(
+        {Value::Int64(static_cast<int64_t>(i)),
+         maybe_null(Value::Double(a == 0 && i % 2 == 0
+                                      ? -0.0
+                                      : static_cast<double>(a))),
+         maybe_null(Value::Int64(b)), maybe_null(Value::Bool(rng.Bernoulli(0.5))),
+         maybe_null(Value::Double(static_cast<double>(rng.UniformInt(0, 30)) / 4)),
+         Value::Null(DataType::String())});
+  }
+  return table;
+}
+
+std::vector<uint32_t> Iota(size_t n) {
+  std::vector<uint32_t> ids(n);
+  for (uint32_t i = 0; i < n; ++i) ids[i] = i;
+  return ids;
+}
+
+RowView ViewOf(const TablePtr& table, std::vector<uint32_t> ids,
+               std::vector<size_t> columns) {
+  return RowView{std::shared_ptr<const ChunkedRows>(table, &table->rows()),
+                 std::move(ids), std::move(columns)};
+}
+
+/// What a local skyline hands the exchange, read through its view: each
+/// survivor's row, keys and null bitmap, in output order, and the tests it
+/// counted.
+struct LocalOutput {
+  std::vector<std::string> rows;
+  std::vector<double> keys;
+  std::vector<uint32_t> nulls;
+  bool has_nulls = false;
+  bool numeric = false;
+  int64_t tests = 0;
+};
+
+LocalOutput Output(const ColumnarBatch& batch, int64_t tests) {
+  LocalOutput out;
+  const DominanceMatrix& m = batch.matrix();
+  for (const Row& row : batch.Decode()) out.rows.push_back(RowToString(row));
+  for (const uint32_t r : batch.indices()) {
+    out.keys.insert(out.keys.end(), m.row_keys(r), m.row_keys(r) + m.num_dims());
+    out.nulls.push_back(m.null_bitmap(r));
+  }
+  out.has_nulls = m.has_nulls();
+  out.numeric = m.all_numeric_minmax();
+  out.tests = tests;
+  return out;
+}
+
+/// The matrix path the local stage ran before it streamed: Build over the
+/// view, BNL (one pass per bitmap group under incomplete semantics), the
+/// survivors in SFS order (per group, groups in ascending bitmap order).
+LocalOutput MatrixLocal(const RowView& view,
+                        const std::vector<BoundDimension>& dims,
+                        SkylineOptions options) {
+  DominanceCounter counter;
+  options.counter = &counter;
+  auto batch = ColumnarBatch::Project(view, dims);
+  SL_CHECK(batch.ok()) << batch.status().ToString();
+  auto survivors = RunColumnarKernel(SkylineKernel::kBlockNestedLoop,
+                                     batch->matrix(), batch->indices(), options);
+  SL_CHECK(survivors.ok()) << survivors.status().ToString();
+  std::vector<uint32_t> ordered;
+  if (options.nulls == NullSemantics::kComplete) {
+    ordered = *survivors;
+    SortInSfsOrder(batch->matrix(), &ordered);
+  } else {
+    for (std::vector<uint32_t>& group :
+         PartitionIndicesByNullBitmap(batch->matrix(), *survivors)) {
+      SortInSfsOrder(batch->matrix(), &group);
+      ordered.insert(ordered.end(), group.begin(), group.end());
+    }
+  }
+  return Output(batch->WithSelection(ordered), counter.tests.load());
+}
+
+/// The streamed local skyline of `rows` (a RowView or owned Rows), checked
+/// to be one skyline part.
+template <typename Input>
+LocalOutput Streamed(Input rows, const std::vector<BoundDimension>& dims,
+                     SkylineOptions options, bool* compact = nullptr) {
+  DominanceCounter counter;
+  options.counter = &counter;
+  double keying_ms = 0;
+  auto batch = [&] {
+    if constexpr (std::is_same_v<Input, RowView>) {
+      return ColumnarBatch::LocalSkyline(std::move(rows),
+                                         SkylineKernel::kBlockNestedLoop, dims,
+                                         options, &keying_ms);
+    } else {
+      return ColumnarBatch::LocalSkyline(&rows, SkylineKernel::kBlockNestedLoop,
+                                         dims, options, &keying_ms);
+    }
+  }();
+  SL_CHECK(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(batch->skyline_parts(),
+            (std::vector<uint32_t>{0, static_cast<uint32_t>(batch->num_rows())}));
+  if (compact != nullptr) {
+    *compact = batch->matrix().num_rows() == batch->num_rows() &&
+               batch->matrix().ranked_mask() == 0;
+  }
+  return Output(*batch, counter.tests.load());
+}
+
+void ExpectSameLocal(const LocalOutput& got, const LocalOutput& want) {
+  EXPECT_EQ(got.rows, want.rows);
+  ASSERT_EQ(got.keys.size(), want.keys.size());
+  for (size_t i = 0; i < got.keys.size(); ++i) {
+    EXPECT_EQ(std::signbit(got.keys[i]), std::signbit(want.keys[i])) << i;
+    EXPECT_EQ(got.keys[i], want.keys[i]) << i;
+  }
+  EXPECT_EQ(got.nulls, want.nulls);
+  EXPECT_EQ(got.has_nulls, want.has_nulls);
+  EXPECT_EQ(got.numeric, want.numeric);
+  EXPECT_EQ(got.tests, want.tests);
+}
+
+// Build's keying over typed chunk words agrees bit for bit with keying the
+// same rows' Values: keys (−0.0 included), null bitmaps, the numeric flag
+// and which dimensions rank — through a column map and a sparse id list.
+TEST(StreamedLocalSkyline, TypedKeyingMatchesValueKeying) {
+  TablePtr table = MixedTable(3 * kChunkRows + 7, 0.1, 5);
+  table->AppendRowUnchecked({Value::Int64(-1), Value::Double(std::nan("")),
+                             Value::Int64(kTwo53 + 1), Value::Bool(true),
+                             Value::Double(1), Value::String("x")});
+  std::vector<uint32_t> ids;
+  for (uint32_t i = 0; i < table->num_rows(); ++i) {
+    if (i % 3 != 1 || i + 1 == table->num_rows()) ids.push_back(i);
+  }
+  const RowView view = ViewOf(table, ids, {5, 4, 3, 2, 1, 0});
+  const std::vector<BoundDimension> dims{{4, SkylineGoal::kMax},
+                                         {3, SkylineGoal::kMin},
+                                         {2, SkylineGoal::kMax},
+                                         {1, SkylineGoal::kDiff},
+                                         {0, SkylineGoal::kMin}};
+  for (size_t width = 1; width <= dims.size(); ++width) {
+    const std::vector<BoundDimension> prefix(dims.begin(), dims.begin() + width);
+    auto typed = DominanceMatrix::Build(view, prefix);
+    auto values = DominanceMatrix::Build(view.Materialize(), prefix);
+    ASSERT_TRUE(typed.ok() && values.ok());
+    ASSERT_EQ(typed->num_rows(), values->num_rows());
+    EXPECT_EQ(typed->ranked_mask(), values->ranked_mask());
+    EXPECT_EQ(typed->all_numeric_minmax(), values->all_numeric_minmax());
+    EXPECT_EQ(typed->has_nulls(), values->has_nulls());
+    for (uint32_t r = 0; r < typed->num_rows(); ++r) {
+      EXPECT_EQ(typed->null_bitmap(r), values->null_bitmap(r)) << r;
+      EXPECT_EQ(0, std::memcmp(typed->row_keys(r), values->row_keys(r),
+                               width * sizeof(double)))
+          << "row " << r << " of width " << width;
+    }
+  }
+}
+
+// The stream meets the same window in the same order as BNL over the whole
+// matrix: same survivors, keys, bitmaps and tests, at and around the block
+// and chunk boundaries, through a WHERE's id list and a column map, with
+// DISTINCT, DIFF and BOOLEAN dimensions, and NULLs under both semantics.
+TEST(StreamedLocalSkyline, MatchesMatrixBnlAcrossBlockBoundaries) {
+  const std::vector<BoundDimension> minmax{{1, SkylineGoal::kMin},
+                                           {2, SkylineGoal::kMax},
+                                           {3, SkylineGoal::kMin},
+                                           {4, SkylineGoal::kMin}};
+  const std::vector<BoundDimension> diff{{1, SkylineGoal::kMax},
+                                         {3, SkylineGoal::kDiff},
+                                         {4, SkylineGoal::kMin}};
+  const size_t chunked = 3 * kChunkRows;
+  for (const size_t n : {size_t{1}, kKeyBlockRows - 1, kKeyBlockRows,
+                         kKeyBlockRows + 1, chunked - 1, chunked, chunked + 1}) {
+    for (const double null_rate : {0.0, 0.1}) {
+      TablePtr table = MixedTable(n, null_rate, n + 3);
+      std::vector<uint32_t> filtered;
+      for (uint32_t i = 0; i < n; ++i) {
+        if (i % 3 != 1) filtered.push_back(i);
+      }
+      // The filtered view reads (id, e, c, b, a) as (e, a, b, c, ...): view
+      // column v is source column map[v].
+      const std::vector<std::pair<RowView, std::vector<size_t>>> views = {
+          {ViewOf(table, Iota(n), {}), {0, 1, 2, 3, 4}},
+          {ViewOf(table, filtered, {4, 1, 2, 3, 0}), {4, 1, 2, 3, 0}}};
+      for (const auto& [view, to_view] : views) {
+        for (const auto* dims_in_table : {&minmax, &diff}) {
+          std::vector<BoundDimension> dims = *dims_in_table;
+          for (BoundDimension& dim : dims) {
+            // The view column that reads table column dim.ordinal.
+            dim.ordinal = static_cast<size_t>(
+                std::find(to_view.begin(), to_view.end(), dim.ordinal) -
+                to_view.begin());
+          }
+          for (const bool distinct : {false, true}) {
+            for (const NullSemantics nulls :
+                 {NullSemantics::kComplete, NullSemantics::kIncomplete}) {
+              if (null_rate == 0 && nulls == NullSemantics::kIncomplete) {
+                continue;
+              }
+              SCOPED_TRACE(StrCat("n=", n, " nulls=", null_rate, " view=",
+                                  view.size(), " dims=", dims.size(),
+                                  " distinct=", distinct, " incomplete=",
+                                  nulls == NullSemantics::kIncomplete));
+              SkylineOptions options;
+              options.distinct = distinct;
+              options.nulls = nulls;
+              const LocalOutput want = MatrixLocal(view, dims, options);
+              bool compact = false;
+              ExpectSameLocal(Streamed(view, dims, options, &compact), want);
+              EXPECT_TRUE(compact) << "a direct stream keeps only its window";
+              ExpectSameLocal(Streamed(view.Materialize(), dims, options),
+                              want);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// A value with no exact double image in the last block voids the stream:
+// the partition's answer and test count are the matrix path's, counted
+// once, for borrowed and owned rows alike.
+TEST(StreamedLocalSkyline, RankedValueInLastBlockFallsBackCountedOnce) {
+  struct Case {
+    const char* name;
+    size_t column;
+    Value value;
+  };
+  const std::vector<Case> cases = {
+      {"NaN", 1, Value::Double(std::nan(""))},
+      {"+inf", 4, Value::Double(std::numeric_limits<double>::infinity())},
+      {"2^53 + 1", 2, Value::Int64(kTwo53 + 1)},
+      {"VARCHAR", 5, Value::String("last")}};
+  const size_t n = 3 * kKeyBlockRows - 40;
+  for (const Case& c : cases) {
+    for (const NullSemantics nulls :
+         {NullSemantics::kComplete, NullSemantics::kIncomplete}) {
+      SCOPED_TRACE(StrCat(c.name, nulls == NullSemantics::kComplete
+                                      ? " complete"
+                                      : " incomplete"));
+      TablePtr table = MixedTable(n, 0.05, 77);
+      Row last = table->rows()[n - 1];
+      last[c.column] = c.value;
+      table->AppendRowUnchecked(last);
+      const RowView view = ViewOf(table, Iota(n + 1), {});
+      const std::vector<BoundDimension> dims{{1, SkylineGoal::kMin},
+                                             {2, SkylineGoal::kMin},
+                                             {4, SkylineGoal::kMax},
+                                             {5, SkylineGoal::kMin}};
+      SkylineOptions options;
+      options.nulls = nulls;
+      const LocalOutput want = MatrixLocal(view, dims, options);
+      ASSERT_GT(want.tests, 0);
+      bool compact = true;
+      ExpectSameLocal(Streamed(view, dims, options, &compact), want);
+      EXPECT_FALSE(compact) << "the fallback keeps the whole matrix";
+      ExpectSameLocal(Streamed(view.Materialize(), dims, options), want);
+    }
+  }
+}
+
+// A deadline and a cancelled token stop a streamed local stage from inside
+// its window scan.
+TEST(StreamedLocalSkyline, DeadlineAndCancelStopTheStream) {
+  const std::vector<Row> rows = AntiCorrelatedRows(3000, 4, 3);
+  auto source = ChunkedRows::Single(rows);
+  for (const bool cancel : {false, true}) {
+    CancellationToken token;
+    SkylineOptions options;
+    if (cancel) {
+      token.Cancel();
+      options.cancel = &token;
+    } else {
+      options.deadline_nanos = 1;
+    }
+    double keying_ms = 0;
+    auto batch = ColumnarBatch::LocalSkyline(
+        RowView::All(source), SkylineKernel::kBlockNestedLoop, MinDims(4),
+        options, &keying_ms);
+    ASSERT_FALSE(batch.ok());
+    EXPECT_EQ(batch.status().code(),
+              cancel ? StatusCode::kCancelled : StatusCode::kTimeout);
+  }
+}
+
+// The stream charges its key block and window as they grow: a limit below
+// the window stops it with ResourceExhausted, and every charge returns.
+TEST(StreamedLocalSkyline, WindowChargesTheTrackerAndHonorsTheLimit) {
+  const std::vector<Row> rows = AntiCorrelatedRows(20000, 4, 9);
+  auto source = ChunkedRows::Single(rows);
+  MemoryTracker tracker;
+  SkylineOptions options;
+  options.memory = &tracker;
+  double keying_ms = 0;
+  int64_t window_bytes = 0;
+  {
+    auto batch = ColumnarBatch::LocalSkyline(
+        RowView::All(source), SkylineKernel::kBlockNestedLoop, MinDims(4),
+        options, &keying_ms);
+    ASSERT_TRUE(batch.ok());
+    window_bytes = static_cast<int64_t>(batch->num_rows() * 4 * sizeof(double));
+    EXPECT_GT(keying_ms, 0.0);
+    EXPECT_GE(tracker.peak_bytes(),
+              window_bytes + static_cast<int64_t>(kKeyBlockRows * 4 *
+                                                  sizeof(double)));
+    EXPECT_EQ(tracker.current_bytes(), batch->matrix().MemoryBytes())
+        << "only the compact matrix stays charged";
+  }
+  EXPECT_EQ(tracker.current_bytes(), 0);
+
+  // A limit one byte below the peak refuses the window's last growth.
+  const int64_t peak = tracker.peak_bytes();
+  tracker.Reset();
+  tracker.set_limit_bytes(peak - 1);
+  auto limited = ColumnarBatch::LocalSkyline(
+      RowView::All(source), SkylineKernel::kBlockNestedLoop, MinDims(4),
+      options, &keying_ms);
+  ASSERT_FALSE(limited.ok());
+  EXPECT_EQ(limited.status().code(), StatusCode::kResourceExhausted)
+      << limited.status().ToString();
+  EXPECT_EQ(tracker.current_bytes(), 0);
 }
 
 // --- deadline coverage: every kernel must return Timeout ---------------------

@@ -255,6 +255,46 @@ TEST_F(FaultInjectionTest, MemoryLimitFailsCleanlyAndDrains) {
   EXPECT_GT(ok_result.num_rows(), 0u);
 }
 
+// The streamed local stage charges its window as it grows: a budget that
+// admits the scan and the key block but not an anti-correlated window stops
+// the query inside the local stage with a clean ResourceExhausted, and
+// every charge returns.
+TEST_F(FaultInjectionTest, MemoryLimitStopsAGrowingWindow) {
+  constexpr size_t kRows = 20000;
+  Session session;
+  ASSERT_OK(session.catalog()->RegisterTable(datagen::GeneratePoints(
+      "anti", kRows, 4, datagen::PointDistribution::kAntiCorrelated, 3)));
+  ASSERT_OK(session.SetConf("sparkline.executors", "1"));
+  ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "distributed"));
+  // The scan's id list takes 4 B a row; the key block stays under 64 KB,
+  // and a window of several thousand anti-correlated rows needs more.
+  ASSERT_OK(session.SetConf("sparkline.exec.memory_limit_bytes",
+                            std::to_string(kRows * 4 + 100000)));
+  ASSERT_OK_AND_ASSIGN(
+      DataFrame df,
+      session.Sql("SELECT * FROM anti SKYLINE OF d0 MIN, d1 MIN, d2 MIN, "
+                  "d3 MIN"));
+  ASSERT_OK_AND_ASSIGN(LogicalPlanPtr optimized, session.Optimize(df.plan()));
+  ASSERT_OK_AND_ASSIGN(PhysicalPlanPtr physical,
+                       session.PlanPhysical(optimized));
+  ExecContext ctx(session.config().cluster);
+  {
+    Result<PartitionedRelation> rel = physical->Execute(&ctx);
+    ASSERT_FALSE(rel.ok());
+    EXPECT_EQ(rel.status().code(), StatusCode::kResourceExhausted)
+        << rel.status().ToString();
+    EXPECT_NE(rel.status().message().find("local skyline window"),
+              std::string::npos)
+        << rel.status().ToString();
+  }
+  EXPECT_EQ(ctx.memory()->current_bytes(), 0);
+  EXPECT_GT(ctx.memory()->peak_bytes(), static_cast<int64_t>(kRows * 4));
+
+  ASSERT_OK(session.SetConf("sparkline.exec.memory_limit_bytes", "0"));
+  ASSERT_OK_AND_ASSIGN(QueryResult ok_result, df.Collect());
+  EXPECT_GT(ok_result.num_rows(), 1000u);
+}
+
 // Serving-tier degradation: a failing (or throwing) result-cache insert must
 // not fail the query — it degrades to uncached serving.
 TEST_F(FaultInjectionTest, CacheInsertFaultDegradesToUncachedServing) {

@@ -936,6 +936,27 @@ TEST(ColumnarExchange, CompletePlanBuildsEachPartitionOnce) {
   EXPECT_EQ(rows.matrix_builds.count("GlobalSkyline [complete] [project]"), 1u);
 }
 
+// The streamed local stage holds its window, not its partition: a 100k-row
+// correlated 4-d skyline at 4 executors tracks less than the 3.2 MB that
+// one whole-input projection takes (100k rows x 4 keys x 8 B) — what the
+// per-partition matrices used to add up to.
+TEST(ColumnarExchange, StreamedLocalStageTracksLessThanItsInput) {
+  constexpr size_t kRows = 100000;
+  Session session;
+  ASSERT_OK(session.catalog()->RegisterTable(datagen::GeneratePoints(
+      "pts", kRows, 4, datagen::PointDistribution::kCorrelated, 8)));
+  ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "distributed"));
+  const QueryMetrics m = RunWith(
+      &session, "SELECT * FROM pts SKYLINE OF d0 MIN, d1 MIN, d2 MIN, d3 MIN",
+      "4");
+  const int64_t tracked =
+      m.peak_memory_bytes - 4 * session.config().cluster.executor_overhead_bytes;
+  EXPECT_GT(tracked, 0);
+  EXPECT_LT(tracked, static_cast<int64_t>(kRows * 4 * sizeof(double)));
+  EXPECT_EQ(BuildsMatching(m, "LocalSkyline"), 4);
+  EXPECT_GT(m.projection_ms, 0.0);
+}
+
 // Same invariant for the incomplete pipeline: the round-based global stage
 // (candidates/validate/finalize) runs entirely on the matrix shipped by the
 // exchange.
