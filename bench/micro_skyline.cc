@@ -72,16 +72,15 @@ void BM_DominanceTestIncomplete(benchmark::State& state) {
 }
 BENCHMARK(BM_DominanceTestIncomplete)->Arg(2)->Arg(6);
 
-// --- scalar vs. explicit-AVX2 compare ablation (ROADMAP: SIMD-accelerate
-// CompareKeySpansComplete). A rotating buffer of key pairs defeats the
-// branch predictor memorizing one outcome.
-std::vector<double> MakeKeyBuffer(size_t pairs, size_t dims) {
-  auto rows = MakeRows(2 * pairs, dims, PointDistribution::kAntiCorrelated);
-  auto bound = MinDims(dims);
-  auto matrix = skyline::DominanceMatrix::Build(rows, bound);
+// --- the per-pair reference compare and the block primitive. A rotating
+// buffer of keys defeats the branch predictor memorizing one outcome.
+std::vector<double> MakeKeyBuffer(size_t rows, size_t dims,
+                                  PointDistribution dist) {
+  auto matrix = skyline::DominanceMatrix::Build(MakeRows(rows, dims, dist),
+                                                MinDims(dims));
   std::vector<double> keys;
-  keys.reserve(2 * pairs * dims);
-  for (uint32_t r = 0; r < 2 * pairs; ++r) {
+  keys.reserve(rows * dims);
+  for (uint32_t r = 0; r < rows; ++r) {
     const double* k = matrix->row_keys(r);
     keys.insert(keys.end(), k, k + dims);
   }
@@ -91,7 +90,8 @@ std::vector<double> MakeKeyBuffer(size_t pairs, size_t dims) {
 void BM_CompareKeySpansScalar(benchmark::State& state) {
   const size_t dims = static_cast<size_t>(state.range(0));
   constexpr size_t kPairs = 256;
-  const std::vector<double> keys = MakeKeyBuffer(kPairs, dims);
+  const std::vector<double> keys =
+      MakeKeyBuffer(2 * kPairs, dims, PointDistribution::kAntiCorrelated);
   size_t p = 0;
   for (auto _ : state) {
     const double* left = keys.data() + (2 * p) * dims;
@@ -102,46 +102,51 @@ void BM_CompareKeySpansScalar(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_CompareKeySpansScalar)->Arg(4)->Arg(6)->Arg(8)->Arg(16);
+BENCHMARK(BM_CompareKeySpansScalar)->Arg(2)->Arg(4)->Arg(6)->Arg(8)->Arg(16);
+
+/// One block-primitive call per iteration, a row against a block of four
+/// (items = dominance tests, four per call). Args: dimensions, and the
+/// distribution (0 correlated, where most pairs are decided at once, 2
+/// anti-correlated, where most are incomparable).
+template <typename Compare>
+void RunCompareKeyLanes(benchmark::State& state, const Compare& compare) {
+  const size_t dims = static_cast<size_t>(state.range(0));
+  constexpr size_t kBlocks = 256;
+  const std::vector<double> keys = MakeKeyBuffer(
+      kBlocks * (skyline::kBlockLanes + 1), dims, DistFromArg(state.range(1)));
+  skyline::BlockedKeys blocks(dims);
+  for (size_t r = 0; r < kBlocks * skyline::kBlockLanes; ++r) {
+    blocks.Append(keys.data() + r * dims);
+  }
+  const double* rows = keys.data() + kBlocks * skyline::kBlockLanes * dims;
+  size_t b = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(compare(rows + b * dims, blocks.block(b), dims));
+    b = (b + 1) % kBlocks;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(skyline::kBlockLanes));
+}
+
+void BM_CompareKeyLanesScalar(benchmark::State& state) {
+  RunCompareKeyLanes(state, [](const double* x, const double* block, size_t d) {
+    return skyline::CompareKeyLanesScalar(x, block, d, 0, false);
+  });
+}
+BENCHMARK(BM_CompareKeyLanesScalar)->ArgsProduct({{2, 4, 6}, {0, 2}});
 
 #if SPARKLINE_HAVE_AVX2_COMPARE
-void BM_CompareKeySpansAvx2(benchmark::State& state) {
+void BM_CompareKeyLanesAvx2(benchmark::State& state) {
   if (!skyline::simd::Avx2Available()) {
     state.SkipWithError("CPU lacks AVX2");
     return;
   }
-  const size_t dims = static_cast<size_t>(state.range(0));
-  constexpr size_t kPairs = 256;
-  const std::vector<double> keys = MakeKeyBuffer(kPairs, dims);
-  size_t p = 0;
-  for (auto _ : state) {
-    const double* left = keys.data() + (2 * p) * dims;
-    const double* right = keys.data() + (2 * p + 1) * dims;
-    benchmark::DoNotOptimize(
-        skyline::simd::CompareKeySpansCompleteAvx2(left, right, dims));
-    p = (p + 1) % kPairs;
-  }
-  state.SetItemsProcessed(state.iterations());
+  RunCompareKeyLanes(state, [](const double* x, const double* block, size_t d) {
+    return skyline::simd::CompareKeyLanesAvx2(x, block, d, 0, false);
+  });
 }
-BENCHMARK(BM_CompareKeySpansAvx2)->Arg(4)->Arg(6)->Arg(8)->Arg(16);
+BENCHMARK(BM_CompareKeyLanesAvx2)->ArgsProduct({{2, 4, 6}, {0, 2}});
 #endif
-
-void BM_CompareKeySpansDispatch(benchmark::State& state) {
-  // The production entry point: runtime dispatch included.
-  const size_t dims = static_cast<size_t>(state.range(0));
-  constexpr size_t kPairs = 256;
-  const std::vector<double> keys = MakeKeyBuffer(kPairs, dims);
-  size_t p = 0;
-  for (auto _ : state) {
-    const double* left = keys.data() + (2 * p) * dims;
-    const double* right = keys.data() + (2 * p + 1) * dims;
-    benchmark::DoNotOptimize(
-        skyline::CompareKeySpansComplete(left, right, dims));
-    p = (p + 1) % kPairs;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CompareKeySpansDispatch)->Arg(4)->Arg(6)->Arg(8)->Arg(16);
 
 void BM_ColumnarDominanceTest(benchmark::State& state) {
   const size_t dims = static_cast<size_t>(state.range(0));
@@ -214,6 +219,26 @@ BENCHMARK(BM_ColumnarBlockNestedLoop)
     ->Args({2000, 2})
     ->Args({10000, 0})
     ->Args({10000, 1});
+
+/// BNL through the block primitive, reported per dominance test
+/// (dom_tests/s). On correlated keys (distribution 0) nearly every newcomer
+/// dies at window row 0, so the cost is per newcomer: the small-window case
+/// the block loop must not make slower.
+void BM_BlockKernelBnl(benchmark::State& state) {
+  const size_t dims = static_cast<size_t>(state.range(0));
+  auto matrix = skyline::DominanceMatrix::Build(
+      MakeRows(5000, dims, DistFromArg(state.range(1))), MinDims(dims));
+  const std::vector<uint32_t> all = skyline::AllIndices(*matrix);
+  skyline::DominanceCounter counter;
+  skyline::SkylineOptions opts;
+  opts.counter = &counter;
+  for (auto _ : state) {
+    auto result = skyline::ColumnarBlockNestedLoop(*matrix, all, opts);
+    benchmark::DoNotOptimize(result);
+  }
+  SetThroughput(state, counter, 5000);
+}
+BENCHMARK(BM_BlockKernelBnl)->ArgsProduct({{2, 4, 6}, {0, 2}});
 
 /// All-pairs incomplete skyline over a prebuilt matrix.
 std::vector<Row> AllPairs(const std::vector<Row>& rows,

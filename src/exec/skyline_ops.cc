@@ -250,8 +250,8 @@ Result<PartitionedRelation> GlobalSkylineExec::Execute(ExecContext* ctx) const {
     }));
   } else {
     // Skyline parts laid out as contiguous matrix runs (a gather of local
-    // skylines) are already candidates, and [merge] reads their keys in
-    // place. Anything else is chunked and reduced to candidates first.
+    // skylines) are already candidates, and [merge] reads their keys packed
+    // into blocks. Anything else is chunked and reduced to candidates first.
     std::vector<uint32_t> bounds = skyline_parts;
     const bool parts = !bounds.empty() && ContiguousRuns(view, bounds);
     if (!parts) {
@@ -263,27 +263,30 @@ Result<PartitionedRelation> GlobalSkylineExec::Execute(ExecContext* ctx) const {
                                    view.begin() + bounds[i + 1]);
     };
     std::vector<std::vector<uint32_t>> candidates(chunks);
-    std::vector<std::vector<double>> packed(chunks);
-    std::vector<skyline::PeerKeys> peers(chunks);
+    // Each peer's rows in SFS order, and their keys packed into blocks.
+    std::vector<std::vector<uint32_t>> by_score(chunks);
+    std::vector<skyline::BlockedKeys> packed(chunks);
     std::function<Status(size_t)> partial;
+    std::optional<ScopedReservation> packed_charge;
     if (parts) {
+      // Every part's keys are packed once, before [merge]'s tasks start,
+      // which read them shared.
+      int64_t bytes = 0;
       for (size_t i = 0; i < chunks; ++i) {
-        if (bounds[i] == bounds[i + 1]) continue;
-        peers[i].keys = matrix.row_keys(view[bounds[i]]);
-        peers[i].size = bounds[i + 1] - bounds[i];
+        candidates[i] = chunk(i);
+        packed[i] = skyline::PackKeys(matrix, candidates[i]);
+        bytes += packed[i].MemoryBytes();
       }
+      packed_charge.emplace(ctx->memory(), bytes);
     } else {
       partial = [&](size_t i) -> Status {
         SL_ASSIGN_OR_RETURN(
             candidates[i],
             skyline::RunColumnarKernel(kernel_, matrix, chunk(i), options));
-        // Peers read the candidates in SFS order, packed densely; the list
-        // itself keeps the kernel's order for the output.
-        std::vector<uint32_t> by_score = candidates[i];
-        skyline::SortInSfsOrder(matrix, &by_score);
-        packed[i] = skyline::PackKeys(matrix, by_score);
-        peers[i].keys = packed[i].data();
-        peers[i].size = by_score.size();
+        // The list itself keeps the kernel's order for the output.
+        by_score[i] = candidates[i];
+        skyline::SortInSfsOrder(matrix, &by_score[i]);
+        packed[i] = skyline::PackKeys(matrix, by_score[i]);
         return Status::OK();
       };
     }
@@ -294,11 +297,10 @@ Result<PartitionedRelation> GlobalSkylineExec::Execute(ExecContext* ctx) const {
             [&](size_t i) -> Result<std::vector<uint32_t>> {
               std::vector<skyline::PeerKeys> others;
               for (size_t j = 0; j < chunks; ++j) {
-                if (j == i || peers[j].size == 0) continue;
-                others.push_back(peers[j]);
-                others.back().earlier = j < i;
+                if (j == i || packed[j].size() == 0) continue;
+                others.push_back(
+                    {parts ? &candidates[j] : &by_score[j], &packed[j], j < i});
               }
-              if (parts) candidates[i] = chunk(i);
               return skyline::ColumnarValidateAgainstPeers(
                   matrix, candidates[i], others, options);
             }));
@@ -317,20 +319,27 @@ Result<std::vector<uint32_t>> GlobalSkylineIncompleteExec::ReduceBitmapGroups(
   const std::vector<uint32_t>& view = batch.indices();
   const std::vector<uint32_t>& bounds = batch.skyline_parts();
   const size_t parts = bounds.size() - 1;
-  // Every part's bitmap groups: contiguous runs of matrix rows in SFS
-  // order, so peers read their keys in place.
+  // Every part's bitmap groups: runs of the view in SFS order, their rows
+  // and, packed once before [reduce]'s tasks start (which read them
+  // shared), their keys.
   struct Group {
-    uint32_t begin;  // view offset
-    skyline::PeerKeys keys;
+    std::vector<uint32_t> rows;
+    skyline::BlockedKeys keys;
   };
   std::vector<std::map<uint32_t, Group>> groups(parts);
   for (size_t j = 0; j < parts; ++j) {
     for (uint32_t p = bounds[j]; p < bounds[j + 1]; ++p) {
-      auto [it, first] = groups[j].try_emplace(matrix.null_bitmap(view[p]));
-      if (first) it->second = {p, {matrix.row_keys(view[p]), 0, false}};
-      ++it->second.keys.size;
+      groups[j][matrix.null_bitmap(view[p])].rows.push_back(view[p]);
     }
   }
+  int64_t packed_bytes = 0;
+  for (auto& part : groups) {
+    for (auto& [bitmap, group] : part) {
+      group.keys = skyline::PackKeys(matrix, group.rows);
+      packed_bytes += group.keys.MemoryBytes();
+    }
+  }
+  ScopedReservation packed_charge(ctx->memory(), packed_bytes);
   // Within one bitmap group complete dominance over all key slots is
   // incomplete dominance, and it is transitive.
   skyline::SkylineOptions group_options = options;
@@ -343,17 +352,11 @@ Result<std::vector<uint32_t>> GlobalSkylineIncompleteExec::ReduceBitmapGroups(
           for (size_t j = 0; j < parts; ++j) {
             auto peer = groups[j].find(bitmap);
             if (j == i || peer == groups[j].end()) continue;
-            peers.push_back(peer->second.keys);
-            peers.back().earlier = j < i;
+            peers.push_back({&peer->second.rows, &peer->second.keys, j < i});
           }
-          SL_ASSIGN_OR_RETURN(
-              std::vector<uint32_t> survivors,
-              skyline::ColumnarValidateAgainstPeers(
-                  matrix,
-                  std::vector<uint32_t>(
-                      view.begin() + group.begin,
-                      view.begin() + group.begin + group.keys.size),
-                  peers, group_options));
+          SL_ASSIGN_OR_RETURN(std::vector<uint32_t> survivors,
+                              skyline::ColumnarValidateAgainstPeers(
+                                  matrix, group.rows, peers, group_options));
           kept[i].insert(kept[i].end(), survivors.begin(), survivors.end());
         }
         return Status::OK();

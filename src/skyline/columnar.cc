@@ -17,35 +17,6 @@
 namespace sparkline {
 namespace skyline {
 
-#if SPARKLINE_HAVE_AVX2_COMPARE
-namespace simd {
-
-__attribute__((target("avx2"))) Dominance CompareKeySpansCompleteAvx2(
-    const double* left, const double* right, size_t d) {
-  __m256d acc_l = _mm256_setzero_pd();
-  __m256d acc_r = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 4 <= d; i += 4) {
-    const __m256d l = _mm256_loadu_pd(left + i);
-    const __m256d r = _mm256_loadu_pd(right + i);
-    acc_l = _mm256_or_pd(acc_l, _mm256_cmp_pd(l, r, _CMP_LT_OQ));
-    acc_r = _mm256_or_pd(acc_r, _mm256_cmp_pd(r, l, _CMP_LT_OQ));
-  }
-  bool left_better = _mm256_movemask_pd(acc_l) != 0;
-  bool right_better = _mm256_movemask_pd(acc_r) != 0;
-  for (; i < d; ++i) {
-    left_better |= left[i] < right[i];
-    right_better |= right[i] < left[i];
-  }
-  if (left_better) {
-    return right_better ? Dominance::kIncomparable : Dominance::kLeftDominates;
-  }
-  return right_better ? Dominance::kRightDominates : Dominance::kEqual;
-}
-
-}  // namespace simd
-#endif  // SPARKLINE_HAVE_AVX2_COMPARE
-
 namespace {
 
 using internal::BatchedCounter;
@@ -521,19 +492,177 @@ ColumnarBatch ColumnarBatch::WithSelection(std::vector<uint32_t> indices,
   return std::move(*this);
 }
 
+// --- BlockedKeys and the kernel loops over them ----------------------------
+
+void BlockedKeys::Append(const double* keys) {
+  if (n_ % kBlockLanes == 0) data_.resize(data_.size() + kBlockLanes * d_);
+  for (size_t j = 0; j < d_; ++j) slot(n_, j) = keys[j];
+  ++n_;
+}
+
+void BlockedKeys::MoveLastTo(size_t row) {
+  const size_t last = n_ - 1;
+  for (size_t j = 0; j < d_; ++j) {
+    slot(row, j) = slot(last, j);
+    slot(last, j) = 0.0;
+  }
+  n_ = last;
+  if (n_ % kBlockLanes == 0) data_.resize(data_.size() - kBlockLanes * d_);
+}
+
+std::vector<double> BlockedKeys::Unpack() const {
+  std::vector<double> keys(n_ * d_);
+  for (size_t r = 0; r < n_; ++r) CopyRow(r, keys.data() + r * d_);
+  return keys;
+}
+
 namespace {
 
 #if defined(__GNUC__) || defined(__clang__)
 #define SL_NOINLINE __attribute__((noinline))
+#define SL_ALWAYS_INLINE __attribute__((always_inline))
 #else
 #define SL_NOINLINE
+#define SL_ALWAYS_INLINE
 #endif
 
-/// What a BNL pass keeps: the window's row ids, packed keys and null
-/// bitmaps, in window order.
+/// The block primitive's two paths as kernel-loop policies. A kernel loop
+/// is a template over one; WithLanes picks it once per kernel call, and the
+/// loop inlines its compare.
+struct ScalarLanes {
+  static LaneMasks CompareKeyLanes(const double* x, const double* block,
+                                   size_t d, uint32_t diff_mask, bool ties) {
+    return CompareKeyLanesScalar(x, block, d, diff_mask, ties);
+  }
+  /// The same masks, lane 0 only, for one row stored row-major.
+  static LaneMasks CompareKeyRow(const double* x, const double* row, size_t d,
+                                 uint32_t diff_mask, bool ties) {
+    switch (CompareKeySpans(x, row, d, diff_mask, /*skip=*/0)) {
+      case Dominance::kRightDominates:
+        return {1, 0};
+      case Dominance::kLeftDominates:
+        return {0, 1};
+      case Dominance::kEqual:
+        return {ties ? 1u : 0u, 0};
+      case Dominance::kIncomparable:
+        break;
+    }
+    return {};
+  }
+};
+
+#if SPARKLINE_HAVE_AVX2_COMPARE
+struct Avx2Lanes {
+  __attribute__((target("avx2"))) static LaneMasks CompareKeyLanes(
+      const double* x, const double* block, size_t d, uint32_t diff_mask,
+      bool ties) {
+    __m256d better = _mm256_setzero_pd();
+    __m256d worse = _mm256_setzero_pd();
+#pragma GCC unroll 4
+    for (size_t j = 0; j < d; ++j) {
+      const __m256d lane = _mm256_loadu_pd(block + j * kBlockLanes);
+      const __m256d key = _mm256_broadcast_sd(x + j);
+      better = _mm256_or_pd(better, _mm256_cmp_pd(lane, key, _CMP_LT_OQ));
+      worse = _mm256_or_pd(worse, _mm256_cmp_pd(key, lane, _CMP_LT_OQ));
+    }
+    uint32_t differ = 0;
+    for (uint32_t m = diff_mask; m != 0; m &= m - 1) {
+      const size_t j = static_cast<size_t>(__builtin_ctz(m));
+      differ |= static_cast<uint32_t>(_mm256_movemask_pd(
+          _mm256_cmp_pd(_mm256_loadu_pd(block + j * kBlockLanes),
+                        _mm256_broadcast_sd(x + j), _CMP_NEQ_OQ)));
+    }
+    return LaneMasks::Of(static_cast<uint32_t>(_mm256_movemask_pd(better)),
+                         static_cast<uint32_t>(_mm256_movemask_pd(worse)),
+                         differ, ties);
+  }
+  __attribute__((target("avx2"))) static LaneMasks CompareKeyRow(
+      const double* x, const double* row, size_t d, uint32_t diff_mask,
+      bool ties) {
+    __m256d better = _mm256_setzero_pd();
+    __m256d worse = _mm256_setzero_pd();
+    size_t j = 0;
+    for (; j + 4 <= d; j += 4) {
+      const __m256d xv = _mm256_loadu_pd(x + j);
+      const __m256d rv = _mm256_loadu_pd(row + j);
+      better = _mm256_or_pd(better, _mm256_cmp_pd(rv, xv, _CMP_LT_OQ));
+      worse = _mm256_or_pd(worse, _mm256_cmp_pd(xv, rv, _CMP_LT_OQ));
+    }
+    bool row_better = _mm256_movemask_pd(better) != 0;
+    bool x_better = _mm256_movemask_pd(worse) != 0;
+    for (; j < d; ++j) {
+      row_better |= row[j] < x[j];
+      x_better |= x[j] < row[j];
+    }
+    bool differ = false;
+    for (uint32_t m = diff_mask; m != 0; m &= m - 1) {
+      const size_t k = static_cast<size_t>(__builtin_ctz(m));
+      differ |= row[k] != x[k];
+    }
+    // Lanes 1-3 hold no row: mark them incomparable.
+    return LaneMasks::Of(row_better, x_better, differ | ~1u, ties);
+  }
+};
+
+/// `loop(Avx2Lanes{})` compiled for AVX2: the loop is inlined here, and the
+/// primitive into the loop.
+template <typename Loop>
+__attribute__((target("avx2"))) auto WithAvx2Lanes(const Loop& loop) {
+  return loop(Avx2Lanes{});
+}
+#endif
+
+/// Runs a kernel loop, `loop(lanes)`, over the AVX2 path of the block
+/// primitive when this CPU has it and over the scalar path otherwise: one
+/// choice per kernel call.
+template <typename Loop>
+auto WithLanes(const Loop& loop) {
+#if SPARKLINE_HAVE_AVX2_COMPARE
+  if (simd::Avx2Available()) return WithAvx2Lanes(loop);
+#endif
+  return loop(ScalarLanes{});
+}
+
+/// The mask of a block's first `n` lanes (all of them when n >= 4).
+uint32_t FirstLanes(size_t n) {
+  return n >= kBlockLanes ? (1u << kBlockLanes) - 1 : (1u << n) - 1;
+}
+
+/// Scans rows [0, n) of `rows` for one that dominates x (or, with `ties`,
+/// equals it), a block per primitive call and per deadline poll, and sets
+/// `*found`. Counts the tests the per-pair scan runs: every row up to and
+/// including the first such row.
+template <typename Lanes>
+SL_ALWAYS_INLINE inline Status FindDominator(const double* x,
+                                             const BlockedKeys& rows, size_t n,
+                                             uint32_t diff_mask, bool ties,
+                                             DeadlineChecker& deadline,
+                                             BatchedCounter& tests,
+                                             bool* found) {
+  for (size_t base = 0; base < n; base += kBlockLanes) {
+    SL_RETURN_NOT_OK(deadline.Check());
+    const size_t live = std::min(n - base, kBlockLanes);
+    const uint32_t hits =
+        Lanes::CompareKeyLanes(x, rows.block(base / kBlockLanes),
+                               rows.num_dims(), diff_mask, ties)
+            .dominators &
+        FirstLanes(live);
+    if (hits != 0) {
+      tests.Add(__builtin_ctz(hits) + 1);
+      *found = true;
+      return Status::OK();
+    }
+    tests.Add(static_cast<int64_t>(live));
+  }
+  *found = false;
+  return Status::OK();
+}
+
+/// What a BNL pass keeps: the window's row ids, keys and null bitmaps, in
+/// window order.
 struct BnlWindow {
   std::vector<uint32_t> ids;
-  std::vector<double> keys;
+  BlockedKeys keys;
   std::vector<uint32_t> nulls;
 };
 
@@ -545,75 +674,122 @@ struct BnlWindow {
 /// block (MatrixRows); the streamed local stage keys its partition a block
 /// at a time (KeyedBlocks).
 ///
+/// The window's keys are BlockedKeys, so one primitive call tests a newcomer
+/// against four window rows. The tests counted and the window kept are the
+/// per-pair loop's exactly: a block with no hit counts its rows still to
+/// test, and at the first hit the count stops there; a dominated window row
+/// is swap-erased, and the block is compared again from its slot. Every
+/// row is compared over all key slots, which within one null bitmap is
+/// incomplete dominance too (DominanceMatrix's NULL placeholder invariant).
+///
 /// The window, the counter and the deadline checker are locals of this
 /// function and every Refill stays out of line: held in a class's members,
 /// or with the refill inlined, the window scan measured 3-30% slower.
-template <typename Rows>
-Result<BnlWindow> BlockNestedLoop(Rows* rows, size_t d, uint32_t diff_mask,
-                                  const SkylineOptions& options) {
-  const bool incomplete = options.nulls == NullSemantics::kIncomplete;
-  const bool branchless = !incomplete && diff_mask == 0;
-
-  // The window is the structure every incoming tuple scans, so its keys are
-  // kept in a dense local buffer (window_keys[i*d .. i*d+d)) — the scan
-  // reads memory sequentially instead of hopping through the matrix by
-  // survivor index.
-  std::vector<uint32_t> window;
-  std::vector<double> window_keys;
-  std::vector<uint32_t> window_nulls;
-
+template <typename Lanes, typename Rows>
+SL_ALWAYS_INLINE inline Result<BnlWindow> BnlPass(
+    Rows* rows, size_t d, uint32_t diff_mask, const SkylineOptions& options) {
+  BnlWindow window{{}, BlockedKeys(d), {}};
+  // Window row 0 again, row-major: the operand of the one-row probe.
+  double head[DominanceMatrix::kMaxDims];
   DeadlineChecker deadline(options);
   BatchedCounter tests(options);
+  // Swap-erases window row i: the last row moves into its slot.
+  auto erase = [&](size_t i) {
+    window.ids[i] = window.ids.back();
+    window.ids.pop_back();
+    window.nulls[i] = window.nulls.back();
+    window.nulls.pop_back();
+    window.keys.MoveLastTo(i);
+  };
   for (;;) {
     size_t block = 0;
     SL_RETURN_NOT_OK(rows->Refill(
-        static_cast<int64_t>((window.capacity() + window_nulls.capacity()) *
-                                 sizeof(uint32_t) +
-                             window_keys.capacity() * sizeof(double)),
+        static_cast<int64_t>((window.ids.capacity() + window.nulls.capacity()) *
+                             sizeof(uint32_t)) +
+            window.keys.MemoryBytes(),
         &block));
     if (block == 0) break;
     for (size_t k = 0; k < block; ++k) {
       const double* keys = rows->keys(k);
-      const uint32_t nulls = rows->nulls(k);
       bool eliminated = false;
+      // Row 0 first, alone: on correlated input nearly every newcomer dies
+      // there, and one row-major compare costs a fraction of a block's.
       size_t i = 0;
-      while (i < window.size()) {
+      while (!window.ids.empty()) {
         SL_RETURN_NOT_OK(deadline.Check());
-        tests.Tick();
-        const double* wkeys = window_keys.data() + i * d;
-        const Dominance dom =
-            branchless ? CompareKeySpansComplete(keys, wkeys, d)
-                       : CompareKeySpans(keys, wkeys, d, diff_mask,
-                                         incomplete ? (nulls | window_nulls[i])
-                                                    : 0);
-        if (dom == Dominance::kRightDominates ||
-            (dom == Dominance::kEqual && options.distinct)) {
+        tests.Add(1);
+        const LaneMasks row =
+            Lanes::CompareKeyRow(keys, head, d, diff_mask, options.distinct);
+        if (row.dominators != 0) {
+          eliminated = true;
+          break;
+        }
+        if (row.dominated == 0) {
+          i = 1;
+          break;
+        }
+        erase(0);
+        if (!window.ids.empty()) window.keys.CopyRow(0, head);
+      }
+      // Window rows [i, size) are still to test: one primitive call per
+      // block, with the block's lanes before i masked off.
+      while (!eliminated && i < window.ids.size()) {
+        SL_RETURN_NOT_OK(deadline.Check());
+        const size_t base = i - i % kBlockLanes;
+        const size_t end = std::min(window.ids.size(), base + kBlockLanes);
+        const LaneMasks lanes = Lanes::CompareKeyLanes(
+            keys, window.keys.block(base / kBlockLanes), d, diff_mask,
+            options.distinct);
+        const uint32_t hits = (lanes.dominators | lanes.dominated) &
+                              FirstLanes(end - base) & ~FirstLanes(i - base);
+        if (hits == 0) {
+          tests.Add(static_cast<int64_t>(end - i));
+          i = end;
+          continue;
+        }
+        const size_t lane = static_cast<size_t>(__builtin_ctz(hits));
+        tests.Add(static_cast<int64_t>(base + lane + 1 - i));
+        if ((lanes.dominators >> lane & 1u) != 0) {
           // The newcomer is dominated (or a duplicate under DISTINCT); by
           // transitivity it cannot dominate anything else in the window.
           eliminated = true;
           break;
         }
-        if (dom == Dominance::kLeftDominates) {
-          // Swap-erase the dominated window tuple, keys included.
-          window[i] = window.back();
-          window.pop_back();
-          window_nulls[i] = window_nulls.back();
-          window_nulls.pop_back();
-          std::copy_n(window_keys.end() - d, d, window_keys.begin() + i * d);
-          window_keys.resize(window_keys.size() - d);
-          continue;  // re-examine the swapped-in element at index i
-        }
-        ++i;
+        // Swap-erase the dominated window row, then test the row moved into
+        // its slot.
+        i = base + lane;
+        erase(i);
       }
       if (!eliminated) {
-        window.push_back(rows->id(k));
-        window_nulls.push_back(nulls);
-        window_keys.insert(window_keys.end(), keys, keys + d);
+        if (window.ids.empty()) std::copy_n(keys, d, head);
+        window.ids.push_back(rows->id(k));
+        window.nulls.push_back(rows->nulls(k));
+        window.keys.Append(keys);
       }
     }
   }
-  return BnlWindow{std::move(window), std::move(window_keys),
-                   std::move(window_nulls)};
+  return window;
+}
+
+}  // namespace
+
+#if SPARKLINE_HAVE_AVX2_COMPARE
+__attribute__((target("avx2"))) LaneMasks simd::CompareKeyLanesAvx2(
+    const double* x, const double* block, size_t d, uint32_t diff_mask,
+    bool ties) {
+  return Avx2Lanes::CompareKeyLanes(x, block, d, diff_mask, ties);
+}
+#endif
+
+namespace {
+
+/// BnlPass over the block primitive's path for this CPU.
+template <typename Rows>
+Result<BnlWindow> BlockNestedLoop(Rows* rows, size_t d, uint32_t diff_mask,
+                                  const SkylineOptions& options) {
+  return WithLanes([&](auto lanes) SL_ALWAYS_INLINE {
+    return BnlPass<decltype(lanes)>(rows, d, diff_mask, options);
+  });
 }
 
 /// A matrix view as BlockNestedLoop's input: one block of every row.
@@ -664,8 +840,10 @@ bool KeysLexLess(const double* a, const double* b, size_t d) {
 }
 
 /// The SFS filter pass over input in SFS order: no later tuple can
-/// dominate an earlier one, so the window only grows — an append-only dense
-/// key buffer scanned sequentially per incoming tuple.
+/// dominate an earlier one, so the window only grows — append-only
+/// BlockedKeys, scanned a block at a time per incoming tuple. Its tests are
+/// counted up to the first window row that dominates the tuple (or, under
+/// DISTINCT, equals it), as the per-pair scan counted them.
 ///
 /// The pass maintains the SaLSa stop bound minC = min over window members
 /// of MaxKey and terminates once every remaining tuple's MinKey exceeds it:
@@ -674,9 +852,10 @@ bool KeysLexLess(const double* a, const double* b, size_t d) {
 /// rounded sum, which cannot bound a single coordinate exactly, so a suffix
 /// minimum of MinKey decides. NULL bitmaps disable the stop (NULL key slots
 /// hold placeholders, so coordinate bounds are meaningless).
-Result<std::vector<uint32_t>> SfsFilterPass(const DominanceMatrix& matrix,
-                                            const std::vector<uint32_t>& ordered,
-                                            const SkylineOptions& options) {
+template <typename Lanes>
+SL_ALWAYS_INLINE inline Result<std::vector<uint32_t>> SfsFilterPass(
+    const DominanceMatrix& matrix, const std::vector<uint32_t>& ordered,
+    const SkylineOptions& options) {
   const size_t d = matrix.num_dims();
   const bool early_stop = !matrix.has_nulls();
   // remaining_min[pos] = the smallest MinKey over ordered[pos..].
@@ -692,7 +871,7 @@ Result<std::vector<uint32_t>> SfsFilterPass(const DominanceMatrix& matrix,
   double min_c = kInf;
 
   std::vector<uint32_t> window;
-  std::vector<double> window_keys;
+  BlockedKeys window_keys(d);
   DeadlineChecker deadline(options);
   BatchedCounter tests(options);
   for (size_t pos = 0; pos < ordered.size(); ++pos) {
@@ -712,23 +891,14 @@ Result<std::vector<uint32_t>> SfsFilterPass(const DominanceMatrix& matrix,
         break;
       }
     }
+    // SFS runs only on numeric MIN/MAX inputs: no DIFF dimension.
     bool eliminated = false;
-    for (size_t i = 0; i < window.size(); ++i) {
-      SL_RETURN_NOT_OK(deadline.Check());
-      tests.Tick();
-      // SFS runs only on complete numeric MIN/MAX inputs, so the
-      // branchless compare applies unconditionally.
-      const Dominance dom =
-          CompareKeySpansComplete(window_keys.data() + i * d, keys, d);
-      if (dom == Dominance::kLeftDominates ||
-          (dom == Dominance::kEqual && options.distinct)) {
-        eliminated = true;
-        break;
-      }
-    }
+    SL_RETURN_NOT_OK(FindDominator<Lanes>(keys, window_keys, window.size(),
+                                          /*diff_mask=*/0, options.distinct,
+                                          deadline, tests, &eliminated));
     if (!eliminated) {
       window.push_back(tuple);
-      window_keys.insert(window_keys.end(), keys, keys + d);
+      window_keys.Append(keys);
       if (early_stop) min_c = std::min(min_c, matrix.MaxKey(tuple));
     }
   }
@@ -771,7 +941,9 @@ Result<std::vector<uint32_t>> ColumnarSortFilterSkyline(
   }
   std::vector<uint32_t> ordered = input;
   SortInSfsOrder(matrix, &ordered);
-  return SfsFilterPass(matrix, ordered, options);
+  return WithLanes([&](auto lanes) SL_ALWAYS_INLINE {
+    return SfsFilterPass<decltype(lanes)>(matrix, ordered, options);
+  });
 }
 
 Result<std::vector<uint32_t>> ColumnarAllPairsIncomplete(
@@ -846,20 +1018,20 @@ Result<std::vector<uint32_t>> ColumnarValidateAgainstChunk(
   return survivors;
 }
 
-std::vector<double> PackKeys(const DominanceMatrix& matrix,
-                             const std::vector<uint32_t>& rows) {
-  const size_t d = matrix.num_dims();
-  std::vector<double> keys(rows.size() * d);
-  for (size_t k = 0; k < rows.size(); ++k) {
-    std::copy_n(matrix.row_keys(rows[k]), d, keys.begin() + k * d);
-  }
+BlockedKeys PackKeys(const DominanceMatrix& matrix,
+                     const std::vector<uint32_t>& rows) {
+  BlockedKeys keys(matrix.num_dims());
+  for (const uint32_t r : rows) keys.Append(matrix.row_keys(r));
   return keys;
 }
 
-Result<std::vector<uint32_t>> ColumnarValidateAgainstPeers(
+namespace {
+
+/// ColumnarValidateAgainstPeers over one path of the block primitive.
+template <typename Lanes>
+SL_ALWAYS_INLINE inline Result<std::vector<uint32_t>> ValidatePass(
     const DominanceMatrix& matrix, const std::vector<uint32_t>& candidates,
     const std::vector<PeerKeys>& peers, const SkylineOptions& options) {
-  SL_DCHECK(options.nulls == NullSemantics::kComplete);
   const size_t d = matrix.num_dims();
   const uint32_t diff_mask = matrix.diff_mask();
   DeadlineChecker deadline(options);
@@ -871,14 +1043,15 @@ Result<std::vector<uint32_t>> ColumnarValidateAgainstPeers(
     const double score = DominanceMatrix::ScoreOf(keys, d);
     bool eliminated = false;
     for (const PeerKeys& peer : peers) {
+      const std::vector<uint32_t>& rows = *peer.rows;
       // Only a prefix of the peer can eliminate c: the rows ahead of it in
       // SFS order, and, when an earlier peer's ties count under
       // DISTINCT, the rows identical to it. Binary-search its end.
       const bool ties = options.distinct && peer.earlier;
       size_t end = 0;
-      for (size_t hi = peer.size; end < hi;) {
+      for (size_t hi = rows.size(); end < hi;) {
         const size_t mid = end + (hi - end) / 2;
-        const double* pkeys = peer.keys + mid * d;
+        const double* pkeys = matrix.row_keys(rows[mid]);
         const double pscore = DominanceMatrix::ScoreOf(pkeys, d);
         const bool ahead =
             pscore < score ||
@@ -890,25 +1063,25 @@ Result<std::vector<uint32_t>> ColumnarValidateAgainstPeers(
           hi = mid;
         }
       }
-      for (size_t k = 0; k < end; ++k) {
-        SL_RETURN_NOT_OK(deadline.Check());
-        tests.Tick();
-        const double* pkeys = peer.keys + k * d;
-        const Dominance dom =
-            diff_mask == 0
-                ? CompareKeySpansComplete(pkeys, keys, d)
-                : CompareKeySpans(pkeys, keys, d, diff_mask, /*skip=*/0);
-        if (dom == Dominance::kLeftDominates ||
-            (dom == Dominance::kEqual && ties)) {
-          eliminated = true;
-          break;
-        }
-      }
+      SL_RETURN_NOT_OK(FindDominator<Lanes>(keys, *peer.keys, end, diff_mask,
+                                            ties, deadline, tests,
+                                            &eliminated));
       if (eliminated) break;
     }
     if (!eliminated) survivors.push_back(c);
   }
   return survivors;
+}
+
+}  // namespace
+
+Result<std::vector<uint32_t>> ColumnarValidateAgainstPeers(
+    const DominanceMatrix& matrix, const std::vector<uint32_t>& candidates,
+    const std::vector<PeerKeys>& peers, const SkylineOptions& options) {
+  SL_DCHECK(options.nulls == NullSemantics::kComplete);
+  return WithLanes([&](auto lanes) SL_ALWAYS_INLINE {
+    return ValidatePass<decltype(lanes)>(matrix, candidates, peers, options);
+  });
 }
 
 std::vector<std::vector<uint32_t>> PartitionIndicesByNullBitmap(
@@ -1155,16 +1328,17 @@ Result<std::optional<StreamedWindow>> StreamLocalSkyline(
                      CapacityBytes(out.keys) + CapacityBytes(out.nulls));
     SL_ASSIGN_OR_RETURN(BnlWindow window,
                         BlockNestedLoop(&blocks, d, diff_mask, pass));
+    const std::vector<double> keys = window.keys.Unpack();
     std::vector<uint32_t> order(window.ids.size());
     for (uint32_t w = 0; w < order.size(); ++w) order[w] = w;
-    SortInSfsOrder(window.keys.data(), d, &order);
+    SortInSfsOrder(keys.data(), d, &order);
     out.positions.reserve(out.positions.size() + order.size());
     out.keys.reserve(out.keys.size() + order.size() * d);
     out.nulls.reserve(out.nulls.size() + order.size());
     for (const uint32_t w : order) {
       out.positions.push_back(window.ids[w]);
-      out.keys.insert(out.keys.end(), window.keys.begin() + w * d,
-                      window.keys.begin() + (w + 1) * d);
+      out.keys.insert(out.keys.end(), keys.begin() + w * d,
+                      keys.begin() + (w + 1) * d);
       out.nulls.push_back(window.nulls[w]);
     }
     return Status::OK();

@@ -8,10 +8,16 @@
 // input *once* into a packed, normalized form:
 //
 //   - packed `double` keys, with MAX dimensions negated so every comparison
-//     in the hot loop is a plain `<` (MIN); each row's keys are contiguous
-//     (a d-dimensional tuple fits one or two cache lines, which is what a
-//     pairwise dominance test actually touches),
+//     in the hot loop is a plain `<` (MIN); each row's keys are contiguous,
 //   - a per-row null bitmap (one bit per dimension, as in paper section 5.7).
+//
+// The complete-dominance kernels do not compare pairs of matrix rows: the
+// rows they scan again and again — BNL's and SFS's windows, the peers of
+// the parallel merge — are copied into BlockedKeys, blocks of four rows
+// stored dimension-major, and one call of the block primitive
+// (CompareKeyLanes*) tests a row against a whole block: with AVX2, one
+// broadcast compare per dimension and direction. Test counts stay those of
+// the per-pair loops.
 //
 // Every type the SQL surface admits is encoded order-exactly, so the
 // projection never changes a comparison CompareRows would make. A dimension
@@ -42,9 +48,9 @@
 #include "skyline/dominance.h"
 #include "types/row_view.h"
 
-// The explicit AVX2 dominance-test path needs x86 intrinsics plus a
-// compiler that supports per-function target attributes (GCC/Clang). Other
-// platforms compile the scalar loop only.
+// The block primitive's AVX2 path needs x86 intrinsics plus a compiler
+// that supports per-function target attributes (GCC/Clang). Other
+// platforms compile the scalar path only.
 #if (defined(__x86_64__) || defined(__i386__)) && \
     (defined(__GNUC__) || defined(__clang__))
 #define SPARKLINE_HAVE_AVX2_COMPARE 1
@@ -85,13 +91,9 @@ inline Dominance CompareKeySpans(const double* left, const double* right,
   return Dominance::kEqual;
 }
 
-/// \brief Branchless dominance test for the common case: complete
-/// semantics, no DIFF dimensions. Accumulating the better-on-some-dimension
-/// flags without per-dimension early exits leaves a single well-predicted
-/// branch per test — measurably faster than the early-exit form on real
-/// workloads even though it always scans all d dimensions. This is the
-/// scalar reference; CompareKeySpansComplete dispatches to the explicit
-/// AVX2 version when the CPU supports it.
+/// \brief Branchless dominance test over two packed key spans under
+/// complete semantics with no DIFF dimension: the per-pair reference the
+/// block primitive (CompareKeyLanes*) is tested against.
 inline Dominance CompareKeySpansCompleteScalar(const double* left,
                                                const double* right, size_t d) {
   bool left_better = false;
@@ -106,16 +108,112 @@ inline Dominance CompareKeySpansCompleteScalar(const double* left,
   return right_better ? Dominance::kRightDominates : Dominance::kEqual;
 }
 
+/// Rows per key block: one AVX2 register holds one dimension of a block.
+inline constexpr size_t kBlockLanes = 4;
+
+/// \brief Packed keys of a sequence of rows, held in blocks of kBlockLanes
+/// rows, dimension-major ([block][dim][lane]): row r's key j is
+/// block(r / 4)[j * 4 + r % 4]. The tail block is padded with zeros, which
+/// no kernel reads as a row (lanes at or past size() are masked off). The
+/// layout of every window and peer the complete kernels scan.
+class BlockedKeys {
+ public:
+  BlockedKeys() = default;
+  explicit BlockedKeys(size_t d) : d_(d) {}
+
+  size_t size() const { return n_; }
+  size_t num_dims() const { return d_; }
+  /// The kBlockLanes * num_dims() keys of block `b`.
+  const double* block(size_t b) const {
+    return data_.data() + b * kBlockLanes * d_;
+  }
+  double key(size_t row, size_t j) const {
+    return block(row / kBlockLanes)[j * kBlockLanes + row % kBlockLanes];
+  }
+  /// Copies row `row`'s num_dims() keys into `out`.
+  void CopyRow(size_t row, double* out) const {
+    for (size_t j = 0; j < d_; ++j) out[j] = key(row, j);
+  }
+
+  /// Appends one row of num_dims() packed keys.
+  void Append(const double* keys);
+  /// BNL's swap-erase: the last row moves into `row`'s slot (a no-op move
+  /// when `row` is the last) and the size shrinks by one.
+  void MoveLastTo(size_t row);
+  /// The keys row-major: size() * num_dims() doubles.
+  std::vector<double> Unpack() const;
+  /// Bytes held, capacity included (what the kernels charge).
+  int64_t MemoryBytes() const {
+    return static_cast<int64_t>(data_.capacity() * sizeof(double));
+  }
+
+ private:
+  double& slot(size_t row, size_t j) {
+    return data_[(row / kBlockLanes) * kBlockLanes * d_ + j * kBlockLanes +
+                 row % kBlockLanes];
+  }
+
+  size_t d_ = 0;
+  size_t n_ = 0;
+  std::vector<double> data_;
+};
+
+/// \brief What the block primitive finds in one key block for a row x: bit
+/// l stands for the block's row l.
+struct LaneMasks {
+  /// Rows that dominate x, or equal it when the caller counts ties.
+  uint32_t dominators = 0;
+  /// Rows that x dominates.
+  uint32_t dominated = 0;
+
+  /// From the lanes below x in some dimension (`better`), above it in some
+  /// (`worse`) and differing from it in a DIFF dimension (`differ`).
+  static LaneMasks Of(uint32_t better, uint32_t worse, uint32_t differ,
+                      bool ties) {
+    const uint32_t comparable = ~differ & ((1u << kBlockLanes) - 1);
+    return {comparable & ~worse & (ties ? ~0u : better),
+            comparable & worse & ~better};
+  }
+};
+
+/// \brief The block primitive over complete keys: compares row x (`d`
+/// packed keys) with the kBlockLanes rows of one BlockedKeys block at once.
+/// A row differing from x in a DIFF dimension (`diff_mask`) is
+/// incomparable to it; with `ties` an equal row counts as a dominator
+/// (DISTINCT keeps the first-encountered row). Every lane is computed, the
+/// padded ones too: callers mask off lanes they do not test. Keys are never
+/// NaN (Build ranks NaN and ±inf into ordinary codes), so `<` is exact. The
+/// scalar path; simd::CompareKeyLanesAvx2 gives the same masks.
+inline LaneMasks CompareKeyLanesScalar(const double* x, const double* block,
+                                       size_t d, uint32_t diff_mask,
+                                       bool ties) {
+  uint32_t better = 0;  // lanes below x in some dimension
+  uint32_t worse = 0;   // lanes above x in some dimension
+  uint32_t differ = 0;  // lanes differing from x in a DIFF dimension
+  for (size_t j = 0; j < d; ++j) {
+    const double* lane = block + j * kBlockLanes;
+    for (uint32_t l = 0; l < kBlockLanes; ++l) {
+      better |= static_cast<uint32_t>(lane[l] < x[j]) << l;
+      worse |= static_cast<uint32_t>(x[j] < lane[l]) << l;
+    }
+    if ((diff_mask >> j & 1u) != 0) {
+      for (uint32_t l = 0; l < kBlockLanes; ++l) {
+        differ |= static_cast<uint32_t>(lane[l] != x[j]) << l;
+      }
+    }
+  }
+  return LaneMasks::Of(better, worse, differ, ties);
+}
+
 namespace simd {
 #if SPARKLINE_HAVE_AVX2_COMPARE
-/// \brief Explicit AVX2 compare: both comparison directions run over four
-/// dimensions per instruction with OR-accumulated masks, then one movemask
-/// per direction. Keys are never NaN (Build ranks NaN and ±inf values into
-/// ordinary codes), so the ordered predicate is exact. Only call when
-/// Avx2Available() is true. Defined out-of-line with a per-function target
-/// attribute so the rest of the binary keeps the baseline ISA.
-Dominance CompareKeySpansCompleteAvx2(const double* left, const double* right,
-                                      size_t d);
+/// \brief The block primitive's AVX2 path: per dimension, one broadcast of
+/// x's key and one compare in each direction cover all four rows. Only call
+/// when Avx2Available() is true; the kernels pick it once per call and
+/// inline it into their loops. Defined with a per-function target attribute
+/// so the rest of the binary keeps the baseline ISA.
+LaneMasks CompareKeyLanesAvx2(const double* x, const double* block, size_t d,
+                              uint32_t diff_mask, bool ties);
 
 /// \brief Compile-time answer when built with -mavx2, one cached CPUID
 /// probe otherwise.
@@ -130,20 +228,6 @@ inline bool Avx2Available() {
 #endif  // SPARKLINE_HAVE_AVX2_COMPARE
 }  // namespace simd
 
-/// \brief Complete-case dominance test with SIMD dispatch: the AVX2 path
-/// when compiled in and supported by this CPU (below 4 dimensions the
-/// vector body would be all tail, so the scalar loop wins), the scalar
-/// branchless loop otherwise. Results are identical on every path.
-inline Dominance CompareKeySpansComplete(const double* left,
-                                         const double* right, size_t d) {
-#if SPARKLINE_HAVE_AVX2_COMPARE
-  if (d >= 4 && simd::Avx2Available()) {
-    return simd::CompareKeySpansCompleteAvx2(left, right, d);
-  }
-#endif
-  return CompareKeySpansCompleteScalar(left, right, d);
-}
-
 /// \brief Projection of the skyline dimensions of an input relation into
 /// packed key rows, normalized so every MIN/MAX comparison is "smaller is
 /// better" over doubles.
@@ -153,7 +237,7 @@ inline Dominance CompareKeySpansComplete(const double* left,
 /// re-ranking ColumnarBatch::Concat. Two rows with one null bitmap
 /// therefore compare under complete semantics exactly as under incomplete
 /// semantics, which lets RunColumnarKernel reduce each bitmap group with
-/// the branchless complete test.
+/// the complete block kernels.
 class DominanceMatrix {
  public:
   /// Hard dimension cap: null bitmaps are 32-bit (see dominance.h).
@@ -377,18 +461,17 @@ Result<std::vector<uint32_t>> ColumnarValidateAgainstChunk(
     const DominanceMatrix& matrix, const std::vector<uint32_t>& candidates,
     const std::vector<uint32_t>& peer, const SkylineOptions& options);
 
-/// \brief The packed keys of `rows`, in order: rows.size() * num_dims()
-/// contiguous doubles.
-std::vector<double> PackKeys(const DominanceMatrix& matrix,
-                             const std::vector<uint32_t>& rows);
+/// \brief The keys of `rows`, in order, packed into blocks.
+BlockedKeys PackKeys(const DominanceMatrix& matrix,
+                     const std::vector<uint32_t>& rows);
 
 /// \brief One peer's candidates as ColumnarValidateAgainstPeers reads them:
-/// `size` rows in SFS order (SortInSfsOrder), their keys packed
-/// densely (row k at keys + k * num_dims: PackKeys over such a list, or a
-/// contiguous run of matrix rows). Non-owning.
+/// their matrix rows in SFS order (SortInSfsOrder), which the prefix search
+/// reads in place, and the same rows' keys packed into blocks (PackKeys
+/// over that list), which the scan reads. Non-owning.
 struct PeerKeys {
-  const double* keys = nullptr;
-  size_t size = 0;
+  const std::vector<uint32_t>* rows = nullptr;
+  const BlockedKeys* keys = nullptr;
   /// The peer precedes the candidates in input order: under DISTINCT its
   /// rows win ties (the first-encountered rule).
   bool earlier = false;
@@ -408,12 +491,12 @@ struct PeerKeys {
 /// while the peer's row is ahead of c in SFS order (a dominator's
 /// score is never larger, and may be equal, but its keys are
 /// lexicographically smaller) — or, for an earlier peer under DISTINCT,
-/// identical to c. Compares with CompareKeySpansComplete when
-/// diff_mask() == 0, CompareKeySpans otherwise; counts every test and polls
-/// the deadline.
+/// identical to c. Scans a block of four peer rows per compare
+/// (CompareKeyLanes*), counts every test up to the first dominator and polls
+/// the deadline once per block.
 ///
-/// \pre options.nulls is kComplete; every peer is in SFS order and
-/// packed from this matrix (or an identical copy of its keys).
+/// \pre options.nulls is kComplete; every peer's rows are rows of this
+/// matrix in SFS order, and its keys are PackKeys of them.
 Result<std::vector<uint32_t>> ColumnarValidateAgainstPeers(
     const DominanceMatrix& matrix, const std::vector<uint32_t>& candidates,
     const std::vector<PeerKeys>& peers, const SkylineOptions& options);

@@ -15,9 +15,10 @@ namespace skyline {
 namespace internal {
 
 /// Checks the deadline — and, when the options carry a CancellationToken,
-/// the token — every ~1k dominance tests. These polls are the kernels'
-/// cancellation points: even a single-stage quadratic kernel unwinds with
-/// Status::Cancelled/Timeout within microseconds of the signal.
+/// the token — every ~1k polls: a per-pair kernel polls once per dominance
+/// test, a block kernel once per block of four. These polls are the
+/// kernels' cancellation points: even a single-stage quadratic kernel
+/// unwinds with Status::Cancelled/Timeout within microseconds of the signal.
 class DeadlineChecker {
  public:
   explicit DeadlineChecker(int64_t deadline_nanos)
@@ -63,6 +64,7 @@ class BatchedCounter {
   BatchedCounter& operator=(const BatchedCounter&) = delete;
 
   void Tick() { ++local_; }
+  void Add(int64_t tests) { local_ += tests; }
   void Flush() {
     if (counter_ != nullptr && local_ != 0) {
       counter_->tests.fetch_add(local_, std::memory_order_relaxed);

@@ -1,14 +1,19 @@
 // Tests for the columnar dominance subsystem (skyline/columnar.h): the
 // DominanceMatrix projection and its order-exact encoding of every admitted
-// type (huge BIGINTs, NaN, VARCHAR goals), the index-based kernels'
-// equivalence with the brute-force oracle, and the limit that keeps them
-// safe (>32 dimensions).
+// type (huge BIGINTs, NaN, VARCHAR goals), the block dominance primitive
+// against the per-pair compare, the index-based kernels' equivalence with
+// the brute-force oracle and with their per-pair transcriptions (rows,
+// order and test counts), and the limit that keeps them safe (>32
+// dimensions).
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <map>
 #include <optional>
+#include <thread>
 #include <type_traits>
 
 #include <gtest/gtest.h>
@@ -413,6 +418,108 @@ TEST(ColumnarKernelTest, BnlMatchesReferenceWindowPolicyExactly) {
   }
 }
 
+/// Checks BNL over `rows` against ReferenceBnl: same rows, same order, same
+/// number of dominance tests.
+void ExpectBnlMatchesReference(const std::vector<Row>& rows,
+                               const std::vector<BoundDimension>& dims,
+                               const SkylineOptions& base) {
+  DominanceCounter counter;
+  SkylineOptions options = base;
+  options.counter = &counter;
+  auto columnar =
+      ColumnarSkyline(SkylineKernel::kBlockNestedLoop, rows, dims, options);
+  ASSERT_TRUE(columnar.ok()) << columnar.status().ToString();
+  int64_t reference_tests = 0;
+  const std::vector<Row> reference =
+      ReferenceBnl(rows, dims, options, &reference_tests);
+  ASSERT_EQ(columnar->size(), reference.size());
+  for (size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(RowToString((*columnar)[i]), RowToString(reference[i]))
+        << "window row " << i;
+  }
+  EXPECT_EQ(counter.tests.load(), reference_tests);
+}
+
+// The block loop scans the window four rows per compare, yet keeps the
+// per-pair loop's window and counts exactly its tests, whatever the window's
+// shape: 0 to 9 rows and 4k ± 1 rows; a newcomer that is a duplicate of, is
+// dominated by, or evicts the window row at every lane position; several
+// evictions in one block and through the last window row. Over plain
+// MIN/MAX keys, with a BOOLEAN and a DIFF dimension (the newcomer's DIFF
+// value matching or not), and inside one null-bitmap group under
+// incomplete semantics.
+TEST(ColumnarKernelTest, BnlMatchesReferenceAtEveryLanePosition) {
+  enum class Variant { kPlain, kBooleanDiff, kDiffDiffers, kNullGroup };
+  auto row = [](Variant variant, double a, double b) {
+    Row r{Value::Double(a), Value::Double(b)};
+    switch (variant) {
+      case Variant::kPlain:
+        break;
+      case Variant::kBooleanDiff:
+      case Variant::kDiffDiffers:
+        r.push_back(Value::Bool(true));
+        r.push_back(Value::Int64(7));
+        break;
+      case Variant::kNullGroup:
+        r.push_back(Value::Null(DataType::Double()));
+        break;
+    }
+    return r;
+  };
+  size_t cases = 0;
+  for (const Variant variant : {Variant::kPlain, Variant::kBooleanDiff,
+                                Variant::kDiffDiffers, Variant::kNullGroup}) {
+    std::vector<BoundDimension> dims = MinDims(2);
+    SkylineOptions options;
+    if (variant == Variant::kBooleanDiff || variant == Variant::kDiffDiffers) {
+      dims.push_back({2, SkylineGoal::kMax});
+      dims.push_back({3, SkylineGoal::kDiff});
+    } else if (variant == Variant::kNullGroup) {
+      dims.push_back({2, SkylineGoal::kMin});
+      options.nulls = NullSemantics::kIncomplete;
+    }
+    for (const size_t w : {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 17, 31, 33}) {
+      // The window: an antichain of w rows, (i, w - i).
+      std::vector<Row> window;
+      for (size_t i = 0; i < w; ++i) {
+        window.push_back(row(variant, static_cast<double>(i),
+                             static_cast<double>(w - i)));
+      }
+      // Newcomers probing window row p, one input each: a duplicate of it,
+      // one it dominates, and ones evicting rows [p, p + k).
+      std::vector<std::vector<Row>> newcomers;
+      newcomers.push_back({row(variant, 0, 0)});  // evicts every row
+      for (size_t p = 0; p < w; ++p) {
+        const double a = static_cast<double>(p);
+        const double b = static_cast<double>(w - p);
+        newcomers.push_back({row(variant, a, b)});
+        newcomers.push_back({row(variant, a + 0.5, b + 0.5)});
+        for (const size_t k : {size_t{1}, size_t{2}, size_t{3}, w - p}) {
+          if (k == 0 || p + k > w) continue;
+          const Row evictor =
+              row(variant, a, b - static_cast<double>(k - 1) - 0.5);
+          // Then its twin, which meets the rows moved in and the evictor.
+          newcomers.push_back({evictor, evictor});
+        }
+      }
+      for (std::vector<Row>& tail : newcomers) {
+        if (variant == Variant::kDiffDiffers) tail[0][3] = Value::Int64(8);
+        std::vector<Row> rows = window;
+        rows.insert(rows.end(), tail.begin(), tail.end());
+        for (const bool distinct : {false, true}) {
+          SCOPED_TRACE(StrCat("variant=", static_cast<int>(variant), " w=", w,
+                              " newcomer=", RowToString(tail[0]),
+                              " distinct=", distinct));
+          options.distinct = distinct;
+          ExpectBnlMatchesReference(rows, dims, options);
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_GT(cases, 2000u);
+}
+
 TEST(ColumnarKernelTest, IncompletePipelineMatchesOracle) {
   std::vector<Row> rows = RandomRows(300, 3, /*null_rate=*/0.25, 5, 31);
   auto dims = MinDims(3);
@@ -604,12 +711,11 @@ TEST(ColumnarKernelTest, EveryKernelHonorsCancelledToken) {
     ASSERT_TRUE(matrix.ok());
     std::vector<uint32_t> peer = AllIndices(*matrix);
     SortInSfsOrder(*matrix, &peer);
-    const std::vector<double> keys = PackKeys(*matrix, peer);
+    const BlockedKeys keys = PackKeys(*matrix, peer);
     SkylineOptions opts;
     opts.cancel = &token;
     auto r = ColumnarValidateAgainstPeers(*matrix, AllIndices(*matrix),
-                                          {{keys.data(), peer.size(), false}},
-                                          opts);
+                                          {{&peer, &keys, false}}, opts);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
   }
@@ -649,48 +755,169 @@ TEST(DimensionLimitTest, Exactly32DimsStillWorks) {
   EXPECT_EQ(result->size(), 1u);
 }
 
-// --- SIMD dispatch ----------------------------------------------------------
+// --- the block primitive ------------------------------------------------------
 
-// The dispatching compare must agree with the scalar reference on every
-// dimensionality (covering the AVX2 main loop, its scalar tail, and the
-// below-4-dims scalar shortcut) for every dominance outcome.
-TEST(SimdCompareTest, DispatchMatchesScalar) {
+/// The masks the block primitive must give for x against `rows` (1 to 4
+/// packed rows), from the per-pair reference: lane l is a dominator when
+/// rows[l] dominates x (or equals it, with `ties`), and dominated when x
+/// dominates rows[l].
+LaneMasks PerPairMasks(const std::vector<double>& x,
+                       const std::vector<std::vector<double>>& rows,
+                       bool ties) {
+  LaneMasks want;
+  for (uint32_t l = 0; l < rows.size(); ++l) {
+    switch (CompareKeySpansCompleteScalar(rows[l].data(), x.data(), x.size())) {
+      case Dominance::kLeftDominates:
+        want.dominators |= 1u << l;
+        break;
+      case Dominance::kEqual:
+        if (ties) want.dominators |= 1u << l;
+        break;
+      case Dominance::kRightDominates:
+        want.dominated |= 1u << l;
+        break;
+      case Dominance::kIncomparable:
+        break;
+    }
+  }
+  return want;
+}
+
+/// One key: mostly from {0, 1, 2, 3}, so rows tie and repeat, and
+/// sometimes ±0.0 or ±2^53 (all exact doubles).
+double BlockKey(Rng* rng) {
+  static const double kSpecial[] = {0.0, -0.0, 9007199254740992.0,
+                                    -9007199254740992.0};
+  return rng->Bernoulli(0.2) ? kSpecial[rng->UniformInt(0, 3)]
+                             : static_cast<double>(rng->UniformInt(0, 3));
+}
+
+// Both paths of the block primitive give, lane by lane, the masks of the
+// per-pair reference CompareKeySpansCompleteScalar: every d from 1 to 32,
+// tail blocks of 1 to 3 live rows (their padded lanes masked off), ties,
+// equal rows, -0.0 against +0.0 and ±2^53.
+TEST(BlockPrimitiveTest, BothPathsMatchThePerPairCompare) {
   Rng rng(41);
-  for (size_t d = 1; d <= 9; ++d) {
-    for (int trial = 0; trial < 500; ++trial) {
-      std::vector<double> left(d), right(d);
-      for (size_t i = 0; i < d; ++i) {
-        // Small cardinality forces frequent equals/dominates outcomes.
-        left[i] = static_cast<double>(rng.UniformInt(0, 3));
-        right[i] = static_cast<double>(rng.UniformInt(0, 3));
+  size_t compared = 0;
+  for (size_t d = 1; d <= DominanceMatrix::kMaxDims; ++d) {
+    for (int trial = 0; trial < 200; ++trial) {
+      const size_t live = 1 + static_cast<size_t>(trial % kBlockLanes);
+      std::vector<double> x(d);
+      for (double& key : x) key = BlockKey(&rng);
+      std::vector<std::vector<double>> rows(live, std::vector<double>(d));
+      BlockedKeys block(d);
+      for (auto& row : rows) {
+        for (size_t j = 0; j < d; ++j) {
+          // Every other row shares most of x's keys: equal rows and near
+          // ties.
+          row[j] = trial % 2 == 0 && rng.Bernoulli(0.7) ? x[j] : BlockKey(&rng);
+        }
+        block.Append(row.data());
       }
-      EXPECT_EQ(CompareKeySpansComplete(left.data(), right.data(), d),
-                CompareKeySpansCompleteScalar(left.data(), right.data(), d))
-          << "d=" << d << " trial=" << trial;
+      const uint32_t mask = (1u << live) - 1;
+      for (const bool ties : {false, true}) {
+        SCOPED_TRACE(StrCat("d=", d, " trial=", trial, " live=", live,
+                            " ties=", ties));
+        const LaneMasks want = PerPairMasks(x, rows, ties);
+        const LaneMasks scalar =
+            CompareKeyLanesScalar(x.data(), block.block(0), d, 0, ties);
+        EXPECT_EQ(scalar.dominators & mask, want.dominators);
+        EXPECT_EQ(scalar.dominated & mask, want.dominated);
+#if SPARKLINE_HAVE_AVX2_COMPARE
+        if (simd::Avx2Available()) {
+          const LaneMasks avx2 =
+              simd::CompareKeyLanesAvx2(x.data(), block.block(0), d, 0, ties);
+          EXPECT_EQ(avx2.dominators & mask, want.dominators);
+          EXPECT_EQ(avx2.dominated & mask, want.dominated);
+        }
+#endif
+        ++compared;
+      }
+    }
+  }
+  EXPECT_EQ(compared, DominanceMatrix::kMaxDims * 200 * 2);
+}
+
+// With a DIFF dimension the primitive's masks are CompareKeySpans': a lane
+// that differs from x there is incomparable, one that matches it compares
+// on the other dimensions.
+TEST(BlockPrimitiveTest, DiffDimensionsMatchCompareKeySpans) {
+  Rng rng(43);
+  for (size_t d = 2; d <= 9; ++d) {
+    for (int trial = 0; trial < 300; ++trial) {
+      const uint32_t diff_mask =
+          static_cast<uint32_t>(rng.UniformInt(1, (int64_t{1} << d) - 1));
+      std::vector<double> x(d);
+      for (double& key : x) key = static_cast<double>(rng.UniformInt(0, 2));
+      BlockedKeys block(d);
+      std::vector<std::vector<double>> rows(kBlockLanes, std::vector<double>(d));
+      for (auto& row : rows) {
+        for (double& key : row) key = static_cast<double>(rng.UniformInt(0, 2));
+        block.Append(row.data());
+      }
+      for (const bool ties : {false, true}) {
+        LaneMasks want;
+        for (uint32_t l = 0; l < kBlockLanes; ++l) {
+          const Dominance dom =
+              CompareKeySpans(rows[l].data(), x.data(), d, diff_mask, 0);
+          if (dom == Dominance::kLeftDominates ||
+              (dom == Dominance::kEqual && ties)) {
+            want.dominators |= 1u << l;
+          } else if (dom == Dominance::kRightDominates) {
+            want.dominated |= 1u << l;
+          }
+        }
+        const LaneMasks scalar =
+            CompareKeyLanesScalar(x.data(), block.block(0), d, diff_mask, ties);
+        EXPECT_EQ(scalar.dominators, want.dominators) << "d=" << d;
+        EXPECT_EQ(scalar.dominated, want.dominated) << "d=" << d;
+#if SPARKLINE_HAVE_AVX2_COMPARE
+        if (simd::Avx2Available()) {
+          const LaneMasks avx2 = simd::CompareKeyLanesAvx2(
+              x.data(), block.block(0), d, diff_mask, ties);
+          EXPECT_EQ(avx2.dominators, want.dominators) << "d=" << d;
+          EXPECT_EQ(avx2.dominated, want.dominated) << "d=" << d;
+        }
+#endif
+      }
     }
   }
 }
 
-#if SPARKLINE_HAVE_AVX2_COMPARE
-TEST(SimdCompareTest, Avx2MatchesScalarWhenAvailable) {
-  if (!simd::Avx2Available()) {
-    GTEST_SKIP() << "CPU lacks AVX2";
+// BlockedKeys keeps row r's key j at block(r / 4)[j * 4 + r % 4], moves the
+// last row into an erased slot, zeroes what it leaves, and unpacks back to
+// the rows it was given.
+TEST(BlockPrimitiveTest, BlockedKeysLayoutAndSwapErase) {
+  const size_t d = 3;
+  BlockedKeys keys(d);
+  std::vector<std::vector<double>> rows;
+  for (size_t r = 0; r < 9; ++r) {
+    rows.push_back({r + 0.25, r + 0.5, r + 0.75});
+    keys.Append(rows.back().data());
   }
-  Rng rng(43);
-  for (size_t d = 4; d <= 12; ++d) {
-    for (int trial = 0; trial < 500; ++trial) {
-      std::vector<double> left(d), right(d);
-      for (size_t i = 0; i < d; ++i) {
-        left[i] = rng.Bernoulli(0.3) ? 1.0 : rng.Uniform(0, 1);
-        right[i] = rng.Bernoulli(0.3) ? 1.0 : rng.Uniform(0, 1);
-      }
-      EXPECT_EQ(simd::CompareKeySpansCompleteAvx2(left.data(), right.data(), d),
-                CompareKeySpansCompleteScalar(left.data(), right.data(), d))
-          << "d=" << d << " trial=" << trial;
+  ASSERT_EQ(keys.size(), 9u);
+  for (size_t r = 0; r < rows.size(); ++r) {
+    for (size_t j = 0; j < d; ++j) {
+      EXPECT_EQ(keys.block(r / 4)[j * 4 + r % 4], rows[r][j]);
     }
   }
+  EXPECT_EQ(keys.MemoryBytes() >=
+                static_cast<int64_t>(3 * kBlockLanes * d * sizeof(double)),
+            true);
+  // Erase row 5: row 8 moves there, and the tail block empties.
+  keys.MoveLastTo(5);
+  rows[5] = rows[8];
+  rows.pop_back();
+  ASSERT_EQ(keys.size(), 8u);
+  // Erase the last row: nothing moves.
+  keys.MoveLastTo(7);
+  rows.pop_back();
+  ASSERT_EQ(keys.size(), 7u);
+  for (size_t j = 0; j < d; ++j) EXPECT_EQ(keys.block(1)[j * 4 + 3], 0.0);
+  std::vector<double> want;
+  for (const auto& row : rows) want.insert(want.end(), row.begin(), row.end());
+  EXPECT_EQ(keys.Unpack(), want);
 }
-#endif
 
 // --- ColumnarBatch: select / concat round-trips ------------------------------
 
@@ -1143,7 +1370,7 @@ Result<std::vector<Row>> MergeParts(const std::vector<Row>& rows,
                       DominanceMatrix::Build(rows, dims));
   const size_t parts = bounds.size() - 1;
   std::vector<std::vector<uint32_t>> local(parts);
-  std::vector<std::vector<double>> packed(parts);
+  std::vector<BlockedKeys> packed(parts);
   for (size_t i = 0; i < parts; ++i) {
     std::vector<uint32_t> slice;
     for (size_t r = bounds[i]; r < bounds[i + 1]; ++r) {
@@ -1158,7 +1385,7 @@ Result<std::vector<Row>> MergeParts(const std::vector<Row>& rows,
   for (size_t i = 0; i < parts; ++i) {
     std::vector<PeerKeys> peers;
     for (size_t j = 0; j < parts; ++j) {
-      if (j != i) peers.push_back({packed[j].data(), local[j].size(), j < i});
+      if (j != i) peers.push_back({&local[j], &packed[j], j < i});
     }
     SL_ASSIGN_OR_RETURN(
         std::vector<uint32_t> kept,
@@ -1229,16 +1456,192 @@ TEST(ValidateAgainstPeersTest, CountsTestsAndSkipsHigherScores) {
     part = *sky;
     SortInSfsOrder(*matrix, &part);
   }
-  const std::vector<double> peer = PackKeys(*matrix, local[1]);
+  const BlockedKeys peer = PackKeys(*matrix, local[1]);
   DominanceCounter counter;
   SkylineOptions options;
   options.counter = &counter;
-  auto kept = ColumnarValidateAgainstPeers(
-      *matrix, local[0], {{peer.data(), local[1].size(), false}}, options);
+  auto kept = ColumnarValidateAgainstPeers(*matrix, local[0],
+                                           {{&local[1], &peer, false}}, options);
   ASSERT_TRUE(kept.ok());
   EXPECT_GT(counter.tests.load(), 0);
   EXPECT_LT(counter.tests.load(),
             static_cast<int64_t>(local[0].size() * local[1].size()));
+}
+
+// --- the block scans against their per-pair transcriptions --------------------
+
+/// The SFS filter pass transcribed per pair: SFS order, the SaLSa stop
+/// bound, and a window scanned one CompareKeySpansCompleteScalar at a time.
+std::vector<uint32_t> ReferenceSfs(const DominanceMatrix& matrix,
+                                   const SkylineOptions& options,
+                                   int64_t* tests) {
+  std::vector<uint32_t> ordered = AllIndices(matrix);
+  SortInSfsOrder(matrix, &ordered);
+  std::vector<double> remaining_min(ordered.size() + 1,
+                                    std::numeric_limits<double>::infinity());
+  for (size_t pos = ordered.size(); pos-- > 0;) {
+    remaining_min[pos] =
+        std::min(remaining_min[pos + 1], matrix.MinKey(ordered[pos]));
+  }
+  double min_c = std::numeric_limits<double>::infinity();
+  std::vector<uint32_t> window;
+  for (size_t pos = 0; pos < ordered.size(); ++pos) {
+    if (remaining_min[pos] > min_c) break;
+    const double* keys = matrix.row_keys(ordered[pos]);
+    bool eliminated = false;
+    for (const uint32_t w : window) {
+      ++*tests;
+      const Dominance dom = CompareKeySpansCompleteScalar(
+          matrix.row_keys(w), keys, matrix.num_dims());
+      if (dom == Dominance::kLeftDominates ||
+          (dom == Dominance::kEqual && options.distinct)) {
+        eliminated = true;
+        break;
+      }
+    }
+    if (!eliminated) {
+      window.push_back(ordered[pos]);
+      min_c = std::min(min_c, matrix.MaxKey(ordered[pos]));
+    }
+  }
+  return window;
+}
+
+// The SFS pass scans its window a block at a time, yet keeps the per-pair
+// pass's window, in order, with its test count: ties and duplicates,
+// windows of every size mod 4, the stop bound firing or not.
+TEST(BlockScanTest, SfsPassMatchesPerPairPass) {
+  const std::vector<std::vector<Row>> inputs = {
+      CorrelatedRows(600, 4, 3),      AntiCorrelatedRows(600, 4, 3),
+      AntiCorrelatedRows(300, 6, 5),  RandomRows(400, 3, 0.0, 3, 9),
+      RandomRows(200, 2, 0.0, 12, 4), RandomRows(5, 5, 0.0, 2, 1)};
+  for (size_t n = 0; n < inputs.size(); ++n) {
+    for (const bool distinct : {false, true}) {
+      SCOPED_TRACE(StrCat("input ", n, " distinct=", distinct));
+      auto dims = MinDims(inputs[n][0].size());
+      dims[1].goal = SkylineGoal::kMax;
+      auto matrix = DominanceMatrix::Build(inputs[n], dims);
+      ASSERT_TRUE(matrix.ok());
+      ASSERT_TRUE(matrix->all_numeric_minmax());
+      SkylineOptions options;
+      options.distinct = distinct;
+      int64_t reference_tests = 0;
+      const std::vector<uint32_t> reference =
+          ReferenceSfs(*matrix, options, &reference_tests);
+      DominanceCounter counter;
+      options.counter = &counter;
+      auto sfs = ColumnarSortFilterSkyline(*matrix, AllIndices(*matrix),
+                                           options);
+      ASSERT_TRUE(sfs.ok());
+      EXPECT_EQ(*sfs, reference);
+      EXPECT_EQ(counter.tests.load(), reference_tests);
+    }
+  }
+}
+
+/// ColumnarValidateAgainstPeers transcribed per pair: each peer (rows in
+/// SFS order, and whether it is earlier) is scanned row by row while its row
+/// is ahead of the candidate in SFS order, with CompareKeySpans.
+std::vector<uint32_t> ReferenceValidate(
+    const DominanceMatrix& matrix, const std::vector<uint32_t>& candidates,
+    const std::vector<std::pair<std::vector<uint32_t>, bool>>& peers,
+    const SkylineOptions& options, int64_t* tests) {
+  const size_t d = matrix.num_dims();
+  auto lex_less = [&](const double* a, const double* b) {
+    return std::lexicographical_compare(a, a + d, b, b + d);
+  };
+  std::vector<uint32_t> survivors;
+  for (const uint32_t c : candidates) {
+    const double* keys = matrix.row_keys(c);
+    bool eliminated = false;
+    for (const auto& [rows, earlier] : peers) {
+      const bool ties = options.distinct && earlier;
+      for (const uint32_t r : rows) {
+        const double* pkeys = matrix.row_keys(r);
+        const bool ahead =
+            matrix.Score(r) < matrix.Score(c) ||
+            (matrix.Score(r) == matrix.Score(c) &&
+             (ties ? !lex_less(keys, pkeys) : lex_less(pkeys, keys)));
+        if (!ahead) break;
+        ++*tests;
+        const Dominance dom =
+            CompareKeySpans(pkeys, keys, d, matrix.diff_mask(), 0);
+        if (dom == Dominance::kLeftDominates ||
+            (dom == Dominance::kEqual && ties)) {
+          eliminated = true;
+          break;
+        }
+      }
+      if (eliminated) break;
+    }
+    if (!eliminated) survivors.push_back(c);
+  }
+  return survivors;
+}
+
+// The validate scan reads each peer's prefix a block at a time, yet keeps
+// the per-pair scan's survivors, in order, with its test count: random
+// parts over direct, ranked and DIFF dimensions, and earlier peers' ties
+// under DISTINCT.
+TEST(BlockScanTest, ValidateMatchesPerPairScan) {
+  const std::vector<std::vector<BoundDimension>> dim_sets = {
+      {{1, SkylineGoal::kMin}, {2, SkylineGoal::kMax}},
+      {{1, SkylineGoal::kMax}, {2, SkylineGoal::kMin}, {4, SkylineGoal::kDiff}},
+      {{2, SkylineGoal::kMin}, {3, SkylineGoal::kMax}, {4, SkylineGoal::kDiff}},
+      {{1, SkylineGoal::kMin},
+       {2, SkylineGoal::kMin},
+       {3, SkylineGoal::kMin},
+       {4, SkylineGoal::kMax}},
+  };
+  Rng rng(99);
+  int64_t tests_seen = 0;
+  for (uint64_t seed = 1; seed <= 30; ++seed) {
+    const std::vector<Row> rows =
+        MergeRows(static_cast<size_t>(rng.UniformInt(1, 80)), seed);
+    const size_t parts = static_cast<size_t>(rng.UniformInt(2, 4));
+    for (const auto& dims : dim_sets) {
+      auto matrix = DominanceMatrix::Build(rows, dims);
+      ASSERT_TRUE(matrix.ok());
+      // Round-robin parts, each reduced to its skyline in SFS order.
+      std::vector<std::vector<uint32_t>> local(parts);
+      for (uint32_t r = 0; r < rows.size(); ++r) local[r % parts].push_back(r);
+      std::vector<BlockedKeys> packed;
+      for (auto& part : local) {
+        auto sky = ColumnarBlockNestedLoop(*matrix, part, {});
+        ASSERT_TRUE(sky.ok());
+        part = *sky;
+        SortInSfsOrder(*matrix, &part);
+        packed.push_back(PackKeys(*matrix, part));
+      }
+      for (const bool distinct : {false, true}) {
+        SCOPED_TRACE(StrCat("seed=", seed, " dims=", dims.size(),
+                            " distinct=", distinct));
+        for (size_t i = 0; i < parts; ++i) {
+          std::vector<PeerKeys> peers;
+          std::vector<std::pair<std::vector<uint32_t>, bool>> reference_peers;
+          for (size_t j = 0; j < parts; ++j) {
+            if (j == i) continue;
+            peers.push_back({&local[j], &packed[j], j < i});
+            reference_peers.push_back({local[j], j < i});
+          }
+          SkylineOptions options;
+          options.distinct = distinct;
+          int64_t reference_tests = 0;
+          const std::vector<uint32_t> reference = ReferenceValidate(
+              *matrix, local[i], reference_peers, options, &reference_tests);
+          DominanceCounter counter;
+          options.counter = &counter;
+          auto kept =
+              ColumnarValidateAgainstPeers(*matrix, local[i], peers, options);
+          ASSERT_TRUE(kept.ok());
+          EXPECT_EQ(*kept, reference);
+          EXPECT_EQ(counter.tests.load(), reference_tests);
+          tests_seen += reference_tests;
+        }
+      }
+    }
+  }
+  EXPECT_GT(tests_seen, 1000);
 }
 
 // --- the streamed local skyline ----------------------------------------------
@@ -1639,10 +2042,9 @@ TEST_F(ColumnarKernelDeadline, AllPairsIncomplete) {
 TEST_F(ColumnarKernelDeadline, ValidateAgainstPeers) {
   std::vector<uint32_t> peer = AllIndices(*matrix_);
   SortInSfsOrder(*matrix_, &peer);
-  const std::vector<double> keys = PackKeys(*matrix_, peer);
+  const BlockedKeys keys = PackKeys(*matrix_, peer);
   EXPECT_TIMES_OUT(ColumnarValidateAgainstPeers(
-      *matrix_, AllIndices(*matrix_), {{keys.data(), peer.size(), false}},
-      expired_));
+      *matrix_, AllIndices(*matrix_), {{&peer, &keys, false}}, expired_));
 }
 
 TEST_F(ColumnarKernelDeadline, ValidateAgainstChunk) {
@@ -1653,6 +2055,48 @@ TEST_F(ColumnarKernelDeadline, ValidateAgainstChunk) {
 }
 
 #undef EXPECT_TIMES_OUT
+
+// A cancel that arrives while a block kernel is scanning, in the middle of
+// some block, stops it at a later once-per-block poll: BNL, the SFS pass
+// and the validate scan each return Cancelled long before they would
+// finish (each runs for seconds uncancelled).
+TEST(ColumnarKernelCancel, CancelArrivingMidScanStopsEveryBlockKernel) {
+  const std::vector<Row> rows = AntiCorrelatedRows(20000, 8, 13);
+  auto matrix = DominanceMatrix::Build(rows, MinDims(8));
+  ASSERT_TRUE(matrix.ok());
+  const std::vector<uint32_t> all = AllIndices(*matrix);
+  std::vector<uint32_t> by_score = all;
+  SortInSfsOrder(*matrix, &by_score);
+  const BlockedKeys peer = PackKeys(*matrix, by_score);
+  using Kernel = std::function<Result<std::vector<uint32_t>>(
+      const SkylineOptions&)>;
+  const std::vector<std::pair<const char*, Kernel>> kernels = {
+      {"bnl",
+       [&](const SkylineOptions& o) {
+         return ColumnarBlockNestedLoop(*matrix, all, o);
+       }},
+      {"sfs",
+       [&](const SkylineOptions& o) {
+         return ColumnarSortFilterSkyline(*matrix, all, o);
+       }},
+      {"validate", [&](const SkylineOptions& o) {
+         return ColumnarValidateAgainstPeers(*matrix, by_score,
+                                             {{&by_score, &peer, false}}, o);
+       }}};
+  for (const auto& [name, kernel] : kernels) {
+    CancellationToken token;
+    SkylineOptions options;
+    options.cancel = &token;
+    std::thread canceller([&token] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      token.Cancel();
+    });
+    auto result = kernel(options);
+    canceller.join();
+    ASSERT_FALSE(result.ok()) << name << " finished before the cancel";
+    EXPECT_EQ(result.status().code(), StatusCode::kCancelled) << name;
+  }
+}
 
 }  // namespace
 }  // namespace skyline

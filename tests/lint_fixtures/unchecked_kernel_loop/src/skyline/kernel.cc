@@ -16,16 +16,27 @@ int UncheckedBlockScan(const Block& block) {
   return survivors;
 }
 
-// Same over packed keys: the SIMD compare is a dominance test too.
+// Same over packed keys: the per-pair compare is a dominance test too.
 int UncheckedPackedScan(const double* keys, size_t n, size_t d) {
   int dominated = 0;
   for (size_t i = 1; i < n; ++i) {
-    if (CompareKeySpansComplete(keys, keys + i * d, d) ==
+    if (CompareKeySpansCompleteScalar(keys, keys + i * d, d) ==
         Dominance::kLeftDominates) {
       ++dominated;
     }
   }
   return dominated;
+}
+
+// Same a block at a time: one block-primitive call tests four rows.
+int UncheckedBlockedScan(const double* x, const BlockedKeys& rows) {
+  int dominators = 0;
+  for (size_t base = 0; base < rows.size(); base += kBlockLanes) {
+    const LaneMasks lanes = CompareKeyLanesScalar(
+        x, rows.block(base / kBlockLanes), rows.num_dims(), 0, false);
+    dominators += __builtin_popcount(lanes.dominators);
+  }
+  return dominators;
 }
 
 }  // namespace skyline

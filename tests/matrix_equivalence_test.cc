@@ -99,9 +99,16 @@ INSTANTIATE_TEST_SUITE_P(
                       MatrixCase{"complete", 2, false},
                       MatrixCase{"complete", 4, false},
                       MatrixCase{"complete", 3, true},
+                      // The paper queries' 5 and 6 dimensions, and 9: the
+                      // block kernels' compare loops past one AVX2 register
+                      // of dimensions.
+                      MatrixCase{"complete", 5, false},
+                      MatrixCase{"complete", 6, true},
+                      MatrixCase{"complete", 9, false},
                       MatrixCase{"incomplete", 1, false},
                       MatrixCase{"incomplete", 3, false},
-                      MatrixCase{"incomplete", 3, true}));
+                      MatrixCase{"incomplete", 3, true},
+                      MatrixCase{"incomplete", 6, true}));
 
 // The round-based parallel incomplete global stage: sweeping the executor
 // count (including one executor, which runs the single-task stage, and one

@@ -16,8 +16,9 @@ Rules (each suppressible per line/function with `sl-lint: allow(<rule>)`):
                      lower-cases keys; docs use camelCase).
   kernel-deadline    Every kernel function in src/skyline/*.cc whose loops
                      perform dominance tests (CompareRows / matrix.Compare /
-                     CompareKeySpans* / CountTest) must poll DeadlineChecker
-                     / CheckInterrupt so queries stay cancellable mid-scan.
+                     CompareKeySpans* / the block primitive CompareKeyLanes*
+                     / CountTest) must poll DeadlineChecker / CheckInterrupt
+                     so queries stay cancellable mid-scan.
   metric-names       Literal instrument names passed to GetCounter /
                      GetGauge / GetHistogram must match the Prometheus
                      metric-name grammar and the `sparkline_` prefix
@@ -216,8 +217,10 @@ def check_flag_docs(root):
 # --- rule: kernel-deadline ---------------------------------------------------
 
 LOOP_RE = re.compile(r"\b(?:for|while)\s*\(")
+# CompareKey\w* covers the per-pair CompareKeySpans* and the block
+# primitive CompareKeyLanes* (with its one-row form, CompareKeyRow).
 DOM_TEST_RE = re.compile(
-    r"\bCompareRows\s*\(|\.Compare\s*\(|\bCompareKeySpans\w*\s*\(|"
+    r"\bCompareRows\s*\(|\.Compare\s*\(|\bCompareKey\w*\s*\(|"
     r"\bCountTest\s*\(")
 DEADLINE_RE = re.compile(r"DeadlineChecker|deadline\.Check|CheckInterrupt")
 FUNC_START_RE = re.compile(r"^[A-Za-z_].*\(")
